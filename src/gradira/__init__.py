@@ -19,6 +19,7 @@ from .errors import (
     NotHamiltonianError,
     NonWellDefinedError,
     ParseError,
+    UndefinedScalarError,
 )
 from .forms import (
     Form,

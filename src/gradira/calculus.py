@@ -31,14 +31,8 @@ def exterior_derivative(alpha):
             if dc == 0:
                 continue
             sign, merged = merge((i,), idx)
-            if sign == 0:
-                continue
-            term = dc if sign > 0 else scalars.sneg(dc)
-            acc = scalars.sadd(data.get(merged, scalars.ZERO), term)
-            if acc == 0:
-                data.pop(merged, None)
-            else:
-                data[merged] = acc
+            if sign:
+                scalars.accumulate(data, merged, dc, sign)
     return Form(chart, alpha.degree + 1, data, _normalized=True)
 
 
@@ -66,7 +60,7 @@ def lie_derivative_mvform(x, w):
     if x.degree != 1:
         raise DegreeError("lie_derivative_mvform needs a vector field")
     out = MvForm.zero(w.chart, w.form_degree, w.vec_degree)
-    for fidx, vidx, c in w.terms():
+    for (fidx, vidx), c in w.data.items():
         theta = Form(w.chart, w.form_degree, {fidx: c}, _normalized=True)
         u = MultiVector(w.chart, w.vec_degree, {vidx: scalars.ONE}, _normalized=True)
         out = out + MvForm.tensor(lie_derivative(x, theta), u)
@@ -82,12 +76,7 @@ def _xi_derivative(mv, k):
             continue
         pos = idx.index(k)
         rest = idx[:pos] + idx[pos + 1 :]
-        term = c if pos % 2 == 0 else scalars.sneg(c)
-        acc = scalars.sadd(data.get(rest, scalars.ZERO), term)
-        if acc == 0:
-            data.pop(rest, None)
-        else:
-            data[rest] = acc
+        scalars.accumulate(data, rest, c, -1 if pos % 2 else 1)
     return MultiVector(mv.chart, mv.degree - 1, data, _normalized=True)
 
 
@@ -170,11 +159,6 @@ def poincare_primitive(alpha):
                 rest = idx[:k] + idx[k + 1 :]
                 sign = 1 if k % 2 == 0 else -1
                 term = scalars.normalized(sign * scale * mono * chart.syms[slot])
-                if term == 0:
-                    continue
-                acc = scalars.sadd(data.get(rest, scalars.ZERO), term)
-                if acc == 0:
-                    data.pop(rest, None)
-                else:
-                    data[rest] = acc
+                if term != 0:
+                    scalars.accumulate(data, rest, term)
     return Form(chart, a - 1, data, _normalized=True)

@@ -55,12 +55,6 @@ class Chart:
     def sym(self, name):
         return self.syms[self.index(name)]
 
-    def is_base(self, i):
-        return i < self.n
-
-    def base_indices(self):
-        return range(self.n)
-
     def fiber_indices(self):
         return range(self.n, self.m)
 
@@ -94,9 +88,6 @@ class Chart:
             raise ChartError(f"function {name!r} re-declared with different arguments")
         self.functions[name] = args
         return sympy.Symbol(name)
-
-    def is_function_symbol(self, sym):
-        return str(sym) in self.functions
 
     def partial_symbol(self, fname, coord):
         """The formal partial of a registered function along ``coord``.

@@ -5,6 +5,11 @@ class GradiraError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class UndefinedScalarError(GradiraError):
+    """A scalar expression left the coefficient field (zoo, nan or +-oo),
+    as division by zero does; exactness admits no such values."""
+
+
 class ChartError(GradiraError):
     """Bad chart data: duplicate names, unknown coordinate, role mismatch."""
 

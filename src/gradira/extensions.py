@@ -22,8 +22,9 @@ import sympy
 from . import scalars
 from .calculus import exterior_derivative, lie_derivative, lie_derivative_mvform
 from .errors import DegreeError, MembershipError, NotHamiltonianError
-from .forms import Form, MvForm, contract, identity_tensor, wedge
+from .forms import Form, MvForm, contract, identity_tensor, mvform_contract_pair, wedge
 from .linsolve import nullspace, solve_linear
+from .multiindex import perm_sign
 from .render import render
 from .report import Report
 from .spans import Span, decompose_over
@@ -50,47 +51,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _s1_data(structure):
-    cache = getattr(structure, "_s1_cache", None)
-    if cache is not None:
-        return cache
-    gens = structure.generators(1)
-    # fast path: S^1 generated by scaled coordinate differentials
-    coord_map = {}
-    monomial = True
-    for i, g in enumerate(gens):
-        if len(g.data) != 1:
-            monomial = False
-            break
-        ((idx, c),) = g.data.items()
-        if idx[0] in coord_map:
-            monomial = False
-            break
-        coord_map[idx[0]] = (i, c)
-    if monomial and len(coord_map) == structure.chart.m:
-        sharps = [structure.derive_sharp(1, g) for g in gens]
-    else:
-        # re-basis onto coordinate differentials when S^1 = T*M, so wedge
-        # powers decompose monomial by monomial
-        coord_map = {}
-        gens = []
-        for i in range(structure.chart.m):
-            dc = Form(structure.chart, 1, {(i,): scalars.ONE}, _normalized=True)
-            if not structure.contains(1, dc):
-                coord_map = None
-                gens = structure.generators(1)
-                break
-            coord_map[i] = (i, scalars.ONE)
-            gens.append(dc)
-        sharps = [structure.derive_sharp(1, g) for g in gens]
-    cache = (gens, sharps, coord_map)
-    structure._s1_cache = cache
-    return cache
-
-
 def s1_wedge_basis(structure, a):
     """Wedge monomials of the S^1 generators spanning (S^1)^{wedge a}."""
-    gens, _, _ = _s1_data(structure)
+    gens, _, _ = structure.s1_basis
     basis = []
     for combo in combinations(range(len(gens)), a):
         form = gens[combo[0]]
@@ -104,7 +67,7 @@ def s1_wedge_basis(structure, a):
 def decompose_s1_power(structure, theta):
     """theta = sum f_C theta_{c1} ^ ... ^ theta_{ca} over generator
     combinations; None when theta is not in (S^1)^{wedge a}."""
-    gens, _, coord_map = _s1_data(structure)
+    gens, _, coord_map = structure.s1_basis
     a = theta.degree
     if theta.is_zero():
         return {}
@@ -117,18 +80,9 @@ def decompose_s1_power(structure, theta):
                 g, coeff = coord_map[i]
                 combo.append(g)
                 scale = scalars.smul(scale, coeff)
-            order = sorted(range(len(combo)), key=lambda t: combo[t])
-            sign = 1
-            for i in range(len(order)):
-                for j in range(i + 1, len(order)):
-                    if order[i] > order[j]:
-                        sign = -sign
-            key = tuple(sorted(combo))
-            val = scalars.sdiv(c, scale)
-            if sign < 0:
-                val = scalars.sneg(val)
-            out[key] = scalars.sadd(out.get(key, scalars.ZERO), val)
-        return {k: v for k, v in out.items() if v != 0}
+            scalars.accumulate(out, tuple(sorted(combo)), scalars.sdiv(c, scale),
+                               perm_sign(combo))
+        return out
     basis = s1_wedge_basis(structure, a)
     sol = decompose_over([f for _, f in basis], theta)
     if sol is None:
@@ -152,7 +106,7 @@ def sharp1_tilde(theta, structure):
     decomposition = decompose_s1_power(structure, theta)
     if decomposition is None:
         raise MembershipError(f"{render(theta)} is not in (S^1)^{a}")
-    gens, sharps, _ = _s1_data(structure)
+    gens, sharps, _ = structure.s1_basis
     out = MvForm.zero(structure.chart, a - 1, n)
     outer_sign = -1 if a % 2 == 0 else 1  # (-1)^{a+1}
     for combo, coeff in decomposition.items():
@@ -284,24 +238,12 @@ def _w_unknowns(chart, fdeg, vdeg, vertical=False):
 def _iota_w_rows(structure, fdeg, vdeg, alpha, unknowns):
     """Rows of iota_W alpha as linear forms in the W components, indexed by
     the resulting multi-index."""
-    from .multiindex import contract_index, merge
-
     rows = {}
-    for (fidx, vidx) in unknowns:
+    for wkey in unknowns:
         for aidx, c in alpha.data.items():
-            s1, rest = contract_index(aidx, vidx)
-            if s1 == 0:
-                continue
-            s2, res = merge(fidx, rest)
-            if s2 == 0:
-                continue
-            coeff = c if s1 * s2 > 0 else scalars.sneg(c)
-            rows.setdefault(res, {})
-            acc = scalars.sadd(rows[res].get((fidx, vidx), scalars.ZERO), coeff)
-            if acc == 0:
-                rows[res].pop((fidx, vidx), None)
-            else:
-                rows[res][(fidx, vidx)] = acc
+            sign, res = mvform_contract_pair(wkey, aidx)
+            if sign:
+                scalars.accumulate(rows.setdefault(res, {}), wkey, c, sign)
     return rows
 
 

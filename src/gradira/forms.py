@@ -13,6 +13,14 @@ Sign conventions (pinned once, in multiindex.py):
   contraction of a multivector by a form;
 * iota_{theta (x) u} gamma = theta ^ iota_u gamma for multivector valued
   forms, and iota_X in the form slot only is ``contract_form_slot``.
+
+Kernel contract: every product and contraction here is one call to
+``_bilinear``, which sums c_x * c_y over all pairs of stored terms.  A
+``pair(kx, ky) -> (sign, key)`` function places each product.  Pair
+functions are built only from ``merge`` and ``contract_index``, so every
+sign comes from multiindex.py; sign 0 drops the pair.  The sums go through
+``scalars.accumulate``, which drops zero coefficients, so no stored map
+ever holds a zero.
 """
 
 from __future__ import annotations
@@ -46,9 +54,15 @@ def _clean(data):
 
 
 class _Graded:
-    """Shared container behaviour of Form and MultiVector."""
+    """Container arithmetic shared by Form, MultiVector and MvForm: a chart
+    and a sparse map key -> nonzero normalised scalar.
 
-    __slots__ = ("chart", "degree", "data")
+    ``_grading()`` is the tuple of degrees the constructor takes after the
+    chart.  The constructor here builds the singly graded Form and
+    MultiVector; MvForm has its own.
+    """
+
+    __slots__ = ("chart", "data")
 
     def __init__(self, chart, degree, data=None, _normalized=False):
         if degree < 0 or degree > chart.m:
@@ -66,9 +80,16 @@ class _Graded:
             data = _clean(data)
         self.data = data
 
+    def _grading(self):
+        return (self.degree,)
+
+    def _like(self, data):
+        """Same type, chart and grading around already normalised data."""
+        return type(self)(self.chart, *self._grading(), data, _normalized=True)
+
     @classmethod
-    def zero(cls, chart, degree):
-        return cls(chart, degree, {}, _normalized=True)
+    def zero(cls, chart, *grading):
+        return cls(chart, *grading, {}, _normalized=True)
 
     def is_zero(self):
         return not self.data
@@ -80,51 +101,47 @@ class _Graded:
         return (
             type(self) is type(other)
             and self.chart == other.chart
-            and self.degree == other.degree
+            and self._grading() == other._grading()
             and self.data == other.data
         )
 
     def __hash__(self):
-        return hash((type(self).__name__, self.degree, frozenset(self.data.items())))
+        return hash((type(self).__name__, self._grading(),
+                     frozenset(self.data.items())))
 
     def __add__(self, other):
         self._check_like(other)
         data = dict(self.data)
         for key, val in other.data.items():
-            acc = scalars.sadd(data.get(key, scalars.ZERO), val)
-            if acc == 0:
-                data.pop(key, None)
-            else:
-                data[key] = acc
-        return type(self)(self.chart, self.degree, data, _normalized=True)
+            scalars.accumulate(data, key, val)
+        return self._like(data)
 
     def __neg__(self):
-        return type(self)(
-            self.chart,
-            self.degree,
-            {k: scalars.sneg(v) for k, v in self.data.items()},
-            _normalized=True,
-        )
+        return self._like({k: scalars.sneg(v) for k, v in self.data.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
+    def _scalar_value(self):
+        """The coefficient when every degree is zero (at most one key), else None."""
+        if any(self._grading()):
+            return None
+        return next(iter(self.data.values()), scalars.ZERO)
+
     def __rmul__(self, scalar):
         if isinstance(scalar, _Graded):
-            if scalar.degree == 0:
-                scalar = scalar.data.get((), scalars.ZERO)
-            elif self.degree == 0:
-                return scalar.__rmul__(self.data.get((), scalars.ZERO))
+            value = scalar._scalar_value()
+            if value is not None:
+                scalar = value
+            elif self._scalar_value() is not None:
+                return scalar.__rmul__(self._scalar_value())
             else:
                 raise DegreeError("use wedge for products of graded objects")
         scalar = as_scalar(scalar)
         if scalar == 0:
-            return type(self).zero(self.chart, self.degree)
-        return type(self)(
-            self.chart,
-            self.degree,
-            _clean({k: scalars.smul(scalar, v) for k, v in self.data.items()}),
-            _normalized=True,
+            return self._like({})
+        return self._like(
+            _clean({k: scalars.smul(scalar, v) for k, v in self.data.items()})
         )
 
     def __mul__(self, scalar):
@@ -136,9 +153,9 @@ class _Graded:
     def _check_like(self, other):
         if type(self) is not type(other) or self.chart != other.chart:
             raise DegreeError(f"cannot combine {self!r} and {other!r}")
-        if self.degree != other.degree:
+        if self._grading() != other._grading():
             raise DegreeError(
-                f"degree mismatch: {self.degree} vs {other.degree}"
+                f"degree mismatch: {self._grading()} vs {other._grading()}"
             )
 
     def __xor__(self, other):
@@ -150,19 +167,11 @@ class _Graded:
             out |= val.free_symbols
         return out
 
-    def map_scalars(self, fn):
-        return type(self)(
-            self.chart, self.degree, _clean({k: fn(v) for k, v in self.data.items()}),
-            _normalized=True,
-        )
-
-    def _fiber_count(self, idx):
-        n = self.chart.n
-        return sum(1 for i in idx if i >= n)
-
 
 class Form(_Graded):
     """A differential form of fixed degree; degree 0 wraps a bare scalar."""
+
+    __slots__ = ("degree",)
 
     @classmethod
     def scalar_form(cls, chart, value):
@@ -178,6 +187,10 @@ class Form(_Graded):
         if self.degree != 0:
             raise DegreeError("scalar() needs a 0-form")
         return self.data.get((), scalars.ZERO)
+
+    def _fiber_count(self, idx):
+        n = self.chart.n
+        return sum(1 for i in idx if i >= n)
 
     def is_semibasic(self):
         return all(self._fiber_count(idx) == 0 for idx in self.data)
@@ -198,14 +211,11 @@ class Form(_Graded):
 class MultiVector(_Graded):
     """A multivector field of fixed degree."""
 
+    __slots__ = ("degree",)
+
     @classmethod
     def coord_vector(cls, chart, name):
         return cls(chart, 1, {(chart.index(name),): scalars.ONE}, _normalized=True)
-
-    def is_vertical(self):
-        """Every component contains at least one fiber direction."""
-        n = self.chart.n
-        return all(any(i >= n for i in idx) for idx in self.data)
 
     def coefficient(self, idx):
         return self.data.get(tuple(idx), scalars.ZERO)
@@ -216,10 +226,10 @@ class MultiVector(_Graded):
         return render_mv(self)
 
 
-class MvForm:
+class MvForm(_Graded):
     """Multivector valued form: sparse map (form index, vector index) -> scalar."""
 
-    __slots__ = ("chart", "form_degree", "vec_degree", "data")
+    __slots__ = ("form_degree", "vec_degree")
 
     def __init__(self, chart, form_degree, vec_degree, data=None, _normalized=False):
         if form_degree < 0 or form_degree > chart.m:
@@ -237,94 +247,18 @@ class MvForm:
                     raise DegreeError(f"bad key {(fidx, vidx)}")
         self.data = data
 
-    @classmethod
-    def zero(cls, chart, form_degree, vec_degree):
-        return cls(chart, form_degree, vec_degree, {}, _normalized=True)
+    def _grading(self):
+        return (self.form_degree, self.vec_degree)
 
     @classmethod
     def tensor(cls, form, mv):
         """theta (x) u for a Form and a MultiVector."""
-        data = {}
-        for fidx, c in form.data.items():
-            for vidx, u in mv.data.items():
-                acc = scalars.sadd(
-                    data.get((fidx, vidx), scalars.ZERO), scalars.smul(c, u)
-                )
-                data[(fidx, vidx)] = acc
-        return cls(form.chart, form.degree, mv.degree, _clean(data), _normalized=True)
-
-    def is_zero(self):
-        return not self.data
-
-    def __bool__(self):
-        return bool(self.data)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MvForm)
-            and self.chart == other.chart
-            and self.form_degree == other.form_degree
-            and self.vec_degree == other.vec_degree
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        return hash(("MvForm", self.form_degree, self.vec_degree,
-                      frozenset(self.data.items())))
-
-    def __add__(self, other):
-        if (
-            not isinstance(other, MvForm)
-            or other.form_degree != self.form_degree
-            or other.vec_degree != self.vec_degree
-        ):
-            raise DegreeError("MvForm addition needs matching bidegrees")
-        data = dict(self.data)
-        for key, val in other.data.items():
-            acc = scalars.sadd(data.get(key, scalars.ZERO), val)
-            if acc == 0:
-                data.pop(key, None)
-            else:
-                data[key] = acc
-        return MvForm(self.chart, self.form_degree, self.vec_degree, data,
-                      _normalized=True)
-
-    def __neg__(self):
-        return MvForm(
-            self.chart,
-            self.form_degree,
-            self.vec_degree,
-            {k: scalars.sneg(v) for k, v in self.data.items()},
-            _normalized=True,
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        scalar = as_scalar(scalar)
-        return MvForm(
-            self.chart,
-            self.form_degree,
-            self.vec_degree,
-            _clean({k: scalars.smul(scalar, v) for k, v in self.data.items()}),
-            _normalized=True,
-        )
-
-    __mul__ = __rmul__
-
-    def form_slot_semibasic(self):
-        n = self.chart.n
-        return all(all(i < n for i in fidx) for fidx, _ in self.data)
+        return cls(form.chart, form.degree, mv.degree,
+                   _bilinear(form.data, mv.data, _tensor_pair), _normalized=True)
 
     def vec_slot_vertical(self):
         n = self.chart.n
         return all(any(i >= n for i in vidx) for _, vidx in self.data)
-
-    def terms(self):
-        """Iterate (form index, vector index, coefficient)."""
-        for (fidx, vidx), c in self.data.items():
-            yield fidx, vidx, c
 
     def __repr__(self):
         from .render import render_mvform
@@ -337,27 +271,93 @@ class MvForm:
 # ---------------------------------------------------------------------------
 
 
+def _bilinear(xdata, ydata, pair):
+    """The one product kernel: sum c_x * c_y over every pair of stored terms.
+
+    ``pair(kx, ky)`` returns (sign, key); the product is added at ``key``
+    with that sign, and sign 0 drops the pair.  x is the outer loop, which
+    fixes the order in which keys enter the result.
+    """
+    data = {}
+    for kx, cx in xdata.items():
+        for ky, cy in ydata.items():
+            sign, key = pair(kx, ky)
+            if sign:
+                scalars.accumulate(data, key, scalars.smul(cx, cy), sign)
+    return data
+
+
+def _tensor_pair(fidx, vidx):
+    return 1, (fidx, vidx)
+
+
+def _slotwise_pair(a, b):
+    """(theta (x) v) ^ (omega (x) u) = (theta ^ omega) (x) (v ^ u)."""
+    fs, fidx = merge(a[0], b[0])
+    if not fs:
+        return 0, None
+    vs, vidx = merge(a[1], b[1])
+    return fs * vs, (fidx, vidx)
+
+
+def _contract_by_pair(by, idx):
+    """The outer key contracts the inner one: a multivector index into a
+    form index for ``contract``, a form index into a multivector index for
+    ``contract_form``."""
+    return contract_index(idx, by)
+
+
+def _form_slot_pair(wkey, xidx):
+    """iota_X in the form slot: (iota_X theta) (x) u."""
+    sign, rest = contract_index(wkey[0], xidx)
+    return sign, (rest, wkey[1])
+
+
+def mvform_contract_pair(wkey, aidx):
+    """iota_{theta (x) v} alpha = theta ^ iota_v alpha on basis terms.
+
+    The sign is s1 * s2: s1 from contracting alpha by v, s2 from wedging
+    theta in front of what is left.  ``contract`` and the extension solver
+    (``extensions._iota_w_rows``) both use this one pairing.
+    """
+    fidx, vidx = wkey
+    s1, rest = contract_index(aidx, vidx)
+    if not s1:
+        return 0, None
+    s2, res = merge(fidx, rest)
+    return s1 * s2, res
+
+
 def _wedge_same(x, y, cls):
     degree = x.degree + y.degree
     if degree > x.chart.m:
         raise DegreeError(
             f"wedge degree {degree} exceeds chart dimension {x.chart.m}"
         )
-    data = {}
-    for ia, ca in x.data.items():
-        for ib, cb in y.data.items():
-            sign, idx = merge(ia, ib)
-            if sign == 0:
-                continue
-            term = scalars.smul(ca, cb)
-            if sign < 0:
-                term = scalars.sneg(term)
-            acc = scalars.sadd(data.get(idx, scalars.ZERO), term)
-            if acc == 0:
-                data.pop(idx, None)
-            else:
-                data[idx] = acc
-    return cls(x.chart, degree, data, _normalized=True)
+    return cls(x.chart, degree, _bilinear(x.data, y.data, merge), _normalized=True)
+
+
+def _slot_pairs(obj):
+    """(form degree, vector degree, data keyed by slot pairs): a Form reads
+    as theta (x) 1 and a MultiVector as 1 (x) u."""
+    if isinstance(obj, MvForm):
+        return obj.form_degree, obj.vec_degree, obj.data
+    if isinstance(obj, Form):
+        return obj.degree, 0, {(k, ()): c for k, c in obj.data.items()}
+    return 0, obj.degree, {((), k): c for k, c in obj.data.items()}
+
+
+def _mvform_wedge(x, y):
+    """Slotwise product with at least one MvForm factor, so that
+    (theta (x) v) ^ u = theta (x) (v ^ u), u ^ (theta (x) v) = theta (x) (u ^ v)
+    and a form factor wedges the form slot from its side."""
+    fx, vx, xdata = _slot_pairs(x)
+    fy, vy, ydata = _slot_pairs(y)
+    fd, vd = fx + fy, vx + vy
+    if fd > x.chart.m or vd > x.chart.m:
+        raise DegreeError("MvForm wedge overflow")
+    return MvForm(x.chart, fd, vd, _bilinear(xdata, ydata, _slotwise_pair),
+                  _normalized=True)
 
 
 def wedge(x, y):
@@ -368,9 +368,9 @@ def wedge(x, y):
     (theta (x) v) ^ u = theta (x) (v ^ u); two MvForms multiply slotwise.
     Scalars multiply through.
     """
-    if not isinstance(x, (Form, MultiVector, MvForm)):
-        return wedge(y, x) if isinstance(y, (Form, MultiVector, MvForm)) else x * y
-    if not isinstance(y, (Form, MultiVector, MvForm)):
+    if not isinstance(x, _Graded):
+        return wedge(y, x) if isinstance(y, _Graded) else x * y
+    if not isinstance(y, _Graded):
         return x * y
     if x.chart != y.chart:
         raise DegreeError("wedge of objects on different charts")
@@ -378,95 +378,9 @@ def wedge(x, y):
         return _wedge_same(x, y, Form)
     if isinstance(x, MultiVector) and isinstance(y, MultiVector):
         return _wedge_same(x, y, MultiVector)
-    if isinstance(x, MvForm) and isinstance(y, MultiVector):
-        return _mvform_wedge_mv(x, y, left=False)
-    if isinstance(x, MultiVector) and isinstance(y, MvForm):
-        return _mvform_wedge_mv(y, x, left=True)
-    if isinstance(x, MvForm) and isinstance(y, MvForm):
-        return _mvform_wedge_mvform(x, y)
-    if isinstance(x, Form) and isinstance(y, MvForm):
-        return _mvform_wedge_form(y, x, left=True)
-    if isinstance(x, MvForm) and isinstance(y, Form):
-        return _mvform_wedge_form(x, y, left=False)
+    if isinstance(x, MvForm) or isinstance(y, MvForm):
+        return _mvform_wedge(x, y)
     raise DegreeError(f"cannot wedge {type(x).__name__} with {type(y).__name__}")
-
-
-def _mvform_wedge_mv(w, u, left):
-    """(theta (x) v) ^ u = theta (x) (v ^ u); u ^ (theta (x) v) = theta (x) (u ^ v)."""
-    vec_degree = w.vec_degree + u.degree
-    if vec_degree > w.chart.m:
-        raise DegreeError("vector degree overflow")
-    data = {}
-    for (fidx, vidx), c in w.data.items():
-        for uidx, cu in u.data.items():
-            if left:
-                sign, idx = merge(uidx, vidx)
-            else:
-                sign, idx = merge(vidx, uidx)
-            if sign == 0:
-                continue
-            term = scalars.smul(c, cu)
-            if sign < 0:
-                term = scalars.sneg(term)
-            key = (fidx, idx)
-            acc = scalars.sadd(data.get(key, scalars.ZERO), term)
-            if acc == 0:
-                data.pop(key, None)
-            else:
-                data[key] = acc
-    return MvForm(w.chart, w.form_degree, vec_degree, data, _normalized=True)
-
-
-def _mvform_wedge_mvform(a, b):
-    """Slotwise product (theta (x) v) ^ (omega (x) u) = (theta^omega) (x) (v^u)."""
-    fd = a.form_degree + b.form_degree
-    vd = a.vec_degree + b.vec_degree
-    if fd > a.chart.m or vd > a.chart.m:
-        raise DegreeError("MvForm wedge overflow")
-    data = {}
-    for (fa, va), ca in a.data.items():
-        for (fb, vb), cb in b.data.items():
-            fs, fidx = merge(fa, fb)
-            if fs == 0:
-                continue
-            vs, vidx = merge(va, vb)
-            if vs == 0:
-                continue
-            term = scalars.smul(ca, cb)
-            if fs * vs < 0:
-                term = scalars.sneg(term)
-            key = (fidx, vidx)
-            acc = scalars.sadd(data.get(key, scalars.ZERO), term)
-            if acc == 0:
-                data.pop(key, None)
-            else:
-                data[key] = acc
-    return MvForm(a.chart, fd, vd, data, _normalized=True)
-
-
-def _mvform_wedge_form(w, form, left):
-    fd = w.form_degree + form.degree
-    if fd > w.chart.m:
-        raise DegreeError("MvForm form-slot overflow")
-    data = {}
-    for (fidx, vidx), c in w.data.items():
-        for gidx, cg in form.data.items():
-            if left:
-                sign, idx = merge(gidx, fidx)
-            else:
-                sign, idx = merge(fidx, gidx)
-            if sign == 0:
-                continue
-            term = scalars.smul(c, cg)
-            if sign < 0:
-                term = scalars.sneg(term)
-            key = (idx, vidx)
-            acc = scalars.sadd(data.get(key, scalars.ZERO), term)
-            if acc == 0:
-                data.pop(key, None)
-            else:
-                data[key] = acc
-    return MvForm(w.chart, fd, w.vec_degree, data, _normalized=True)
 
 
 def contract(u, alpha):
@@ -477,44 +391,26 @@ def contract(u, alpha):
     iota_{u ^ v} = iota_v o iota_u; for multivector valued forms it is
     iota_{theta (x) v} alpha = theta ^ iota_v alpha, extended bilinearly.
     """
+    if not isinstance(u, (MultiVector, MvForm)) or not isinstance(alpha, Form):
+        raise DegreeError("contract(u, alpha) needs a multivector and a form")
+    if u.chart != alpha.chart:
+        raise DegreeError("contraction across charts")
     if isinstance(u, MvForm):
         if u.vec_degree > alpha.degree:
             raise DegreeError(
                 f"cannot contract degree {alpha.degree} form by {u.vec_degree}-vector values"
             )
-        out = Form.zero(alpha.chart, u.form_degree + alpha.degree - u.vec_degree)
-        for fidx, vidx, c in u.terms():
-            theta = Form(alpha.chart, u.form_degree, {fidx: c}, _normalized=True)
-            inner = contract(
-                MultiVector(alpha.chart, u.vec_degree, {vidx: scalars.ONE},
-                            _normalized=True),
-                alpha,
+        degree = u.form_degree + alpha.degree - u.vec_degree
+        pair = mvform_contract_pair
+    else:
+        if u.degree > alpha.degree:
+            raise DegreeError(
+                f"cannot contract a degree {alpha.degree} form by a {u.degree}-vector"
             )
-            out = out + wedge(theta, inner)
-        return out
-    if not isinstance(u, MultiVector) or not isinstance(alpha, Form):
-        raise DegreeError("contract(u, alpha) needs a multivector and a form")
-    if u.chart != alpha.chart:
-        raise DegreeError("contraction across charts")
-    if u.degree > alpha.degree:
-        raise DegreeError(
-            f"cannot contract a degree {alpha.degree} form by a {u.degree}-vector"
-        )
-    data = {}
-    for vidx, cu in u.data.items():
-        for fidx, ca in alpha.data.items():
-            sign, rest = contract_index(fidx, vidx)
-            if sign == 0:
-                continue
-            term = scalars.smul(cu, ca)
-            if sign < 0:
-                term = scalars.sneg(term)
-            acc = scalars.sadd(data.get(rest, scalars.ZERO), term)
-            if acc == 0:
-                data.pop(rest, None)
-            else:
-                data[rest] = acc
-    return Form(alpha.chart, alpha.degree - u.degree, data, _normalized=True)
+        degree = alpha.degree - u.degree
+        pair = _contract_by_pair
+    return Form(alpha.chart, degree, _bilinear(u.data, alpha.data, pair),
+                _normalized=True)
 
 
 def contract_form(alpha, u):
@@ -529,21 +425,8 @@ def contract_form(alpha, u):
         raise DegreeError(
             f"cannot contract a {u.degree}-vector by a degree {alpha.degree} form"
         )
-    data = {}
-    for fidx, ca in alpha.data.items():
-        for vidx, cu in u.data.items():
-            sign, rest = contract_index(vidx, fidx)
-            if sign == 0:
-                continue
-            term = scalars.smul(ca, cu)
-            if sign < 0:
-                term = scalars.sneg(term)
-            acc = scalars.sadd(data.get(rest, scalars.ZERO), term)
-            if acc == 0:
-                data.pop(rest, None)
-            else:
-                data[rest] = acc
-    return MultiVector(u.chart, u.degree - alpha.degree, data, _normalized=True)
+    return MultiVector(u.chart, u.degree - alpha.degree,
+                       _bilinear(alpha.data, u.data, _contract_by_pair), _normalized=True)
 
 
 def contract_form_slot(x, w):
@@ -552,23 +435,8 @@ def contract_form_slot(x, w):
         raise DegreeError("contract_form_slot needs a multivector and an MvForm")
     if x.degree > w.form_degree:
         raise DegreeError("form slot degree too small")
-    data = {}
-    for (fidx, vidx), c in w.data.items():
-        for xidx, cx in x.data.items():
-            sign, rest = contract_index(fidx, xidx)
-            if sign == 0:
-                continue
-            term = scalars.smul(cx, c)
-            if sign < 0:
-                term = scalars.sneg(term)
-            key = (rest, vidx)
-            acc = scalars.sadd(data.get(key, scalars.ZERO), term)
-            if acc == 0:
-                data.pop(key, None)
-            else:
-                data[key] = acc
-    return MvForm(w.chart, w.form_degree - x.degree, w.vec_degree, data,
-                  _normalized=True)
+    return MvForm(w.chart, w.form_degree - x.degree, w.vec_degree,
+                  _bilinear(w.data, x.data, _form_slot_pair), _normalized=True)
 
 
 def identity_tensor(chart, a):

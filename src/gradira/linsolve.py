@@ -37,18 +37,12 @@ def _reduce_row(coeffs, rhs, pivots, order_index):
             hit = pivots.get(col)
             if hit is None:
                 continue
-            factor = coeffs.pop(col)
+            neg = scalars.sneg(coeffs.pop(col))
             prow, prhs = hit
             for c2, v2 in prow.items():
-                if c2 == col:
-                    continue
-                acc = scalars.sadd(coeffs.get(c2, scalars.ZERO),
-                                   scalars.smul(scalars.sneg(factor), v2))
-                if acc == 0:
-                    coeffs.pop(c2, None)
-                else:
-                    coeffs[c2] = acc
-            rhs = scalars.sadd(rhs, scalars.smul(scalars.sneg(factor), prhs))
+                if c2 != col:
+                    scalars.accumulate(coeffs, c2, scalars.smul(neg, v2))
+            rhs = scalars.sadd(rhs, scalars.smul(neg, prhs))
             changed = True
             break
     return coeffs, rhs
@@ -88,15 +82,10 @@ def solve_linear(rows, unknowns):
         for pcol, (prow, prhs) in list(pivots.items()):
             if pivot_col not in prow:
                 continue
-            factor = prow.pop(pivot_col)
+            neg = scalars.sneg(prow.pop(pivot_col))
             for c2, v2 in coeffs.items():
-                acc = scalars.sadd(prow.get(c2, scalars.ZERO),
-                                   scalars.smul(scalars.sneg(factor), v2))
-                if acc == 0:
-                    prow.pop(c2, None)
-                else:
-                    prow[c2] = acc
-            pivots[pcol] = (prow, scalars.sadd(prhs, scalars.smul(scalars.sneg(factor), rhs)))
+                scalars.accumulate(prow, c2, scalars.smul(neg, v2))
+            pivots[pcol] = (prow, scalars.sadd(prhs, scalars.smul(neg, rhs)))
         row = dict(coeffs)
         row[pivot_col] = scalars.ONE
         pivots[pivot_col] = (row, rhs)

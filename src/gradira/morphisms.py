@@ -16,7 +16,7 @@ from .forms import Form, MultiVector, wedge
 from .linsolve import nullspace, solve_linear
 from .render import render
 from .report import Report
-from .spans import Span
+from .spans import Span, coefficient_rows
 from .structure import Structure, bracket, is_hamiltonian_form
 
 __all__ = ["SubmersionDrop", "AffineEmbedding", "pushforward", "pullback",
@@ -199,19 +199,8 @@ def pushforward(structure, spec):
     values = structure.sharp_values(structure.n)
     dropped_idx = set(spec._dropped_idx)
     # combinations with no component along a dropped differential
-    rows = []
-    keys = set()
-    for g in gens:
-        keys |= set(g.data)
-    for key in sorted(keys):
-        if not set(key) & dropped_idx:
-            continue
-        coeffs = {}
-        for i, g in enumerate(gens):
-            c = g.data.get(key)
-            if c is not None:
-                coeffs[i] = c
-        rows.append(coeffs)
+    keys = sorted(set().union(*(g.data for g in gens)))
+    rows = coefficient_rows(gens, [k for k in keys if set(k) & dropped_idx])
     basis = nullspace(rows, list(range(len(gens))))
     new_gens = []
     new_vals = []

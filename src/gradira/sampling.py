@@ -12,7 +12,7 @@ import random
 import sympy
 
 from . import scalars
-from .forms import Form, MultiVector
+from .forms import Form
 from .calculus import exterior_derivative
 
 DEFAULT_SEED = 2024
@@ -53,19 +53,6 @@ def random_form(rng, chart, degree, terms=3, poly_degree=1, symbols=None):
             random_polynomial(rng, chart, poly_degree, symbols=symbols),
         )
     return Form(chart, degree, data)
-
-
-def random_multivector(rng, chart, degree, terms=2, poly_degree=1):
-    from itertools import combinations
-
-    indices = list(combinations(range(chart.m), degree))
-    data = {}
-    for _ in range(terms):
-        idx = rng.choice(indices)
-        data[idx] = scalars.sadd(
-            data.get(idx, scalars.ZERO), random_polynomial(rng, chart, poly_degree)
-        )
-    return MultiVector(chart, degree, data)
 
 
 def random_hamiltonian_form(rng, scn, base_only_coeffs=True):

@@ -16,15 +16,25 @@ from __future__ import annotations
 from functools import lru_cache
 
 import sympy
-from sympy import Rational
+
+from .errors import UndefinedScalarError
 
 ZERO = sympy.Integer(0)
 ONE = sympy.Integer(1)
 
+# Values outside the coefficient field: division by zero produces them.
+_UNDEFINED = (sympy.S.ComplexInfinity, sympy.S.NaN, sympy.S.Infinity,
+              sympy.S.NegativeInfinity)
+
 
 @lru_cache(maxsize=None)
 def _cancel(expr):
-    return sympy.cancel(expr)
+    # The check sits inside the cache, so it runs once per distinct
+    # expression; a raising call is not cached and raises again on reuse.
+    out = sympy.cancel(expr)
+    if out.has(*_UNDEFINED):
+        raise UndefinedScalarError(f"{expr} is not an element of the scalar field")
+    return out
 
 
 def as_scalar(value):
@@ -61,6 +71,19 @@ def sdiv(a, b):
 
 def sneg(a):
     return _cancel(-a)
+
+
+def accumulate(data, key, term, sign=1):
+    """data[key] += sign * term in place, dropping the key when the sum is
+    zero.  Every sparse sum in the package goes through here, so stored
+    maps never hold a zero coefficient."""
+    if sign < 0:
+        term = sneg(term)
+    acc = sadd(data.get(key, ZERO), term)
+    if acc == 0:
+        data.pop(key, None)
+    else:
+        data[key] = acc
 
 
 def diff(expr, coord_name, chart):

@@ -11,11 +11,20 @@ from itertools import combinations
 
 from . import scalars
 from .errors import DegreeError
-from .forms import Form, MultiVector, MvForm
-from .linsolve import nullspace, solve_linear
+from .forms import MultiVector
+from .linsolve import LinearSolution, nullspace, solve_linear
 from .multiindex import contract_index
 
-__all__ = ["Span", "annihilator", "decompose_over"]
+__all__ = ["Span", "annihilator", "coefficient_rows", "decompose_over"]
+
+
+def coefficient_rows(generators, keys):
+    """One row per key: {i: generators[i].data[key]} over the generators
+    with a component at that key."""
+    return [
+        {i: g.data[key] for i, g in enumerate(generators) if key in g.data}
+        for key in keys
+    ]
 
 
 def decompose_over(generators, target):
@@ -24,19 +33,12 @@ def decompose_over(generators, target):
     Works uniformly for Forms, MultiVectors and MvForms through their
     sparse ``data`` maps.
     """
-    rows = []
-    keys = set(target.data)
-    for g in generators:
-        keys |= set(g.data)
-    for key in sorted(keys):
-        coeffs = {}
-        for i, g in enumerate(generators):
-            c = g.data.get(key)
-            if c is not None:
-                coeffs[i] = c
-        rows.append((coeffs, target.data.get(key, scalars.ZERO)))
-    sol = solve_linear(rows, list(range(len(generators))))
-    return sol
+    keys = sorted(set(target.data).union(*(g.data for g in generators)))
+    rows = [
+        (coeffs, target.data.get(key, scalars.ZERO))
+        for key, coeffs in zip(keys, coefficient_rows(generators, keys))
+    ]
+    return solve_linear(rows, list(range(len(generators))))
 
 
 class Span:
@@ -61,33 +63,19 @@ class Span:
     def __iter__(self):
         return iter(self.generators)
 
-    def zero_element(self):
-        cls = Form if self.kind == "form" else MultiVector
-        return cls.zero(self.chart, self.degree)
-
     def decompose(self, target):
         """Membership with witness: particular coefficient vector or None."""
         if target.is_zero():
-            return LinearTrivial()
-        sol = decompose_over(self.generators, target)
-        return sol
+            return LinearSolution({})
+        return decompose_over(self.generators, target)
 
     def contains(self, target):
         return self.decompose(target) is not None
 
     def kernel(self):
         """Module relations among the generators."""
-        rows = []
-        keys = set()
-        for g in self.generators:
-            keys |= set(g.data)
-        for key in sorted(keys):
-            coeffs = {}
-            for i, g in enumerate(self.generators):
-                c = g.data.get(key)
-                if c is not None:
-                    coeffs[i] = c
-            rows.append(coeffs)
+        keys = sorted(set().union(*(g.data for g in self.generators)))
+        rows = coefficient_rows(self.generators, keys)
         return nullspace(rows, list(range(len(self.generators))))
 
     def reduced(self):
@@ -124,16 +112,6 @@ class Span:
         return f"Span(degree={self.degree}, kind={self.kind}, n={len(self.generators)})"
 
 
-class LinearTrivial:
-    """Decomposition of the zero element: all coefficients zero."""
-
-    particular: dict = {}
-    kernel: list = []
-
-    def is_unique(self):
-        return True
-
-
 def annihilator(span, p):
     """Generators of the order-p annihilator of a span of forms:
     all p-multivectors U with iota_U g = 0 for every generator g."""
@@ -149,13 +127,7 @@ def annihilator(span, p):
         for fidx, c in g.data.items():
             for vidx in combinations(fidx, p):
                 sign, rest = contract_index(fidx, vidx)
-                coeff = c if sign > 0 else scalars.sneg(c)
-                eqs.setdefault(rest, {})
-                acc = scalars.sadd(eqs[rest].get(vidx, scalars.ZERO), coeff)
-                if acc == 0:
-                    eqs[rest].pop(vidx, None)
-                else:
-                    eqs[rest][vidx] = acc
+                scalars.accumulate(eqs.setdefault(rest, {}), vidx, c, sign)
         for coeffs in eqs.values():
             if coeffs:
                 rows.append(coeffs)

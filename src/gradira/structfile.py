@@ -45,6 +45,34 @@ class StructureFile:
         self.meta = meta or {}
 
 
+def _is_strings(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_string_pairs(value):
+    return isinstance(value, list) and all(
+        _is_strings(p) and len(p) == 2 for p in value
+    )
+
+
+def _is_function_table(value):
+    return isinstance(value, dict) and all(
+        isinstance(k, str) and _is_strings(v) for k, v in value.items()
+    )
+
+
+def _section(doc, key, ok, shape, default):
+    """doc[key] once its JSON shape is checked; ``default`` when it is
+    absent or null.  A file is outside input, so a wrong shape is a
+    ParseError, never a TypeError deep inside the loader."""
+    value = doc.get(key)
+    if value is None:
+        return default
+    if not ok(value):
+        raise ParseError(f"section {key!r} must be {shape}")
+    return value
+
+
 def load_structure_file(path_or_dict):
     if isinstance(path_or_dict, dict):
         doc = path_or_dict
@@ -56,31 +84,38 @@ def load_structure_file(path_or_dict):
                 raise ParseError(f"not a JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("structure file must be a JSON object")
-    try:
-        chart_doc = doc["chart"]
-        chart = Chart(base=chart_doc["base"], fiber=chart_doc.get("fiber", []))
-    except KeyError as exc:
-        raise ParseError(f"missing chart section: {exc}") from None
-    for fname, args in doc.get("functions", {}).items():
+    chart_doc = doc.get("chart")
+    if not isinstance(chart_doc, dict) or chart_doc.get("base") is None:
+        raise ParseError("missing chart section: need an object with a 'base' list")
+    strings = "a list of strings"
+    chart = Chart(base=_section(chart_doc, "base", _is_strings, strings, None),
+                  fiber=_section(chart_doc, "fiber", _is_strings, strings, []))
+    functions = _section(doc, "functions", _is_function_table,
+                         "an object mapping names to lists of strings", {})
+    for fname, args in functions.items():
         chart.declare_function(fname, args)
     n = chart.n
-    sn = doc.get("sn", [])
-    sharp_n = doc.get("sharp_n", [])
+    sn = _section(doc, "sn", _is_strings, strings, [])
+    sharp_n = _section(doc, "sharp_n", _is_strings, strings, [])
     if len(sn) != len(sharp_n):
         raise ParseError("sn and sharp_n sections differ in length")
     gens = [parse_form(text, chart, degree=n) for text in sn]
     values = [parse_multivector(text, chart, degree=1) for text in sharp_n]
     structure = Structure(chart, gens, values)
     hamiltonian = None
-    if doc.get("hamiltonian"):
-        hamiltonian = parse_form(doc["hamiltonian"], chart, degree=n)
+    text = _section(doc, "hamiltonian", lambda v: isinstance(v, str), "a string", "")
+    if text:
+        hamiltonian = parse_form(text, chart, degree=n)
     generators = []
-    for label, text in doc.get("generators", []):
+    for label, text in _section(doc, "generators", _is_string_pairs,
+                                "a list of [label, form] string pairs", []):
         generators.append((label, parse_form(text, chart, degree=n - 1)))
     extension = None
-    if doc.get("extension"):
+    extension_doc = _section(doc, "extension", _is_string_pairs,
+                             "a list of [form, value] string pairs", [])
+    if extension_doc:
         entries = []
-        for ftext, wtext in doc["extension"]:
+        for ftext, wtext in extension_doc:
             theta = parse_form(ftext, chart)
             value = parse_expression(wtext, chart)
             if isinstance(value, MultiVector):

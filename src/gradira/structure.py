@@ -10,6 +10,9 @@ coset equality is decided by contracting against the S^p generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import sympy
 
 from . import scalars
 from .calculus import exterior_derivative, lie_derivative, schouten
@@ -94,8 +97,6 @@ def _averaged_gen(candidates, chosen):
     total = values[0]
     for v in values[1:]:
         total = total + v
-    import sympy
-
     return TowerGen(chosen.form, sympy.Rational(1, len(values)) * total)
 
 
@@ -158,6 +159,46 @@ class Structure:
 
     def sharp_values(self, a):
         return [g.sharp for g in self.levels[a]]
+
+    @cached_property
+    def s1_basis(self):
+        """(gens, sharps, coord_map): a generating set of S^1, the sharp_1
+        CosetRep of each generator, and, when every generator is a scaled
+        coordinate differential, coord_map[i] = (generator index, scale)
+        of dx^i (None otherwise).
+
+        Computed on first use and kept: it costs one derive_sharp per
+        generator, which only the extension layer needs.
+        """
+        chart = self.chart
+        gens = self.generators(1)
+        # fast path: S^1 generated by scaled coordinate differentials
+        coord_map = {}
+        monomial = True
+        for i, g in enumerate(gens):
+            if len(g.data) != 1:
+                monomial = False
+                break
+            ((idx, c),) = g.data.items()
+            if idx[0] in coord_map:
+                monomial = False
+                break
+            coord_map[idx[0]] = (i, c)
+        if not (monomial and len(coord_map) == chart.m):
+            # re-basis onto coordinate differentials when S^1 = T*M, so wedge
+            # powers decompose monomial by monomial
+            coord_map = {}
+            gens = []
+            for i in range(chart.m):
+                dc = Form(chart, 1, {(i,): scalars.ONE}, _normalized=True)
+                if not self.contains(1, dc):
+                    coord_map = None
+                    gens = self.generators(1)
+                    break
+                coord_map[i] = (i, scalars.ONE)
+                gens.append(dc)
+        sharps = [self.derive_sharp(1, g) for g in gens]
+        return gens, sharps, coord_map
 
     # -- cosets ------------------------------------------------------------
 
@@ -319,7 +360,7 @@ def _check_pair(structure, report, a, b, i, j, gen_a, gen_b):
     theta = (
         spm1q * lie_derivative(u, beta)
         + sq * lie_derivative(v, alpha)
-        - sympy_rational_half(sq) * exterior_derivative(
+        - sympy.Rational(sq, 2) * exterior_derivative(
             contract(v, alpha) + spq * contract(u, beta)
         )
     )
@@ -345,12 +386,6 @@ def _check_pair(structure, report, a, b, i, j, gen_a, gen_b):
     )
 
 
-def sympy_rational_half(sign):
-    import sympy
-
-    return sympy.Rational(sign, 2)
-
-
 def check_flatness_witnesses(structure, generation=None, symmetries=None):
     """Check user-supplied witnesses for the flatness hypotheses.
 
@@ -363,8 +398,6 @@ def check_flatness_witnesses(structure, generation=None, symmetries=None):
 
     Witnesses are only verified, never searched for.
     """
-    from .calculus import lie_derivative
-
     report = Report()
     n = structure.n
     for a, groups in (generation or {}).items():

@@ -70,6 +70,34 @@ def naive_wedge(a_data, a_deg, b_data, b_deg):
     return {k: sympy.cancel(v) for k, v in out.items() if sympy.cancel(v) != 0}
 
 
+def naive_mvform_contract(w_data, alpha_data, alpha_degree):
+    """iota_{theta (x) v} alpha = theta ^ iota_v alpha, term by term over
+    the (form index, vector index) keys of ``w_data``."""
+    out = {}
+    for (fidx, vidx), c in w_data.items():
+        inner = naive_contract(alpha_data, alpha_degree, vidx)
+        piece = naive_wedge({fidx: c}, len(fidx), inner, alpha_degree - len(vidx))
+        for key, val in piece.items():
+            out[key] = out.get(key, sympy.Integer(0)) + val
+    return {k: sympy.cancel(v) for k, v in out.items() if sympy.cancel(v) != 0}
+
+
+def naive_mvform_wedge(a_data, b_data):
+    """Slotwise (theta (x) v) ^ (omega (x) u) = (theta ^ omega) (x) (v ^ u),
+    term by term over (form index, vector index) keys."""
+    out = {}
+    one = sympy.Integer(1)
+    for (fa, va), ca in a_data.items():
+        for (fb, vb), cb in b_data.items():
+            forms = naive_wedge({fa: ca}, len(fa), {fb: cb}, len(fb))
+            vectors = naive_wedge({va: one}, len(va), {vb: one}, len(vb))
+            for fkey, fval in forms.items():
+                for vkey, vval in vectors.items():
+                    key = (fkey, vkey)
+                    out[key] = out.get(key, sympy.Integer(0)) + fval * vval
+    return {k: sympy.cancel(v) for k, v in out.items() if sympy.cancel(v) != 0}
+
+
 def naive_identity_contraction(data, degree, m, a):
     """iota_{1_a} beta = sum_J dx^J ^ iota_{d/dx^J} beta, expanded naively."""
     out = {}

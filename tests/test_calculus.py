@@ -104,10 +104,17 @@ def test_lie_derivative_degree2_matches_definition(chart5):
         for idx in combinations(range(5), 3)
     }
     alpha = Form(chart5, 3, data)
+
     # oracle: the defining formula evaluated with the naive contraction
-    inner = naive_contract(alpha.data, 3, None) if False else None
-    first = exterior_derivative(contract(u, alpha))
-    second = contract(u, exterior_derivative(alpha))
+    def naive_iota(form):
+        out = Form.zero(chart5, form.degree - u.degree)
+        for vidx, c in u.data.items():
+            inner = naive_contract(form.data, form.degree, vidx)
+            out = out + c * Form(chart5, form.degree - u.degree, inner)
+        return out
+
+    first = exterior_derivative(naive_iota(alpha))
+    second = naive_iota(exterior_derivative(alpha))
     assert lie_derivative(u, alpha) == first - second  # p = 2 even
 
 

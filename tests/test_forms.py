@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from gradira import (
     Chart,
@@ -18,7 +19,12 @@ from gradira import (
 )
 from gradira.errors import DegreeError
 
-from naive import naive_contract, naive_wedge
+from naive import (
+    naive_contract,
+    naive_mvform_contract,
+    naive_mvform_wedge,
+    naive_wedge,
+)
 
 
 def dform(chart, name):
@@ -156,3 +162,79 @@ def test_zero_propagation(chart5):
     assert (z + z).is_zero()
     assert wedge(z, dform(chart5, "x1")).is_zero()
     assert not z
+
+
+def _summed(pieces):
+    """Add (key, value) pairs and drop the zeros, as the oracles do."""
+    out = {}
+    for key, val in pieces:
+        out[key] = out.get(key, sympy.Integer(0)) + val
+    return {k: sympy.cancel(v) for k, v in out.items() if sympy.cancel(v) != 0}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_mvform_products_match_naive_oracles(chart5, data):
+    def indices(degree):
+        return list(combinations(range(chart5.m), degree))
+
+    def sparse(keys):
+        terms = st.lists(
+            st.tuples(st.sampled_from(keys), st.sampled_from([-2, -1, 1, 3]),
+                      st.sampled_from(chart5.syms), st.integers(0, 2)),
+            min_size=1, max_size=3,
+        )
+        out = {}
+        for key, c, sym, e in data.draw(terms):
+            out[key] = out.get(key, sympy.Integer(0)) + c * sym**e
+        return out
+
+    def degree(lo, hi):
+        return data.draw(st.integers(lo, hi))
+
+    def form(d):
+        return Form(chart5, d, sparse(indices(d)))
+
+    def multivector(d):
+        return MultiVector(chart5, d, sparse(indices(d)))
+
+    def mvform(fd, vd):
+        keys = [(f, v) for f in indices(fd) for v in indices(vd)]
+        return MvForm(chart5, fd, vd, sparse(keys))
+
+    def as_form_slot(theta):  # theta (x) 1
+        return {(k, ()): c for k, c in theta.data.items()}
+
+    def as_vector_slot(u):  # 1 (x) u
+        return {((), k): c for k, c in u.data.items()}
+
+    w = mvform(degree(0, 2), degree(1, 2))
+    alpha = form(degree(w.vec_degree, 3))
+    assert contract(w, alpha).data == naive_mvform_contract(
+        w.data, alpha.data, alpha.degree)
+
+    u = multivector(degree(1, 2))
+    theta = form(degree(1, 2))
+    w2 = mvform(degree(0, 2), degree(0, 2))
+    assert wedge(w, u).data == naive_mvform_wedge(w.data, as_vector_slot(u))
+    assert wedge(u, w).data == naive_mvform_wedge(as_vector_slot(u), w.data)
+    assert wedge(w, theta).data == naive_mvform_wedge(w.data, as_form_slot(theta))
+    assert wedge(theta, w).data == naive_mvform_wedge(as_form_slot(theta), w.data)
+    assert wedge(w, w2).data == naive_mvform_wedge(w.data, w2.data)
+
+    # iota_alpha u and iota_X in the form slot, from the naive contraction
+    u3 = multivector(degree(1, 3))
+    beta = form(degree(1, u3.degree))
+    assert contract_form(beta, u3).data == _summed(
+        (key, c * val)
+        for fidx, c in beta.data.items()
+        for key, val in naive_contract(u3.data, u3.degree, fidx).items()
+    )
+    ws = mvform(degree(1, 3), degree(0, 2))
+    x = multivector(degree(1, ws.form_degree))
+    assert contract_form_slot(x, ws).data == _summed(
+        ((rest, vidx), val)
+        for (fidx, vidx), c in ws.data.items()
+        for xidx, cx in x.data.items()
+        for rest, val in naive_contract({fidx: c * cx}, len(fidx), xidx).items()
+    )

@@ -2,7 +2,7 @@ import pytest
 import sympy
 
 from gradira import Chart, Form, MultiVector, MvForm, parse_expression, parse_form, wedge
-from gradira.errors import ParseError
+from gradira.errors import ParseError, UndefinedScalarError
 from gradira.parser import parse_multivector
 from gradira.render import render, render_form
 
@@ -96,6 +96,12 @@ class TestErrors:
     def test_trailing_input(self, chart):
         with pytest.raises(ParseError):
             parse_expression("d(y1) d(x1)", chart)
+
+    @pytest.mark.parametrize("text", ["1/0", "0/0"])
+    def test_division_by_zero_rejected(self, chart, text):
+        # zoo and nan are not elements of the exact scalar field
+        with pytest.raises(UndefinedScalarError):
+            parse_form(text, chart)
 
 
 class TestRoundTrip:

@@ -151,9 +151,39 @@ class TestCli:
         assert code == 0
         assert "==" in out
 
-    def test_missing_file_exit_2(self, capsys):
+    def test_bracket_undefined_scalar_exit_2(self, tmp_path, capsys):
+        out_file = str(tmp_path / "structure.json")
+        run_cli(["scenario", "reduced-canonical", "--out", out_file], capsys)
+        code, out, err = run_cli(
+            ["bracket", "-f", out_file, "-a", "y1 * dX[1]", "-b", "1/0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_missing_file_exit_2(self, red2, tmp_path, capsys):
         code, _, err = run_cli(["verify", "-f", "/nonexistent.json"], capsys)
         assert code == 2
+        # sections of the wrong JSON shape are input errors as well
+        good = dump_scenario(red2)
+        bad_sections = [
+            ("chart", ["x1", "x2"]),
+            ("chart", {"base": "x1", "fiber": []}),
+            ("chart", {"base": ["x1", "x2"], "fiber": [1]}),
+            ("functions", ["H"]),
+            ("functions", {"H": "x1"}),
+            ("sn", 5),
+            ("sharp_n", [1]),
+            ("generators", [["label"]]),
+            ("generators", [["label", 3]]),
+            ("extension", [["dX[1]"]]),
+            ("extension", "dX[1] => 0"),
+        ]
+        path = tmp_path / "bad.json"
+        for key, value in bad_sections:
+            path.write_text(json.dumps({**good, key: value}))
+            code, out, err = run_cli(["verify", "-f", str(path)], capsys)
+            assert (key, code, out) == (key, 2, "")
+            assert err.startswith("error:")
 
     def test_console_entry_point(self, tmp_path):
         out_file = str(tmp_path / "structure.json")
