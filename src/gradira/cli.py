@@ -23,7 +23,7 @@ from .dynamics import (
     is_special_hamiltonian,
     render_residual_equation,
 )
-from .extensions import bracket_ext1, build_span_tower
+from .extensions import bracket_ext1_signed, build_span_tower
 from .forms import Form
 from .parser import parse_form
 from .render import render_form
@@ -105,14 +105,8 @@ def cmd_bracket(args):
     beta = parse_form(args.b, sf.chart)
     if beta.degree <= n - 1 and alpha.degree <= n - 1:
         value = bracket(alpha, beta, st)
-    elif alpha.degree == n - 1:
-        value = bracket_ext1(alpha, beta, st)
     else:
-        value = bracket_ext1(beta, alpha, st)
-        from .structure import deg_h
-
-        if (deg_h(alpha, n) * deg_h(beta, n)) % 2 == 0:
-            value = -value
+        value = bracket_ext1_signed(alpha, beta, st)
     print(render_form(value))
     return 0
 

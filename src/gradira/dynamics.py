@@ -11,11 +11,10 @@ from .calculus import exterior_derivative
 from .chart import Chart
 from .errors import DegreeError, MembershipError, NotHamiltonianError
 from .extensions import (
-    bracket_ext1,
-    bracket_extj,
-    decompose_s1_power,
+    require_ext1_left,
+    require_extj_left,
     sharp1_tilde,
-    solve_sharp_j,
+    solve_pairing,
 )
 from .forms import (
     Form,
@@ -25,11 +24,12 @@ from .forms import (
     contract_form,
     contract_form_slot,
     identity_tensor,
+    substitute_differentials,
     wedge,
 )
 from .render import render, render_form
 from .report import Report
-from .structure import is_hamiltonian_form
+from .structure import bracket_formula, is_hamiltonian_form
 
 __all__ = [
     "Hamiltonian",
@@ -58,33 +58,38 @@ def is_hamiltonian(form, structure, tower=None):
     S^{n+1}[n]; 1_n - sharp_1~(d H) is semi-basic modulo K_n; and
     sharp_1~(d H) annihilates every semi-basic n-form.
     """
+    _, _, failure = _hamiltonian_data(form, structure, tower)
+    return (False, [failure]) if failure else (True, ["ok"])
+
+
+def _hamiltonian_data(form, structure, tower):
+    """(d H, sharp_1~(d H), failure): failure is None when the form meets
+    every condition of ``is_hamiltonian``, else the first one it fails."""
     n = structure.n
     chart = structure.chart
-    diagnostics = []
     if form.degree != n:
-        return False, [f"degree {form.degree} != n"]
+        return None, None, f"degree {form.degree} != n"
     dh = exterior_derivative(form)
-    if decompose_s1_power(structure, dh) is None:
-        return False, ["dH is not in the wedge power (S^1)^(n+1)"]
+    try:
+        s1t = sharp1_tilde(dh, structure)
+    except MembershipError:
+        return dh, None, "dH is not in the wedge power (S^1)^(n+1)"
     if tower is not None:
-        if not tower.is_admitted(dh):
-            return False, ["dH is not in S^{n+1}[n]"]
-    elif not dh.is_zero() and solve_sharp_j(structure, dh, n) is None:
-        return False, ["dH is not in S^{n+1}[n]"]
-    s1t = sharp1_tilde(dh, structure)
+        admitted = tower.is_admitted(dh)
+    else:
+        admitted = dh.is_zero() or solve_pairing(structure, s1t, n) is not None
+    if not admitted:
+        return dh, s1t, "dH is not in S^{n+1}[n]"
     defect = identity_tensor(chart, n) - s1t
     for v in _vertical_vectors(chart):
         slot = contract_form_slot(v, defect)
         if not structure.coset_is_zero(slot, n):
-            diagnostics.append(
-                f"1_n - sharp_1~(dH) is not semi-basic: fails along "
-                f"{render(v)}"
-            )
-            return False, diagnostics
+            return dh, s1t, (f"1_n - sharp_1~(dH) is not semi-basic: fails "
+                             f"along {render(v)}")
     vol = Form(chart, n, {tuple(range(n)): scalars.ONE}, _normalized=True)
     if contract(s1t, vol):
-        return False, ["sharp_1~(dH) does not annihilate semi-basic n-forms"]
-    return True, ["ok"]
+        return dh, s1t, "sharp_1~(dH) does not annihilate semi-basic n-forms"
+    return dh, s1t, None
 
 
 @dataclass
@@ -98,15 +103,16 @@ class Hamiltonian:
     tower: object = None
 
     def __post_init__(self):
-        ok, diagnostics = is_hamiltonian(self.form, self.structure, self.tower)
-        if not ok:
-            raise NotHamiltonianError("; ".join(diagnostics))
-        self.dform = exterior_derivative(self.form)
-        self.sharp1t = sharp1_tilde(self.dform, self.structure)
+        self.dform, self.sharp1t, failure = _hamiltonian_data(
+            self.form, self.structure, self.tower)
+        if failure:
+            raise NotHamiltonianError(failure)
 
     def bracket_with(self, alpha):
         """{alpha, H} through the first extension."""
-        return bracket_ext1(alpha, self.form, self.structure)
+        require_ext1_left(alpha, self.structure)
+        return bracket_formula(self.sharp1t, exterior_derivative(alpha),
+                               self.form, self.structure.n)
 
 
 class Section:
@@ -131,24 +137,16 @@ class Section:
     def pullback(self, form):
         """psi^* of a form: du -> sum du/dx^mu dx^mu, coefficients kept as
         formal functions of the base point."""
-        n = self.chart.n
-        out = Form.zero(self.base_chart, form.degree)
-        for idx, c in form.data.items():
-            term = Form.scalar_form(self.base_chart, c)
-            for i in idx:
-                if i < n:
-                    one = Form.d_coord(self.base_chart, self.chart.coords[i])
-                else:
-                    name = self.chart.coords[i]
-                    data = {}
-                    for mu in range(1, n + 1):
-                        data[(mu - 1,)] = self.partial(name, mu)
-                    one = Form(self.base_chart, 1, data)
-                term = wedge(term, one)
-                if term.is_zero():
-                    break
-            out = out + term
-        return out
+        return substitute_differentials(form, self.base_chart, lambda c: c,
+                                        self._one_form)
+
+    def _one_form(self, i):
+        """psi^* dx^i: dx^i on the base, sum_mu du/dx^mu dx^mu on the fiber."""
+        if i < self.chart.n:
+            return Form.d_coord(self.base_chart, self.chart.coords[i])
+        name = self.chart.coords[i]
+        return Form(self.base_chart, 1, {(mu - 1,): self.partial(name, mu)
+                                         for mu in range(1, self.chart.n + 1)})
 
 
 def hdw_residuals(ham, section, generators):
@@ -162,12 +160,13 @@ def hdw_residuals(ham, section, generators):
     for label, alpha in generators:
         if not is_hamiltonian_form(alpha, ham.structure):
             raise NotHamiltonianError(f"{label} is not Hamiltonian")
-        evolution = exterior_derivative(alpha) + ham.bracket_with(alpha)
+        dalpha = exterior_derivative(alpha)
+        evolution = dalpha + ham.bracket_with(alpha)
         if not evolution.is_semibasic():
             raise MembershipError(
                 f"evolution of {label} is not semi-basic: {render(evolution)}"
             )
-        lhs = section.pullback(exterior_derivative(alpha))
+        lhs = section.pullback(dalpha)
         rhs = section.pullback(evolution)
         out.append((label, lhs - rhs, lhs, rhs))
     return out
@@ -206,15 +205,8 @@ class Connection:
     def pullback(self, form):
         """Pullback through the connection: substitute every differential
         by its horizontal part."""
-        out = Form.zero(self.chart, form.degree)
-        for idx, c in form.data.items():
-            term = Form.scalar_form(self.chart, c)
-            for i in idx:
-                term = wedge(term, self.horizontal_one_form(i))
-                if term.is_zero():
-                    break
-            out = out + term
-        return out
+        return substitute_differentials(form, self.chart, lambda c: c,
+                                        self.horizontal_one_form)
 
 
 def gamma_H(ham, table):
@@ -257,10 +249,13 @@ def check_evolution(ham, table, connection, forms):
     """Verify h^*(d alpha) = d alpha + {alpha, H}_{sharp_n~} for the given
     Hamiltonian forms of degree <= n-1."""
     report = Report()
+    structure = ham.structure
+    w = table.apply(ham.dform)
     for label, alpha in forms:
+        require_extj_left(alpha, structure, table.j)
         dalpha = exterior_derivative(alpha)
         lhs = connection.pullback(dalpha)
-        rhs = dalpha + bracket_extj(alpha, ham.form, table)
+        rhs = dalpha + bracket_formula(w, dalpha, ham.form, structure.n)
         ok = lhs == rhs
         report.add(
             f"evolution {label}",

@@ -28,7 +28,7 @@ from .multiindex import perm_sign
 from .render import render
 from .report import Report
 from .spans import Span, decompose_over
-from .structure import bracket, deg_h, is_hamiltonian_form
+from .structure import bracket, bracket_formula, deg_h, is_hamiltonian_form
 
 __all__ = [
     "sharp1_tilde",
@@ -153,33 +153,34 @@ def pairing_defect(structure, theta, w=None):
 # ---------------------------------------------------------------------------
 
 
+def require_ext1_left(alpha, structure):
+    """Reject a left argument the first-extension bracket is not defined
+    on: it must be a Hamiltonian (n-1)-form."""
+    if alpha.degree != structure.n - 1:
+        raise DegreeError("bracket_ext1 needs an (n-1)-form on the left")
+    if not is_hamiltonian_form(alpha, structure):
+        raise NotHamiltonianError(f"{render(alpha)} is not Hamiltonian")
+
+
 def bracket_ext1(alpha, theta, structure):
     """{alpha, Theta} = (-1)^{deg_H Theta} iota_{sharp_1~(d Theta)} d alpha
     for a Hamiltonian (n-1)-form alpha and Theta with
     d Theta in (S^1)^{wedge (deg+1)}."""
-    n = structure.n
-    if alpha.degree != n - 1:
-        raise DegreeError("bracket_ext1 needs an (n-1)-form on the left")
-    if not is_hamiltonian_form(alpha, structure):
-        raise NotHamiltonianError(f"{render(alpha)} is not Hamiltonian")
+    require_ext1_left(alpha, structure)
     dtheta = exterior_derivative(theta)
     if dtheta.is_zero():
         return Form.zero(structure.chart, theta.degree)
-    w = sharp1_tilde(dtheta, structure)
-    value = contract(w, exterior_derivative(alpha))
-    if deg_h(theta, n) % 2:
-        value = -value
-    return value
+    return bracket_formula(sharp1_tilde(dtheta, structure),
+                           exterior_derivative(alpha), theta, structure.n)
 
 
 def bracket_ext1_signed(x, y, structure):
     """bracket_ext1 extended by graded skew-symmetry to either argument
-    order; exactly one argument must be an (n-1)-form."""
+    order; exactly one argument must be an (n-1)-form.  That argument has
+    deg_H 0, so the skew-symmetry sign -(-1)^{deg_H x deg_H y} is -1."""
     n = structure.n
     if y.degree == n - 1 and x.degree != n - 1:
-        value = bracket_ext1(y, x, structure)
-        sign = (deg_h(x, n) * deg_h(y, n)) % 2
-        return value if sign else -value
+        return -bracket_ext1(y, x, structure)
     return bracket_ext1(x, y, structure)
 
 
@@ -227,7 +228,7 @@ class TowerLevel:
 def _w_unknowns(chart, fdeg, vdeg, vertical=False):
     """Unknown W components; with ``vertical`` only vector slots touching
     the fiber are kept (vertical-valued extensions, the class the dynamics
-    the dynamics on fibered charts singles out)."""
+    on fibered charts singles out)."""
     fkeys = list(combinations(range(chart.m), fdeg))
     vkeys = list(combinations(range(chart.m), vdeg))
     if vertical:
@@ -235,7 +236,7 @@ def _w_unknowns(chart, fdeg, vdeg, vertical=False):
     return [(f, v) for f in fkeys for v in vkeys]
 
 
-def _iota_w_rows(structure, fdeg, vdeg, alpha, unknowns):
+def _iota_w_rows(alpha, unknowns):
     """Rows of iota_W alpha as linear forms in the W components, indexed by
     the resulting multi-index."""
     rows = {}
@@ -247,33 +248,53 @@ def _iota_w_rows(structure, fdeg, vdeg, alpha, unknowns):
     return rows
 
 
-def solve_sharp_j(structure, theta, j, rhs_mvform=None, vertical=False):
+def _pairing_rows(structure, unknowns, values):
+    """The defining pairing iota_W alpha = iota_{values[t]} alpha over the
+    S^n generators alpha, one row per generator and result multi-index
+    (in sorted order): (coefficients of the W unknowns, {t: coefficient
+    of iota_{values[t]} alpha}).  ``values`` are sharp_1~ values the
+    caller has already computed."""
+    rows = []
+    for gen in structure.levels[structure.n]:
+        lhs_rows = _iota_w_rows(gen.form, unknowns)
+        rhs_rows = {}
+        for t, value in enumerate(values):
+            for key, c in contract(value, gen.form).data.items():
+                rhs_rows.setdefault(key, {})[t] = c
+        for key in sorted(set(lhs_rows) | set(rhs_rows)):
+            rows.append((lhs_rows.get(key, {}), rhs_rows.get(key, {})))
+    return rows
+
+
+def solve_pairing(structure, value, j, vertical=False):
+    """Solve iota_W alpha = iota_value alpha for all alpha in S^n, W in
+    Lambda^{a-j} (x) V_{n+1-j}, given value = sharp_1~(theta) for an
+    a-form theta.  Returns (particular MvForm, freedom list) or None when
+    the system is inconsistent."""
+    chart = structure.chart
+    fdeg, vdeg = value.form_degree + 1 - j, structure.n + 1 - j
+    unknowns = _w_unknowns(chart, fdeg, vdeg, vertical)
+    rows = [(lhs, rhs.get(0, scalars.ZERO))
+            for lhs, rhs in _pairing_rows(structure, unknowns, [value])]
+    sol = solve_linear(rows, unknowns)
+    if sol is None:
+        return None
+    particular = MvForm(chart, fdeg, vdeg, dict(sol.particular))
+    freedom = [MvForm(chart, fdeg, vdeg, dict(vec)) for vec in sol.kernel]
+    return particular, freedom
+
+
+def solve_sharp_j(structure, theta, j, vertical=False):
     """Solve iota_W alpha = iota_{sharp_1~(theta)} alpha for all alpha in S^n,
     W in Lambda^{a-j} (x) V_{n+1-j}.  Returns (particular MvForm, freedom
     list) or None when theta is not admitted (with ``vertical``, not
     admitted by a vertical-valued solution)."""
-    n = structure.n
     a = theta.degree
-    if not 1 <= j <= n:
+    if not 1 <= j <= structure.n:
         raise DegreeError(f"extension level j={j} out of range")
     if a < j:
         raise DegreeError(f"theta degree {a} below extension level {j}")
-    chart = structure.chart
-    w = rhs_mvform if rhs_mvform is not None else sharp1_tilde(theta, structure)
-    unknowns = _w_unknowns(chart, a - j, n + 1 - j, vertical)
-    rows = []
-    for gen in structure.levels[n]:
-        rhs = contract(w, gen.form)
-        lhs_rows = _iota_w_rows(structure, a - j, n + 1 - j, gen.form, unknowns)
-        keys = set(lhs_rows) | set(rhs.data)
-        for key in sorted(keys):
-            rows.append((lhs_rows.get(key, {}), rhs.data.get(key, scalars.ZERO)))
-    sol = solve_linear(rows, unknowns)
-    if sol is None:
-        return None
-    particular = MvForm(chart, a - j, n + 1 - j, dict(sol.particular))
-    freedom = [MvForm(chart, a - j, n + 1 - j, dict(vec)) for vec in sol.kernel]
-    return particular, freedom
+    return solve_pairing(structure, sharp1_tilde(theta, structure), j, vertical)
 
 
 def build_span_tower(structure, a, j, vertical=False):
@@ -293,33 +314,23 @@ def build_span_tower(structure, a, j, vertical=False):
     chart = structure.chart
     basis = s1_wedge_basis(structure, a)
     candidates = [f for _, f in basis]
+    values = [sharp1_tilde(theta, structure) for theta in candidates]
     w_unknowns = _w_unknowns(chart, a - j, n + 1 - j, vertical)
     unknowns = [("c", t) for t in range(len(candidates))] + [
         ("w", key) for key in w_unknowns
     ]
     rows = []
-    for gi, gen in enumerate(structure.levels[n]):
-        lhs_rows = _iota_w_rows(structure, a - j, n + 1 - j, gen.form, w_unknowns)
-        rhs_rows = {}
-        for t, theta in enumerate(candidates):
-            r = contract(sharp1_tilde(theta, structure), gen.form)
-            for key, c in r.data.items():
-                rhs_rows.setdefault(key, {})[t] = c
-        keys = set(lhs_rows) | set(rhs_rows)
-        for key in sorted(keys):
-            coeffs = {}
-            for wk, c in lhs_rows.get(key, {}).items():
-                coeffs[("w", wk)] = c
-            for t, c in rhs_rows.get(key, {}).items():
-                coeffs[("c", t)] = scalars.sneg(c)
-            rows.append(coeffs)
+    for lhs, rhs in _pairing_rows(structure, w_unknowns, values):
+        coeffs = {("w", wk): c for wk, c in lhs.items()}
+        for t, c in rhs.items():
+            coeffs[("c", t)] = scalars.sneg(c)
+        rows.append(coeffs)
     kernel = nullspace(rows, unknowns)
     # project the kernel onto the candidate block and reduce
     raw = []
     for vec in kernel:
         form = Form.zero(chart, a)
-        for key, c in vec.items():
-            kind, t = key
+        for (kind, t), c in vec.items():
             if kind == "c":
                 form = form + c * candidates[t]
         if not form.is_zero():
@@ -335,10 +346,8 @@ def build_span_tower(structure, a, j, vertical=False):
             freedom = fr
         entries.append(TowerEntry(form, particular))
     if freedom is None:
-        _, freedom = solve_sharp_j(
-            structure, Form.zero(chart, a), j,
-            rhs_mvform=MvForm.zero(chart, a - 1, n), vertical=vertical,
-        )
+        _, freedom = solve_sharp_j(structure, Form.zero(chart, a), j,
+                                   vertical=vertical)
     return TowerLevel(a, j, entries, freedom, candidates, structure)
 
 
@@ -440,6 +449,19 @@ def compat_lower(table, i):
     return ExtensionTable(table.structure, i, entries, verify=False)
 
 
+def require_extj_left(alpha, structure, j):
+    """Reject a left argument the level-j bracket is not defined on: a
+    Hamiltonian form of degree in [n-j, n-1]."""
+    n = structure.n
+    a = alpha.degree
+    if a > n - 1 or a < n - j:
+        raise DegreeError(
+            f"left argument degree {a} outside [{n - j}, {n - 1}]"
+        )
+    if not is_hamiltonian_form(alpha, structure):
+        raise NotHamiltonianError(f"{render(alpha)} is not Hamiltonian")
+
+
 def bracket_extj(alpha, theta, table, structure=None):
     """{alpha, Theta}_{sharp_j~} = (-1)^{deg_H Theta} iota_{sharp_j~(d Theta)} d alpha.
 
@@ -449,21 +471,12 @@ def bracket_extj(alpha, theta, table, structure=None):
     """
     structure = structure or table.structure
     n = structure.n
-    a = alpha.degree
-    if a > n - 1 or a < n - table.j:
-        raise DegreeError(
-            f"left argument degree {a} outside [{n - table.j}, {n - 1}]"
-        )
-    if not is_hamiltonian_form(alpha, structure):
-        raise NotHamiltonianError(f"{render(alpha)} is not Hamiltonian")
+    require_extj_left(alpha, structure, table.j)
     dtheta = exterior_derivative(theta)
     if dtheta.is_zero():
-        return Form.zero(structure.chart, a + theta.degree - (n - 1))
-    w = table.apply(dtheta)
-    value = contract(w, exterior_derivative(alpha))
-    if deg_h(theta, n) % 2:
-        value = -value
-    return value
+        return Form.zero(structure.chart, alpha.degree + theta.degree - (n - 1))
+    return bracket_formula(table.apply(dtheta), exterior_derivative(alpha),
+                           theta, n)
 
 
 # ---------------------------------------------------------------------------

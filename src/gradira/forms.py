@@ -38,6 +38,7 @@ __all__ = [
     "contract",
     "contract_form",
     "contract_form_slot",
+    "substitute_differentials",
     "identity_tensor",
     "volume_contraction",
     "volume_mv_contraction",
@@ -437,6 +438,21 @@ def contract_form_slot(x, w):
         raise DegreeError("form slot degree too small")
     return MvForm(w.chart, w.form_degree - x.degree, w.vec_degree,
                   _bilinear(w.data, x.data, _form_slot_pair), _normalized=True)
+
+
+def substitute_differentials(form, chart, coeff, one_form):
+    """The form on ``chart`` obtained by mapping every coefficient c to
+    coeff(c) and every dx^i to the 1-form one_form(i): the pullback of
+    ``form`` along a map given by these two images."""
+    out = Form.zero(chart, form.degree)
+    for idx, c in form.data.items():
+        term = Form.scalar_form(chart, coeff(c))
+        for i in idx:
+            term = wedge(term, one_form(i))
+            if term.is_zero():
+                break
+        out = out + term
+    return out
 
 
 def identity_tensor(chart, a):

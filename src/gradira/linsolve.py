@@ -24,27 +24,20 @@ class LinearSolution:
     particular: dict
     kernel: list = field(default_factory=list)
 
-    def is_unique(self):
-        return not self.kernel
 
+def _reduce_row(coeffs, rhs, pivots):
+    """Eliminate all pivot columns from a row; returns (coeffs, rhs).
 
-def _reduce_row(coeffs, rhs, pivots, order_index):
-    """Eliminate all pivot columns from a row; returns (coeffs, rhs)."""
-    changed = True
-    while changed:
-        changed = False
-        for col in sorted(coeffs, key=order_index.get):
-            hit = pivots.get(col)
-            if hit is None:
-                continue
-            neg = scalars.sneg(coeffs.pop(col))
-            prow, prhs = hit
-            for c2, v2 in prow.items():
-                if c2 != col:
-                    scalars.accumulate(coeffs, c2, scalars.smul(neg, v2))
-            rhs = scalars.sadd(rhs, scalars.smul(neg, prhs))
-            changed = True
-            break
+    Pivot rows are kept fully reduced (no pivot row holds another pivot
+    column), so eliminating one pivot column brings in no other and one
+    pass over the row's pivot columns suffices."""
+    for col in [c for c in coeffs if c in pivots]:
+        neg = scalars.sneg(coeffs.pop(col))
+        prow, prhs = pivots[col]
+        for c2, v2 in prow.items():
+            if c2 != col:
+                scalars.accumulate(coeffs, c2, scalars.smul(neg, v2))
+        rhs = scalars.sadd(rhs, scalars.smul(neg, prhs))
     return coeffs, rhs
 
 
@@ -61,19 +54,13 @@ def solve_linear(rows, unknowns):
     for coeffs, rhs in rows:
         coeffs = {k: as_scalar(v) for k, v in coeffs.items() if as_scalar(v) != 0}
         rhs = as_scalar(rhs)
-        coeffs, rhs = _reduce_row(coeffs, rhs, pivots, order_index)
+        coeffs, rhs = _reduce_row(coeffs, rhs, pivots)
         if not coeffs:
             if rhs != 0:
                 return None
             continue
         cols = sorted(coeffs, key=order_index.get)
-        pivot_col = None
-        for col in cols:
-            if coeffs[col].is_Rational:
-                pivot_col = col
-                break
-        if pivot_col is None:
-            pivot_col = cols[0]
+        pivot_col = next((c for c in cols if coeffs[c].is_Rational), cols[0])
         lead = coeffs.pop(pivot_col)
         inv = scalars.sdiv(scalars.ONE, lead)
         coeffs = {c: scalars.smul(inv, v) for c, v in coeffs.items()}
@@ -90,10 +77,7 @@ def solve_linear(rows, unknowns):
         row[pivot_col] = scalars.ONE
         pivots[pivot_col] = (row, rhs)
 
-    particular = {}
-    for col, (_, prhs) in pivots.items():
-        if prhs != 0:
-            particular[col] = prhs
+    particular = {col: prhs for col, (_, prhs) in pivots.items() if prhs != 0}
     kernel = []
     free_cols = [u for u in unknowns if u not in pivots]
     for f in free_cols:

@@ -12,7 +12,7 @@ import sympy
 from . import scalars
 from .chart import Chart
 from .errors import ChartError, MapSpecError
-from .forms import Form, MultiVector, wedge
+from .forms import Form, MultiVector, substitute_differentials
 from .linsolve import nullspace, solve_linear
 from .render import render
 from .report import Report
@@ -143,18 +143,11 @@ class AffineEmbedding:
     def pull_form(self, form):
         """i^* of an ambient form: substitute coefficients and expand each
         ambient differential through the constant Jacobian."""
-        out = Form.zero(self.source_chart, form.degree)
-        for idx, c in form.data.items():
-            term = Form.scalar_form(self.source_chart, self.restrict_scalar(c))
-            for i in idx:
-                row = self._jacobian[i]
-                one_form = Form(self.source_chart, 1,
-                                {(j,): v for j, v in row.items()})
-                term = wedge(term, one_form)
-                if term.is_zero():
-                    break
-            out = out + term
-        return out
+        return substitute_differentials(
+            form, self.source_chart, self.restrict_scalar,
+            lambda i: Form(self.source_chart, 1,
+                           {(j,): v for j, v in self._jacobian[i].items()}),
+        )
 
     def constraint_functions(self):
         """Affine functions on the ambient chart vanishing on the image."""

@@ -346,13 +346,8 @@ def canonical_extension_table(scn, style="symmetric"):
                     MultiVector.coord_vector(chart, momentum(u, mu)),
                 )
             entries.append((theta, value))
-    _, freedom = solve_sharp_j(
-        structure,
-        Form.zero(chart, n + 1),
-        n,
-        rhs_mvform=MvForm.zero(chart, n, n),
-        vertical=True,
-    )
+    _, freedom = solve_sharp_j(structure, Form.zero(chart, n + 1), n,
+                               vertical=True)
     return ExtensionTable(structure, n, entries, freedom=freedom)
 
 

@@ -114,19 +114,26 @@ def load_structure_file(path_or_dict):
     extension_doc = _section(doc, "extension", _is_string_pairs,
                              "a list of [form, value] string pairs", [])
     if extension_doc:
-        entries = []
-        for ftext, wtext in extension_doc:
-            theta = parse_form(ftext, chart)
-            value = parse_expression(wtext, chart)
-            if isinstance(value, MultiVector):
-                value = MvForm.tensor(Form.scalar_form(chart, 1), value)
-            if not isinstance(value, MvForm):
-                raise ParseError("extension values must be multivector valued forms")
-            entries.append((theta, value))
-        j = n + 1 - entries[0][1].vec_degree
-        extension = ExtensionTable(structure, j, entries)
+        entries = [_extension_entry(chart, ftext, wtext, k)
+                   for k, (ftext, wtext) in enumerate(extension_doc, 1)]
+        extension = ExtensionTable(structure, n + 1 - entries[0][1].vec_degree,
+                                   entries)
     return StructureFile(chart, structure, hamiltonian, generators, extension,
                          meta=doc.get("scenario", {}))
+
+
+def _extension_entry(chart, ftext, wtext, line):
+    """One extension table entry (theta, value).  A multivector value u is
+    read as 1 (x) u; any other value that is not a multivector valued form
+    is a ParseError at ``line``."""
+    theta = parse_form(ftext, chart)
+    value = parse_expression(wtext, chart)
+    if isinstance(value, MultiVector):
+        value = MvForm.tensor(Form.scalar_form(chart, 1), value)
+    if not isinstance(value, MvForm):
+        raise ParseError("extension values must be multivector valued forms",
+                         line, 1)
+    return theta, value
 
 
 def dump_scenario(scn, extension=None):
@@ -166,19 +173,16 @@ def dump_extension(table):
 def parse_extension(text, structure):
     """Parse a text block produced by dump_extension."""
     entries = []
-    chart = structure.chart
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if not line.startswith("extend ") or "=>" not in line:
             raise ParseError("expected `extend <form> => <mvform>`", lineno, 1)
-        body = line[len("extend "):]
-        ftext, wtext = body.split("=>", 1)
-        theta = parse_form(ftext.strip(), chart)
-        value = parse_expression(wtext.strip(), chart)
-        if isinstance(value, MultiVector):
-            value = MvForm.tensor(Form.scalar_form(chart, 1), value)
-        entries.append((theta, value))
-    j = structure.n + 1 - entries[0][1].vec_degree
-    return ExtensionTable(structure, j, entries)
+        ftext, wtext = line[len("extend "):].split("=>", 1)
+        entries.append(_extension_entry(structure.chart, ftext.strip(),
+                                        wtext.strip(), lineno))
+    if not entries:
+        raise ParseError("no `extend <form> => <mvform>` entries")
+    return ExtensionTable(structure, structure.n + 1 - entries[0][1].vec_degree,
+                          entries)

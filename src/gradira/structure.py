@@ -306,12 +306,16 @@ def bracket(alpha, beta, structure):
     out_degree = a + b - (n - 1)
     if out_degree < 0:
         return Form.zero(structure.chart, 0)
-    dbeta = exterior_derivative(beta)
-    rep = structure.derive_sharp(b + 1, dbeta)
-    value = contract(rep.rep, exterior_derivative(alpha))
-    if deg_h(beta, n) % 2:
-        value = -value
-    return value
+    rep = structure.derive_sharp(b + 1, exterior_derivative(beta))
+    return bracket_formula(rep.rep, exterior_derivative(alpha), beta, n)
+
+
+def bracket_formula(w, dalpha, beta, n):
+    """(-1)^{deg_H beta} iota_w d alpha: the bracket {alpha, beta} once
+    w, a value of a sharp map (or of an extension) on d beta, is known.
+    ``dalpha`` is d alpha."""
+    value = contract(w, dalpha)
+    return -value if deg_h(beta, n) % 2 else value
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
+import random
+
 import pytest
 import sympy
 
+from gradira import dynamics, extensions
 from gradira import (
     Form,
     Hamiltonian,
     MultiVector,
     Section,
     bracket,
+    bracket_ext1,
     bracket_extj,
+    build_span_tower,
     check_evolution,
     check_subalgebra_condition,
     exterior_derivative,
@@ -19,7 +24,8 @@ from gradira import (
     wedge,
 )
 from gradira import is_hamiltonian_form
-from gradira.errors import NotHamiltonianError
+from gradira.errors import DegreeError, NotHamiltonianError
+from gradira.sampling import random_hamiltonian_form
 from gradira.scenarios import canonical_extension_table
 
 
@@ -48,6 +54,52 @@ class TestIsHamiltonian:
             )
         ok, _ = is_hamiltonian(bad, red2.structure)
         assert not ok
+
+
+class TestHamiltonianState:
+    def test_bracket_with_matches_bracket_ext1(self, red2, red3, ym_su2):
+        rng = random.Random(11)
+        for scn in (red2, red3, ym_su2):
+            st = scn.structure
+            ham = Hamiltonian(scn.hamiltonian_form, st)
+            alphas = [alpha for _, alpha in scn.hamiltonian_generators]
+            if scn is not ym_su2:
+                alphas += [random_hamiltonian_form(rng, scn) for _ in range(4)]
+            for alpha in alphas:
+                assert ham.bracket_with(alpha) == bracket_ext1(
+                    alpha, scn.hamiltonian_form, st)
+
+    def test_bracket_with_rejects_like_bracket_ext1(self, red2):
+        st = red2.structure
+        ham = Hamiltonian(red2.hamiltonian_form, st)
+        ch = red2.chart
+        bad = Form.scalar_form(ch, ch.sym("y1")) * Form.d_coord(ch, "p2_1")
+        zero_form = Form.scalar_form(ch, ch.sym("y1"))
+        for alpha, error in ((zero_form, DegreeError), (bad, NotHamiltonianError)):
+            with pytest.raises(error) as want:
+                bracket_ext1(alpha, red2.hamiltonian_form, st)
+            with pytest.raises(error) as got:
+                ham.bracket_with(alpha)
+            assert str(got.value) == str(want.value)
+
+    def test_each_sharp1_tilde_value_is_computed_once(self, red2, monkeypatch):
+        calls = []
+        real = extensions.sharp1_tilde
+
+        def counting(theta, structure):
+            calls.append(theta)
+            return real(theta, structure)
+
+        monkeypatch.setattr(extensions, "sharp1_tilde", counting)
+        monkeypatch.setattr(dynamics, "sharp1_tilde", counting)
+        level = build_span_tower(red2.structure, 3, 2, vertical=True)
+        assert 0 < len(calls) <= len(level.candidates) + len(level.entries)
+        del calls[:]
+        ham = Hamiltonian(red2.hamiltonian_form, red2.structure)
+        assert len(calls) == 1
+        for _, alpha in red2.hamiltonian_generators:
+            ham.bracket_with(alpha)
+        assert len(calls) == 1
 
 
 class TestSection:

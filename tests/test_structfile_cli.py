@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from gradira.cli import main
-from gradira.structfile import dump_scenario, load_structure_file
+from gradira.errors import ParseError
+from gradira.structfile import dump_scenario, load_structure_file, parse_extension
 
 
 def run_cli(args, capsys):
@@ -41,6 +42,17 @@ class TestStructureFile:
         sf = load_structure_file(str(path))
         assert sf.extension is not None
         assert sf.extension.j == 2
+
+    @pytest.mark.parametrize("text, line", [
+        ("", 1),
+        ("# only a comment", 1),
+        ("extend d(y1) ^ dX[] => x1", 1),
+        ("# a form is not a table value\nextend d(y1) ^ dX[] => d(x1)", 2),
+    ], ids=["empty", "comment-only", "scalar-value", "form-value"])
+    def test_malformed_extension_block_is_parse_error(self, red2, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_extension(text, red2.structure)
+        assert exc.value.line == line
 
     def test_mismatched_sections_rejected(self, red2):
         doc = dump_scenario(red2)
@@ -101,6 +113,25 @@ class TestCli:
              "-b", "p1_1 * dX[1] + p2_1 * dX[2]"], capsys)
         assert code == 0
         assert out.strip() == "dX[1]"
+
+    def test_bracket_top_form_first(self, tmp_path, capsys):
+        # an n-form on the left goes through the first extension with the
+        # graded skew-symmetry sign
+        from gradira.extensions import bracket_ext1_signed
+        from gradira.parser import parse_form
+        from gradira.render import render_form
+
+        out_file = str(tmp_path / "structure.json")
+        run_cli(["scenario", "reduced-canonical", "--out", out_file], capsys)
+        sf = load_structure_file(out_file)
+        top = json.loads(open(out_file).read())["hamiltonian"]
+        low = "y1 * dX[1]"
+        code, out, err = run_cli(
+            ["bracket", "-f", out_file, "-a", top, "-b", low], capsys)
+        assert (code, err) == (0, "")
+        expected = bracket_ext1_signed(parse_form(top, sf.chart),
+                                       parse_form(low, sf.chart), sf.structure)
+        assert out == render_form(expected) + "\n"
 
     def test_bracket_non_hamiltonian_exit_2(self, tmp_path, capsys):
         out_file = str(tmp_path / "structure.json")
