@@ -27,9 +27,10 @@ from .forms import (
     substitute_differentials,
     wedge,
 )
+from .linsolve import Echelon
 from .render import render, render_form
 from .report import Report
-from .structure import bracket_formula, is_hamiltonian_form
+from .structure import bracket_formula, require_hamiltonian
 
 __all__ = [
     "Hamiltonian",
@@ -110,8 +111,8 @@ class Hamiltonian:
 
     def bracket_with(self, alpha):
         """{alpha, H} through the first extension."""
-        require_ext1_left(alpha, self.structure)
-        return bracket_formula(self.sharp1t, exterior_derivative(alpha),
+        return bracket_formula(self.sharp1t,
+                               require_ext1_left(alpha, self.structure),
                                self.form, self.structure.n)
 
 
@@ -158,10 +159,9 @@ def hdw_residuals(ham, section, generators):
     """
     out = []
     for label, alpha in generators:
-        if not is_hamiltonian_form(alpha, ham.structure):
-            raise NotHamiltonianError(f"{label} is not Hamiltonian")
-        dalpha = exterior_derivative(alpha)
-        evolution = dalpha + ham.bracket_with(alpha)
+        dalpha = require_ext1_left(alpha, ham.structure, label)
+        evolution = dalpha + bracket_formula(ham.sharp1t, dalpha, ham.form,
+                                             ham.structure.n)
         if not evolution.is_semibasic():
             raise MembershipError(
                 f"evolution of {label} is not semi-basic: {render(evolution)}"
@@ -252,8 +252,7 @@ def check_evolution(ham, table, connection, forms):
     structure = ham.structure
     w = table.apply(ham.dform)
     for label, alpha in forms:
-        require_extj_left(alpha, structure, table.j)
-        dalpha = exterior_derivative(alpha)
+        dalpha = require_extj_left(alpha, structure, table.j)
         lhs = connection.pullback(dalpha)
         rhs = dalpha + bracket_formula(w, dalpha, ham.form, structure.n)
         ok = lhs == rhs
@@ -278,11 +277,8 @@ def is_special_hamiltonian(alpha, structure):
     closed basic (n-1-a)-form epsilon; constant-coefficient basic forms
     suffice because span membership is a module condition."""
     n = structure.n
-    if not is_hamiltonian_form(alpha, structure):
-        raise NotHamiltonianError(f"{render(alpha)} is not Hamiltonian")
-    a = alpha.degree
-    dalpha = exterior_derivative(alpha)
-    for eps in basic_constant_forms(structure.chart, n - 1 - a):
+    dalpha = require_hamiltonian(alpha, structure)
+    for eps in basic_constant_forms(structure.chart, n - 1 - alpha.degree):
         if not structure.contains(n, wedge(dalpha, eps)):
             return False
     return True
@@ -295,9 +291,7 @@ def check_subalgebra_condition(alpha, u_alpha, structure):
     report = Report()
     n = structure.n
     a = alpha.degree
-    if not is_hamiltonian_form(alpha, structure):
-        raise NotHamiltonianError(f"{render(alpha)} is not Hamiltonian")
-    dalpha = exterior_derivative(alpha)
+    dalpha = require_hamiltonian(alpha, structure)
     rep = structure.derive_sharp(a + 1, dalpha)
     ok = rep.equiv(u_alpha)
     report.add(
@@ -329,19 +323,13 @@ def check_subalgebra_condition(alpha, u_alpha, structure):
 
 
 def _solve_constant(structure, rep, iota_u, p):
-    """The scalar C with rep = C * iota_u modulo K_p, or None."""
-    from .linsolve import solve_linear
-
-    rows = []
-    for gen in structure.levels[p]:
-        lhs = contract(rep, gen.form)
-        rhs = contract(iota_u, gen.form)
-        keys = set(lhs.data) | set(rhs.data)
-        for key in sorted(keys):
-            rows.append(
-                ({0: rhs.data.get(key, scalars.ZERO)}, lhs.data.get(key, scalars.ZERO))
-            )
-    sol = solve_linear(rows, [0])
-    if sol is None:
-        return None
-    return sol.particular.get(0, scalars.ZERO)
+    """The scalar C with rep = C * iota_u modulo K_p, or None: the
+    contractions with every S^p generator must agree."""
+    rows, rhs = {}, {}
+    for g, gen in enumerate(structure.levels[p]):
+        for key, c in contract(iota_u, gen.form).data.items():
+            rows[(g, key)] = {0: c}
+        for key, c in contract(rep, gen.form).data.items():
+            rhs[(g, key)] = c
+    sol = Echelon(rows, [0]).solve(rhs)
+    return None if sol is None else sol.particular.get(0, scalars.ZERO)

@@ -15,20 +15,21 @@ the homogeneous freedom, so distinct admissible choices can be compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import sympy
 
 from . import scalars
 from .calculus import exterior_derivative, lie_derivative, lie_derivative_mvform
-from .errors import DegreeError, MembershipError, NotHamiltonianError
+from .errors import DegreeError, MembershipError
 from .forms import Form, MvForm, contract, identity_tensor, mvform_contract_pair, wedge
-from .linsolve import nullspace, solve_linear
+from .linsolve import Echelon
 from .multiindex import perm_sign
 from .render import render
 from .report import Report
-from .spans import Span, decompose_over
-from .structure import bracket, bracket_formula, deg_h, is_hamiltonian_form
+from .spans import Span, decompose_over, generator_echelon
+from .structure import bracket, bracket_formula, deg_h, require_hamiltonian
 
 __all__ = [
     "sharp1_tilde",
@@ -132,18 +133,21 @@ def pairing_defect(structure, theta, w=None):
     (or, given w, iota_w alpha = iota_{sharp_1~(theta)} alpha) on all S^n
     generators; returns the first failing generator or None."""
     n = structure.n
-    a = theta.degree
     s1t = sharp1_tilde(theta, structure)
-    sign = -1 if (n + 1 - a) % 2 else 1
+    if w is not None:
+        return _pairing_failure(structure, w, s1t)
+    sign = -1 if (n + 1 - theta.degree) % 2 else 1
     for gen in structure.levels[n]:
-        rhs = contract(s1t, gen.form)
-        if w is None:
-            lhs = contract(gen.sharp, theta)
-            if sign < 0:
-                rhs = -rhs
-        else:
-            lhs = contract(w, gen.form)
-        if lhs != rhs:
+        if contract(gen.sharp, theta) != sign * contract(s1t, gen.form):
+            return gen.form
+    return None
+
+
+def _pairing_failure(structure, w, s1t):
+    """The first S^n generator alpha with iota_w alpha != iota_{s1t} alpha,
+    or None; ``s1t`` is a sharp_1~ value the caller already holds."""
+    for gen in structure.levels[structure.n]:
+        if contract(w, gen.form) != contract(s1t, gen.form):
             return gen.form
     return None
 
@@ -153,25 +157,24 @@ def pairing_defect(structure, theta, w=None):
 # ---------------------------------------------------------------------------
 
 
-def require_ext1_left(alpha, structure):
-    """Reject a left argument the first-extension bracket is not defined
-    on: it must be a Hamiltonian (n-1)-form."""
+def require_ext1_left(alpha, structure, label=None):
+    """d alpha for a left argument the first-extension bracket is defined
+    on: a Hamiltonian (n-1)-form (``label`` names it in the error)."""
     if alpha.degree != structure.n - 1:
         raise DegreeError("bracket_ext1 needs an (n-1)-form on the left")
-    if not is_hamiltonian_form(alpha, structure):
-        raise NotHamiltonianError(f"{render(alpha)} is not Hamiltonian")
+    return require_hamiltonian(alpha, structure, label)
 
 
 def bracket_ext1(alpha, theta, structure):
     """{alpha, Theta} = (-1)^{deg_H Theta} iota_{sharp_1~(d Theta)} d alpha
     for a Hamiltonian (n-1)-form alpha and Theta with
     d Theta in (S^1)^{wedge (deg+1)}."""
-    require_ext1_left(alpha, structure)
+    dalpha = require_ext1_left(alpha, structure)
     dtheta = exterior_derivative(theta)
     if dtheta.is_zero():
         return Form.zero(structure.chart, theta.degree)
-    return bracket_formula(sharp1_tilde(dtheta, structure),
-                           exterior_derivative(alpha), theta, structure.n)
+    return bracket_formula(sharp1_tilde(dtheta, structure), dalpha, theta,
+                           structure.n)
 
 
 def bracket_ext1_signed(x, y, structure):
@@ -206,18 +209,18 @@ class TowerLevel:
     freedom: list
     candidates: list
     structure: object
+    span: Span  # of the admitted generators, keeping its elimination
 
     def admitted_span(self):
-        return Span(self.structure.chart, self.a, [e.form for e in self.entries])
+        return self.span
 
     def is_admitted(self, theta):
         if theta.is_zero():
             return True
-        return self.admitted_span().contains(theta)
+        return self.span.contains(theta)
 
     def rejected(self):
-        span = self.admitted_span()
-        return [c for c in self.candidates if not span.contains(c)]
+        return [c for c in self.candidates if not self.span.contains(c)]
 
     def table(self):
         return ExtensionTable(self.structure, self.j,
@@ -236,34 +239,27 @@ def _w_unknowns(chart, fdeg, vdeg, vertical=False):
     return [(f, v) for f in fkeys for v in vkeys]
 
 
-def _iota_w_rows(alpha, unknowns):
-    """Rows of iota_W alpha as linear forms in the W components, indexed by
-    the resulting multi-index."""
+def _pairing_rows(structure, unknowns):
+    """The W side of the defining pairing: iota_W alpha for every S^n
+    generator alpha as linear forms in the W components, one row per
+    (generator index, result multi-index)."""
     rows = {}
-    for wkey in unknowns:
-        for aidx, c in alpha.data.items():
-            sign, res = mvform_contract_pair(wkey, aidx)
-            if sign:
-                scalars.accumulate(rows.setdefault(res, {}), wkey, c, sign)
+    for g, gen in enumerate(structure.levels[structure.n]):
+        lhs = {}
+        for wkey in unknowns:
+            for aidx, c in gen.form.data.items():
+                sign, res = mvform_contract_pair(wkey, aidx)
+                if sign:
+                    scalars.accumulate(lhs.setdefault(res, {}), wkey, c, sign)
+        rows.update(((g, key), lhs[key]) for key in sorted(lhs))
     return rows
 
 
-def _pairing_rows(structure, unknowns, values):
-    """The defining pairing iota_W alpha = iota_{values[t]} alpha over the
-    S^n generators alpha, one row per generator and result multi-index
-    (in sorted order): (coefficients of the W unknowns, {t: coefficient
-    of iota_{values[t]} alpha}).  ``values`` are sharp_1~ values the
-    caller has already computed."""
-    rows = []
-    for gen in structure.levels[structure.n]:
-        lhs_rows = _iota_w_rows(gen.form, unknowns)
-        rhs_rows = {}
-        for t, value in enumerate(values):
-            for key, c in contract(value, gen.form).data.items():
-                rhs_rows.setdefault(key, {})[t] = c
-        for key in sorted(set(lhs_rows) | set(rhs_rows)):
-            rows.append((lhs_rows.get(key, {}), rhs_rows.get(key, {})))
-    return rows
+def _pairing_rhs(structure, value):
+    """iota_value alpha over the S^n generators, keyed like _pairing_rows."""
+    return {(g, key): c
+            for g, gen in enumerate(structure.levels[structure.n])
+            for key, c in contract(value, gen.form).data.items()}
 
 
 def solve_pairing(structure, value, j, vertical=False):
@@ -274,9 +270,8 @@ def solve_pairing(structure, value, j, vertical=False):
     chart = structure.chart
     fdeg, vdeg = value.form_degree + 1 - j, structure.n + 1 - j
     unknowns = _w_unknowns(chart, fdeg, vdeg, vertical)
-    rows = [(lhs, rhs.get(0, scalars.ZERO))
-            for lhs, rhs in _pairing_rows(structure, unknowns, [value])]
-    sol = solve_linear(rows, unknowns)
+    sol = Echelon(_pairing_rows(structure, unknowns), unknowns).solve(
+        _pairing_rhs(structure, value))
     if sol is None:
         return None
     particular = MvForm(chart, fdeg, vdeg, dict(sol.particular))
@@ -300,9 +295,15 @@ def solve_sharp_j(structure, theta, j, vertical=False):
 def build_span_tower(structure, a, j, vertical=False):
     """Compute S^a[j] over a spanning set of (S^1)^{wedge a}.
 
-    The joint homogeneous system in (candidate coefficients, W components)
-    is solved exactly; its projection onto the candidate coefficients is
-    the admitted subbundle.
+    The joint homogeneous system sum_t c_t iota_{sharp_1~(theta_t)} alpha
+    = iota_W alpha in (candidate coefficients, W components) is solved
+    exactly; its projection onto the candidate coefficients is the
+    admitted subbundle.  The kernel comes from one elimination with the
+    candidate columns, then the W columns, as rows: each column that
+    reduces to zero gives the relation tying it to the columns before it.
+    The W side is eliminated once more on its own; every admitted
+    generator takes its particular value, and the tower its freedom, from
+    that elimination.
 
     With ``vertical=True`` the solve is restricted to vertical-valued
     extensions.  On the canonical charts the unrestricted tower admits
@@ -310,45 +311,36 @@ def build_span_tower(structure, a, j, vertical=False):
     blocks; the vertical restriction removes them and leaves the classical
     generator families.
     """
-    n = structure.n
     chart = structure.chart
-    basis = s1_wedge_basis(structure, a)
-    candidates = [f for _, f in basis]
-    values = [sharp1_tilde(theta, structure) for theta in candidates]
-    w_unknowns = _w_unknowns(chart, a - j, n + 1 - j, vertical)
-    unknowns = [("c", t) for t in range(len(candidates))] + [
-        ("w", key) for key in w_unknowns
-    ]
-    rows = []
-    for lhs, rhs in _pairing_rows(structure, w_unknowns, values):
-        coeffs = {("w", wk): c for wk, c in lhs.items()}
-        for t, c in rhs.items():
-            coeffs[("c", t)] = scalars.sneg(c)
-        rows.append(coeffs)
-    kernel = nullspace(rows, unknowns)
-    # project the kernel onto the candidate block and reduce
+    candidates = [f for _, f in s1_wedge_basis(structure, a)]
+    rhs = [_pairing_rhs(structure, sharp1_tilde(theta, structure))
+           for theta in candidates]
+    fdeg, vdeg = a - j, structure.n + 1 - j
+    w_unknowns = _w_unknowns(chart, fdeg, vdeg, vertical)
+    w_rows = _pairing_rows(structure, w_unknowns)
+    columns = {("c", t): {r: scalars.sneg(c) for r, c in col.items()}
+               for t, col in enumerate(rhs)}
+    columns.update({("w", wk): {} for wk in w_unknowns})
+    for r, coeffs in w_rows.items():
+        for wk, c in coeffs.items():
+            columns[("w", wk)][r] = c
+    row_keys = sorted(set(w_rows).union(*rhs))
     raw = []
-    for vec in kernel:
+    for relation in Echelon(columns, row_keys).dependent.values():
         form = Form.zero(chart, a)
-        for (kind, t), c in vec.items():
+        for (kind, t), c in relation.items():
             if kind == "c":
                 form = form + c * candidates[t]
         if not form.is_zero():
             raw.append(form)
-    span, kept = Span(chart, a, raw).reduced()
+    span = Span(chart, a, raw).reduced()[0]
+    w_side = Echelon(w_rows, w_unknowns)
     entries = []
-    freedom = None
     for form in span.generators:
-        solved = solve_sharp_j(structure, form, j, vertical=vertical)
-        assert solved is not None, "projection produced a non-admitted form"
-        particular, fr = solved
-        if freedom is None:
-            freedom = fr
-        entries.append(TowerEntry(form, particular))
-    if freedom is None:
-        _, freedom = solve_sharp_j(structure, Form.zero(chart, a), j,
-                                   vertical=vertical)
-    return TowerLevel(a, j, entries, freedom, candidates, structure)
+        sol = w_side.solve(_pairing_rhs(structure, sharp1_tilde(form, structure)))
+        entries.append(TowerEntry(form, MvForm(chart, fdeg, vdeg, dict(sol.particular))))
+    freedom = [MvForm(chart, fdeg, vdeg, dict(vec)) for vec in w_side.kernel]
+    return TowerLevel(a, j, entries, freedom, candidates, structure, span)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +364,8 @@ class ExtensionTable:
     def verify(self):
         n = self.structure.n
         for theta, value in self.entries:
-            bad = pairing_defect(self.structure, theta, w=value)
+            s1t = sharp1_tilde(theta, self.structure)
+            bad = _pairing_failure(self.structure, value, s1t)
             if bad is not None:
                 raise MembershipError(
                     f"table entry for {render(theta)} fails the defining pairing "
@@ -380,7 +373,7 @@ class ExtensionTable:
                 )
             # compatibility sharp_1~ = sharp_j~ ^ 1_{j-1} modulo K_n
             lifted = wedge(value, identity_tensor(self.structure.chart, self.j - 1))
-            diff_rep = lifted - sharp1_tilde(theta, self.structure)
+            diff_rep = lifted - s1t
             if not self.structure.coset_is_zero(diff_rep, n):
                 raise MembershipError(
                     f"table entry for {render(theta)} is not compatible with "
@@ -390,13 +383,17 @@ class ExtensionTable:
     def forms(self):
         return [theta for theta, _ in self.entries]
 
+    @cached_property
+    def _echelon(self):
+        return generator_echelon(self.forms())
+
     def apply(self, theta):
         """sharp_j~ of a form in the span of the table generators."""
         if theta.is_zero():
             fdeg = max(theta.degree - self.j, 0)
             return MvForm.zero(self.structure.chart, fdeg,
                                self.structure.n + 1 - self.j)
-        sol = decompose_over(self.forms(), theta)
+        sol = self._echelon.solve(theta.data)
         if sol is None:
             raise MembershipError(
                 f"{render(theta)} is not in the span of the extension table"
@@ -450,7 +447,7 @@ def compat_lower(table, i):
 
 
 def require_extj_left(alpha, structure, j):
-    """Reject a left argument the level-j bracket is not defined on: a
+    """d alpha for a left argument the level-j bracket is defined on: a
     Hamiltonian form of degree in [n-j, n-1]."""
     n = structure.n
     a = alpha.degree
@@ -458,8 +455,7 @@ def require_extj_left(alpha, structure, j):
         raise DegreeError(
             f"left argument degree {a} outside [{n - j}, {n - 1}]"
         )
-    if not is_hamiltonian_form(alpha, structure):
-        raise NotHamiltonianError(f"{render(alpha)} is not Hamiltonian")
+    return require_hamiltonian(alpha, structure)
 
 
 def bracket_extj(alpha, theta, table, structure=None):
@@ -471,12 +467,11 @@ def bracket_extj(alpha, theta, table, structure=None):
     """
     structure = structure or table.structure
     n = structure.n
-    require_extj_left(alpha, structure, table.j)
+    dalpha = require_extj_left(alpha, structure, table.j)
     dtheta = exterior_derivative(theta)
     if dtheta.is_zero():
         return Form.zero(structure.chart, alpha.degree + theta.degree - (n - 1))
-    return bracket_formula(table.apply(dtheta), exterior_derivative(alpha),
-                           theta, n)
+    return bracket_formula(table.apply(dtheta), dalpha, theta, n)
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,17 @@ Unknowns are arbitrary hashable keys with a caller-supplied canonical
 order.  Formal function symbols and their partials ride along as
 indeterminates of the coefficient field, so every solve is exact.
 
-The particular solution is canonical: pivot columns are chosen greedily in
-canonical order (preferring rational pivots within a column for clean
-elimination), free unknowns are set to zero.
+``Echelon`` is the one Gaussian elimination, built once per coefficient
+matrix to answer any right-hand side.  The particular solution is
+canonical: rows are taken in order, each pivots on its first rational
+column in canonical order (else its first column), and free unknowns are
+set to zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import scalars
 from .scalars import as_scalar
@@ -25,20 +28,82 @@ class LinearSolution:
     kernel: list = field(default_factory=list)
 
 
-def _reduce_row(coeffs, rhs, pivots):
-    """Eliminate all pivot columns from a row; returns (coeffs, rhs).
+def _eliminate(row, combo, col, prow, pcombo):
+    """Clear column ``col`` of a row with the pivot row (prow, pcombo),
+    which holds 1 at ``col``; the row's combination follows along."""
+    factor = scalars.sneg(row[col])
+    for target, source in ((row, prow), (combo, pcombo)):
+        for k, v in source.items():
+            scalars.accumulate(target, k, scalars.smul(factor, v))
 
-    Pivot rows are kept fully reduced (no pivot row holds another pivot
-    column), so eliminating one pivot column brings in no other and one
-    pass over the row's pivot columns suffices."""
-    for col in [c for c in coeffs if c in pivots]:
-        neg = scalars.sneg(coeffs.pop(col))
-        prow, prhs = pivots[col]
-        for c2, v2 in prow.items():
-            if c2 != col:
-                scalars.accumulate(coeffs, c2, scalars.smul(neg, v2))
-        rhs = scalars.sadd(rhs, scalars.smul(neg, prhs))
-    return coeffs, rhs
+
+def _combine(combo, rhs):
+    """sum_r combo[r] * rhs[r] over the rows r of a combination."""
+    acc = scalars.ZERO
+    for r, c in combo.items():
+        if r in rhs:
+            acc = scalars.sadd(acc, scalars.smul(c, rhs[r]))
+    return acc
+
+
+class Echelon:
+    """The reduced row echelon form of a coefficient matrix.
+
+    ``rows`` maps row keys to coefficient dicts (a list is keyed by
+    position); ``unknowns`` is the canonical column order.  Each pivot row
+    carries the combination of input rows it came from; a row that
+    reduces to zero is kept in ``dependent`` with the vanishing
+    combination, which a right-hand side must satisfy.
+    """
+
+    def __init__(self, rows, unknowns):
+        self.unknowns = list(unknowns)
+        order = {u: i for i, u in enumerate(self.unknowns)}
+        self.pivots = {}  # pivot column -> (row, combination of input rows)
+        self.dependent = {}  # row key -> combination of input rows that is 0
+        self.row_keys = set()
+        for key, coeffs in rows.items() if isinstance(rows, dict) else enumerate(rows):
+            self.row_keys.add(key)
+            row = {c: as_scalar(v) for c, v in coeffs.items() if as_scalar(v) != 0}
+            combo = {key: scalars.ONE}
+            # pivot rows are kept fully reduced, so eliminating one pivot
+            # column brings in no other: one pass over the row suffices
+            for col in [c for c in row if c in self.pivots]:
+                _eliminate(row, combo, col, *self.pivots[col])
+            if not row:
+                self.dependent[key] = combo
+                continue
+            cols = sorted(row, key=order.get)
+            pivot = next((c for c in cols if row[c].is_Rational), cols[0])
+            inv = scalars.sdiv(scalars.ONE, row[pivot])
+            row = {c: scalars.smul(inv, v) for c, v in row.items()}
+            combo = {r: scalars.smul(inv, v) for r, v in combo.items()}
+            for prow, pcombo in self.pivots.values():
+                if pivot in prow:
+                    _eliminate(prow, pcombo, pivot, row, combo)
+            self.pivots[pivot] = (row, combo)
+
+    @cached_property
+    def kernel(self):
+        """Kernel basis: one vector per free unknown, in canonical order."""
+        out = []
+        for free in (u for u in self.unknowns if u not in self.pivots):
+            vec = {free: scalars.ONE}
+            vec.update((pcol, scalars.sneg(prow[free]))
+                       for pcol, (prow, _) in self.pivots.items() if free in prow)
+            out.append(vec)
+        return out
+
+    def solve(self, rhs):
+        """The LinearSolution for a right-hand side keyed like the rows
+        (absent keys are 0), or None when the system is inconsistent."""
+        rhs = {k: as_scalar(v) for k, v in rhs.items() if as_scalar(v) != 0}
+        if not rhs.keys() <= self.row_keys or any(
+                _combine(combo, rhs) != 0 for combo in self.dependent.values()):
+            return None
+        values = {col: _combine(combo, rhs) for col, (_, combo) in self.pivots.items()}
+        return LinearSolution({col: v for col, v in values.items() if v != 0},
+                              list(self.kernel))
 
 
 def solve_linear(rows, unknowns):
@@ -48,49 +113,10 @@ def solve_linear(rows, unknowns):
     ``unknowns`` the ordered list of keys.  Returns a LinearSolution or
     None when the system is inconsistent.
     """
-    order_index = {u: i for i, u in enumerate(unknowns)}
-    pivots = {}
-
-    for coeffs, rhs in rows:
-        coeffs = {k: as_scalar(v) for k, v in coeffs.items() if as_scalar(v) != 0}
-        rhs = as_scalar(rhs)
-        coeffs, rhs = _reduce_row(coeffs, rhs, pivots)
-        if not coeffs:
-            if rhs != 0:
-                return None
-            continue
-        cols = sorted(coeffs, key=order_index.get)
-        pivot_col = next((c for c in cols if coeffs[c].is_Rational), cols[0])
-        lead = coeffs.pop(pivot_col)
-        inv = scalars.sdiv(scalars.ONE, lead)
-        coeffs = {c: scalars.smul(inv, v) for c, v in coeffs.items()}
-        rhs = scalars.smul(inv, rhs)
-        # back-substitute into existing pivot rows
-        for pcol, (prow, prhs) in list(pivots.items()):
-            if pivot_col not in prow:
-                continue
-            neg = scalars.sneg(prow.pop(pivot_col))
-            for c2, v2 in coeffs.items():
-                scalars.accumulate(prow, c2, scalars.smul(neg, v2))
-            pivots[pcol] = (prow, scalars.sadd(prhs, scalars.smul(neg, rhs)))
-        row = dict(coeffs)
-        row[pivot_col] = scalars.ONE
-        pivots[pivot_col] = (row, rhs)
-
-    particular = {col: prhs for col, (_, prhs) in pivots.items() if prhs != 0}
-    kernel = []
-    free_cols = [u for u in unknowns if u not in pivots]
-    for f in free_cols:
-        vec = {f: scalars.ONE}
-        for pcol, (prow, _) in pivots.items():
-            coeff = prow.get(f)
-            if coeff is not None and coeff != 0:
-                vec[pcol] = scalars.sneg(coeff)
-        kernel.append(vec)
-    return LinearSolution(particular, kernel)
+    return Echelon([coeffs for coeffs, _ in rows], unknowns).solve(
+        {i: rhs for i, (_, rhs) in enumerate(rows)})
 
 
 def nullspace(rows, unknowns):
     """Kernel basis of a homogeneous system given as coefficient dicts."""
-    sol = solve_linear([(coeffs, scalars.ZERO) for coeffs in rows], unknowns)
-    return sol.kernel
+    return Echelon(rows, unknowns).kernel

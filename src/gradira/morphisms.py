@@ -13,10 +13,10 @@ from . import scalars
 from .chart import Chart
 from .errors import ChartError, MapSpecError
 from .forms import Form, MultiVector, substitute_differentials
-from .linsolve import nullspace, solve_linear
+from .linsolve import Echelon, nullspace
 from .render import render
 from .report import Report
-from .spans import Span, coefficient_rows
+from .spans import Span
 from .structure import Structure, bracket, is_hamiltonian_form
 
 __all__ = ["SubmersionDrop", "AffineEmbedding", "pushforward", "pullback",
@@ -192,8 +192,8 @@ def pushforward(structure, spec):
     values = structure.sharp_values(structure.n)
     dropped_idx = set(spec._dropped_idx)
     # combinations with no component along a dropped differential
-    keys = sorted(set().union(*(g.data for g in gens)))
-    rows = coefficient_rows(gens, [k for k in keys if set(k) & dropped_idx])
+    keys = sorted({k for g in gens for k in g.data if set(k) & dropped_idx})
+    rows = [{i: g.data[k] for i, g in enumerate(gens) if k in g.data} for k in keys]
     basis = nullspace(rows, list(range(len(gens))))
     new_gens = []
     new_vals = []
@@ -218,11 +218,12 @@ def pullback(structure, spec):
     gens = structure.generators(n)
     values = structure.sharp_values(n)
     constraints = spec.constraint_functions()
-    k1 = structure.annihilator_span(1) if _k1_nonzero(structure) else None
-    k1_gens = list(k1) if k1 is not None else []
-    unknowns = [("f", i) for i in range(len(gens))] + [
-        ("k", l) for l in range(len(k1_gens))
-    ]
+    # unknowns: a coefficient per sharp value and, when K_1 is nonzero
+    # (S^1 has rank below m), per K_1 generator
+    vectors = {("f", i): v for i, v in enumerate(values)}
+    if len(structure.span(1).echelon.pivots) < structure.chart.m:
+        vectors.update((("k", l), kv)
+                       for l, kv in enumerate(structure.annihilator_span(1)))
     rows = []
     for phi in constraints:
         grad = {
@@ -230,26 +231,24 @@ def pullback(structure, spec):
             for i, s in enumerate(structure.chart.syms)
         }
         coeffs = {}
-        for i, v in enumerate(values):
+        for key, v in vectors.items():
             acc = scalars.ZERO
             for (ci,), c in v.data.items():
                 g = grad.get(ci, scalars.ZERO)
                 if g != 0:
                     acc = scalars.sadd(acc, spec.restrict_scalar(scalars.smul(c, g)))
             if acc != 0:
-                coeffs[("f", i)] = acc
-        for l, kv in enumerate(k1_gens):
-            acc = scalars.ZERO
-            for (ci,), c in kv.data.items():
-                g = grad.get(ci, scalars.ZERO)
-                if g != 0:
-                    acc = scalars.sadd(acc, spec.restrict_scalar(scalars.smul(c, g)))
-            if acc != 0:
-                coeffs[("k", l)] = acc
+                coeffs[key] = acc
         if coeffs:
             rows.append(coeffs)
-    basis = nullspace(rows, unknowns)
+    basis = nullspace(rows, list(vectors))
+    # the tangent matrix, eliminated once: row i holds the i-th ambient
+    # components of the pushed adapted coordinate vectors
     pushed = spec.tangent_pushforwards()
+    tangent = Echelon({i: {j: pv.data[(i,)] for j, pv in enumerate(pushed)
+                           if (i,) in pv.data}
+                       for i in range(structure.chart.m)},
+                      range(spec.source_chart.m))
     new_gens = []
     new_vals = []
     for vec in basis:
@@ -258,49 +257,24 @@ def pullback(structure, spec):
         form = Form.zero(structure.chart, n)
         value = MultiVector.zero(structure.chart, 1)
         for key, c in vec.items():
-            kind, i = key
-            if kind == "f":
-                form = form + c * gens[i]
-                value = value + c * values[i]
-            else:
-                value = value + c * k1_gens[i]
+            value = value + c * vectors[key]
+            if key[0] == "f":
+                form = form + c * gens[key[1]]
         pulled = spec.pull_form(form)
         if pulled.is_zero():
             continue
         new_gens.append(pulled)
-        new_vals.append(_express_tangent(spec, structure, value))
-    span, kept = Span(spec.source_chart, n, new_gens).reduced()
+        new_vals.append(_express_tangent(spec, tangent, value))
+    kept = Span(spec.source_chart, n, new_gens).reduced()[1]
     new_gens = [new_gens[i] for i in kept]
     new_vals = [new_vals[i] for i in kept]
     return Structure(spec.source_chart, new_gens, new_vals)
 
 
-def _k1_nonzero(structure):
-    """K_1 = 0 iff the S^1 level spans all coordinate differentials."""
-    span = structure.span(1)
-    for i in range(structure.chart.m):
-        probe = Form(structure.chart, 1, {(i,): scalars.ONE}, _normalized=True)
-        if not span.contains(probe):
-            return True
-    return False
-
-
-def _express_tangent(spec, structure, value):
+def _express_tangent(spec, tangent, value):
     """Solve push(W) = value (restricted to the image) for an adapted-chart
     vector W; the solution is unique since the embedding is injective."""
-    pushed = spec.tangent_pushforwards()
-    rows = []
-    m = spec.target_chart.m
-    for i in range(m):
-        coeffs = {}
-        for j, pv in enumerate(pushed):
-            c = pv.data.get((i,))
-            if c is not None:
-                coeffs[j] = c
-        rhs = spec.restrict_scalar(value.data.get((i,), scalars.ZERO))
-        if coeffs or rhs != 0:
-            rows.append((coeffs, rhs))
-    sol = solve_linear(rows, list(range(spec.source_chart.m)))
+    sol = tangent.solve({i: spec.restrict_scalar(c) for (i,), c in value.data.items()})
     if sol is None:
         raise MapSpecError(
             f"sharp value {render(value)} is not tangent to the embedding",

@@ -15,10 +15,17 @@ Grammar (no recovery; first error wins, with 1-based line/column):
 positions) into d^n x; ``dX[]`` is the volume form.  ``D(H, c, ...)``
 names a formal partial of a declared function.  Atoms evaluate to
 scalars, forms or multivectors; operators dispatch on those types.
+
+Input cost is capped, so that no text makes the parser compute for long:
+an integer literal has at most MAX_DIGITS digits, and a power has an
+exponent of at most MAX_EXPONENT and an expanded result of degree at most
+MAX_EXPONENT, at most MAX_TERMS terms and integers of at most MAX_BITS
+bits (fewer digits than MAX_DIGITS, so a power's literals parse back).
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 import sympy
@@ -27,6 +34,11 @@ from .chart import _PARTIAL_SEP
 from .errors import ParseError
 from .forms import Form, MultiVector, MvForm, volume_contraction, wedge
 from .scalars import as_scalar
+
+MAX_DIGITS = 1000
+MAX_EXPONENT = 1000
+MAX_TERMS = 1001
+MAX_BITS = 3000
 
 _TOKEN_RE = re.compile(
     r"""
@@ -51,9 +63,9 @@ class _Token:
         self.col = col
 
 
-def _tokenize(text):
+def _tokenize(text, line=1, col=1):
+    """Tokens of ``text``, located as if it started at (line, col)."""
     tokens = []
-    line, col = 1, 1
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -61,6 +73,9 @@ def _tokenize(text):
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
         kind = m.lastgroup
         tok = m.group()
+        if kind == "int" and len(tok) > MAX_DIGITS:
+            raise ParseError(
+                f"integer literal of {len(tok)} digits exceeds {MAX_DIGITS}", line, col)
         if kind != "ws":
             tokens.append(_Token(kind, tok, line, col))
         newlines = tok.count("\n")
@@ -75,8 +90,8 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, text, chart):
-        self.tokens = _tokenize(text)
+    def __init__(self, text, chart, start=(1, 1)):
+        self.tokens = _tokenize(text, *start)
         self.pos = 0
         self.chart = chart
 
@@ -161,7 +176,14 @@ class _Parser:
                 self.error("exponent must be an integer", exp)
             if isinstance(value, (Form, MultiVector, MvForm)):
                 self.error("power of a non-scalar", op)
-            return as_scalar(value ** sympy.Integer(exp.text))
+            value, e = as_scalar(value), int(exp.text)
+            if e > MAX_EXPONENT:
+                self.error(f"exponent {e} exceeds {MAX_EXPONENT}", exp)
+            degree, terms, bits = _power_size(value, e)
+            if degree > MAX_EXPONENT or terms > MAX_TERMS or bits > MAX_BITS:
+                self.error(f"power too large to expand: degree {degree}, "
+                           f"{terms} terms, {bits}-bit integers", exp)
+            return as_scalar(value ** e)
         return value
 
     def atom(self):
@@ -330,21 +352,43 @@ class _Parser:
         return MvForm.tensor(a, b)
 
 
-def parse_expression(text, chart):
-    """Parse a scalar, form, multivector or multivector-valued form."""
-    return _Parser(text, chart).parse()
+def _power_size(value, e):
+    """Bounds on (degree, term count, integer bits) of value**e expanded,
+    from the numerator and denominator of a normalised scalar: T terms
+    give at most C(e+T-1, T-1) terms, with multinomial coefficients below
+    T**e."""
+    gens = sorted(value.free_symbols, key=str) or [sympy.Dummy()]
+    degree = terms = bits = 0
+    for part in value.as_numer_denom():
+        poly = sympy.Poly(part, *gens)
+        t = len(poly.terms())
+        coeff_bits = max((max(abs(c.p).bit_length(), c.q.bit_length())
+                          for c in poly.coeffs()), default=0)
+        degree = max(degree, poly.total_degree() * e)
+        terms = max(terms, math.comb(e + t - 1, t - 1) if t else 0)
+        bits = max(bits, e * (coeff_bits + (t - 1).bit_length()))
+    return degree, terms, bits
 
 
-def parse_form(text, chart, degree=None):
-    value = parse_expression(text, chart)
+def parse_expression(text, chart, start=(1, 1)):
+    """Parse a scalar, form, multivector or multivector-valued form.
+
+    ``start`` is the (line, column) at which ``text`` begins in the
+    caller's input; errors are located relative to it."""
+    return _Parser(text, chart, start).parse()
+
+
+def parse_form(text, chart, degree=None, start=(1, 1)):
+    value = parse_expression(text, chart, start)
     if not isinstance(value, (Form, MultiVector, MvForm)):
         if degree is not None and as_scalar(value) == 0:
             return Form.zero(chart, degree)
         value = Form.scalar_form(chart, value)
     if not isinstance(value, Form):
-        raise ParseError(f"expected a form, got {type(value).__name__}")
+        raise ParseError(f"expected a form, got {type(value).__name__}", *start)
     if degree is not None and value.degree != degree:
-        raise ParseError(f"expected a degree {degree} form, got {value.degree}")
+        raise ParseError(f"expected a degree {degree} form, got {value.degree}",
+                         *start)
     return value
 
 

@@ -7,42 +7,42 @@ assumed constant: duplicate or zero generators are tolerated.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 from . import scalars
 from .errors import DegreeError
 from .forms import MultiVector
-from .linsolve import LinearSolution, nullspace, solve_linear
+from .linsolve import Echelon, LinearSolution, nullspace
 from .multiindex import contract_index
 
-__all__ = ["Span", "annihilator", "coefficient_rows", "decompose_over"]
+__all__ = ["Span", "annihilator", "decompose_over", "generator_echelon"]
 
 
-def coefficient_rows(generators, keys):
-    """One row per key: {i: generators[i].data[key]} over the generators
-    with a component at that key."""
-    return [
-        {i: g.data[key] for i, g in enumerate(generators) if key in g.data}
-        for key in keys
-    ]
+def generator_echelon(generators):
+    """The elimination behind every decomposition over ``generators``:
+    one row per component key (sorted), one unknown per generator.
+
+    Works uniformly for Forms, MultiVectors and MvForms through their
+    sparse ``data`` maps; a target's ``data`` is its right-hand side.
+    """
+    keys = sorted(set().union(*(g.data for g in generators)))
+    rows = {key: {i: g.data[key] for i, g in enumerate(generators) if key in g.data}
+            for key in keys}
+    return Echelon(rows, range(len(generators)))
 
 
 def decompose_over(generators, target):
-    """Coefficients f_i with target = sum f_i * generators[i], or None.
-
-    Works uniformly for Forms, MultiVectors and MvForms through their
-    sparse ``data`` maps.
-    """
-    keys = sorted(set(target.data).union(*(g.data for g in generators)))
-    rows = [
-        (coeffs, target.data.get(key, scalars.ZERO))
-        for key, coeffs in zip(keys, coefficient_rows(generators, keys))
-    ]
-    return solve_linear(rows, list(range(len(generators))))
+    """Coefficients f_i with target = sum f_i * generators[i], or None."""
+    return generator_echelon(generators).solve(target.data)
 
 
 class Span:
-    """A finitely generated module of homogeneous graded objects."""
+    """A finitely generated module of homogeneous graded objects.
+
+    Its elimination is built on first use and kept, so every membership
+    and decomposition query reduces only the target.
+    """
 
     def __init__(self, chart, degree, generators, kind="form"):
         self.chart = chart
@@ -63,50 +63,35 @@ class Span:
     def __iter__(self):
         return iter(self.generators)
 
+    @cached_property
+    def echelon(self):
+        return generator_echelon(self.generators)
+
     def decompose(self, target):
         """Membership with witness: particular coefficient vector or None."""
         if target.is_zero():
             return LinearSolution({})
-        return decompose_over(self.generators, target)
+        return self.echelon.solve(target.data)
 
     def contains(self, target):
         return self.decompose(target) is not None
 
     def kernel(self):
         """Module relations among the generators."""
-        keys = sorted(set().union(*(g.data for g in self.generators)))
-        rows = coefficient_rows(self.generators, keys)
-        return nullspace(rows, list(range(len(self.generators))))
+        return list(self.echelon.kernel)
 
     def reduced(self):
         """An independent generating sublist (greedy, order-preserving).
 
         Returns (span, kept_indices).  A generator is dropped iff it
-        decomposes over the ones kept before it.
+        decomposes over the ones before it: one elimination with the
+        generators as rows, keeping each row that does not reduce to zero.
         """
-        kept = []
-        kept_idx = []
-        seen_keys = set()
-        seen_exact = set()
-        for i, g in enumerate(self.generators):
-            if g.is_zero():
-                continue
-            fingerprint = (frozenset(g.data.items()),)
-            if fingerprint in seen_exact:
-                continue
-            if not set(g.data) <= seen_keys:
-                kept.append(g)
-                kept_idx.append(i)
-                seen_keys |= set(g.data)
-                seen_exact.add(fingerprint)
-                continue
-            if kept and decompose_over(kept, g) is not None:
-                continue
-            kept.append(g)
-            kept_idx.append(i)
-            seen_keys |= set(g.data)
-            seen_exact.add(fingerprint)
-        return Span(self.chart, self.degree, kept, self.kind), kept_idx
+        keys = sorted(set().union(*(g.data for g in self.generators)))
+        echelon = Echelon([g.data for g in self.generators], keys)
+        kept = [i for i in range(len(self.generators)) if i not in echelon.dependent]
+        return Span(self.chart, self.degree,
+                    [self.generators[i] for i in kept], self.kind), kept
 
     def __repr__(self):
         return f"Span(degree={self.degree}, kind={self.kind}, n={len(self.generators)})"

@@ -26,7 +26,7 @@ from .chart import Chart
 from .errors import ParseError
 from .extensions import ExtensionTable
 from .parser import parse_expression, parse_form, parse_multivector
-from .render import render, render_form, render_mv, render_mvform
+from .render import render_form, render_mv, render_mvform
 from .forms import Form, MultiVector, MvForm
 from .structure import Structure
 
@@ -114,7 +114,7 @@ def load_structure_file(path_or_dict):
     extension_doc = _section(doc, "extension", _is_string_pairs,
                              "a list of [form, value] string pairs", [])
     if extension_doc:
-        entries = [_extension_entry(chart, ftext, wtext, k)
+        entries = [_extension_entry(chart, ftext, (k, 1), wtext, (k, 1))
                    for k, (ftext, wtext) in enumerate(extension_doc, 1)]
         extension = ExtensionTable(structure, n + 1 - entries[0][1].vec_degree,
                                    entries)
@@ -122,17 +122,19 @@ def load_structure_file(path_or_dict):
                          meta=doc.get("scenario", {}))
 
 
-def _extension_entry(chart, ftext, wtext, line):
-    """One extension table entry (theta, value).  A multivector value u is
-    read as 1 (x) u; any other value that is not a multivector valued form
-    is a ParseError at ``line``."""
-    theta = parse_form(ftext, chart)
-    value = parse_expression(wtext, chart)
+def _extension_entry(chart, ftext, fstart, wtext, wstart):
+    """One extension table entry (theta, value), with errors located at
+    the (line, column) where each text starts: the line of a text block,
+    the entry number in a structure file.  A multivector value u is read
+    as 1 (x) u; any other value that is not a multivector valued form is a
+    ParseError."""
+    theta = parse_form(ftext, chart, start=fstart)
+    value = parse_expression(wtext, chart, start=wstart)
     if isinstance(value, MultiVector):
         value = MvForm.tensor(Form.scalar_form(chart, 1), value)
     if not isinstance(value, MvForm):
         raise ParseError("extension values must be multivector valued forms",
-                         line, 1)
+                         *wstart)
     return theta, value
 
 
@@ -173,15 +175,17 @@ def dump_extension(table):
 def parse_extension(text, structure):
     """Parse a text block produced by dump_extension."""
     entries = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if not line.startswith("extend ") or "=>" not in line:
             raise ParseError("expected `extend <form> => <mvform>`", lineno, 1)
+        fcol = len(raw) - len(raw.lstrip()) + len("extend ") + 1
         ftext, wtext = line[len("extend "):].split("=>", 1)
-        entries.append(_extension_entry(structure.chart, ftext.strip(),
-                                        wtext.strip(), lineno))
+        entries.append(_extension_entry(
+            structure.chart, ftext, (lineno, fcol),
+            wtext, (lineno, fcol + len(ftext) + len("=>"))))
     if not entries:
         raise ParseError("no `extend <form> => <mvform>` entries")
     return ExtensionTable(structure, structure.n + 1 - entries[0][1].vec_degree,

@@ -20,10 +20,10 @@ from .errors import DegreeError, MembershipError, NonWellDefinedError, NotHamilt
 from .forms import Form, MultiVector, contract, wedge
 from .render import render
 from .report import Report
-from .spans import Span, annihilator, decompose_over
+from .spans import Span, annihilator
 
 __all__ = ["Structure", "CosetRep", "TowerGen", "deg_h", "is_hamiltonian_form",
-           "bracket", "verify_axioms", "verify_fibered"]
+           "require_hamiltonian", "bracket", "verify_axioms", "verify_fibered"]
 
 
 def deg_h(form_or_degree, n):
@@ -103,7 +103,7 @@ def _averaged_gen(candidates, chosen):
 class Structure:
     """A regular graded Dirac structure of order n on a fibered chart."""
 
-    def __init__(self, chart, generators, sharps, validate=True):
+    def __init__(self, chart, generators, sharps):
         if len(generators) != len(sharps):
             raise DegreeError("generator and sharp lists differ in length")
         self.chart = chart
@@ -117,9 +117,9 @@ class Structure:
         self.levels = {self.n: [TowerGen(g, v) for g, v in zip(generators, sharps)]}
         self._build_tower()
         self._canonicalize_null_values()
-        self._kernel_checked = set()
-        if validate:
-            self._check_function_linearity()
+        self._spans = {a: Span(chart, a, self.generators(a))
+                       for a in range(1, self.n + 1)}
+        self._check_decomposition_kernel()
 
     # -- tower -------------------------------------------------------------
 
@@ -152,7 +152,7 @@ class Structure:
     def span(self, a):
         if a < 1 or a > self.n:
             raise DegreeError(f"no tower level {a} (1..{self.n})")
-        return Span(self.chart, a, [g.form for g in self.levels[a]])
+        return self._spans[a]
 
     def generators(self, a):
         return [g.form for g in self.levels[a]]
@@ -185,18 +185,13 @@ class Structure:
                 break
             coord_map[idx[0]] = (i, c)
         if not (monomial and len(coord_map) == chart.m):
-            # re-basis onto coordinate differentials when S^1 = T*M, so wedge
-            # powers decompose monomial by monomial
-            coord_map = {}
-            gens = []
-            for i in range(chart.m):
-                dc = Form(chart, 1, {(i,): scalars.ONE}, _normalized=True)
-                if not self.contains(1, dc):
-                    coord_map = None
-                    gens = self.generators(1)
-                    break
-                coord_map[i] = (i, scalars.ONE)
-                gens.append(dc)
+            # re-basis onto coordinate differentials when S^1 = T*M (rank m),
+            # so wedge powers decompose monomial by monomial
+            coord_map = None
+            if len(self.span(1).echelon.pivots) == chart.m:
+                coord_map = {i: (i, scalars.ONE) for i in range(chart.m)}
+                gens = [Form(chart, 1, {(i,): scalars.ONE}, _normalized=True)
+                        for i in range(chart.m)]
         sharps = [self.derive_sharp(1, g) for g in gens]
         return gens, sharps, coord_map
 
@@ -224,43 +219,37 @@ class Structure:
 
     # -- sharps ------------------------------------------------------------
 
-    def _check_decomposition_kernel(self, a, kernel):
-        """All decompositions must induce the same sharp value mod K."""
-        for vec in kernel:
-            rel = MultiVector.zero(self.chart, self.n + 1 - a)
+    def _check_decomposition_kernel(self):
+        """All decompositions must induce the same sharp value mod K.  Only
+        level n can have relations: the lower levels come out of
+        Span.reduced, so their generators are independent."""
+        n = self.n
+        for vec in self._spans[n].kernel():
+            rel = MultiVector.zero(self.chart, 1)
             for i, c in vec.items():
-                rel = rel + c * self.levels[a][i].sharp
-            if not self.coset_is_zero(rel, self.n + 1 - a):
+                rel = rel + c * self.levels[n][i].sharp
+            if not self.coset_is_zero(rel, 1):
                 raise NonWellDefinedError(
-                    f"sharp_{a} depends on the decomposition; offending relation "
+                    f"sharp_{n} depends on the decomposition; offending relation "
                     + render(rel)
                 )
-
-    def _check_function_linearity(self):
-        """sharp_n must be well defined on the span modulo K_1."""
-        span = self.span(self.n)
-        self._check_decomposition_kernel(self.n, span.kernel())
-        self._kernel_checked.add(self.n)
 
     def derive_sharp(self, a, theta):
         """sharp_a(theta) as a CosetRep of degree n+1-a.
 
         Decomposes theta over the level-a tower generators (each of which
         is a contraction iota_U alpha of a top generator, so this realizes
-        sharp_a(iota_U alpha) = sharp_n(alpha) ^ U), checks that the value
-        does not depend on the decomposition, and returns the coset.
+        sharp_a(iota_U alpha) = sharp_n(alpha) ^ U) and returns the coset,
+        which the construction checked to be independent of the choice.
         """
         if theta.degree != a:
             raise DegreeError(f"theta has degree {theta.degree}, expected {a}")
         p = self.n + 1 - a
         if theta.is_zero():
             return CosetRep(MultiVector.zero(self.chart, p), p, self)
-        sol = decompose_over(self.generators(a), theta)
+        sol = self.span(a).decompose(theta)
         if sol is None:
             raise MembershipError(f"{render(theta)} is not in S^{a}")
-        if a not in self._kernel_checked:
-            self._check_decomposition_kernel(a, self.span(a).kernel())
-            self._kernel_checked.add(a)
         rep = MultiVector.zero(self.chart, p)
         for i, c in sol.particular.items():
             rep = rep + c * self.levels[a][i].sharp
@@ -284,30 +273,44 @@ class Structure:
 # ---------------------------------------------------------------------------
 
 
-def is_hamiltonian_form(alpha, structure):
-    """True iff d(alpha) takes values in S^{deg+1} and 0 <= deg <= n-1."""
+def require_hamiltonian(alpha, structure, label=None):
+    """d alpha for a Hamiltonian form alpha.
+
+    Raises DegreeError unless 0 <= deg <= n-1, and NotHamiltonianError
+    (naming ``label``, by default the rendered form) unless d alpha lies
+    in S^{deg+1}."""
     n = structure.n
     if not 0 <= alpha.degree <= n - 1:
         raise DegreeError(
             f"Hamiltonian forms have degree 0..{n - 1}, got {alpha.degree}"
         )
-    return structure.contains(alpha.degree + 1, exterior_derivative(alpha))
+    dalpha = exterior_derivative(alpha)
+    if not structure.contains(alpha.degree + 1, dalpha):
+        name = render(alpha) if label is None else label
+        raise NotHamiltonianError(f"{name} is not Hamiltonian")
+    return dalpha
+
+
+def is_hamiltonian_form(alpha, structure):
+    """True iff d(alpha) takes values in S^{deg+1} and 0 <= deg <= n-1."""
+    try:
+        return require_hamiltonian(alpha, structure) is not None
+    except NotHamiltonianError:
+        return False
 
 
 def bracket(alpha, beta, structure):
     """The graded Poisson bracket
     {alpha, beta} = (-1)^{deg_H beta} iota_{sharp_{b+1}(d beta)} d alpha."""
     n = structure.n
-    if not is_hamiltonian_form(alpha, structure):
-        raise NotHamiltonianError(f"{render(alpha)} is not Hamiltonian")
-    if not is_hamiltonian_form(beta, structure):
-        raise NotHamiltonianError(f"{render(beta)} is not Hamiltonian")
+    dalpha = require_hamiltonian(alpha, structure)
+    dbeta = require_hamiltonian(beta, structure)
     a, b = alpha.degree, beta.degree
     out_degree = a + b - (n - 1)
     if out_degree < 0:
         return Form.zero(structure.chart, 0)
-    rep = structure.derive_sharp(b + 1, exterior_derivative(beta))
-    return bracket_formula(rep.rep, exterior_derivative(alpha), beta, n)
+    rep = structure.derive_sharp(b + 1, dbeta)
+    return bracket_formula(rep.rep, dalpha, beta, n)
 
 
 def bracket_formula(w, dalpha, beta, n):

@@ -8,6 +8,7 @@ no code is shared with the package's sparse merge-sign engine.
 from itertools import combinations, permutations
 
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 
 def perm_parity(seq):
@@ -156,3 +157,11 @@ def naive_schouten(u_data, p, v_data, q, syms):
                     continue
                 out[skey] = out.get(skey, sympy.Integer(0)) + sgn * val
     return {k: sympy.cancel(v) for k, v in out.items() if sympy.cancel(v) != 0}
+
+
+def naive_rank(rows):
+    """Rank of a dense matrix of rational functions (a list of rows), by
+    sympy's own elimination over the fraction field of its symbols."""
+    if not rows or not rows[0]:
+        return 0
+    return DomainMatrix.from_Matrix(sympy.Matrix(rows)).to_field().rank()

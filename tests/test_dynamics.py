@@ -3,7 +3,7 @@ import random
 import pytest
 import sympy
 
-from gradira import dynamics, extensions
+from gradira import dynamics, extensions, structure
 from gradira import (
     Form,
     Hamiltonian,
@@ -27,6 +27,7 @@ from gradira import is_hamiltonian_form
 from gradira.errors import DegreeError, NotHamiltonianError
 from gradira.sampling import random_hamiltonian_form
 from gradira.scenarios import canonical_extension_table
+from gradira.structfile import dump_scenario, load_structure_file
 
 
 class TestIsHamiltonian:
@@ -100,6 +101,33 @@ class TestHamiltonianState:
         for _, alpha in red2.hamiltonian_generators:
             ham.bracket_with(alpha)
         assert len(calls) == 1
+        # loading a table verifies each entry with one sharp_1~ value
+        table = canonical_extension_table(red2, style="symmetric")
+        doc = dump_scenario(red2, extension=table)
+        del calls[:]
+        loaded = load_structure_file(doc).extension
+        assert len(calls) == len(loaded.entries) == len(table.entries)
+
+    def test_each_hamiltonian_check_takes_d_once(self, red2, monkeypatch):
+        calls = []
+        real = structure.exterior_derivative
+
+        def counting(form):
+            calls.append(form)
+            return real(form)
+
+        for module in (structure, extensions, dynamics):
+            monkeypatch.setattr(module, "exterior_derivative", counting)
+        st = red2.structure
+        ham = Hamiltonian(red2.hamiltonian_form, st)
+        gens = red2.hamiltonian_generators
+        (_, alpha), (_, beta) = gens[0], gens[1]
+        del calls[:]
+        bracket(alpha, beta, st)
+        assert len(calls) == 2
+        del calls[:]
+        hdw_residuals(ham, Section(red2.chart), gens)
+        assert len(calls) == len(gens)
 
 
 class TestSection:

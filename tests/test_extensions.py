@@ -7,6 +7,7 @@ from gradira import (
     Form,
     MultiVector,
     MvForm,
+    Structure,
     bracket,
     bracket_ext1,
     bracket_extj,
@@ -20,6 +21,7 @@ from gradira import (
     volume_contraction,
     wedge,
 )
+from gradira import linsolve
 from gradira.errors import MembershipError
 from gradira.extensions import decompose_s1_power, pairing_defect, solve_sharp_j
 from gradira.sampling import random_form, random_hamiltonian_form, rng_from_env
@@ -277,6 +279,33 @@ class TestSpanTower:
             if lowered.is_zero():
                 continue
             assert solve_sharp_j(st, lowered, 1) is not None
+
+    def test_queries_reuse_one_elimination(self, red2, monkeypatch):
+        built = []
+        real = linsolve.Echelon.__init__
+
+        def counting(self, rows, unknowns):
+            built.append(1)
+            real(self, rows, unknowns)
+
+        top = red2.structure
+        st = Structure(top.chart, top.generators(top.n), top.sharp_values(top.n))
+        level = build_span_tower(st, 3, 2, vertical=True)
+        monkeypatch.setattr(linsolve.Echelon, "__init__", counting)
+        level.rejected()
+        assert len(built) <= 1
+        del built[:]
+        level.rejected()
+        assert built == []
+        for a in range(1, st.n + 1):
+            gens = st.generators(a)
+            st.contains(a, gens[0])
+            del built[:]
+            for _ in range(2):
+                for g in gens:
+                    assert st.contains(a, g)
+                    st.derive_sharp(a, g)
+            assert built == []
 
 
 class TestExtensionTable:

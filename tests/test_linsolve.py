@@ -1,10 +1,13 @@
 import random
 
 import sympy
+from hypothesis import given, settings, strategies as st
 
-from gradira import Chart
-from gradira.linsolve import solve_linear, nullspace
+from gradira import Chart, Form, Span
+from gradira.linsolve import Echelon, solve_linear, nullspace
 from gradira import scalars
+
+from naive import naive_rank
 
 
 def test_single_rational_function_equation():
@@ -72,3 +75,62 @@ def test_nullspace_helper():
     basis = nullspace([{0: 1, 1: -1}], [0, 1])
     assert len(basis) == 1
     assert basis[0] == {1: 1, 0: 1}
+
+
+CHART = Chart(base=["x1", "x2"], fiber=["y1", "y2"])
+X, Y = CHART.sym("x1"), CHART.sym("y1")
+ENTRIES = [0, 0, 1, -1, 2, sympy.Rational(1, 2), X, Y, X * Y, X / (Y + 1),
+           1 / (X - 1), X**2 + 1]
+entries = st.sampled_from(ENTRIES)
+
+
+@st.composite
+def systems(draw):
+    """(rows, rhs): a few rows of rational-function entries, some of them
+    combinations of others, shuffled; the right-hand side is consistent
+    (A times a random vector) or arbitrary."""
+    ncols = draw(st.integers(min_value=1, max_value=CHART.m))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=3))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        mults = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(m * r[c] for m, r in zip(mults, rows))
+                     for c in range(ncols)])
+    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    if draw(st.booleans()):
+        vec = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+        rhs = [sum(r[c] * vec[c] for c in range(ncols)) for r in rows]
+    else:
+        rhs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    return rows, rhs
+
+
+def residuals(rows, vec):
+    return [scalars.normalized(sum(r[c] * vec.get(c, 0) for c in range(len(r))))
+            for r in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems())
+def test_echelon_against_rank_oracle(system):
+    rows, rhs = system
+    ncols = len(rows[0])
+    echelon = Echelon([dict(enumerate(r)) for r in rows], range(ncols))
+    rank = naive_rank(rows)
+    sol = echelon.solve(dict(enumerate(rhs)))
+    augmented = naive_rank([r + [b] for r, b in zip(rows, rhs)])
+    assert (sol is None) == (rank < augmented)
+    assert len(echelon.kernel) == ncols - rank
+    for vec in echelon.kernel:
+        assert all(v == 0 for v in residuals(rows, vec))
+    if sol is not None:
+        assert set(sol.particular) <= set(echelon.pivots)
+        got = residuals(rows, sol.particular)
+        assert got == [scalars.normalized(b) for b in rhs]
+    # Span.reduced keeps exactly the greedy rank-increasing generators
+    gens = [Form(CHART, 1, {(c,): v for c, v in enumerate(r)}) for r in rows]
+    greedy = []
+    for i, r in enumerate(rows):
+        if naive_rank([rows[k] for k in greedy] + [r]) > len(greedy):
+            greedy.append(i)
+    assert Span(CHART, 1, gens).reduced()[1] == greedy

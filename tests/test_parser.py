@@ -1,10 +1,13 @@
+import re
+
 import pytest
 import sympy
 
 from gradira import Chart, Form, MultiVector, MvForm, parse_expression, parse_form, wedge
 from gradira.errors import ParseError, UndefinedScalarError
-from gradira.parser import parse_multivector
+from gradira.parser import MAX_DIGITS, MAX_EXPONENT, parse_multivector
 from gradira.render import render, render_form
+from gradira.structfile import dump_scenario, load_structure_file
 
 
 @pytest.fixture
@@ -141,3 +144,42 @@ class TestTypedHelpers:
         assert v == MultiVector.coord_vector(chart, "y1")
         with pytest.raises(ParseError):
             parse_multivector("d(y1)", chart)
+
+
+class TestInputCaps:
+    def test_long_literal_is_located(self, chart):
+        text = "d(y1) + " + "1" * (MAX_DIGITS + 1) + " * d(x1)"
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, chart)
+        assert (err.value.line, err.value.column) == (1, 9)
+        assert "digits" in str(err.value)
+
+    @pytest.mark.parametrize("text, column, reason", [
+        ("2**100000000 * d(x1)", 4, "exponent 100000000 exceeds"),
+        ("x1**1001", 5, "exponent 1001 exceeds"),
+        ("((x1 + 1)**2)**1000", 16, "degree 2000"),
+        ("(x1 + y1 + 1)**44", 16, "1035 terms"),
+        ("(2**1000)**1000", 12, "1001000-bit"),
+    ], ids=["exponent", "degree", "nested-degree", "terms", "nested-bits"])
+    def test_costly_power_is_located(self, chart, text, column, reason):
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, chart)
+        assert (err.value.line, err.value.column) == (1, column)
+        assert reason in str(err.value)
+
+    def test_powers_at_the_cap_are_accepted(self, chart):
+        x = chart.sym("x1")
+        assert parse_expression(f"x1**{MAX_EXPONENT}", chart) == x**MAX_EXPONENT
+        assert parse_expression("2**1000", chart) == sympy.Integer(2)**1000
+
+    def test_suite_inputs_stay_under_the_cap(self, red2, red3, ext2, ym_su2):
+        texts = list(TestRoundTrip.CORPUS)
+        for scn in (red2, red3, ext2, ym_su2):
+            doc = dump_scenario(scn)
+            texts += doc["sn"] + doc["sharp_n"] + [doc.get("hamiltonian", "")]
+            texts += [form for _, form in doc.get("generators", [])]
+            load_structure_file(doc)
+        digits = max(len(m) for t in texts for m in re.findall(r"\d+", t))
+        powers = [int(m) for t in texts for m in re.findall(r"\*\*\s*(\d+)", t)]
+        assert digits <= MAX_DIGITS
+        assert max(powers, default=0) <= MAX_EXPONENT

@@ -6,6 +6,7 @@ import pytest
 
 from gradira.cli import main
 from gradira.errors import ParseError
+from gradira.scenarios import canonical_extension_table
 from gradira.structfile import dump_scenario, load_structure_file, parse_extension
 
 
@@ -53,6 +54,19 @@ class TestStructureFile:
         with pytest.raises(ParseError) as exc:
             parse_extension(text, red2.structure)
         assert exc.value.line == line
+
+    def test_extension_entry_error_located_at_block_line(self, red2):
+        with pytest.raises(ParseError) as exc:
+            parse_extension("\n\nextend d(y1) ^ dx1 ^ dx2 => d(x1)", red2.structure)
+        assert (exc.value.line, exc.value.column) == (3, 16)
+
+    def test_extension_entry_error_located_at_entry_number(self, red2):
+        table = canonical_extension_table(red2, style="symmetric")
+        doc = dump_scenario(red2, extension=table)
+        doc["extension"][1][0] = "d(y1) ^ dx1"
+        with pytest.raises(ParseError) as exc:
+            load_structure_file(doc)
+        assert (exc.value.line, exc.value.column) == (2, 9)
 
     def test_mismatched_sections_rejected(self, red2):
         doc = dump_scenario(red2)
@@ -149,6 +163,14 @@ class TestCli:
         assert code == 2
         assert "zz" in err
 
+    def test_costly_power_exit_2(self, tmp_path, capsys):
+        out_file = str(tmp_path / "structure.json")
+        run_cli(["scenario", "reduced-canonical", "--out", out_file], capsys)
+        code, out, err = run_cli(
+            ["hamiltonian", "-f", out_file, "-H", "2**100000000 * dX[]"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 1:4: exponent")
+
     def test_tower_and_extend(self, tmp_path, capsys):
         out_file = str(tmp_path / "structure.json")
         run_cli(["scenario", "reduced-canonical", "--out", out_file], capsys)
@@ -238,3 +260,74 @@ class TestCli:
         ]
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].returncode == runs[1].returncode == 0
+
+
+# stdout of `extend` and `tower --no-vertical` as recorded before the tower
+# solve moved onto one elimination per matrix: the admitted generators and
+# the particular sharp_j~ values printed must not change
+SCENARIOS = {
+    "red21": ["reduced-canonical", "--n", "2", "--fields", "1"],
+    "ext21": ["extended-canonical", "--n", "2", "--fields", "1"],
+}
+COMMANDS = {"extend": ["extend"], "towernv": ["tower", "--no-vertical"]}
+GOLDEN = {
+    ("red21", "extend"): [
+        'extend -d(p1_1) ^ dX[] => -dX[2] @ @/y1',
+        'extend d(y1) ^ dX[] => -dX[2] @ @/p1_1',
+        'extend -d(p2_1) ^ dX[] => dX[1] @ @/y1',
+        'extend d(y1) ^ d(p2_1) ^ dX[2] + d(y1) ^ d(p1_1) ^ dX[1] => d(y1) @ @/y1 + d(p1_1) @ @/p1_1 + d(p2_1) @ @/p2_1',
+    ],
+    ("red21", "towernv"): [
+        'S^3[2] admitted generators (7):',
+        '  -d(y1) ^ d(p1_1) ^ dX[2]',
+        '  -d(p1_1) ^ dX[]',
+        '  d(y1) ^ dX[]',
+        '  -d(y1) ^ d(p2_1) ^ dX[1]',
+        '  -d(y1) ^ d(p2_1) ^ dX[2] + d(y1) ^ d(p1_1) ^ dX[1]',
+        '  -d(p2_1) ^ dX[]',
+        '  d(y1) ^ d(p2_1) ^ dX[2] + d(y1) ^ d(p1_1) ^ dX[1]',
+        'rejected candidates (3):',
+        '  d(p1_1) ^ d(p2_1) ^ dX[1]',
+        '  d(p1_1) ^ d(p2_1) ^ dX[2]',
+        '  d(y1) ^ d(p1_1) ^ d(p2_1)',
+        'homogeneous freedom dimension: 3',
+    ],
+    ("ext21", "extend"): [
+        'extend -2 * d(y1) ^ dX[] => dX[2] @ @/p1_1 - dX[1] @ @/p2_1 + d(y1) @ @/p',
+    ],
+    ("ext21", "towernv"): [
+        'S^3[2] admitted generators (2):',
+        '  -2 * d(y1) ^ dX[]',
+        '  -2 * d(p) ^ dX[] + 2 * d(y1) ^ d(p2_1) ^ dX[2] + 2 * d(y1) ^ d(p1_1) ^ dX[1]',
+        'rejected candidates (19):',
+        '  d(p) ^ d(p2_1) ^ dX[1]',
+        '  d(y1) ^ d(p) ^ d(p2_1)',
+        '  -d(p) ^ d(p1_1) ^ d(p2_1)',
+        '  d(p) ^ d(p2_1) ^ dX[2]',
+        '  -d(y1) ^ d(p) ^ dX[1]',
+        '  d(p) ^ d(p1_1) ^ dX[1]',
+        '  -d(p) ^ dX[]',
+        '  d(y1) ^ d(p) ^ d(p1_1)',
+        '  d(y1) ^ d(p) ^ dX[2]',
+        '  -d(p) ^ d(p1_1) ^ dX[2]',
+        '  -d(y1) ^ d(p2_1) ^ dX[1]',
+        '  -d(p1_1) ^ d(p2_1) ^ dX[1]',
+        '  -d(p2_1) ^ dX[]',
+        '  -d(y1) ^ d(p1_1) ^ d(p2_1)',
+        '  d(y1) ^ d(p2_1) ^ dX[2]',
+        '  d(p1_1) ^ d(p2_1) ^ dX[2]',
+        '  d(y1) ^ d(p1_1) ^ dX[1]',
+        '  -d(p1_1) ^ dX[]',
+        '  d(y1) ^ d(p1_1) ^ dX[2]',
+        'homogeneous freedom dimension: 0',
+    ],
+}
+
+
+@pytest.mark.parametrize("scenario, command", sorted(GOLDEN))
+def test_tower_reports_match_golden(scenario, command, tmp_path, capsys):
+    out_file = str(tmp_path / "structure.json")
+    run_cli(["scenario", *SCENARIOS[scenario], "--out", out_file], capsys)
+    code, out, err = run_cli([*COMMANDS[command], "-f", out_file], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == GOLDEN[(scenario, command)]
