@@ -26,10 +26,7 @@ def exterior_derivative(alpha):
         return Form.zero(chart, chart.m if alpha.degree == chart.m else alpha.degree + 1)
     data = {}
     for idx, c in alpha.data.items():
-        for i, name in enumerate(chart.coords):
-            dc = scalars.diff(c, name, chart)
-            if dc == 0:
-                continue
+        for i, dc in scalars.diff(c, chart).items():
             sign, merged = merge((i,), idx)
             if sign:
                 scalars.accumulate(data, merged, dc, sign)
@@ -80,14 +77,15 @@ def _xi_derivative(mv, k):
     return MultiVector(mv.chart, mv.degree - 1, data, _normalized=True)
 
 
-def _coord_derivative(mv, name):
-    chart = mv.chart
+def _partials(mv):
+    """{k: d(mv)/dx^k} over the coordinates k it depends on, from one
+    gradient per coefficient."""
     data = {}
     for idx, c in mv.data.items():
-        dc = scalars.diff(c, name, chart)
-        if dc != 0:
-            data[idx] = dc
-    return MultiVector(chart, mv.degree, data, _normalized=True)
+        for k, dc in scalars.diff(c, mv.chart).items():
+            data.setdefault(k, {})[idx] = dc
+    return {k: MultiVector(mv.chart, mv.degree, row, _normalized=True)
+            for k, row in data.items()}
 
 
 def schouten(u, v):
@@ -113,18 +111,17 @@ def schouten(u, v):
     out = MultiVector.zero(chart, p + q - 1)
     s1 = -1 if (p - 1) % 2 else 1
     s2 = -1 if (p * (q - 1)) % 2 == 0 else 1
-    for k, name in enumerate(chart.coords):
-        du = _xi_derivative(u, k)
-        if du:
-            dv = _coord_derivative(v, name)
-            if dv:
-                term = wedge(du, dv)
+    du_dx, dv_dx = _partials(u), _partials(v)
+    for k in range(chart.m):
+        if k in dv_dx:
+            du = _xi_derivative(u, k)
+            if du:
+                term = wedge(du, dv_dx[k])
                 out = out + (term if s1 > 0 else -term)
-        dvx = _xi_derivative(v, k)
-        if dvx:
-            dux = _coord_derivative(u, name)
-            if dux:
-                term = wedge(dvx, dux)
+        if k in du_dx:
+            dvx = _xi_derivative(v, k)
+            if dvx:
+                term = wedge(dvx, du_dx[k])
                 out = out + (term if s2 > 0 else -term)
     return out
 

@@ -1,11 +1,12 @@
 """Fibered coordinate charts.
 
 A chart is an ordered list of coordinate names, base coordinates first,
-together with a registry of formal function symbols.  Formal functions are
-opaque scalars with a declared argument list; differentiating one produces
-a formal partial symbol (``H`` -> ``H__y1``), which is again a registered
-function with the same arguments.  Mixed partials are canonicalised by
-sorting the differentiation coordinates, so the symbol names are unique.
+together with a table of declared formal function symbols.  Formal
+functions are opaque scalars with a declared argument list.  Their formal
+partials are derived names, not table entries: ``H__y1`` is d(H)/d(y1),
+with the arguments of ``H``, and mixed partials sort the differentiation
+coordinates (``H__x1__y1``), so each partial has one name.  The table holds
+only what was declared, so no computation changes a chart.
 """
 
 from __future__ import annotations
@@ -83,33 +84,31 @@ class Chart:
             raise ChartError(f"{name!r} is already a coordinate")
         if not name.isidentifier():
             raise ChartError(f"function name {name!r} is not an identifier")
+        if _PARTIAL_SEP in name:
+            raise ChartError(f"function name {name!r} may not contain {_PARTIAL_SEP!r}")
         prev = self.functions.get(name)
         if prev is not None and prev != args:
             raise ChartError(f"function {name!r} re-declared with different arguments")
         self.functions[name] = args
         return sympy.Symbol(name)
 
-    def partial_symbol(self, fname, coord):
-        """The formal partial of a registered function along ``coord``.
-
-        Returns None when the function does not depend on ``coord``.  The
-        derivative symbol is registered lazily with the same arguments.
-        """
-        args = self.functions[fname]
-        if coord not in args:
+    def function_args(self, name):
+        """The arguments of a declared function or of one of its formal
+        partials, named with sorted differentiation coordinates
+        (``H__p1_1__x1``); None for any other name."""
+        base, *diffs = name.split(_PARTIAL_SEP)
+        args = self.functions.get(base)
+        if args is None or diffs != sorted(diffs) or not set(diffs) <= set(args):
             return None
-        base, diffs = self._split_partial_name(fname)
-        diffs = tuple(sorted(diffs + (coord,)))
-        name = _PARTIAL_SEP.join((base,) + diffs)
-        if name not in self.functions:
-            self.functions[name] = args
-        return sympy.Symbol(name)
+        return args
 
-    def _split_partial_name(self, fname):
-        parts = fname.split(_PARTIAL_SEP)
-        base = parts[0]
-        diffs = tuple(parts[1:])
-        return base, diffs
+    def partial_symbol(self, fname, coord):
+        """The formal partial of a function or partial ``fname`` along
+        ``coord``, or None when it does not depend on ``coord``."""
+        if coord not in (self.function_args(fname) or ()):
+            return None
+        base, *diffs = fname.split(_PARTIAL_SEP)
+        return sympy.Symbol(_PARTIAL_SEP.join([base] + sorted(diffs + [coord])))
 
     def __repr__(self):
         return f"Chart(base={list(self.base_coords)}, fiber={list(self.fiber_coords)})"

@@ -38,7 +38,7 @@ class SubmersionDrop:
         self.target_chart = Chart(base=source_chart.base_coords, fiber=kept_fiber)
         for fname, args in source_chart.functions.items():
             if not set(args) & set(self.dropped):
-                self.target_chart.functions[fname] = args
+                self.target_chart.declare_function(fname, args)
         self._to_source = tuple(
             source_chart.index(c) for c in self.target_chart.coords
         )
@@ -111,26 +111,13 @@ class AffineEmbedding:
             subs[name] = expr
         self.substitutions = subs
         for fname, args in ambient_chart.functions.items():
-            mapped = []
-            ok = True
-            for a in args:
-                expr = subs[a]
-                if expr.is_Symbol and str(expr) in adapted_chart._index:
-                    mapped.append(str(expr))
-                else:
-                    ok = False
-                    break
-            if ok and fname not in adapted_chart.functions:
-                adapted_chart.functions[fname] = tuple(mapped)
+            mapped = [str(subs[a]) for a in args]
+            if (all(subs[a].is_Symbol for a in args)
+                    and fname not in adapted_chart.functions):
+                adapted_chart.declare_function(fname, mapped)
         # d(ambient coord) = sum_j (d expr / d adapted_j) d(adapted_j), constant
-        self._jacobian = {}
-        for name, expr in subs.items():
-            row = {}
-            for j, s in enumerate(adapted_chart.syms):
-                d = sympy.diff(expr, s)
-                if d != 0:
-                    row[j] = scalars.normalized(d)
-            self._jacobian[ambient_chart.index(name)] = row
+        self._jacobian = {ambient_chart.index(name): scalars.diff(expr, adapted_chart)
+                          for name, expr in subs.items()}
 
     def restrict_scalar(self, expr):
         mapping = {
@@ -226,10 +213,7 @@ def pullback(structure, spec):
                        for l, kv in enumerate(structure.annihilator_span(1)))
     rows = []
     for phi in constraints:
-        grad = {
-            i: scalars.normalized(sympy.diff(phi, s))
-            for i, s in enumerate(structure.chart.syms)
-        }
+        grad = scalars.diff(phi, structure.chart)
         coeffs = {}
         for key, v in vectors.items():
             acc = scalars.ZERO

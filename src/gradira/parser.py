@@ -17,16 +17,20 @@ names a formal partial of a declared function.  Atoms evaluate to
 scalars, forms or multivectors; operators dispatch on those types.
 
 Input cost is capped, so that no text makes the parser compute for long:
-an integer literal has at most MAX_DIGITS digits, and a power has an
-exponent of at most MAX_EXPONENT and an expanded result of degree at most
-MAX_EXPONENT, at most MAX_TERMS terms and integers of at most MAX_BITS
-bits (fewer digits than MAX_DIGITS, so a power's literals parse back).
+an integer literal has at most MAX_DIGITS digits, a power has an exponent
+of at most MAX_EXPONENT, and the result of every power and of every
+operator ('*', '/', '+', '-', '^', '@') is bounded, from the sizes of its
+operands and before it is computed, to degree at most MAX_EXPONENT, at
+most MAX_TERMS terms and integers of at most MAX_BITS bits (fewer digits
+than MAX_DIGITS), so that whatever parses renders to text that parses
+back.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from functools import lru_cache
 
 import sympy
 
@@ -179,10 +183,7 @@ class _Parser:
             value, e = as_scalar(value), int(exp.text)
             if e > MAX_EXPONENT:
                 self.error(f"exponent {e} exceeds {MAX_EXPONENT}", exp)
-            degree, terms, bits = _power_size(value, e)
-            if degree > MAX_EXPONENT or terms > MAX_TERMS or bits > MAX_BITS:
-                self.error(f"power too large to expand: degree {degree}, "
-                           f"{terms} terms, {bits}-bit integers", exp)
+            self._bounded(_power_size(value, e), exp, "power too large to expand")
             return as_scalar(value ** e)
         return value
 
@@ -281,9 +282,6 @@ class _Parser:
         if name in self.chart.functions:
             return sympy.Symbol(name)
         if _PARTIAL_SEP in name:
-            base = name.split(_PARTIAL_SEP)[0]
-            if base in self.chart.functions and name in self.chart.functions:
-                return sympy.Symbol(name)
             self.error(f"unknown partial symbol {name!r}", tok)
         try:
             self.chart.index(name)
@@ -298,6 +296,14 @@ class _Parser:
             self.error(f"unknown coordinate {tok.text!r}", tok)
 
     # -- typed operations ----------------------------------------------------
+
+    def _bounded(self, size, tok, what=None):
+        """Raise at ``tok`` when the size bound of a result exceeds a cap."""
+        degree, terms, bits = _max_size(*filter(None, size))
+        if degree > MAX_EXPONENT or terms > MAX_TERMS or bits > MAX_BITS:
+            what = what or f"{tok.text!r} result too large"
+            self.error(f"{what}: degree {degree}, {terms} terms, "
+                       f"{bits}-bit integers", tok)
 
     @staticmethod
     def _graded(value):
@@ -315,6 +321,7 @@ class _Parser:
         a, b = self._coerce_pair(a, b)
         if self._graded(a) != self._graded(b):
             self.error("cannot add a scalar and a graded object", tok)
+        self._bounded(_add_size(_size(a), _size(b)), tok)
         if not self._graded(a):
             return as_scalar(a + b)
         try:
@@ -330,6 +337,7 @@ class _Parser:
     def _mul(self, a, b, tok):
         if self._graded(a) and self._graded(b):
             self.error("'*' multiplies by scalars; use '^' to wedge", tok)
+        self._bounded(_mul_size(_size(a), _size(b)), tok)
         if not self._graded(a) and not self._graded(b):
             return as_scalar(a * b)
         if self._graded(a):
@@ -337,6 +345,10 @@ class _Parser:
         return b * a
 
     def _wedge(self, a, b, tok):
+        # each coefficient of a wedge sums at most min(len a, len b) products
+        pairs = min(len(a.data) if self._graded(a) else 1,
+                    len(b.data) if self._graded(b) else 1)
+        self._bounded(_sum_size(_mul_size(_size(a), _size(b)), pairs), tok)
         try:
             return wedge(a, b)
         except Exception as exc:
@@ -349,25 +361,84 @@ class _Parser:
             b = MultiVector(self.chart, 0, {(): as_scalar(b)})
         if not isinstance(a, Form) or not isinstance(b, MultiVector):
             self.error("'@' expects form @ multivector", tok)
+        self._bounded(_mul_size(_size(a), _size(b)), tok)
         return MvForm.tensor(a, b)
 
 
-def _power_size(value, e):
-    """Bounds on (degree, term count, integer bits) of value**e expanded,
-    from the numerator and denominator of a normalised scalar: T terms
-    give at most C(e+T-1, T-1) terms, with multinomial coefficients below
-    T**e."""
+# Size bounds.  A polynomial's size is (degree, terms, bits): its total
+# degree, its number of terms and the bit length of its largest integer.
+# A scalar's size is the pair (numerator, denominator) of polynomial
+# sizes, the denominator None when it is 1.
+
+def _max_size(*sizes):
+    return tuple(max(v) for v in zip(*sizes))
+
+
+@lru_cache(maxsize=4096)
+def _scalar_size(value):
+    num, den = value.as_numer_denom()
     gens = sorted(value.free_symbols, key=str) or [sympy.Dummy()]
-    degree = terms = bits = 0
-    for part in value.as_numer_denom():
+    sizes = []
+    for part in (num, den):
         poly = sympy.Poly(part, *gens)
-        t = len(poly.terms())
-        coeff_bits = max((max(abs(c.p).bit_length(), c.q.bit_length())
-                          for c in poly.coeffs()), default=0)
-        degree = max(degree, poly.total_degree() * e)
-        terms = max(terms, math.comb(e + t - 1, t - 1) if t else 0)
-        bits = max(bits, e * (coeff_bits + (t - 1).bit_length()))
-    return degree, terms, bits
+        sizes.append((poly.total_degree(), len(poly.terms()),
+                      max(max(abs(c.p).bit_length(), c.q.bit_length())
+                          for c in poly.coeffs())))
+    return sizes[0], (None if den == 1 else sizes[1])
+
+
+def _size(value):
+    """The size of a scalar, or a bound on every coefficient of a graded
+    object."""
+    if not isinstance(value, (Form, MultiVector, MvForm)):
+        return _scalar_size(value)
+    sizes = [_scalar_size(c) for c in value.data.values()] or [((0, 0, 0), None)]
+    dens = [den for _, den in sizes if den is not None]
+    return (_max_size(*(num for num, _ in sizes)),
+            _max_size(*dens) if dens else None)
+
+
+def _poly_mul(a, b):
+    """Bound on a product of polynomials of sizes a and b (None is 1): a
+    coefficient sums at most min(terms) products."""
+    if a is None or b is None:
+        return b if a is None else a
+    return (a[0] + b[0], a[1] * b[1],
+            a[2] + b[2] + (min(a[1], b[1]) - 1).bit_length())
+
+
+def _mul_size(x, y):
+    return _poly_mul(x[0], y[0]), _poly_mul(x[1], y[1])
+
+
+def _add_size(x, y):
+    """p/q + r/s = (p s + r q) / (q s)."""
+    if x[1] is None and y[1] is None:
+        num = x[0], y[0]
+    else:
+        num = _poly_mul(x[0], y[1]), _poly_mul(y[0], x[1])
+    (da, ta, ba), (db, tb, bb) = num
+    return (max(da, db), ta + tb, max(ba, bb) + 1), _poly_mul(x[1], y[1])
+
+
+def _sum_size(x, k):
+    """Bound on a sum of k scalars of size x."""
+    if x[1] is None:
+        degree, terms, bits = x[0]
+        return (degree, k * terms, bits + (k - 1).bit_length()), None
+    out = x
+    for _ in range(k - 1):
+        out = _add_size(out, x)
+    return out
+
+
+def _power_size(value, e):
+    """Bound on the size of value**e expanded: a part of T terms gives at
+    most C(e+T-1, T-1) terms, with multinomial coefficients below T**e."""
+    return tuple(None if part is None else
+                 (part[0] * e, math.comb(e + part[1] - 1, part[1] - 1),
+                  e * (part[2] + (part[1] - 1).bit_length()))
+                 for part in _scalar_size(value))
 
 
 def parse_expression(text, chart, start=(1, 1)):

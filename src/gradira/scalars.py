@@ -7,8 +7,8 @@ which is canonical, so equality of scalars is structural equality of
 normal forms.
 
 Total differentiation treats every symbol as independent and adds the
-chain-rule contribution of registered function symbols: d(H)/d(y1) is the
-fresh indeterminate ``H__y1``.
+chain-rule contribution of declared function symbols and their partials:
+d(H)/d(y1) is the fresh indeterminate ``H__y1``.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ def normalized(expr):
     return _cancel(expr)
 
 
-def is_zero(expr):
-    return _cancel(expr) == 0
-
-
 def sadd(a, b):
     return _cancel(sympy.Add(a, b))
 
@@ -86,21 +82,30 @@ def accumulate(data, key, term, sign=1):
         data[key] = acc
 
 
-def diff(expr, coord_name, chart):
-    """Total derivative of a scalar along a chart coordinate.
+def diff(expr, chart):
+    """Gradient of a scalar: {coordinate index: nonzero total derivative},
+    in coordinate order.
 
-    Formal function symbols contribute their formal partials; all other
-    symbols are treated as independent indeterminates.
+    Each free symbol is differentiated once.  A coordinate contributes its
+    derivative; a declared function or formal partial f contributes
+    d(expr)/d(f) times its formal partial along each of its arguments that
+    is a chart coordinate; every other symbol is an independent
+    indeterminate.
     """
-    c = chart.sym(coord_name)
-    out = sympy.diff(expr, c)
+    index = chart._index
+    grad = {}
     for sym in expr.free_symbols:
-        name = str(sym)
-        if name in chart.functions:
-            partial = chart.partial_symbol(name, coord_name)
-            if partial is not None:
-                out += sympy.diff(expr, sym) * partial
-    return _cancel(out)
+        if sym.name in index:
+            directions = {index[sym.name]: ONE}
+        else:
+            directions = {index[a]: chart.partial_symbol(sym.name, a)
+                          for a in chart.function_args(sym.name) or ()
+                          if a in index}
+        if directions:
+            df = sympy.diff(expr, sym)
+            for i, partial in directions.items():
+                grad[i] = grad.get(i, ZERO) + df * partial
+    return {i: d for i in sorted(grad) if (d := _cancel(grad[i])) != 0}
 
 
 def is_polynomial(expr, chart):

@@ -143,8 +143,7 @@ def dump_scenario(scn, extension=None):
     chart = scn.chart
     doc = {
         "chart": {"base": list(chart.base_coords), "fiber": list(chart.fiber_coords)},
-        "functions": {k: list(v) for k, v in chart.functions.items()
-                      if "__" not in k},
+        "functions": {k: list(v) for k, v in chart.functions.items()},
         "sn": [render_form(g) for g in scn.structure.generators(scn.structure.n)],
         "sharp_n": [render_mv(v) for v in scn.structure.sharp_values(scn.structure.n)],
         "scenario": {"name": scn.name, **{k: (list(v) if isinstance(v, tuple) else v)

@@ -165,3 +165,24 @@ def naive_rank(rows):
     if not rows or not rows[0]:
         return 0
     return DomainMatrix.from_Matrix(sympy.Matrix(rows)).to_field().rank()
+
+
+def naive_gradient(expr, coords, functions):
+    """{coordinate index: total derivative} of a scalar, one coordinate at
+    a time: the coordinate's own derivative plus, for every free symbol
+    naming a declared function (``functions`` maps name -> arguments) or a
+    formal partial ``f__a__b``, d(expr)/d(symbol) times the partial along
+    that coordinate when the coordinate is an argument."""
+    out = {}
+    for i, c in enumerate(coords):
+        total = sympy.diff(expr, sympy.Symbol(c))
+        for sym in expr.free_symbols:
+            base, *diffs = sym.name.split("__")
+            if base not in functions or c not in functions[base]:
+                continue
+            name = "__".join([base] + sorted(diffs + [c]))
+            total += sympy.diff(expr, sym) * sympy.Symbol(name)
+        total = sympy.cancel(total)
+        if total != 0:
+            out[i] = total
+    return out

@@ -64,7 +64,7 @@ def test_d_top_degree_returns_zero(chart5):
 
 
 def test_d_formal_function(chart5):
-    chart5.functions.setdefault("F", tuple(chart5.coords))
+    chart5.declare_function("F")
     f = Form.scalar_form(chart5, sympy.Symbol("F"))
     df = d(f)
     assert df.data[(0,)] == sympy.Symbol("F__x1")
@@ -207,7 +207,7 @@ def test_poincare_primitive_rejects_open(chart5):
 
 
 def test_poincare_primitive_rejects_non_polynomial(chart5):
-    chart5.functions.setdefault("G", tuple(chart5.coords))
+    chart5.declare_function("G")
     bad = Form(chart5, 1, {(0,): sympy.Symbol("G")})
     with pytest.raises((NonPolynomialError, NotClosedError)):
         poincare_primitive(bad)

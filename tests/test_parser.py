@@ -167,6 +167,32 @@ class TestInputCaps:
         assert (err.value.line, err.value.column) == (1, column)
         assert reason in str(err.value)
 
+    @pytest.mark.parametrize("text, column, reason", [
+        ("x1**1000 * x1**1000", 10, "'*' result too large: degree 2000"),
+        ("(10**90)**10 * (10**90)**10", 14, "5980-bit"),
+        ("(x1 + y1 + 1)**20 * (x1 + y1 + p1_1)**20", 19, "53361 terms"),
+        ("x1**600 / (1/x1**600)", 9, "'/' result too large: degree 1200"),
+        ("x1**600 - 1/y1**600", 9, "'-' result too large: degree 1200"),
+        ("(x1 + y1)**500 * d(x1) + (x1 - y1)**500 / y1 * d(x1)", 24,
+         "'+' result too large: degree 501, 1002 terms"),
+        ("(x1 + 1)**600 * d(x1) ^ (y1 + 1)**600 * d(y1)", 23,
+         "'^' result too large: degree 1200"),
+        ("x1**600 * d(x1) @ y1**600 * @/y1", 17, "'@' result too large: degree 1200"),
+    ], ids=["degree", "bits", "terms", "divide", "minus", "plus", "wedge", "tensor"])
+    def test_costly_operator_is_located(self, chart, text, column, reason):
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, chart)
+        assert (err.value.line, err.value.column) == (1, column)
+        assert reason in str(err.value)
+
+    def test_operators_at_the_cap_are_accepted_and_parse_back(self, chart):
+        x = chart.sym("x1")
+        for text in ("x1**500 * x1**500", "x1**1000 - x1**1000 + 2",
+                     "(10**90)**10 * 10**2 * d(y1) ^ dX[1]"):
+            value = parse_expression(text, chart)
+            assert parse_expression(render(value), chart) == value
+        assert parse_expression("x1**500 * x1**500", chart) == x**MAX_EXPONENT
+
     def test_powers_at_the_cap_are_accepted(self, chart):
         x = chart.sym("x1")
         assert parse_expression(f"x1**{MAX_EXPONENT}", chart) == x**MAX_EXPONENT

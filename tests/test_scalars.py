@@ -1,7 +1,10 @@
 import sympy
+from hypothesis import given, settings, strategies as st
 
-from gradira import Chart
+from gradira import Chart, Section
 from gradira import scalars
+
+from naive import naive_gradient
 
 
 def make_chart():
@@ -27,26 +30,28 @@ def test_equality_through_normal_form():
 
 def test_formal_function_derivative():
     ch = make_chart()
+    x1, y1 = ch.index("x1"), ch.index("y1")
     h = sympy.Symbol("H")
-    d = scalars.diff(h, "y1", ch)
+    d = scalars.diff(h, ch)[y1]
     assert d == sympy.Symbol("H__y1")
     # mixed partials commute through the sorted canonical name
-    d2 = scalars.diff(d, "x1", ch)
-    d2b = scalars.diff(scalars.diff(h, "x1", ch), "y1", ch)
+    d2 = scalars.diff(d, ch)[x1]
+    d2b = scalars.diff(scalars.diff(h, ch)[x1], ch)[y1]
     assert d2 == d2b == sympy.Symbol("H__x1__y1")
 
 
 def test_derivative_does_not_depend_on_undeclared_argument():
     ch = make_chart()
     h = sympy.Symbol("H")  # declared on (x1, y1) only
-    assert scalars.diff(h, "x2", ch) == 0
+    assert scalars.diff(h, ch).get(ch.index("x2"), 0) == 0
+    assert list(scalars.diff(h, ch)) == [ch.index("x1"), ch.index("y1")]
 
 
 def test_product_rule_with_coordinates():
     ch = make_chart()
     x = ch.sym("x1")
     h = sympy.Symbol("H")
-    d = scalars.diff(x * h, "x1", ch)
+    d = scalars.diff(x * h, ch)[ch.index("x1")]
     assert d == scalars.normalized(h + x * sympy.Symbol("H__x1"))
 
 
@@ -56,3 +61,43 @@ def test_is_polynomial():
     assert scalars.is_polynomial(x**3 / 2 + 1, ch)
     assert not scalars.is_polynomial(1 / x, ch)
     assert not scalars.is_polynomial(sympy.Symbol("H"), ch)
+
+
+def _gradient_chart():
+    ch = Chart(base=["x1", "x2"], fiber=["y1", "p1_1"])
+    ch.declare_function("H", ["x1", "y1", "p1_1"])
+    ch.declare_function("G", ["x1", "x2"])
+    return ch
+
+
+_CHART = _gradient_chart()
+# a section's base chart: H keeps its fiber arguments, which are not
+# coordinates there, and the fiber coordinates become functions of x
+_BASE_CHART = Section(_CHART).base_chart
+_ATOMS = [sympy.Symbol(name) for name in (
+    "x1", "x2", "y1", "p1_1", "H", "G", "H__y1", "H__p1_1__x1",
+    "G__x1__x2", "H__p1_1__p1_1__y1", "y1__x2", "K")]
+
+_terms = st.lists(
+    st.tuples(st.integers(-3, 3),
+              st.lists(st.tuples(st.sampled_from(_ATOMS), st.integers(1, 3)),
+                       max_size=3)),
+    min_size=1, max_size=4)
+
+
+def _poly(terms):
+    return sum((c * sympy.Mul(*(a**e for a, e in factors))
+                for c, factors in terms), sympy.Integer(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_terms, st.one_of(st.none(), _terms), st.booleans())
+def test_gradient_matches_naive_chain_rule(num, den, on_base):
+    ch = _BASE_CHART if on_base else _CHART
+    expr = _poly(num)
+    if den is not None and _poly(den) != 0:
+        expr = expr / _poly(den)
+    expr = scalars.normalized(expr)
+    grad = scalars.diff(expr, ch)
+    assert list(grad) == sorted(grad)
+    assert grad == naive_gradient(expr, ch.coords, ch.functions)

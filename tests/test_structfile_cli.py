@@ -213,6 +213,27 @@ class TestCli:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_costly_product_exit_2_located(self, tmp_path, capsys):
+        out_file = str(tmp_path / "structure.json")
+        run_cli(["scenario", "reduced-canonical", "--out", out_file], capsys)
+        big = " * ".join(["(10**90)**10"] * 6)
+        code, out, err = run_cli(
+            ["bracket", "-f", out_file, "-a", f"{big} * y1 * dX[1]",
+             "-b", "p1_1 * dX[1] + p2_1 * dX[2]"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: 1:14: '*' result too large: degree 0, 1 terms, 5980-bit integers\n"
+
+    def test_partial_name_as_function_exit_2(self, red2, tmp_path, capsys):
+        # H__y1 is the derived name of D(H,y1), not a declarable function
+        doc = dump_scenario(red2)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**doc, "functions": {
+            **doc["functions"], "H__y1": ["x1", "x2", "y1", "p1_1", "p2_1"]}}))
+        code, out, err = run_cli(["verify", "-f", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "'__'" in err
+
     def test_missing_file_exit_2(self, red2, tmp_path, capsys):
         code, _, err = run_cli(["verify", "-f", "/nonexistent.json"], capsys)
         assert code == 2
