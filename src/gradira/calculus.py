@@ -3,8 +3,6 @@ radial homotopy primitive for closed polynomial forms."""
 
 from __future__ import annotations
 
-import sympy
-
 from . import scalars
 from .errors import DegreeError, NonPolynomialError, NotClosedError
 from .forms import Form, MultiVector, MvForm, contract, wedge
@@ -144,18 +142,15 @@ def poincare_primitive(alpha):
     if exterior_derivative(alpha):
         raise NotClosedError("poincare_primitive needs a closed form")
     a = alpha.degree
+    coords = [scalars.as_scalar(s) for s in chart.syms]
     data = {}
     for idx, c in alpha.data.items():
         for coeff, exps in scalars.poly_monomials(c, chart):
-            total = sum(exps)
-            scale = sympy.Rational(1, a + total) * coeff
-            mono = sympy.prod(
-                [s**e for s, e in zip(chart.syms, exps)], start=sympy.Integer(1)
-            )
+            term = coeff / (a + sum(exps))
+            for x, e in zip(coords, exps):
+                if e:
+                    term = term * x**e
             for k, slot in enumerate(idx):
-                rest = idx[:k] + idx[k + 1 :]
-                sign = 1 if k % 2 == 0 else -1
-                term = scalars.normalized(sign * scale * mono * chart.syms[slot])
-                if term != 0:
-                    scalars.accumulate(data, rest, term)
+                scalars.accumulate(data, idx[:k] + idx[k + 1 :],
+                                   term * coords[slot], -1 if k % 2 else 1)
     return Form(chart, a - 1, data, _normalized=True)

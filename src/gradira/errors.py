@@ -6,8 +6,9 @@ class GradiraError(Exception):
 
 
 class UndefinedScalarError(GradiraError):
-    """A scalar expression left the coefficient field (zoo, nan or +-oo),
-    as division by zero does; exactness admits no such values."""
+    """A value outside the coefficient field: a division by zero, or an
+    expression that is not a rational function with rational coefficients
+    (zoo, nan, floats, sqrt(2)); exactness admits no such values."""
 
 
 class ChartError(GradiraError):

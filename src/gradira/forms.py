@@ -46,17 +46,12 @@ __all__ = [
 
 
 def _clean(data):
-    out = {}
-    for key, val in data.items():
-        val = scalars.normalized(val)
-        if val != 0:
-            out[key] = val
-    return out
+    return {key: val for key, val in data.items() if val}
 
 
 class _Graded:
     """Container arithmetic shared by Form, MultiVector and MvForm: a chart
-    and a sparse map key -> nonzero normalised scalar.
+    and a sparse map key -> nonzero ``Scalar``.
 
     ``_grading()`` is the tuple of degrees the constructor takes after the
     chart.  The constructor here builds the singly graded Form and
@@ -139,11 +134,9 @@ class _Graded:
             else:
                 raise DegreeError("use wedge for products of graded objects")
         scalar = as_scalar(scalar)
-        if scalar == 0:
+        if not scalar:
             return self._like({})
-        return self._like(
-            _clean({k: scalars.smul(scalar, v) for k, v in self.data.items()})
-        )
+        return self._like({k: scalars.smul(scalar, v) for k, v in self.data.items()})
 
     def __mul__(self, scalar):
         return self.__rmul__(scalar)
@@ -162,12 +155,6 @@ class _Graded:
     def __xor__(self, other):
         return wedge(self, other)
 
-    def free_symbols(self):
-        out = set()
-        for val in self.data.values():
-            out |= val.free_symbols
-        return out
-
 
 class Form(_Graded):
     """A differential form of fixed degree; degree 0 wraps a bare scalar."""
@@ -177,7 +164,7 @@ class Form(_Graded):
     @classmethod
     def scalar_form(cls, chart, value):
         value = as_scalar(value)
-        data = {(): value} if value != 0 else {}
+        data = {(): value} if value else {}
         return cls(chart, 0, data, _normalized=True)
 
     @classmethod
@@ -370,7 +357,7 @@ def wedge(x, y):
     Scalars multiply through.
     """
     if not isinstance(x, _Graded):
-        return wedge(y, x) if isinstance(y, _Graded) else x * y
+        return wedge(y, x) if isinstance(y, _Graded) else scalars.smul(x, y)
     if not isinstance(y, _Graded):
         return x * y
     if x.chart != y.chart:

@@ -64,7 +64,7 @@ class Echelon:
         self.row_keys = set()
         for key, coeffs in rows.items() if isinstance(rows, dict) else enumerate(rows):
             self.row_keys.add(key)
-            row = {c: as_scalar(v) for c, v in coeffs.items() if as_scalar(v) != 0}
+            row = {c: v for c, v in ((c, as_scalar(v)) for c, v in coeffs.items()) if v}
             combo = {key: scalars.ONE}
             # pivot rows are kept fully reduced, so eliminating one pivot
             # column brings in no other: one pass over the row suffices
@@ -74,7 +74,7 @@ class Echelon:
                 self.dependent[key] = combo
                 continue
             cols = sorted(row, key=order.get)
-            pivot = next((c for c in cols if row[c].is_Rational), cols[0])
+            pivot = next((c for c in cols if row[c].is_rational), cols[0])
             inv = scalars.sdiv(scalars.ONE, row[pivot])
             row = {c: scalars.smul(inv, v) for c, v in row.items()}
             combo = {r: scalars.smul(inv, v) for r, v in combo.items()}
@@ -97,12 +97,12 @@ class Echelon:
     def solve(self, rhs):
         """The LinearSolution for a right-hand side keyed like the rows
         (absent keys are 0), or None when the system is inconsistent."""
-        rhs = {k: as_scalar(v) for k, v in rhs.items() if as_scalar(v) != 0}
+        rhs = {k: v for k, v in ((k, as_scalar(v)) for k, v in rhs.items()) if v}
         if not rhs.keys() <= self.row_keys or any(
-                _combine(combo, rhs) != 0 for combo in self.dependent.values()):
+                _combine(combo, rhs) for combo in self.dependent.values()):
             return None
         values = {col: _combine(combo, rhs) for col, (_, combo) in self.pivots.items()}
-        return LinearSolution({col: v for col, v in values.items() if v != 0},
+        return LinearSolution({col: v for col, v in values.items() if v},
                               list(self.kernel))
 
 

@@ -7,8 +7,6 @@ by its top level) and rebuild the lower tower on the new chart.
 
 from __future__ import annotations
 
-import sympy
-
 from . import scalars
 from .chart import Chart
 from .errors import ChartError, MapSpecError
@@ -97,35 +95,32 @@ class AffineEmbedding:
     def __init__(self, ambient_chart, adapted_chart, substitutions):
         self.source_chart = adapted_chart  # N, the domain of the embedding
         self.target_chart = ambient_chart  # M
+        allowed = set(adapted_chart.syms)
         subs = {}
         for name in ambient_chart.coords:
-            if name in substitutions:
-                expr = sympy.sympify(substitutions[name], rational=True)
-            else:
-                expr = adapted_chart.sym(name)  # raises on unknown names
-            allowed = set(adapted_chart.syms)
-            if not expr.free_symbols <= allowed:
+            # an omitted name must be an adapted coordinate (sym raises)
+            value = scalars.as_scalar(substitutions[name] if name in substitutions
+                                      else adapted_chart.sym(name))
+            if not value.free_symbols <= allowed:
                 raise ChartError(f"substitution for {name} uses unknown symbols")
-            if expr.free_symbols and sympy.Poly(expr, *adapted_chart.syms).total_degree() > 1:
+            if not scalars.is_polynomial(value, adapted_chart) or any(
+                    sum(exps) > 1 for _, exps in scalars.poly_monomials(value, adapted_chart)):
                 raise ChartError(f"substitution for {name} is not affine")
-            subs[name] = expr
+            subs[name] = value
         self.substitutions = subs
         for fname, args in ambient_chart.functions.items():
             mapped = [str(subs[a]) for a in args]
-            if (all(subs[a].is_Symbol for a in args)
+            if (all(m in adapted_chart.coords for m in mapped)
                     and fname not in adapted_chart.functions):
                 adapted_chart.declare_function(fname, mapped)
         # d(ambient coord) = sum_j (d expr / d adapted_j) d(adapted_j), constant
-        self._jacobian = {ambient_chart.index(name): scalars.diff(expr, adapted_chart)
-                          for name, expr in subs.items()}
+        self._jacobian = {ambient_chart.index(name): scalars.diff(value, adapted_chart)
+                          for name, value in subs.items()}
+        self._images = {ambient_chart.sym(name): value for name, value in subs.items()
+                        if value != ambient_chart.sym(name)}
 
-    def restrict_scalar(self, expr):
-        mapping = {
-            self.target_chart.sym(name): val
-            for name, val in self.substitutions.items()
-            if self.target_chart.sym(name) != val
-        }
-        return scalars.normalized(sympy.sympify(expr).subs(mapping))
+    def restrict_scalar(self, value):
+        return scalars.substitute(value, self._images)
 
     def pull_form(self, form):
         """i^* of an ambient form: substitute coefficients and expand each
@@ -143,19 +138,17 @@ class AffineEmbedding:
         unknowns = list(range(m + 1))
         rows = {}
         for i, name in enumerate(self.target_chart.coords):
-            expr = self.substitutions[name]
-            poly = sympy.Poly(expr, *self.source_chart.syms)
-            for exps, coeff in poly.terms():
-                key = exps
-                rows.setdefault(key, {})[i] = coeff
+            for coeff, exps in scalars.poly_monomials(self.substitutions[name],
+                                                      self.source_chart):
+                rows.setdefault(exps, {})[i] = coeff
         rows.setdefault(tuple([0] * self.source_chart.m), {})[m] = scalars.ONE
         basis = nullspace(list(rows.values()), unknowns)
         out = []
         for vec in basis:
-            expr = sympy.Integer(0)
+            phi = scalars.ZERO
             for i, c in vec.items():
-                expr += c * (self.target_chart.syms[i] if i < m else 1)
-            out.append(scalars.normalized(expr))
+                phi = phi + c * (self.target_chart.syms[i] if i < m else 1)
+            out.append(phi)
         return out
 
     def tangent_pushforwards(self):

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import math
 import re
-from functools import lru_cache
 
 import sympy
 
+from . import scalars
 from .chart import _PARTIAL_SEP
-from .errors import ParseError
+from .errors import ParseError, UndefinedScalarError
 from .forms import Form, MultiVector, MvForm, volume_contraction, wedge
 from .scalars import as_scalar
 
@@ -162,7 +162,9 @@ class _Parser:
             else:
                 if isinstance(rhs, (Form, MultiVector, MvForm)):
                     self.error("division by a non-scalar", op)
-                value = self._mul(value, as_scalar(sympy.Integer(1) / rhs), op)
+                if not rhs:
+                    raise UndefinedScalarError(f"{op.line}:{op.col}: division by zero")
+                value = self._mul(value, scalars.sdiv(scalars.ONE, rhs), op)
         return value
 
     def unary(self):
@@ -180,17 +182,17 @@ class _Parser:
                 self.error("exponent must be an integer", exp)
             if isinstance(value, (Form, MultiVector, MvForm)):
                 self.error("power of a non-scalar", op)
-            value, e = as_scalar(value), int(exp.text)
+            e = int(exp.text)
             if e > MAX_EXPONENT:
                 self.error(f"exponent {e} exceeds {MAX_EXPONENT}", exp)
             self._bounded(_power_size(value, e), exp, "power too large to expand")
-            return as_scalar(value ** e)
+            return value ** e
         return value
 
     def atom(self):
         tok = self.next()
         if tok.kind == "int":
-            return sympy.Integer(tok.text)
+            return as_scalar(int(tok.text))
         if tok.kind == "atvec":
             name = self.next()
             if name.kind != "name":
@@ -252,13 +254,13 @@ class _Parser:
             self.expect(")")
             if not coords:
                 self.error("D(...) needs at least one coordinate", tok)
-            sym = sympy.Symbol(fname.text)
+            sym = fname.text
             for c in coords:
-                nxt_sym = self.chart.partial_symbol(str(sym), c)
+                nxt_sym = self.chart.partial_symbol(sym, c)
                 if nxt_sym is None:
                     self.error(f"{sym} does not depend on {c}", tok)
-                sym = nxt_sym
-            return sym
+                sym = nxt_sym.name
+            return as_scalar(nxt_sym)
         if nxt.text == "(" and name in self.chart.functions:
             self.next()
             args = []
@@ -278,16 +280,16 @@ class _Parser:
                 self.error(
                     f"arguments {args} do not match declaration of {name}", tok
                 )
-            return sympy.Symbol(name)
+            return as_scalar(sympy.Symbol(name))
         if name in self.chart.functions:
-            return sympy.Symbol(name)
+            return as_scalar(sympy.Symbol(name))
         if _PARTIAL_SEP in name:
             self.error(f"unknown partial symbol {name!r}", tok)
         try:
             self.chart.index(name)
         except Exception:
             self.error(f"unknown coordinate {name!r}", tok)
-        return self.chart.sym(name)
+        return as_scalar(self.chart.sym(name))
 
     def _coord(self, tok):
         try:
@@ -323,7 +325,7 @@ class _Parser:
             self.error("cannot add a scalar and a graded object", tok)
         self._bounded(_add_size(_size(a), _size(b)), tok)
         if not self._graded(a):
-            return as_scalar(a + b)
+            return scalars.sadd(a, b)
         try:
             return a + b
         except Exception as exc:
@@ -332,14 +334,14 @@ class _Parser:
     def _neg(self, a):
         if self._graded(a):
             return -a
-        return as_scalar(-a)
+        return scalars.sneg(a)
 
     def _mul(self, a, b, tok):
         if self._graded(a) and self._graded(b):
             self.error("'*' multiplies by scalars; use '^' to wedge", tok)
         self._bounded(_mul_size(_size(a), _size(b)), tok)
         if not self._graded(a) and not self._graded(b):
-            return as_scalar(a * b)
+            return scalars.smul(a, b)
         if self._graded(a):
             return a * b
         return b * a
@@ -374,17 +376,22 @@ def _max_size(*sizes):
     return tuple(max(v) for v in zip(*sizes))
 
 
-@lru_cache(maxsize=4096)
+def _bits(c):
+    return max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+
+
+def _poly_size(poly):
+    return max(map(sum, poly)), len(poly), max(map(_bits, poly.values()))
+
+
 def _scalar_size(value):
-    num, den = value.as_numer_denom()
-    gens = sorted(value.free_symbols, key=str) or [sympy.Dummy()]
-    sizes = []
-    for part in (num, den):
-        poly = sympy.Poly(part, *gens)
-        sizes.append((poly.total_degree(), len(poly.terms()),
-                      max(max(abs(c.p).bit_length(), c.q.bit_length())
-                          for c in poly.coeffs())))
-    return sizes[0], (None if den == 1 else sizes[1])
+    """Read off the canonical numerator and denominator of a scalar."""
+    v = value.value
+    if value.is_rational:
+        num, den = (0, 1, _bits(v.numerator)), (0, 1, _bits(v.denominator))
+    else:
+        num, den = _poly_size(v.numer), _poly_size(v.denom)
+    return num, (None if den == (0, 1, 1) else den)
 
 
 def _size(value):

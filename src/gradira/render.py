@@ -29,8 +29,8 @@ class _ScalarPrinter(StrPrinter):
 _printer = _ScalarPrinter({"order": "lex"})
 
 
-def render_scalar(expr):
-    return _printer.doprint(sympy.nsimplify(expr) if isinstance(expr, (int,)) else expr)
+def render_scalar(value):
+    return _printer.doprint(sympy.sympify(value))
 
 
 def _coeff_prefix(expr):

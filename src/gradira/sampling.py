@@ -31,14 +31,14 @@ def random_rational(rng, span=4):
 
 def random_polynomial(rng, chart, degree=1, terms=2, symbols=None):
     syms = symbols if symbols is not None else list(chart.syms)
-    expr = sympy.Integer(0)
+    out = scalars.ZERO
     for _ in range(terms):
         coeff = random_rational(rng)
-        mono = sympy.Integer(1)
+        mono = scalars.ONE
         for _ in range(rng.randint(0, degree)):
-            mono *= rng.choice(syms)
-        expr += coeff * mono
-    return scalars.normalized(expr)
+            mono = mono * rng.choice(syms)
+        out = out + mono * coeff
+    return out
 
 
 def random_form(rng, chart, degree, terms=3, poly_degree=1, symbols=None):

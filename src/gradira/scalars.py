@@ -1,10 +1,29 @@
 """The exact scalar coefficient field.
 
-Scalars are sympy expressions built from rational constants, coordinate
-symbols and formal function symbols (plus their formal partials).  The
-normal form is ``sympy.cancel``: a ratio of expanded coprime polynomials,
-which is canonical, so equality of scalars is structural equality of
-normal forms.
+A scalar is a rational function with rational coefficients in coordinate
+symbols and formal function symbols (plus their formal partials).
+``Scalar`` is the one value type of every stored coefficient:
+
+* a constant is held as a ``QQ`` rational, so constant arithmetic, which
+  is most of the traffic, costs a few microseconds;
+* anything else is held as an element of a ``sympy.polys`` fraction field
+  whose generators are exactly the symbols it depends on, in one canonical
+  order (``sympy.polys.polyutils._sort_gens``, ties broken by name).  Such
+  an element is a ratio of coprime integer polynomials whose denominator
+  has a positive leading coefficient, so it is its own normal form:
+  equality is equality of representations, and no operation here calls
+  ``sympy.cancel``.
+
+Operands over different generators are lifted to the field of the union
+first; a result that loses a generator moves to the smaller field, and a
+constant result becomes a rational again.  So a value's representation
+does not depend on the order in which symbols were met.
+
+Expressions cross the boundary both ways: ``as_scalar`` takes ints,
+Fractions, strings and sympy expressions, and ``sympy.sympify(c)`` (or
+``c.as_expr()``) gives back the canonical expression, the one
+``sympy.cancel`` prints.  Arithmetic and comparison with an expression
+convert it first; division by zero raises ``UndefinedScalarError``.
 
 Total differentiation treats every symbol as independent and adds the
 chain-rule contribution of declared function symbols and their partials:
@@ -13,60 +32,406 @@ d(H)/d(y1) is the fresh indeterminate ``H__y1``.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from fractions import Fraction
+from math import gcd
+from operator import itemgetter
 
 import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.fields import FracField
+from sympy.polys.polyutils import _sort_gens
 
 from .errors import UndefinedScalarError
 
-ZERO = sympy.Integer(0)
-ONE = sympy.Integer(1)
+_QQ = type(QQ.one)
+
+
+def _canonical(symbols):
+    """Generators in the canonical field order."""
+    return tuple(_sort_gens(sorted(symbols, key=str)))
+
+
+def _monomial_map(src, dst):
+    """Exponent tuples over generators ``src`` re-indexed over ``dst``; a
+    generator missing from ``src`` gets exponent 0."""
+    pos = {s: i for i, s in enumerate(src)}
+    get = itemgetter(*[pos.get(s, len(src)) for s in dst])
+    if len(dst) == 1:
+        return lambda m: (get(m + (0,)),)
+    return lambda m: get(m + (0,))
+
+
+class FieldRegistry:
+    """The fraction fields in use, one per canonical generator tuple, and
+    the maps that move elements between them.  Building a sympy field
+    compiles its monomial operations, so each is built once per process.
+    It is a cache: what it holds changes no value, since every element
+    lives in the field of exactly its own generators."""
+
+    def __init__(self):
+        self._fields = {}  # canonical generator tuple -> FracField over QQ
+        self._unions = {}  # (field, field) -> (union field, map, map)
+        self._restrictions = {}  # (field, generator mask) -> (field, map)
+
+    def field(self, symbols):
+        field = self._fields.get(symbols)
+        if field is None:
+            field = self._fields[symbols] = FracField(symbols, QQ)
+        return field
+
+    def union(self, fa, fb):
+        hit = self._unions.get((fa, fb))
+        if hit is None:
+            symbols = _canonical(set(fa.symbols) | set(fb.symbols))
+            hit = self._unions[fa, fb] = (
+                self.field(symbols), _monomial_map(fa.symbols, symbols),
+                _monomial_map(fb.symbols, symbols))
+        return hit
+
+    def restriction(self, field, mask):
+        hit = self._restrictions.get((field, mask))
+        if hit is None:
+            symbols = tuple(s for s, used in zip(field.symbols, mask) if used)
+            hit = self._restrictions[field, mask] = (
+                self.field(symbols), _monomial_map(field.symbols, symbols))
+        return hit
+
+
+FIELDS = FieldRegistry()
+
+
+def _move(el, field, mono):
+    """``el`` as an element of ``field``; coprimality and the sign of the
+    denominator's leading coefficient survive re-indexing, so no cancel."""
+    new = field.ring.dtype
+    return field.dtype(new({mono(m): c for m, c in el.numer.items()}),
+                       new({mono(m): c for m, c in el.denom.items()}))
+
+
+def _common(x, y):
+    """Two field elements lifted to the field of their joint generators."""
+    fx, fy = x.field, y.field
+    if fx is fy:
+        return x, y
+    field, mx, my = FIELDS.union(fx, fy)
+    return (x if fx is field else _move(x, field, mx),
+            y if fy is field else _move(y, field, my))
+
+
+def _wrap(value):
+    out = object.__new__(Scalar)
+    out.value = value
+    return out
+
+
+def _normal(el):
+    """The Scalar of a canonical field element: a rational when it is
+    constant, else over exactly the generators it uses."""
+    numer, denom = el.numer, el.denom
+    if not numer:
+        return ZERO
+    mask = tuple(map(any, zip(*numer, *denom)))
+    if not any(mask):
+        return _wrap(numer.LC / denom.LC)
+    if all(mask):
+        return _wrap(el)
+    return _wrap(_move(el, *FIELDS.restriction(el.field, mask)))
+
+
+def _inverse(el):
+    numer, denom = el.numer, el.denom
+    if numer.LC < 0:
+        numer, denom = -numer, -denom
+    return el.field.dtype(denom, numer)
+
+
+def _generator(symbol):
+    return _wrap(FIELDS.field((symbol,)).gens[0])
+
+
+def _neg(v):
+    if v.__class__ is _QQ:
+        return -v
+    return v.field.dtype(-v.numer, v.denom)
+
+
+def _ground(p):
+    """The integer of a constant polynomial (a canonical denominator is a
+    positive one), else None."""
+    if len(p) == 1:
+        c = p.get(p.ring.zero_monom)
+        if c is not None:
+            return c.numerator
+    return None
+
+
+def _over(field, numer, d):
+    """numer / d for an integer polynomial of ``field`` and a positive
+    integer d, their common content cancelled: the canonical form, found
+    without a polynomial gcd."""
+    if not numer:
+        return ZERO
+    g = d
+    for c in numer.values():
+        if g == 1:
+            break
+        g = gcd(g, c.numerator)
+    if g > 1:
+        numer, d = numer.quo_ground(QQ(g)), d // g
+    return _normal(field.dtype(numer, field.ring.ground_new(QQ(d))))
+
+
+# Binary operations on the values of two Scalars.  Polynomials (constant
+# denominators) take the content-only path of ``_over``; everything else
+# goes through sympy's field arithmetic, whose results are canonical.
+
+def _add(x, y):
+    if x.__class__ is _QQ:
+        if y.__class__ is _QQ:
+            return _wrap(x + y)
+        x, y = y, x
+    elif y.__class__ is not _QQ:
+        x, y = _common(x, y)
+        dx, dy = _ground(x.denom), _ground(y.denom)
+        if dx is None or dy is None:
+            return _normal(x + y)
+        if dx == dy:
+            return _over(x.field, x.numer + y.numer, dx)
+        return _over(x.field, x.numer.mul_ground(dy) + y.numer.mul_ground(dx), dx * dy)
+    # x is a field element, y a constant
+    if not y:
+        return _wrap(x)
+    d = _ground(x.denom)
+    if d is None:
+        return _wrap(x + y)  # a constant shift keeps every generator
+    return _over(x.field, x.numer.mul_ground(y.denominator) + y.numerator * d,
+                 d * y.denominator)
+
+
+def _mul(x, y):
+    if x.__class__ is _QQ:
+        if y.__class__ is _QQ:
+            return _wrap(x * y)
+        x, y = y, x
+    elif y.__class__ is not _QQ:
+        x, y = _common(x, y)
+        dx, dy = _ground(x.denom), _ground(y.denom)
+        if dx is None or dy is None:
+            return _normal(x * y)
+        return _over(x.field, x.numer * y.numer, dx * dy)
+    # x is a field element, y a constant
+    if not y:
+        return ZERO
+    if y == 1:
+        return _wrap(x)
+    d = _ground(x.denom)
+    if d is None:
+        return _wrap(x * y)  # so is a nonzero scale
+    return _over(x.field, x.numer.mul_ground(y.numerator), d * y.denominator)
+
+
+def _sub(x, y):
+    return _add(x, _neg(y))
+
+
+def _div(x, y):
+    if y.__class__ is _QQ:
+        if not y:
+            raise UndefinedScalarError("division by zero")
+        if x.__class__ is _QQ:
+            return _wrap(x / y)
+        return _mul(x, 1 / y)
+    return _mul(x, _inverse(y))
+
+
+def _binary(op):
+    """The method pair (self op other, other op self) of a Scalar; other
+    is converted by ``_operand``."""
+    def method(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else op(self.value, other.value)
+
+    def reflected(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else op(other.value, self.value)
+
+    return method, reflected
+
+
+class Scalar:
+    """An element of the scalar field: a ``QQ`` rational or a canonical
+    fraction-field element over exactly its own symbols.  Immutable."""
+
+    __slots__ = ("value",)
+
+    def __new__(cls, value=0):
+        return as_scalar(value)
+
+    def __reduce__(self):
+        return Scalar, (self.as_expr(),)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    # -- boundary ----------------------------------------------------------
+
+    def as_expr(self):
+        """The canonical sympy expression."""
+        v = self.value
+        if v.__class__ is _QQ:
+            return sympy.Rational(v.numerator, v.denominator)
+        return v.as_expr()
+
+    _sympy_ = as_expr
+
+    def __str__(self):
+        return str(self.as_expr())
+
+    __repr__ = __str__
+
+    @property
+    def is_rational(self):
+        return self.value.__class__ is _QQ
+
+    @property
+    def free_symbols(self):
+        v = self.value
+        return set() if v.__class__ is _QQ else set(v.field.symbols)
+
+    # -- comparison ----------------------------------------------------------
+
+    def __bool__(self):
+        v = self.value
+        return v.__class__ is not _QQ or bool(v)
+
+    def __eq__(self, other):
+        if other.__class__ is not Scalar:
+            if other.__class__ is int:
+                v = self.value
+                return v.__class__ is _QQ and v == other
+            try:
+                other = _operand(other)
+            except UndefinedScalarError:
+                return False
+            if other is None:
+                return NotImplemented
+        x, y = self.value, other.value
+        if x.__class__ is _QQ or y.__class__ is _QQ:
+            return x.__class__ is y.__class__ and x == y
+        return x.field is y.field and x.numer == y.numer and x.denom == y.denom
+
+    def __hash__(self):
+        return hash(self.value)
+
+    # -- arithmetic ----------------------------------------------------------
+
+    __add__, __radd__ = _binary(_add)
+    __sub__, __rsub__ = _binary(_sub)
+    __mul__, __rmul__ = _binary(_mul)
+    __truediv__, __rtruediv__ = _binary(_div)
+
+    def __neg__(self):
+        return _wrap(_neg(self.value))
+
+    def __pos__(self):
+        return self
+
+    def __pow__(self, exponent):
+        if exponent.__class__ is not int:
+            return NotImplemented
+        v = self.value
+        if v.__class__ is _QQ:
+            if exponent < 0 and not v:
+                raise UndefinedScalarError("division by zero")
+            return _wrap(v**exponent)
+        if exponent < 0:
+            v, exponent = _inverse(v), -exponent
+        if exponent == 0:
+            return ONE
+        return _wrap(v.field.dtype(v.numer**exponent, v.denom**exponent))
+
+
+ZERO = _wrap(QQ.zero)
+ONE = _wrap(QQ.one)
+
+
+def _operand(value):
+    """A Scalar for a Scalar, number or sympy expression; None otherwise."""
+    if value.__class__ is Scalar:
+        return value
+    if isinstance(value, (int, Fraction, _QQ, sympy.Basic)):
+        return as_scalar(value)
+    return None
+
 
 # Values outside the coefficient field: division by zero produces them.
 _UNDEFINED = (sympy.S.ComplexInfinity, sympy.S.NaN, sympy.S.Infinity,
               sympy.S.NegativeInfinity)
 
 
-@lru_cache(maxsize=None)
-def _cancel(expr):
-    # The check sits inside the cache, so it runs once per distinct
-    # expression; a raising call is not cached and raises again on reuse.
-    out = sympy.cancel(expr)
-    if out.has(*_UNDEFINED):
-        raise UndefinedScalarError(f"{expr} is not an element of the scalar field")
-    return out
-
-
 def as_scalar(value):
-    """Coerce ints, Fractions, strings and sympy objects to a normal form."""
-    if isinstance(value, sympy.Expr):
-        return _cancel(value)
-    expr = sympy.sympify(value, rational=True)
-    return _cancel(expr)
+    """The Scalar of an int, Fraction, string, sympy expression or Scalar."""
+    if value.__class__ is Scalar:
+        return value
+    if isinstance(value, _QQ):
+        return _wrap(value)
+    if isinstance(value, (int, Fraction)):
+        return _wrap(QQ(value.numerator, value.denominator))
+    expr = value if isinstance(value, sympy.Basic) else sympy.sympify(value, rational=True)
+    if isinstance(expr, sympy.Expr):
+        if expr.is_Rational:
+            return _wrap(QQ(expr.p, expr.q))
+        if expr.is_Symbol:
+            return _generator(expr)
+        if expr.free_symbols and not expr.has(*_UNDEFINED):
+            out = _from_expr(expr)
+            if out is not None:
+                return out
+    raise UndefinedScalarError(f"{expr} is not an element of the scalar field")
 
 
-def normalized(expr):
-    return _cancel(expr)
+def _from_expr(expr):
+    """The Scalar of a rational function expression, None if it is not one."""
+    field = FIELDS.field(_canonical(expr.free_symbols))
+    try:
+        el = field.from_expr(expr)
+    except (ValueError, ZeroDivisionError):
+        return None
+    # from_expr leaves the sign of the denominator as it was built
+    return _normal(field.new(el.numer, el.denom))
 
 
 def sadd(a, b):
-    return _cancel(sympy.Add(a, b))
+    if a.__class__ is not Scalar:
+        a = as_scalar(a)
+    if b.__class__ is not Scalar:
+        b = as_scalar(b)
+    return _add(a.value, b.value)
 
 
 def smul(a, b):
-    if a is ONE:
-        return b
-    if b is ONE:
-        return a
-    return _cancel(sympy.Mul(a, b))
+    if a.__class__ is not Scalar:
+        a = as_scalar(a)
+    if b.__class__ is not Scalar:
+        b = as_scalar(b)
+    return _mul(a.value, b.value)
 
 
 def sdiv(a, b):
-    return _cancel(a / b)
+    if a.__class__ is not Scalar:
+        a = as_scalar(a)
+    if b.__class__ is not Scalar:
+        b = as_scalar(b)
+    return _div(a.value, b.value)
 
 
 def sneg(a):
-    return _cancel(-a)
+    if a.__class__ is not Scalar:
+        a = as_scalar(a)
+    return _wrap(_neg(a.value))
 
 
 def accumulate(data, key, term, sign=1):
@@ -76,49 +441,103 @@ def accumulate(data, key, term, sign=1):
     if sign < 0:
         term = sneg(term)
     acc = sadd(data.get(key, ZERO), term)
-    if acc == 0:
-        data.pop(key, None)
-    else:
+    if acc:
         data[key] = acc
+    else:
+        data.pop(key, None)
 
 
-def diff(expr, chart):
+def diff(value, chart):
     """Gradient of a scalar: {coordinate index: nonzero total derivative},
     in coordinate order.
 
-    Each free symbol is differentiated once.  A coordinate contributes its
-    derivative; a declared function or formal partial f contributes
-    d(expr)/d(f) times its formal partial along each of its arguments that
-    is a chart coordinate; every other symbol is an independent
-    indeterminate.
+    A coordinate contributes its derivative; a declared function or formal
+    partial f contributes d(value)/d(f) times its formal partial along each
+    of its arguments that is a chart coordinate; every other symbol is an
+    independent indeterminate.  Each entry is built as one numerator over
+    the value's denominator squared (over the denominator itself when that
+    is constant) in the field that also holds the partials, and reduced
+    once.
     """
+    el = as_scalar(value).value
+    if el.__class__ is _QQ:
+        return {}
     index = chart._index
-    grad = {}
-    for sym in expr.free_symbols:
+    chains = {}  # coordinate index -> [(generator, its partial or None)]
+    for sym in el.field.symbols:
         if sym.name in index:
-            directions = {index[sym.name]: ONE}
-        else:
-            directions = {index[a]: chart.partial_symbol(sym.name, a)
-                          for a in chart.function_args(sym.name) or ()
-                          if a in index}
-        if directions:
-            df = sympy.diff(expr, sym)
-            for i, partial in directions.items():
-                grad[i] = grad.get(i, ZERO) + df * partial
-    return {i: d for i in sorted(grad) if (d := _cancel(grad[i])) != 0}
+            chains.setdefault(index[sym.name], []).append((sym, None))
+            continue
+        for a in chart.function_args(sym.name) or ():
+            if a in index:
+                chains.setdefault(index[a], []).append(
+                    (sym, chart.partial_symbol(sym.name, a)))
+    partials = {p for chain in chains.values() for _, p in chain if p is not None}
+    if partials:
+        field, mono, _ = FIELDS.union(el.field, FIELDS.field(_canonical(partials)))
+        el = _move(el, field, mono)
+    field = el.field
+    gen = dict(zip(field.symbols, field.ring.gens))
+    numer, denom = el.numer, el.denom
+    d = _ground(denom)
+    quotients = {}  # generator -> numerator of d(value)/d(generator)
+    grad = {}
+    for i in sorted(chains):
+        acc = field.ring.zero
+        for sym, partial in chains[i]:
+            q = quotients.get(sym)
+            if q is None:
+                g = gen[sym]
+                q = quotients[sym] = (numer.diff(g) if d is not None else
+                                      numer.diff(g) * denom - numer * denom.diff(g))
+            acc = acc + (q if partial is None else q * gen[partial])
+        entry = _over(field, acc, d) if d is not None else _normal(field.new(acc, denom**2))
+        if entry:
+            grad[i] = entry
+    return grad
 
 
-def is_polynomial(expr, chart):
+def substitute(value, images):
+    """``value`` with every generator that is a key of ``images`` (sympy
+    symbols) replaced by its image, a Scalar."""
+    value = as_scalar(value)
+    el = value.value
+    if el.__class__ is _QQ or images.keys().isdisjoint(el.field.symbols):
+        return value
+    gens = [images[s] if s in images else _generator(s) for s in el.field.symbols]
+
+    def evaluate(poly):
+        acc = ZERO
+        for m, c in poly.items():
+            term = _wrap(c)
+            for g, e in zip(gens, m):
+                if e:
+                    term = term * g**e
+            acc = acc + term
+        return acc
+
+    return evaluate(el.numer) / evaluate(el.denom)
+
+
+def is_polynomial(value, chart):
     """True when the scalar is a polynomial in the chart coordinates with
     rational constants and no formal function symbols."""
-    expr = _cancel(expr)
-    if not expr.free_symbols <= set(chart.syms):
-        return False
-    return expr.is_polynomial(*chart.syms) and sympy.denom(expr).is_Rational
+    el = as_scalar(value).value
+    if el.__class__ is _QQ:
+        return True
+    return (el.denom.is_ground
+            and all(s.name in chart._index for s in el.field.symbols))
 
 
-def poly_monomials(expr, chart):
-    """Yield (coefficient, exponent tuple) over the chart coordinates."""
-    poly = sympy.Poly(expr, *chart.syms)
-    for exps, coeff in poly.terms():
-        yield coeff, exps
+def poly_monomials(value, chart):
+    """Yield (coefficient, exponent tuple over the chart coordinates) of a
+    polynomial scalar."""
+    el = as_scalar(value).value
+    if el.__class__ is _QQ:
+        if el:
+            yield _wrap(el), (0,) * chart.m
+        return
+    mono = _monomial_map(el.field.symbols, chart.syms)
+    denom = el.denom.LC
+    for m, c in el.numer.items():
+        yield _wrap(c / denom), mono(m)

@@ -1,4 +1,7 @@
+import pickle
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -18,6 +21,8 @@ from gradira import (
     wedge,
 )
 from gradira.errors import DegreeError
+from gradira.parser import parse_expression
+from gradira.render import render
 
 from naive import (
     naive_contract,
@@ -238,3 +243,43 @@ def test_mvform_products_match_naive_oracles(chart5, data):
         for xidx, cx in x.data.items()
         for rest, val in naive_contract({fidx: c * cx}, len(fidx), xidx).items()
     )
+
+
+# a coordinate, a declared function, a partial D(H,y1) and a denominator
+_PICKLED = [
+    "x1 * H / (y1 - 2) * dX[] + D(H,y1) * d(y1) ^ dX[1] + 3/2 * d(p1_1) ^ dX[2]",
+    "D(H,y1) / x2 * @/y1 ^ @/x1 + H * @/p1_1 ^ @/x2",
+    "x1 / (y1 + 1) * d(y1) @ @/p1_1 + D(H,p1_1,y1) * d(x1) @ @/y1",
+]
+
+_RELOAD = """
+import pickle, sys
+from gradira.render import render
+objs = pickle.load(sys.stdin.buffer)
+pickle.dump((objs, [render(o) for o in objs]), sys.stdout.buffer)
+"""
+
+
+def _pickle_chart():
+    ch = Chart(base=["x1", "x2"], fiber=["y1", "p1_1"])
+    ch.declare_function("H", ["x1", "y1", "p1_1"])
+    return ch
+
+
+def test_graded_objects_pickle_round_trip():
+    """In this process and through a fresh one, which loads the objects,
+    renders them and pickles both back."""
+    ch = _pickle_chart()
+    objs = [parse_expression(text, ch) for text in _PICKLED]
+    assert [type(o) for o in objs] == [Form, MultiVector, MvForm]
+    texts = [render(o) for o in objs]
+    blob = pickle.dumps(objs)
+    back = pickle.loads(blob)
+    assert back == objs
+    assert [render(o) for o in back] == texts
+    proc = subprocess.run([sys.executable, "-c", _RELOAD], input=blob,
+                          capture_output=True, check=True)
+    fresh, fresh_texts = pickle.loads(proc.stdout)
+    assert fresh == objs
+    assert fresh_texts == texts
+    assert [render(o) for o in fresh] == texts

@@ -106,6 +106,31 @@ class TestErrors:
         with pytest.raises(UndefinedScalarError):
             parse_form(text, chart)
 
+    @pytest.mark.parametrize("text, column", [
+        ("1/0", 2), ("x1/(x1 - x1)", 3), ("d(x1) / (y1 - y1)", 7)])
+    def test_division_by_zero_is_located(self, chart, text, column):
+        with pytest.raises(UndefinedScalarError) as err:
+            parse_form(text, chart)
+        assert str(err.value) == f"1:{column}: division by zero"
+
+
+class TestScalarProducts:
+    def test_scalar_wedge_is_the_field_product(self, chart):
+        wedged = parse_expression("(x1+1) ^ (x1-1)", chart)
+        assert wedged == parse_expression("(x1+1) * (x1-1)", chart)
+        assert render(wedged) == "x1**2 - 1"
+        x = chart.sym("x1")
+        assert wedge(x + 1, x - 1) == x**2 - 1
+
+
+    @pytest.mark.parametrize("name", ["E", "I", "N", "S", "pi"])
+    def test_function_named_like_a_sympy_constant(self, name):
+        ch = Chart(base=["x1", "x2"], fiber=["y1"])
+        ch.declare_function(name, ["x1", "y1"])
+        value = parse_expression(f"{name} * x1 + D({name},y1)", ch)
+        assert render(value) == f"{name}*x1 + D({name},y1)"
+        assert parse_expression(render(value), ch) == value
+
 
 class TestRoundTrip:
     CORPUS = [

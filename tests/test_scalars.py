@@ -1,8 +1,10 @@
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from gradira import Chart, Section
+from gradira import Chart, Form, Section
 from gradira import scalars
+from gradira.errors import UndefinedScalarError
 
 from naive import naive_gradient
 
@@ -52,7 +54,7 @@ def test_product_rule_with_coordinates():
     x = ch.sym("x1")
     h = sympy.Symbol("H")
     d = scalars.diff(x * h, ch)[ch.index("x1")]
-    assert d == scalars.normalized(h + x * sympy.Symbol("H__x1"))
+    assert d == scalars.as_scalar(h + x * sympy.Symbol("H__x1"))
 
 
 def test_is_polynomial():
@@ -97,7 +99,67 @@ def test_gradient_matches_naive_chain_rule(num, den, on_base):
     expr = _poly(num)
     if den is not None and _poly(den) != 0:
         expr = expr / _poly(den)
-    expr = scalars.normalized(expr)
+    expr = scalars.as_scalar(expr)
     grad = scalars.diff(expr, ch)
     assert list(grad) == sorted(grad)
     assert grad == naive_gradient(expr, ch.coords, ch.functions)
+
+
+def _built_in_reverse(terms):
+    """The value of _poly(terms) built from Scalars, meeting the terms and
+    the factors of each term in reverse order."""
+    acc = scalars.ZERO
+    for c, factors in reversed(terms):
+        term = scalars.as_scalar(c)
+        for a, e in reversed(factors):
+            term = term * scalars.as_scalar(a) ** e
+        acc = acc + term
+    return acc
+
+
+@settings(max_examples=80, deadline=None)
+@given(_terms, st.one_of(st.none(), _terms), st.booleans())
+def test_canonical_form_prints_as_cancel_and_ignores_history(num, den, on_base):
+    ch = _BASE_CHART if on_base else _CHART
+    expr = _poly(num)
+    built = _built_in_reverse(num)
+    if den is not None and _poly(den) != 0:
+        expr = expr / _poly(den)
+        built = built / _built_in_reverse(den)
+    value = scalars.as_scalar(expr)
+    assert str(sympy.sympify(value)) == str(sympy.cancel(expr))
+    assert value == scalars.as_scalar(sympy.cancel(expr))
+    assert built == value and hash(built) == hash(value)
+    assert scalars.diff(built, ch) == scalars.diff(value, ch)
+
+
+def test_sign_is_canonical_across_generator_order():
+    z, a = sympy.symbols("z a")
+    value = scalars.as_scalar(1 / (z - a))
+    assert value == -scalars.as_scalar(1 / (a - z))
+    assert str(sympy.sympify(value)) == str(sympy.cancel(1 / (z - a)))
+
+
+def test_constant_results_are_rational():
+    ch = make_chart()
+    x, h = scalars.as_scalar(ch.sym("x1")), scalars.as_scalar("H")
+    assert (x * h / (h * x)).is_rational
+    assert (x + h - x - h).is_rational and not x + h - x - h
+    assert (x + h - x).free_symbols == {sympy.Symbol("H")}
+
+
+def test_division_by_zero_is_undefined():
+    ch = make_chart()
+    x = ch.sym("x1")
+    zero = scalars.as_scalar(x) - x
+    for numerator, denominator in ((x, 0), (x, x - x), (1, zero), (zero, zero)):
+        with pytest.raises(UndefinedScalarError):
+            scalars.sdiv(numerator, denominator)
+    with pytest.raises(UndefinedScalarError):
+        scalars.as_scalar(x) / zero
+    with pytest.raises(UndefinedScalarError):
+        zero ** -1
+    with pytest.raises(UndefinedScalarError):
+        Form.d_coord(ch, "x1") / (x - x)
+    with pytest.raises(UndefinedScalarError):
+        Form.d_coord(ch, "x1") / zero

@@ -212,6 +212,12 @@ class TestCli:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+        # located at the '/', one line, no traceback
+        for text, column in (("1/0", 2), ("x1/(x1 - x1)", 3)):
+            code, out, err = run_cli(
+                ["bracket", "-f", out_file, "-a", "y1 * dX[1]", "-b", text], capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: 1:{column}: division by zero\n"
 
     def test_costly_product_exit_2_located(self, tmp_path, capsys):
         out_file = str(tmp_path / "structure.json")
