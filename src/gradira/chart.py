@@ -5,7 +5,9 @@ together with a table of declared formal function symbols.  Formal
 functions are opaque scalars with a declared argument list.  Their formal
 partials are derived names, not table entries: ``H__y1`` is d(H)/d(y1),
 with the arguments of ``H``, and mixed partials sort the differentiation
-coordinates (``H__x1__y1``), so each partial has one name.  The table holds
+coordinates (``H__x1__y1``), so each partial has one name.  That takes
+names with no ``__`` inside and no trailing ``_``: ``h_`` would give
+``h___y1``, which splits as ``h``, ``_y1``.  The table holds
 only what was declared, so no computation changes a chart.
 """
 
@@ -37,6 +39,8 @@ class Chart:
                 raise ChartError(f"coordinate name {name!r} may not contain {_PARTIAL_SEP!r}")
             if not name.isidentifier():
                 raise ChartError(f"coordinate name {name!r} is not an identifier")
+            if name.endswith("_"):
+                raise ChartError(f"coordinate name {name!r} may not end in '_'")
         self.coords = names
         self.n = len(base)
         self.m = len(names)
@@ -86,6 +90,8 @@ class Chart:
             raise ChartError(f"function name {name!r} is not an identifier")
         if _PARTIAL_SEP in name:
             raise ChartError(f"function name {name!r} may not contain {_PARTIAL_SEP!r}")
+        if name.endswith("_"):
+            raise ChartError(f"function name {name!r} may not end in '_'")
         prev = self.functions.get(name)
         if prev is not None and prev != args:
             raise ChartError(f"function {name!r} re-declared with different arguments")

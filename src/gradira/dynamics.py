@@ -30,7 +30,7 @@ from .forms import (
 from .linsolve import Echelon
 from .render import render, render_form
 from .report import Report
-from .structure import bracket_formula, require_hamiltonian
+from .structure import bracket_formula, hamiltonian_decomposition, require_hamiltonian
 
 __all__ = [
     "Hamiltonian",
@@ -291,8 +291,8 @@ def check_subalgebra_condition(alpha, u_alpha, structure):
     report = Report()
     n = structure.n
     a = alpha.degree
-    dalpha = require_hamiltonian(alpha, structure)
-    rep = structure.derive_sharp(a + 1, dalpha)
+    dalpha, coefficients = hamiltonian_decomposition(alpha, structure)
+    rep = structure.sharp_from(a + 1, coefficients)
     ok = rep.equiv(u_alpha)
     report.add(
         "sharp(d alpha) = U",
@@ -308,10 +308,11 @@ def check_subalgebra_condition(alpha, u_alpha, structure):
                 ok = structure.coset_is_zero(iota_u, n - a - b) if iota_u else True
                 report.add(label, ok, "" if ok else "zero wedge, nonzero iota")
                 continue
-            if not structure.contains(a + b + 1, target):
+            sol = structure.span(a + b + 1).decompose(target)
+            if sol is None:
                 report.add(label, False, "d alpha ^ epsilon left the tower")
                 continue
-            rep2 = structure.derive_sharp(a + b + 1, target)
+            rep2 = structure.sharp_from(a + b + 1, sol.particular)
             c_val = _solve_constant(structure, rep2.rep, iota_u, n - a - b)
             ok = c_val is not None and c_val != 0
             report.add(

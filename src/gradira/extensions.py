@@ -15,15 +15,16 @@ the homogeneous freedom, so distinct admissible choices can be compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-
-import sympy
+from math import comb
 
 from . import scalars
 from .calculus import exterior_derivative, lie_derivative, lie_derivative_mvform
 from .errors import DegreeError, MembershipError
-from .forms import Form, MvForm, contract, identity_tensor, mvform_contract_pair, wedge
+from .forms import (Form, MvForm, contract, identity_tensor, linear_combination,
+                    mvform_contract_pair, wedge)
 from .linsolve import Echelon
 from .multiindex import perm_sign
 from .render import render
@@ -327,10 +328,8 @@ def build_span_tower(structure, a, j, vertical=False):
     row_keys = sorted(set(w_rows).union(*rhs))
     raw = []
     for relation in Echelon(columns, row_keys).dependent.values():
-        form = Form.zero(chart, a)
-        for (kind, t), c in relation.items():
-            if kind == "c":
-                form = form + c * candidates[t]
+        form = linear_combination(((c, candidates[t]) for (kind, t), c in relation.items()
+                                   if kind == "c"), Form.zero(chart, a))
         if not form.is_zero():
             raw.append(form)
     span = Span(chart, a, raw).reduced()[0]
@@ -398,11 +397,10 @@ class ExtensionTable:
             raise MembershipError(
                 f"{render(theta)} is not in the span of the extension table"
             )
-        out = MvForm.zero(self.structure.chart, theta.degree - self.j,
-                          self.structure.n + 1 - self.j)
-        for i, c in sol.particular.items():
-            out = out + c * self.entries[i][1]
-        return out
+        return linear_combination(
+            ((c, self.entries[i][1]) for i, c in sol.particular.items()),
+            MvForm.zero(self.structure.chart, theta.degree - self.j,
+                        self.structure.n + 1 - self.j))
 
     def perturbed(self, weights=None):
         """A different admissible table: add homogeneous freedom to every
@@ -410,7 +408,7 @@ class ExtensionTable:
         if not self.freedom:
             return self
         if weights is None:
-            weights = [sympy.Integer(1)]
+            weights = [1]
         new_entries = []
         for k, (theta, value) in enumerate(self.entries):
             shift = self.freedom[k % len(self.freedom)]
@@ -438,7 +436,7 @@ def compat_lower(table, i):
         raise DegreeError("need 1 <= i <= j")
     if i == j:
         return table
-    scale = sympy.Rational(1, sympy.binomial(j - 1, j - i))
+    scale = Fraction(1, comb(j - 1, j - i))
     one = identity_tensor(table.structure.chart, j - i)
     entries = [
         (theta, scale * wedge(value, one)) for theta, value in table.entries

@@ -38,6 +38,7 @@ __all__ = [
     "contract",
     "contract_form",
     "contract_form_slot",
+    "linear_combination",
     "substitute_differentials",
     "identity_tensor",
     "volume_contraction",
@@ -425,6 +426,21 @@ def contract_form_slot(x, w):
         raise DegreeError("form slot degree too small")
     return MvForm(w.chart, w.form_degree - x.degree, w.vec_degree,
                   _bilinear(w.data, x.data, _form_slot_pair), _normalized=True)
+
+
+def linear_combination(terms, like):
+    """sum c * x over the (c, x) pairs of ``terms``, as an object of the
+    type, chart and grading of ``like`` (whose own terms are not summed).
+    The one sparse sum of graded objects: every product goes straight into
+    one dict through ``scalars.accumulate``, keys entering in the order
+    the terms meet them."""
+    data = {}
+    for c, x in terms:
+        c = as_scalar(c)
+        if c:
+            for key, v in x.data.items():
+                scalars.accumulate(data, key, scalars.smul(c, v))
+    return like._like(data)
 
 
 def substitute_differentials(form, chart, coeff, one_form):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from . import scalars
 from .chart import Chart
 from .errors import ChartError, MapSpecError
-from .forms import Form, MultiVector, substitute_differentials
+from .forms import Form, MultiVector, linear_combination, substitute_differentials
 from .linsolve import Echelon, nullspace
 from .render import render
 from .report import Report
@@ -178,11 +178,10 @@ def pushforward(structure, spec):
     new_gens = []
     new_vals = []
     for vec in basis:
-        form = Form.zero(structure.chart, structure.n)
-        value = MultiVector.zero(structure.chart, 1)
-        for i, c in vec.items():
-            form = form + c * gens[i]
-            value = value + c * values[i]
+        form = linear_combination(((c, gens[i]) for i, c in vec.items()),
+                                  Form.zero(structure.chart, structure.n))
+        value = linear_combination(((c, values[i]) for i, c in vec.items()),
+                                   MultiVector.zero(structure.chart, 1))
         new_gens.append(spec.restrict_form(form))
         new_vals.append(spec.push_vector(value))
     return Structure(spec.target_chart, new_gens, new_vals)
@@ -231,12 +230,10 @@ def pullback(structure, spec):
     for vec in basis:
         if all(key[0] != "f" for key in vec):
             continue
-        form = Form.zero(structure.chart, n)
-        value = MultiVector.zero(structure.chart, 1)
-        for key, c in vec.items():
-            value = value + c * vectors[key]
-            if key[0] == "f":
-                form = form + c * gens[key[1]]
+        value = linear_combination(((c, vectors[key]) for key, c in vec.items()),
+                                   MultiVector.zero(structure.chart, 1))
+        form = linear_combination(((c, gens[i]) for (kind, i), c in vec.items()
+                                   if kind == "f"), Form.zero(structure.chart, n))
         pulled = spec.pull_form(form)
         if pulled.is_zero():
             continue

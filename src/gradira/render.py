@@ -33,17 +33,18 @@ def render_scalar(value):
     return _printer.doprint(sympy.sympify(value))
 
 
-def _coeff_prefix(expr):
-    """Render a coefficient as the prefix of a product term."""
-    expr = sympy.sympify(expr)
+def _term(coeff, body):
+    """One product term: ``body``, ``-body`` or ``c * body``, with a sum
+    coefficient parenthesised."""
+    expr = sympy.sympify(coeff)
     if expr == 1:
-        return "", False
+        return body
     if expr == -1:
-        return "-", False
+        return f"-{body}"
     text = render_scalar(expr)
     if expr.is_Add:
         text = f"({text})"
-    return text, True
+    return f"{text} * {body}"
 
 
 def _render_form_indices(chart, idx):
@@ -81,39 +82,19 @@ def render_form(form):
         return render_scalar(form.scalar())
     terms = []
     for idx in sorted(form.data):
-        coeff = form.data[idx]
         sign, factors = _render_form_indices(form.chart, idx)
-        prefix, needs_star = _coeff_prefix(coeff * sign)
-        body = " ^ ".join(factors)
-        if needs_star:
-            terms.append(f"{prefix} * {body}")
-        elif prefix == "-":
-            terms.append(f"-{body}")
-        else:
-            terms.append(body)
+        terms.append(_term(form.data[idx] * sign, " ^ ".join(factors)))
     return _assemble(terms)
 
 
 def render_mv(mv):
     if mv.degree == 0:
         return render_scalar(mv.data.get((), 0))
-    terms = []
-    for idx in sorted(mv.data):
-        coeff = mv.data[idx]
-        prefix, needs_star = _coeff_prefix(coeff)
-        body = " ^ ".join(f"@/{mv.chart.coords[i]}" for i in idx)
-        if needs_star:
-            terms.append(f"{prefix} * {body}")
-        elif prefix == "-":
-            terms.append(f"-{body}")
-        else:
-            terms.append(body)
-    return _assemble(terms)
+    return _assemble([_term(mv.data[idx], " ^ ".join(f"@/{mv.chart.coords[i]}" for i in idx))
+                      for idx in sorted(mv.data)])
 
 
 def render_mvform(w):
-    from .forms import Form, MultiVector
-
     if not w.data:
         return "0"
     terms = []
@@ -123,16 +104,9 @@ def render_mvform(w):
             fsign, ffactors = 1, ["1"]
         else:
             fsign, ffactors = _render_form_indices(w.chart, fidx)
-        prefix, needs_star = _coeff_prefix(coeff * fsign)
         fbody = " ^ ".join(ffactors)
         vbody = " ^ ".join(f"@/{w.chart.coords[i]}" for i in vidx) if vidx else "1"
-        body = f"{fbody} @ {vbody}"
-        if needs_star:
-            terms.append(f"{prefix} * {body}")
-        elif prefix == "-":
-            terms.append(f"-{body}")
-        else:
-            terms.append(body)
+        terms.append(_term(coeff * fsign, f"{fbody} @ {vbody}"))
     return _assemble(terms)
 
 

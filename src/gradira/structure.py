@@ -10,14 +10,13 @@ coset equality is decided by contracting against the S^p generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-
-import sympy
 
 from . import scalars
 from .calculus import exterior_derivative, lie_derivative, schouten
 from .errors import DegreeError, MembershipError, NonWellDefinedError, NotHamiltonianError
-from .forms import Form, MultiVector, contract, wedge
+from .forms import Form, MultiVector, contract, linear_combination, wedge
 from .render import render
 from .report import Report
 from .spans import Span, annihilator
@@ -89,15 +88,13 @@ def _averaged_gen(candidates, chosen):
     chosen one.  Any single provenance is a valid representative modulo K;
     the mean is the canonical, basis-symmetric choice (it produces e.g. the
     1/n coefficients of the canonical sharp_1 table)."""
-    values = []
+    terms = []
     for cand in candidates:
         lam = _scalar_ratio(cand.form, chosen.form)
         if lam is not None:
-            values.append(scalars.sdiv(scalars.ONE, lam) * cand.sharp)
-    total = values[0]
-    for v in values[1:]:
-        total = total + v
-    return TowerGen(chosen.form, sympy.Rational(1, len(values)) * total)
+            terms.append((scalars.sdiv(scalars.ONE, lam), cand.sharp))
+    total = linear_combination(terms, like=chosen.sharp)
+    return TowerGen(chosen.form, Fraction(1, len(terms)) * total)
 
 
 class Structure:
@@ -225,9 +222,7 @@ class Structure:
         Span.reduced, so their generators are independent."""
         n = self.n
         for vec in self._spans[n].kernel():
-            rel = MultiVector.zero(self.chart, 1)
-            for i, c in vec.items():
-                rel = rel + c * self.levels[n][i].sharp
+            rel = self.sharp_from(n, vec).rep
             if not self.coset_is_zero(rel, 1):
                 raise NonWellDefinedError(
                     f"sharp_{n} depends on the decomposition; offending relation "
@@ -244,16 +239,19 @@ class Structure:
         """
         if theta.degree != a:
             raise DegreeError(f"theta has degree {theta.degree}, expected {a}")
-        p = self.n + 1 - a
-        if theta.is_zero():
-            return CosetRep(MultiVector.zero(self.chart, p), p, self)
         sol = self.span(a).decompose(theta)
         if sol is None:
             raise MembershipError(f"{render(theta)} is not in S^{a}")
-        rep = MultiVector.zero(self.chart, p)
-        for i, c in sol.particular.items():
-            rep = rep + c * self.levels[a][i].sharp
-        return CosetRep(rep, p, self)
+        return self.sharp_from(a, sol.particular)
+
+    def sharp_from(self, a, coefficients):
+        """sharp_a of sum_i coefficients[i] * (level-a generator i), as a
+        CosetRep: the same sum over the generators' sharp values."""
+        p = self.n + 1 - a
+        level = self.levels[a]
+        return CosetRep(linear_combination(
+            ((c, level[i].sharp) for i, c in coefficients.items()),
+            MultiVector.zero(self.chart, p)), p, self)
 
     def contains(self, a, theta):
         if theta.degree != a:
@@ -273,8 +271,10 @@ class Structure:
 # ---------------------------------------------------------------------------
 
 
-def require_hamiltonian(alpha, structure, label=None):
-    """d alpha for a Hamiltonian form alpha.
+def hamiltonian_decomposition(alpha, structure, label=None):
+    """(d alpha, coefficients of d alpha over the S^{deg+1} generators)
+    for a Hamiltonian form alpha; ``structure.sharp_from`` turns the
+    coefficients into sharp_{deg+1}(d alpha) without decomposing again.
 
     Raises DegreeError unless 0 <= deg <= n-1, and NotHamiltonianError
     (naming ``label``, by default the rendered form) unless d alpha lies
@@ -285,10 +285,17 @@ def require_hamiltonian(alpha, structure, label=None):
             f"Hamiltonian forms have degree 0..{n - 1}, got {alpha.degree}"
         )
     dalpha = exterior_derivative(alpha)
-    if not structure.contains(alpha.degree + 1, dalpha):
+    sol = structure.span(alpha.degree + 1).decompose(dalpha)
+    if sol is None:
         name = render(alpha) if label is None else label
         raise NotHamiltonianError(f"{name} is not Hamiltonian")
-    return dalpha
+    return dalpha, sol.particular
+
+
+def require_hamiltonian(alpha, structure, label=None):
+    """d alpha for a Hamiltonian form alpha; raises as
+    ``hamiltonian_decomposition`` does."""
+    return hamiltonian_decomposition(alpha, structure, label)[0]
 
 
 def is_hamiltonian_form(alpha, structure):
@@ -304,12 +311,10 @@ def bracket(alpha, beta, structure):
     {alpha, beta} = (-1)^{deg_H beta} iota_{sharp_{b+1}(d beta)} d alpha."""
     n = structure.n
     dalpha = require_hamiltonian(alpha, structure)
-    dbeta = require_hamiltonian(beta, structure)
-    a, b = alpha.degree, beta.degree
-    out_degree = a + b - (n - 1)
-    if out_degree < 0:
+    _, dbeta_coefficients = hamiltonian_decomposition(beta, structure)
+    if alpha.degree + beta.degree < n - 1:
         return Form.zero(structure.chart, 0)
-    rep = structure.derive_sharp(b + 1, dbeta)
+    rep = structure.sharp_from(beta.degree + 1, dbeta_coefficients)
     return bracket_formula(rep.rep, dalpha, beta, n)
 
 
@@ -332,25 +337,25 @@ def verify_axioms(structure):
 
     Generator coverage suffices: both defects are function-linear in each
     argument, so vanishing on a module generating set is vanishing on the
-    whole span."""
+    whole span.  d of each generator is taken once here, not per pair."""
     report = Report()
     n = structure.n
+    d = {a: [exterior_derivative(g.form) for g in structure.levels[a]]
+         for a in range(1, n + 1)}
     for a in range(1, n + 1):
         for b in range(a, n + 1):
             if a + b < n + 1:
                 continue
-            for i, gen_a in enumerate(structure.levels[a]):
-                for j, gen_b in enumerate(structure.levels[b]):
-                    if b == a and j < i:
-                        continue
-                    _check_pair(structure, report, a, b, i, j, gen_a, gen_b)
+            for i in range(len(structure.levels[a])):
+                for j in range(i if b == a else 0, len(structure.levels[b])):
+                    _check_pair(structure, report, d, a, i, b, j)
     return report
 
 
-def _check_pair(structure, report, a, b, i, j, gen_a, gen_b):
+def _check_pair(structure, report, d, a, i, b, j):
     n = structure.n
-    alpha, u = gen_a.form, gen_a.sharp
-    beta, v = gen_b.form, gen_b.sharp
+    alpha, u = structure.levels[a][i].form, structure.levels[a][i].sharp
+    beta, v = structure.levels[b][j].form, structure.levels[b][j].sharp
     p, q = n + 1 - a, n + 1 - b
     lhs = contract(u, beta)
     rhs = contract(v, alpha)
@@ -360,20 +365,21 @@ def _check_pair(structure, report, a, b, i, j, gen_a, gen_b):
         skew_ok,
         "" if skew_ok else f"iota_sharp({render(alpha)}) {render(beta)} = {render(lhs)} vs {render(rhs)}",
     )
-    # integrability
-    sq = -1 if q % 2 else 1
-    spq = -1 if (p * q) % 2 else 1
-    spm1q = -1 if ((p - 1) * q) % 2 else 1
-    theta = (
-        spm1q * lie_derivative(u, beta)
-        + sq * lie_derivative(v, alpha)
-        - sympy.Rational(sq, 2) * exterior_derivative(
-            contract(v, alpha) + spq * contract(u, beta)
-        )
-    )
+    # integrability defect, with s(k) = (-1)^k and
+    # L_U gamma = d iota_U gamma - s(deg U) iota_U d gamma:
+    #   theta = s((p-1)q) L_u beta + s(q) L_v alpha
+    #           - s(q)/2 d(iota_v alpha + s(pq) iota_u beta)
+    # In Cartan form, since s((p-1)q) = s(q) s(pq), it needs one d on the
+    # contractions the skew check holds and the generators' own d:
+    #   theta = s(q)/2 d(iota_v alpha + s(pq) iota_u beta)
+    #           - s((p-1)q + p) iota_u d beta - iota_v d alpha
+    inner = rhs - lhs if (p * q) % 2 else rhs + lhs
+    s_u = -1 if ((p - 1) * q + p) % 2 else 1
+    theta = (Fraction(-1 if q % 2 else 1, 2) * exterior_derivative(inner)
+             - s_u * contract(u, d[b][j]) - contract(v, d[a][i]))
     c = a + b - n
-    in_span = structure.contains(c, theta)
-    if not in_span:
+    sol = structure.span(c).decompose(theta)
+    if sol is None:
         report.add(
             f"integrable a={a}.{i} b={b}.{j}",
             False,
@@ -381,11 +387,7 @@ def _check_pair(structure, report, a, b, i, j, gen_a, gen_b):
         )
         return
     lieb = schouten(u, v)
-    if theta.is_zero():
-        ok = structure.coset_is_zero(lieb, p + q - 1)
-    else:
-        rep = structure.derive_sharp(c, theta)
-        ok = rep.equiv(lieb)
+    ok = structure.sharp_from(c, sol.particular).equiv(lieb)
     report.add(
         f"integrable a={a}.{i} b={b}.{j}",
         ok,

@@ -30,6 +30,11 @@ def red3():
 
 
 @pytest.fixture(scope="session")
+def red3k2():
+    return reduced_canonical(3, 2)
+
+
+@pytest.fixture(scope="session")
 def ext2():
     return extended_canonical(2, 1)
 

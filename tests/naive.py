@@ -8,7 +8,9 @@ no code is shared with the package's sparse merge-sign engine.
 from itertools import combinations, permutations
 
 import sympy
+from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.rings import PolyRing
 
 
 def perm_parity(seq):
@@ -168,8 +170,8 @@ def naive_rank(rows):
 
 
 def naive_gradient(expr, coords, functions):
-    """{coordinate index: total derivative} of a scalar, one coordinate at
-    a time: the coordinate's own derivative plus, for every free symbol
+    """{coordinate index: total derivative, not simplified} of a scalar,
+    one coordinate at a time: the coordinate's own derivative plus, for every free symbol
     naming a declared function (``functions`` maps name -> arguments) or a
     formal partial ``f__a__b``, d(expr)/d(symbol) times the partial along
     that coordinate when the coordinate is an argument."""
@@ -182,7 +184,16 @@ def naive_gradient(expr, coords, functions):
                 continue
             name = "__".join([base] + sorted(diffs + [c]))
             total += sympy.diff(expr, sym) * sympy.Symbol(name)
-        total = sympy.cancel(total)
-        if total != 0:
+        if not is_zero_expr(total):
             out[i] = total
     return out
+
+
+def is_zero_expr(expr):
+    """Exact zero test of a rational expression with no polynomial gcd:
+    over a common denominator, the numerator expands to the zero
+    polynomial."""
+    numer = expr.as_numer_denom()[0]
+    if not numer.free_symbols:
+        return numer == 0
+    return not PolyRing(sorted(numer.free_symbols, key=str), QQ).from_expr(numer)

@@ -45,6 +45,22 @@ def test_function_names_may_not_contain_the_partial_separator():
     assert ch.functions == {}
 
 
+def test_names_ending_in_underscore_are_rejected():
+    # h_ would name its partial along y1 h___y1, which reads back as
+    # D(h,_y1); a coordinate y_ makes H__y___z1 unresolvable, so that d of
+    # D(H,y_,z1) would silently be 0
+    ch = Chart(base=["x1"], fiber=["y1"])
+    with pytest.raises(ChartError, match="'h_' may not end in '_'"):
+        ch.declare_function("h_", ["x1", "y1"])
+    assert ch.functions == {}
+    with pytest.raises(ChartError, match="'y_' may not end in '_'"):
+        Chart(base=["x1"], fiber=["y_", "z1"])
+    ch.declare_function("h_1", ["x1", "y1"])
+    value = parse_expression("D(h_1,y1)", ch)
+    assert render(value) == "D(h_1,y1)"
+    assert parse_expression(render(value), ch) == value
+
+
 def test_no_computation_adds_to_the_function_table():
     scn = reduced_canonical(2, 1)
     ch = scn.chart

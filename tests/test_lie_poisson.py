@@ -51,6 +51,12 @@ def test_breaking_jacobi_breaks_integrability():
     report = verify_axioms(st)
     assert not report.passed
     assert any("integrable" in c.name for c in report.failures())
+    assert "\n".join(c.render() for c in report.failures()) == """\
+FAIL skew a=1.1 b=1.2: iota_sharp(d(u1)) d(u2) = -u3 vs -u3
+FAIL integrable a=1.1 b=1.2: sharp of 0 differs from [U, V] = -u2 * @/u1 + u1 * @/u2
+FAIL skew a=1.1 b=1.3: iota_sharp(d(u1)) d(u3) = u2 vs u2
+FAIL integrable a=1.1 b=1.3: sharp of 0 differs from [U, V] = -u3 * @/u1 + u1 * @/u3
+FAIL integrable a=1.2 b=1.3: sharp of d(u1) differs from [U, V] = u3 * @/u2 - u2 * @/u3"""
 
 
 def test_lie_poisson_bracket_of_coordinates():

@@ -240,6 +240,15 @@ class TestCli:
         assert err.startswith("error:") and "Traceback" not in err
         assert "'__'" in err
 
+    def test_function_name_ending_in_underscore_exit_2(self, red2, tmp_path, capsys):
+        doc = dump_scenario(red2)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**doc, "functions": {
+            **doc["functions"], "h_": ["x1", "y1"]}}))
+        code, out, err = run_cli(["verify", "-f", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: function name 'h_' may not end in '_'\n"
+
     def test_missing_file_exit_2(self, red2, tmp_path, capsys):
         code, _, err = run_cli(["verify", "-f", "/nonexistent.json"], capsys)
         assert code == 2

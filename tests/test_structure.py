@@ -152,6 +152,23 @@ class TestBracket:
             rhs = rhs + sign * wedge(exterior_derivative(b), bracket(g, alpha, st))
             assert lhs == rhs
 
+    def test_bracket_decomposes_each_d_once(self, red2, monkeypatch):
+        from gradira import linsolve
+
+        calls = []
+        real = linsolve.Echelon.solve
+
+        def counting(self, rhs):
+            calls.append(rhs)
+            return real(self, rhs)
+
+        ch, st = red2.chart, red2.structure
+        alpha = Form.scalar_form(ch, ch.sym("y1")) * volume_contraction(ch, [0])
+        beta = dp_gen_scalar(ch)
+        monkeypatch.setattr(linsolve.Echelon, "solve", counting)
+        assert bracket(alpha, beta, st) == volume_contraction(ch, [0])
+        assert len(calls) == 2
+
     def test_invariance_by_symmetries(self, red2):
         #L_X alpha = 0 implies {iota_X alpha, beta} = (-1)^{deg_H beta} iota_X {alpha, beta}
         from gradira import lie_derivative
@@ -198,6 +215,49 @@ class TestAxioms:
         report = verify_axioms(corrupted)
         assert not report.passed
         assert any("skew" in c.name for c in report.failures())
+        assert _failures(report) == CORRUPTED_FAILURES
+
+    @pytest.mark.parametrize("rescaled", [False, True])
+    def test_tilted_sharp_fails_with_both_integrability_witnesses(self, red2, rescaled):
+        # adding p1_1 d/dx1 to sharp_2 of the momentum generator breaks
+        # integrability both ways: defect forms outside S^2, and defect
+        # forms whose sharp differs from the Schouten bracket; rescaled,
+        # the generators are not closed, so the iota_U d(gen) terms count
+        report = verify_axioms(_tilted(red2, rescaled, tilt=True))
+        assert _failures(report) == (TILTED_RESCALED_FAILURES if rescaled
+                                     else TILTED_FAILURES)
+
+    def test_rescaled_generators_pass(self, red2):
+        # S^2 = <(1 + y1) alpha> with sharp values scaled alike is the same
+        # structure, now with generators that are not closed at every level
+        st = _tilted(red2, rescaled=True, tilt=False)
+        for a in (1, 2):
+            assert any(exterior_derivative(g) for g in st.generators(a))
+        report = verify_axioms(st)
+        assert report.passed, report.render()
+
+    def test_verify_takes_d_once_per_pair_and_generator(self, red3k2, monkeypatch):
+        from gradira import calculus, structure
+
+        calls = []
+        real = calculus.exterior_derivative
+
+        def counting(form):
+            calls.append(form)
+            return real(form)
+
+        def forbidden(u, alpha):
+            raise AssertionError("verify_axioms called lie_derivative")
+
+        for module in (structure, calculus):
+            monkeypatch.setattr(module, "exterior_derivative", counting)
+            monkeypatch.setattr(module, "lie_derivative", forbidden)
+        st = red3k2.structure
+        report = verify_axioms(st)
+        assert report.passed
+        pairs = sum(1 for c in report.checks if c.name.startswith("skew"))
+        generators = sum(len(st.levels[a]) for a in range(1, st.n + 1))
+        assert 0 < len(calls) <= pairs + generators
 
     def test_fibered_verdicts(self, red2, ext2):
         assert verify_fibered(red2.structure).passed
@@ -213,6 +273,61 @@ class TestAxioms:
                        [MultiVector.zero(ch, 1)])
         assert verify_fibered(st).passed
         assert verify_axioms(st).passed
+
+
+def _failures(report):
+    return "\n".join(c.render() for c in report.failures())
+
+
+def _tilted(scn, rescaled, tilt):
+    """The structure of ``scn`` with p1_1 d/dx1 added to the first sharp_n
+    value (``tilt``) and every generator and value times 1 + y1
+    (``rescaled``)."""
+    ch, st = scn.chart, scn.structure
+    values = st.sharp_values(2)
+    if tilt:
+        values = [values[0] + ch.sym("p1_1") * MultiVector.coord_vector(ch, "x1")] \
+            + values[1:]
+    scale = 1 + ch.sym("y1") if rescaled else 1
+    return Structure(ch, [scale * g for g in st.generators(2)],
+                     [scale * v for v in values])
+
+
+CORRUPTED_FAILURES = """\
+FAIL skew a=1.1 b=2.2: iota_sharp(-d(p1_1)) -d(y1) ^ dX[1] = -1 vs 1
+FAIL skew a=1.4 b=2.0: iota_sharp(d(y1)) d(p2_1) ^ dX[2] + d(p1_1) ^ dX[1] = 0 vs 1
+FAIL skew a=2.0 b=2.2: iota_sharp(d(p2_1) ^ dX[2] + d(p1_1) ^ dX[1]) -d(y1) ^ dX[1] = -dX[1] vs -dX[1]"""
+
+TILTED_FAILURES = """\
+FAIL skew a=1.1 b=2.1: iota_sharp(-d(p1_1)) -dX[] = -p1_1 vs 0
+FAIL integrable a=1.1 b=2.1: sharp of 1/2 * d(p1_1) differs from [U, V] = 0
+FAIL integrable a=1.1 b=2.2: sharp of 0 differs from [U, V] = -@/x1 ^ @/x2
+FAIL skew a=1.3 b=2.0: iota_sharp(dX[2]) d(p2_1) ^ dX[2] + d(p1_1) ^ dX[1] = p1_1/3 vs -p1_1
+FAIL integrable a=1.3 b=2.0: sharp of 1/3 * d(p1_1) differs from [U, V] = 0
+FAIL integrable a=1.3 b=2.2: sharp of 0 differs from [U, V] = -1/3 * @/x1 ^ @/p2_1
+FAIL integrable a=1.4 b=2.0: sharp of 0 differs from [U, V] = 1/2 * @/x1 ^ @/x2
+FAIL skew a=2.0 b=2.0: iota_sharp(d(p2_1) ^ dX[2] + d(p1_1) ^ dX[1]) d(p2_1) ^ dX[2] + d(p1_1) ^ dX[1] = p1_1 * d(p2_1) vs p1_1 * d(p2_1)
+FAIL skew a=2.0 b=2.1: iota_sharp(d(p2_1) ^ dX[2] + d(p1_1) ^ dX[1]) -dX[] = -p1_1 * dX[1] vs 0
+FAIL integrable a=2.0 b=2.1: defect form -1/2 * d(p1_1) ^ dX[1] is not in S^2
+FAIL integrable a=2.0 b=2.2: sharp of 0 differs from [U, V] = -@/x1
+FAIL skew a=2.0 b=2.3: iota_sharp(d(p2_1) ^ dX[2] + d(p1_1) ^ dX[1]) -d(y1) ^ dX[2] = -dX[2] - p1_1 * d(y1) vs dX[2]
+FAIL integrable a=2.0 b=2.3: defect form 1/2 * d(y1) ^ d(p1_1) is not in S^2"""
+
+
+TILTED_RESCALED_FAILURES = """\
+FAIL skew a=1.1 b=2.1: iota_sharp((-y1 - 1) * d(p1_1)) (-y1 - 1) * dX[] = -p1_1*y1**2 - 2*p1_1*y1 - p1_1 vs 0
+FAIL integrable a=1.1 b=2.1: sharp of (-y1 - 1) * dX[2] + (y1**2/2 + y1 + 1/2) * d(p1_1) differs from [U, V] = 0
+FAIL integrable a=1.1 b=2.2: sharp of (y1 + 1) * d(y1) differs from [U, V] = (-y1**2 - 2*y1 - 1) * @/x1 ^ @/x2 + (-y1 - 1) * @/x2 ^ @/p1_1
+FAIL skew a=1.3 b=2.0: iota_sharp((y1 + 1) * dX[2]) (y1 + 1) * d(p2_1) ^ dX[2] + (y1 + 1) * d(p1_1) ^ dX[1] = p1_1*y1**2/3 + 2*p1_1*y1/3 + p1_1/3 vs -p1_1*y1**2 - 2*p1_1*y1 - p1_1
+FAIL integrable a=1.3 b=2.0: sharp of (-y1/3 - 1/3) * dX[2] + (y1**2/3 + 2*y1/3 + 1/3) * d(p1_1) differs from [U, V] = (p1_1*y1/3 + p1_1/3) * @/x1 ^ @/p2_1
+FAIL integrable a=1.3 b=2.2: sharp of 0 differs from [U, V] = (-y1**2/3 - 2*y1/3 - 1/3) * @/x1 ^ @/p2_1 + (2*y1/3 + 2/3) * @/p1_1 ^ @/p2_1
+FAIL integrable a=1.4 b=2.0: sharp of (-y1 - 1) * d(y1) differs from [U, V] = (y1**2/2 + y1 + 1/2) * @/x1 ^ @/x2 + (-y1/2 - 1/2) * @/x1 ^ @/p2_1 + (y1/2 + 1/2) * @/x2 ^ @/p1_1
+FAIL skew a=2.0 b=2.0: iota_sharp((y1 + 1) * d(p2_1) ^ dX[2] + (y1 + 1) * d(p1_1) ^ dX[1]) (y1 + 1) * d(p2_1) ^ dX[2] + (y1 + 1) * d(p1_1) ^ dX[1] = (p1_1*y1**2 + 2*p1_1*y1 + p1_1) * d(p2_1) vs (p1_1*y1**2 + 2*p1_1*y1 + p1_1) * d(p2_1)
+FAIL skew a=2.0 b=2.1: iota_sharp((y1 + 1) * d(p2_1) ^ dX[2] + (y1 + 1) * d(p1_1) ^ dX[1]) (-y1 - 1) * dX[] = (-p1_1*y1**2 - 2*p1_1*y1 - p1_1) * dX[1] vs 0
+FAIL integrable a=2.0 b=2.1: defect form (-y1 - 1) * dX[] + (-y1**2/2 - y1 - 1/2) * d(p1_1) ^ dX[1] is not in S^2
+FAIL integrable a=2.0 b=2.2: sharp of (-y1 - 1) * d(y1) ^ dX[1] differs from [U, V] = (-y1**2 - 2*y1 - 1) * @/x1 + (y1 + 1) * @/p1_1
+FAIL skew a=2.0 b=2.3: iota_sharp((y1 + 1) * d(p2_1) ^ dX[2] + (y1 + 1) * d(p1_1) ^ dX[1]) (-y1 - 1) * d(y1) ^ dX[2] = (-y1**2 - 2*y1 - 1) * dX[2] + (-p1_1*y1**2 - 2*p1_1*y1 - p1_1) * d(y1) vs (y1**2 + 2*y1 + 1) * dX[2]
+FAIL integrable a=2.0 b=2.3: defect form (-y1 - 1) * d(y1) ^ dX[2] + (y1**2/2 + y1 + 1/2) * d(y1) ^ d(p1_1) is not in S^2"""
 
 
 class TestScenarioSkew:
