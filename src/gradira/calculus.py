@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from . import scalars
 from .errors import DegreeError, NonPolynomialError, NotClosedError
-from .forms import Form, MultiVector, MvForm, contract, wedge
+from .forms import Form, MultiVector, MvForm, contract, linear_combination, wedge
 from .multiindex import merge
 
 __all__ = [
@@ -54,13 +54,13 @@ def lie_derivative_mvform(x, w):
     vector field: L_X (theta (x) U) = L_X theta (x) U + theta (x) [X, U]."""
     if x.degree != 1:
         raise DegreeError("lie_derivative_mvform needs a vector field")
-    out = MvForm.zero(w.chart, w.form_degree, w.vec_degree)
+    terms = []
     for (fidx, vidx), c in w.data.items():
         theta = Form(w.chart, w.form_degree, {fidx: c}, _normalized=True)
         u = MultiVector(w.chart, w.vec_degree, {vidx: scalars.ONE}, _normalized=True)
-        out = out + MvForm.tensor(lie_derivative(x, theta), u)
-        out = out + MvForm.tensor(theta, schouten(x, u))
-    return out
+        terms.append((1, MvForm.tensor(lie_derivative(x, theta), u)))
+        terms.append((1, MvForm.tensor(theta, schouten(x, u))))
+    return linear_combination(terms, w)
 
 
 def _xi_derivative(mv, k):
@@ -106,22 +106,20 @@ def schouten(u, v):
     if p < 1 or q < 1:
         raise DegreeError("schouten needs multivector degrees >= 1")
     chart = u.chart
-    out = MultiVector.zero(chart, p + q - 1)
     s1 = -1 if (p - 1) % 2 else 1
     s2 = -1 if (p * (q - 1)) % 2 == 0 else 1
     du_dx, dv_dx = _partials(u), _partials(v)
+    terms = []
     for k in range(chart.m):
         if k in dv_dx:
             du = _xi_derivative(u, k)
             if du:
-                term = wedge(du, dv_dx[k])
-                out = out + (term if s1 > 0 else -term)
+                terms.append((s1, wedge(du, dv_dx[k])))
         if k in du_dx:
             dvx = _xi_derivative(v, k)
             if dvx:
-                term = wedge(dvx, du_dx[k])
-                out = out + (term if s2 > 0 else -term)
-    return out
+                terms.append((s2, wedge(dvx, du_dx[k])))
+    return linear_combination(terms, MultiVector.zero(chart, p + q - 1))
 
 
 def poincare_primitive(alpha):

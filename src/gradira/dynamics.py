@@ -52,6 +52,17 @@ def _vertical_vectors(chart):
     ]
 
 
+def _not_semibasic_along(structure, value, k):
+    """The first vertical coordinate vector v along which 1_k - value is
+    not semi-basic modulo K_k (iota_v in the form slot is not K_k-null),
+    or None."""
+    defect = identity_tensor(structure.chart, k) - value
+    for v in _vertical_vectors(structure.chart):
+        if not structure.coset_is_zero(contract_form_slot(v, defect), k):
+            return v
+    return None
+
+
 def is_hamiltonian(form, structure, tower=None):
     """Decide whether an n-form is a Hamiltonian; returns (bool, diagnostics).
 
@@ -81,12 +92,10 @@ def _hamiltonian_data(form, structure, tower):
         admitted = dh.is_zero() or solve_pairing(structure, s1t, n) is not None
     if not admitted:
         return dh, s1t, "dH is not in S^{n+1}[n]"
-    defect = identity_tensor(chart, n) - s1t
-    for v in _vertical_vectors(chart):
-        slot = contract_form_slot(v, defect)
-        if not structure.coset_is_zero(slot, n):
-            return dh, s1t, (f"1_n - sharp_1~(dH) is not semi-basic: fails "
-                             f"along {render(v)}")
+    v = _not_semibasic_along(structure, s1t, n)
+    if v is not None:
+        return dh, s1t, (f"1_n - sharp_1~(dH) is not semi-basic: fails "
+                         f"along {render(v)}")
     vol = Form(chart, n, {tuple(range(n)): scalars.ONE}, _normalized=True)
     if contract(s1t, vol):
         return dh, s1t, "sharp_1~(dH) does not annihilate semi-basic n-forms"
@@ -220,14 +229,11 @@ def gamma_H(ham, table):
     t = table.apply(ham.dform)
     if not t.vec_slot_vertical():
         raise MembershipError("sharp_n~(dH) is not vertical valued")
-    defect = identity_tensor(chart, 1) - t
-    for v in _vertical_vectors(chart):
-        slot = contract_form_slot(v, defect)
-        if not structure.coset_is_zero(slot, 1):
-            raise MembershipError(
-                "1_1 - sharp_n~(dH) is not semi-basic; the table does not "
-                "induce a connection"
-            )
+    if _not_semibasic_along(structure, t, 1) is not None:
+        raise MembershipError(
+            "1_1 - sharp_n~(dH) is not semi-basic; the table does not "
+            "induce a connection"
+        )
     gammas = {}
     for u in chart.fiber_coords:
         du = Form.d_coord(chart, u)

@@ -26,7 +26,6 @@ from .errors import DegreeError, MembershipError
 from .forms import (Form, MvForm, contract, identity_tensor, linear_combination,
                     mvform_contract_pair, wedge)
 from .linsolve import Echelon
-from .multiindex import perm_sign
 from .render import render
 from .report import Report
 from .spans import Span, decompose_over, generator_echelon
@@ -54,11 +53,20 @@ __all__ = [
 
 
 def s1_wedge_basis(structure, a):
-    """Wedge monomials of the S^1 generators spanning (S^1)^{wedge a}."""
-    gens, _, _ = structure.s1_basis
+    """(combination, wedge monomial) pairs spanning (S^1)^{wedge a}, the
+    candidates of the S^a[j] tower: monomials of the level-1 generators, or
+    of the coordinate differentials when S^1 = T*M and the generators are
+    not m scaled coordinate differentials (a tower's rejected list depends
+    on this choice)."""
+    chart = structure.chart
+    gens = structure.generators(1)
+    scaled_coords = len(gens) == chart.m and all(len(g.data) == 1 for g in gens)
+    if len(structure.s1_frame[2]) == chart.m and not scaled_coords:
+        gens = [Form(chart, 1, {(i,): scalars.ONE}, _normalized=True)
+                for i in range(chart.m)]
     basis = []
     for combo in combinations(range(len(gens)), a):
-        form = gens[combo[0]]
+        form = gens[combo[0]] if combo else Form.scalar_form(chart, scalars.ONE)
         for i in combo[1:]:
             form = wedge(form, gens[i])
         if not form.is_zero():
@@ -67,25 +75,9 @@ def s1_wedge_basis(structure, a):
 
 
 def decompose_s1_power(structure, theta):
-    """theta = sum f_C theta_{c1} ^ ... ^ theta_{ca} over generator
-    combinations; None when theta is not in (S^1)^{wedge a}."""
-    gens, _, coord_map = structure.s1_basis
-    a = theta.degree
-    if theta.is_zero():
-        return {}
-    if coord_map is not None:
-        out = {}
-        for idx, c in theta.data.items():
-            combo = []
-            scale = scalars.ONE
-            for i in idx:
-                g, coeff = coord_map[i]
-                combo.append(g)
-                scale = scalars.smul(scale, coeff)
-            scalars.accumulate(out, tuple(sorted(combo)), scalars.sdiv(c, scale),
-                               perm_sign(combo))
-        return out
-    basis = s1_wedge_basis(structure, a)
+    """theta = sum f_C theta_{c1} ^ ... ^ theta_{ca} over the combinations
+    C of ``s1_wedge_basis``; None when theta is not in (S^1)^{wedge a}."""
+    basis = s1_wedge_basis(structure, theta.degree)
     sol = decompose_over([f for _, f in basis], theta)
     if sol is None:
         return None
@@ -99,34 +91,29 @@ def sharp1_tilde(theta, structure):
         sharp_1~(t_1 ^ ... ^ t_a)
           = (-1)^{a+1} sum_j (-1)^{j+1} t_1 ^ ... ^{no j} ... ^ t_a (x) sharp_1(t_j).
 
+    Over the dual frame E_k of the S^1 generators g_k this is one sum,
+
+        sharp_1~(theta) = (-1)^{a+1} sum_k iota_{E_k} theta (x) sharp_1(g_k),
+
+    since iota_{E_k} takes the factor g_k out of a wedge monomial with the
+    sign of its place.  When S^1 is not all of T*M, theta lies in
+    (S^1)^{wedge a} iff sum_k g_k ^ iota_{E_k} theta = a theta.
+
     Returns a representative MvForm (coset modulo K_n in the vector slot).
     """
-    n = structure.n
+    chart = structure.chart
     a = theta.degree
     if a < 1:
         raise DegreeError("sharp1_tilde needs a form of degree >= 1")
-    decomposition = decompose_s1_power(structure, theta)
-    if decomposition is None:
+    gens, sharps, frame = structure.s1_frame
+    slots = [contract(e, theta) for e in frame]
+    if len(frame) < chart.m and linear_combination(
+            ((1, wedge(g, s)) for g, s in zip(gens, slots) if s), theta) != a * theta:
         raise MembershipError(f"{render(theta)} is not in (S^1)^{a}")
-    gens, sharps, _ = structure.s1_basis
-    out = MvForm.zero(structure.chart, a - 1, n)
-    outer_sign = -1 if a % 2 == 0 else 1  # (-1)^{a+1}
-    for combo, coeff in decomposition.items():
-        for j, gj in enumerate(combo):
-            value = sharps[gj].rep
-            if value.is_zero():
-                continue
-            rest = [gens[i] for t, i in enumerate(combo) if t != j]
-            if rest:
-                form = rest[0]
-                for r in rest[1:]:
-                    form = wedge(form, r)
-            else:
-                form = Form.scalar_form(structure.chart, scalars.ONE)
-            sign = outer_sign * (-1 if j % 2 else 1)
-            term = MvForm.tensor(coeff * form, value)
-            out = out + (sign * term if sign < 0 else term)
-    return out
+    sign = -1 if a % 2 == 0 else 1  # (-1)^{a+1}
+    return linear_combination(
+        ((sign, MvForm.tensor(s, v)) for s, v in zip(slots, sharps) if s and v),
+        MvForm.zero(chart, a - 1, structure.n))
 
 
 def pairing_defect(structure, theta, w=None):
@@ -285,12 +272,17 @@ def solve_sharp_j(structure, theta, j, vertical=False):
     W in Lambda^{a-j} (x) V_{n+1-j}.  Returns (particular MvForm, freedom
     list) or None when theta is not admitted (with ``vertical``, not
     admitted by a vertical-valued solution)."""
-    a = theta.degree
-    if not 1 <= j <= structure.n:
-        raise DegreeError(f"extension level j={j} out of range")
-    if a < j:
-        raise DegreeError(f"theta degree {a} below extension level {j}")
+    _check_extension_level(structure, theta.degree, j)
     return solve_pairing(structure, sharp1_tilde(theta, structure), j, vertical)
+
+
+def _check_extension_level(structure, a, j):
+    """Raise DegreeError unless 1 <= j <= n and a >= j: sharp_j~ exists
+    only at the levels of the tower, on forms of degree at least j."""
+    if not 1 <= j <= structure.n:
+        raise DegreeError(f"extension level j={j} out of range (1..{structure.n})")
+    if a < j:
+        raise DegreeError(f"form degree a={a} below extension level j={j}")
 
 
 def build_span_tower(structure, a, j, vertical=False):
@@ -312,6 +304,7 @@ def build_span_tower(structure, a, j, vertical=False):
     blocks; the vertical restriction removes them and leaves the classical
     generator families.
     """
+    _check_extension_level(structure, a, j)
     chart = structure.chart
     candidates = [f for _, f in s1_wedge_basis(structure, a)]
     rhs = [_pairing_rhs(structure, sharp1_tilde(theta, structure))

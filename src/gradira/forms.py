@@ -430,12 +430,14 @@ def contract_form_slot(x, w):
 
 def linear_combination(terms, like):
     """sum c * x over the (c, x) pairs of ``terms``, as an object of the
-    type, chart and grading of ``like`` (whose own terms are not summed).
-    The one sparse sum of graded objects: every product goes straight into
-    one dict through ``scalars.accumulate``, keys entering in the order
-    the terms meet them."""
+    type, chart and grading of ``like`` (whose own terms are not summed);
+    a term of another type, chart or grading raises DegreeError, as ``+``
+    does.  The one sparse sum of graded objects: every product goes
+    straight into one dict through ``scalars.accumulate``, keys entering
+    in the order the terms meet them."""
     data = {}
     for c, x in terms:
+        like._check_like(x)
         c = as_scalar(c)
         if c:
             for key, v in x.data.items():
@@ -447,15 +449,15 @@ def substitute_differentials(form, chart, coeff, one_form):
     """The form on ``chart`` obtained by mapping every coefficient c to
     coeff(c) and every dx^i to the 1-form one_form(i): the pullback of
     ``form`` along a map given by these two images."""
-    out = Form.zero(chart, form.degree)
+    terms = []
     for idx, c in form.data.items():
         term = Form.scalar_form(chart, coeff(c))
         for i in idx:
             term = wedge(term, one_form(i))
             if term.is_zero():
                 break
-        out = out + term
-    return out
+        terms.append((1, term))
+    return linear_combination(terms, Form.zero(chart, form.degree))
 
 
 def identity_tensor(chart, a):

@@ -17,6 +17,7 @@ from . import scalars
 from .calculus import exterior_derivative, lie_derivative, schouten
 from .errors import DegreeError, MembershipError, NonWellDefinedError, NotHamiltonianError
 from .forms import Form, MultiVector, contract, linear_combination, wedge
+from .linsolve import Echelon
 from .render import render
 from .report import Report
 from .spans import Span, annihilator
@@ -158,39 +159,24 @@ class Structure:
         return [g.sharp for g in self.levels[a]]
 
     @cached_property
-    def s1_basis(self):
-        """(gens, sharps, coord_map): a generating set of S^1, the sharp_1
-        CosetRep of each generator, and, when every generator is a scaled
-        coordinate differential, coord_map[i] = (generator index, scale)
-        of dx^i (None otherwise).
+    def s1_frame(self):
+        """(gens, sharps, frame): independent generators g_k of S^1, their
+        sharp_1 values, and the dual vector fields E_k, <g_l, E_k> = delta_lk.
 
-        Computed on first use and kept: it costs one derive_sharp per
-        generator, which only the extension layer needs.
+        One elimination with the level-1 generators as rows: E_k is the
+        particular solution for the right-hand side {k: 1}, read off the
+        pivot rows' combinations, so it has no component on a non-pivot
+        coordinate.  Computed on first use and kept; only the extension
+        layer needs it.
         """
         chart = self.chart
-        gens = self.generators(1)
-        # fast path: S^1 generated by scaled coordinate differentials
-        coord_map = {}
-        monomial = True
-        for i, g in enumerate(gens):
-            if len(g.data) != 1:
-                monomial = False
-                break
-            ((idx, c),) = g.data.items()
-            if idx[0] in coord_map:
-                monomial = False
-                break
-            coord_map[idx[0]] = (i, c)
-        if not (monomial and len(coord_map) == chart.m):
-            # re-basis onto coordinate differentials when S^1 = T*M (rank m),
-            # so wedge powers decompose monomial by monomial
-            coord_map = None
-            if len(self.span(1).echelon.pivots) == chart.m:
-                coord_map = {i: (i, scalars.ONE) for i in range(chart.m)}
-                gens = [Form(chart, 1, {(i,): scalars.ONE}, _normalized=True)
-                        for i in range(chart.m)]
-        sharps = [self.derive_sharp(1, g) for g in gens]
-        return gens, sharps, coord_map
+        level = self.levels[1]
+        echelon = Echelon([g.form.data for g in level], [(i,) for i in range(chart.m)])
+        kept = [k for k in range(len(level)) if k not in echelon.dependent]
+        frame = [MultiVector(chart, 1, {col: combo[k] for col, (_, combo)
+                                        in echelon.pivots.items() if k in combo},
+                             _normalized=True) for k in kept]
+        return [level[k].form for k in kept], [level[k].sharp for k in kept], frame
 
     # -- cosets ------------------------------------------------------------
 
@@ -412,7 +398,7 @@ def check_flatness_witnesses(structure, generation=None, symmetries=None):
     for a, groups in (generation or {}).items():
         forms = []
         for g, group in enumerate(groups):
-            total = Form.zero(structure.chart, a)
+            terms = []
             for f, gamma in group:
                 ok = is_hamiltonian_form(gamma, structure)
                 report.add(
@@ -420,7 +406,8 @@ def check_flatness_witnesses(structure, generation=None, symmetries=None):
                     "" if ok else "witness form is not Hamiltonian",
                 )
                 df = exterior_derivative(Form.scalar_form(structure.chart, f))
-                total = total + wedge(df, exterior_derivative(gamma))
+                terms.append((1, wedge(df, exterior_derivative(gamma))))
+            total = linear_combination(terms, Form.zero(structure.chart, a))
             forms.append(total)
             ok = structure.contains(a, total)
             report.add(

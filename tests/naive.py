@@ -1,8 +1,11 @@
 """Independent brute-force oracles used by the tests.
 
-Everything here works on dense antisymmetric coefficient maps indexed by
-arbitrary (not necessarily sorted) tuples, expanded over permutations, so
-no code is shared with the package's sparse merge-sign engine.
+Everything here but ``naive_sharp1_tilde`` works on dense antisymmetric
+coefficient maps indexed by arbitrary (not necessarily sorted) tuples,
+expanded over permutations, so no code is shared with the package's
+sparse merge-sign engine.  ``naive_sharp1_tilde`` runs on the package's
+kernels, but by the per-combination anti-derivation rule, so it checks the
+dual-frame formula of ``sharp1_tilde`` against a different expansion.
 """
 
 from itertools import combinations, permutations
@@ -197,3 +200,30 @@ def is_zero_expr(expr):
     if not numer.free_symbols:
         return numer == 0
     return not PolyRing(sorted(numer.free_symbols, key=str), QQ).from_expr(numer)
+
+
+def naive_sharp1_tilde(theta, structure):
+    """sharp_1~(theta) one generator combination at a time: theta =
+    sum_C f_C t_{c1} ^ ... ^ t_{ca} by ``decompose_s1_power``, and each
+    factor t_j is taken out in turn with the sign (-1)^{a+1} (-1)^{j+1},
+    the others wedged again and tensored with derive_sharp(1, t_j).
+    Raises MembershipError when theta is not in (S^1)^{wedge a}."""
+    from gradira.errors import MembershipError
+    from gradira.extensions import decompose_s1_power, s1_wedge_basis
+    from gradira.forms import Form, MvForm, wedge
+
+    chart, a = structure.chart, theta.degree
+    decomposition = decompose_s1_power(structure, theta)
+    if decomposition is None:
+        raise MembershipError(f"{theta!r} is not in (S^1)^{a}")
+    factors = {combo[0]: form for combo, form in s1_wedge_basis(structure, 1)}
+    out = MvForm.zero(chart, a - 1, structure.n)
+    for combo, coeff in decomposition.items():
+        for j, k in enumerate(combo):
+            rest = Form.scalar_form(chart, coeff)
+            for t, i in enumerate(combo):
+                if t != j:
+                    rest = wedge(rest, factors[i])
+            value = structure.derive_sharp(1, factors[k]).rep
+            out = out + (-1) ** (a + 1 + j) * MvForm.tensor(rest, value)
+    return out

@@ -1,7 +1,13 @@
+from functools import cache
+from itertools import combinations
+
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as hst
 
 from gradira import (
+    AffineEmbedding,
+    Chart,
     ExtensionTable,
     MultiVector,
     Form,
@@ -16,16 +22,47 @@ from gradira import (
     compat_lower,
     contract,
     exterior_derivative,
+    pullback,
+    reduced_canonical,
     sharp1_tilde,
     sharp_lowered,
     volume_contraction,
     wedge,
 )
-from gradira import linsolve
-from gradira.errors import MembershipError
+from gradira import extensions, linsolve, scalars, spans
+from gradira.errors import DegreeError, MembershipError
 from gradira.extensions import decompose_s1_power, pairing_defect, solve_sharp_j
+from gradira.parser import parse_form
+from gradira.render import render
 from gradira.sampling import random_form, random_hamiltonian_form, rng_from_env
 from gradira.scenarios import canonical_extension_table
+from naive import naive_sharp1_tilde
+
+
+@cache
+def sheared():
+    """reduced_canonical(2, 1) pulled back along the shear y1 -> y1 + x1 +
+    p2_1, p1_1 -> p1_1 - y1: S^1 is all of T*M, but its generators are not
+    scaled coordinate differentials."""
+    scn = reduced_canonical(2, 1, declare_h=False)
+    adapted = Chart(base=scn.chart.base_coords, fiber=scn.chart.fiber_coords)
+    x1, y1, p11, p21 = sympy.symbols("x1 y1 p1_1 p2_1")
+    emb = AffineEmbedding(scn.chart, adapted, {"y1": y1 + x1 + p21, "p1_1": p11 - y1})
+    return pullback(scn.structure, emb)
+
+
+@cache
+def rank_deficient():
+    """S^2 = <d^2 x> on (x1, x2; y1), so S^1 = <dx1, dx2> has rank 2 of 3."""
+    ch = Chart(base=["x1", "x2"], fiber=["y1"])
+    return Structure(ch, [volume_contraction(ch, [])], [MultiVector.zero(ch, 1)])
+
+
+S1_STRUCTURES = {
+    "reduced": lambda: reduced_canonical(2, 1).structure,
+    "sheared": sheared,
+    "rank-deficient": rank_deficient,
+}
 
 
 def dy_family(ch, n):
@@ -59,15 +96,11 @@ class TestSharp1Tilde:
 
     def test_membership_failure(self, red2):
         # a form with a non-S^1-power piece cannot appear on this chart
-        # (S^1 is everything); build a 6th coordinate chart scenario instead
-        from gradira import Chart, Structure
-
-        ch = Chart(base=["x1", "x2"], fiber=["y1"])
-        vol = volume_contraction(ch, [])
-        st = Structure(ch, [vol], [MultiVector.zero(ch, 1)])
+        # (S^1 is everything); use a chart where S^1 has lower rank
+        st = rank_deficient()
         # S^1 = iota TM S^2 = <dx1, dx2>; dy is not in its wedge powers
         with pytest.raises(MembershipError):
-            sharp1_tilde(Form.d_coord(ch, "y1"), st)
+            sharp1_tilde(Form.d_coord(st.chart, "y1"), st)
 
     def test_contraction_commutes_with_first_extension(self, red2):
         # sharp_1~(iota_X theta) = + iota_X sharp_1~(theta) on wedge powers
@@ -100,6 +133,110 @@ class TestSharp1Tilde:
         assert decomposed is not None
         rhs = f * sharp1_tilde(wedge(a, b), st)
         assert lhs == rhs
+
+    @pytest.mark.parametrize("name", sorted(S1_STRUCTURES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=hst.data())
+    def test_matches_per_combination_oracle(self, name, data):
+        # the dual-frame sum against the anti-derivation rule expanded one
+        # generator combination at a time; non-members raise in both
+        st = S1_STRUCTURES[name]()
+        ch = st.chart
+        a = data.draw(hst.integers(1, 3))
+        keys = list(combinations(range(ch.m), a))
+        theta = Form.zero(ch, a)
+        for idx, c, s, e in data.draw(hst.lists(hst.tuples(
+                hst.sampled_from(keys), hst.integers(-3, 3),
+                hst.integers(0, ch.m - 1), hst.integers(0, 2)),
+                min_size=1, max_size=3)):
+            theta = theta + Form(ch, a, {idx: c + ch.syms[s] ** e})
+        try:
+            expected = naive_sharp1_tilde(theta, st)
+        except MembershipError:
+            with pytest.raises(MembershipError):
+                sharp1_tilde(theta, st)
+            return
+        assert sharp1_tilde(theta, st) == expected
+
+    def test_decompose_s1_power_of_a_function(self, red2):
+        # (S^1)^{wedge 0} is spanned by the function 1
+        x1 = red2.chart.sym("x1")
+        decomposition = decompose_s1_power(red2.structure,
+                                           Form.scalar_form(red2.chart, x1))
+        assert decomposition == {(): scalars.as_scalar(x1)}
+
+    def test_dependent_generators_are_left_out_of_the_frame(self):
+        # at n = 1 the level-1 generators are the given ones, which may be
+        # dependent: 2 d(y1) repeats d(y1) and gets no dual vector
+        ch = Chart(base=["x1"], fiber=["y1"])
+        dx, dy = Form.d_coord(ch, "x1"), Form.d_coord(ch, "y1")
+        ex = MultiVector.coord_vector(ch, "x1")
+        plain = Structure(ch, [dx, dy], [MultiVector.zero(ch, 1), ex])
+        doubled = Structure(ch, [dx, dy, 2 * dy], [MultiVector.zero(ch, 1), ex, 2 * ex])
+        assert len(doubled.s1_frame[2]) == 2
+        for theta in (dy, ch.sym("y1") * wedge(dx, dy)):
+            value = sharp1_tilde(theta, doubled)
+            assert value == sharp1_tilde(theta, plain)
+            assert value == naive_sharp1_tilde(theta, doubled)
+
+    def test_sheared_values_pinned(self):
+        # S^1 = T*M with generators that are not single terms: the values
+        # rendered before sharp_1~ was computed from the dual frame
+        st = sheared()
+        pinned = {
+            "d(y1)":
+                "1 @ @/x1 ^ @/y1 + 1 @ @/x1 ^ @/p1_1 - 1 @ @/x2 ^ @/p1_1",
+            "x1 * d(p1_1) + d(p2_1)":
+                "(x1 - 1) * 1 @ @/x1 ^ @/y1 + (x1 - 1) * 1 @ @/x1 ^ @/p1_1"
+                " + x1 * 1 @ @/x2 ^ @/y1",
+            "y1 * d(y1) ^ dX[1]":
+                "-y1 * dX[1] @ @/x1 ^ @/y1 - y1 * dX[1] @ @/x1 ^ @/p1_1"
+                " + y1 * dX[1] @ @/x2 ^ @/p1_1",
+            "d(p1_1) ^ d(p2_1)":
+                "-d(p1_1) @ @/x1 ^ @/y1 - d(p1_1) @ @/x1 ^ @/p1_1"
+                " - d(p2_1) @ @/x1 ^ @/y1 - d(p2_1) @ @/x1 ^ @/p1_1"
+                " - d(p2_1) @ @/x2 ^ @/y1",
+            "p2_1 * dX[]": "0",
+            "d(y1) ^ dX[] + x2 * d(y1) ^ d(p1_1) ^ dX[2]":
+                "dX[] @ @/x1 ^ @/y1 + dX[] @ @/x1 ^ @/p1_1 - dX[] @ @/x2 ^ @/p1_1"
+                " - x2 * d(y1) ^ dX[2] @ @/x1 ^ @/y1"
+                " - x2 * d(y1) ^ dX[2] @ @/x1 ^ @/p1_1"
+                " - x2 * d(y1) ^ dX[2] @ @/x2 ^ @/y1"
+                " + x2 * d(p1_1) ^ dX[2] @ @/x1 ^ @/y1"
+                " + x2 * d(p1_1) ^ dX[2] @ @/x1 ^ @/p1_1"
+                " - x2 * d(p1_1) ^ dX[2] @ @/x2 ^ @/p1_1",
+        }
+        for text, value in pinned.items():
+            assert render(sharp1_tilde(parse_form(text, st.chart), st)) == value
+
+    def test_no_wedge_or_elimination_once_the_frame_is_built(self, red2, monkeypatch):
+        top = red2.structure
+        st = Structure(top.chart, top.generators(top.n), top.sharp_values(top.n))
+        ch = st.chart
+        thetas = [Form.d_coord(ch, "p1_1"),
+                  ch.sym("y1") * wedge(Form.d_coord(ch, "y1"), Form.d_coord(ch, "x2")),
+                  dy_family(ch, 2) + ch.sym("p2_1") * wedge(
+                      Form.d_coord(ch, "p1_1"), volume_contraction(ch, []))]
+        calls = []
+
+        def counting(name, real):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(linsolve.Echelon, "__init__",
+                            counting("Echelon", linsolve.Echelon.__init__))
+        sharp1_tilde(thetas[0], st)
+        assert calls == ["Echelon"]  # the frame, once per structure
+        del calls[:]
+        monkeypatch.setattr(extensions, "wedge", counting("wedge", extensions.wedge))
+        for module in (extensions, spans):
+            monkeypatch.setattr(module, "decompose_over",
+                                counting("decompose_over", module.decompose_over))
+        for theta in thetas:
+            sharp1_tilde(theta, st)
+        assert calls == []
 
 
 class TestBracketExt1:
@@ -268,6 +405,49 @@ class TestSpanTower:
         span1 = lvl1.admitted_span()
         for entry in lvl2.entries:
             assert span1.contains(entry.form)
+
+    def test_sheared_tower_pinned(self):
+        # on the sheared structure the candidates are the wedge monomials
+        # of the coordinate differentials, not of the S^1 generators
+        level = build_span_tower(sheared(), 3, 2)
+        assert [render(e.form) for e in level.entries] == [
+            "-d(y1) ^ d(p1_1) ^ dX[2] - d(y1) ^ d(p2_1) ^ dX[2]"
+            " + d(p1_1) ^ d(p2_1) ^ dX[2]",
+            "-d(p1_1) ^ dX[] - d(p2_1) ^ dX[]",
+            "d(y1) ^ dX[] + d(p2_1) ^ dX[]",
+            "-d(y1) ^ d(p2_1) ^ dX[1]",
+            "-d(y1) ^ d(p2_1) ^ dX[2] + d(y1) ^ d(p1_1) ^ dX[1]"
+            " + d(y1) ^ d(p2_1) ^ dX[1] - d(p1_1) ^ d(p2_1) ^ dX[1]",
+            "-d(p2_1) ^ dX[]",
+            "d(y1) ^ d(p2_1) ^ dX[2] + d(y1) ^ d(p1_1) ^ dX[1]"
+            " + d(y1) ^ d(p2_1) ^ dX[1] - d(p1_1) ^ d(p2_1) ^ dX[1]",
+        ]
+        assert [render(f) for f in level.rejected()] == [
+            "-d(y1) ^ d(p1_1) ^ dX[2]",
+            "-d(p1_1) ^ d(p2_1) ^ dX[2]",
+            "d(y1) ^ d(p1_1) ^ dX[1]",
+            "d(p1_1) ^ d(p2_1) ^ dX[1]",
+            "d(y1) ^ d(p1_1) ^ d(p2_1)",
+        ]
+        assert len(level.freedom) == 3
+
+    @pytest.mark.parametrize("a, j, message", [
+        (0, 2, "form degree a=0 below extension level j=2"),
+        (-1, 2, "form degree a=-1 below extension level j=2"),
+        (1, 2, "form degree a=1 below extension level j=2"),
+        (3, 0, "extension level j=0 out of range (1..2)"),
+        (3, 7, "extension level j=7 out of range (1..2)"),
+    ])
+    def test_levels_out_of_range(self, red2, a, j, message):
+        # the tower and solve_sharp_j share one range check
+        st = red2.structure
+        with pytest.raises(DegreeError) as exc:
+            build_span_tower(st, a, j)
+        assert str(exc.value) == message
+        if a >= 0:
+            with pytest.raises(DegreeError) as exc:
+                solve_sharp_j(st, Form.zero(st.chart, a), j)
+            assert str(exc.value) == message
 
     def test_contraction_lowers_tower(self, red2):
         # iota_X maps S^a[j] into S^{a-1}[j-1]

@@ -181,6 +181,20 @@ class TestCli:
         assert code == 0
         assert out.count("extend ") == 4
 
+    @pytest.mark.parametrize("args, message", [
+        (["tower", "-a", "0"], "form degree a=0 below extension level j=2"),
+        (["extend", "-a", "0"], "form degree a=0 below extension level j=2"),
+        (["tower", "-a", "-1"], "form degree a=-1 below extension level j=2"),
+        (["tower", "-j", "7"], "extension level j=7 out of range (1..2)"),
+        (["tower", "-a", "1", "-j", "2"], "form degree a=1 below extension level j=2"),
+        (["tower", "-j", "0"], "extension level j=0 out of range (1..2)"),
+    ], ids=["tower-a0", "extend-a0", "tower-a-1", "tower-j7", "tower-a1j2", "tower-j0"])
+    def test_tower_level_out_of_range_exit_2(self, tmp_path, capsys, args, message):
+        out_file = str(tmp_path / "structure.json")
+        run_cli(["scenario", "reduced-canonical", "--out", out_file], capsys)
+        code, out, err = run_cli([args[0], "-f", out_file, *args[1:]], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_hamiltonian_and_special_and_evolution(self, tmp_path, capsys):
         out_file = str(tmp_path / "structure.json")
         run_cli(["scenario", "reduced-canonical", "--out", out_file,

@@ -372,6 +372,16 @@ class TestFlatnessWitnesses:
         report = check_flatness_witnesses(st, generation={2: groups})
         assert not report.passed
 
+    def test_generation_witness_of_wrong_degree_raises(self, red2):
+        # df ^ d(gamma) for a Hamiltonian 1-form gamma is a 3-form, which
+        # cannot be summed into a witness for S^2
+        from gradira import check_flatness_witnesses
+
+        ch, st = red2.chart, red2.structure
+        gamma = Form.scalar_form(ch, ch.sym("y1")) * volume_contraction(ch, [0])
+        with pytest.raises(DegreeError, match=r"degree mismatch: \(2,\) vs \(3,\)"):
+            check_flatness_witnesses(st, generation={2: [[(ch.sym("x1"), gamma)]]})
+
     def test_symmetry_witnesses_order_one(self):
         # the su(2)* Poisson chart: S^1 is spanned by coordinate
         # differentials, all invariant under the base translation
