@@ -89,7 +89,7 @@ def _hamiltonian_data(form, structure, tower):
     if tower is not None:
         admitted = tower.is_admitted(dh)
     else:
-        admitted = dh.is_zero() or solve_pairing(structure, s1t, n) is not None
+        admitted = dh.is_zero() or solve_pairing(structure, dh, n) is not None
     if not admitted:
         return dh, s1t, "dH is not in S^{n+1}[n]"
     v = _not_semibasic_along(structure, s1t, n)

@@ -84,6 +84,23 @@ def decompose_s1_power(structure, theta):
     return {basis[i][0]: c for i, c in sol.particular.items()}
 
 
+def _require_s1_power(theta, structure):
+    """Check that theta lies in (S^1)^{wedge a} and return its slots
+    iota_{E_k} theta over the dual frame E_k of ``Structure.s1_frame``.
+    When S^1 is not all of T*M, membership holds iff
+    sum_k g_k ^ iota_{E_k} theta = a theta.  Raises MembershipError off
+    (S^1)^{wedge a}, DegreeError below degree 1."""
+    a = theta.degree
+    if a < 1:
+        raise DegreeError("sharp1_tilde needs a form of degree >= 1")
+    gens, _, frame = structure.s1_frame
+    slots = [contract(e, theta) for e in frame]
+    if len(frame) < structure.chart.m and linear_combination(
+            ((1, wedge(g, s)) for g, s in zip(gens, slots) if s), theta) != a * theta:
+        raise MembershipError(f"{render(theta)} is not in (S^1)^{a}")
+    return slots
+
+
 def sharp1_tilde(theta, structure):
     """The unique extension of sharp_1 to (S^1)^{wedge a}, by the
     anti-derivation rule on decomposables
@@ -96,48 +113,51 @@ def sharp1_tilde(theta, structure):
         sharp_1~(theta) = (-1)^{a+1} sum_k iota_{E_k} theta (x) sharp_1(g_k),
 
     since iota_{E_k} takes the factor g_k out of a wedge monomial with the
-    sign of its place.  When S^1 is not all of T*M, theta lies in
-    (S^1)^{wedge a} iff sum_k g_k ^ iota_{E_k} theta = a theta.
+    sign of its place.  Raises MembershipError off (S^1)^{wedge a}.
 
     Returns a representative MvForm (coset modulo K_n in the vector slot).
+    Pairing it with S^n needs no MvForm: see ``_pairing_rhs``.
     """
-    chart = structure.chart
     a = theta.degree
-    if a < 1:
-        raise DegreeError("sharp1_tilde needs a form of degree >= 1")
-    gens, sharps, frame = structure.s1_frame
-    slots = [contract(e, theta) for e in frame]
-    if len(frame) < chart.m and linear_combination(
-            ((1, wedge(g, s)) for g, s in zip(gens, slots) if s), theta) != a * theta:
-        raise MembershipError(f"{render(theta)} is not in (S^1)^{a}")
+    slots = _require_s1_power(theta, structure)
     sign = -1 if a % 2 == 0 else 1  # (-1)^{a+1}
     return linear_combination(
-        ((sign, MvForm.tensor(s, v)) for s, v in zip(slots, sharps) if s and v),
-        MvForm.zero(chart, a - 1, structure.n))
+        ((sign, MvForm.tensor(s, v)) for s, v in zip(slots, structure.s1_frame[1])
+         if s and v),
+        MvForm.zero(structure.chart, a - 1, structure.n))
+
+
+def _pairing_rhs(structure, theta):
+    """iota_{sharp_1~(theta)} alpha_g over the S^n generators alpha_g, keyed
+    like _pairing_rows, for theta in (S^1)^{wedge a}.  The sharp_1 values
+    are n-vectors, so contracting the MvForm above with alpha_g leaves
+    (-1)^{a+1} iota_{X_g} theta with X_g = ``Structure.pairing_fields``[g]:
+    one contraction per generator, no MvForm."""
+    signed = theta if theta.degree % 2 else -theta  # (-1)^{a+1} theta
+    return {(g, key): c for g, x in enumerate(structure.pairing_fields)
+            for key, c in contract(x, signed).data.items()}
+
+
+def _pairing_failure(structure, theta, lhs):
+    """The first S^n generator alpha_g with lhs[g] !=
+    iota_{sharp_1~(theta)} alpha_g, or None; ``lhs`` holds one form per
+    S^n generator."""
+    keyed = {(g, key): c for g, form in enumerate(lhs) for key, c in form.data.items()}
+    bad = {g for (g, _), _ in keyed.items() ^ _pairing_rhs(structure, theta).items()}
+    return structure.levels[structure.n][min(bad)].form if bad else None
 
 
 def pairing_defect(structure, theta, w=None):
     """Check iota_{sharp_n(alpha)} theta = (-1)^{n+1-a} iota_{sharp_1~(theta)} alpha
     (or, given w, iota_w alpha = iota_{sharp_1~(theta)} alpha) on all S^n
     generators; returns the first failing generator or None."""
-    n = structure.n
-    s1t = sharp1_tilde(theta, structure)
+    _require_s1_power(theta, structure)
+    gens = structure.levels[structure.n]
     if w is not None:
-        return _pairing_failure(structure, w, s1t)
-    sign = -1 if (n + 1 - theta.degree) % 2 else 1
-    for gen in structure.levels[n]:
-        if contract(gen.sharp, theta) != sign * contract(s1t, gen.form):
-            return gen.form
-    return None
-
-
-def _pairing_failure(structure, w, s1t):
-    """The first S^n generator alpha with iota_w alpha != iota_{s1t} alpha,
-    or None; ``s1t`` is a sharp_1~ value the caller already holds."""
-    for gen in structure.levels[structure.n]:
-        if contract(w, gen.form) != contract(s1t, gen.form):
-            return gen.form
-    return None
+        return _pairing_failure(structure, theta, [contract(w, gen.form) for gen in gens])
+    sign = -1 if (structure.n + 1 - theta.degree) % 2 else 1
+    return _pairing_failure(structure, theta,
+                            [sign * contract(gen.sharp, theta) for gen in gens])
 
 
 # ---------------------------------------------------------------------------
@@ -243,23 +263,16 @@ def _pairing_rows(structure, unknowns):
     return rows
 
 
-def _pairing_rhs(structure, value):
-    """iota_value alpha over the S^n generators, keyed like _pairing_rows."""
-    return {(g, key): c
-            for g, gen in enumerate(structure.levels[structure.n])
-            for key, c in contract(value, gen.form).data.items()}
-
-
-def solve_pairing(structure, value, j, vertical=False):
-    """Solve iota_W alpha = iota_value alpha for all alpha in S^n, W in
-    Lambda^{a-j} (x) V_{n+1-j}, given value = sharp_1~(theta) for an
-    a-form theta.  Returns (particular MvForm, freedom list) or None when
-    the system is inconsistent."""
+def solve_pairing(structure, theta, j, vertical=False):
+    """Solve iota_W alpha = iota_{sharp_1~(theta)} alpha for all alpha in
+    S^n, W in Lambda^{a-j} (x) V_{n+1-j}, for an a-form theta the caller
+    knows to lie in (S^1)^{wedge a}.  Returns (particular MvForm, freedom
+    list) or None when the system is inconsistent."""
     chart = structure.chart
-    fdeg, vdeg = value.form_degree + 1 - j, structure.n + 1 - j
+    fdeg, vdeg = theta.degree - j, structure.n + 1 - j
     unknowns = _w_unknowns(chart, fdeg, vdeg, vertical)
     sol = Echelon(_pairing_rows(structure, unknowns), unknowns).solve(
-        _pairing_rhs(structure, value))
+        _pairing_rhs(structure, theta))
     if sol is None:
         return None
     particular = MvForm(chart, fdeg, vdeg, dict(sol.particular))
@@ -271,18 +284,23 @@ def solve_sharp_j(structure, theta, j, vertical=False):
     """Solve iota_W alpha = iota_{sharp_1~(theta)} alpha for all alpha in S^n,
     W in Lambda^{a-j} (x) V_{n+1-j}.  Returns (particular MvForm, freedom
     list) or None when theta is not admitted (with ``vertical``, not
-    admitted by a vertical-valued solution)."""
+    admitted by a vertical-valued solution).  Raises MembershipError when
+    theta is not in (S^1)^{wedge a}."""
     _check_extension_level(structure, theta.degree, j)
-    return solve_pairing(structure, sharp1_tilde(theta, structure), j, vertical)
+    _require_s1_power(theta, structure)
+    return solve_pairing(structure, theta, j, vertical)
 
 
 def _check_extension_level(structure, a, j):
-    """Raise DegreeError unless 1 <= j <= n and a >= j: sharp_j~ exists
-    only at the levels of the tower, on forms of degree at least j."""
+    """Raise DegreeError unless 1 <= j <= n and j <= a <= m: sharp_j~
+    exists only at the levels of the tower, on forms of degree at least j,
+    and no form has a degree above the chart dimension m."""
     if not 1 <= j <= structure.n:
         raise DegreeError(f"extension level j={j} out of range (1..{structure.n})")
     if a < j:
         raise DegreeError(f"form degree a={a} below extension level j={j}")
+    if a > structure.chart.m:
+        raise DegreeError(f"form degree a={a} above chart dimension {structure.chart.m}")
 
 
 def build_span_tower(structure, a, j, vertical=False):
@@ -307,18 +325,16 @@ def build_span_tower(structure, a, j, vertical=False):
     _check_extension_level(structure, a, j)
     chart = structure.chart
     candidates = [f for _, f in s1_wedge_basis(structure, a)]
-    rhs = [_pairing_rhs(structure, sharp1_tilde(theta, structure))
-           for theta in candidates]
     fdeg, vdeg = a - j, structure.n + 1 - j
     w_unknowns = _w_unknowns(chart, fdeg, vdeg, vertical)
     w_rows = _pairing_rows(structure, w_unknowns)
-    columns = {("c", t): {r: scalars.sneg(c) for r, c in col.items()}
-               for t, col in enumerate(rhs)}
+    columns = {("c", t): _pairing_rhs(structure, -theta)
+               for t, theta in enumerate(candidates)}
+    row_keys = sorted(set(w_rows).union(*columns.values()))
     columns.update({("w", wk): {} for wk in w_unknowns})
     for r, coeffs in w_rows.items():
         for wk, c in coeffs.items():
             columns[("w", wk)][r] = c
-    row_keys = sorted(set(w_rows).union(*rhs))
     raw = []
     for relation in Echelon(columns, row_keys).dependent.values():
         form = linear_combination(((c, candidates[t]) for (kind, t), c in relation.items()
@@ -329,7 +345,7 @@ def build_span_tower(structure, a, j, vertical=False):
     w_side = Echelon(w_rows, w_unknowns)
     entries = []
     for form in span.generators:
-        sol = w_side.solve(_pairing_rhs(structure, sharp1_tilde(form, structure)))
+        sol = w_side.solve(_pairing_rhs(structure, form))
         entries.append(TowerEntry(form, MvForm(chart, fdeg, vdeg, dict(sol.particular))))
     freedom = [MvForm(chart, fdeg, vdeg, dict(vec)) for vec in w_side.kernel]
     return TowerLevel(a, j, entries, freedom, candidates, structure, span)
@@ -357,7 +373,8 @@ class ExtensionTable:
         n = self.structure.n
         for theta, value in self.entries:
             s1t = sharp1_tilde(theta, self.structure)
-            bad = _pairing_failure(self.structure, value, s1t)
+            bad = _pairing_failure(self.structure, theta, [
+                contract(value, gen.form) for gen in self.structure.levels[n]])
             if bad is not None:
                 raise MembershipError(
                     f"table entry for {render(theta)} fails the defining pairing "

@@ -62,6 +62,7 @@ class Echelon:
         self.pivots = {}  # pivot column -> (row, combination of input rows)
         self.dependent = {}  # row key -> combination of input rows that is 0
         self.row_keys = set()
+        holders = {}  # non-pivot column -> pivot columns whose rows hold it
         for key, coeffs in rows.items() if isinstance(rows, dict) else enumerate(rows):
             self.row_keys.add(key)
             row = {c: v for c, v in ((c, as_scalar(v)) for c, v in coeffs.items()) if v}
@@ -78,9 +79,22 @@ class Echelon:
             inv = scalars.sdiv(scalars.ONE, row[pivot])
             row = {c: scalars.smul(inv, v) for c, v in row.items()}
             combo = {r: scalars.smul(inv, v) for r, v in combo.items()}
-            for prow, pcombo in self.pivots.values():
-                if pivot in prow:
-                    _eliminate(prow, pcombo, pivot, row, combo)
+            # back-substitute into exactly the pivot rows that hold the new
+            # pivot column; each gains or loses only the new row's columns
+            for pcol in holders.pop(pivot, ()):
+                prow, pcombo = self.pivots[pcol]
+                held = {c for c in row if c in prow}
+                _eliminate(prow, pcombo, pivot, row, combo)
+                for c in row:
+                    if c == pivot or (c in held) == (c in prow):
+                        continue
+                    if c in prow:
+                        holders.setdefault(c, []).append(pcol)
+                    else:
+                        holders[c].remove(pcol)
+            for c in row:
+                if c != pivot:
+                    holders.setdefault(c, []).append(pivot)
             self.pivots[pivot] = (row, combo)
 
     @cached_property

@@ -178,6 +178,19 @@ class Structure:
                              _normalized=True) for k in kept]
         return [level[k].form for k in kept], [level[k].sharp for k in kept], frame
 
+    @cached_property
+    def pairing_fields(self):
+        """X_g = sum_k <sharp_1(g_k), alpha_g> E_k for each S^n generator
+        alpha_g, over ``s1_frame``: the vector fields through which the
+        extension layer pairs sharp_1~ with S^n, since
+        iota_{sharp_1~(theta)} alpha_g = (-1)^{a+1} iota_{X_g} theta.
+        Computed on first use and kept."""
+        _, sharps, frame = self.s1_frame
+        return [linear_combination(((contract(v, gen.form).scalar(), e)
+                                    for v, e in zip(sharps, frame)),
+                                   MultiVector.zero(self.chart, 1))
+                for gen in self.levels[self.n]]
+
     # -- cosets ------------------------------------------------------------
 
     def coset_is_zero(self, rep, p):

@@ -1,11 +1,13 @@
 """Independent brute-force oracles used by the tests.
 
-Everything here but ``naive_sharp1_tilde`` works on dense antisymmetric
-coefficient maps indexed by arbitrary (not necessarily sorted) tuples,
-expanded over permutations, so no code is shared with the package's
-sparse merge-sign engine.  ``naive_sharp1_tilde`` runs on the package's
-kernels, but by the per-combination anti-derivation rule, so it checks the
-dual-frame formula of ``sharp1_tilde`` against a different expansion.
+Everything here but ``naive_sharp1_tilde`` and ``naive_pairing_rhs``
+works on dense antisymmetric coefficient maps indexed by arbitrary (not
+necessarily sorted) tuples, expanded over permutations, so no code is
+shared with the package's sparse merge-sign engine.  Those two run on the
+package's kernels, but by another expansion: ``naive_sharp1_tilde`` by the
+per-combination anti-derivation rule, checking the dual-frame formula of
+``sharp1_tilde``; ``naive_pairing_rhs`` through the sharp_1~ value itself,
+checking the pairing fields of the extension layer.
 """
 
 from itertools import combinations, permutations
@@ -227,3 +229,18 @@ def naive_sharp1_tilde(theta, structure):
             value = structure.derive_sharp(1, factors[k]).rep
             out = out + (-1) ** (a + 1 + j) * MvForm.tensor(rest, value)
     return out
+
+
+def naive_pairing_rhs(theta, structure):
+    """iota_{sharp_1~(theta)} alpha_g over the S^n generators alpha_g, keyed
+    {(g, multi-index): coefficient}: the sharp_1~ value is built as an
+    MvForm and contracted with each generator, the path the pairing fields
+    of ``Structure.pairing_fields`` replace.  Raises MembershipError when
+    theta is not in (S^1)^{wedge a}."""
+    from gradira.extensions import sharp1_tilde
+    from gradira.forms import contract
+
+    value = sharp1_tilde(theta, structure)
+    return {(g, key): c
+            for g, gen in enumerate(structure.levels[structure.n])
+            for key, c in contract(value, gen.form).data.items()}

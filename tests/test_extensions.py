@@ -1,3 +1,4 @@
+import hashlib
 from functools import cache
 from itertools import combinations
 
@@ -36,7 +37,7 @@ from gradira.parser import parse_form
 from gradira.render import render
 from gradira.sampling import random_form, random_hamiltonian_form, rng_from_env
 from gradira.scenarios import canonical_extension_table
-from naive import naive_sharp1_tilde
+from naive import naive_pairing_rhs, naive_sharp1_tilde
 
 
 @cache
@@ -58,11 +59,35 @@ def rank_deficient():
     return Structure(ch, [volume_contraction(ch, [])], [MultiVector.zero(ch, 1)])
 
 
+@cache
+def scaled():
+    """reduced_canonical(2, 1) with every S^n generator and sharp value
+    times 1 + y1: the dual frame of S^1 is not constant."""
+    top = reduced_canonical(2, 1, declare_h=False).structure
+    f = 1 + top.chart.sym("y1")
+    return Structure(top.chart, [g * f for g in top.generators(top.n)],
+                     [v * f for v in top.sharp_values(top.n)])
+
+
 S1_STRUCTURES = {
     "reduced": lambda: reduced_canonical(2, 1).structure,
     "sheared": sheared,
     "rank-deficient": rank_deficient,
 }
+
+
+def draw_form(data, ch):
+    """A form of degree 1..3 with up to three terms whose coefficients are
+    functions c + x**e of one coordinate."""
+    a = data.draw(hst.integers(1, 3))
+    keys = list(combinations(range(ch.m), a))
+    theta = Form.zero(ch, a)
+    for idx, c, s, e in data.draw(hst.lists(hst.tuples(
+            hst.sampled_from(keys), hst.integers(-3, 3),
+            hst.integers(0, ch.m - 1), hst.integers(0, 2)),
+            min_size=1, max_size=3)):
+        theta = theta + Form(ch, a, {idx: c + ch.syms[s] ** e})
+    return theta
 
 
 def dy_family(ch, n):
@@ -141,15 +166,7 @@ class TestSharp1Tilde:
         # the dual-frame sum against the anti-derivation rule expanded one
         # generator combination at a time; non-members raise in both
         st = S1_STRUCTURES[name]()
-        ch = st.chart
-        a = data.draw(hst.integers(1, 3))
-        keys = list(combinations(range(ch.m), a))
-        theta = Form.zero(ch, a)
-        for idx, c, s, e in data.draw(hst.lists(hst.tuples(
-                hst.sampled_from(keys), hst.integers(-3, 3),
-                hst.integers(0, ch.m - 1), hst.integers(0, 2)),
-                min_size=1, max_size=3)):
-            theta = theta + Form(ch, a, {idx: c + ch.syms[s] ** e})
+        theta = draw_form(data, st.chart)
         try:
             expected = naive_sharp1_tilde(theta, st)
         except MembershipError:
@@ -237,6 +254,59 @@ class TestSharp1Tilde:
         for theta in thetas:
             sharp1_tilde(theta, st)
         assert calls == []
+
+
+class TestPairingRhs:
+    @pytest.mark.parametrize("name", sorted(S1_STRUCTURES) + ["scaled"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=hst.data())
+    def test_matches_contraction_of_sharp1_tilde(self, name, data):
+        # iota_{sharp_1~(theta)} alpha_g = (-1)^{a+1} iota_{X_g} theta
+        # against the sharp_1~ value contracted with each S^n generator;
+        # non-members raise in sharp1_tilde and in solve_sharp_j
+        st = scaled() if name == "scaled" else S1_STRUCTURES[name]()
+        theta = draw_form(data, st.chart)
+        try:
+            expected = naive_pairing_rhs(theta, st)
+        except MembershipError:
+            with pytest.raises(MembershipError):
+                sharp1_tilde(theta, st)
+            with pytest.raises(MembershipError):
+                solve_sharp_j(st, theta, 1)
+            return
+        assert extensions._pairing_rhs(st, theta) == expected
+
+    def test_scaled_frame_is_not_constant(self):
+        # the scaled structure exercises pairing fields with function
+        # coefficients, not only rational ones
+        fields = scaled().pairing_fields
+        assert any(not c.is_rational for x in fields for c in x.data.values())
+
+    def test_pairing_fields_are_built_once(self, red2, monkeypatch):
+        top = red2.structure
+        st = Structure(top.chart, top.generators(top.n), top.sharp_values(top.n))
+        built, contracted = [], []
+        real_fields, real_contract = Structure.pairing_fields.func, extensions.contract
+
+        def counting_fields(structure):
+            built.append(structure)
+            return real_fields(structure)
+
+        def counting_contract(u, alpha):
+            contracted.append(u)
+            return real_contract(u, alpha)
+
+        monkeypatch.setattr(Structure.pairing_fields, "func", counting_fields)
+        monkeypatch.setattr(extensions, "contract", counting_contract)
+        for _ in range(2):
+            level = build_span_tower(st, 3, 2, vertical=True)
+        assert built == [st]
+        # the tower contracts with nothing but the pairing fields
+        assert contracted and all(any(u is x for x in st.pairing_fields)
+                                  for u in contracted)
+        for entry in level.entries:
+            assert solve_sharp_j(st, entry.form, 2, vertical=True) is not None
+        assert built == [st]
 
 
 class TestBracketExt1:
@@ -437,6 +507,9 @@ class TestSpanTower:
         (1, 2, "form degree a=1 below extension level j=2"),
         (3, 0, "extension level j=0 out of range (1..2)"),
         (3, 7, "extension level j=7 out of range (1..2)"),
+        (6, 2, "form degree a=6 above chart dimension 5"),
+        (9, 2, "form degree a=9 above chart dimension 5"),
+        (6, 1, "form degree a=6 above chart dimension 5"),
     ])
     def test_levels_out_of_range(self, red2, a, j, message):
         # the tower and solve_sharp_j share one range check
@@ -444,10 +517,31 @@ class TestSpanTower:
         with pytest.raises(DegreeError) as exc:
             build_span_tower(st, a, j)
         assert str(exc.value) == message
-        if a >= 0:
+        if a > st.chart.m:
+            # solve_sharp_j takes a form, and none has a degree above m
+            with pytest.raises(DegreeError, match=f"degree {a} out of range"):
+                Form.zero(st.chart, a)
+        elif a >= 0:
             with pytest.raises(DegreeError) as exc:
                 solve_sharp_j(st, Form.zero(st.chart, a), j)
             assert str(exc.value) == message
+
+    def test_benchmark_tower_pinned(self):
+        # S^4[3] on reduced_canonical(3, 3), rendered as the canon-tower
+        # benchmark renders it; digest of the text computed from sharp_1~
+        # values and a full pivot scan, before the pairing fields
+        level = build_span_tower(reduced_canonical(3, 3).structure, 4, 3,
+                                 vertical=True)
+        rejected = level.rejected()
+        lines = [f"S^4[3] admitted generators ({len(level.entries)}):"]
+        lines += [f"  {render(e.form)}" for e in level.entries]
+        lines.append(f"rejected candidates ({len(rejected)}):")
+        lines += [f"  {render(f)}" for f in rejected]
+        lines.append(f"homogeneous freedom dimension: {len(level.freedom)}")
+        text = "\n".join(lines) + "\n"
+        assert (len(level.entries), len(rejected), len(level.freedom)) == (30, 1344, 24)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "836dc821922705d6d28e55d9be244fed04ae7730c824af771f6c6231f9dc5c5d")
 
     def test_contraction_lowers_tower(self, red2):
         # iota_X maps S^a[j] into S^{a-1}[j-1]

@@ -134,3 +134,70 @@ def test_echelon_against_rank_oracle(system):
         if naive_rank([rows[k] for k in greedy] + [r]) > len(greedy):
             greedy.append(i)
     assert Span(CHART, 1, gens).reduced()[1] == greedy
+
+
+SPARSE = [1, -1, 2, sympy.Rational(-1, 2), X, Y]
+
+
+@st.composite
+def sparse_systems(draw):
+    """Up to about 12 sparse rows over a few columns: random rows, planted
+    dependent rows (a combination of two earlier rows) and rows that repeat
+    part of an earlier row, so that back-substitution cancels entries
+    inside pivot rows; shuffled."""
+    ncols = draw(st.integers(min_value=2, max_value=7))
+    cells = st.dictionaries(st.integers(0, ncols - 1), st.sampled_from(SPARSE),
+                            min_size=1, max_size=4)
+    rows = draw(st.lists(cells, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        i = draw(st.integers(0, len(rows) - 1))
+        if draw(st.booleans()):
+            k = draw(st.integers(0, len(rows) - 1))
+            m = draw(st.sampled_from(SPARSE))
+            rows.append({c: rows[i].get(c, 0) + m * rows[k].get(c, 0)
+                         for c in set(rows[i]) | set(rows[k])})
+        else:
+            keep = draw(st.sets(st.sampled_from(sorted(rows[i])), min_size=1))
+            rows.append({c: v for c, v in rows[i].items() if c in keep})
+    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    return ncols, rows
+
+
+def combine_rows(combo, rows, ncols):
+    """sum_r combo[r] * rows[r] as a dense list of scalars."""
+    out = [scalars.ZERO] * ncols
+    for r, m in combo.items():
+        for c, v in rows[r].items():
+            out[c] = scalars.sadd(out[c], scalars.smul(m, scalars.as_scalar(v)))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_systems(), st.lists(st.sampled_from(SPARSE), min_size=7, max_size=7))
+def test_sparse_echelon_stays_reduced(system, vec):
+    ncols, rows = system
+    echelon = Echelon(rows, range(ncols))
+    dense = [[r.get(c, 0) for c in range(ncols)] for r in rows]
+    rank = naive_rank(dense)
+    assert len(echelon.pivots) == rank
+    assert len(echelon.pivots) + len(echelon.dependent) == len(rows)
+    for pcol, (prow, combo) in echelon.pivots.items():
+        # fully reduced: 1 at the own pivot, no other pivot column anywhere
+        assert prow[pcol] == 1
+        assert not any(c in prow for c in echelon.pivots if c != pcol)
+        # and still the combination of input rows it claims to be
+        assert combine_rows(combo, rows, ncols) == [prow.get(c, scalars.ZERO)
+                                                    for c in range(ncols)]
+    for combo in echelon.dependent.values():
+        assert not any(combine_rows(combo, rows, ncols))
+    assert len(echelon.kernel) == ncols - rank
+    for kvec in echelon.kernel:
+        assert not any(residuals(dense, kvec))
+    # a consistent right-hand side is solved, a random one only when the
+    # augmented rank does not grow
+    target = [sum(r[c] * vec[c] for c in range(ncols)) for r in dense]
+    sol = echelon.solve(dict(enumerate(target)))
+    assert residuals(dense, sol.particular) == [scalars.as_scalar(b) for b in target]
+    rhs = vec[:len(rows)] + [0] * (len(rows) - len(vec))
+    augmented = naive_rank([r + [b] for r, b in zip(dense, rhs)])
+    assert (echelon.solve(dict(enumerate(rhs))) is None) == (rank < augmented)

@@ -188,7 +188,11 @@ class TestCli:
         (["tower", "-j", "7"], "extension level j=7 out of range (1..2)"),
         (["tower", "-a", "1", "-j", "2"], "form degree a=1 below extension level j=2"),
         (["tower", "-j", "0"], "extension level j=0 out of range (1..2)"),
-    ], ids=["tower-a0", "extend-a0", "tower-a-1", "tower-j7", "tower-a1j2", "tower-j0"])
+        (["tower", "-a", "6"], "form degree a=6 above chart dimension 5"),
+        (["tower", "-a", "9"], "form degree a=9 above chart dimension 5"),
+        (["extend", "-a", "6"], "form degree a=6 above chart dimension 5"),
+    ], ids=["tower-a0", "extend-a0", "tower-a-1", "tower-j7", "tower-a1j2", "tower-j0",
+            "tower-a6", "tower-a9", "extend-a6"])
     def test_tower_level_out_of_range_exit_2(self, tmp_path, capsys, args, message):
         out_file = str(tmp_path / "structure.json")
         run_cli(["scenario", "reduced-canonical", "--out", out_file], capsys)
