@@ -11,19 +11,17 @@ from .calculus import exterior_derivative
 from .chart import Chart
 from .errors import DegreeError, MembershipError, NotHamiltonianError
 from .extensions import (
+    bracket_ext1_formula,
     require_ext1_left,
     require_extj_left,
-    sharp1_tilde,
+    require_s1_power,
     solve_pairing,
 )
 from .forms import (
     Form,
     MultiVector,
-    MvForm,
     contract,
     contract_form,
-    contract_form_slot,
-    identity_tensor,
     substitute_differentials,
     wedge,
 )
@@ -45,84 +43,72 @@ __all__ = [
 ]
 
 
-def _vertical_vectors(chart):
-    return [
-        MultiVector(chart, 1, {(i,): scalars.ONE}, _normalized=True)
-        for i in chart.fiber_indices()
-    ]
+def _not_semibasic_along(chart, forms):
+    """The coordinate vector of the lowest fiber index that occurs in
+    ``forms``, i.e. the first vertical v with iota_v of one of them
+    nonzero, or None when every form is semi-basic."""
+    fiber = [i for form in forms for key in form.data for i in key if i >= chart.n]
+    return MultiVector.coord_vector(chart, chart.coords[min(fiber)]) if fiber else None
 
 
-def _not_semibasic_along(structure, value, k):
-    """The first vertical coordinate vector v along which 1_k - value is
-    not semi-basic modulo K_k (iota_v in the form slot is not K_k-null),
-    or None."""
-    defect = identity_tensor(structure.chart, k) - value
-    for v in _vertical_vectors(structure.chart):
-        if not structure.coset_is_zero(contract_form_slot(v, defect), k):
-            return v
-    return None
-
-
-def is_hamiltonian(form, structure, tower=None):
+def is_hamiltonian(form, structure):
     """Decide whether an n-form is a Hamiltonian; returns (bool, diagnostics).
 
     Conditions: d H decomposes over wedge powers of S^1 and lies in
     S^{n+1}[n]; 1_n - sharp_1~(d H) is semi-basic modulo K_n; and
-    sharp_1~(d H) annihilates every semi-basic n-form.
+    sharp_1~(d H) annihilates every semi-basic n-form.  Since
+    iota_{sharp_1~(dH)} beta = (-1)^n iota_{X_beta} dH (``Structure.pairing_field``),
+    these last two ask that every alpha_g - (-1)^n iota_{X_g} dH (alpha_g in
+    S^n) be semi-basic, naming the lowest vertical one fails along, and
+    that iota_{X_vol} dH = 0 for the base volume d^n x.
     """
-    _, _, failure = _hamiltonian_data(form, structure, tower)
+    _, failure = _hamiltonian_data(form, structure)
     return (False, [failure]) if failure else (True, ["ok"])
 
 
-def _hamiltonian_data(form, structure, tower):
-    """(d H, sharp_1~(d H), failure): failure is None when the form meets
-    every condition of ``is_hamiltonian``, else the first one it fails."""
+def _hamiltonian_data(form, structure):
+    """(d H, failure): failure is None when the form meets every condition
+    of ``is_hamiltonian``, else the first one it fails."""
     n = structure.n
     chart = structure.chart
     if form.degree != n:
-        return None, None, f"degree {form.degree} != n"
+        return None, f"degree {form.degree} != n"
     dh = exterior_derivative(form)
     try:
-        s1t = sharp1_tilde(dh, structure)
+        require_s1_power(dh, structure)
     except MembershipError:
-        return dh, None, "dH is not in the wedge power (S^1)^(n+1)"
-    if tower is not None:
-        admitted = tower.is_admitted(dh)
-    else:
-        admitted = dh.is_zero() or solve_pairing(structure, dh, n) is not None
-    if not admitted:
-        return dh, s1t, "dH is not in S^{n+1}[n]"
-    v = _not_semibasic_along(structure, s1t, n)
+        return dh, "dH is not in the wedge power (S^1)^(n+1)"
+    if not (dh.is_zero() or solve_pairing(structure, dh, n) is not None):
+        return dh, "dH is not in S^{n+1}[n]"
+    signed = -dh if n % 2 else dh  # (-1)^n dH
+    v = _not_semibasic_along(chart, [gen.form - contract(x, signed) for gen, x
+                                     in zip(structure.levels[n], structure.pairing_fields)])
     if v is not None:
-        return dh, s1t, (f"1_n - sharp_1~(dH) is not semi-basic: fails "
-                         f"along {render(v)}")
+        return dh, (f"1_n - sharp_1~(dH) is not semi-basic: fails "
+                    f"along {render(v)}")
     vol = Form(chart, n, {tuple(range(n)): scalars.ONE}, _normalized=True)
-    if contract(s1t, vol):
-        return dh, s1t, "sharp_1~(dH) does not annihilate semi-basic n-forms"
-    return dh, s1t, None
+    if contract(structure.pairing_field(vol), dh):
+        return dh, "sharp_1~(dH) does not annihilate semi-basic n-forms"
+    return dh, None
 
 
 @dataclass
 class Hamiltonian:
-    """A validated Hamiltonian n-form with its cached derivative data."""
+    """A validated Hamiltonian n-form with its derivative."""
 
     form: Form
     structure: object
     dform: Form = field(init=False)
-    sharp1t: MvForm = field(init=False)
-    tower: object = None
 
     def __post_init__(self):
-        self.dform, self.sharp1t, failure = _hamiltonian_data(
-            self.form, self.structure, self.tower)
+        self.dform, failure = _hamiltonian_data(self.form, self.structure)
         if failure:
             raise NotHamiltonianError(failure)
 
     def bracket_with(self, alpha):
         """{alpha, H} through the first extension."""
-        return bracket_formula(self.sharp1t,
-                               require_ext1_left(alpha, self.structure),
-                               self.form, self.structure.n)
+        return bracket_ext1_formula(require_ext1_left(alpha, self.structure),
+                                    self.dform, self.structure)
 
 
 class Section:
@@ -169,8 +155,7 @@ def hdw_residuals(ham, section, generators):
     out = []
     for label, alpha in generators:
         dalpha = require_ext1_left(alpha, ham.structure, label)
-        evolution = dalpha + bracket_formula(ham.sharp1t, dalpha, ham.form,
-                                             ham.structure.n)
+        evolution = dalpha + bracket_ext1_formula(dalpha, ham.dform, ham.structure)
         if not evolution.is_semibasic():
             raise MembershipError(
                 f"evolution of {label} is not semi-basic: {render(evolution)}"
@@ -220,7 +205,8 @@ class Connection:
 
 def gamma_H(ham, table):
     """The connection induced by a vertical-valued extension at level n:
-    dualize theta -> theta - iota_{sharp_n~(dH)} theta on S^1."""
+    dualize theta -> theta - iota_{sharp_n~(dH)} theta on S^1.  1_1 - t is
+    semi-basic modulo K_1 iff every g - iota_t g (g in S^1) is semi-basic."""
     structure = ham.structure
     chart = structure.chart
     n = structure.n
@@ -229,7 +215,8 @@ def gamma_H(ham, table):
     t = table.apply(ham.dform)
     if not t.vec_slot_vertical():
         raise MembershipError("sharp_n~(dH) is not vertical valued")
-    if _not_semibasic_along(structure, t, 1) is not None:
+    if _not_semibasic_along(chart, [g.form - contract(t, g.form)
+                                    for g in structure.levels[1]]) is not None:
         raise MembershipError(
             "1_1 - sharp_n~(dH) is not semi-basic; the table does not "
             "induce a connection"
@@ -242,12 +229,8 @@ def gamma_H(ham, table):
             raise MembershipError(
                 f"horizontal part of d({u}) is not semi-basic: {render(b)}"
             )
-        row = {}
-        for mu in range(1, n + 1):
-            c = b.data.get((mu - 1,))
-            if c is not None:
-                row[mu] = c
-        gammas[u] = row
+        gammas[u] = {mu: b.data[(mu - 1,)] for mu in range(1, n + 1)
+                     if (mu - 1,) in b.data}
     return Connection(chart, gammas)
 
 
@@ -332,11 +315,6 @@ def check_subalgebra_condition(alpha, u_alpha, structure):
 def _solve_constant(structure, rep, iota_u, p):
     """The scalar C with rep = C * iota_u modulo K_p, or None: the
     contractions with every S^p generator must agree."""
-    rows, rhs = {}, {}
-    for g, gen in enumerate(structure.levels[p]):
-        for key, c in contract(iota_u, gen.form).data.items():
-            rows[(g, key)] = {0: c}
-        for key, c in contract(rep, gen.form).data.items():
-            rhs[(g, key)] = c
-    sol = Echelon(rows, [0]).solve(rhs)
+    rows = {key: {0: c} for key, c in structure.pairing(iota_u, p).items()}
+    sol = Echelon(rows, [0]).solve(structure.pairing(rep, p))
     return None if sol is None else sol.particular.get(0, scalars.ZERO)

@@ -84,7 +84,7 @@ def decompose_s1_power(structure, theta):
     return {basis[i][0]: c for i, c in sol.particular.items()}
 
 
-def _require_s1_power(theta, structure):
+def require_s1_power(theta, structure):
     """Check that theta lies in (S^1)^{wedge a} and return its slots
     iota_{E_k} theta over the dual frame E_k of ``Structure.s1_frame``.
     When S^1 is not all of T*M, membership holds iff
@@ -116,10 +116,12 @@ def sharp1_tilde(theta, structure):
     sign of its place.  Raises MembershipError off (S^1)^{wedge a}.
 
     Returns a representative MvForm (coset modulo K_n in the vector slot).
-    Pairing it with S^n needs no MvForm: see ``_pairing_rhs``.
+    Only ``check_extension_properties`` builds it: the engine pairs it with
+    n-forms beta as iota_{sharp_1~(theta)} beta = (-1)^{a+1} iota_{X_beta} theta,
+    X_beta = ``Structure.pairing_field``(beta) (``_pairing_rhs``, ``bracket_ext1_formula``).
     """
     a = theta.degree
-    slots = _require_s1_power(theta, structure)
+    slots = require_s1_power(theta, structure)
     sign = -1 if a % 2 == 0 else 1  # (-1)^{a+1}
     return linear_combination(
         ((sign, MvForm.tensor(s, v)) for s, v in zip(slots, structure.s1_frame[1])
@@ -129,21 +131,18 @@ def sharp1_tilde(theta, structure):
 
 def _pairing_rhs(structure, theta):
     """iota_{sharp_1~(theta)} alpha_g over the S^n generators alpha_g, keyed
-    like _pairing_rows, for theta in (S^1)^{wedge a}.  The sharp_1 values
-    are n-vectors, so contracting the MvForm above with alpha_g leaves
-    (-1)^{a+1} iota_{X_g} theta with X_g = ``Structure.pairing_fields``[g]:
-    one contraction per generator, no MvForm."""
+    like ``Structure.pairing`` and _pairing_rows, for theta in
+    (S^1)^{wedge a}: (-1)^{a+1} iota_{X_g} theta with X_g =
+    ``Structure.pairing_fields``[g], one contraction per generator."""
     signed = theta if theta.degree % 2 else -theta  # (-1)^{a+1} theta
     return {(g, key): c for g, x in enumerate(structure.pairing_fields)
             for key, c in contract(x, signed).data.items()}
 
 
-def _pairing_failure(structure, theta, lhs):
-    """The first S^n generator alpha_g with lhs[g] !=
-    iota_{sharp_1~(theta)} alpha_g, or None; ``lhs`` holds one form per
-    S^n generator."""
-    keyed = {(g, key): c for g, form in enumerate(lhs) for key, c in form.data.items()}
-    bad = {g for (g, _), _ in keyed.items() ^ _pairing_rhs(structure, theta).items()}
+def _pairing_failure(structure, lhs, rhs):
+    """The first S^n generator on which two pairings keyed like
+    ``Structure.pairing`` differ, or None."""
+    bad = {g for (g, _), _ in lhs.items() ^ rhs.items()}
     return structure.levels[structure.n][min(bad)].form if bad else None
 
 
@@ -151,13 +150,15 @@ def pairing_defect(structure, theta, w=None):
     """Check iota_{sharp_n(alpha)} theta = (-1)^{n+1-a} iota_{sharp_1~(theta)} alpha
     (or, given w, iota_w alpha = iota_{sharp_1~(theta)} alpha) on all S^n
     generators; returns the first failing generator or None."""
-    _require_s1_power(theta, structure)
-    gens = structure.levels[structure.n]
+    require_s1_power(theta, structure)
+    n = structure.n
     if w is not None:
-        return _pairing_failure(structure, theta, [contract(w, gen.form) for gen in gens])
-    sign = -1 if (structure.n + 1 - theta.degree) % 2 else 1
-    return _pairing_failure(structure, theta,
-                            [sign * contract(gen.sharp, theta) for gen in gens])
+        lhs = structure.pairing(w, n)
+    else:
+        sign = -1 if (n + 1 - theta.degree) % 2 else 1
+        lhs = {(g, key): c for g, gen in enumerate(structure.levels[n])
+               for key, c in (sign * contract(gen.sharp, theta)).data.items()}
+    return _pairing_failure(structure, lhs, _pairing_rhs(structure, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +182,17 @@ def bracket_ext1(alpha, theta, structure):
     dtheta = exterior_derivative(theta)
     if dtheta.is_zero():
         return Form.zero(structure.chart, theta.degree)
-    return bracket_formula(sharp1_tilde(dtheta, structure), dalpha, theta,
-                           structure.n)
+    require_s1_power(dtheta, structure)
+    return bracket_ext1_formula(dalpha, dtheta, structure)
+
+
+def bracket_ext1_formula(dalpha, dtheta, structure):
+    """{alpha, Theta} through the first extension from d alpha and d Theta in
+    (S^1)^{wedge a}: iota_{sharp_1~(d Theta)} d alpha = (-1)^{a+1} iota_X d Theta
+    with X = ``Structure.pairing_field``(d alpha), and a = deg Theta + 1 makes
+    the sign (-1)^{deg_H Theta} (-1)^{a+1} = (-1)^{n-1}."""
+    value = contract(structure.pairing_field(dalpha), dtheta)
+    return value if structure.n % 2 else -value
 
 
 def bracket_ext1_signed(x, y, structure):
@@ -223,9 +233,7 @@ class TowerLevel:
         return self.span
 
     def is_admitted(self, theta):
-        if theta.is_zero():
-            return True
-        return self.span.contains(theta)
+        return theta.is_zero() or self.span.contains(theta)
 
     def rejected(self):
         return [c for c in self.candidates if not self.span.contains(c)]
@@ -287,7 +295,7 @@ def solve_sharp_j(structure, theta, j, vertical=False):
     admitted by a vertical-valued solution).  Raises MembershipError when
     theta is not in (S^1)^{wedge a}."""
     _check_extension_level(structure, theta.degree, j)
-    _require_s1_power(theta, structure)
+    require_s1_power(theta, structure)
     return solve_pairing(structure, theta, j, vertical)
 
 
@@ -359,7 +367,8 @@ def build_span_tower(structure, a, j, vertical=False):
 class ExtensionTable:
     """A chosen sharp_j~ assignment on generators: entries (Theta, value)
     with value in Lambda^{deg-j} (x) V_{n+1-j}, verified at construction
-    against the defining pairing and the compatibility with sharp_1~."""
+    against the defining pairing and the compatibility with sharp_1~, both
+    as pairings with S^n against one ``_pairing_rhs`` per entry."""
 
     def __init__(self, structure, j, entries, freedom=None, verify=True):
         self.structure = structure
@@ -370,20 +379,20 @@ class ExtensionTable:
             self.verify()
 
     def verify(self):
-        n = self.structure.n
+        structure, n = self.structure, self.structure.n
         for theta, value in self.entries:
-            s1t = sharp1_tilde(theta, self.structure)
-            bad = _pairing_failure(self.structure, theta, [
-                contract(value, gen.form) for gen in self.structure.levels[n]])
+            require_s1_power(theta, structure)
+            rhs = _pairing_rhs(structure, theta)
+            bad = _pairing_failure(structure, structure.pairing(value, n), rhs)
             if bad is not None:
                 raise MembershipError(
                     f"table entry for {render(theta)} fails the defining pairing "
                     f"against {render(bad)}"
                 )
-            # compatibility sharp_1~ = sharp_j~ ^ 1_{j-1} modulo K_n
-            lifted = wedge(value, identity_tensor(self.structure.chart, self.j - 1))
-            diff_rep = lifted - s1t
-            if not self.structure.coset_is_zero(diff_rep, n):
+            # compatibility sharp_1~ = sharp_j~ ^ 1_{j-1} modulo K_n: the two
+            # sides pair alike with every S^n generator
+            one = identity_tensor(structure.chart, self.j - 1)
+            if structure.pairing(wedge(value, one), n) != rhs:
                 raise MembershipError(
                     f"table entry for {render(theta)} is not compatible with "
                     "the first extension"

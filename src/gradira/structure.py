@@ -15,7 +15,8 @@ from functools import cached_property
 
 from . import scalars
 from .calculus import exterior_derivative, lie_derivative, schouten
-from .errors import DegreeError, MembershipError, NonWellDefinedError, NotHamiltonianError
+from .errors import (ChartError, DegreeError, MembershipError, NonWellDefinedError,
+                     NotHamiltonianError)
 from .forms import Form, MultiVector, contract, linear_combination, wedge
 from .linsolve import Echelon
 from .render import render
@@ -104,6 +105,9 @@ class Structure:
     def __init__(self, chart, generators, sharps):
         if len(generators) != len(sharps):
             raise DegreeError("generator and sharp lists differ in length")
+        if not chart.fiber_coords:
+            raise ChartError(f"no fiber coordinate on {chart!r}: d H of an n-form H is an "
+                             "(n+1)-form, so a structure needs chart dimension m > n")
         self.chart = chart
         self.n = chart.n
         for g in generators:
@@ -178,18 +182,28 @@ class Structure:
                              _normalized=True) for k in kept]
         return [level[k].form for k in kept], [level[k].sharp for k in kept], frame
 
+    def pairing_field(self, beta):
+        """X_beta = sum_k <sharp_1(g_k), beta> E_k over ``s1_frame``, for an
+        n-form beta: the sharp_1 values are n-vectors, so every pairing of
+        sharp_1~ with an n-form is one contraction,
+        iota_{sharp_1~(theta)} beta = (-1)^{a+1} iota_{X_beta} theta."""
+        _, sharps, frame = self.s1_frame
+        return linear_combination(((contract(v, beta).scalar(), e)
+                                   for v, e in zip(sharps, frame)),
+                                  MultiVector.zero(self.chart, 1))
+
     @cached_property
     def pairing_fields(self):
-        """X_g = sum_k <sharp_1(g_k), alpha_g> E_k for each S^n generator
-        alpha_g, over ``s1_frame``: the vector fields through which the
-        extension layer pairs sharp_1~ with S^n, since
-        iota_{sharp_1~(theta)} alpha_g = (-1)^{a+1} iota_{X_g} theta.
-        Computed on first use and kept."""
-        _, sharps, frame = self.s1_frame
-        return [linear_combination(((contract(v, gen.form).scalar(), e)
-                                    for v, e in zip(sharps, frame)),
-                                   MultiVector.zero(self.chart, 1))
-                for gen in self.levels[self.n]]
+        """``pairing_field`` of each S^n generator, computed on first use
+        and kept."""
+        return [self.pairing_field(gen.form) for gen in self.levels[self.n]]
+
+    def pairing(self, w, p):
+        """iota_w alpha_g for the S^p generators alpha_g, keyed
+        {(g, multi-index): coefficient}; empty iff w is zero modulo K_p,
+        which ``coset_is_zero`` decides with an early exit."""
+        return {(g, key): c for g, gen in enumerate(self.levels[p])
+                for key, c in contract(w, gen.form).data.items()}
 
     # -- cosets ------------------------------------------------------------
 
@@ -198,10 +212,7 @@ class Structure:
         contraction against the S^p generators."""
         if rep.is_zero():
             return True
-        if isinstance(rep, MultiVector):
-            degree = rep.degree
-        else:
-            degree = rep.vec_degree
+        degree = rep.degree if isinstance(rep, MultiVector) else rep.vec_degree
         if degree != p:
             raise DegreeError(f"representative degree {degree} != modulus {p}")
         for g in self.levels[p]:

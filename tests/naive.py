@@ -1,13 +1,14 @@
 """Independent brute-force oracles used by the tests.
 
-Everything here but ``naive_sharp1_tilde`` and ``naive_pairing_rhs``
-works on dense antisymmetric coefficient maps indexed by arbitrary (not
-necessarily sorted) tuples, expanded over permutations, so no code is
-shared with the package's sparse merge-sign engine.  Those two run on the
-package's kernels, but by another expansion: ``naive_sharp1_tilde`` by the
-per-combination anti-derivation rule, checking the dual-frame formula of
-``sharp1_tilde``; ``naive_pairing_rhs`` through the sharp_1~ value itself,
-checking the pairing fields of the extension layer.
+Most oracles here work on dense antisymmetric coefficient maps indexed
+by arbitrary (not necessarily sorted) tuples, expanded over permutations,
+so no code is shared with the package's sparse merge-sign engine.  The
+sharp_1~ oracles run on the package's kernels, but by another expansion:
+``naive_sharp1_tilde`` by the per-combination anti-derivation rule,
+checking the dual-frame formula of ``sharp1_tilde``; ``naive_pairing_rhs``,
+``naive_bracket_ext1``, ``naive_is_hamiltonian`` and ``naive_gamma_H``
+through the sharp_1~ (or sharp_n~) value itself as an MvForm, checking the
+pairing fields X_beta that the package contracts instead.
 """
 
 from itertools import combinations, permutations
@@ -244,3 +245,93 @@ def naive_pairing_rhs(theta, structure):
     return {(g, key): c
             for g, gen in enumerate(structure.levels[structure.n])
             for key, c in contract(value, gen.form).data.items()}
+
+
+def naive_bracket_ext1(alpha, theta, structure):
+    """{alpha, Theta} = (-1)^{deg_H Theta} iota_{sharp_1~(d Theta)} d alpha
+    with the sharp_1~ value built as an MvForm and contracted into d alpha."""
+    from gradira.calculus import exterior_derivative
+    from gradira.extensions import require_ext1_left, sharp1_tilde
+    from gradira.forms import Form
+    from gradira.structure import bracket_formula
+
+    dalpha = require_ext1_left(alpha, structure)
+    dtheta = exterior_derivative(theta)
+    if dtheta.is_zero():
+        return Form.zero(structure.chart, theta.degree)
+    return bracket_formula(sharp1_tilde(dtheta, structure), dalpha, theta,
+                           structure.n)
+
+
+def _naive_not_semibasic_along(structure, value, k):
+    """The first vertical coordinate vector v, in chart order, with
+    iota_v (1_k - value) in the form slot not zero modulo K_k, or None."""
+    from gradira.forms import MultiVector, contract_form_slot, identity_tensor
+
+    chart = structure.chart
+    defect = identity_tensor(chart, k) - value
+    for i in chart.fiber_indices():
+        v = MultiVector(chart, 1, {(i,): 1})
+        if not structure.coset_is_zero(contract_form_slot(v, defect), k):
+            return v
+    return None
+
+
+def naive_is_hamiltonian(form, structure):
+    """``is_hamiltonian`` with its checks in order on the sharp_1~(dH)
+    MvForm: membership through ``sharp1_tilde``, admission to S^{n+1}[n],
+    the K_n-cosets of iota_v (1_n - sharp_1~(dH)) for each vertical
+    coordinate vector v, and contract(sharp_1~(dH), d^n x)."""
+    from gradira.calculus import exterior_derivative
+    from gradira.errors import MembershipError
+    from gradira.extensions import sharp1_tilde, solve_pairing
+    from gradira.forms import Form, contract
+    from gradira.render import render
+
+    n, chart = structure.n, structure.chart
+    if form.degree != n:
+        return False, [f"degree {form.degree} != n"]
+    dh = exterior_derivative(form)
+    try:
+        s1t = sharp1_tilde(dh, structure)
+    except MembershipError:
+        return False, ["dH is not in the wedge power (S^1)^(n+1)"]
+    if not dh.is_zero() and solve_pairing(structure, dh, n) is None:
+        return False, ["dH is not in S^{n+1}[n]"]
+    v = _naive_not_semibasic_along(structure, s1t, n)
+    if v is not None:
+        return False, [f"1_n - sharp_1~(dH) is not semi-basic: fails along {render(v)}"]
+    if contract(s1t, Form(chart, n, {tuple(range(n)): 1})):
+        return False, ["sharp_1~(dH) does not annihilate semi-basic n-forms"]
+    return True, ["ok"]
+
+
+def naive_gamma_H(ham, table):
+    """``gamma_H`` with the semi-basic test of 1_1 - sharp_n~(dH) taken as
+    K_1-cosets in the form slot, one vertical coordinate vector at a time."""
+    from gradira.dynamics import Connection
+    from gradira.errors import MembershipError
+    from gradira.forms import Form, contract
+    from gradira.render import render
+
+    structure = ham.structure
+    chart, n = structure.chart, structure.n
+    t = table.apply(ham.dform)
+    if not t.vec_slot_vertical():
+        raise MembershipError("sharp_n~(dH) is not vertical valued")
+    if _naive_not_semibasic_along(structure, t, 1) is not None:
+        raise MembershipError(
+            "1_1 - sharp_n~(dH) is not semi-basic; the table does not "
+            "induce a connection"
+        )
+    gammas = {}
+    for u in chart.fiber_coords:
+        du = Form.d_coord(chart, u)
+        b = du - contract(t, du)
+        if not b.is_semibasic():
+            raise MembershipError(
+                f"horizontal part of d({u}) is not semi-basic: {render(b)}"
+            )
+        gammas[u] = {mu: b.data[(mu - 1,)] for mu in range(1, n + 1)
+                     if (mu - 1,) in b.data}
+    return Connection(chart, gammas)

@@ -3,7 +3,7 @@ import random
 import pytest
 import sympy
 
-from gradira import dynamics, extensions, structure
+from gradira import dynamics, extensions, forms, structure
 from gradira import (
     Form,
     Hamiltonian,
@@ -84,31 +84,41 @@ class TestHamiltonianState:
             assert str(got.value) == str(want.value)
 
     def test_each_sharp1_tilde_value_is_computed_once(self, red2, monkeypatch):
+        # the engine pairs sharp_1~ with n-forms through the pairing fields
+        # and builds no sharp_1~ value: not in the tower, the Hamiltonian
+        # check, the brackets, hdw or table loading
         calls = []
-        real = extensions.sharp1_tilde
 
-        def counting(theta, structure):
-            calls.append(theta)
-            return real(theta, structure)
+        def counting(name, real):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(extensions, "sharp1_tilde", counting)
-        monkeypatch.setattr(dynamics, "sharp1_tilde", counting)
-        # the tower pairs its candidates with S^n through the pairing
-        # fields and builds no sharp_1~ value at all
+        for name in ("sharp1_tilde", "contract_form_slot"):
+            for module in (forms, structure, extensions, dynamics):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name,
+                                        counting(name, getattr(module, name)))
+        # nor does building a Hamiltonian test K-cosets in the form slot
+        monkeypatch.setattr(structure.Structure, "coset_is_zero", counting(
+            "coset_is_zero", structure.Structure.coset_is_zero))
         build_span_tower(red2.structure, 3, 2, vertical=True)
-        assert calls == []
+        assert "sharp1_tilde" not in calls
         del calls[:]
         ham = Hamiltonian(red2.hamiltonian_form, red2.structure)
-        assert len(calls) == 1
+        assert calls == []
         for _, alpha in red2.hamiltonian_generators:
             ham.bracket_with(alpha)
-        assert len(calls) == 1
-        # loading a table verifies each entry with one sharp_1~ value
+            bracket_ext1(alpha, red2.hamiltonian_form, red2.structure)
+        hdw_residuals(ham, Section(red2.chart), red2.hamiltonian_generators)
+        assert calls == []
         table = canonical_extension_table(red2, style="symmetric")
         doc = dump_scenario(red2, extension=table)
         del calls[:]
         loaded = load_structure_file(doc).extension
-        assert len(calls) == len(loaded.entries) == len(table.entries)
+        assert len(loaded.entries) == len(table.entries)
+        assert "sharp1_tilde" not in calls
 
     def test_each_hamiltonian_check_takes_d_once(self, red2, monkeypatch):
         calls = []
@@ -228,7 +238,7 @@ class TestGamma:
         st = ym_abelian.structure
         ch = st.chart
         table = build_span_tower(st, 4, 3, vertical=True).table()
-        ham = Hamiltonian(ym_abelian.hamiltonian_form, st, tower=None)
+        ham = Hamiltonian(ym_abelian.hamiltonian_form, st)
         h = gamma_H(ham, table)
 
         def pt(mu, nu):

@@ -12,6 +12,7 @@ from gradira import (
     ExtensionTable,
     MultiVector,
     Form,
+    Hamiltonian,
     MultiVector,
     MvForm,
     Structure,
@@ -23,6 +24,9 @@ from gradira import (
     compat_lower,
     contract,
     exterior_derivative,
+    gamma_H,
+    is_hamiltonian,
+    is_hamiltonian_form,
     pullback,
     reduced_canonical,
     sharp1_tilde,
@@ -31,13 +35,14 @@ from gradira import (
     wedge,
 )
 from gradira import extensions, linsolve, scalars, spans
-from gradira.errors import DegreeError, MembershipError
+from gradira.errors import DegreeError, MembershipError, NotHamiltonianError
 from gradira.extensions import decompose_s1_power, pairing_defect, solve_sharp_j
 from gradira.parser import parse_form
 from gradira.render import render
 from gradira.sampling import random_form, random_hamiltonian_form, rng_from_env
 from gradira.scenarios import canonical_extension_table
-from naive import naive_pairing_rhs, naive_sharp1_tilde
+from naive import (naive_bracket_ext1, naive_gamma_H, naive_is_hamiltonian,
+                   naive_pairing_rhs, naive_sharp1_tilde)
 
 
 @cache
@@ -79,13 +84,17 @@ S1_STRUCTURES = {
 def draw_form(data, ch):
     """A form of degree 1..3 with up to three terms whose coefficients are
     functions c + x**e of one coordinate."""
-    a = data.draw(hst.integers(1, 3))
+    return draw_form_of_degree(data, ch, data.draw(hst.integers(1, 3)))
+
+
+def draw_form_of_degree(data, ch, a, min_size=1):
+    """A form of degree a with min_size..3 terms like those of ``draw_form``."""
     keys = list(combinations(range(ch.m), a))
     theta = Form.zero(ch, a)
     for idx, c, s, e in data.draw(hst.lists(hst.tuples(
             hst.sampled_from(keys), hst.integers(-3, 3),
             hst.integers(0, ch.m - 1), hst.integers(0, 2)),
-            min_size=1, max_size=3)):
+            min_size=min_size, max_size=3)):
         theta = theta + Form(ch, a, {idx: c + ch.syms[s] ** e})
     return theta
 
@@ -275,6 +284,12 @@ class TestPairingRhs:
                 solve_sharp_j(st, theta, 1)
             return
         assert extensions._pairing_rhs(st, theta) == expected
+        # and for any n-form beta, iota_{sharp_1~(theta)} beta =
+        # (-1)^{a+1} iota_{X_beta} theta
+        beta = draw_form_of_degree(data, st.chart, st.n)
+        signed = theta if theta.degree % 2 else -theta
+        assert contract(sharp1_tilde(theta, st), beta) == \
+            contract(st.pairing_field(beta), signed)
 
     def test_scaled_frame_is_not_constant(self):
         # the scaled structure exercises pairing fields with function
@@ -307,6 +322,136 @@ class TestPairingRhs:
         for entry in level.entries:
             assert solve_sharp_j(st, entry.form, 2, vertical=True) is not None
         assert built == [st]
+
+
+@cache
+def tilted():
+    """On (x1, x2; y1): S^2 = <d^2 x, dy ^ dx1, dy ^ dx2> with sharp values
+    0, @/x2, -@/x1.  sharp_1(dy) = -@/x1 ^ @/x2 has a base-base block, so
+    X_vol = @/y1 is not zero and a form can pass the semi-basic test of
+    ``is_hamiltonian`` and fail the annihilation test (2 y1 d^2 x does).
+    Only the Hamiltonian check is asked of it, not the axioms."""
+    ch = Chart(base=["x1", "x2"], fiber=["y1"])
+    dy = Form.d_coord(ch, "y1")
+    gens = [volume_contraction(ch, []), wedge(dy, Form.d_coord(ch, "x1")),
+            wedge(dy, Form.d_coord(ch, "x2"))]
+    sharps = [MultiVector.zero(ch, 1), MultiVector.coord_vector(ch, "x2"),
+              -MultiVector.coord_vector(ch, "x1")]
+    return Structure(ch, gens, sharps)
+
+
+@cache
+def named_structure(name):
+    structures = {**S1_STRUCTURES, "scaled": scaled, "tilted": tilted}
+    return structures[name]()
+
+
+# A Hamiltonian n-form H0 of each structure (any function may stand in
+# front of d^n x) and Hamiltonian (n-1)-forms for the left slot of
+# bracket_ext1; on the sheared chart, the canonical ones pulled back along
+# y1 -> y1 + x1 + p2_1, p1_1 -> p1_1 - y1.
+CANONICAL_H0 = ("(p1_1**2 + p2_1**2 + x1 * y1) * dX[]"
+                " - p1_1 * d(y1) ^ dX[1] - p2_1 * d(y1) ^ dX[2]")
+CANONICAL_ALPHAS = ["y1 * dX[1]", "y1 * dX[2]", "p1_1 * dX[1] + p2_1 * dX[2]", "x1 * dX[2]"]
+ROUTES = {
+    "reduced": (CANONICAL_H0, CANONICAL_ALPHAS),
+    "scaled": (CANONICAL_H0, CANONICAL_ALPHAS),
+    "sheared": (
+        "((p1_1 - y1)**2 + p2_1**2) * dX[]"
+        " - (p1_1 - y1) * (d(y1) + d(x1) + d(p2_1)) ^ dX[1]"
+        " - p2_1 * (d(y1) + d(x1) + d(p2_1)) ^ dX[2]",
+        ["(y1 + x1 + p2_1) * dX[1]", "(y1 + x1 + p2_1) * dX[2]",
+         "(p1_1 - y1) * dX[1] + p2_1 * dX[2]"]),
+    "rank-deficient": ("x1 * x2 * dX[]", ["x1 * dX[1]", "x2 * dX[2]", "x1 * x2 * dX[1]"]),
+    "tilted": ("2 * y1 * dX[]", []),
+}
+
+
+def outcome(compute):
+    """("ok", value) or (exception type, message): what a call did."""
+    try:
+        return "ok", compute()
+    except (DegreeError, MembershipError, NotHamiltonianError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@cache
+def gamma_tables(name):
+    """Level-n tables of the structure: its vertical and unrestricted
+    S^{n+1}[n] towers."""
+    st = named_structure(name)
+    return [build_span_tower(st, st.n + 1, st.n, vertical=v).table() for v in (True, False)]
+
+
+class TestPairingFieldRoutes:
+    """The Hamiltonian check, bracket_ext1 and gamma_H pair through the
+    pairing fields X_beta; each must agree with the route through the
+    sharp_1~ (or sharp_n~) MvForm in ``tests/naive.py``."""
+
+    def test_hamiltonians_and_left_arguments(self):
+        verdicts = {"tilted": (False, ["sharp_1~(dH) does not annihilate semi-basic n-forms"])}
+        for name, (h0, alphas) in ROUTES.items():
+            st = named_structure(name)
+            assert is_hamiltonian(parse_form(h0, st.chart), st) == \
+                verdicts.get(name, (True, ["ok"]))
+            for text in alphas:
+                assert is_hamiltonian_form(parse_form(text, st.chart), st), (name, text)
+
+    @pytest.mark.parametrize("name", sorted(ROUTES))
+    @settings(max_examples=30, deadline=None)
+    @given(data=hst.data())
+    def test_is_hamiltonian_matches_mvform_oracle(self, name, data):
+        # the verdict and the diagnostic, including the vertical it names
+        st = named_structure(name)
+        form = parse_form(ROUTES[name][0], st.chart) + draw_form_of_degree(
+            data, st.chart, st.n, min_size=0)
+        assert is_hamiltonian(form, st) == naive_is_hamiltonian(form, st)
+
+    @pytest.mark.parametrize("name", sorted(set(ROUTES) - {"tilted"}))
+    @settings(max_examples=25, deadline=None)
+    @given(data=hst.data())
+    def test_bracket_ext1_matches_mvform_oracle(self, name, data):
+        st = named_structure(name)
+        ch = st.chart
+        alpha = Form.zero(ch, st.n - 1)
+        for text in ROUTES[name][1]:
+            c = data.draw(hst.integers(-2, 2)) * data.draw(
+                hst.sampled_from([1, ch.sym("x1"), ch.sym("x2")]))
+            alpha = alpha + c * parse_form(text, ch)
+        theta = draw_form(data, ch)
+        assert outcome(lambda: bracket_ext1(alpha, theta, st)) == \
+            outcome(lambda: naive_bracket_ext1(alpha, theta, st))
+
+    @pytest.mark.parametrize("name", sorted(set(ROUTES) - {"tilted"}))
+    @settings(max_examples=20, deadline=None)
+    @given(data=hst.data())
+    def test_gamma_h_matches_mvform_oracle(self, name, data):
+        # gamma_H's acceptance, or its rejection and message, on tables
+        # whose values are shifted by drawn vertical-valued terms
+        # dx^i (x) @/u (unverified tables, so that 1_1 - sharp_n~(dH) can
+        # fail to be semi-basic)
+        st = named_structure(name)
+        ch = st.chart
+        h = parse_form(ROUTES[name][0], ch) + draw_form_of_degree(
+            data, ch, st.n, min_size=0)
+        try:
+            ham = Hamiltonian(h, st)
+        except NotHamiltonianError:
+            return
+        table = data.draw(hst.sampled_from(gamma_tables(name)))
+        entries = []
+        for theta, value in table.entries:
+            for i, u, c in data.draw(hst.lists(hst.tuples(
+                    hst.integers(0, ch.m - 1), hst.sampled_from(list(ch.fiber_indices())),
+                    hst.integers(-1, 1)), max_size=2)):
+                value = value + MvForm(ch, 1, 1, {((i,), (u,)): c})
+            entries.append((theta, value))
+        table = ExtensionTable(st, table.j, entries, verify=False)
+
+        def connection(gamma):
+            return lambda: gamma(ham, table).gammas
+
+        assert outcome(connection(gamma_H)) == outcome(connection(naive_gamma_H))
 
 
 class TestBracketExt1:

@@ -267,6 +267,36 @@ class TestCli:
         assert (code, out) == (2, "")
         assert err == "error: function name 'h_' may not end in '_'\n"
 
+    FIBERLESS = ("error: no fiber coordinate on Chart(base=['x1', 'x2'], fiber=[]): "
+                 "d H of an n-form H is an (n+1)-form, so a structure needs chart "
+                 "dimension m > n\n")
+
+    @pytest.mark.parametrize("args", [
+        ["reduced-canonical", "--n", "2", "--fields", "0"],
+        ["yang-mills", "--n", "2", "--algebra", "abelian", "--fields", "0"],
+    ], ids=["reduced-canonical", "yang-mills"])
+    def test_fiberless_scenario_exit_2(self, tmp_path, capsys, args):
+        # no (n+1)-form exists on an n-dimensional chart: the structure is
+        # refused before any file is written
+        out_file = tmp_path / "structure.json"
+        code, out, err = run_cli(["scenario", *args, "--out", str(out_file)], capsys)
+        assert (code, out, err) == (2, "", self.FIBERLESS)
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "hamiltonian", "hdw"])
+    def test_fiberless_structure_file_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "fiberless.json"
+        path.write_text(json.dumps({
+            "chart": {"base": ["x1", "x2"], "fiber": []},
+            "functions": {"H": ["x1", "x2"]},
+            "generators": [["dX[1]", "dX[1]"], ["dX[2]", "dX[2]"]],
+            "hamiltonian": "H * dX[]",
+            "sharp_n": ["0"],
+            "sn": ["-dX[]"],
+        }))
+        code, out, err = run_cli([command, "-f", str(path)], capsys)
+        assert (code, out, err) == (2, "", self.FIBERLESS)
+
     def test_missing_file_exit_2(self, red2, tmp_path, capsys):
         code, _, err = run_cli(["verify", "-f", "/nonexistent.json"], capsys)
         assert code == 2
