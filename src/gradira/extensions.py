@@ -23,9 +23,10 @@ from math import comb
 from . import scalars
 from .calculus import exterior_derivative, lie_derivative, lie_derivative_mvform
 from .errors import DegreeError, MembershipError
-from .forms import (Form, MvForm, contract, identity_tensor, linear_combination,
-                    mvform_contract_pair, wedge)
+from .forms import (Form, MvForm, _bilinear, contract, identity_tensor,
+                    linear_combination, mvform_contract_pair, wedge)
 from .linsolve import Echelon
+from .multiindex import merge
 from .render import render
 from .report import Report
 from .spans import Span, decompose_over, generator_echelon
@@ -57,21 +58,22 @@ def s1_wedge_basis(structure, a):
     candidates of the S^a[j] tower: monomials of the level-1 generators, or
     of the coordinate differentials when S^1 = T*M and the generators are
     not m scaled coordinate differentials (a tower's rejected list depends
-    on this choice)."""
+    on this choice).  Combinations come in ``itertools.combinations``
+    order; each product extends the one of its prefix by one factor, and
+    zero products are left out."""
     chart = structure.chart
-    gens = structure.generators(1)
-    scaled_coords = len(gens) == chart.m and all(len(g.data) == 1 for g in gens)
+    gens = [g.data for g in structure.generators(1)]
+    scaled_coords = len(gens) == chart.m and all(len(g) == 1 for g in gens)
     if len(structure.s1_frame[2]) == chart.m and not scaled_coords:
-        gens = [Form(chart, 1, {(i,): scalars.ONE}, _normalized=True)
-                for i in range(chart.m)]
-    basis = []
-    for combo in combinations(range(len(gens)), a):
-        form = gens[combo[0]] if combo else Form.scalar_form(chart, scalars.ONE)
-        for i in combo[1:]:
-            form = wedge(form, gens[i])
-        if not form.is_zero():
-            basis.append((combo, form))
-    return basis
+        gens = [{(i,): scalars.ONE} for i in range(chart.m)]
+    products = {(): {(): scalars.ONE}}
+    for _ in range(a):
+        products = {combo + (i,): data
+                    for combo, prefix in products.items()
+                    for i in range(combo[-1] + 1 if combo else 0, len(gens))
+                    if (data := _bilinear(prefix, gens[i], merge))}
+    return [(combo, Form(chart, a, data, _normalized=True))
+            for combo, data in products.items()]
 
 
 def decompose_s1_power(structure, theta):
@@ -85,20 +87,19 @@ def decompose_s1_power(structure, theta):
 
 
 def require_s1_power(theta, structure):
-    """Check that theta lies in (S^1)^{wedge a} and return its slots
-    iota_{E_k} theta over the dual frame E_k of ``Structure.s1_frame``.
-    When S^1 is not all of T*M, membership holds iff
-    sum_k g_k ^ iota_{E_k} theta = a theta.  Raises MembershipError off
+    """Check that theta lies in (S^1)^{wedge a}.  Every form does when S^1
+    is all of T*M; otherwise membership holds iff
+    sum_k g_k ^ iota_{E_k} theta = a theta over the generators g_k and the
+    dual frame E_k of ``Structure.s1_frame``.  Raises MembershipError off
     (S^1)^{wedge a}, DegreeError below degree 1."""
     a = theta.degree
     if a < 1:
         raise DegreeError("sharp1_tilde needs a form of degree >= 1")
     gens, _, frame = structure.s1_frame
-    slots = [contract(e, theta) for e in frame]
     if len(frame) < structure.chart.m and linear_combination(
-            ((1, wedge(g, s)) for g, s in zip(gens, slots) if s), theta) != a * theta:
+            ((1, wedge(g, contract(e, theta))) for g, e in zip(gens, frame)),
+            theta) != a * theta:
         raise MembershipError(f"{render(theta)} is not in (S^1)^{a}")
-    return slots
 
 
 def sharp1_tilde(theta, structure):
@@ -121,22 +122,33 @@ def sharp1_tilde(theta, structure):
     X_beta = ``Structure.pairing_field``(beta) (``_pairing_rhs``, ``bracket_ext1_formula``).
     """
     a = theta.degree
-    slots = require_s1_power(theta, structure)
+    require_s1_power(theta, structure)
+    _, sharps, frame = structure.s1_frame
     sign = -1 if a % 2 == 0 else 1  # (-1)^{a+1}
     return linear_combination(
-        ((sign, MvForm.tensor(s, v)) for s, v in zip(slots, structure.s1_frame[1])
-         if s and v),
+        ((sign, MvForm.tensor(contract(e, theta), v)) for e, v in zip(frame, sharps)
+         if v),
         MvForm.zero(structure.chart, a - 1, structure.n))
 
 
-def _pairing_rhs(structure, theta):
+def _pairing_rhs(structure, data):
     """iota_{sharp_1~(theta)} alpha_g over the S^n generators alpha_g, keyed
-    like ``Structure.pairing`` and _pairing_rows, for theta in
-    (S^1)^{wedge a}: (-1)^{a+1} iota_{X_g} theta with X_g =
-    ``Structure.pairing_fields``[g], one contraction per generator."""
-    signed = theta if theta.degree % 2 else -theta  # (-1)^{a+1} theta
-    return {(g, key): c for g, x in enumerate(structure.pairing_fields)
-            for key, c in contract(x, signed).data.items()}
+    like ``Structure.pairing`` and _pairing_rows, for the coefficient dict
+    of an a-form theta in (S^1)^{wedge a}: (-1)^{a+1} iota_{X_g} theta with
+    X_g = ``Structure.pairing_fields``[g], for every g at once.  A term
+    c dx^I adds (-1)^{a+1} (-1)^s X_g^{i_s} c at (g, I without i_s) for each
+    position s of I and each X_g with a component at i_s
+    (``Structure.pairing_index``)."""
+    index = structure.pairing_index
+    out = {}
+    for idx, c in data.items():
+        a = len(idx)
+        for s, i in enumerate(idx):
+            rest = idx[:s] + idx[s + 1:]
+            sign = 1 if (a + s) % 2 else -1  # (-1)^{a+1} (-1)^s
+            for g, x in index.get(i, ()):
+                scalars.accumulate(out, (g, rest), scalars.smul(x, c), sign)
+    return out
 
 
 def _pairing_failure(structure, lhs, rhs):
@@ -144,21 +156,6 @@ def _pairing_failure(structure, lhs, rhs):
     ``Structure.pairing`` differ, or None."""
     bad = {g for (g, _), _ in lhs.items() ^ rhs.items()}
     return structure.levels[structure.n][min(bad)].form if bad else None
-
-
-def pairing_defect(structure, theta, w=None):
-    """Check iota_{sharp_n(alpha)} theta = (-1)^{n+1-a} iota_{sharp_1~(theta)} alpha
-    (or, given w, iota_w alpha = iota_{sharp_1~(theta)} alpha) on all S^n
-    generators; returns the first failing generator or None."""
-    require_s1_power(theta, structure)
-    n = structure.n
-    if w is not None:
-        lhs = structure.pairing(w, n)
-    else:
-        sign = -1 if (n + 1 - theta.degree) % 2 else 1
-        lhs = {(g, key): c for g, gen in enumerate(structure.levels[n])
-               for key, c in (sign * contract(gen.sharp, theta)).data.items()}
-    return _pairing_failure(structure, lhs, _pairing_rhs(structure, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +277,7 @@ def solve_pairing(structure, theta, j, vertical=False):
     fdeg, vdeg = theta.degree - j, structure.n + 1 - j
     unknowns = _w_unknowns(chart, fdeg, vdeg, vertical)
     sol = Echelon(_pairing_rows(structure, unknowns), unknowns).solve(
-        _pairing_rhs(structure, theta))
+        _pairing_rhs(structure, theta.data))
     if sol is None:
         return None
     particular = MvForm(chart, fdeg, vdeg, dict(sol.particular))
@@ -336,13 +333,13 @@ def build_span_tower(structure, a, j, vertical=False):
     fdeg, vdeg = a - j, structure.n + 1 - j
     w_unknowns = _w_unknowns(chart, fdeg, vdeg, vertical)
     w_rows = _pairing_rows(structure, w_unknowns)
-    columns = {("c", t): _pairing_rhs(structure, -theta)
+    columns = {("c", t): _pairing_rhs(structure, theta.data)
                for t, theta in enumerate(candidates)}
     row_keys = sorted(set(w_rows).union(*columns.values()))
     columns.update({("w", wk): {} for wk in w_unknowns})
     for r, coeffs in w_rows.items():
         for wk, c in coeffs.items():
-            columns[("w", wk)][r] = c
+            columns[("w", wk)][r] = scalars.sneg(c)
     raw = []
     for relation in Echelon(columns, row_keys).dependent.values():
         form = linear_combination(((c, candidates[t]) for (kind, t), c in relation.items()
@@ -353,7 +350,7 @@ def build_span_tower(structure, a, j, vertical=False):
     w_side = Echelon(w_rows, w_unknowns)
     entries = []
     for form in span.generators:
-        sol = w_side.solve(_pairing_rhs(structure, form))
+        sol = w_side.solve(_pairing_rhs(structure, form.data))
         entries.append(TowerEntry(form, MvForm(chart, fdeg, vdeg, dict(sol.particular))))
     freedom = [MvForm(chart, fdeg, vdeg, dict(vec)) for vec in w_side.kernel]
     return TowerLevel(a, j, entries, freedom, candidates, structure, span)
@@ -367,8 +364,10 @@ def build_span_tower(structure, a, j, vertical=False):
 class ExtensionTable:
     """A chosen sharp_j~ assignment on generators: entries (Theta, value)
     with value in Lambda^{deg-j} (x) V_{n+1-j}, verified at construction
-    against the defining pairing and the compatibility with sharp_1~, both
-    as pairings with S^n against one ``_pairing_rhs`` per entry."""
+    against the defining pairing, as pairings with S^n against one
+    ``_pairing_rhs`` per entry.  The compatibility sharp_1~ = sharp_j~ ^
+    1_{j-1} modulo K_n needs no check of its own: W ^ 1_{j-1} and W pair
+    alike with every n-form."""
 
     def __init__(self, structure, j, entries, freedom=None, verify=True):
         self.structure = structure
@@ -382,20 +381,12 @@ class ExtensionTable:
         structure, n = self.structure, self.structure.n
         for theta, value in self.entries:
             require_s1_power(theta, structure)
-            rhs = _pairing_rhs(structure, theta)
-            bad = _pairing_failure(structure, structure.pairing(value, n), rhs)
+            bad = _pairing_failure(structure, structure.pairing(value, n),
+                                   _pairing_rhs(structure, theta.data))
             if bad is not None:
                 raise MembershipError(
                     f"table entry for {render(theta)} fails the defining pairing "
                     f"against {render(bad)}"
-                )
-            # compatibility sharp_1~ = sharp_j~ ^ 1_{j-1} modulo K_n: the two
-            # sides pair alike with every S^n generator
-            one = identity_tensor(structure.chart, self.j - 1)
-            if structure.pairing(wedge(value, one), n) != rhs:
-                raise MembershipError(
-                    f"table entry for {render(theta)} is not compatible with "
-                    "the first extension"
                 )
 
     def forms(self):

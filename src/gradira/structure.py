@@ -198,6 +198,16 @@ class Structure:
         and kept."""
         return [self.pairing_field(gen.form) for gen in self.levels[self.n]]
 
+    @cached_property
+    def pairing_index(self):
+        """``pairing_fields`` by coordinate, {i: [(g, X_g^i)]} in generator
+        order, computed on first use and kept."""
+        index = {}
+        for g, x in enumerate(self.pairing_fields):
+            for (i,), c in x.data.items():
+                index.setdefault(i, []).append((g, c))
+        return index
+
     def pairing(self, w, p):
         """iota_w alpha_g for the S^p generators alpha_g, keyed
         {(g, multi-index): coefficient}; empty iff w is zero modulo K_p,

@@ -8,7 +8,12 @@ sharp_1~ oracles run on the package's kernels, but by another expansion:
 checking the dual-frame formula of ``sharp1_tilde``; ``naive_pairing_rhs``,
 ``naive_bracket_ext1``, ``naive_is_hamiltonian`` and ``naive_gamma_H``
 through the sharp_1~ (or sharp_n~) value itself as an MvForm, checking the
-pairing fields X_beta that the package contracts instead.
+pairing fields X_beta that the package contracts instead.  The S^a[j]
+tower oracles build with ``Form`` objects what the package builds on
+coefficient dicts: ``wedge_loop_s1_basis`` the candidates one ``wedge`` at a
+time, ``contract_pairing_rhs`` each pairing right-hand side one
+``contract`` per S^n generator, and ``pairing_defect`` the defining pairing
+from the sharp_n values.
 """
 
 from itertools import combinations, permutations
@@ -245,6 +250,57 @@ def naive_pairing_rhs(theta, structure):
     return {(g, key): c
             for g, gen in enumerate(structure.levels[structure.n])
             for key, c in contract(value, gen.form).data.items()}
+
+
+def wedge_loop_s1_basis(structure, a):
+    """``s1_wedge_basis`` as (combination, Form) pairs, each wedge monomial
+    built from its first factor by a - 1 ``wedge`` calls."""
+    from gradira import scalars
+    from gradira.forms import Form, wedge
+
+    chart = structure.chart
+    gens = structure.generators(1)
+    scaled_coords = len(gens) == chart.m and all(len(g.data) == 1 for g in gens)
+    if len(structure.s1_frame[2]) == chart.m and not scaled_coords:
+        gens = [Form(chart, 1, {(i,): 1}) for i in range(chart.m)]
+    basis = []
+    for combo in combinations(range(len(gens)), a):
+        form = gens[combo[0]] if combo else Form.scalar_form(chart, scalars.ONE)
+        for i in combo[1:]:
+            form = wedge(form, gens[i])
+        if not form.is_zero():
+            basis.append((combo, form))
+    return basis
+
+
+def contract_pairing_rhs(theta, structure):
+    """(-1)^{a+1} iota_{X_g} theta over the pairing fields X_g of
+    ``Structure.pairing_fields``, keyed {(g, multi-index): coefficient}:
+    one ``contract`` per S^n generator, for any form theta."""
+    from gradira.forms import contract
+
+    signed = theta if theta.degree % 2 else -theta  # (-1)^{a+1} theta
+    return {(g, key): c for g, x in enumerate(structure.pairing_fields)
+            for key, c in contract(x, signed).data.items()}
+
+
+def pairing_defect(structure, theta, w=None):
+    """Check iota_{sharp_n(alpha)} theta = (-1)^{n+1-a} iota_{sharp_1~(theta)} alpha
+    (or, given w, iota_w alpha = iota_{sharp_1~(theta)} alpha) on all S^n
+    generators, the right side by the package's ``_pairing_rhs``; returns
+    the first failing generator or None."""
+    from gradira.extensions import _pairing_failure, _pairing_rhs, require_s1_power
+    from gradira.forms import contract
+
+    require_s1_power(theta, structure)
+    n = structure.n
+    if w is not None:
+        lhs = structure.pairing(w, n)
+    else:
+        sign = -1 if (n + 1 - theta.degree) % 2 else 1
+        lhs = {(g, key): c for g, gen in enumerate(structure.levels[n])
+               for key, c in (sign * contract(gen.sharp, theta)).data.items()}
+    return _pairing_failure(structure, lhs, _pairing_rhs(structure, theta.data))
 
 
 def naive_bracket_ext1(alpha, theta, structure):

@@ -76,6 +76,12 @@ COMMANDS = [
      "fb7931946593afb5b1305fd752f1f2225d8f95dc6e7eb0c530bd01188f64f7f2"),
     ("ym-hdw", "ym", ["hdw"],
      "9284c24cb36a25af2ca128d50de25030685024f0964d24cf4df692292a55faa7"),
+    ("ym-tower", "ym", ["tower"],
+     "88c83e0d200dd20d1a6df5e60519c863144a3e38b52004b13c427b9dc1230f64"),
+    ("ym-extend", "ym", ["extend"],
+     "820412d548bde194023d4798544688b82835bdce4a3beeb4fa9c1908c6656a2e"),
+    ("ym-evolution", "ym", ["evolution"],
+     "c46dbbd39390931b69e9b12792d43baf1fcd83eec90545d04d4b734efb597f3a"),
 ]
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from functools import cache
 from itertools import combinations
 
@@ -25,6 +26,7 @@ from gradira import (
     contract,
     exterior_derivative,
     gamma_H,
+    identity_tensor,
     is_hamiltonian,
     is_hamiltonian_form,
     pullback,
@@ -34,15 +36,16 @@ from gradira import (
     volume_contraction,
     wedge,
 )
-from gradira import extensions, linsolve, scalars, spans
+from gradira import extensions, forms, linsolve, scalars, spans
 from gradira.errors import DegreeError, MembershipError, NotHamiltonianError
-from gradira.extensions import decompose_s1_power, pairing_defect, solve_sharp_j
+from gradira.extensions import decompose_s1_power, s1_wedge_basis, solve_sharp_j
 from gradira.parser import parse_form
 from gradira.render import render
 from gradira.sampling import random_form, random_hamiltonian_form, rng_from_env
 from gradira.scenarios import canonical_extension_table
-from naive import (naive_bracket_ext1, naive_gamma_H, naive_is_hamiltonian,
-                   naive_pairing_rhs, naive_sharp1_tilde)
+from naive import (contract_pairing_rhs, naive_bracket_ext1, naive_gamma_H,
+                   naive_is_hamiltonian, naive_pairing_rhs, naive_sharp1_tilde,
+                   pairing_defect, wedge_loop_s1_basis)
 
 
 @cache
@@ -77,6 +80,14 @@ def scaled():
 S1_STRUCTURES = {
     "reduced": lambda: reduced_canonical(2, 1).structure,
     "sheared": sheared,
+    "rank-deficient": rank_deficient,
+}
+
+COMPATIBILITY_STRUCTURES = {
+    "red2": S1_STRUCTURES["reduced"],
+    "red3": cache(lambda: reduced_canonical(3, 1).structure),
+    "sheared": sheared,
+    "scaled": scaled,
     "rank-deficient": rank_deficient,
 }
 
@@ -283,7 +294,7 @@ class TestPairingRhs:
             with pytest.raises(MembershipError):
                 solve_sharp_j(st, theta, 1)
             return
-        assert extensions._pairing_rhs(st, theta) == expected
+        assert extensions._pairing_rhs(st, theta.data) == expected
         # and for any n-form beta, iota_{sharp_1~(theta)} beta =
         # (-1)^{a+1} iota_{X_beta} theta
         beta = draw_form_of_degree(data, st.chart, st.n)
@@ -297,31 +308,82 @@ class TestPairingRhs:
         fields = scaled().pairing_fields
         assert any(not c.is_rational for x in fields for c in x.data.values())
 
+    @pytest.mark.parametrize("name", sorted(S1_STRUCTURES) + ["scaled"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=hst.data())
+    def test_kernel_matches_oracles(self, name, data):
+        # multi-term theta of every degree 1..m: the index kernel against
+        # one contraction per S^n generator for any theta, and against the
+        # sharp_1~ MvForm for theta in (S^1)^{wedge a}, drawn as a
+        # combination of the wedge monomials of S^1 with function
+        # coefficients
+        st = scaled() if name == "scaled" else S1_STRUCTURES[name]()
+        ch = st.chart
+        a = data.draw(hst.integers(1, ch.m))
+        theta = draw_form_of_degree(data, ch, a)
+        assert extensions._pairing_rhs(st, theta.data) == contract_pairing_rhs(theta, st)
+        basis = [f for _, f in s1_wedge_basis(st, a)]
+        if not basis:
+            return
+        member = Form.zero(ch, a)
+        for k, c, s, e in data.draw(hst.lists(hst.tuples(
+                hst.integers(0, len(basis) - 1), hst.integers(-3, 3),
+                hst.integers(0, ch.m - 1), hst.integers(0, 2)), min_size=1, max_size=3)):
+            member = member + (c + ch.syms[s] ** e) * basis[k]
+        rhs = extensions._pairing_rhs(st, member.data)
+        assert rhs == contract_pairing_rhs(member, st)
+        if member:
+            assert rhs == naive_pairing_rhs(member, st)
+
+    @pytest.mark.parametrize("name", sorted(S1_STRUCTURES) + ["scaled"])
+    def test_s1_wedge_basis_matches_wedge_loop(self, name):
+        # same combinations, order and monomials as one wedge per factor
+        st = scaled() if name == "scaled" else S1_STRUCTURES[name]()
+        for a in range(st.chart.m + 1):
+            got = s1_wedge_basis(st, a)
+            expected = wedge_loop_s1_basis(st, a)
+            assert [c for c, _ in got] == [c for c, _ in expected]
+            assert all(f == e and list(f.data) == list(e.data)
+                       for (_, f), (_, e) in zip(got, expected))
+
     def test_pairing_fields_are_built_once(self, red2, monkeypatch):
+        # the pairing fields are built once per structure; after that the
+        # tower and solve_sharp_j make no contract and no wedge call in any
+        # module of the package
         top = red2.structure
         st = Structure(top.chart, top.generators(top.n), top.sharp_values(top.n))
-        built, contracted = [], []
-        real_fields, real_contract = Structure.pairing_fields.func, extensions.contract
+        built, contracted, wedged = [], [], []
+        real_fields = Structure.pairing_fields.func
+        real_contract, real_wedge = forms.contract, forms.wedge
 
         def counting_fields(structure):
             built.append(structure)
             return real_fields(structure)
 
-        def counting_contract(u, alpha):
-            contracted.append(u)
-            return real_contract(u, alpha)
+        def counting(calls, real):
+            def wrapped(*args):
+                calls.append(args)
+                return real(*args)
+            return wrapped
 
         monkeypatch.setattr(Structure.pairing_fields, "func", counting_fields)
-        monkeypatch.setattr(extensions, "contract", counting_contract)
+        level = build_span_tower(st, 3, 2, vertical=True)
+        assert built == [st]
+        modules = [m for name, m in sys.modules.items() if name.startswith("gradira.")]
+        for module in modules:
+            if vars(module).get("contract") is real_contract:
+                monkeypatch.setattr(module, "contract", counting(contracted, real_contract))
+            if vars(module).get("wedge") is real_wedge:
+                monkeypatch.setattr(module, "wedge", counting(wedged, real_wedge))
+        assert extensions.contract is not real_contract and forms.wedge is not real_wedge
         for _ in range(2):
-            level = build_span_tower(st, 3, 2, vertical=True)
-        assert built == [st]
-        # the tower contracts with nothing but the pairing fields
-        assert contracted and all(any(u is x for x in st.pairing_fields)
-                                  for u in contracted)
-        for entry in level.entries:
+            again = build_span_tower(st, 3, 2, vertical=True)
+        for entry in again.entries:
             assert solve_sharp_j(st, entry.form, 2, vertical=True) is not None
+        assert [e.form for e in again.entries] == [e.form for e in level.entries]
         assert built == [st]
+        assert contracted == []
+        assert wedged == []
 
 
 @cache
@@ -770,6 +832,30 @@ class TestExtensionTable:
         for (theta, w_j), (_, w_i) in zip(table.entries, lowered.entries):
             for gamma in st.generators(st.n + 1 - i):
                 assert contract(w_i, gamma) == scale * contract(w_j, gamma)
+
+    @pytest.mark.parametrize("name", ["red2", "red3", "sheared", "scaled",
+                                      "rank-deficient"])
+    @settings(max_examples=10, deadline=None)
+    @given(data=hst.data())
+    def test_compatibility_follows_from_the_defining_pairing(self, name, data):
+        # iota_{W ^ 1_{j-1}} alpha = iota_W alpha for every S^n generator
+        # alpha and W in Lambda^{a-j} (x) V_{n+1-j}, at every valid (j, a):
+        # a table entry that passes the defining pairing is compatible with
+        # sharp_1~, so ``ExtensionTable.verify`` checks only the former
+        st = COMPATIBILITY_STRUCTURES[name]()
+        ch, n = st.chart, st.n
+        for j in range(1, n + 1):
+            one = identity_tensor(ch, j - 1)
+            for a in range(j, ch.m + 1):
+                fkeys = list(combinations(range(ch.m), a - j))
+                vkeys = list(combinations(range(ch.m), n + 1 - j))
+                w = MvForm.zero(ch, a - j, n + 1 - j)
+                for f, v, c, s, e in data.draw(hst.lists(hst.tuples(
+                        hst.sampled_from(fkeys), hst.sampled_from(vkeys),
+                        hst.integers(-3, 3), hst.integers(0, ch.m - 1),
+                        hst.integers(0, 2)), min_size=1, max_size=3)):
+                    w = w + MvForm(ch, a - j, n + 1 - j, {(f, v): c + ch.syms[s] ** e})
+                assert st.pairing(wedge(w, one), n) == st.pairing(w, n)
 
     def test_serialization_roundtrip(self, red2):
         from gradira.structfile import dump_extension, parse_extension
