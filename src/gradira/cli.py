@@ -270,7 +270,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GradiraError, FileNotFoundError, ValueError) as exc:
+    except (GradiraError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,6 @@ from .extensions import (
     require_ext1_left,
     require_extj_left,
     require_s1_power,
-    solve_pairing,
 )
 from .forms import (
     Form,
@@ -78,7 +77,8 @@ def _hamiltonian_data(form, structure):
         require_s1_power(dh, structure)
     except MembershipError:
         return dh, "dH is not in the wedge power (S^1)^(n+1)"
-    if not (dh.is_zero() or solve_pairing(structure, dh, n) is not None):
+    if not (dh.is_zero() or structure.pairing_system(n + 1, n).solve(
+            structure.pairing_rhs(dh.data)) is not None):
         return dh, "dH is not in S^{n+1}[n]"
     signed = -dh if n % 2 else dh  # (-1)^n dH
     v = _not_semibasic_along(chart, [gen.form - contract(x, signed) for gen, x

@@ -17,14 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import comb
 
 from . import scalars
 from .calculus import exterior_derivative, lie_derivative, lie_derivative_mvform
 from .errors import DegreeError, MembershipError
 from .forms import (Form, MvForm, _bilinear, contract, identity_tensor,
-                    linear_combination, mvform_contract_pair, wedge)
+                    linear_combination, wedge)
 from .linsolve import Echelon
 from .multiindex import merge
 from .render import render
@@ -119,8 +118,8 @@ def sharp1_tilde(theta, structure):
     Returns a representative MvForm (coset modulo K_n in the vector slot).
     Only ``check_extension_properties`` builds it: the engine pairs it with
     n-forms beta as iota_{sharp_1~(theta)} beta = (-1)^{a+1} iota_{X_beta} theta,
-    X_beta = ``Structure.pairing_field``(beta) (``_pairing_rhs``, ``bracket_ext1_formula``).
-    """
+    X_beta = ``Structure.pairing_field``(beta) (``Structure.pairing_rhs``,
+    ``bracket_ext1_formula``)."""
     a = theta.degree
     require_s1_power(theta, structure)
     _, sharps, frame = structure.s1_frame
@@ -129,26 +128,6 @@ def sharp1_tilde(theta, structure):
         ((sign, MvForm.tensor(contract(e, theta), v)) for e, v in zip(frame, sharps)
          if v),
         MvForm.zero(structure.chart, a - 1, structure.n))
-
-
-def _pairing_rhs(structure, data):
-    """iota_{sharp_1~(theta)} alpha_g over the S^n generators alpha_g, keyed
-    like ``Structure.pairing`` and _pairing_rows, for the coefficient dict
-    of an a-form theta in (S^1)^{wedge a}: (-1)^{a+1} iota_{X_g} theta with
-    X_g = ``Structure.pairing_fields``[g], for every g at once.  A term
-    c dx^I adds (-1)^{a+1} (-1)^s X_g^{i_s} c at (g, I without i_s) for each
-    position s of I and each X_g with a component at i_s
-    (``Structure.pairing_index``)."""
-    index = structure.pairing_index
-    out = {}
-    for idx, c in data.items():
-        a = len(idx)
-        for s, i in enumerate(idx):
-            rest = idx[:s] + idx[s + 1:]
-            sign = 1 if (a + s) % 2 else -1  # (-1)^{a+1} (-1)^s
-            for g, x in index.get(i, ()):
-                scalars.accumulate(out, (g, rest), scalars.smul(x, c), sign)
-    return out
 
 
 def _pairing_failure(structure, lhs, rhs):
@@ -241,50 +220,6 @@ class TowerLevel:
                               freedom=self.freedom)
 
 
-def _w_unknowns(chart, fdeg, vdeg, vertical=False):
-    """Unknown W components; with ``vertical`` only vector slots touching
-    the fiber are kept (vertical-valued extensions, the class the dynamics
-    on fibered charts singles out)."""
-    fkeys = list(combinations(range(chart.m), fdeg))
-    vkeys = list(combinations(range(chart.m), vdeg))
-    if vertical:
-        vkeys = [v for v in vkeys if any(i >= chart.n for i in v)]
-    return [(f, v) for f in fkeys for v in vkeys]
-
-
-def _pairing_rows(structure, unknowns):
-    """The W side of the defining pairing: iota_W alpha for every S^n
-    generator alpha as linear forms in the W components, one row per
-    (generator index, result multi-index)."""
-    rows = {}
-    for g, gen in enumerate(structure.levels[structure.n]):
-        lhs = {}
-        for wkey in unknowns:
-            for aidx, c in gen.form.data.items():
-                sign, res = mvform_contract_pair(wkey, aidx)
-                if sign:
-                    scalars.accumulate(lhs.setdefault(res, {}), wkey, c, sign)
-        rows.update(((g, key), lhs[key]) for key in sorted(lhs))
-    return rows
-
-
-def solve_pairing(structure, theta, j, vertical=False):
-    """Solve iota_W alpha = iota_{sharp_1~(theta)} alpha for all alpha in
-    S^n, W in Lambda^{a-j} (x) V_{n+1-j}, for an a-form theta the caller
-    knows to lie in (S^1)^{wedge a}.  Returns (particular MvForm, freedom
-    list) or None when the system is inconsistent."""
-    chart = structure.chart
-    fdeg, vdeg = theta.degree - j, structure.n + 1 - j
-    unknowns = _w_unknowns(chart, fdeg, vdeg, vertical)
-    sol = Echelon(_pairing_rows(structure, unknowns), unknowns).solve(
-        _pairing_rhs(structure, theta.data))
-    if sol is None:
-        return None
-    particular = MvForm(chart, fdeg, vdeg, dict(sol.particular))
-    freedom = [MvForm(chart, fdeg, vdeg, dict(vec)) for vec in sol.kernel]
-    return particular, freedom
-
-
 def solve_sharp_j(structure, theta, j, vertical=False):
     """Solve iota_W alpha = iota_{sharp_1~(theta)} alpha for all alpha in S^n,
     W in Lambda^{a-j} (x) V_{n+1-j}.  Returns (particular MvForm, freedom
@@ -293,7 +228,9 @@ def solve_sharp_j(structure, theta, j, vertical=False):
     theta is not in (S^1)^{wedge a}."""
     _check_extension_level(structure, theta.degree, j)
     require_s1_power(theta, structure)
-    return solve_pairing(structure, theta, j, vertical)
+    system = structure.pairing_system(theta.degree, j, vertical)
+    particular = system.solve(structure.pairing_rhs(theta.data))
+    return None if particular is None else (particular, list(system.freedom))
 
 
 def _check_extension_level(structure, a, j):
@@ -315,11 +252,10 @@ def build_span_tower(structure, a, j, vertical=False):
     = iota_W alpha in (candidate coefficients, W components) is solved
     exactly; its projection onto the candidate coefficients is the
     admitted subbundle.  The kernel comes from one elimination with the
-    candidate columns, then the W columns, as rows: each column that
-    reduces to zero gives the relation tying it to the columns before it.
-    The W side is eliminated once more on its own; every admitted
-    generator takes its particular value, and the tower its freedom, from
-    that elimination.
+    candidate columns, then the W columns of ``Structure.pairing_system``,
+    as rows: each column that reduces to zero gives the relation tying it
+    to the columns before it.  The entries' values and the freedom come
+    from the pairing system's own elimination.
 
     With ``vertical=True`` the solve is restricted to vertical-valued
     extensions.  On the canonical charts the unrestricted tower admits
@@ -330,14 +266,12 @@ def build_span_tower(structure, a, j, vertical=False):
     _check_extension_level(structure, a, j)
     chart = structure.chart
     candidates = [f for _, f in s1_wedge_basis(structure, a)]
-    fdeg, vdeg = a - j, structure.n + 1 - j
-    w_unknowns = _w_unknowns(chart, fdeg, vdeg, vertical)
-    w_rows = _pairing_rows(structure, w_unknowns)
-    columns = {("c", t): _pairing_rhs(structure, theta.data)
+    system = structure.pairing_system(a, j, vertical)
+    columns = {("c", t): structure.pairing_rhs(theta.data)
                for t, theta in enumerate(candidates)}
-    row_keys = sorted(set(w_rows).union(*columns.values()))
-    columns.update({("w", wk): {} for wk in w_unknowns})
-    for r, coeffs in w_rows.items():
+    row_keys = sorted(set(system.rows).union(*columns.values()))
+    columns.update({("w", wk): {} for wk in system.unknowns})
+    for r, coeffs in system.rows.items():
         for wk, c in coeffs.items():
             columns[("w", wk)][r] = scalars.sneg(c)
     raw = []
@@ -347,13 +281,9 @@ def build_span_tower(structure, a, j, vertical=False):
         if not form.is_zero():
             raw.append(form)
     span = Span(chart, a, raw).reduced()[0]
-    w_side = Echelon(w_rows, w_unknowns)
-    entries = []
-    for form in span.generators:
-        sol = w_side.solve(_pairing_rhs(structure, form.data))
-        entries.append(TowerEntry(form, MvForm(chart, fdeg, vdeg, dict(sol.particular))))
-    freedom = [MvForm(chart, fdeg, vdeg, dict(vec)) for vec in w_side.kernel]
-    return TowerLevel(a, j, entries, freedom, candidates, structure, span)
+    entries = [TowerEntry(form, system.solve(structure.pairing_rhs(form.data)))
+               for form in span.generators]
+    return TowerLevel(a, j, entries, list(system.freedom), candidates, structure, span)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +295,7 @@ class ExtensionTable:
     """A chosen sharp_j~ assignment on generators: entries (Theta, value)
     with value in Lambda^{deg-j} (x) V_{n+1-j}, verified at construction
     against the defining pairing, as pairings with S^n against one
-    ``_pairing_rhs`` per entry.  The compatibility sharp_1~ = sharp_j~ ^
+    ``Structure.pairing_rhs`` per entry.  The compatibility sharp_1~ = sharp_j~ ^
     1_{j-1} modulo K_n needs no check of its own: W ^ 1_{j-1} and W pair
     alike with every n-form."""
 
@@ -378,11 +308,20 @@ class ExtensionTable:
             self.verify()
 
     def verify(self):
-        structure, n = self.structure, self.structure.n
-        for theta, value in self.entries:
+        """Check each entry's grading, (deg theta - j, n + 1 - j) with
+        1 <= j <= n (a DegreeError), then its defining pairing."""
+        structure, n, j = self.structure, self.structure.n, self.j
+        for k, (theta, value) in enumerate(self.entries, 1):
+            grading, level = (value.form_degree, value.vec_degree), n + 1 - value.vec_degree
+            expected = (theta.degree - j, n + 1 - j)
+            if not 1 <= level <= n or grading != expected:
+                why = (f"is at level j={level}, outside 1..{n}" if not 1 <= level <= n
+                       else f"is not {expected}, that of level j={j}")
+                raise DegreeError(f"table entry {k} for {render(theta)}: "
+                                  f"value grading {grading} {why}")
             require_s1_power(theta, structure)
             bad = _pairing_failure(structure, structure.pairing(value, n),
-                                   _pairing_rhs(structure, theta.data))
+                                   structure.pairing_rhs(theta.data))
             if bad is not None:
                 raise MembershipError(
                     f"table entry for {render(theta)} fails the defining pairing "

@@ -307,7 +307,7 @@ def mvform_contract_pair(wkey, aidx):
 
     The sign is s1 * s2: s1 from contracting alpha by v, s2 from wedging
     theta in front of what is left.  ``contract`` and the extension solver
-    (``extensions._pairing_rows``) both use this one pairing.
+    (the rows of ``structure.PairingSystem``) both use this one pairing.
     """
     fidx, vidx = wkey
     s1, rest = contract_index(aidx, vidx)

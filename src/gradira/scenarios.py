@@ -301,7 +301,7 @@ def canonical_extension_table(scn, style="symmetric"):
     style='solved': the lexicographically-pivoted minimal-support solve.
     Both are verified against the defining pairing at construction.
     """
-    from .extensions import ExtensionTable, build_span_tower, solve_sharp_j
+    from .extensions import ExtensionTable, build_span_tower
     from .forms import MvForm
 
     structure = scn.structure
@@ -346,9 +346,8 @@ def canonical_extension_table(scn, style="symmetric"):
                     MultiVector.coord_vector(chart, momentum(u, mu)),
                 )
             entries.append((theta, value))
-    _, freedom = solve_sharp_j(structure, Form.zero(chart, n + 1), n,
-                               vertical=True)
-    return ExtensionTable(structure, n, entries, freedom=freedom)
+    return ExtensionTable(structure, n, entries,
+                          freedom=structure.pairing_system(n + 1, n, vertical=True).freedom)
 
 
 def scenario(name, **params):

@@ -12,12 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 from . import scalars
 from .calculus import exterior_derivative, lie_derivative, schouten
 from .errors import (ChartError, DegreeError, MembershipError, NonWellDefinedError,
                      NotHamiltonianError)
-from .forms import Form, MultiVector, contract, linear_combination, wedge
+from .forms import (Form, MultiVector, MvForm, contract, linear_combination,
+                    mvform_contract_pair, wedge)
 from .linsolve import Echelon
 from .render import render
 from .report import Report
@@ -99,6 +101,40 @@ def _averaged_gen(candidates, chosen):
     return TowerGen(chosen.form, Fraction(1, len(terms)) * total)
 
 
+class PairingSystem:
+    """The W side of the S^a[j] pairing iota_W alpha = iota_{sharp_1~(theta)} alpha
+    (alpha in S^n, W in Lambda^{a-j} (x) V_{n+1-j}), eliminated once: one
+    row per (S^n generator index, result multi-index), linear in the W
+    components; with ``vertical`` only vector slots touching the fiber."""
+
+    def __init__(self, chart, generators, fdeg, vdeg, vertical):
+        self.space = (chart, fdeg, vdeg)  # the chart and grading of W
+        vkeys = [v for v in combinations(range(chart.m), vdeg)
+                 if not vertical or any(i >= chart.n for i in v)]
+        self.unknowns = [(f, v) for f in combinations(range(chart.m), fdeg) for v in vkeys]
+        self.rows = {}
+        for g, gen in enumerate(generators):
+            lhs = {}
+            for wkey in self.unknowns:
+                for aidx, c in gen.data.items():
+                    sign, res = mvform_contract_pair(wkey, aidx)
+                    if sign:
+                        scalars.accumulate(lhs.setdefault(res, {}), wkey, c, sign)
+            self.rows.update(((g, key), lhs[key]) for key in sorted(lhs))
+        self.echelon = Echelon(self.rows, self.unknowns)
+
+    @cached_property
+    def freedom(self):
+        """The homogeneous solutions, one per free W component."""
+        return tuple(MvForm(*self.space, dict(vec)) for vec in self.echelon.kernel)
+
+    def solve(self, rhs):
+        """The particular W for theta's ``Structure.pairing_rhs``, or None
+        when theta is not admitted."""
+        sol = self.echelon.solve(rhs)
+        return None if sol is None else MvForm(*self.space, dict(sol.particular))
+
+
 class Structure:
     """A regular graded Dirac structure of order n on a fibered chart."""
 
@@ -122,6 +158,7 @@ class Structure:
         self._spans = {a: Span(chart, a, self.generators(a))
                        for a in range(1, self.n + 1)}
         self._check_decomposition_kernel()
+        self._pairing_systems = {}
 
     # -- tower -------------------------------------------------------------
 
@@ -207,6 +244,31 @@ class Structure:
             for (i,), c in x.data.items():
                 index.setdefault(i, []).append((g, c))
         return index
+
+    def pairing_rhs(self, data):
+        """iota_{sharp_1~(theta)} alpha_g = (-1)^{a+1} iota_{X_g} theta over the
+        S^n generators alpha_g, keyed like ``pairing`` and the rows of
+        ``PairingSystem``, for the coefficient dict of an a-form theta in
+        (S^1)^{wedge a}: a term c dx^I adds (-1)^{a+1} (-1)^s X_g^{i_s} c at
+        (g, I without i_s) for each position s and each (g, X_g^{i_s}) of
+        ``pairing_index``."""
+        index = self.pairing_index
+        out = {}
+        for idx, c in data.items():
+            a = len(idx)
+            for s, i in enumerate(idx):
+                rest = idx[:s] + idx[s + 1:]
+                sign = 1 if (a + s) % 2 else -1  # (-1)^{a+1} (-1)^s
+                for g, x in index.get(i, ()):
+                    scalars.accumulate(out, (g, rest), scalars.smul(x, c), sign)
+        return out
+
+    def pairing_system(self, a, j, vertical=False):
+        """The ``PairingSystem`` of S^a[j], kept per (a - j, n + 1 - j, vertical)."""
+        key = (a - j, self.n + 1 - j, vertical)
+        if key not in self._pairing_systems:
+            self._pairing_systems[key] = PairingSystem(self.chart, self.generators(self.n), *key)
+        return self._pairing_systems[key]
 
     def pairing(self, w, p):
         """iota_w alpha_g for the S^p generators alpha_g, keyed

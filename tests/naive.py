@@ -12,8 +12,9 @@ pairing fields X_beta that the package contracts instead.  The S^a[j]
 tower oracles build with ``Form`` objects what the package builds on
 coefficient dicts: ``wedge_loop_s1_basis`` the candidates one ``wedge`` at a
 time, ``contract_pairing_rhs`` each pairing right-hand side one
-``contract`` per S^n generator, and ``pairing_defect`` the defining pairing
-from the sharp_n values.
+``contract`` per S^n generator, ``pairing_defect`` the defining pairing
+from the sharp_n values, and ``naive_solve_pairing`` the W side of the
+S^a[j] pairing afresh for every form it solves.
 """
 
 from itertools import combinations, permutations
@@ -287,9 +288,9 @@ def contract_pairing_rhs(theta, structure):
 def pairing_defect(structure, theta, w=None):
     """Check iota_{sharp_n(alpha)} theta = (-1)^{n+1-a} iota_{sharp_1~(theta)} alpha
     (or, given w, iota_w alpha = iota_{sharp_1~(theta)} alpha) on all S^n
-    generators, the right side by the package's ``_pairing_rhs``; returns
-    the first failing generator or None."""
-    from gradira.extensions import _pairing_failure, _pairing_rhs, require_s1_power
+    generators, the right side by the package's ``Structure.pairing_rhs``;
+    returns the first failing generator or None."""
+    from gradira.extensions import _pairing_failure, require_s1_power
     from gradira.forms import contract
 
     require_s1_power(theta, structure)
@@ -300,7 +301,38 @@ def pairing_defect(structure, theta, w=None):
         sign = -1 if (n + 1 - theta.degree) % 2 else 1
         lhs = {(g, key): c for g, gen in enumerate(structure.levels[n])
                for key, c in (sign * contract(gen.sharp, theta)).data.items()}
-    return _pairing_failure(structure, lhs, _pairing_rhs(structure, theta.data))
+    return _pairing_failure(structure, lhs, structure.pairing_rhs(theta.data))
+
+
+def naive_solve_pairing(structure, theta, j, vertical=False):
+    """Solve iota_W alpha = iota_{sharp_1~(theta)} alpha for all alpha in S^n,
+    W in Lambda^{a-j} (x) V_{n+1-j}, with fresh unknowns, rows and
+    ``Echelon`` on every call, the right side by ``contract_pairing_rhs``.
+    Returns (particular MvForm, freedom list) or None when the system is
+    inconsistent; theta = 0 gives the homogeneous freedom."""
+    from gradira import scalars
+    from gradira.forms import MvForm, mvform_contract_pair
+    from gradira.linsolve import Echelon
+
+    chart = structure.chart
+    fdeg, vdeg = theta.degree - j, structure.n + 1 - j
+    vkeys = [v for v in combinations(range(chart.m), vdeg)
+             if not vertical or any(i >= chart.n for i in v)]
+    unknowns = [(f, v) for f in combinations(range(chart.m), fdeg) for v in vkeys]
+    rows = {}
+    for g, gen in enumerate(structure.generators(structure.n)):
+        lhs = {}
+        for wkey in unknowns:
+            for aidx, c in gen.data.items():
+                sign, res = mvform_contract_pair(wkey, aidx)
+                if sign:
+                    scalars.accumulate(lhs.setdefault(res, {}), wkey, c, sign)
+        rows.update(((g, key), lhs[key]) for key in sorted(lhs))
+    sol = Echelon(rows, unknowns).solve(contract_pairing_rhs(theta, structure))
+    if sol is None:
+        return None
+    return (MvForm(chart, fdeg, vdeg, dict(sol.particular)),
+            [MvForm(chart, fdeg, vdeg, dict(vec)) for vec in sol.kernel])
 
 
 def naive_bracket_ext1(alpha, theta, structure):
@@ -340,7 +372,7 @@ def naive_is_hamiltonian(form, structure):
     coordinate vector v, and contract(sharp_1~(dH), d^n x)."""
     from gradira.calculus import exterior_derivative
     from gradira.errors import MembershipError
-    from gradira.extensions import sharp1_tilde, solve_pairing
+    from gradira.extensions import sharp1_tilde
     from gradira.forms import Form, contract
     from gradira.render import render
 
@@ -352,7 +384,7 @@ def naive_is_hamiltonian(form, structure):
         s1t = sharp1_tilde(dh, structure)
     except MembershipError:
         return False, ["dH is not in the wedge power (S^1)^(n+1)"]
-    if not dh.is_zero() and solve_pairing(structure, dh, n) is None:
+    if not dh.is_zero() and naive_solve_pairing(structure, dh, n) is None:
         return False, ["dH is not in S^{n+1}[n]"]
     v = _naive_not_semibasic_along(structure, s1t, n)
     if v is not None:

@@ -41,6 +41,12 @@ COMMANDS = [
      "fb7931946593afb5b1305fd752f1f2225d8f95dc6e7eb0c530bd01188f64f7f2"),
     ("red21-hdw", "red21", ["hdw"],
      "806098cbe6e8c450707e0aa05cc16e6509ccb9693a7b296440fa9533352976d0"),
+    ("red21-tower-a3-j1", "red21", ["tower", "-a", "3", "-j", "1"],
+     "5f78d4389e247a4065cbcaf56b3dafea9f39dce42ad33e1a43d3db8b8ac16dc5"),
+    ("red21-tower-a2-j2", "red21", ["tower", "-a", "2", "-j", "2"],
+     "5a33fdac594d93f09fe3763e654b0274ce8fc799ed988b090340340e16fe3f98"),
+    ("red21-extend-no-vertical", "red21", ["extend", "--no-vertical"],
+     "df8a66e2c3a0f936596b0bc0992a7948a9514b5577b6a831ff5800bbf176c634"),
     ("red21-evolution", "red21", ["evolution"],
      "680f01a7580e7e483c8d43763f02ceae25fa369f0dde44ea86dc29caaa18eb91"),
     ("red21-bracket", "red21",
@@ -64,6 +70,10 @@ COMMANDS = [
      "fb7931946593afb5b1305fd752f1f2225d8f95dc6e7eb0c530bd01188f64f7f2"),
     ("red32-hdw", "red32", ["hdw"],
      "95a5788f5cc3bbef9a15f1f74871004b3184d14f0026cd350b4990a642c134c7"),
+    ("red32-tower", "red32", ["tower"],
+     "ecf8073b7b7c46309286ce328abc9b96cc12f40b8425419116bbbf99a8e87196"),
+    ("red32-extend", "red32", ["extend"],
+     "2100154aebfeb91a4d69623530c2b2a295a68e86785d27f4f89741239c327f2f"),
     ("red32-evolution", "red32", ["evolution"],
      "c5e4ec98535fd603e0cec181299e40ad28b03391db814eaa40f63fba01aa3a1a"),
     ("ext21-verify", "ext21", ["verify"],

@@ -45,6 +45,7 @@ from gradira.sampling import random_form, random_hamiltonian_form, rng_from_env
 from gradira.scenarios import canonical_extension_table
 from naive import (contract_pairing_rhs, naive_bracket_ext1, naive_gamma_H,
                    naive_is_hamiltonian, naive_pairing_rhs, naive_sharp1_tilde,
+                   naive_solve_pairing,
                    pairing_defect, wedge_loop_s1_basis)
 
 
@@ -294,7 +295,7 @@ class TestPairingRhs:
             with pytest.raises(MembershipError):
                 solve_sharp_j(st, theta, 1)
             return
-        assert extensions._pairing_rhs(st, theta.data) == expected
+        assert st.pairing_rhs(theta.data) == expected
         # and for any n-form beta, iota_{sharp_1~(theta)} beta =
         # (-1)^{a+1} iota_{X_beta} theta
         beta = draw_form_of_degree(data, st.chart, st.n)
@@ -321,7 +322,7 @@ class TestPairingRhs:
         ch = st.chart
         a = data.draw(hst.integers(1, ch.m))
         theta = draw_form_of_degree(data, ch, a)
-        assert extensions._pairing_rhs(st, theta.data) == contract_pairing_rhs(theta, st)
+        assert st.pairing_rhs(theta.data) == contract_pairing_rhs(theta, st)
         basis = [f for _, f in s1_wedge_basis(st, a)]
         if not basis:
             return
@@ -330,7 +331,7 @@ class TestPairingRhs:
                 hst.integers(0, len(basis) - 1), hst.integers(-3, 3),
                 hst.integers(0, ch.m - 1), hst.integers(0, 2)), min_size=1, max_size=3)):
             member = member + (c + ch.syms[s] ** e) * basis[k]
-        rhs = extensions._pairing_rhs(st, member.data)
+        rhs = st.pairing_rhs(member.data)
         assert rhs == contract_pairing_rhs(member, st)
         if member:
             assert rhs == naive_pairing_rhs(member, st)
@@ -384,6 +385,109 @@ class TestPairingRhs:
         assert built == [st]
         assert contracted == []
         assert wedged == []
+
+
+@cache
+def tower_forms(name, a, j, vertical):
+    """(admitted generators, candidates) of S^a[j] on a structure of
+    ``COMPATIBILITY_STRUCTURES``."""
+    level = build_span_tower(COMPATIBILITY_STRUCTURES[name](), a, j, vertical)
+    return [e.form for e in level.entries], level.candidates
+
+
+def is_w_unknown(u):
+    return isinstance(u, tuple) and len(u) == 2 and all(isinstance(p, tuple) for p in u)
+
+
+class TestPairingSystem:
+    @pytest.mark.parametrize("name", sorted(COMPATIBILITY_STRUCTURES))
+    @settings(max_examples=3, deadline=None)
+    @given(data=hst.data())
+    def test_solve_sharp_j_matches_naive_solve(self, name, data):
+        # at every valid (a, j, vertical), the solve through the structure's
+        # pairing system equals a fresh elimination of the W side, both the
+        # particular solution and the freedom: on an admitted combination,
+        # with or without one candidate added
+        st = COMPATIBILITY_STRUCTURES[name]()
+        ch = st.chart
+        for j in range(1, st.n + 1):
+            for a in range(j, ch.m + 1):
+                for vertical in (False, True):
+                    admitted, candidates = tower_forms(name, a, j, vertical)
+                    theta = Form.zero(ch, a)
+                    terms = data.draw(hst.lists(hst.tuples(
+                        hst.sampled_from(admitted), hst.integers(-3, 3),
+                        hst.integers(0, ch.m - 1), hst.integers(0, 2)),
+                        max_size=2)) if admitted else []
+                    for form, c, s, e in terms:
+                        theta = theta + (c + ch.syms[s] ** e) * form
+                    if candidates and data.draw(hst.booleans()):
+                        theta = theta + data.draw(hst.sampled_from(candidates))
+                    got = solve_sharp_j(st, theta, j, vertical)
+                    expected = naive_solve_pairing(st, theta, j, vertical)
+                    assert (got is None) == (expected is None)
+                    if got is not None:
+                        assert got[0] == expected[0]
+                        assert got[1] == expected[1]
+
+    @pytest.mark.parametrize("scn", ["red2", "red3"])
+    def test_canonical_table_freedom_is_the_naive_kernel(self, scn, request):
+        scn = request.getfixturevalue(scn)
+        st = scn.structure
+        table = canonical_extension_table(scn, style="symmetric")
+        _, freedom = naive_solve_pairing(st, Form.zero(st.chart, st.n + 1), st.n,
+                                         vertical=True)
+        assert freedom and table.freedom == freedom
+
+    def test_one_w_elimination_per_key(self, red2, monkeypatch):
+        # two towers, solve_sharp_j on every entry and two Hamiltonian
+        # builds eliminate the W side once per (a - j, n + 1 - j, vertical)
+        top = red2.structure
+        gens, sharps = top.generators(top.n), top.sharp_values(top.n)
+        st = Structure(top.chart, gens, sharps)
+        eliminated = []
+        real = linsolve.Echelon
+
+        def counting(rows, unknowns):
+            unknowns = list(unknowns)
+            if unknowns and all(is_w_unknown(u) for u in unknowns):
+                eliminated.append(tuple(unknowns))
+            return real(rows, unknowns)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("gradira")]:
+            if vars(module).get("Echelon") is real:
+                monkeypatch.setattr(module, "Echelon", counting)
+        keys = [(3, 2, True), (4, 2, False)]
+        levels = [build_span_tower(st, a, j, vertical=v) for a, j, v in keys]
+        for (a, j, v), level in zip(keys, levels):
+            assert level.entries
+            for entry in level.entries:
+                assert solve_sharp_j(st, entry.form, j, vertical=v) is not None
+        for _ in range(2):
+            Hamiltonian(red2.hamiltonian_form, st)
+        keys.append((st.n + 1, st.n, False))
+        assert len(eliminated) == len(set(eliminated)) == len(keys)
+        systems = [st.pairing_system(a, j, v) for a, j, v in keys]
+        assert sorted(eliminated) == sorted(tuple(s.unknowns) for s in systems)
+        # no system refers back to its structure, and a second structure
+        # from the same generators builds its own
+        assert all(value is not st for s in systems for value in vars(s).values())
+        other = Structure(top.chart, gens, sharps)
+        assert all(other.pairing_system(a, j, v) is not s
+                   for (a, j, v), s in zip(keys, systems))
+        assert len(eliminated) == 2 * len(keys)
+
+    def test_freedom_is_not_shared_with_callers(self, red2):
+        top = red2.structure
+        st = Structure(top.chart, top.generators(top.n), top.sharp_values(top.n))
+        level = build_span_tower(st, 3, 2, vertical=True)
+        freedom = list(level.freedom)
+        assert freedom
+        level.freedom.clear()
+        _, solved = solve_sharp_j(st, level.entries[0].form, 2, vertical=True)
+        solved.append(solved[0])
+        assert build_span_tower(st, 3, 2, vertical=True).freedom == freedom
+        assert solve_sharp_j(st, level.entries[0].form, 2, vertical=True)[1] == freedom
 
 
 @cache

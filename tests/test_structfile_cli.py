@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import subprocess
 import sys
 
@@ -6,6 +8,8 @@ import pytest
 
 from gradira.cli import main
 from gradira.errors import ParseError
+from gradira.forms import identity_tensor, wedge
+from gradira.render import render_mvform
 from gradira.scenarios import canonical_extension_table
 from gradira.structfile import dump_scenario, load_structure_file, parse_extension
 
@@ -296,6 +300,48 @@ class TestCli:
         }))
         code, out, err = run_cli([command, "-f", str(path)], capsys)
         assert (code, out, err) == (2, "", self.FIBERLESS)
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "-f", "{dir}"],
+        ["scenario", "reduced-canonical", "--out", "{dir}"],
+        ["extend", "-f", "{file}", "--out", "{dir}"],
+    ], ids=["verify-file", "scenario-out", "extend-out"])
+    def test_directory_path_exit_2(self, red2, tmp_path, capsys, args):
+        # a directory where a file is read or written is an input error
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        path = tmp_path / "structure.json"
+        path.write_text(json.dumps(dump_scenario(red2)))
+        argv = [a.format(dir=directory, file=path) for a in args]
+        code, out, err = run_cli(argv, capsys)
+        message = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(directory))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["verify", "hdw", "evolution"])
+    @pytest.mark.parametrize("entry, value, message", [
+        (2, "mixed", "table entry 2 for d(p1_1) ^ dX[]: value grading (2, 2) "
+                     "is not (1, 1), that of level j=2"),
+        (1, "d(y1) @ 1", "table entry 1 for d(y1) ^ dX[]: value grading (1, 0) "
+                         "is at level j=3, outside 1..2"),
+        (1, "@/y1 ^ @/p1_1 ^ @/p2_1", "table entry 1 for d(y1) ^ dX[]: value "
+                                      "grading (0, 3) is at level j=0, outside 1..2"),
+        (1, "d(x1) ^ d(y1) @ @/p1_1", "table entry 1 for d(y1) ^ dX[]: value "
+                                      "grading (2, 1) is not (1, 1), that of level j=2"),
+    ], ids=["mixed-levels", "vector-degree-0", "vector-degree-3", "form-degree-2"])
+    def test_extension_value_off_its_grading_exit_2(self, red2, tmp_path, capsys,
+                                                    command, entry, value, message):
+        # each table value must have the grading (deg theta - j, n + 1 - j)
+        # of one level 1 <= j <= n; "mixed" is entry 2's W ^ 1_1, which
+        # pairs with every n-form as W does
+        table = canonical_extension_table(red2, style="symmetric")
+        if value == "mixed":
+            value = render_mvform(wedge(table.entries[1][1], identity_tensor(red2.chart, 1)))
+        doc = dump_scenario(red2, extension=table)
+        doc["extension"][entry - 1][1] = value
+        path = tmp_path / "structure.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli([command, "-f", str(path)], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_missing_file_exit_2(self, red2, tmp_path, capsys):
         code, _, err = run_cli(["verify", "-f", "/nonexistent.json"], capsys)
