@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from . import scalars
 from .errors import DegreeError, NonPolynomialError, NotClosedError
-from .forms import Form, MultiVector, MvForm, contract, linear_combination, wedge
+from .forms import Form, MultiVector, MvForm, _bilinear, contract, linear_combination
 from .multiindex import merge
 
 __all__ = [
@@ -63,27 +63,40 @@ def lie_derivative_mvform(x, w):
     return linear_combination(terms, w)
 
 
-def _xi_derivative(mv, k):
-    """Left Grassmann derivative d/dxi_k of a multivector."""
-    data = {}
-    for idx, c in mv.data.items():
-        if k not in idx:
-            continue
-        pos = idx.index(k)
-        rest = idx[:pos] + idx[pos + 1 :]
-        scalars.accumulate(data, rest, c, -1 if pos % 2 else 1)
-    return MultiVector(mv.chart, mv.degree - 1, data, _normalized=True)
+def _xi_derivative(data, k):
+    """Left Grassmann derivative d/dxi_k on the coefficient dict of a
+    multivector."""
+    out = {}
+    for idx, c in data.items():
+        if k in idx:
+            pos = idx.index(k)
+            scalars.accumulate(out, idx[:pos] + idx[pos + 1:], c, -1 if pos % 2 else 1)
+    return out
 
 
-def _partials(mv):
-    """{k: d(mv)/dx^k} over the coordinates k it depends on, from one
-    gradient per coefficient."""
-    data = {}
-    for idx, c in mv.data.items():
-        for k, dc in scalars.diff(c, mv.chart).items():
-            data.setdefault(k, {})[idx] = dc
-    return {k: MultiVector(mv.chart, mv.degree, row, _normalized=True)
-            for k, row in data.items()}
+def _partials(data, chart):
+    """{k: d(data)/dx^k} over the coordinates k a multivector's coefficient
+    dict depends on, from one gradient per coefficient."""
+    out = {}
+    for idx, c in data.items():
+        for k, dc in scalars.diff(c, chart).items():
+            out.setdefault(k, {})[idx] = dc
+    return out
+
+
+def schouten_data(chart, p, udata, q, vdata):
+    """The coefficient dict of the Schouten bracket [U, V] of a p-vector
+    and a q-vector given by theirs: the kernel of ``schouten``."""
+    s1 = -1 if (p - 1) % 2 else 1
+    s2 = -1 if (p * (q - 1)) % 2 == 0 else 1
+    du_dx, dv_dx = _partials(udata, chart), _partials(vdata, chart)
+    out = {}
+    for k in sorted(du_dx.keys() | dv_dx.keys()):
+        for sign, xi, partial in ((s1, udata, dv_dx.get(k)), (s2, vdata, du_dx.get(k))):
+            if partial:
+                for key, c in _bilinear(_xi_derivative(xi, k), partial, merge).items():
+                    scalars.accumulate(out, key, c, sign)
+    return out
 
 
 def schouten(u, v):
@@ -105,21 +118,8 @@ def schouten(u, v):
     p, q = u.degree, v.degree
     if p < 1 or q < 1:
         raise DegreeError("schouten needs multivector degrees >= 1")
-    chart = u.chart
-    s1 = -1 if (p - 1) % 2 else 1
-    s2 = -1 if (p * (q - 1)) % 2 == 0 else 1
-    du_dx, dv_dx = _partials(u), _partials(v)
-    terms = []
-    for k in range(chart.m):
-        if k in dv_dx:
-            du = _xi_derivative(u, k)
-            if du:
-                terms.append((s1, wedge(du, dv_dx[k])))
-        if k in du_dx:
-            dvx = _xi_derivative(v, k)
-            if dvx:
-                terms.append((s2, wedge(dvx, du_dx[k])))
-    return linear_combination(terms, MultiVector.zero(chart, p + q - 1))
+    return MultiVector(u.chart, p + q - 1, schouten_data(u.chart, p, u.data, q, v.data),
+                       _normalized=True)
 
 
 def poincare_primitive(alpha):

@@ -60,9 +60,6 @@ class Chart:
     def sym(self, name):
         return self.syms[self.index(name)]
 
-    def fiber_indices(self):
-        return range(self.n, self.m)
-
     @property
     def base_coords(self):
         return self.coords[: self.n]

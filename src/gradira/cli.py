@@ -8,7 +8,9 @@ for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .errors import GradiraError
@@ -37,12 +39,27 @@ def _load(args):
     return load_structure_file(args.file)
 
 
+def _check_out(path):
+    """Raise, before any work is done, the OSError that opening ``path``
+    for writing would raise; the file is neither created nor truncated."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if os.path.exists(path):
+        open(path, "a").close()
+        return
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+
+
 def _emit_report(report):
     print(report.render())
     return 0 if report.passed else 1
 
 
 def cmd_scenario(args):
+    _check_out(args.out)
     params = {"n": args.n, "fields": args.fields}
     if args.algebra:
         params["algebra"] = args.algebra
@@ -129,6 +146,8 @@ def cmd_tower(args):
 
 
 def cmd_extend(args):
+    if args.out:
+        _check_out(args.out)
     sf = _load(args)
     st = sf.structure
     a = args.a if args.a is not None else st.n + 1

@@ -28,7 +28,7 @@ from .linsolve import Echelon
 from .multiindex import merge
 from .render import render
 from .report import Report
-from .spans import Span, decompose_over, generator_echelon
+from .spans import Span, generator_echelon
 from .structure import bracket, bracket_formula, deg_h, require_hamiltonian
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "sharp_lowered",
     "check_extension_properties",
     "s1_wedge_basis",
-    "decompose_s1_power",
 ]
 
 
@@ -73,16 +72,6 @@ def s1_wedge_basis(structure, a):
                     if (data := _bilinear(prefix, gens[i], merge))}
     return [(combo, Form(chart, a, data, _normalized=True))
             for combo, data in products.items()]
-
-
-def decompose_s1_power(structure, theta):
-    """theta = sum f_C theta_{c1} ^ ... ^ theta_{ca} over the combinations
-    C of ``s1_wedge_basis``; None when theta is not in (S^1)^{wedge a}."""
-    basis = s1_wedge_basis(structure, theta.degree)
-    sol = decompose_over([f for _, f in basis], theta)
-    if sol is None:
-        return None
-    return {basis[i][0]: c for i, c in sol.particular.items()}
 
 
 def require_s1_power(theta, structure):

@@ -428,21 +428,30 @@ def contract_form_slot(x, w):
                   _bilinear(w.data, x.data, _form_slot_pair), _normalized=True)
 
 
+def _combination(terms):
+    """The one sparse sum: sum c * data over the (c, data) pairs of
+    ``terms``, coefficient dicts of one grading.  Every product goes
+    straight into one dict through ``scalars.accumulate``, keys entering
+    in the order the terms meet them."""
+    out = {}
+    for c, data in terms:
+        c = as_scalar(c)
+        if c:
+            for key, v in data.items():
+                scalars.accumulate(out, key, scalars.smul(c, v))
+    return out
+
+
 def linear_combination(terms, like):
     """sum c * x over the (c, x) pairs of ``terms``, as an object of the
     type, chart and grading of ``like`` (whose own terms are not summed);
     a term of another type, chart or grading raises DegreeError, as ``+``
-    does.  The one sparse sum of graded objects: every product goes
-    straight into one dict through ``scalars.accumulate``, keys entering
-    in the order the terms meet them."""
-    data = {}
-    for c, x in terms:
-        like._check_like(x)
-        c = as_scalar(c)
-        if c:
-            for key, v in x.data.items():
-                scalars.accumulate(data, key, scalars.smul(c, v))
-    return like._like(data)
+    does.  ``_combination`` sums the coefficient dicts."""
+    def checked():
+        for c, x in terms:
+            like._check_like(x)
+            yield c, x.data
+    return like._like(_combination(checked()))
 
 
 def substitute_differentials(form, chart, coeff, one_form):

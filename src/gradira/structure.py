@@ -15,11 +15,12 @@ from functools import cached_property
 from itertools import combinations
 
 from . import scalars
-from .calculus import exterior_derivative, lie_derivative, schouten
+from .calculus import exterior_derivative, lie_derivative, schouten_data
 from .errors import (ChartError, DegreeError, MembershipError, NonWellDefinedError,
                      NotHamiltonianError)
-from .forms import (Form, MultiVector, MvForm, contract, linear_combination,
-                    mvform_contract_pair, wedge)
+from .forms import (Form, MultiVector, MvForm, _bilinear, _combination,
+                    _contract_by_pair, contract, linear_combination, mvform_contract_pair,
+                    wedge)
 from .linsolve import Echelon
 from .render import render
 from .report import Report
@@ -62,9 +63,6 @@ class CosetRep:
             other = other.rep
         diff_rep = self.rep - other
         return self.structure.coset_is_zero(diff_rep, self.modulus_degree)
-
-    def is_null(self):
-        return self.structure.coset_is_zero(self.rep, self.modulus_degree)
 
     def __eq__(self, other):
         return self.equiv(other)
@@ -284,13 +282,25 @@ class Structure:
         contraction against the S^p generators."""
         if rep.is_zero():
             return True
-        degree = rep.degree if isinstance(rep, MultiVector) else rep.vec_degree
+        if isinstance(rep, MultiVector):
+            degree, pair = rep.degree, _contract_by_pair
+        else:
+            degree, pair = rep.vec_degree, mvform_contract_pair
         if degree != p:
             raise DegreeError(f"representative degree {degree} != modulus {p}")
-        for g in self.levels[p]:
-            if contract(rep, g.form):
-                return False
-        return True
+        if rep.chart != self.chart:
+            raise DegreeError("contraction across charts")
+        return self.in_annihilator(rep.data, p, pair)
+
+    def in_annihilator(self, data, p, pair):
+        """Does the coefficient dict of a multivector (``pair`` is
+        ``forms._contract_by_pair``) or of a multivector valued form
+        (``forms.mvform_contract_pair``) of vector degree p lie in
+        (Lambda (x)) K_p, i.e. contract every S^p generator to zero?  The
+        kernel of ``coset_is_zero``; stops at the first generator that
+        does not contract to zero."""
+        return not data or not any(_bilinear(data, g.form.data, pair)
+                                   for g in self.levels[p])
 
     def annihilator_span(self, p):
         """Explicit K_p generators (kernel extraction; exponential in p)."""
@@ -419,10 +429,13 @@ def verify_axioms(structure):
 
     Generator coverage suffices: both defects are function-linear in each
     argument, so vanishing on a module generating set is vanishing on the
-    whole span.  d of each generator is taken once here, not per pair."""
+    whole span.  d of each generator is taken once here, not per pair.
+    The chart and grading of every generator and sharp value are checked
+    once here too, so that ``_check_pair`` works on coefficient dicts."""
     report = Report()
     n = structure.n
-    d = {a: [exterior_derivative(g.form) for g in structure.levels[a]]
+    _check_gradings(structure)
+    d = {a: [exterior_derivative(g.form).data for g in structure.levels[a]]
          for a in range(1, n + 1)}
     for a in range(1, n + 1):
         for b in range(a, n + 1):
@@ -434,18 +447,53 @@ def verify_axioms(structure):
     return report
 
 
+def _check_gradings(structure):
+    """Every level-a generator is an a-form and its sharp value an
+    (n+1-a)-vector, all on the structure's chart."""
+    chart, n = structure.chart, structure.n
+    for a in range(1, n + 1):
+        for gen in structure.levels[a]:
+            form, sharp = gen.form, gen.sharp
+            if not (type(form) is Form and form.degree == a and form.chart == chart
+                    and type(sharp) is MultiVector and sharp.degree == n + 1 - a
+                    and sharp.chart == chart):
+                raise DegreeError(f"level {a} generator {form!r} or its sharp value "
+                                  f"{sharp!r} is off the grading ({a}, {n + 1 - a}) "
+                                  f"or the chart {chart!r}")
+
+
+# the signs and the factor +-1/2 of the defect, as Scalars built once
+_SIGN = {1: scalars.ONE, -1: scalars.as_scalar(-1)}
+_HALF = {1: scalars.as_scalar(Fraction(1, 2)), -1: scalars.as_scalar(Fraction(-1, 2))}
+
+
+def _text(cls, chart, degree, data):
+    """The rendering of a coefficient dict, for the text of a failure."""
+    return render(cls(chart, degree, data, _normalized=True))
+
+
 def _check_pair(structure, report, d, a, i, b, j):
-    n = structure.n
+    """Both axioms on one generator pair, on coefficient dicts: contractions
+    by ``forms._bilinear``, sums by ``scalars.accumulate`` and
+    ``forms._combination``, the defect decomposed by the span's
+    ``Echelon`` and its sharp compared with [U, V] by
+    ``Structure.in_annihilator``.  Objects are built only for d and for the
+    text of a failure."""
+    n, chart = structure.n, structure.chart
     alpha, u = structure.levels[a][i].form, structure.levels[a][i].sharp
     beta, v = structure.levels[b][j].form, structure.levels[b][j].sharp
     p, q = n + 1 - a, n + 1 - b
-    lhs = contract(u, beta)
-    rhs = contract(v, alpha)
-    skew_ok = lhs == (-rhs if (p * q) % 2 else rhs)
+    c = a + b - n
+    s_pq = -1 if (p * q) % 2 else 1
+    lhs = _bilinear(u.data, beta.data, _contract_by_pair)
+    rhs = _bilinear(v.data, alpha.data, _contract_by_pair)
+    skew_ok = lhs == (rhs if s_pq > 0 else {k: scalars.sneg(x) for k, x in rhs.items()})
     report.add(
         f"skew a={a}.{i} b={b}.{j}",
         skew_ok,
-        "" if skew_ok else f"iota_sharp({render(alpha)}) {render(beta)} = {render(lhs)} vs {render(rhs)}",
+        "" if skew_ok else (f"iota_sharp({render(alpha)}) {render(beta)} = "
+                            f"{_text(Form, chart, c - 1, lhs)} vs "
+                            f"{_text(Form, chart, c - 1, rhs)}"),
     )
     # integrability defect, with s(k) = (-1)^k and
     # L_U gamma = d iota_U gamma - s(deg U) iota_U d gamma:
@@ -455,26 +503,34 @@ def _check_pair(structure, report, d, a, i, b, j):
     # contractions the skew check holds and the generators' own d:
     #   theta = s(q)/2 d(iota_v alpha + s(pq) iota_u beta)
     #           - s((p-1)q + p) iota_u d beta - iota_v d alpha
-    inner = rhs - lhs if (p * q) % 2 else rhs + lhs
+    inner = dict(rhs)
+    for key, x in lhs.items():
+        scalars.accumulate(inner, key, x, s_pq)
     s_u = -1 if ((p - 1) * q + p) % 2 else 1
-    theta = (Fraction(-1 if q % 2 else 1, 2) * exterior_derivative(inner)
-             - s_u * contract(u, d[b][j]) - contract(v, d[a][i]))
-    c = a + b - n
-    sol = structure.span(c).decompose(theta)
-    if sol is None:
-        report.add(
-            f"integrable a={a}.{i} b={b}.{j}",
-            False,
-            f"defect form {render(theta)} is not in S^{c}",
-        )
-        return
-    lieb = schouten(u, v)
-    ok = structure.sharp_from(c, sol.particular).equiv(lieb)
-    report.add(
-        f"integrable a={a}.{i} b={b}.{j}",
-        ok,
-        "" if ok else f"sharp of {render(theta)} differs from [U, V] = {render(lieb)}",
-    )
+    terms = [(_SIGN[-s_u], _bilinear(u.data, d[b][j], _contract_by_pair)),
+             (_SIGN[-1], _bilinear(v.data, d[a][i], _contract_by_pair))]
+    if inner:
+        dinner = exterior_derivative(Form(chart, c - 1, inner, _normalized=True))
+        terms.append((_HALF[-1 if q % 2 else 1], dinner.data))
+    theta = _combination(terms)
+    name = f"integrable a={a}.{i} b={b}.{j}"
+    coefficients = {}
+    if theta:
+        sol = structure.span(c).echelon.solve(theta)
+        if sol is None:
+            report.add(name, False,
+                       f"defect form {_text(Form, chart, c, theta)} is not in S^{c}")
+            return
+        coefficients = sol.particular
+    # sharp_c(theta) - [U, V], zero modulo K_{n+1-c}
+    lieb = schouten_data(chart, p, u.data, q, v.data)
+    level = structure.levels[c]
+    diff = _combination([*((f, level[g].sharp.data) for g, f in coefficients.items()),
+                         (_SIGN[-1], lieb)])
+    ok = structure.in_annihilator(diff, n + 1 - c, _contract_by_pair)
+    report.add(name, ok, "" if ok else (
+        f"sharp of {_text(Form, chart, c, theta)} differs from "
+        f"[U, V] = {_text(MultiVector, chart, n + 1 - c, lieb)}"))
 
 
 def check_flatness_witnesses(structure, generation=None, symmetries=None):

@@ -14,7 +14,11 @@ coefficient dicts: ``wedge_loop_s1_basis`` the candidates one ``wedge`` at a
 time, ``contract_pairing_rhs`` each pairing right-hand side one
 ``contract`` per S^n generator, ``pairing_defect`` the defining pairing
 from the sharp_n values, and ``naive_solve_pairing`` the W side of the
-S^a[j] pairing afresh for every form it solves.
+S^a[j] pairing afresh for every form it solves.  ``naive_verify_axioms``
+checks the axioms with ``Form`` operators, ``contract``, ``schouten``,
+``Span.decompose`` and ``CosetRep.equiv``, where the package keeps
+coefficient dicts; ``decompose_s1_power``, ``is_null`` and
+``fiber_indices`` are helpers that only the tests use.
 """
 
 from itertools import combinations, permutations
@@ -211,6 +215,29 @@ def is_zero_expr(expr):
     return not PolyRing(sorted(numer.free_symbols, key=str), QQ).from_expr(numer)
 
 
+def fiber_indices(chart):
+    """The chart indices of the fiber coordinates."""
+    return range(chart.n, chart.m)
+
+
+def is_null(rep):
+    """Is a ``CosetRep`` the zero coset?"""
+    return rep.structure.coset_is_zero(rep.rep, rep.modulus_degree)
+
+
+def decompose_s1_power(structure, theta):
+    """theta = sum f_C theta_{c1} ^ ... ^ theta_{ca} over the combinations
+    C of ``s1_wedge_basis``; None when theta is not in (S^1)^{wedge a}."""
+    from gradira.extensions import s1_wedge_basis
+    from gradira.spans import decompose_over
+
+    basis = s1_wedge_basis(structure, theta.degree)
+    sol = decompose_over([f for _, f in basis], theta)
+    if sol is None:
+        return None
+    return {basis[i][0]: c for i, c in sol.particular.items()}
+
+
 def naive_sharp1_tilde(theta, structure):
     """sharp_1~(theta) one generator combination at a time: theta =
     sum_C f_C t_{c1} ^ ... ^ t_{ca} by ``decompose_s1_power``, and each
@@ -218,7 +245,7 @@ def naive_sharp1_tilde(theta, structure):
     the others wedged again and tensored with derive_sharp(1, t_j).
     Raises MembershipError when theta is not in (S^1)^{wedge a}."""
     from gradira.errors import MembershipError
-    from gradira.extensions import decompose_s1_power, s1_wedge_basis
+    from gradira.extensions import s1_wedge_basis
     from gradira.forms import Form, MvForm, wedge
 
     chart, a = structure.chart, theta.degree
@@ -358,7 +385,7 @@ def _naive_not_semibasic_along(structure, value, k):
 
     chart = structure.chart
     defect = identity_tensor(chart, k) - value
-    for i in chart.fiber_indices():
+    for i in fiber_indices(chart):
         v = MultiVector(chart, 1, {(i,): 1})
         if not structure.coset_is_zero(contract_form_slot(v, defect), k):
             return v
@@ -423,3 +450,68 @@ def naive_gamma_H(ham, table):
         gammas[u] = {mu: b.data[(mu - 1,)] for mu in range(1, n + 1)
                      if (mu - 1,) in b.data}
     return Connection(chart, gammas)
+
+
+def naive_verify_axioms(structure):
+    """``verify_axioms`` on ``Form`` objects: every product, sum, d and
+    Schouten bracket builds its wrapper, the defect is decomposed by
+    ``Span.decompose`` and compared with [U, V] by ``CosetRep.equiv``.
+    Same checks, names and failure texts."""
+    from gradira.calculus import exterior_derivative
+    from gradira.report import Report
+
+    report = Report()
+    n = structure.n
+    d = {a: [exterior_derivative(g.form) for g in structure.levels[a]]
+         for a in range(1, n + 1)}
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            if a + b < n + 1:
+                continue
+            for i in range(len(structure.levels[a])):
+                for j in range(i if b == a else 0, len(structure.levels[b])):
+                    _naive_check_pair(structure, report, d, a, i, b, j)
+    return report
+
+
+def _naive_check_pair(structure, report, d, a, i, b, j):
+    from fractions import Fraction
+
+    from gradira.calculus import exterior_derivative, schouten
+    from gradira.forms import contract
+    from gradira.render import render
+
+    n = structure.n
+    alpha, u = structure.levels[a][i].form, structure.levels[a][i].sharp
+    beta, v = structure.levels[b][j].form, structure.levels[b][j].sharp
+    p, q = n + 1 - a, n + 1 - b
+    lhs = contract(u, beta)
+    rhs = contract(v, alpha)
+    skew_ok = lhs == (-rhs if (p * q) % 2 else rhs)
+    report.add(
+        f"skew a={a}.{i} b={b}.{j}",
+        skew_ok,
+        "" if skew_ok else f"iota_sharp({render(alpha)}) {render(beta)} = {render(lhs)} vs {render(rhs)}",
+    )
+    # theta = s(q)/2 d(iota_v alpha + s(pq) iota_u beta)
+    #         - s((p-1)q + p) iota_u d beta - iota_v d alpha
+    inner = rhs - lhs if (p * q) % 2 else rhs + lhs
+    s_u = -1 if ((p - 1) * q + p) % 2 else 1
+    theta = (Fraction(-1 if q % 2 else 1, 2) * exterior_derivative(inner)
+             - s_u * contract(u, d[b][j]) - contract(v, d[a][i]))
+    c = a + b - n
+    sol = structure.span(c).decompose(theta)
+    if sol is None:
+        report.add(
+            f"integrable a={a}.{i} b={b}.{j}",
+            False,
+            f"defect form {render(theta)} is not in S^{c}",
+        )
+        return
+    lieb = schouten(u, v)
+    ok = structure.sharp_from(c, sol.particular).equiv(lieb)
+    report.add(
+        f"integrable a={a}.{i} b={b}.{j}",
+        ok,
+        "" if ok else f"sharp of {render(theta)} differs from [U, V] = {render(lieb)}",
+    )

@@ -6,11 +6,15 @@ Each command runs in process on a scenario file written by the
 to any report, verdict, diagnostic or exit code shows up as a digest
 mismatch; a deliberate change re-pins the digests of the commands it
 touches and says why.
+
+Files whose axioms fail are derived from a scenario file by editing its
+JSON, so that the failure texts of ``verify`` are pinned too.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -21,6 +25,31 @@ SCENARIOS = {
     "red32": ["reduced-canonical", "--n", "3", "--fields", "2", "--with-extension"],
     "ext21": ["extended-canonical", "--n", "2", "--fields", "1"],
     "ym": ["yang-mills", "--n", "3", "--algebra", "su2"],
+    "red21-plain": ["reduced-canonical", "--n", "2", "--fields", "1"],
+}
+
+
+def _tilt(doc):
+    """p1_1 d/dx1 added to the first sharp_n value, as in
+    ``tests/test_structure.py::_tilted``: skew fails, and integrability
+    fails both ways (defect forms outside S^2, and sharps that differ
+    from the Schouten bracket)."""
+    doc["sharp_n"][0] += " + p1_1 * @/x1"
+    return doc
+
+
+def _rescale(doc):
+    """Every S^n generator and sharp_n value times 1 + y1: the generators
+    are not closed, so the iota_U d(gen) terms of the defect count."""
+    for key in ("sn", "sharp_n"):
+        doc[key] = [f"(1 + y1) * ({text})" for text in doc[key]]
+    return doc
+
+
+# derived file -> (source scenario, edit of its JSON document)
+DERIVED = {
+    "red21-tilted": ("red21-plain", _tilt),
+    "red21-tilted-rescaled": ("red21-plain", lambda doc: _rescale(_tilt(doc))),
 }
 
 H_RED21 = "H * dX[] - p2_1 * d(y1) ^ dX[2] - p1_1 * d(y1) ^ dX[1]"
@@ -92,6 +121,10 @@ COMMANDS = [
      "820412d548bde194023d4798544688b82835bdce4a3beeb4fa9c1908c6656a2e"),
     ("ym-evolution", "ym", ["evolution"],
      "c46dbbd39390931b69e9b12792d43baf1fcd83eec90545d04d4b734efb597f3a"),
+    ("red21-tilted-verify", "red21-tilted", ["verify"],
+     "d019ae092232ab93ab1c17dfb472059cf2c5ebde4ffd3d6c997b77b5a2f56ca9"),
+    ("red21-tilted-rescaled-verify", "red21-tilted-rescaled", ["verify"],
+     "dd81b7ce6649a50ac80cd30c267439c0b115a66ad68657fa83ac34796ce82d5b"),
 ]
 
 
@@ -116,6 +149,12 @@ def files(tmp_path_factory):
         paths[name] = str(root / f"{name}.json")
         code, _, err = run(["scenario", *args, "--out", paths[name]])
         assert (code, err) == (0, "")
+    for name, (source, edit) in DERIVED.items():
+        with open(paths[source]) as fh:
+            doc = edit(json.load(fh))
+        paths[name] = str(root / f"{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump(doc, fh)
     return paths
 
 

@@ -15,8 +15,8 @@ from gradira import (
     wedge,
     yang_mills,
 )
-from gradira.extensions import decompose_s1_power
 from gradira.sampling import random_hamiltonian_form, rng_from_env
+from naive import decompose_s1_power
 
 
 def test_first_extension_bracket_is_closed(red2):

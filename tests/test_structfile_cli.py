@@ -20,6 +20,17 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+def _forbid_builds(monkeypatch):
+    """Make any tower or scenario build in the CLI fail the test."""
+    from gradira import cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the CLI built a tower or scenario")
+
+    monkeypatch.setattr(cli, "build_span_tower", forbidden)
+    monkeypatch.setattr(cli, "make_scenario", forbidden)
+
+
 class TestStructureFile:
     def test_scenario_roundtrip(self, red2, tmp_path):
         doc = dump_scenario(red2)
@@ -306,8 +317,10 @@ class TestCli:
         ["scenario", "reduced-canonical", "--out", "{dir}"],
         ["extend", "-f", "{file}", "--out", "{dir}"],
     ], ids=["verify-file", "scenario-out", "extend-out"])
-    def test_directory_path_exit_2(self, red2, tmp_path, capsys, args):
-        # a directory where a file is read or written is an input error
+    def test_directory_path_exit_2(self, red2, tmp_path, capsys, monkeypatch, args):
+        # a directory where a file is read or written is an input error,
+        # found before any tower or scenario is built
+        _forbid_builds(monkeypatch)
         directory = tmp_path / "dir"
         directory.mkdir()
         path = tmp_path / "structure.json"
@@ -316,6 +329,41 @@ class TestCli:
         code, out, err = run_cli(argv, capsys)
         message = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(directory))
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("args", [
+        ["scenario", "reduced-canonical", "--out", "{out}"],
+        ["extend", "-f", "{file}", "--out", "{out}"],
+    ], ids=["scenario-out", "extend-out"])
+    @pytest.mark.parametrize("out, code", [
+        ("missing/structure.json", errno.ENOENT),
+        ("structure.json/out.json", errno.ENOTDIR),
+    ], ids=["missing-parent", "file-parent"])
+    def test_unwritable_out_exit_2_before_any_build(self, red2, tmp_path, capsys,
+                                                    monkeypatch, args, out, code):
+        # the error open() would give at the end, given before the build
+        _forbid_builds(monkeypatch)
+        path = tmp_path / "structure.json"
+        path.write_text(json.dumps(dump_scenario(red2)))
+        target = str(tmp_path / out)
+        argv = [a.format(out=target, file=path) for a in args]
+        message = OSError(code, os.strerror(code), target)
+        assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+    def test_failed_build_leaves_out_untouched(self, red2, tmp_path, capsys, exists):
+        # a build that fails neither creates nor truncates --out
+        path = tmp_path / "structure.json"
+        path.write_text(json.dumps(dump_scenario(red2)))
+        target = tmp_path / "table.txt"
+        if exists:
+            target.write_text("kept\n")
+        code, out, err = run_cli(["extend", "-f", str(path), "-a", "9",
+                                  "--out", str(target)], capsys)
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        if exists:
+            assert target.read_text() == "kept\n"
+        else:
+            assert not target.exists()
 
     @pytest.mark.parametrize("command", ["verify", "hdw", "evolution"])
     @pytest.mark.parametrize("entry, value, message", [

@@ -1,5 +1,8 @@
+import functools
+
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as hst
 
 from gradira import (
     Form,
@@ -10,14 +13,17 @@ from gradira import (
     contract,
     exterior_derivative,
     is_hamiltonian_form,
+    reduced_canonical,
     verify_axioms,
     verify_fibered,
     volume_contraction,
     volume_mv_contraction,
     wedge,
 )
-from gradira.errors import DegreeError, MembershipError, NotHamiltonianError
+from gradira.errors import (DegreeError, MembershipError, NonWellDefinedError,
+                            NotHamiltonianError)
 from gradira.structure import deg_h
+from naive import is_null, naive_verify_axioms
 
 
 def dy_dx(ch, mu):
@@ -63,7 +69,7 @@ class TestSharpTables:
                 volume_mv_contraction(ch, [f"x{mu}"]),
             )
             assert got == expected
-            assert st.derive_sharp(1, Form.d_coord(ch, f"x{mu}")).is_null()
+            assert is_null(st.derive_sharp(1, Form.d_coord(ch, f"x{mu}")))
 
     def test_derive_sharp_rejects_non_members(self, red2):
         ch, st = red2.chart, red2.structure
@@ -415,3 +421,110 @@ class TestFlatnessWitnesses:
         partial = check_flatness_witnesses(st, symmetries={1: (fiber_gammas, xs)})
         assert all(c.passed for c in partial.checks if "symmetry" in c.name)
         assert any(not c.passed for c in partial.checks if "span" in c.name)
+
+
+# ---------------------------------------------------------------------------
+# verify_axioms against the Form-operator oracle
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _oracle_structure(name):
+    from test_extensions import rank_deficient, scaled, sheared
+
+    builders = {
+        "red2": lambda: reduced_canonical(2, 1).structure,
+        "red3": lambda: reduced_canonical(3, 1).structure,
+        "red3k2": lambda: reduced_canonical(3, 2).structure,
+        "sheared": sheared,
+        "scaled": scaled,
+        "rank-deficient": rank_deficient,
+        "tilted": lambda: _tilted(reduced_canonical(2, 1), rescaled=False, tilt=True),
+        "tilted-rescaled": lambda: _tilted(reduced_canonical(2, 1), rescaled=True,
+                                           tilt=True),
+    }
+    return builders[name]()
+
+
+def _checks(report):
+    return [(c.name, c.passed, c.detail) for c in report.checks]
+
+
+class TestAxiomsOracle:
+    @pytest.mark.parametrize("name", ["red2", "red3", "red3k2", "sheared", "scaled",
+                                      "rank-deficient", "tilted", "tilted-rescaled"])
+    def test_matches_form_operator_oracle(self, name):
+        st = _oracle_structure(name)
+        assert _checks(verify_axioms(st)) == _checks(naive_verify_axioms(st))
+
+    @pytest.mark.parametrize("name", ["red2", "red3", "sheared", "scaled"])
+    @settings(max_examples=12, deadline=None)
+    @given(data=hst.data())
+    def test_corrupted_sharp_matches_oracle(self, name, data):
+        # one sharp_n value with its sign flipped or a coordinate * d/dx
+        # term added: the failure witnesses are compared, not only passes
+        top = _oracle_structure(name)
+        ch = top.chart
+        gens, values = top.generators(top.n), list(top.sharp_values(top.n))
+        g = data.draw(hst.integers(0, len(gens) - 1))
+        if data.draw(hst.booleans()):
+            values[g] = -values[g]
+        else:
+            coord = data.draw(hst.integers(0, ch.m - 1))
+            direction = data.draw(hst.integers(0, ch.m - 1))
+            values[g] = values[g] + ch.syms[coord] * MultiVector(
+                ch, 1, {(direction,): 1})
+        try:
+            st = Structure(ch, gens, values)
+        except NonWellDefinedError:
+            return
+        assert _checks(verify_axioms(st)) == _checks(naive_verify_axioms(st))
+
+    def test_passing_verify_builds_no_wrapper_per_operator(self, red3k2, monkeypatch):
+        # at most d(inner) and its input per pair and d per generator; no
+        # contract, schouten or linear_combination anywhere in the package
+        import importlib
+        import pkgutil
+
+        import gradira
+        from gradira import forms
+
+        built = []
+
+        def counting(real):
+            def init(self, *args, **kwargs):
+                built.append(type(self).__name__)
+                real(self, *args, **kwargs)
+            return init
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"verify_axioms called {name}")
+            return call
+
+        monkeypatch.setattr(forms._Graded, "__init__", counting(forms._Graded.__init__))
+        monkeypatch.setattr(forms.MvForm, "__init__", counting(forms.MvForm.__init__))
+        modules = [gradira] + [importlib.import_module(f"gradira.{info.name}")
+                               for info in pkgutil.iter_modules(gradira.__path__)]
+        for module in modules:
+            for name in ("contract", "schouten", "linear_combination"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden(name))
+        st = red3k2.structure
+        report = verify_axioms(st)
+        assert report.passed
+        pairs = sum(1 for c in report.checks if c.name.startswith("skew"))
+        generators = sum(len(st.levels[a]) for a in range(1, st.n + 1))
+        assert 0 < len(built) <= 2 * pairs + generators
+
+    def test_generator_off_its_grading_raises(self, red2):
+        # the one grading check of verify_axioms: a sharp_1 value that is
+        # a vector field instead of an n-vector is a DegreeError, as it
+        # was from the operators when they checked every sum
+        top = red2.structure
+        st = Structure(top.chart, top.generators(2), top.sharp_values(2))
+        st.levels[1][0].sharp = MultiVector.coord_vector(st.chart, "y1")
+        with pytest.raises(DegreeError, match="off the grading"):
+            verify_axioms(st)
+        with pytest.raises(DegreeError):
+            naive_verify_axioms(st)
