@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from . import scalars
 from .errors import DegreeError, NonPolynomialError, NotClosedError
-from .forms import Form, MultiVector, MvForm, _bilinear, contract, linear_combination
+from .forms import (Form, MultiVector, MvForm, _bilinear, _contract_by_pair, contract,
+                    linear_combination)
 from .multiindex import merge
 
 __all__ = [
@@ -63,17 +64,6 @@ def lie_derivative_mvform(x, w):
     return linear_combination(terms, w)
 
 
-def _xi_derivative(data, k):
-    """Left Grassmann derivative d/dxi_k on the coefficient dict of a
-    multivector."""
-    out = {}
-    for idx, c in data.items():
-        if k in idx:
-            pos = idx.index(k)
-            scalars.accumulate(out, idx[:pos] + idx[pos + 1:], c, -1 if pos % 2 else 1)
-    return out
-
-
 def _partials(data, chart):
     """{k: d(data)/dx^k} over the coordinates k a multivector's coefficient
     dict depends on, from one gradient per coefficient."""
@@ -94,7 +84,9 @@ def schouten_data(chart, p, udata, q, vdata):
     for k in sorted(du_dx.keys() | dv_dx.keys()):
         for sign, xi, partial in ((s1, udata, dv_dx.get(k)), (s2, vdata, du_dx.get(k))):
             if partial:
-                for key, c in _bilinear(_xi_derivative(xi, k), partial, merge).items():
+                # the left Grassmann derivative d/dxi_k is iota by dx^k
+                xi_k = _bilinear({(k,): scalars.ONE}, xi, _contract_by_pair)
+                for key, c in _bilinear(xi_k, partial, merge).items():
                     scalars.accumulate(out, key, c, sign)
     return out
 
@@ -141,14 +133,16 @@ def poincare_primitive(alpha):
         raise NotClosedError("poincare_primitive needs a closed form")
     a = alpha.degree
     coords = [scalars.as_scalar(s) for s in chart.syms]
-    data = {}
+    # each monomial of degree |e| rescaled by 1/(a + |e|), then contracted
+    # by the Euler field x^i d/dx^i
+    scaled = {}
     for idx, c in alpha.data.items():
         for coeff, exps in scalars.poly_monomials(c, chart):
             term = coeff / (a + sum(exps))
             for x, e in zip(coords, exps):
                 if e:
                     term = term * x**e
-            for k, slot in enumerate(idx):
-                scalars.accumulate(data, idx[:k] + idx[k + 1 :],
-                                   term * coords[slot], -1 if k % 2 else 1)
-    return Form(chart, a - 1, data, _normalized=True)
+            scalars.accumulate(scaled, idx, term)
+    euler = {(i,): x for i, x in enumerate(coords)}
+    return Form(chart, a - 1, _bilinear(euler, scaled, _contract_by_pair),
+                _normalized=True)

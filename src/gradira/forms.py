@@ -14,20 +14,25 @@ Sign conventions (pinned once, in multiindex.py):
 * iota_{theta (x) u} gamma = theta ^ iota_u gamma for multivector valued
   forms, and iota_X in the form slot only is ``contract_form_slot``.
 
-Kernel contract: every product and contraction here is one call to
-``_bilinear``, which sums c_x * c_y over all pairs of stored terms.  A
+Kernel contract: every product and contraction in the package is one call
+to ``_bilinear``, which sums c_x * c_y over all pairs of stored terms.  A
 ``pair(kx, ky) -> (sign, key)`` function places each product.  Pair
 functions are built only from ``merge`` and ``contract_index``, so every
 sign comes from multiindex.py; sign 0 drops the pair.  The sums go through
 ``scalars.accumulate``, which drops zero coefficients, so no stored map
-ever holds a zero.
+ever holds a zero.  A pairing with a list of generators (a coset test, a
+pairing system's rows, an annihilator) is ``_pairing`` or, linear in the
+unknown components, ``_pairing_rows``; both call ``_bilinear``.  The one
+index kernel outside it is ``structure.Structure.pairing_rhs``.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from . import scalars
 from .errors import DegreeError
-from .multiindex import contract_index, merge, subsets
+from .multiindex import contract_index, merge
 from .scalars import as_scalar
 
 __all__ = [
@@ -265,15 +270,42 @@ def _bilinear(xdata, ydata, pair):
 
     ``pair(kx, ky)`` returns (sign, key); the product is added at ``key``
     with that sign, and sign 0 drops the pair.  x is the outer loop, which
-    fixes the order in which keys enter the result.
+    fixes the order in which keys enter the result.  A unit x coefficient
+    (``scalars.ONE``, as in ``_pairing_rows``) skips the product.
     """
     data = {}
+    one, accumulate, smul = scalars.ONE, scalars.accumulate, scalars.smul
     for kx, cx in xdata.items():
         for ky, cy in ydata.items():
             sign, key = pair(kx, ky)
             if sign:
-                scalars.accumulate(data, key, scalars.smul(cx, cy), sign)
+                accumulate(data, key, cy if cx is one else smul(cx, cy), sign)
     return data
+
+
+def _pairing(data, gens, pair):
+    """{(g, key): c}: the ``_bilinear`` product of ``data`` with each
+    generator's coefficient dict gens[g], e.g. iota_w alpha_g for the
+    coefficient dict of w and ``pair`` a contraction pair."""
+    return {(g, key): c for g, gdata in enumerate(gens)
+            for key, c in _bilinear(data, gdata, pair).items()}
+
+
+def _pairing_rows(unknowns, gens, pair):
+    """``_pairing`` as a linear system in the components of w: rows
+    {(g, key): {unknown: c}} sorted by row key, each row's unknowns in the
+    order of ``unknowns``.  Pairs the units {u: 1} with each generator in
+    one ``_bilinear``, the unit kept in the result key, and transposes."""
+    def tagged(u, ky):
+        sign, key = pair(u, ky)
+        return sign, (key, u)
+
+    units = dict.fromkeys(unknowns, scalars.ONE)
+    rows = {}
+    for g, gdata in enumerate(gens):
+        for (key, u), c in _bilinear(units, gdata, tagged).items():
+            rows.setdefault((g, key), {})[u] = c
+    return {row: rows[row] for row in sorted(rows)}
 
 
 def _tensor_pair(fidx, vidx):
@@ -473,36 +505,29 @@ def identity_tensor(chart, a):
     """The identity 1_a = sum over ordered multi-indices dx^I (x) d/dx^I."""
     if a < 0 or a > chart.m:
         raise DegreeError(f"identity tensor degree {a} out of range")
-    data = {}
-    for idx in subsets(tuple(range(chart.m)), a):
-        data[(idx, idx)] = scalars.ONE
+    data = {(idx, idx): scalars.ONE for idx in combinations(range(chart.m), a)}
     return MvForm(chart, a, a, data, _normalized=True)
+
+
+def _volume_slots(chart, lower):
+    """The degree and coefficient dict of the base slots ``lower`` (names
+    or indices, applied left to right) contracted into 0..n-1: one
+    ``contract_index``.  A repeated or non-base slot gives zero; more
+    than n slots give a negative degree, which the constructors reject."""
+    idx = tuple(chart.index(c) if isinstance(c, str) else c for c in lower)
+    degree = chart.n - len(idx)
+    if len(set(idx)) < len(idx):
+        return degree, {}
+    sign, rest = contract_index(tuple(range(chart.n)), idx)
+    return degree, {rest: scalars.as_scalar(sign)} if sign else {}
 
 
 def volume_contraction(chart, lower):
     """d^{n-|lower|} x_{lower}: the listed base vectors contracted into d^n x."""
-    n = chart.n
-    vol = Form(chart, n, {tuple(range(n)): scalars.ONE}, _normalized=True)
-    if not lower:
-        return vol
-    u = MultiVector(chart, 1, {(chart.index(lower[0]) if isinstance(lower[0], str) else lower[0],): scalars.ONE}, _normalized=True)
-    for c in lower[1:]:
-        i = chart.index(c) if isinstance(c, str) else c
-        u = wedge(u, MultiVector(chart, 1, {(i,): scalars.ONE}, _normalized=True))
-    return contract(u, vol)
+    return Form(chart, *_volume_slots(chart, lower), _normalized=True)
 
 
 def volume_mv_contraction(chart, lower):
     """The multivector mirror of ``volume_contraction``: the listed base
     differentials contracted into the base volume multivector."""
-    n = chart.n
-    vol = MultiVector(chart, n, {tuple(range(n)): scalars.ONE}, _normalized=True)
-    if not lower:
-        return vol
-    alpha = Form.d_coord(chart, lower[0]) if isinstance(lower[0], str) else Form(
-        chart, 1, {(lower[0],): scalars.ONE}, _normalized=True)
-    for c in lower[1:]:
-        nxt = Form.d_coord(chart, c) if isinstance(c, str) else Form(
-            chart, 1, {(c,): scalars.ONE}, _normalized=True)
-        alpha = wedge(alpha, nxt)
-    return contract_form(alpha, vol)
+    return MultiVector(chart, *_volume_slots(chart, lower), _normalized=True)

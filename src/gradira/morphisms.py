@@ -10,7 +10,9 @@ from __future__ import annotations
 from . import scalars
 from .chart import Chart
 from .errors import ChartError, MapSpecError
-from .forms import Form, MultiVector, linear_combination, substitute_differentials
+from .calculus import exterior_derivative
+from .forms import (Form, MultiVector, _bilinear, _contract_by_pair, linear_combination,
+                    substitute_differentials)
 from .linsolve import Echelon, nullspace
 from .render import render
 from .report import Report
@@ -203,17 +205,14 @@ def pullback(structure, spec):
     if len(structure.span(1).echelon.pivots) < structure.chart.m:
         vectors.update((("k", l), kv)
                        for l, kv in enumerate(structure.annihilator_span(1)))
+    # a row per constraint phi: d phi (v) restricted to the image, per v
     rows = []
     for phi in constraints:
-        grad = scalars.diff(phi, structure.chart)
+        dphi = exterior_derivative(Form.scalar_form(structure.chart, phi)).data
         coeffs = {}
         for key, v in vectors.items():
-            acc = scalars.ZERO
-            for (ci,), c in v.data.items():
-                g = grad.get(ci, scalars.ZERO)
-                if g != 0:
-                    acc = scalars.sadd(acc, spec.restrict_scalar(scalars.smul(c, g)))
-            if acc != 0:
+            value = _bilinear(v.data, dphi, _contract_by_pair)
+            if value and (acc := spec.restrict_scalar(value[()])):
                 coeffs[key] = acc
         if coeffs:
             rows.append(coeffs)

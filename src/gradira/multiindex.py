@@ -10,8 +10,6 @@ funnel through these few helpers, so the conventions are pinned here:
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .errors import DegreeError
 
 
@@ -83,8 +81,3 @@ def contract_index(idx, by):
             sign = -sign
         del remaining[pos]
     return sign, tuple(remaining)
-
-
-def subsets(idx, k):
-    """All k-subsets of a multi-index, as increasing tuples."""
-    return combinations(idx, k)

@@ -47,8 +47,7 @@ class Scenario:
 def _canonical_charts(n, fields, momentum_name):
     base = [f"x{mu}" for mu in range(1, n + 1)]
     momenta = [momentum_name(u, mu) for u in fields for mu in range(1, n + 1)]
-    extended = Chart(base=base, fiber=list(fields) + ["p"] + momenta)
-    return extended
+    return Chart(base=base, fiber=list(fields) + ["p"] + momenta)
 
 
 def extended_canonical(n, k=1, fields=None, momentum_name=None):
@@ -310,7 +309,9 @@ def canonical_extension_table(scn, style="symmetric"):
     fields = scn.params["fields"]
     if style == "solved":
         return build_span_tower(structure, n + 1, n, vertical=True).table()
-    momentum = scn.params.get("momentum_name") or (lambda u, mu: f"p{mu}_{u[1:]}")
+    # the fiber order of ``_canonical_charts``: fields, then momenta field by field
+    momenta = chart.fiber_coords[len(fields):]
+    momentum = lambda u, mu: momenta[fields.index(u) * n + mu - 1]
     vol = volume_contraction(chart, [])
     entries = []
     for u in fields:

@@ -10,11 +10,9 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations
 
-from . import scalars
 from .errors import DegreeError
-from .forms import MultiVector
+from .forms import MultiVector, _contract_by_pair, _pairing_rows
 from .linsolve import Echelon, LinearSolution, nullspace
-from .multiindex import contract_index
 
 __all__ = ["Span", "annihilator", "decompose_over", "generator_echelon"]
 
@@ -106,18 +104,6 @@ def annihilator(span, p):
         raise DegreeError("annihilator order exceeds span degree")
     chart = span.chart
     unknowns = list(combinations(range(chart.m), p))
-    rows = []
-    for g in span.generators:
-        eqs = {}
-        for fidx, c in g.data.items():
-            for vidx in combinations(fidx, p):
-                sign, rest = contract_index(fidx, vidx)
-                scalars.accumulate(eqs.setdefault(rest, {}), vidx, c, sign)
-        for coeffs in eqs.values():
-            if coeffs:
-                rows.append(coeffs)
-    basis = nullspace(rows, unknowns)
-    gens = [
-        MultiVector(chart, p, dict(vec), _normalized=False) for vec in basis
-    ]
+    rows = _pairing_rows(unknowns, [g.data for g in span.generators], _contract_by_pair)
+    gens = [MultiVector(chart, p, dict(vec)) for vec in nullspace(rows, unknowns)]
     return Span(chart, p, gens, kind="multivector")

@@ -19,8 +19,8 @@ from .calculus import exterior_derivative, lie_derivative, schouten_data
 from .errors import (ChartError, DegreeError, MembershipError, NonWellDefinedError,
                      NotHamiltonianError)
 from .forms import (Form, MultiVector, MvForm, _bilinear, _combination,
-                    _contract_by_pair, contract, linear_combination, mvform_contract_pair,
-                    wedge)
+                    _contract_by_pair, _pairing, _pairing_rows, contract,
+                    linear_combination, mvform_contract_pair, wedge)
 from .linsolve import Echelon
 from .render import render
 from .report import Report
@@ -110,15 +110,8 @@ class PairingSystem:
         vkeys = [v for v in combinations(range(chart.m), vdeg)
                  if not vertical or any(i >= chart.n for i in v)]
         self.unknowns = [(f, v) for f in combinations(range(chart.m), fdeg) for v in vkeys]
-        self.rows = {}
-        for g, gen in enumerate(generators):
-            lhs = {}
-            for wkey in self.unknowns:
-                for aidx, c in gen.data.items():
-                    sign, res = mvform_contract_pair(wkey, aidx)
-                    if sign:
-                        scalars.accumulate(lhs.setdefault(res, {}), wkey, c, sign)
-            self.rows.update(((g, key), lhs[key]) for key in sorted(lhs))
+        self.rows = _pairing_rows(self.unknowns, [g.data for g in generators],
+                                  mvform_contract_pair)
         self.echelon = Echelon(self.rows, self.unknowns)
 
     @cached_property
@@ -272,24 +265,30 @@ class Structure:
         """iota_w alpha_g for the S^p generators alpha_g, keyed
         {(g, multi-index): coefficient}; empty iff w is zero modulo K_p,
         which ``coset_is_zero`` decides with an early exit."""
-        return {(g, key): c for g, gen in enumerate(self.levels[p])
-                for key, c in contract(w, gen.form).data.items()}
+        degree, pair = self._contraction(w)
+        if degree > p:
+            raise DegreeError(f"cannot contract degree {p} forms by {degree}-vector values")
+        return _pairing(w.data, [g.form.data for g in self.levels[p]], pair)
 
     # -- cosets ------------------------------------------------------------
+
+    def _contraction(self, rep):
+        """(vector degree, pair function) of a multivector or a multivector
+        valued form on this chart, contracted into forms."""
+        if rep.chart != self.chart:
+            raise DegreeError("contraction across charts")
+        if isinstance(rep, MultiVector):
+            return rep.degree, _contract_by_pair
+        return rep.vec_degree, mvform_contract_pair
 
     def coset_is_zero(self, rep, p):
         """Does the representative lie in (Lambda (x)) K_p?  Tested by
         contraction against the S^p generators."""
         if rep.is_zero():
             return True
-        if isinstance(rep, MultiVector):
-            degree, pair = rep.degree, _contract_by_pair
-        else:
-            degree, pair = rep.vec_degree, mvform_contract_pair
+        degree, pair = self._contraction(rep)
         if degree != p:
             raise DegreeError(f"representative degree {degree} != modulus {p}")
-        if rep.chart != self.chart:
-            raise DegreeError("contraction across charts")
         return self.in_annihilator(rep.data, p, pair)
 
     def in_annihilator(self, data, p, pair):
@@ -609,8 +608,6 @@ def check_flatness_witnesses(structure, generation=None, symmetries=None):
 def verify_fibered(structure):
     """Fibered conditions: S^a consists of (a-1)-horizontal forms, and
     every semi-basic coordinate a-form lies in S^a."""
-    from itertools import combinations
-
     report = Report()
     n = structure.n
     chart = structure.chart

@@ -19,6 +19,9 @@ checks the axioms with ``Form`` operators, ``contract``, ``schouten``,
 ``Span.decompose`` and ``CosetRep.equiv``, where the package keeps
 coefficient dicts; ``decompose_s1_power``, ``is_null`` and
 ``fiber_indices`` are helpers that only the tests use.
+``naive_pairing_rows`` and ``naive_annihilator`` keep the explicit
+accumulate loops for the rows of the S^a[j] pairing system and of the
+annihilator, which the package builds through ``forms._pairing_rows``.
 """
 
 from itertools import combinations, permutations
@@ -515,3 +518,48 @@ def _naive_check_pair(structure, report, d, a, i, b, j):
         ok,
         "" if ok else f"sharp of {render(theta)} differs from [U, V] = {render(lieb)}",
     )
+
+
+def naive_pairing_rows(chart, generators, fdeg, vdeg, vertical=False):
+    """(unknowns, rows) of the S^a[j] pairing system for W in
+    Lambda^fdeg (x) V_vdeg, by the explicit accumulate loop over
+    (generator, unknown, generator term): one row per (generator index,
+    result multi-index), keys sorted per generator, each row's unknowns in
+    canonical order.  The oracle for ``structure.PairingSystem.rows``."""
+    from gradira import scalars
+    from gradira.forms import mvform_contract_pair
+
+    vkeys = [v for v in combinations(range(chart.m), vdeg)
+             if not vertical or any(i >= chart.n for i in v)]
+    unknowns = [(f, v) for f in combinations(range(chart.m), fdeg) for v in vkeys]
+    rows = {}
+    for g, gen in enumerate(generators):
+        lhs = {}
+        for wkey in unknowns:
+            for aidx, c in gen.data.items():
+                sign, res = mvform_contract_pair(wkey, aidx)
+                if sign:
+                    scalars.accumulate(lhs.setdefault(res, {}), wkey, c, sign)
+        rows.update(((g, key), lhs[key]) for key in sorted(lhs))
+    return unknowns, rows
+
+
+def naive_annihilator(span, p):
+    """The coefficient dicts of the order-p annihilator generators of a
+    span of forms, by the explicit loop over (generator, term, p-subset of
+    the term's slots) and one ``nullspace``: the oracle for
+    ``spans.annihilator``."""
+    from gradira import scalars
+    from gradira.linsolve import nullspace
+    from gradira.multiindex import contract_index
+
+    unknowns = list(combinations(range(span.chart.m), p))
+    rows = []
+    for g in span.generators:
+        eqs = {}
+        for fidx, c in g.data.items():
+            for vidx in combinations(fidx, p):
+                sign, rest = contract_index(fidx, vidx)
+                scalars.accumulate(eqs.setdefault(rest, {}), vidx, c, sign)
+        rows.extend(coeffs for coeffs in eqs.values() if coeffs)
+    return [{k: v for k, v in vec.items() if v} for vec in nullspace(rows, unknowns)]

@@ -15,11 +15,13 @@ from gradira import (
     build_span_tower,
     check_evolution,
     check_subalgebra_condition,
+    contract,
     exterior_derivative,
     gamma_H,
     hdw_residuals,
     is_hamiltonian,
     is_special_hamiltonian,
+    reduced_canonical,
     volume_contraction,
     wedge,
 )
@@ -214,6 +216,36 @@ class TestGamma:
             row = h.gammas[f"p{mu}_1"]
             assert row.get(mu) == -sympy.Rational(1, 2) * sympy.Symbol("H__y1")
             assert set(row) == {mu}
+
+    def test_lift_pairs_with_horizontal_differentials(self, red2):
+        # iota_{lift(mu)} h^*(dx^i) = dx^i(lift(mu)) for every coordinate:
+        # delta on the base, Gamma^u_mu on the fiber
+        ch = red2.chart
+        table = canonical_extension_table(red2, style="symmetric")
+        h = gamma_H(Hamiltonian(red2.hamiltonian_form, red2.structure), table)
+        for mu in range(1, ch.n + 1):
+            lift = h.lift(mu)
+            assert any(i >= ch.n for (i,) in lift.data)
+            for name in ch.coords:
+                dxi = Form.d_coord(ch, name)
+                assert contract(lift, h.pullback(dxi)) == contract(lift, dxi)
+
+    @pytest.mark.parametrize("n, k", [(2, 1), (2, 2)])
+    def test_symmetric_table_with_custom_momentum_names(self, n, k):
+        # the table reads the momenta off the chart's fiber order, so any
+        # momentum naming gives a table that verifies and an evolution
+        # identity that holds
+        scn = reduced_canonical(n, k, momentum_name=lambda u, mu: f"q{mu}_{u[1:]}")
+        ch = scn.chart
+        table = canonical_extension_table(scn, style="symmetric")
+        table.verify()
+        ham = Hamiltonian(scn.hamiltonian_form, scn.structure)
+        h = gamma_H(ham, table)
+        for mu in range(1, n + 1):
+            assert h.gammas["y1"][mu] == sympy.Symbol(f"H__q{mu}_1")
+        forms = [("y1", Form.scalar_form(ch, ch.sym("y1")))] + scn.hamiltonian_generators
+        report = check_evolution(ham, table, h, forms)
+        assert report.passed, report.render()
 
     def test_fiber_independent_hamiltonian_gives_flat_momentum_lift(self, red2):
         ch = red2.chart

@@ -1,4 +1,5 @@
 import pytest
+import sympy
 
 from gradira import (
     AffineEmbedding,
@@ -12,7 +13,9 @@ from gradira import (
     volume_contraction,
     wedge,
 )
-from gradira.errors import ChartError
+from gradira import scalars
+from gradira.errors import ChartError, UndefinedScalarError
+from gradira.structure import verify_axioms
 
 
 class TestPushforward:
@@ -116,6 +119,62 @@ class TestPullback:
             assert st.derive_sharp(3, form).rep == MultiVector.coord_vector(
                 ch, f"A1_{mu}"
             )
+
+    def test_pullback_with_nonzero_k1(self):
+        # S^1 = <dx1, dx2> misses dy1, so K_1 = <d/dy1> joins the tangency
+        # unknowns: along y1 -> z + x1 the one generator d^2x survives with
+        # sharp value 0
+        from test_extensions import rank_deficient
+
+        st = rank_deficient()
+        assert [k.data for k in st.annihilator_span(1)] == [{(2,): 1}]
+        adapted = Chart(base=["x1", "x2"], fiber=["z"])
+        x1, z = sympy.symbols("x1 z")
+        out = pullback(st, AffineEmbedding(st.chart, adapted, {"y1": z + x1}))
+        assert out.generators(2) == [volume_contraction(adapted, [])]
+        assert out.sharp_values(2) == [MultiVector.zero(adapted, 1)]
+        assert verify_axioms(out).passed
+
+
+class TestSubstitution:
+    """The evaluation branch of ``scalars.substitute``, through an
+    embedding of (x1; y1) into (x1; y1, y2) along y1 -> y1 + x1,
+    y2 -> 2 y1 + 1, against sympy's simultaneous ``subs``."""
+
+    @staticmethod
+    def _embedding():
+        ambient = Chart(base=["x1"], fiber=["y1", "y2"])
+        ambient.declare_function("H", ["x1"])
+        adapted = Chart(base=["x1"], fiber=["y1"])
+        x1, y1 = sympy.symbols("x1 y1")
+        return AffineEmbedding(ambient, adapted, {"y1": y1 + x1, "y2": 2 * y1 + 1})
+
+    @pytest.mark.parametrize("text", [
+        "(y1*y2 + x1**2)/(1 + y2**2)",
+        "y2**3 - y1/(x1 + 2)",
+        "1/(y1 - x1)",
+        "H*y2/(1 + x1**2) + y1",
+        "x1**2 + 3",
+    ])
+    def test_restriction_matches_sympy_subs(self, text):
+        emb = self._embedding()
+        x1, y1, y2 = sympy.symbols("x1 y1 y2")
+        expr = sympy.sympify(text, locals={"H": sympy.Symbol("H")})
+        expected = sympy.cancel(expr.subs({y1: y1 + x1, y2: 2 * y1 + 1},
+                                          simultaneous=True))
+        assert emb.restrict_scalar(scalars.as_scalar(expr)) == scalars.as_scalar(expected)
+        # dx1 is not substituted, so the pulled 1-form is expected dx1
+        form = Form(emb.target_chart, 1, {(0,): expr})
+        assert emb.pull_form(form) == Form(emb.source_chart, 1, {(0,): expected})
+
+    def test_pole_on_the_image_raises(self):
+        emb = self._embedding()
+        x1, y1, y2 = sympy.symbols("x1 y1 y2")
+        pole = 1 / (y2 - 2 * y1 + 2 * x1 - 1)  # the denominator vanishes on the image
+        with pytest.raises(UndefinedScalarError):
+            emb.restrict_scalar(scalars.as_scalar(pole))
+        with pytest.raises(UndefinedScalarError):
+            emb.pull_form(Form(emb.target_chart, 0, {(): pole}))
 
 
 class TestDiracMap:

@@ -196,6 +196,31 @@ class TestCli:
         assert code == 0
         assert out.count("extend ") == 4
 
+    def test_extend_out_writes_the_stdout(self, tmp_path, capsys):
+        out_file = str(tmp_path / "structure.json")
+        run_cli(["scenario", "reduced-canonical", "--out", out_file], capsys)
+        code, text, err = run_cli(["extend", "-f", out_file], capsys)
+        assert (code, err) == (0, "")
+        ext_file = tmp_path / "extension.txt"
+        code, out, err = run_cli(["extend", "-f", out_file, "--out", str(ext_file)],
+                                 capsys)
+        assert (code, out, err) == (0, f"wrote {ext_file}\n", "")
+        assert ext_file.read_text() == text
+        table = parse_extension(ext_file.read_text(), load_structure_file(out_file).structure)
+        table.verify()
+        assert len(table.entries) == 4
+
+    @pytest.mark.parametrize("command, message", [
+        ("hamiltonian", "no Hamiltonian: pass -H or use a file with one"),
+        ("hdw", "structure file has no Hamiltonian"),
+        ("evolution", "structure file has no Hamiltonian"),
+    ])
+    def test_file_without_hamiltonian_exit_2(self, tmp_path, capsys, command, message):
+        out_file = str(tmp_path / "structure.json")
+        run_cli(["scenario", "extended-canonical", "--out", out_file], capsys)
+        code, out, err = run_cli([command, "-f", out_file], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("args, message", [
         (["tower", "-a", "0"], "form degree a=0 below extension level j=2"),
         (["extend", "-a", "0"], "form degree a=0 below extension level j=2"),
