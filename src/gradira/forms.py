@@ -31,7 +31,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import scalars
-from .errors import DegreeError
+from .errors import ChartError, DegreeError
 from .multiindex import contract_index, merge
 from .scalars import as_scalar
 
@@ -512,9 +512,13 @@ def identity_tensor(chart, a):
 def _volume_slots(chart, lower):
     """The degree and coefficient dict of the base slots ``lower`` (names
     or indices, applied left to right) contracted into 0..n-1: one
-    ``contract_index``.  A repeated or non-base slot gives zero; more
-    than n slots give a negative degree, which the constructors reject."""
+    ``contract_index``.  A slot that names no coordinate raises
+    ChartError.  A repeated or fiber slot gives zero; more than n slots
+    give a negative degree, which the constructors reject."""
     idx = tuple(chart.index(c) if isinstance(c, str) else c for c in lower)
+    for i in idx:
+        if not isinstance(i, int) or not 0 <= i < chart.m:
+            raise ChartError(f"volume slot {i!r} names no coordinate of {chart!r}")
     degree = chart.n - len(idx)
     if len(set(idx)) < len(idx):
         return degree, {}

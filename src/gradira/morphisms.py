@@ -13,10 +13,10 @@ from .errors import ChartError, MapSpecError
 from .calculus import exterior_derivative
 from .forms import (Form, MultiVector, _bilinear, _contract_by_pair, linear_combination,
                     substitute_differentials)
-from .linsolve import Echelon, nullspace
+from .linsolve import nullspace
 from .render import render
 from .report import Report
-from .spans import Span
+from .spans import Span, generator_echelon
 from .structure import Structure, bracket, is_hamiltonian_form
 
 __all__ = ["SubmersionDrop", "AffineEmbedding", "pushforward", "pullback",
@@ -217,13 +217,10 @@ def pullback(structure, spec):
         if coeffs:
             rows.append(coeffs)
     basis = nullspace(rows, list(vectors))
-    # the tangent matrix, eliminated once: row i holds the i-th ambient
+    # the tangent matrix, eliminated once: row (i,) holds the i-th ambient
     # components of the pushed adapted coordinate vectors
     pushed = spec.tangent_pushforwards()
-    tangent = Echelon({i: {j: pv.data[(i,)] for j, pv in enumerate(pushed)
-                           if (i,) in pv.data}
-                       for i in range(structure.chart.m)},
-                      range(spec.source_chart.m))
+    tangent = generator_echelon(pushed)
     new_gens = []
     new_vals = []
     for vec in basis:
@@ -247,7 +244,7 @@ def pullback(structure, spec):
 def _express_tangent(spec, tangent, value):
     """Solve push(W) = value (restricted to the image) for an adapted-chart
     vector W; the solution is unique since the embedding is injective."""
-    sol = tangent.solve({i: spec.restrict_scalar(c) for (i,), c in value.data.items()})
+    sol = tangent.solve({key: spec.restrict_scalar(c) for key, c in value.data.items()})
     if sol is None:
         raise MapSpecError(
             f"sharp value {render(value)} is not tangent to the embedding",

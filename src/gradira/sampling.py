@@ -55,7 +55,7 @@ def random_form(rng, chart, degree, terms=3, poly_degree=1, symbols=None):
     return Form(chart, degree, data)
 
 
-def random_hamiltonian_form(rng, scn, base_only_coeffs=True):
+def random_hamiltonian_form(rng, scn):
     """A random polynomial Hamiltonian (n-1)-form on a canonical scenario:
     base-coefficient combinations of the generator families plus an exact
     polynomial part."""

@@ -22,6 +22,7 @@ from .forms import (Form, MultiVector, MvForm, _bilinear, _combination,
                     _contract_by_pair, _pairing, _pairing_rows, contract,
                     linear_combination, mvform_contract_pair, wedge)
 from .linsolve import Echelon
+from .multiindex import merge
 from .render import render
 from .report import Report
 from .spans import Span, annihilator
@@ -71,34 +72,6 @@ class CosetRep:
         return f"{render(self.rep)}  (mod K_{self.modulus_degree})"
 
 
-def _scalar_ratio(candidate, reference):
-    """lam with candidate = lam * reference for a nonzero scalar lam, else None."""
-    if set(candidate.data) != set(reference.data):
-        return None
-    ratio = None
-    for key, c in reference.data.items():
-        r = scalars.sdiv(candidate.data[key], c)
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            return None
-    return ratio
-
-
-def _averaged_gen(candidates, chosen):
-    """Average the sharp values of all candidates proportional to the
-    chosen one.  Any single provenance is a valid representative modulo K;
-    the mean is the canonical, basis-symmetric choice (it produces e.g. the
-    1/n coefficients of the canonical sharp_1 table)."""
-    terms = []
-    for cand in candidates:
-        lam = _scalar_ratio(cand.form, chosen.form)
-        if lam is not None:
-            terms.append((scalars.sdiv(scalars.ONE, lam), cand.sharp))
-    total = linear_combination(terms, like=chosen.sharp)
-    return TowerGen(chosen.form, Fraction(1, len(terms)) * total)
-
-
 class PairingSystem:
     """The W side of the S^a[j] pairing iota_W alpha = iota_{sharp_1~(theta)} alpha
     (alpha in S^n, W in Lambda^{a-j} (x) V_{n+1-j}), eliminated once: one
@@ -138,11 +111,11 @@ class Structure:
         self.chart = chart
         self.n = chart.n
         for g in generators:
-            if g.degree != self.n:
-                raise DegreeError("S^n generators must have degree n")
+            if not isinstance(g, Form) or g.degree != self.n or g.chart != chart:
+                raise DegreeError(f"S^n generators must be forms of degree n on {chart!r}")
         for v in sharps:
-            if v.degree != 1:
-                raise DegreeError("sharp_n values must be vector fields")
+            if not isinstance(v, MultiVector) or v.degree != 1 or v.chart != chart:
+                raise DegreeError(f"sharp_n values must be vector fields on {chart!r}")
         self.levels = {self.n: [TowerGen(g, v) for g, v in zip(generators, sharps)]}
         self._build_tower()
         self._canonicalize_null_values()
@@ -154,21 +127,44 @@ class Structure:
     # -- tower -------------------------------------------------------------
 
     def _build_tower(self):
-        chart = self.chart
+        """S^a = iota_{TM} S^{a+1} for a = n-1..1, on coefficient dicts.
+
+        The candidates are iota_{@/x^i} alpha, with sharp value
+        sharp(alpha) ^ @/x^i, for each level-(a+1) generator alpha and
+        coordinate i.  One ``Echelon`` keeps the independent nonzero ones
+        in candidate order.  Two candidates are proportional exactly when
+        they share a ray key: the coefficient dict divided by its
+        coefficient at its smallest key k0.  A kept candidate c_t takes as
+        its sharp value the mean of (c_t[k0] / c_s[k0]) sharp_s over the
+        candidates c_s of its ray.  Any single provenance is a valid
+        representative modulo K; the mean is the canonical, basis-symmetric
+        choice (it gives e.g. the 1/n coefficients of the canonical sharp_1
+        table).
+        """
+        chart, one = self.chart, scalars.ONE
         for a in range(self.n - 1, 0, -1):
-            candidates = []
+            candidates, rays = [], {}
             for gen in self.levels[a + 1]:
                 for i in range(chart.m):
-                    v = MultiVector(chart, 1, {(i,): scalars.ONE}, _normalized=True)
-                    form = contract(v, gen.form)
-                    if form.is_zero():
-                        continue
-                    candidates.append(TowerGen(form, wedge(gen.sharp, v)))
-            span = Span(chart, a, [c.form for c in candidates])
-            _, kept = span.reduced()
-            self.levels[a] = [
-                _averaged_gen(candidates, candidates[i]) for i in kept
-            ]
+                    form = _bilinear({(i,): one}, gen.form.data, _contract_by_pair)
+                    if form:
+                        c0 = form[min(form)]
+                        ray = frozenset((k, scalars.sdiv(c, c0)) for k, c in form.items())
+                        sharp = _bilinear(gen.sharp.data, {(i,): one}, merge)
+                        rays.setdefault(ray, []).append((c0, sharp))
+                        candidates.append((form, c0, ray))
+            forms = [form for form, _, _ in candidates]
+            dependent = Echelon(forms, sorted(set().union(*forms))).dependent
+            self.levels[a] = []
+            for t, (form, c0, ray) in enumerate(candidates):
+                if t in dependent:
+                    continue
+                group = rays[ray]
+                sharp = _combination((scalars.sdiv(c0, scalars.smul(len(group), cs)), data)
+                                     for cs, data in group)
+                self.levels[a].append(TowerGen(
+                    Form(chart, a, form, _normalized=True),
+                    MultiVector(chart, self.n + 1 - a, sharp, _normalized=True)))
 
     def _canonicalize_null_values(self):
         """Replace K-null derived sharp representatives by the zero
@@ -309,8 +305,8 @@ class Structure:
 
     def _check_decomposition_kernel(self):
         """All decompositions must induce the same sharp value mod K.  Only
-        level n can have relations: the lower levels come out of
-        Span.reduced, so their generators are independent."""
+        level n can have relations: ``_build_tower`` keeps only independent
+        generators below it."""
         n = self.n
         for vec in self._spans[n].kernel():
             rel = self.sharp_from(n, vec).rep

@@ -17,8 +17,10 @@ from the sharp_n values, and ``naive_solve_pairing`` the W side of the
 S^a[j] pairing afresh for every form it solves.  ``naive_verify_axioms``
 checks the axioms with ``Form`` operators, ``contract``, ``schouten``,
 ``Span.decompose`` and ``CosetRep.equiv``, where the package keeps
-coefficient dicts; ``decompose_s1_power``, ``is_null`` and
-``fiber_indices`` are helpers that only the tests use.
+coefficient dicts; ``naive_lower_tower`` rebuilds the levels below n with
+``contract``, ``wedge``, ``Span.reduced`` and a pairwise ratio test, where
+the package groups coefficient dicts by ray key; ``decompose_s1_power``,
+``is_null`` and ``fiber_indices`` are helpers that only the tests use.
 ``naive_pairing_rows`` and ``naive_annihilator`` keep the explicit
 accumulate loops for the rows of the S^a[j] pairing system and of the
 annihilator, which the package builds through ``forms._pairing_rows``.
@@ -563,3 +565,64 @@ def naive_annihilator(span, p):
                 scalars.accumulate(eqs.setdefault(rest, {}), vidx, c, sign)
         rows.extend(coeffs for coeffs in eqs.values() if coeffs)
     return [{k: v for k, v in vec.items() if v} for vec in nullspace(rows, unknowns)]
+
+
+def _naive_scalar_ratio(candidate, reference):
+    """lam with candidate = lam * reference for a nonzero scalar lam, else
+    None: one division per common key, all of them equal."""
+    from gradira import scalars
+
+    if set(candidate.data) != set(reference.data):
+        return None
+    ratio = None
+    for key, c in reference.data.items():
+        r = scalars.sdiv(candidate.data[key], c)
+        if ratio is None:
+            ratio = r
+        elif ratio != r:
+            return None
+    return ratio
+
+
+def naive_lower_tower(structure):
+    """The levels n-1..1 of ``structure`` rebuilt from its level n with
+    ``Form`` objects, as {a: [TowerGen]}: each level-(a+1) generator
+    contracted by every unit coordinate vector (``contract``, sharp value
+    by ``wedge``), the nonzero candidates reduced by ``Span.reduced``, and
+    each kept generator's sharp value the mean of (1/lam) sharp over every
+    candidate lam times it, lam found by a pairwise ratio test.  Sharp
+    values that are zero modulo K are then replaced by the zero
+    multivector with ``structure.coset_is_zero``."""
+    from fractions import Fraction
+
+    from gradira import scalars
+    from gradira.forms import MultiVector, contract, linear_combination, wedge
+    from gradira.spans import Span
+    from gradira.structure import TowerGen
+
+    chart, n = structure.chart, structure.n
+    levels = {n: structure.levels[n]}
+    for a in range(n - 1, 0, -1):
+        candidates = []
+        for gen in levels[a + 1]:
+            for i in range(chart.m):
+                v = MultiVector(chart, 1, {(i,): 1})
+                form = contract(v, gen.form)
+                if not form.is_zero():
+                    candidates.append(TowerGen(form, wedge(gen.sharp, v)))
+        _, kept = Span(chart, a, [c.form for c in candidates]).reduced()
+        levels[a] = []
+        for k in kept:
+            chosen = candidates[k]
+            terms = []
+            for cand in candidates:
+                lam = _naive_scalar_ratio(cand.form, chosen.form)
+                if lam is not None:
+                    terms.append((scalars.sdiv(scalars.ONE, lam), cand.sharp))
+            total = linear_combination(terms, like=chosen.sharp)
+            levels[a].append(TowerGen(chosen.form, Fraction(1, len(terms)) * total))
+    for a in range(1, n):
+        for gen in levels[a]:
+            if gen.sharp and structure.coset_is_zero(gen.sharp, n + 1 - a):
+                gen.sharp = MultiVector.zero(chart, n + 1 - a)
+    return {a: levels[a] for a in range(n - 1, 0, -1)}

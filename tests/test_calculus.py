@@ -63,9 +63,15 @@ def test_d_top_degree_returns_zero(chart5):
     assert d(top).degree == 5
 
 
-def test_d_formal_function(chart5):
-    chart5.declare_function("F")
-    f = Form.scalar_form(chart5, sympy.Symbol("F"))
+def own_chart5():
+    """A chart like ``chart5`` for a test that declares functions on it."""
+    return Chart(base=["x1", "x2"], fiber=["y1", "p1_1", "p2_1"])
+
+
+def test_d_formal_function():
+    ch = own_chart5()
+    ch.declare_function("F")
+    f = Form.scalar_form(ch, sympy.Symbol("F"))
     df = d(f)
     assert df.data[(0,)] == sympy.Symbol("F__x1")
     assert df.data[(2,)] == sympy.Symbol("F__y1")
@@ -206,8 +212,9 @@ def test_poincare_primitive_rejects_open(chart5):
         poincare_primitive(bad)
 
 
-def test_poincare_primitive_rejects_non_polynomial(chart5):
-    chart5.declare_function("G")
-    bad = Form(chart5, 1, {(0,): sympy.Symbol("G")})
+def test_poincare_primitive_rejects_non_polynomial():
+    ch = own_chart5()
+    ch.declare_function("G")
+    bad = Form(ch, 1, {(0,): sympy.Symbol("G")})
     with pytest.raises((NonPolynomialError, NotClosedError)):
         poincare_primitive(bad)

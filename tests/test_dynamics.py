@@ -247,7 +247,8 @@ class TestGamma:
         report = check_evolution(ham, table, h, forms)
         assert report.passed, report.render()
 
-    def test_fiber_independent_hamiltonian_gives_flat_momentum_lift(self, red2):
+    def test_fiber_independent_hamiltonian_gives_flat_momentum_lift(self):
+        red2 = reduced_canonical(2, 1)  # its own: G is declared on its chart
         ch = red2.chart
         ch.declare_function("G", ["x1", "x2", "p1_1", "p2_1"])
         g = Form.scalar_form(ch, sympy.Symbol("G")) * volume_contraction(ch, [])

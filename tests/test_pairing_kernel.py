@@ -60,9 +60,10 @@ VOLUME_CASES = {
     "repeated": ([0, 0], (0, {})),
     "fiber-index": ([2], (1, {})),
     "fiber-name": (["y1"], (1, {})),
-    "out-of-range": ([7], (1, {})),
-    "negative": ([-1], (1, {})),
-    "mixed-out-of-range": ([0, 7], (0, {})),
+    "out-of-range": ([7], ChartError),
+    "negative": ([-1], ChartError),
+    "mixed-out-of-range": ([0, 7], ChartError),
+    "float": ([1.0], ChartError),
     "too-many": ([0, 0, 0], DegreeError),
     "over-chart": ([0] * 6, DegreeError),
     "unknown-name": (["zz"], ChartError),
@@ -83,6 +84,13 @@ def test_volume_contractions_pinned(red2, cls, contraction, case):
         return
     degree, data = expected
     assert contraction(ch, lower) == cls(ch, degree, data)
+
+
+@pytest.mark.parametrize("contraction", [volume_contraction, volume_mv_contraction])
+@pytest.mark.parametrize("slot", [7, -1, 1.0])
+def test_volume_slot_error_names_the_slot(red2, contraction, slot):
+    with pytest.raises(ChartError, match=f"slot {slot!r} names no coordinate"):
+        contraction(red2.chart, [0, slot])
 
 
 def test_volume_contractions_empty_is_the_volume(red2):

@@ -5,6 +5,7 @@ import sympy
 from hypothesis import given, settings, strategies as hst
 
 from gradira import (
+    Chart,
     Form,
     MultiVector,
     Structure,
@@ -23,7 +24,7 @@ from gradira import (
 from gradira.errors import (DegreeError, MembershipError, NonWellDefinedError,
                             NotHamiltonianError)
 from gradira.structure import deg_h
-from naive import is_null, naive_verify_axioms
+from naive import is_null, naive_lower_tower, naive_verify_axioms
 
 
 def dy_dx(ch, mu):
@@ -528,3 +529,93 @@ class TestAxiomsOracle:
             verify_axioms(st)
         with pytest.raises(DegreeError):
             naive_verify_axioms(st)
+
+
+# ---------------------------------------------------------------------------
+# the lower tower against the Form-object oracle
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _proportional_top():
+    """On (x1, x2; y1): S^2 = <d^2 x, (1 + y1) d^2 x> with sharp values
+    @/y1 and (1 + y1) @/y1, so every S^1 candidate of the second generator
+    is one of the first times the non-constant ratio 1 + y1."""
+    ch = Chart(base=["x1", "x2"], fiber=["y1"])
+    f = 1 + ch.sym("y1")
+    vol, dy = volume_contraction(ch, []), MultiVector.coord_vector(ch, "y1")
+    return Structure(ch, [vol, f * vol], [dy, f * dy])
+
+
+def _tower_structure(name, request):
+    from test_extensions import rank_deficient, scaled, sheared, tilted
+
+    builders = {"sheared": sheared, "scaled": scaled, "rank-deficient": rank_deficient,
+                "tilted": tilted, "proportional": _proportional_top}
+    if name in builders:
+        return builders[name]()
+    fixture, _, part = name.partition(".")
+    return getattr(request.getfixturevalue(fixture), part or "structure")
+
+
+def _lower_levels(levels, n):
+    """Every lower-level form and sharp value, with its keys in order."""
+    return {a: [(g.form, list(g.form.data.items()), g.sharp, list(g.sharp.data.items()))
+                for g in levels[a]] for a in range(n - 1, 0, -1)}
+
+
+class TestLowerTower:
+    @pytest.mark.parametrize("name", ["red2", "red3", "red2k2", "red3k2", "ext2",
+                                      "ym_abelian", "ym_su2", "ym_su2.ambient",
+                                      "sheared", "scaled", "rank-deficient", "tilted",
+                                      "proportional"])
+    def test_matches_form_object_oracle(self, name, request):
+        st = _tower_structure(name, request)
+        assert _lower_levels(st.levels, st.n) == _lower_levels(naive_lower_tower(st), st.n)
+
+    def test_non_constant_ratios_pass_the_axioms(self):
+        # the second generator's S^1 candidates are the first's times
+        # 1 + y1, so only the first's are kept; their mean sharp values
+        # @/y1 ^ @/x_mu kill d^2 x, so they are the zero coset
+        st = _proportional_top()
+        ch = st.chart
+        assert verify_axioms(st).passed
+        assert [(g.form, g.sharp) for g in st.levels[1]] == [
+            (volume_contraction(ch, [mu]), MultiVector.zero(ch, 2)) for mu in (0, 1)]
+
+    @pytest.mark.parametrize("case", ["sharp-off-chart", "sharp-is-a-form",
+                                      "generator-off-chart", "generator-is-a-multivector"])
+    def test_top_level_off_its_chart_or_type_raises(self, case):
+        # the tower reads coefficient dicts only, so the chart and type of
+        # every S^n generator and sharp_n value are checked up front
+        ch = Chart(base=["x1", "x2"], fiber=["y1"])
+        other = Chart(base=["x1", "x2"], fiber=["z1"])
+        gen, value = volume_contraction(ch, []), MultiVector.coord_vector(ch, "y1")
+        gen, value = {
+            "sharp-off-chart": (gen, MultiVector.coord_vector(other, "z1")),
+            "sharp-is-a-form": (gen, Form.d_coord(ch, "y1")),
+            "generator-off-chart": (volume_contraction(other, []), value),
+            "generator-is-a-multivector": (volume_mv_contraction(ch, []), value),
+        }[case]
+        with pytest.raises(DegreeError):
+            Structure(ch, [gen], [value])
+
+    def test_rebuild_builds_few_graded_objects(self, red3k2, monkeypatch):
+        # a Form and a MultiVector per kept lower-level generator, and a
+        # zero multivector for a null sharp value: no wrapper per candidate
+        from gradira import forms
+
+        top = red3k2.structure
+        gens, values = top.generators(top.n), top.sharp_values(top.n)
+        built = []
+        real = forms._Graded.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(forms._Graded, "__init__", counting)
+        st = Structure(top.chart, gens, values)
+        lower = sum(len(st.levels[a]) for a in range(1, st.n))
+        assert lower == 26
+        assert len(built) <= 3 * lower
