@@ -184,7 +184,9 @@ class TowerEntry:
 @dataclass
 class TowerLevel:
     """S^a[j]: admitted generators, their particular sharp_j~ values, the
-    homogeneous freedom shared by every entry, and the rejected candidates."""
+    homogeneous freedom shared by every entry, and the candidates, with
+    the rejected ones listed once in candidate order by ``build_span_tower``:
+    a lone candidate outright, any other iff the span does not contain it."""
 
     a: int
     j: int
@@ -193,6 +195,7 @@ class TowerLevel:
     candidates: list
     structure: object
     span: Span  # of the admitted generators, keeping its elimination
+    _rejected: list
 
     def admitted_span(self):
         return self.span
@@ -201,7 +204,7 @@ class TowerLevel:
         return theta.is_zero() or self.span.contains(theta)
 
     def rejected(self):
-        return [c for c in self.candidates if not self.span.contains(c)]
+        return list(self._rejected)
 
     def table(self):
         return ExtensionTable(self.structure, self.j,
@@ -234,6 +237,46 @@ def _check_extension_level(structure, a, j):
         raise DegreeError(f"form degree a={a} above chart dimension {structure.chart.m}")
 
 
+def _support_graph(structure, candidates, system):
+    """(lone, live W columns) of the S^a[j] system, read off
+    ``Structure.pairing_index`` and the rows of the pairing system without
+    multiplying any scalar.
+
+    A candidate's support is {(g, I \\ i) : dx^I a term, i in I, (g, .) in
+    pairing_index[i]}, the keys its right-hand side can reach; a W
+    column's support is the row keys that hold it.  Terms can cancel, so a
+    candidate's support may exceed its right-hand side, which only links
+    more columns.  ``lone[t]`` says that candidate t has a support and
+    shares no key of it with any other column.  The live W columns,
+    {unknown: {row key: coefficient}} in ``system.unknowns`` order, are
+    those linked through shared keys to a candidate that is not lone."""
+    gens_at = {i: [g for g, _ in pairs] for i, pairs in structure.pairing_index.items()}
+    supports = [{(g, idx[:s] + idx[s + 1:]) for idx in theta.data
+                 for s, i in enumerate(idx) for g in gens_at.get(i, ())}
+                for theta in candidates]
+    holders = {}  # row key -> the columns whose support holds it
+    for t, support in enumerate(supports):
+        for key in support:
+            holders.setdefault(key, []).append(("c", t))
+    w_columns = {}
+    for r, coeffs in system.rows.items():
+        for wk, c in coeffs.items():
+            w_columns.setdefault(wk, {})[r] = c
+            holders.setdefault(r, []).append(("w", wk))
+    lone = [bool(support) and all(len(holders[key]) == 1 for key in support)
+            for support in supports]
+    stack = [("c", t) for t, is_lone in enumerate(lone) if not is_lone]
+    reached = set(stack)
+    while stack:
+        kind, col = stack.pop()
+        for key in supports[col] if kind == "c" else w_columns[col]:
+            for other in holders[key]:
+                if other not in reached:
+                    reached.add(other)
+                    stack.append(other)
+    return lone, {wk: w_columns[wk] for wk in system.unknowns if ("w", wk) in reached}
+
+
 def build_span_tower(structure, a, j, vertical=False):
     """Compute S^a[j] over a spanning set of (S^1)^{wedge a}.
 
@@ -246,6 +289,21 @@ def build_span_tower(structure, a, j, vertical=False):
     to the columns before it.  The entries' values and the freedom come
     from the pairing system's own elimination.
 
+    Only the live components of the system's support graph
+    (``_support_graph``) are eliminated.  A row is reduced only by pivots
+    whose columns it holds, so elimination never crosses components, and
+    sorting a subset of the row keys keeps their order: every pivot,
+    relation and the order of the relations stay those of the joint
+    elimination.  Two kinds of component are dropped, exactly:
+    - a lone candidate with a nonzero right-hand side becomes a pivot,
+      takes part in no relation and is rejected, so it gets no column.
+      A one-term candidate's support is its right-hand side's keys (each
+      key (g, I \\ i) fixes i), so only a lone candidate with several
+      terms needs ``Structure.pairing_rhs`` to confirm it;
+    - a component of W columns only gives relations with no candidate part.
+    A candidate with an empty right-hand side is never lone: it reduces to
+    zero at once and is admitted.
+
     With ``vertical=True`` the solve is restricted to vertical-valued
     extensions.  On the canonical charts the unrestricted tower admits
     extra generators whose only solutions carry traceless base-to-base
@@ -256,15 +314,20 @@ def build_span_tower(structure, a, j, vertical=False):
     chart = structure.chart
     candidates = [f for _, f in s1_wedge_basis(structure, a)]
     system = structure.pairing_system(a, j, vertical)
-    columns = {("c", t): structure.pairing_rhs(theta.data)
-               for t, theta in enumerate(candidates)}
-    row_keys = sorted(set(system.rows).union(*columns.values()))
-    columns.update({("w", wk): {} for wk in system.unknowns})
-    for r, coeffs in system.rows.items():
-        for wk, c in coeffs.items():
-            columns[("w", wk)][r] = scalars.sneg(c)
+    lone, w_columns = _support_graph(structure, candidates, system)
+    columns = {}
+    for t, theta in enumerate(candidates):
+        if lone[t] and len(theta.data) == 1:
+            continue  # one term: its support is its right-hand side's keys
+        rhs = structure.pairing_rhs(theta.data)
+        if lone[t] and rhs:
+            continue
+        lone[t] = False
+        columns[("c", t)] = rhs
+    columns.update((("w", wk), {r: scalars.sneg(c) for r, c in col.items()})
+                   for wk, col in w_columns.items())
     raw = []
-    for relation in Echelon(columns, row_keys).dependent.values():
+    for relation in Echelon(columns, sorted(set().union(*columns.values()))).dependent.values():
         form = linear_combination(((c, candidates[t]) for (kind, t), c in relation.items()
                                    if kind == "c"), Form.zero(chart, a))
         if not form.is_zero():
@@ -272,7 +335,10 @@ def build_span_tower(structure, a, j, vertical=False):
     span = Span(chart, a, raw).reduced()[0]
     entries = [TowerEntry(form, system.solve(structure.pairing_rhs(form.data)))
                for form in span.generators]
-    return TowerLevel(a, j, entries, list(system.freedom), candidates, structure, span)
+    rejected = [theta for t, theta in enumerate(candidates)
+                if lone[t] or not span.contains(theta)]
+    return TowerLevel(a, j, entries, list(system.freedom), candidates, structure, span,
+                      rejected)
 
 
 # ---------------------------------------------------------------------------

@@ -99,12 +99,19 @@ class Echelon:
 
     @cached_property
     def kernel(self):
-        """Kernel basis: one vector per free unknown, in canonical order."""
+        """Kernel basis: one vector per free unknown, in canonical order.
+        Pivot rows are fully reduced, so every column of one but its pivot
+        is free; one pass over the pivot rows files their entries by free
+        column, in pivot order."""
+        held = {}
+        for pcol, (prow, _) in self.pivots.items():
+            for c, v in prow.items():
+                if c != pcol:
+                    held.setdefault(c, []).append((pcol, scalars.sneg(v)))
         out = []
         for free in (u for u in self.unknowns if u not in self.pivots):
             vec = {free: scalars.ONE}
-            vec.update((pcol, scalars.sneg(prow[free]))
-                       for pcol, (prow, _) in self.pivots.items() if free in prow)
+            vec.update(held.get(free, ()))
             out.append(vec)
         return out
 

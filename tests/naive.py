@@ -19,7 +19,10 @@ checks the axioms with ``Form`` operators, ``contract``, ``schouten``,
 ``Span.decompose`` and ``CosetRep.equiv``, where the package keeps
 coefficient dicts; ``naive_lower_tower`` rebuilds the levels below n with
 ``contract``, ``wedge``, ``Span.reduced`` and a pairwise ratio test, where
-the package groups coefficient dicts by ray key; ``decompose_s1_power``,
+the package groups coefficient dicts by ray key;
+``naive_build_span_tower`` eliminates every S^a[j] candidate jointly,
+where the package eliminates only the live components of the support
+graph; ``decompose_s1_power``,
 ``is_null`` and ``fiber_indices`` are helpers that only the tests use.
 ``naive_pairing_rows`` and ``naive_annihilator`` keep the explicit
 accumulate loops for the rows of the S^a[j] pairing system and of the
@@ -626,3 +629,48 @@ def naive_lower_tower(structure):
             if gen.sharp and structure.coset_is_zero(gen.sharp, n + 1 - a):
                 gen.sharp = MultiVector.zero(chart, n + 1 - a)
     return {a: levels[a] for a in range(n - 1, 0, -1)}
+
+
+def naive_build_span_tower(structure, a, j, vertical=False):
+    """S^a[j] by one joint elimination over every candidate: a scalar
+    column ``Structure.pairing_rhs`` for each candidate of
+    ``s1_wedge_basis``, then the negated W columns of the pairing system,
+    eliminated together over the sorted union of their keys; each column
+    that reduces to zero gives a relation, its candidate part a raw
+    generator, and ``Span.reduced`` keeps the independent ones.  Returns
+    {"entries": [(form, particular value)], "freedom", "rejected": the
+    candidates outside the span, by ``Span.contains`` on each, "span":
+    the kept generators}: the oracle for ``build_span_tower``, which
+    eliminates only the components of the support graph that can admit
+    anything."""
+    from gradira import scalars
+    from gradira.extensions import _check_extension_level, s1_wedge_basis
+    from gradira.forms import Form, linear_combination
+    from gradira.linsolve import Echelon
+    from gradira.spans import Span
+
+    _check_extension_level(structure, a, j)
+    chart = structure.chart
+    candidates = [f for _, f in s1_wedge_basis(structure, a)]
+    system = structure.pairing_system(a, j, vertical)
+    columns = {("c", t): structure.pairing_rhs(theta.data)
+               for t, theta in enumerate(candidates)}
+    row_keys = sorted(set(system.rows).union(*columns.values()))
+    columns.update({("w", wk): {} for wk in system.unknowns})
+    for r, coeffs in system.rows.items():
+        for wk, c in coeffs.items():
+            columns[("w", wk)][r] = scalars.sneg(c)
+    raw = []
+    for relation in Echelon(columns, row_keys).dependent.values():
+        form = linear_combination(((c, candidates[t]) for (kind, t), c in relation.items()
+                                   if kind == "c"), Form.zero(chart, a))
+        if not form.is_zero():
+            raw.append(form)
+    span = Span(chart, a, raw).reduced()[0]
+    return {
+        "entries": [(form, system.solve(structure.pairing_rhs(form.data)))
+                    for form in span.generators],
+        "freedom": list(system.freedom),
+        "rejected": [c for c in candidates if not span.contains(c)],
+        "span": list(span.generators),
+    }

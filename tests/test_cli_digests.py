@@ -26,6 +26,7 @@ SCENARIOS = {
     "ext21": ["extended-canonical", "--n", "2", "--fields", "1"],
     "ym": ["yang-mills", "--n", "3", "--algebra", "su2"],
     "red21-plain": ["reduced-canonical", "--n", "2", "--fields", "1"],
+    "red33": ["reduced-canonical", "--n", "3", "--fields", "3", "--with-extension"],
 }
 
 
@@ -121,6 +122,14 @@ COMMANDS = [
      "820412d548bde194023d4798544688b82835bdce4a3beeb4fa9c1908c6656a2e"),
     ("ym-evolution", "ym", ["evolution"],
      "c46dbbd39390931b69e9b12792d43baf1fcd83eec90545d04d4b734efb597f3a"),
+    ("ym-tower-no-vertical", "ym", ["tower", "--no-vertical"],
+     "c378c340c6c081ef059acda9c1c01873fa09166654fd02e68757df5cbc38e783"),
+    ("ym-extend-no-vertical", "ym", ["extend", "--no-vertical"],
+     "05c03b79804a1bb50f35785fce76dfa83d47b1f0c3c8cf97d0381d9641fef507"),
+    ("red32-tower-no-vertical", "red32", ["tower", "--no-vertical"],
+     "b7d3cf61fef29e276e79826a5d8a3abdb552952f8f9fcd5f8c4df00e5e40b417"),
+    ("red33-tower", "red33", ["tower"],
+     "f6ce848b921cf59f8d26b344e32c472c6c969411481b6f6f8b48585150bee48f"),
     ("red21-tilted-verify", "red21-tilted", ["verify"],
      "d019ae092232ab93ab1c17dfb472059cf2c5ebde4ffd3d6c997b77b5a2f56ca9"),
     ("red21-tilted-rescaled-verify", "red21-tilted-rescaled", ["verify"],

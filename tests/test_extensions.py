@@ -44,9 +44,9 @@ from gradira.render import render
 from gradira.sampling import random_form, random_hamiltonian_form, rng_from_env
 from gradira.scenarios import canonical_extension_table
 from naive import (contract_pairing_rhs, decompose_s1_power, fiber_indices,
-                   naive_bracket_ext1, naive_gamma_H, naive_is_hamiltonian,
-                   naive_pairing_rhs, naive_sharp1_tilde, naive_solve_pairing,
-                   pairing_defect, wedge_loop_s1_basis)
+                   naive_bracket_ext1, naive_build_span_tower, naive_gamma_H,
+                   naive_is_hamiltonian, naive_pairing_rhs, naive_sharp1_tilde,
+                   naive_solve_pairing, pairing_defect, wedge_loop_s1_basis)
 
 
 @cache
@@ -76,6 +76,44 @@ def scaled():
     f = 1 + top.chart.sym("y1")
     return Structure(top.chart, [g * f for g in top.generators(top.n)],
                      [v * f for v in top.sharp_values(top.n)])
+
+
+@cache
+def rank_deficient_sheared():
+    """``rank_deficient`` pulled back along x1 -> x1 + y1: S^1 = <dx1 + dy1,
+    dx2> is a proper subbundle whose generators are not coordinate
+    differentials, so its candidates have several terms."""
+    st = rank_deficient()
+    adapted = Chart(base=st.chart.base_coords, fiber=st.chart.fiber_coords)
+    x1, y1 = sympy.symbols("x1 y1")
+    return pullback(st, AffineEmbedding(st.chart, adapted, {"x1": x1 + y1}))
+
+
+@cache
+def oblique():
+    """On (x1, x2; y1, y2): S^2 = <d^2 x, (dx1 + dy1) ^ dx2> with sharp
+    values @/x1 and 0.  S^1 = <dx2, dx1, dx1 + dy1> misses dy2, and both
+    pairing fields are @/y1 - @/x1, which kills dx1 + dy1 but not its
+    terms: the candidate (dx1 + dy1) ^ dx2 has an empty right-hand side,
+    though the index reaches both of its terms.  Only the S^a[j] tower is
+    asked of it, not the axioms."""
+    ch = Chart(base=["x1", "x2"], fiber=["y1", "y2"])
+    dx1, dx2, dy1 = (Form.d_coord(ch, u) for u in ("x1", "x2", "y1"))
+    return Structure(ch, [wedge(dx1, dx2), wedge(dx1 + dy1, dx2)],
+                     [MultiVector.coord_vector(ch, "x1"), MultiVector.zero(ch, 1)])
+
+
+@cache
+def base_valued():
+    """On (x1, x2, x3; y1): S^3 = <d^3 x> with sharp value @/x1 + @/x2, so
+    the pairing field is @/x1 + @/x2 and no vertical W reaches the basic
+    generator.  In the vertical S^2[j] the candidates dx2 ^ dx3 and
+    dx1 ^ dx3 (right-hand sides at the same key) form a component with no
+    W column, and their difference is admitted with W = 0.  Only the
+    S^a[j] tower is asked of it, not the axioms."""
+    ch = Chart(base=["x1", "x2", "x3"], fiber=["y1"])
+    value = MultiVector.coord_vector(ch, "x1") + MultiVector.coord_vector(ch, "x2")
+    return Structure(ch, [volume_contraction(ch, [])], [value])
 
 
 S1_STRUCTURES = {
@@ -892,6 +930,155 @@ class TestSpanTower:
                     assert st.contains(a, g)
                     st.derive_sharp(a, g)
             assert built == []
+
+
+def _items(obj):
+    return list(obj.data.items())
+
+
+def tower_record(entries, freedom, rejected, span):
+    """A tower's entries (form and value), rejected candidates and span
+    generators as coefficient items, key order included, and its freedom
+    (the pairing system's, up to 25,740 MvForms on reduced_canonical(3, 2))
+    as a list."""
+    return {"entries": [(_items(form), _items(value)) for form, value in entries],
+            "freedom": list(freedom),
+            "rejected": [_items(f) for f in rejected],
+            "span": [_items(g) for g in span]}
+
+
+def check_against_joint_solve(st, a, j, vertical):
+    """``build_span_tower`` equals ``naive_build_span_tower``; returns the
+    level."""
+    level = build_span_tower(st, a, j, vertical)
+    expected = naive_build_span_tower(st, a, j, vertical)
+    got = tower_record([(e.form, e.value) for e in level.entries], level.freedom,
+                       level.rejected(), level.span.generators)
+    assert got == tower_record(**expected), (a, j, vertical)
+    return level
+
+
+def oracle_structure(name, request):
+    from test_structure import _proportional_top
+
+    builders = {"sheared": sheared, "scaled": scaled, "rank-deficient": rank_deficient,
+                "tilted": tilted, "proportional": _proportional_top}
+    if name in builders:
+        return builders[name]()
+    return request.getfixturevalue(name).structure
+
+
+class TestSpanTowerSupport:
+    """The tower eliminates only the components of its support graph that
+    hold a candidate and can admit anything; it must equal the joint
+    elimination of every candidate."""
+
+    @pytest.mark.parametrize("name", ["red2", "red3", "red2k2", "red3k2", "ext2",
+                                      "sheared", "scaled", "rank-deficient", "tilted",
+                                      "proportional"])
+    def test_matches_joint_solve(self, name, request):
+        st = oracle_structure(name, request)
+        for j in range(1, st.n + 1):
+            for vertical in (True, False):
+                check_against_joint_solve(st, st.n + 1, j, vertical)
+
+    @pytest.mark.parametrize("vertical", [True, False])
+    def test_yang_mills_matches_joint_solve(self, ym_su2, vertical):
+        level = check_against_joint_solve(ym_su2.structure, 4, 3, vertical)
+        assert len(level.entries) == (39 if vertical else 47)
+
+    def test_work_stays_in_live_components(self, ym_su2, monkeypatch):
+        # vertical S^4[3] on Yang-Mills: 432 of the 5,985 candidates share a
+        # row key with another column.  Only those get a right-hand side
+        # and a membership test; the admitted entries get one more
+        # right-hand side each, for their values
+        st = ym_su2.structure
+        st.pairing_system(4, 3, vertical=True)
+        rhs, contains, rows = [], [], []
+        real_rhs, real_contains = Structure.pairing_rhs, spans.Span.contains
+        real_echelon = linsolve.Echelon.__init__
+
+        def counting_rhs(self, data):
+            rhs.append(1)
+            return real_rhs(self, data)
+
+        def counting_contains(self, target):
+            contains.append(1)
+            return real_contains(self, target)
+
+        def counting_echelon(self, matrix, unknowns):
+            rows.append(len(matrix))
+            real_echelon(self, matrix, unknowns)
+
+        monkeypatch.setattr(Structure, "pairing_rhs", counting_rhs)
+        monkeypatch.setattr(spans.Span, "contains", counting_contains)
+        monkeypatch.setattr(linsolve.Echelon, "__init__", counting_echelon)
+        level = build_span_tower(st, 4, 3, vertical=True)
+        rejected = level.rejected()
+        assert (len(level.candidates), len(level.entries)) == (5985, 39)
+        assert len(rhs) <= 432 + 39
+        assert len(contains) <= 432
+        assert rows and max(rows) < 1000
+        assert level.rejected() == rejected and level.rejected() is not rejected
+
+    @pytest.mark.parametrize("builder", [rank_deficient, rank_deficient_sheared,
+                                         oblique, base_valued])
+    def test_edge_structures_match_joint_solve(self, builder):
+        st = builder()
+        for j in range(1, st.n + 1):
+            for a in range(j, st.chart.m + 1):
+                for vertical in (True, False):
+                    check_against_joint_solve(st, a, j, vertical)
+
+    @pytest.mark.parametrize("builder", [rank_deficient, rank_deficient_sheared])
+    def test_empty_right_hand_sides_are_admitted(self, builder):
+        # zero sharp values: every candidate pairs to nothing, so every
+        # candidate is admitted and none is rejected
+        st = builder()
+        for vertical in (True, False):
+            level = build_span_tower(st, 2, 2, vertical)
+            assert level.candidates
+            assert all(not st.pairing_rhs(c.data) for c in level.candidates)
+            assert level.rejected() == []
+            assert all(level.is_admitted(c) for c in level.candidates)
+        assert any(len(c.data) > 1 for c in build_span_tower(
+            rank_deficient_sheared(), 2, 1).candidates)
+
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("vertical", [True, False])
+    def test_over_approximated_support_is_admitted(self, j, vertical):
+        # (dx1 + dy1) ^ dx2 reaches the index through both of its terms,
+        # whose contributions cancel: its right-hand side is empty
+        st = oblique()
+        ch = st.chart
+        theta = wedge(Form.d_coord(ch, "x1") + Form.d_coord(ch, "y1"), Form.d_coord(ch, "x2"))
+        level = build_span_tower(st, 2, j, vertical)
+        multi = [c for c in level.candidates if len(c.data) > 1]
+        assert multi and all(len(c.data) == 2 and c.data.keys() == theta.data.keys()
+                             for c in multi)
+        assert set(st.pairing_index) == {ch.index("x1"), ch.index("y1")}
+        assert st.pairing_rhs(theta.data) == {}
+        assert all(level.is_admitted(c) for c in multi)
+        assert not any(c.data.keys() == theta.data.keys() for c in level.rejected())
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_component_without_w_admits_a_combination(self, j):
+        # dx2 ^ dx3 and dx1 ^ dx3 pair to the same key, which no vertical W
+        # reaches; each alone is rejected, their difference is admitted
+        # with the zero value
+        st = base_valued()
+        ch = st.chart
+        dx = [Form.d_coord(ch, f"x{i}") for i in (1, 2, 3)]
+        first, second = wedge(dx[1], dx[2]), wedge(dx[0], dx[2])
+        system = st.pairing_system(2, j, vertical=True)
+        keys = set(st.pairing_rhs(first.data)) | set(st.pairing_rhs(second.data))
+        assert st.pairing_rhs(first.data) and st.pairing_rhs(second.data)
+        assert not keys & set(system.rows)
+        level = build_span_tower(st, 2, j, vertical=True)
+        assert not level.is_admitted(first) and not level.is_admitted(second)
+        assert level.is_admitted(first - second)
+        assert [e.value.is_zero() for e in level.entries] == [True]
+        assert len(level.rejected()) == 3
 
 
 class TestExtensionTable:
