@@ -287,7 +287,7 @@ def build_span_tower(structure, a, j, vertical=False):
     candidate columns, then the W columns of ``Structure.pairing_system``,
     as rows: each column that reduces to zero gives the relation tying it
     to the columns before it.  The entries' values and the freedom come
-    from the pairing system's own elimination.
+    from the pairing system, which eliminates its own components.
 
     Only the live components of the system's support graph
     (``_support_graph``) are eliminated.  A row is reduced only by pivots

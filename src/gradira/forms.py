@@ -14,16 +14,20 @@ Sign conventions (pinned once, in multiindex.py):
 * iota_{theta (x) u} gamma = theta ^ iota_u gamma for multivector valued
   forms, and iota_X in the form slot only is ``contract_form_slot``.
 
-Kernel contract: every product and contraction in the package is one call
-to ``_bilinear``, which sums c_x * c_y over all pairs of stored terms.  A
-``pair(kx, ky) -> (sign, key)`` function places each product.  Pair
-functions are built only from ``merge`` and ``contract_index``, so every
-sign comes from multiindex.py; sign 0 drops the pair.  The sums go through
+Kernel contract: a ``pair(kx, ky) -> (sign, key)`` function places every
+product of two basis terms.  Pair functions are built only from ``merge``
+and ``contract_index``, so every sign comes from multiindex.py; sign 0
+drops the pair.  Every product and contraction is one call to
+``_bilinear``, which sums c_x * c_y over all pairs of stored terms,
+except the rows of ``_pairing_rows``.  The sums go through
 ``scalars.accumulate``, which drops zero coefficients, so no stored map
-ever holds a zero.  A pairing with a list of generators (a coset test, a
-pairing system's rows, an annihilator) is ``_pairing`` or, linear in the
-unknown components, ``_pairing_rows``; both call ``_bilinear``.  The one
-index kernel outside it is ``structure.Structure.pairing_rhs``.
+ever holds a zero.  A pairing with a list of generators (a coset test) is
+``_pairing``, a ``_bilinear`` per generator.  Linear in the unknown
+components (a pairing system's rows, an annihilator) it is
+``_pairing_rows``, which indexes the unit unknowns by the vector index
+they contract and calls the pair function only on the units that a
+generator term holds.  The one index kernel that uses no pair function
+is ``structure.Structure.pairing_rhs``.
 """
 
 from __future__ import annotations
@@ -271,7 +275,7 @@ def _bilinear(xdata, ydata, pair):
     ``pair(kx, ky)`` returns (sign, key); the product is added at ``key``
     with that sign, and sign 0 drops the pair.  x is the outer loop, which
     fixes the order in which keys enter the result.  A unit x coefficient
-    (``scalars.ONE``, as in ``_pairing_rows``) skips the product.
+    (``scalars.ONE``) skips the product.
     """
     data = {}
     one, accumulate, smul = scalars.ONE, scalars.accumulate, scalars.smul
@@ -291,21 +295,37 @@ def _pairing(data, gens, pair):
             for key, c in _bilinear(data, gdata, pair).items()}
 
 
-def _pairing_rows(unknowns, gens, pair):
+def _pairing_rows(unknowns, gens, pair, vector=None):
     """``_pairing`` as a linear system in the components of w: rows
     {(g, key): {unknown: c}} sorted by row key, each row's unknowns in the
-    order of ``unknowns``.  Pairs the units {u: 1} with each generator in
-    one ``_bilinear``, the unit kept in the result key, and transposes."""
-    def tagged(u, ky):
-        sign, key = pair(u, ky)
-        return sign, (key, u)
+    order of ``unknowns``.
 
-    units = dict.fromkeys(unknowns, scalars.ONE)
+    ``vector(u)`` is the multi-index a unit unknown contracts (u itself by
+    default, as for a multivector; the vector index for a multivector
+    valued form).  A unit pairs to zero with a generator term that does
+    not hold its vector index, so each term ky is paired only with the
+    units indexed by a subset of ky of their degree; ``pair`` still gives
+    every sign."""
+    position = {u: i for i, u in enumerate(unknowns)}
+    by_vector = {}
+    for u in unknowns:
+        by_vector.setdefault(u if vector is None else vector(u), []).append(u)
+    degree = len(next(iter(by_vector), ()))
     rows = {}
     for g, gdata in enumerate(gens):
-        for (key, u), c in _bilinear(units, gdata, tagged).items():
-            rows.setdefault((g, key), {})[u] = c
-    return {row: rows[row] for row in sorted(rows)}
+        for ky, c in gdata.items():
+            for sub in combinations(ky, degree):
+                for u in by_vector.get(sub, ()):
+                    sign, key = pair(u, ky)
+                    if sign:
+                        scalars.accumulate(rows.setdefault((g, key), {}), u, c, sign)
+
+    def in_order(coeffs):  # most rows hold one unknown
+        if len(coeffs) < 2:
+            return coeffs
+        return {u: coeffs[u] for u in sorted(coeffs, key=position.get)}
+
+    return {row: in_order(rows[row]) for row in sorted(rows) if rows[row]}
 
 
 def _tensor_pair(fidx, vidx):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 
 from . import scalars
 from .calculus import exterior_derivative, lie_derivative, schouten_data
@@ -74,9 +75,18 @@ class CosetRep:
 
 class PairingSystem:
     """The W side of the S^a[j] pairing iota_W alpha = iota_{sharp_1~(theta)} alpha
-    (alpha in S^n, W in Lambda^{a-j} (x) V_{n+1-j}), eliminated once: one
-    row per (S^n generator index, result multi-index), linear in the W
-    components; with ``vertical`` only vector slots touching the fiber."""
+    (alpha in S^n, W in Lambda^{a-j} (x) V_{n+1-j}): one row per (S^n
+    generator index, result multi-index), linear in the W components; with
+    ``vertical`` only vector slots touching the fiber.
+
+    The rows fall into connected components (two row keys are linked when
+    they share an unknown), and a component is eliminated the first time a
+    right-hand side touches it, or when ``freedom`` is asked for.  This is
+    exactly the joint elimination of all the rows: an ``Echelon`` reduces a
+    row only by pivots whose columns the row holds, so elimination never
+    crosses components, and a component takes its rows in the joint order.
+    Its pivots, kernel vectors (key order included) and particular values
+    are those of the joint elimination."""
 
     def __init__(self, chart, generators, fdeg, vdeg, vertical):
         self.space = (chart, fdeg, vdeg)  # the chart and grading of W
@@ -84,19 +94,70 @@ class PairingSystem:
                  if not vertical or any(i >= chart.n for i in v)]
         self.unknowns = [(f, v) for f in combinations(range(chart.m), fdeg) for v in vkeys]
         self.rows = _pairing_rows(self.unknowns, [g.data for g in generators],
-                                  mvform_contract_pair)
-        self.echelon = Echelon(self.rows, self.unknowns)
+                                  mvform_contract_pair, itemgetter(1))
+        holders = {}  # unknown -> the row keys that hold it
+        for r, coeffs in self.rows.items():
+            for u in coeffs:
+                holders.setdefault(u, []).append(r)
+        self._component = {}  # row key -> component number
+        count = 0
+        for start in self.rows:
+            if start in self._component:
+                continue
+            self._component[start] = count
+            stack = [start]
+            while stack:
+                for u in self.rows[stack.pop()]:
+                    for r in holders[u]:
+                        if r not in self._component:
+                            self._component[r] = count
+                            stack.append(r)
+            count += 1
+        # each component's rows in row order and unknowns in unknowns order
+        self._blocks = [({}, []) for _ in range(count)]
+        for r, coeffs in self.rows.items():
+            self._blocks[self._component[r]][0][r] = coeffs
+        for u in self.unknowns:
+            if u in holders:
+                self._blocks[self._component[holders[u][0]]][1].append(u)
+        self._echelons = {}  # component number -> its Echelon, once touched
+
+    def _echelon(self, label):
+        """The elimination of one component, built on first use and kept."""
+        if label not in self._echelons:
+            self._echelons[label] = Echelon(*self._blocks[label])
+        return self._echelons[label]
 
     @cached_property
     def freedom(self):
-        """The homogeneous solutions, one per free W component."""
-        return tuple(MvForm(*self.space, dict(vec)) for vec in self.echelon.kernel)
+        """The homogeneous solutions, one per free W component, in
+        ``unknowns`` order; an unknown in no row is free on its own."""
+        kernel, pivots = {}, set()
+        for label in range(len(self._blocks)):
+            echelon = self._echelon(label)
+            pivots.update(echelon.pivots)
+            kernel.update(zip([u for u in echelon.unknowns if u not in echelon.pivots],
+                              echelon.kernel))
+        return tuple(MvForm(*self.space, kernel.get(u, {u: scalars.ONE}))
+                     for u in self.unknowns if u not in pivots)
 
     def solve(self, rhs):
         """The particular W for theta's ``Structure.pairing_rhs``, or None
-        when theta is not admitted."""
-        sol = self.echelon.solve(rhs)
-        return None if sol is None else MvForm(*self.space, dict(sol.particular))
+        when theta is not admitted.  Each component the right-hand side
+        touches is solved on its own, and the particular is their union."""
+        parts = {}  # component number -> its part of the right-hand side
+        for r, v in rhs.items():
+            if scalars.as_scalar(v):
+                if r not in self._component:
+                    return None
+                parts.setdefault(self._component[r], {})[r] = v
+        particular = {}
+        for label, part in parts.items():
+            sol = self._echelon(label).solve(part)
+            if sol is None:
+                return None
+            particular.update(sol.particular)
+        return MvForm(*self.space, particular)
 
 
 class Structure:

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import sys
 from functools import cache
 from itertools import combinations
@@ -25,6 +26,7 @@ from gradira import (
     compat_lower,
     contract,
     exterior_derivative,
+    extended_canonical,
     gamma_H,
     identity_tensor,
     is_hamiltonian,
@@ -37,6 +39,7 @@ from gradira import (
     wedge,
 )
 from gradira import extensions, forms, linsolve, scalars, spans
+from gradira import structure as structure_module
 from gradira.errors import DegreeError, MembershipError, NotHamiltonianError
 from gradira.extensions import s1_wedge_basis, solve_sharp_j
 from gradira.parser import parse_form
@@ -438,6 +441,51 @@ def is_w_unknown(u):
     return isinstance(u, tuple) and len(u) == 2 and all(isinstance(p, tuple) for p in u)
 
 
+def row_components(system):
+    """The unknowns of each connected component of a pairing system's rows
+    (two rows are linked when they share an unknown), each a tuple in
+    ``system.unknowns`` order."""
+    holders = {}
+    for r, coeffs in system.rows.items():
+        for u in coeffs:
+            holders.setdefault(u, []).append(r)
+    seen, out = set(), []
+    for start in system.rows:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, held = [start], set()
+        while stack:
+            for u in system.rows[stack.pop()]:
+                held.add(u)
+                for r in holders[u]:
+                    if r not in seen:
+                        seen.add(r)
+                        stack.append(r)
+        out.append(tuple(u for u in system.unknowns if u in held))
+    return out
+
+
+def row_image(system, w):
+    """The right-hand side that the W components ``w`` give: {row key:
+    sum_u rows[key][u] * w[u]}."""
+    rhs = {}
+    for r, coeffs in system.rows.items():
+        for u, c in coeffs.items():
+            if u in w:
+                scalars.accumulate(rhs, r, scalars.smul(c, scalars.as_scalar(w[u])))
+    return rhs
+
+
+HAMILTONIAN_ORACLE_STRUCTURES = {
+    "red2": cache(lambda: reduced_canonical(2, 1).structure),
+    "ext2": cache(lambda: extended_canonical(2, 1).structure),
+    "red3k2": cache(lambda: reduced_canonical(3, 2).structure),
+    "scaled": scaled,
+    "sheared": sheared,
+}
+
+
 class TestPairingSystem:
     @pytest.mark.parametrize("name", sorted(COMPATIBILITY_STRUCTURES))
     @settings(max_examples=3, deadline=None)
@@ -469,6 +517,75 @@ class TestPairingSystem:
                         assert got[0] == expected[0]
                         assert got[1] == expected[1]
 
+    @pytest.mark.parametrize("name", sorted(COMPATIBILITY_STRUCTURES))
+    def test_matches_joint_elimination(self, name):
+        # at every valid (a, j, vertical): the freedom is the kernel of one
+        # elimination of all the rows, vector by vector with its key order,
+        # and every solve gives that elimination's particular solution, for
+        # the right-hand side of each candidate, the image of a drawn W (with
+        # and without a candidate added), a zero entry outside the rows and
+        # a nonzero one
+        st = COMPATIBILITY_STRUCTURES[name]()
+        ch = st.chart
+        rng = random.Random(f"{name}-joint")
+        outside = (len(st.generators(st.n)), ())
+        for j in range(1, st.n + 1):
+            for a in range(j, ch.m + 1):
+                for vertical in (False, True):
+                    system = st.pairing_system(a, j, vertical)
+                    joint = linsolve.Echelon(system.rows, system.unknowns)
+                    assert [list(f.data.items()) for f in system.freedom] == \
+                        [list(vec.items()) for vec in joint.kernel], (a, j, vertical)
+                    w = {u: rng.choice([1, -2, 3, ch.syms[rng.randrange(ch.m)]])
+                         for u in rng.sample(system.unknowns, min(4, len(system.unknowns)))}
+                    image = row_image(system, w)
+                    rhs_list = [st.pairing_rhs(theta.data) for _, theta in s1_wedge_basis(st, a)]
+                    rhs_list += [image, {**image, outside: scalars.ZERO},
+                                 {**image, outside: scalars.ONE}]
+                    rhs_list += [{**image, **rhs} for rhs in rhs_list[:3]]
+                    for rhs in rhs_list:
+                        got, expected = system.solve(rhs), joint.solve(rhs)
+                        assert (got is None) == (expected is None), (a, j, vertical, rhs)
+                        if got is not None:
+                            assert got.data == expected.particular, (a, j, vertical, rhs)
+
+    @pytest.mark.parametrize("name", sorted(HAMILTONIAN_ORACLE_STRUCTURES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=hst.data())
+    def test_hamiltonian_verdict_matches_naive_pairing_route(self, name, data):
+        # the verdict and the reason for a random n-form, against the route
+        # that decides dH in S^{n+1}[n] by ``naive_solve_pairing``
+        st = HAMILTONIAN_ORACLE_STRUCTURES[name]()
+        form = draw_form_of_degree(data, st.chart, st.n)
+        assert is_hamiltonian(form, st) == naive_is_hamiltonian(form, st)
+
+    def test_hamiltonian_eliminates_only_touched_components(self, ym_su2, monkeypatch):
+        # a fresh Yang-Mills Hamiltonian: the (1, 1) rows pair each W unit
+        # only with the generator terms it can contract, and the right-hand
+        # side of dH touches 19 components of the system, 55 rows in all
+        top = ym_su2.structure
+        st = Structure(top.chart, top.generators(top.n), top.sharp_values(top.n))
+        pairs, rows = [], []
+        real_pair, real_echelon = structure_module.mvform_contract_pair, linsolve.Echelon.__init__
+
+        def counting_pair(wkey, aidx):
+            pairs.append(1)
+            return real_pair(wkey, aidx)
+
+        def counting_echelon(self, matrix, unknowns):
+            unknowns = list(unknowns)
+            if unknowns and all(is_w_unknown(u) for u in unknowns):
+                rows.append(len(matrix))
+            real_echelon(self, matrix, unknowns)
+
+        monkeypatch.setattr(structure_module, "mvform_contract_pair", counting_pair)
+        monkeypatch.setattr(linsolve.Echelon, "__init__", counting_echelon)
+        system = st.pairing_system(st.n + 1, st.n)
+        assert len(system.rows) == 1963
+        assert len(pairs) <= 2331
+        Hamiltonian(ym_su2.hamiltonian_form, st)
+        assert 0 < sum(rows) <= 55
+
     @pytest.mark.parametrize("scn", ["red2", "red3"])
     def test_canonical_table_freedom_is_the_naive_kernel(self, scn, request):
         scn = request.getfixturevalue(scn)
@@ -480,7 +597,10 @@ class TestPairingSystem:
 
     def test_one_w_elimination_per_key(self, red2, monkeypatch):
         # two towers, solve_sharp_j on every entry and two Hamiltonian
-        # builds eliminate the W side once per (a - j, n + 1 - j, vertical)
+        # builds: each system eliminates a component of its rows at most
+        # once.  A component whose unknowns are all vertical is the same
+        # matrix in the vertical and the unrestricted system of one key
+        # (a - j, n + 1 - j), so its tuple may be eliminated once in each
         top = red2.structure
         gens, sharps = top.generators(top.n), top.sharp_values(top.n)
         st = Structure(top.chart, gens, sharps)
@@ -502,19 +622,35 @@ class TestPairingSystem:
             assert level.entries
             for entry in level.entries:
                 assert solve_sharp_j(st, entry.form, j, vertical=v) is not None
-        for _ in range(2):
-            Hamiltonian(red2.hamiltonian_form, st)
-        keys.append((st.n + 1, st.n, False))
-        assert len(eliminated) == len(set(eliminated)) == len(keys)
         systems = [st.pairing_system(a, j, v) for a, j, v in keys]
-        assert sorted(eliminated) == sorted(tuple(s.unknowns) for s in systems)
+        # the towers eliminate each component of their systems exactly
+        # once, and together cover every unknown that occurs in a row
+        towers = list(eliminated)
+        assert len(towers) == len(set(towers))
+        assert sorted(towers) == sorted(t for s in systems for t in row_components(s))
+        assert set().union(*towers) == {u for s in systems for row in s.rows.values()
+                                        for u in row}
+        # the Hamiltonian eliminates only components of its own system, each
+        # once, and a second Hamiltonian eliminates nothing
+        Hamiltonian(red2.hamiltonian_form, st)
+        system = st.pairing_system(st.n + 1, st.n)
+        touched = eliminated[len(towers):]
+        assert touched and len(touched) == len(set(touched))
+        assert set(touched) <= set(row_components(system))
+        Hamiltonian(red2.hamiltonian_form, st)
+        assert len(eliminated) == len(towers) + len(touched)
         # no system refers back to its structure, and a second structure
         # from the same generators builds its own
+        systems.append(system)
+        keys.append((st.n + 1, st.n, False))
         assert all(value is not st for s in systems for value in vars(s).values())
         other = Structure(top.chart, gens, sharps)
-        assert all(other.pairing_system(a, j, v) is not s
-                   for (a, j, v), s in zip(keys, systems))
-        assert len(eliminated) == 2 * len(keys)
+        others = [other.pairing_system(a, j, v) for a, j, v in keys]
+        assert all(o is not s for o, s in zip(others, systems))
+        del eliminated[:]
+        for o in others[:2]:
+            assert o.freedom
+        assert sorted(eliminated) == sorted(towers)
 
     def test_freedom_is_not_shared_with_callers(self, red2):
         top = red2.structure
