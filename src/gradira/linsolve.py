@@ -8,7 +8,8 @@ indeterminates of the coefficient field, so every solve is exact.
 matrix to answer any right-hand side.  The particular solution is
 canonical: rows are taken in order, each pivots on its first rational
 column in canonical order (else its first column), and free unknowns are
-set to zero.
+set to zero.  ``Components`` splits a sparse matrix into the connected
+components of its rows and gives an ``Echelon`` to each one on first use.
 """
 
 from __future__ import annotations
@@ -125,6 +126,84 @@ class Echelon:
         values = {col: _combine(combo, rhs) for col, (_, combo) in self.pivots.items()}
         return LinearSolution({col: v for col, v in values.items() if v},
                               list(self.kernel))
+
+
+class Components:
+    """A coefficient matrix split into the connected components of its rows,
+    two rows being linked when they share an unknown, each eliminated by
+    its own ``Echelon`` the first time it is needed.
+
+    ``rows`` maps row keys to coefficient dicts, in order; ``unknowns`` is
+    the canonical column order.  An ``Echelon`` reduces a row only by pivots
+    whose columns the row holds, so elimination never crosses components,
+    and each component takes its rows and unknowns in the joint order.  So
+    its pivots, kernel vectors (key order included) and particular values
+    are those of one ``Echelon(rows, unknowns)``.
+    """
+
+    def __init__(self, rows, unknowns):
+        self.unknowns = list(unknowns)
+        holders = {}  # unknown -> the row keys that hold it
+        for r, coeffs in rows.items():
+            for u in coeffs:
+                holders.setdefault(u, []).append(r)
+        self._component = {}  # row key -> component number
+        count = 0
+        for start in rows:
+            if start in self._component:
+                continue
+            self._component[start] = count
+            stack = [start]
+            while stack:
+                for u in rows[stack.pop()]:
+                    for r in holders[u]:
+                        if r not in self._component:
+                            self._component[r] = count
+                            stack.append(r)
+            count += 1
+        self._blocks = [({}, []) for _ in range(count)]  # (rows, unknowns) in order
+        for r, coeffs in rows.items():
+            self._blocks[self._component[r]][0][r] = coeffs
+        for u in self.unknowns:
+            if u in holders:
+                self._blocks[self._component[holders[u][0]]][1].append(u)
+        self._echelons = {}  # component number -> its Echelon, once needed
+
+    def _echelon(self, label):
+        """The elimination of one component, built on first use and kept."""
+        if label not in self._echelons:
+            self._echelons[label] = Echelon(*self._blocks[label])
+        return self._echelons[label]
+
+    @cached_property
+    def kernel(self):
+        """``Echelon.kernel`` of the whole matrix: every component is
+        eliminated, and an unknown in no row is free on its own."""
+        vectors, pivots = {}, set()
+        for label in range(len(self._blocks)):
+            echelon = self._echelon(label)
+            pivots.update(echelon.pivots)
+            vectors.update(zip([u for u in echelon.unknowns if u not in echelon.pivots],
+                               echelon.kernel))
+        return [vectors.get(u, {u: scalars.ONE}) for u in self.unknowns if u not in pivots]
+
+    def particular(self, rhs):
+        """The particular solution of ``Echelon.solve`` for a right-hand side
+        keyed like the rows, or None when the system is inconsistent.  Only
+        the components that the nonzero entries touch are solved."""
+        parts = {}  # component number -> its part of the right-hand side
+        for r, v in rhs.items():
+            if as_scalar(v):
+                if r not in self._component:
+                    return None
+                parts.setdefault(self._component[r], {})[r] = v
+        out = {}
+        for label, part in parts.items():
+            sol = self._echelon(label).solve(part)
+            if sol is None:
+                return None
+            out.update(sol.particular)
+        return out
 
 
 def solve_linear(rows, unknowns):

@@ -22,7 +22,7 @@ from .errors import (ChartError, DegreeError, MembershipError, NonWellDefinedErr
 from .forms import (Form, MultiVector, MvForm, _bilinear, _combination,
                     _contract_by_pair, _pairing, _pairing_rows, contract,
                     linear_combination, mvform_contract_pair, wedge)
-from .linsolve import Echelon
+from .linsolve import Components, Echelon
 from .multiindex import merge
 from .render import render
 from .report import Report
@@ -79,9 +79,10 @@ class PairingSystem:
     generator index, result multi-index), linear in the W components; with
     ``vertical`` only vector slots touching the fiber.
 
-    The rows fall into connected components (two row keys are linked when
-    they share an unknown), and a component is eliminated the first time a
-    right-hand side touches it, or when ``freedom`` is asked for.  This is
+    The rows are kept as ``linsolve.Components``: a connected component of
+    the rows (two rows are linked when they share a W unknown) is
+    eliminated the first time a right-hand side touches it, or when
+    ``freedom`` is asked for.  This is
     exactly the joint elimination of all the rows: an ``Echelon`` reduces a
     row only by pivots whose columns the row holds, so elimination never
     crosses components, and a component takes its rows in the joint order.
@@ -95,69 +96,18 @@ class PairingSystem:
         self.unknowns = [(f, v) for f in combinations(range(chart.m), fdeg) for v in vkeys]
         self.rows = _pairing_rows(self.unknowns, [g.data for g in generators],
                                   mvform_contract_pair, itemgetter(1))
-        holders = {}  # unknown -> the row keys that hold it
-        for r, coeffs in self.rows.items():
-            for u in coeffs:
-                holders.setdefault(u, []).append(r)
-        self._component = {}  # row key -> component number
-        count = 0
-        for start in self.rows:
-            if start in self._component:
-                continue
-            self._component[start] = count
-            stack = [start]
-            while stack:
-                for u in self.rows[stack.pop()]:
-                    for r in holders[u]:
-                        if r not in self._component:
-                            self._component[r] = count
-                            stack.append(r)
-            count += 1
-        # each component's rows in row order and unknowns in unknowns order
-        self._blocks = [({}, []) for _ in range(count)]
-        for r, coeffs in self.rows.items():
-            self._blocks[self._component[r]][0][r] = coeffs
-        for u in self.unknowns:
-            if u in holders:
-                self._blocks[self._component[holders[u][0]]][1].append(u)
-        self._echelons = {}  # component number -> its Echelon, once touched
-
-    def _echelon(self, label):
-        """The elimination of one component, built on first use and kept."""
-        if label not in self._echelons:
-            self._echelons[label] = Echelon(*self._blocks[label])
-        return self._echelons[label]
+        self._components = Components(self.rows, self.unknowns)
 
     @cached_property
     def freedom(self):
-        """The homogeneous solutions, one per free W component, in
-        ``unknowns`` order; an unknown in no row is free on its own."""
-        kernel, pivots = {}, set()
-        for label in range(len(self._blocks)):
-            echelon = self._echelon(label)
-            pivots.update(echelon.pivots)
-            kernel.update(zip([u for u in echelon.unknowns if u not in echelon.pivots],
-                              echelon.kernel))
-        return tuple(MvForm(*self.space, kernel.get(u, {u: scalars.ONE}))
-                     for u in self.unknowns if u not in pivots)
+        """The homogeneous solutions, one per free W component."""
+        return tuple(MvForm(*self.space, vec) for vec in self._components.kernel)
 
     def solve(self, rhs):
         """The particular W for theta's ``Structure.pairing_rhs``, or None
-        when theta is not admitted.  Each component the right-hand side
-        touches is solved on its own, and the particular is their union."""
-        parts = {}  # component number -> its part of the right-hand side
-        for r, v in rhs.items():
-            if scalars.as_scalar(v):
-                if r not in self._component:
-                    return None
-                parts.setdefault(self._component[r], {})[r] = v
-        particular = {}
-        for label, part in parts.items():
-            sol = self._echelon(label).solve(part)
-            if sol is None:
-                return None
-            particular.update(sol.particular)
-        return MvForm(*self.space, particular)
+        when theta is not admitted."""
+        particular = self._components.particular(rhs)
+        return None if particular is None else MvForm(*self.space, particular)
 
 
 class Structure:

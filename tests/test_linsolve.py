@@ -4,7 +4,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from gradira import Chart, Form, Span
-from gradira.linsolve import Echelon, solve_linear, nullspace
+from gradira.linsolve import Components, Echelon, solve_linear, nullspace
 from gradira import scalars
 
 from naive import naive_rank
@@ -201,3 +201,22 @@ def test_sparse_echelon_stays_reduced(system, vec):
     rhs = vec[:len(rows)] + [0] * (len(rows) - len(vec))
     augmented = naive_rank([r + [b] for r, b in zip(dense, rhs)])
     assert (echelon.solve(dict(enumerate(rhs))) is None) == (rank < augmented)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_systems(), st.lists(st.sampled_from(SPARSE), min_size=7, max_size=7))
+def test_components_match_one_echelon(system, vec):
+    # the kernel, key order included, and the particular solutions of one
+    # elimination, with two unknowns that occur in no row, for a consistent
+    # right-hand side, an arbitrary one and one with a key outside the rows
+    ncols, rows = system
+    rows = dict(enumerate(rows))
+    unknowns = list(range(ncols + 2))
+    components, echelon = Components(rows, unknowns), Echelon(rows, unknowns)
+    assert [list(k.items()) for k in components.kernel] == \
+        [list(k.items()) for k in echelon.kernel]
+    target = {r: sum(row.get(c, 0) * vec[c] for c in range(ncols)) for r, row in rows.items()}
+    arbitrary = dict(zip(rows, vec))
+    for rhs in (target, arbitrary, {**target, len(rows): 1}, {**target, len(rows): 0}):
+        sol = echelon.solve(rhs)
+        assert components.particular(rhs) == (None if sol is None else sol.particular)
