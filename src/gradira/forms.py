@@ -305,7 +305,9 @@ def _pairing_rows(unknowns, gens, pair, vector=None):
     valued form).  A unit pairs to zero with a generator term that does
     not hold its vector index, so each term ky is paired only with the
     units indexed by a subset of ky of their degree; ``pair`` still gives
-    every sign."""
+    every sign.  A unit and a row key fix the term they came from (the key
+    with the unit's indices put back), so each entry is set once, unsummed.
+    """
     position = {u: i for i, u in enumerate(unknowns)}
     by_vector = {}
     for u in unknowns:
@@ -318,14 +320,14 @@ def _pairing_rows(unknowns, gens, pair, vector=None):
                 for u in by_vector.get(sub, ()):
                     sign, key = pair(u, ky)
                     if sign:
-                        scalars.accumulate(rows.setdefault((g, key), {}), u, c, sign)
+                        rows.setdefault((g, key), {})[u] = c if sign > 0 else scalars.sneg(c)
 
     def in_order(coeffs):  # most rows hold one unknown
         if len(coeffs) < 2:
             return coeffs
         return {u: coeffs[u] for u in sorted(coeffs, key=position.get)}
 
-    return {row: in_order(rows[row]) for row in sorted(rows) if rows[row]}
+    return {row: in_order(rows[row]) for row in sorted(rows)}
 
 
 def _tensor_pair(fidx, vidx):

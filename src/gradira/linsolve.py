@@ -143,30 +143,32 @@ class Components:
 
     def __init__(self, rows, unknowns):
         self.unknowns = list(unknowns)
-        holders = {}  # unknown -> the row keys that hold it
-        for r, coeffs in rows.items():
+        parent = list(range(len(rows)))  # union-find over row positions
+
+        def root(i):
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            return i
+
+        first = {}  # unknown -> position of the first row that holds it
+        for i, coeffs in enumerate(rows.values()):
             for u in coeffs:
-                holders.setdefault(u, []).append(r)
+                a, b = root(first.setdefault(u, i)), root(i)
+                parent[max(a, b)] = min(a, b)
+        # components numbered by their first row; each keeps its rows in
+        # row order and its unknowns in unknowns order
+        number = {}  # root position -> component number
         self._component = {}  # row key -> component number
-        count = 0
-        for start in rows:
-            if start in self._component:
-                continue
-            self._component[start] = count
-            stack = [start]
-            while stack:
-                for u in rows[stack.pop()]:
-                    for r in holders[u]:
-                        if r not in self._component:
-                            self._component[r] = count
-                            stack.append(r)
-            count += 1
-        self._blocks = [({}, []) for _ in range(count)]  # (rows, unknowns) in order
-        for r, coeffs in rows.items():
-            self._blocks[self._component[r]][0][r] = coeffs
+        self._blocks = []  # (rows, unknowns) of each component
+        for i, (r, coeffs) in enumerate(rows.items()):
+            label = number.setdefault(root(i), len(self._blocks))
+            if label == len(self._blocks):
+                self._blocks.append(({}, []))
+            self._component[r] = label
+            self._blocks[label][0][r] = coeffs
         for u in self.unknowns:
-            if u in holders:
-                self._blocks[self._component[holders[u][0]]][1].append(u)
+            if u in first:
+                self._blocks[number[root(first[u])]][1].append(u)
         self._echelons = {}  # component number -> its Echelon, once needed
 
     def _echelon(self, label):
