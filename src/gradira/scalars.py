@@ -27,7 +27,14 @@ convert it first; division by zero raises ``UndefinedScalarError``.
 
 Total differentiation treats every symbol as independent and adds the
 chain-rule contribution of declared function symbols and their partials:
-d(H)/d(y1) is the fresh indeterminate ``H__y1``.
+d(H)/d(y1) is the fresh indeterminate ``H__y1``.  A value with a constant
+denominator, which is most of them, is differentiated on the term dict of
+its numerator: one pass files each term's partial derivatives by
+generator, the chain-rule products raise the partial's exponent in the
+same dicts, and each entry has its content cancelled against the
+denominator once and goes straight to the field of exactly the
+generators it uses.  A value with a non-constant denominator takes the
+quotient rule in the field that also holds the partials.
 """
 
 from __future__ import annotations
@@ -454,10 +461,13 @@ def diff(value, chart):
     A coordinate contributes its derivative; a declared function or formal
     partial f contributes d(value)/d(f) times its formal partial along each
     of its arguments that is a chart coordinate; every other symbol is an
-    independent indeterminate.  Each entry is built as one numerator over
-    the value's denominator squared (over the denominator itself when that
-    is constant) in the field that also holds the partials, and reduced
-    once.
+    independent indeterminate.  Monomials are exponent tuples over the
+    field of the value's generators and the partials it meets.
+
+    A value with a constant denominator d takes one pass over the terms of
+    its numerator (``_slopes``), and each entry is a term dict over d
+    reduced once (``_from_terms``).  Any other value takes the quotient
+    rule: one numerator over the denominator squared, reduced once.
     """
     el = as_scalar(value).value
     if el.__class__ is _QQ:
@@ -473,13 +483,81 @@ def diff(value, chart):
                 chains.setdefault(index[a], []).append(
                     (sym, chart.partial_symbol(sym.name, a)))
     partials = {p for chain in chains.values() for _, p in chain if p is not None}
+    field, mono = el.field, None
     if partials:
         field, mono, _ = FIELDS.union(el.field, FIELDS.field(_canonical(partials)))
-        el = _move(el, field, mono)
+    d = _ground(el.denom)
+    if d is None:
+        return _quotient_gradient(el if mono is None else _move(el, field, mono), chains)
+    pos = {s: k for k, s in enumerate(field.symbols)}
+    terms = [(m if mono is None else mono(m), c.numerator) for m, c in el.numer.items()]
+    slopes = _slopes(terms, {pos[s] for chain in chains.values() for s, _ in chain})
+    grad = {}
+    for i in sorted(chains):
+        acc = {}
+        for sym, partial in chains[i]:
+            for m, c in _times(slopes[pos[sym]], pos.get(partial)).items():
+                c += acc.get(m, 0)
+                if c:
+                    acc[m] = c
+                else:
+                    del acc[m]
+        entry = _from_terms(field, acc, d)
+        if entry:
+            grad[i] = entry
+    return grad
+
+
+def _slopes(terms, positions):
+    """{k: d(numer)/d(generator k) as a term dict} for each position k, from
+    the (monomial, integer coefficient) terms of numer, in one pass."""
+    slopes = {k: {} for k in positions}
+    for m, c in terms:
+        for k, slope in slopes.items():
+            e = m[k]
+            if e:
+                slope[m[:k] + (e - 1,) + m[k + 1:]] = c * e
+    return slopes
+
+
+def _times(terms, j):
+    """The term dict times generator j (unchanged when j is None)."""
+    if j is None:
+        return terms
+    return {m[:j] + (m[j] + 1,) + m[j + 1:]: c for m, c in terms.items()}
+
+
+def _from_terms(field, terms, d):
+    """The Scalar of (sum of c * m over ``terms``) / d, for terms
+    {monomial over ``field``'s generators: nonzero int} and a positive
+    integer d: the content cancelled against d, and the result moved
+    straight to the field of exactly the generators it uses."""
+    if not terms:
+        return ZERO
+    g = d
+    for c in terms.values():
+        if g == 1:
+            break
+        g = gcd(g, c)
+    mask = tuple(map(any, zip(*terms)))
+    if not any(mask):
+        return _wrap(QQ(next(iter(terms.values())), d))
+    if not all(mask):
+        field, mono = FIELDS.restriction(field, mask)
+        terms = {mono(m): c for m, c in terms.items()}
+    numer = field.ring.dtype({m: _QQ(c // g) for m, c in terms.items()})
+    # the shared polynomial 1 of the field, as sympy's own field.one uses it
+    denom = field.one.numer if d == g else field.ring.ground_new(QQ(d // g))
+    return _wrap(field.dtype(numer, denom))
+
+
+def _quotient_gradient(el, chains):
+    """The gradient of a field element with a non-constant denominator,
+    over a field that holds every partial in ``chains``: each entry one
+    numerator over the denominator squared, reduced once."""
     field = el.field
     gen = dict(zip(field.symbols, field.ring.gens))
     numer, denom = el.numer, el.denom
-    d = _ground(denom)
     quotients = {}  # generator -> numerator of d(value)/d(generator)
     grad = {}
     for i in sorted(chains):
@@ -488,10 +566,9 @@ def diff(value, chart):
             q = quotients.get(sym)
             if q is None:
                 g = gen[sym]
-                q = quotients[sym] = (numer.diff(g) if d is not None else
-                                      numer.diff(g) * denom - numer * denom.diff(g))
+                q = quotients[sym] = numer.diff(g) * denom - numer * denom.diff(g)
             acc = acc + (q if partial is None else q * gen[partial])
-        entry = _over(field, acc, d) if d is not None else _normal(field.new(acc, denom**2))
+        entry = _normal(field.new(acc, denom**2))
         if entry:
             grad[i] = entry
     return grad

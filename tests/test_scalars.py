@@ -1,10 +1,15 @@
+import random
+
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.rings import PolyElement
 
 from gradira import Chart, Form, Section
 from gradira import scalars
+from gradira.calculus import exterior_derivative
 from gradira.errors import UndefinedScalarError
+from gradira.sampling import random_hamiltonian_form
 
 from naive import is_zero_expr, naive_gradient
 
@@ -105,6 +110,80 @@ def test_gradient_matches_naive_chain_rule(num, den, on_base):
     naive = naive_gradient(expr, ch.coords, ch.functions)
     assert grad.keys() == naive.keys()
     assert all(is_zero_expr(naive[i] - grad[i].as_expr()) for i in grad)
+    # the canonical representation, not just the value: the field of
+    # exactly the entry's own generators, its content cancelled
+    for i in grad:
+        expected = scalars.as_scalar(naive[i])
+        assert grad[i] == expected and hash(grad[i]) == hash(expected)
+
+
+def _count_poly_diff(monkeypatch):
+    """A list that gets one entry per ``PolyElement.diff`` call."""
+    calls = []
+    real = PolyElement.diff
+
+    def counting(poly, x):
+        calls.append(x)
+        return real(poly, x)
+
+    monkeypatch.setattr(PolyElement, "diff", counting)
+    return calls
+
+
+def _assert_naive_gradient(value, ch):
+    grad = scalars.diff(value, ch)
+    naive = naive_gradient(scalars.as_scalar(value), ch.coords, ch.functions)
+    assert grad.keys() == naive.keys()
+    for i in grad:
+        expected = scalars.as_scalar(naive[i])
+        assert grad[i] == expected and hash(grad[i]) == hash(expected)
+    return grad
+
+
+@pytest.mark.parametrize("value, coord, expected", [
+    ("3*x1**2/2", "x1", "3*x1"),  # the content cancels the denominator
+    ("3*x1**2/4", "x1", "3*x1/2"),  # ... or part of it
+    ("x1**2*y1/2 + x2", "y1", "x1**2/2"),  # the entry loses generators
+    ("x1**2*y1/2 + x2", "x2", "1"),  # ... or is a constant
+    ("H*H__y1", "y1", "H__y1**2 + H*H__y1__y1"),  # the partial is a generator
+    ("H__x1**2/2 - H*H__x1__x1", "x1", "-H*H__x1__x1__x1"),  # chain terms cancel
+])
+def test_gradient_of_a_polynomial_edge(monkeypatch, value, coord, expected):
+    ch = _gradient_chart()
+    calls = _count_poly_diff(monkeypatch)
+    grad = _assert_naive_gradient(value, ch)
+    entry = grad[ch.index(coord)]
+    assert entry == scalars.as_scalar(expected)
+    assert entry.is_rational == (expected == "1")
+    assert calls == []
+
+
+def test_gradient_of_a_rational_function_takes_the_quotient_rule(monkeypatch):
+    ch = _gradient_chart()
+    calls = _count_poly_diff(monkeypatch)
+    grad = _assert_naive_gradient("x1*H/(1 + y1)", ch)
+    assert grad[ch.index("y1")] == scalars.as_scalar("x1*(H__y1*(1 + y1) - H)/(1 + y1)**2")
+    assert calls
+
+
+def test_d_of_polynomial_forms_differentiates_no_polynomial(red2, monkeypatch):
+    """The gradients of polynomial coefficients come from their term dicts:
+    d on random Hamiltonian forms makes no ``PolyElement.diff`` call."""
+    rng = random.Random(5)
+    forms = [random_hamiltonian_form(rng, red2) for _ in range(20)]
+    grads = []
+    real = scalars.diff
+
+    def counting(value, chart):
+        grads.append(value)
+        return real(value, chart)
+
+    monkeypatch.setattr(scalars, "diff", counting)
+    calls = _count_poly_diff(monkeypatch)
+    for alpha in forms:
+        exterior_derivative(alpha)
+    assert sum(not c.is_rational for c in grads) > 20
+    assert calls == []
 
 
 def _built_in_reverse(terms):
