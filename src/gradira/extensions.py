@@ -14,6 +14,7 @@ the homogeneous freedom, so distinct admissible choices can be compared.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -237,44 +238,27 @@ def _check_extension_level(structure, a, j):
         raise DegreeError(f"form degree a={a} above chart dimension {structure.chart.m}")
 
 
-def _support_graph(structure, candidates, system):
-    """(lone, live W columns) of the S^a[j] system, read off
-    ``Structure.pairing_index`` and the rows of the pairing system without
-    multiplying any scalar.
+def _live_columns(structure, candidates, system):
+    """(lone, live W columns) of the S^a[j] system, with no scalar product.
 
     A candidate's support is {(g, I \\ i) : dx^I a term, i in I, (g, .) in
-    pairing_index[i]}, the keys its right-hand side can reach; a W
-    column's support is the row keys that hold it.  Terms can cancel, so a
-    candidate's support may exceed its right-hand side, which only links
-    more columns.  ``lone[t]`` says that candidate t has a support and
-    shares no key of it with any other column.  The live W columns,
-    {unknown: {row key: coefficient}} in ``system.unknowns`` order, are
-    those linked through shared keys to a candidate that is not lone."""
+    pairing_index[i]}, the row keys its right-hand side can reach (or more,
+    when terms cancel).  ``lone[t]``: candidate t has a support, and no
+    other support and no row of the system holds a key of it.  The live W
+    columns, {unknown: {row key: -coefficient}} in ``system.unknowns``
+    order, are those of the ``system.components`` that a support touches."""
     gens_at = {i: [g for g, _ in pairs] for i, pairs in structure.pairing_index.items()}
     supports = [{(g, idx[:s] + idx[s + 1:]) for idx in theta.data
                  for s, i in enumerate(idx) for g in gens_at.get(i, ())}
                 for theta in candidates]
-    holders = {}  # row key -> the columns whose support holds it
-    for t, support in enumerate(supports):
-        for key in support:
-            holders.setdefault(key, []).append(("c", t))
-    w_columns = {}
-    for r, coeffs in system.rows.items():
-        for wk, c in coeffs.items():
-            w_columns.setdefault(wk, {})[r] = c
-            holders.setdefault(r, []).append(("w", wk))
-    lone = [bool(support) and all(len(holders[key]) == 1 for key in support)
+    held = Counter(key for support in supports for key in support)
+    lone = [bool(support) and all(held[key] == 1 and key not in system.rows for key in support)
             for support in supports]
-    stack = [("c", t) for t, is_lone in enumerate(lone) if not is_lone]
-    reached = set(stack)
-    while stack:
-        kind, col = stack.pop()
-        for key in supports[col] if kind == "c" else w_columns[col]:
-            for other in holders[key]:
-                if other not in reached:
-                    reached.add(other)
-                    stack.append(other)
-    return lone, {wk: w_columns[wk] for wk in system.unknowns if ("w", wk) in reached}
+    w_columns = {}
+    for r, coeffs in system.components.rows_of(held).items():
+        for wk, c in coeffs.items():
+            w_columns.setdefault(wk, {})[r] = scalars.sneg(c)
+    return lone, {wk: w_columns[wk] for wk in system.unknowns if wk in w_columns}
 
 
 def build_span_tower(structure, a, j, vertical=False):
@@ -289,18 +273,19 @@ def build_span_tower(structure, a, j, vertical=False):
     to the columns before it.  The entries' values and the freedom come
     from the pairing system, which eliminates its own components.
 
-    Only the live components of the system's support graph
-    (``_support_graph``) are eliminated.  A row is reduced only by pivots
-    whose columns it holds, so elimination never crosses components, and
-    sorting a subset of the row keys keeps their order: every pivot,
-    relation and the order of the relations stay those of the joint
-    elimination.  Two kinds of component are dropped, exactly:
-    - a lone candidate with a nonzero right-hand side becomes a pivot,
-      takes part in no relation and is rejected, so it gets no column.
-      A one-term candidate's support is its right-hand side's keys (each
-      key (g, I \\ i) fixes i), so only a lone candidate with several
-      terms needs ``Structure.pairing_rhs`` to confirm it;
-    - a component of W columns only gives relations with no candidate part.
+    Only the live columns (``_live_columns``) are eliminated.  A row is
+    reduced only by pivots whose columns it holds, so elimination never
+    crosses a set of columns that shares no row key with the rest, and a
+    subset of the sorted row keys keeps their order: every pivot, relation
+    and the order of the relations stay those of the joint elimination.
+    Two kinds of column are dropped, exactly:
+    - a lone candidate, whose support keys no other candidate and no row of
+      the system hold, is a pivot, in no relation and rejected when its
+      right-hand side is nonzero.  A one-term candidate's support is its
+      right-hand side's keys (each key (g, I \\ i) fixes i), so only one
+      with several terms needs ``Structure.pairing_rhs`` to confirm it;
+    - a component of ``PairingSystem.components`` whose rows no support
+      touches gives relations with no candidate part.
     A candidate with an empty right-hand side is never lone: it reduces to
     zero at once and is admitted.
 
@@ -314,7 +299,7 @@ def build_span_tower(structure, a, j, vertical=False):
     chart = structure.chart
     candidates = [f for _, f in s1_wedge_basis(structure, a)]
     system = structure.pairing_system(a, j, vertical)
-    lone, w_columns = _support_graph(structure, candidates, system)
+    lone, w_columns = _live_columns(structure, candidates, system)
     columns = {}
     for t, theta in enumerate(candidates):
         if lone[t] and len(theta.data) == 1:
@@ -324,8 +309,7 @@ def build_span_tower(structure, a, j, vertical=False):
             continue
         lone[t] = False
         columns[("c", t)] = rhs
-    columns.update((("w", wk), {r: scalars.sneg(c) for r, c in col.items()})
-                   for wk, col in w_columns.items())
+    columns.update((("w", wk), col) for wk, col in w_columns.items())
     raw = []
     for relation in Echelon(columns, sorted(set().union(*columns.values()))).dependent.values():
         form = linear_combination(((c, candidates[t]) for (kind, t), c in relation.items()

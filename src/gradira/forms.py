@@ -59,6 +59,13 @@ def _clean(data):
     return {key: val for key, val in data.items() if val}
 
 
+def _check_index(key, degree, chart):
+    """The rule of every key slot: ``degree`` increasing chart indices."""
+    if len(key) != degree or list(key) != sorted(set(key)) or any(
+            i < 0 or i >= chart.m for i in key):
+        raise DegreeError(f"bad multi-index {key} for degree {degree}")
+
+
 class _Graded:
     """Container arithmetic shared by Form, MultiVector and MvForm: a chart
     and a sparse map key -> nonzero ``Scalar``.
@@ -79,10 +86,7 @@ class _Graded:
         if not _normalized:
             data = {k: as_scalar(v) for k, v in data.items()}
             for key in data:
-                if len(key) != degree or any(
-                    i < 0 or i >= chart.m for i in key
-                ) or list(key) != sorted(set(key)):
-                    raise DegreeError(f"bad multi-index {key} for degree {degree}")
+                _check_index(key, degree, chart)
             data = _clean(data)
         self.data = data
 
@@ -239,10 +243,11 @@ class MvForm(_Graded):
         self.vec_degree = vec_degree
         data = data or {}
         if not _normalized:
-            data = _clean({(tuple(f), tuple(v)): as_scalar(c) for (f, v), c in data.items()})
+            data = {(tuple(f), tuple(v)): as_scalar(c) for (f, v), c in data.items()}
             for fidx, vidx in data:
-                if len(fidx) != form_degree or len(vidx) != vec_degree:
-                    raise DegreeError(f"bad key {(fidx, vidx)}")
+                _check_index(fidx, form_degree, chart)
+                _check_index(vidx, vec_degree, chart)
+            data = _clean(data)
         self.data = data
 
     def _grading(self):

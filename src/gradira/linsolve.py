@@ -189,6 +189,12 @@ class Components:
                                echelon.kernel))
         return [vectors.get(u, {u: scalars.ONE}) for u in self.unknowns if u not in pivots]
 
+    def rows_of(self, keys):
+        """The rows {key: coefficients} of every component holding a key of
+        ``keys``, by first row, each component's rows in row order."""
+        labels = sorted({self._component[k] for k in keys if k in self._component})
+        return {r: c for label in labels for r, c in self._blocks[label][0].items()}
+
     def particular(self, rhs):
         """The particular solution of ``Echelon.solve`` for a right-hand side
         keyed like the rows, or None when the system is inconsistent.  Only

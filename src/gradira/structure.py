@@ -79,15 +79,16 @@ class PairingSystem:
     generator index, result multi-index), linear in the W components; with
     ``vertical`` only vector slots touching the fiber.
 
-    The rows are kept as ``linsolve.Components``: a connected component of
-    the rows (two rows are linked when they share a W unknown) is
-    eliminated the first time a right-hand side touches it, or when
-    ``freedom`` is asked for.  This is
-    exactly the joint elimination of all the rows: an ``Echelon`` reduces a
-    row only by pivots whose columns the row holds, so elimination never
-    crosses components, and a component takes its rows in the joint order.
-    Its pivots, kernel vectors (key order included) and particular values
-    are those of the joint elimination."""
+    The rows are kept as ``components``, a ``linsolve.Components`` that
+    ``build_span_tower`` reads its live W columns off too: a connected
+    component of the rows (two rows are linked when they share a W
+    unknown) is eliminated the first time a right-hand side touches it, or
+    when ``freedom`` is asked for.  This is exactly the joint elimination
+    of all the rows: an ``Echelon`` reduces a row only by pivots whose
+    columns the row holds, so elimination never crosses components, and a
+    component takes its rows in the joint order.  Its pivots, kernel
+    vectors (key order included) and particular values, nonzero scalars on
+    well-formed keys, are those of the joint elimination."""
 
     def __init__(self, chart, generators, fdeg, vdeg, vertical):
         self.space = (chart, fdeg, vdeg)  # the chart and grading of W
@@ -96,18 +97,18 @@ class PairingSystem:
         self.unknowns = [(f, v) for f in combinations(range(chart.m), fdeg) for v in vkeys]
         self.rows = _pairing_rows(self.unknowns, [g.data for g in generators],
                                   mvform_contract_pair, itemgetter(1))
-        self._components = Components(self.rows, self.unknowns)
+        self.components = Components(self.rows, self.unknowns)
 
     @cached_property
     def freedom(self):
         """The homogeneous solutions, one per free W component."""
-        return tuple(MvForm(*self.space, vec) for vec in self._components.kernel)
+        return tuple(MvForm(*self.space, v, _normalized=True) for v in self.components.kernel)
 
     def solve(self, rhs):
         """The particular W for theta's ``Structure.pairing_rhs``, or None
         when theta is not admitted."""
-        particular = self._components.particular(rhs)
-        return None if particular is None else MvForm(*self.space, particular)
+        particular = self.components.particular(rhs)
+        return None if particular is None else MvForm(*self.space, particular, _normalized=True)
 
 
 class Structure:

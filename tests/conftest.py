@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from gradira import (
@@ -6,6 +9,11 @@ from gradira import (
     reduced_canonical,
     yang_mills,
 )
+
+# the CLI tests' child processes import the sources this process imports,
+# also when pytest finds them through its ``pythonpath`` setting
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 # every chart of a session-scoped fixture, with its functions table as built
 _SESSION_CHARTS = []

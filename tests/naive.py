@@ -21,8 +21,12 @@ coefficient dicts; ``naive_lower_tower`` rebuilds the levels below n with
 ``contract``, ``wedge``, ``Span.reduced`` and a pairwise ratio test, where
 the package groups coefficient dicts by ray key;
 ``naive_build_span_tower`` eliminates every S^a[j] candidate jointly,
-where the package eliminates only the live components of the support
-graph; ``decompose_s1_power``,
+where the package eliminates only the live columns, and
+``naive_support_graph`` finds those by linking every candidate and W
+column to the row keys it can reach and following the links from every
+candidate that shares a key, where the package counts the candidates'
+keys and takes the pairing-system components that their keys touch;
+``decompose_s1_power``,
 ``is_null`` and ``fiber_indices`` are helpers that only the tests use.
 ``naive_pairing_rows`` and ``naive_annihilator`` keep the explicit
 accumulate loops for the rows of the S^a[j] pairing system and of the
@@ -641,8 +645,7 @@ def naive_build_span_tower(structure, a, j, vertical=False):
     {"entries": [(form, particular value)], "freedom", "rejected": the
     candidates outside the span, by ``Span.contains`` on each, "span":
     the kept generators}: the oracle for ``build_span_tower``, which
-    eliminates only the components of the support graph that can admit
-    anything."""
+    eliminates only the live columns that ``naive_support_graph`` checks."""
     from gradira import scalars
     from gradira.extensions import _check_extension_level, s1_wedge_basis
     from gradira.forms import Form, linear_combination
@@ -674,3 +677,41 @@ def naive_build_span_tower(structure, a, j, vertical=False):
         "rejected": [c for c in candidates if not span.contains(c)],
         "span": list(span.generators),
     }
+
+
+def naive_support_graph(structure, candidates, system):
+    """(lone, live W unknowns) of the S^a[j] system, by following shared
+    row keys from column to column.
+
+    A candidate's support is {(g, I \\ i) : dx^I a term, i in I, (g, .) in
+    pairing_index[i]}, the keys its right-hand side can reach; a W
+    column's support is the row keys that hold it.  ``lone[t]`` says that
+    candidate t has a support and shares no key of it with any other
+    column.  The live W unknowns, in ``system.unknowns`` order, are those
+    linked through shared keys to a candidate that is not lone: the oracle
+    for ``extensions._live_columns``."""
+    gens_at = {i: [g for g, _ in pairs] for i, pairs in structure.pairing_index.items()}
+    supports = [{(g, idx[:s] + idx[s + 1:]) for idx in theta.data
+                 for s, i in enumerate(idx) for g in gens_at.get(i, ())}
+                for theta in candidates]
+    holders = {}  # row key -> the columns whose support holds it
+    for t, support in enumerate(supports):
+        for key in support:
+            holders.setdefault(key, []).append(("c", t))
+    w_keys = {}
+    for r, coeffs in system.rows.items():
+        for wk in coeffs:
+            w_keys.setdefault(wk, []).append(r)
+            holders.setdefault(r, []).append(("w", wk))
+    lone = [bool(support) and all(len(holders[key]) == 1 for key in support)
+            for support in supports]
+    stack = [("c", t) for t, is_lone in enumerate(lone) if not is_lone]
+    reached = set(stack)
+    while stack:
+        kind, col = stack.pop()
+        for key in supports[col] if kind == "c" else w_keys[col]:
+            for other in holders[key]:
+                if other not in reached:
+                    reached.add(other)
+                    stack.append(other)
+    return lone, [wk for wk in system.unknowns if ("w", wk) in reached]

@@ -49,7 +49,8 @@ from gradira.scenarios import canonical_extension_table
 from naive import (contract_pairing_rhs, decompose_s1_power, fiber_indices,
                    naive_bracket_ext1, naive_build_span_tower, naive_gamma_H,
                    naive_is_hamiltonian, naive_pairing_rhs, naive_sharp1_tilde,
-                   naive_solve_pairing, pairing_defect, wedge_loop_s1_basis)
+                   naive_solve_pairing, naive_support_graph, pairing_defect,
+                   wedge_loop_s1_basis)
 
 
 @cache
@@ -1083,14 +1084,49 @@ def tower_record(entries, freedom, rejected, span):
             "span": [_items(g) for g in span]}
 
 
-def check_against_joint_solve(st, a, j, vertical):
-    """``build_span_tower`` equals ``naive_build_span_tower``; returns the
-    level."""
-    level = build_span_tower(st, a, j, vertical)
+def tower_and_joint_rows(st, a, j, vertical, monkeypatch):
+    """One ``build_span_tower`` call: the level and the row keys, in order,
+    of its joint elimination, ("c", candidate index) and ("w", W unknown)."""
+    joint, real = [], extensions.Echelon
+
+    def recording(rows, unknowns):
+        joint.append(list(rows))
+        return real(rows, unknowns)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(extensions, "Echelon", recording)
+        level = build_span_tower(st, a, j, vertical)
+    [keys] = joint
+    return level, keys
+
+
+def check_against_joint_solve(st, a, j, vertical, monkeypatch):
+    """``build_span_tower`` equals ``naive_build_span_tower``.  Its lone
+    flags and live W columns equal those of ``naive_support_graph``, order
+    included, each W column being the negated column of the pairing
+    system, and its joint elimination takes the candidates that are not
+    lone, a lone one with several terms whose right-hand side is empty,
+    then the live W columns.  Returns the level."""
+    level, keys = tower_and_joint_rows(st, a, j, vertical, monkeypatch)
     expected = naive_build_span_tower(st, a, j, vertical)
     got = tower_record([(e.form, e.value) for e in level.entries], level.freedom,
                        level.rejected(), level.span.generators)
     assert got == tower_record(**expected), (a, j, vertical)
+    candidates, system = level.candidates, st.pairing_system(a, j, vertical)
+    lone, w_columns = extensions._live_columns(st, candidates, system)
+    expected_lone, expected_w = naive_support_graph(st, candidates, system)
+    assert lone == expected_lone, (a, j, vertical)
+    assert list(w_columns) == expected_w, (a, j, vertical)
+    negated = {}
+    for r, coeffs in system.rows.items():
+        for wk, c in coeffs.items():
+            negated.setdefault(wk, {})[r] = scalars.sneg(c)
+    assert all(list(col.items()) == list(negated[wk].items())
+               for wk, col in w_columns.items()), (a, j, vertical)
+    kept = [not is_lone or (len(theta.data) > 1 and not st.pairing_rhs(theta.data))
+            for is_lone, theta in zip(expected_lone, candidates)]
+    assert keys == [("c", t) for t, keep in enumerate(kept) if keep] + \
+        [("w", wk) for wk in expected_w], (a, j, vertical)
     return level
 
 
@@ -1105,23 +1141,39 @@ def oracle_structure(name, request):
 
 
 class TestSpanTowerSupport:
-    """The tower eliminates only the components of its support graph that
-    hold a candidate and can admit anything; it must equal the joint
-    elimination of every candidate."""
+    """The tower eliminates only the live columns: the candidates that are
+    not lone (a lone candidate's support keys are counted once over all
+    supports and held by no row of the pairing system) and the W columns of
+    the pairing-system components that some support touches.  It must equal
+    the joint elimination of every candidate, and its lone flags and live W
+    columns those of ``naive_support_graph``, which follows shared row keys
+    from column to column."""
 
     @pytest.mark.parametrize("name", ["red2", "red3", "red2k2", "red3k2", "ext2",
                                       "sheared", "scaled", "rank-deficient", "tilted",
                                       "proportional"])
-    def test_matches_joint_solve(self, name, request):
+    def test_matches_joint_solve(self, name, request, monkeypatch):
         st = oracle_structure(name, request)
         for j in range(1, st.n + 1):
             for vertical in (True, False):
-                check_against_joint_solve(st, st.n + 1, j, vertical)
+                check_against_joint_solve(st, st.n + 1, j, vertical, monkeypatch)
 
     @pytest.mark.parametrize("vertical", [True, False])
-    def test_yang_mills_matches_joint_solve(self, ym_su2, vertical):
-        level = check_against_joint_solve(ym_su2.structure, 4, 3, vertical)
+    def test_yang_mills_matches_joint_solve(self, ym_su2, vertical, monkeypatch):
+        level = check_against_joint_solve(ym_su2.structure, 4, 3, vertical, monkeypatch)
         assert len(level.entries) == (39 if vertical else 47)
+
+    def test_dead_w_columns_stay_out_of_the_elimination(self, red3k2, monkeypatch):
+        # vertical S^4[1] on reduced_canonical(3, 2): 540 of the 1,980 W
+        # columns sit in components whose rows no candidate support
+        # touches, and 330 candidates are not lone.  The joint elimination
+        # holds at most the other 1,440 W columns and those candidates
+        st = red3k2.structure
+        system = st.pairing_system(4, 1, vertical=True)
+        assert len({u for row in system.rows.values() for u in row}) == 1980
+        _, keys = tower_and_joint_rows(st, 4, 1, True, monkeypatch)
+        assert len([key for key in keys if key[0] == "w"]) <= 1440
+        assert len(keys) <= 1440 + 330
 
     def test_work_stays_in_live_components(self, ym_su2, monkeypatch):
         # vertical S^4[3] on Yang-Mills: 432 of the 5,985 candidates share a
@@ -1159,12 +1211,12 @@ class TestSpanTowerSupport:
 
     @pytest.mark.parametrize("builder", [rank_deficient, rank_deficient_sheared,
                                          oblique, base_valued])
-    def test_edge_structures_match_joint_solve(self, builder):
+    def test_edge_structures_match_joint_solve(self, builder, monkeypatch):
         st = builder()
         for j in range(1, st.n + 1):
             for a in range(j, st.chart.m + 1):
                 for vertical in (True, False):
-                    check_against_joint_solve(st, a, j, vertical)
+                    check_against_joint_solve(st, a, j, vertical, monkeypatch)
 
     @pytest.mark.parametrize("builder, terms", [(rank_deficient, 1),
                                                 (rank_deficient_sheared, 2)])

@@ -114,6 +114,24 @@ def test_contract_degree_error(chart5):
         contract(u, dform(chart5, "y1"))
 
 
+def test_mvform_keys_follow_the_multi_index_rule(chart5):
+    # each slot of an MvForm key is checked like a Form or MultiVector key:
+    # indices on the chart, strictly increasing, as many as the degree;
+    # a zero coefficient does not excuse a malformed key
+    ch = Chart(base=["x1"], fiber=["y1", "p1"])
+    bad = [(ch, 1, 1, ((7,), (0,))), (ch, 1, 1, ((0,), (-1,))),
+           (chart5, 2, 1, ((1, 0), (0,))), (chart5, 1, 2, ((0,), (2, 2))),
+           (chart5, 2, 1, ((0,), (1,))), (chart5, 1, 1, ((0,), (1, 2)))]
+    for chart, fdeg, vdeg, key in bad:
+        for c in (1, 0):
+            with pytest.raises(DegreeError, match="bad multi-index"):
+                MvForm(chart, fdeg, vdeg, {key: c})
+    with pytest.raises(DegreeError, match="bad multi-index"):
+        Form(ch, 1, {(7,): 1})
+    w = MvForm(chart5, 2, 1, {((0, 1), (0,)): 1, ((2, 4), (0,)): 0})
+    assert list(w.data) == [((0, 1), (0,))]
+
+
 def test_identity_contraction_scaling(chart5):
     # iota_{1_a} beta = C(b, a) beta
     rng = random.Random(11)

@@ -220,3 +220,30 @@ def test_components_match_one_echelon(system, vec):
     for rhs in (target, arbitrary, {**target, len(rows): 1}, {**target, len(rows): 0}):
         sol = echelon.solve(rhs)
         assert components.particular(rhs) == (None if sol is None else sol.particular)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_systems(), st.sets(st.integers(-1, 13), max_size=3))
+def test_components_rows_of_closes_over_shared_unknowns(system, keys):
+    # rows_of(keys) holds every row that a chain of shared unknowns links
+    # to a row key of ``keys`` (keys outside the rows are ignored), one
+    # component after another in the order of their first rows, each in
+    # row order
+    ncols, rows = system
+    rows = dict(enumerate(rows))
+
+    def linked(start):
+        reached, grew = {start}, True
+        while grew:
+            held = {u for r in reached for u in rows[r]}
+            more = {r for r, row in rows.items() if held & set(row)}
+            grew, reached = not more <= reached, reached | more
+        return [r for r in rows if r in reached]
+
+    expected = []
+    for r in rows:
+        if r not in expected and any(k in rows and k in linked(r) for k in keys):
+            expected += linked(r)
+    got = Components(rows, range(ncols)).rows_of(keys)
+    assert list(got) == expected
+    assert all(got[r] is rows[r] for r in got)
