@@ -19,7 +19,25 @@ __all__ = [
 
 
 def exterior_derivative(alpha):
-    """Coordinate exterior derivative; top degree input returns the zero form."""
+    """Coordinate exterior derivative; top degree input returns the zero form.
+
+    d of a form is computed once and kept on the form, next to a stamp of
+    its chart's function table: the table's length, which only grows
+    (``Chart.declare_function`` adds, never removes).  A kept d is
+    returned, the same object each time, while the stamp matches; after a
+    declaration it is computed again, so new formal partials show up.
+    """
+    stamp = len(alpha.chart.functions)
+    kept = getattr(alpha, "_d", None)
+    if kept is not None and kept[0] == stamp:
+        return kept[1]
+    dalpha = _exterior_derivative(alpha)
+    alpha._d = (stamp, dalpha)
+    return dalpha
+
+
+def _exterior_derivative(alpha):
+    """The uncached kernel of ``exterior_derivative``."""
     chart = alpha.chart
     if alpha.degree >= chart.m:
         return Form.zero(chart, chart.m if alpha.degree == chart.m else alpha.degree + 1)

@@ -35,6 +35,17 @@ from .structfile import dump_extension, dump_scenario, load_structure_file
 from .structure import bracket, verify_axioms, verify_fibered
 
 
+def _count(text):
+    """An argparse type: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _load(args):
     return load_structure_file(args.file)
 
@@ -238,7 +249,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="axiom and fiberedness report")
     add_file(p)
-    p.add_argument("--samples", type=int, default=0)
+    p.add_argument("--samples", type=_count, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bracket", help="graded Poisson bracket of two forms")

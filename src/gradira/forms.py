@@ -171,9 +171,15 @@ class _Graded:
 
 
 class Form(_Graded):
-    """A differential form of fixed degree; degree 0 wraps a bare scalar."""
+    """A differential form of fixed degree; degree 0 wraps a bare scalar.
 
-    __slots__ = ("degree",)
+    ``_d`` is set by ``calculus.exterior_derivative``: (stamp, d of the
+    form).  Pickling and copying leave it behind."""
+
+    __slots__ = ("degree", "_d")
+
+    def __getstate__(self):
+        return None, {"degree": self.degree, "chart": self.chart, "data": self.data}
 
     @classmethod
     def scalar_form(cls, chart, value):

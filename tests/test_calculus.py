@@ -16,7 +16,9 @@ from gradira import (
     volume_contraction,
     wedge,
 )
+from gradira.calculus import _exterior_derivative
 from gradira.errors import NonPolynomialError, NotClosedError
+from gradira.render import render
 
 from naive import naive_contract, naive_schouten
 
@@ -75,6 +77,22 @@ def test_d_formal_function():
     df = d(f)
     assert df.data[(0,)] == sympy.Symbol("F__x1")
     assert df.data[(2,)] == sympy.Symbol("F__y1")
+
+
+def test_kept_d_is_recomputed_after_a_declaration():
+    # d of G*y1 dX[1] with G undeclared treats G as a constant; once G is
+    # declared, d must carry its formal partials, not the kept d
+    ch = own_chart5()
+    alpha = Form.scalar_form(ch, sympy.Symbol("G") * ch.sym("y1")) * volume_contraction(ch, [0])
+    before = d(alpha)
+    assert render(before) == "G * d(y1) ^ dX[1]"
+    assert d(alpha) is before
+    ch.declare_function("G", ["x1", "y1"])
+    after = d(alpha)
+    assert after == _exterior_derivative(Form(ch, 1, dict(alpha.data)))
+    assert after != before
+    assert "D(G,x1)" in render(after) and "D(G,y1)" in render(after)
+    assert d(alpha) is after
 
 
 def test_lie_derivative_of_function(chart5):

@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 import subprocess
@@ -16,6 +17,7 @@ from gradira import (
     contract,
     contract_form,
     contract_form_slot,
+    exterior_derivative,
     identity_tensor,
     volume_contraction,
     wedge,
@@ -282,6 +284,18 @@ def _pickle_chart():
     ch = Chart(base=["x1", "x2"], fiber=["y1", "p1_1"])
     ch.declare_function("H", ["x1", "y1", "p1_1"])
     return ch
+
+
+def test_pickling_and_copying_leave_the_kept_d_behind(red2):
+    _, gen = red2.hamiltonian_generators[0]
+    alpha = Form(red2.chart, gen.degree, dict(gen.data))
+    blob = pickle.dumps(alpha)
+    dalpha = exterior_derivative(alpha)
+    assert pickle.dumps(alpha) == blob
+    for twin in (pickle.loads(blob), copy.copy(alpha), copy.deepcopy(alpha)):
+        assert twin == alpha
+        assert exterior_derivative(twin) == dalpha
+        assert exterior_derivative(twin) is not dalpha
 
 
 def test_graded_objects_pickle_round_trip():

@@ -15,6 +15,7 @@ from gradira import (
     schouten,
     wedge,
 )
+from gradira.calculus import _exterior_derivative
 
 CHART = Chart(base=["x1", "x2"], fiber=["y1", "p1_1", "p2_1"])
 M = CHART.m
@@ -78,6 +79,15 @@ def test_wedge_graded_commutative(a, b, data):
 def test_d_squared_zero(data, degree):
     alpha = data.draw(form_strategy(degree))
     assert exterior_derivative(exterior_derivative(alpha)).is_zero()
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), degree=st.integers(min_value=0, max_value=M))
+def test_kept_d_is_the_kernel_d_of_a_copy(data, degree):
+    alpha = data.draw(form_strategy(degree))
+    dalpha = exterior_derivative(alpha)
+    assert dalpha == _exterior_derivative(Form(CHART, degree, dict(alpha.data)))
+    assert exterior_derivative(alpha) is dalpha
 
 
 @settings(max_examples=30, deadline=None)

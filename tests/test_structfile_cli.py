@@ -127,6 +127,17 @@ class TestCli:
         _, out2, _ = run_cli(["verify", "-f", out_file, "--samples", "2"], capsys)
         assert out1 == out2
 
+    def test_negative_sample_count_exit_2(self, tmp_path, capsys):
+        out_file = str(tmp_path / "structure.json")
+        run_cli(["scenario", "reduced-canonical", "--out", out_file], capsys)
+        for count in ("-3", "three"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "-f", out_file, "--samples", count])
+            out = capsys.readouterr()
+            assert (exc.value.code, out.out) == (2, "")
+            assert out.err.endswith(
+                f"error: argument --samples: expected an integer >= 0, got '{count}'\n")
+
     def test_extended_verify_fails_fibered(self, tmp_path, capsys):
         out_file = str(tmp_path / "ext.json")
         run_cli(["scenario", "extended-canonical", "--out", out_file], capsys)

@@ -1,4 +1,5 @@
 import functools
+import random
 
 import pytest
 import sympy
@@ -175,6 +176,38 @@ class TestBracket:
         monkeypatch.setattr(linsolve.Echelon, "solve", counting)
         assert bracket(alpha, beta, st) == volume_contraction(ch, [0])
         assert len(calls) == 2
+
+    def test_jacobiator_takes_each_d_once(self, red2, monkeypatch):
+        # d of each of the three inputs and of the three inner brackets;
+        # the forms are built here, so none holds a kept d from another test
+        from gradira import calculus, structure
+        from gradira.sampling import random_hamiltonian_form
+
+        rng = random.Random(5)
+        triple = []
+        while len(triple) < 3:
+            form = random_hamiltonian_form(rng, red2)
+            if not form.is_zero():
+                triple.append(form)
+        kernel_runs, calls = [], []
+        real_kernel, real = calculus._exterior_derivative, structure.exterior_derivative
+
+        def counting_kernel(form):
+            kernel_runs.append(form)
+            return real_kernel(form)
+
+        def counting(form):
+            calls.append(form)
+            return real(form)
+
+        monkeypatch.setattr(calculus, "_exterior_derivative", counting_kernel)
+        monkeypatch.setattr(structure, "exterior_derivative", counting)
+        st = red2.structure
+        a, b, c = triple
+        (bracket(bracket(a, b, st), c, st) + bracket(bracket(b, c, st), a, st)
+         + bracket(bracket(c, a, st), b, st))
+        assert len(calls) == 12
+        assert len(kernel_runs) == 6
 
     def test_invariance_by_symmetries(self, red2):
         #L_X alpha = 0 implies {iota_X alpha, beta} = (-1)^{deg_H beta} iota_X {alpha, beta}
