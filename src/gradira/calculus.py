@@ -25,7 +25,8 @@ def exterior_derivative(alpha):
     its chart's function table: the table's length, which only grows
     (``Chart.declare_function`` adds, never removes).  A kept d is
     returned, the same object each time, while the stamp matches; after a
-    declaration it is computed again, so new formal partials show up.
+    declaration it is computed again, so new formal partials show up.  No
+    code changes a form's data in place, which keeping d relies on.
     """
     stamp = len(alpha.chart.functions)
     kept = getattr(alpha, "_d", None)

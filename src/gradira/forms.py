@@ -179,6 +179,8 @@ class Form(_Graded):
     __slots__ = ("degree", "_d")
 
     def __getstate__(self):
+        """The default slot state less ``_d``: the same bytes whether or
+        not d was taken."""
         return None, {"degree": self.degree, "chart": self.chart, "data": self.data}
 
     @classmethod
