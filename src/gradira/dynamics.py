@@ -297,11 +297,11 @@ def check_subalgebra_condition(alpha, u_alpha, structure):
                 ok = structure.coset_is_zero(iota_u, n - a - b) if iota_u else True
                 report.add(label, ok, "" if ok else "zero wedge, nonzero iota")
                 continue
-            sol = structure.span(a + b + 1).decompose(target)
-            if sol is None:
+            coefficients = structure.span(a + b + 1).decompose(target)
+            if coefficients is None:
                 report.add(label, False, "d alpha ^ epsilon left the tower")
                 continue
-            rep2 = structure.sharp_from(a + b + 1, sol.particular)
+            rep2 = structure.sharp_from(a + b + 1, coefficients)
             c_val = _solve_constant(structure, rep2.rep, iota_u, n - a - b)
             ok = c_val is not None and c_val != 0
             report.add(
@@ -314,7 +314,8 @@ def check_subalgebra_condition(alpha, u_alpha, structure):
 
 def _solve_constant(structure, rep, iota_u, p):
     """The scalar C with rep = C * iota_u modulo K_p, or None: the
-    contractions with every S^p generator must agree."""
-    rows = {key: {0: c} for key, c in structure.pairing(iota_u, p).items()}
-    sol = Echelon(rows, [0]).solve(structure.pairing(rep, p))
-    return None if sol is None else sol.particular.get(0, scalars.ZERO)
+    contractions with every S^p generator must agree: the pairing of rep
+    is expressed by the one row, the pairing of iota_u."""
+    row = structure.pairing(iota_u, p)
+    coefficients = Echelon([row], sorted(row)).express(structure.pairing(rep, p))
+    return None if coefficients is None else coefficients.get(0, scalars.ZERO)

@@ -380,13 +380,13 @@ class ExtensionTable:
             fdeg = max(theta.degree - self.j, 0)
             return MvForm.zero(self.structure.chart, fdeg,
                                self.structure.n + 1 - self.j)
-        sol = self._echelon.solve(theta.data)
-        if sol is None:
+        coefficients = self._echelon.express(theta.data)
+        if coefficients is None:
             raise MembershipError(
                 f"{render(theta)} is not in the span of the extension table"
             )
         return linear_combination(
-            ((c, self.entries[i][1]) for i, c in sol.particular.items()),
+            ((c, self.entries[i][1]) for i, c in coefficients.items()),
             MvForm.zero(self.structure.chart, theta.degree - self.j,
                         self.structure.n + 1 - self.j))
 

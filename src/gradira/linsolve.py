@@ -5,11 +5,13 @@ order.  Formal function symbols and their partials ride along as
 indeterminates of the coefficient field, so every solve is exact.
 
 ``Echelon`` is the one Gaussian elimination, built once per coefficient
-matrix to answer any right-hand side.  The particular solution is
-canonical: rows are taken in order, each pivots on its first rational
-column in canonical order (else its first column), and free unknowns are
-set to zero.  ``Components`` splits a sparse matrix into the connected
-components of its rows and gives an ``Echelon`` to each one on first use.
+matrix.  Rows are taken in order, and each pivots on its first rational
+column in canonical order (else its first column).  It answers two
+questions: ``solve`` a right-hand side over the rows, whose particular
+solution sets free unknowns to zero, and ``express`` one more row as a
+combination of the rows, which is zero on the rows that reduced to zero.
+``Components`` splits a sparse matrix into the connected components of
+its rows and gives an ``Echelon`` to each one on first use.
 """
 
 from __future__ import annotations
@@ -62,10 +64,10 @@ class Echelon:
         order = {u: i for i, u in enumerate(self.unknowns)}
         self.pivots = {}  # pivot column -> (row, combination of input rows)
         self.dependent = {}  # row key -> combination of input rows that is 0
-        self.row_keys = set()
+        self.row_keys = {}  # row key -> its position among the input rows
         holders = {}  # non-pivot column -> pivot columns whose rows hold it
         for key, coeffs in rows.items() if isinstance(rows, dict) else enumerate(rows):
-            self.row_keys.add(key)
+            self.row_keys[key] = len(self.row_keys)
             row = {c: v for c, v in ((c, as_scalar(v)) for c, v in coeffs.items()) if v}
             combo = {key: scalars.ONE}
             # pivot rows are kept fully reduced, so eliminating one pivot
@@ -120,12 +122,45 @@ class Echelon:
         """The LinearSolution for a right-hand side keyed like the rows
         (absent keys are 0), or None when the system is inconsistent."""
         rhs = {k: v for k, v in ((k, as_scalar(v)) for k, v in rhs.items()) if v}
-        if not rhs.keys() <= self.row_keys or any(
+        if not rhs.keys() <= self.row_keys.keys() or any(
                 _combine(combo, rhs) for combo in self.dependent.values()):
             return None
         values = {col: _combine(combo, rhs) for col, (_, combo) in self.pivots.items()}
         return LinearSolution({col: v for col, v in values.items() if v},
                               list(self.kernel))
+
+    def express(self, row):
+        """Coefficients {row key: c}, in row order, with sum_r c * row_r =
+        ``row``, or None when ``row`` is not a combination of the rows.
+
+        The target is reduced as one more row.  Pivot rows are fully
+        reduced, so each pivot column of the target, holding v, clears with
+        v times its own pivot row and brings in no other: the target is a
+        combination iff what those rows reach off their pivots equals its
+        non-pivot part, and then it is the sum of v times the pivot rows'
+        combinations.  No dependent row enters a pivot's combination, so
+        the coefficients are zero on ``dependent``."""
+        rest, hits = {}, []
+        for c, v in row.items():
+            v = as_scalar(v)
+            if not v:
+                continue
+            if c in self.pivots:
+                hits.append((c, v))
+            else:
+                rest[c] = v
+        reached = {}
+        for col, v in hits:
+            for c, x in self.pivots[col][0].items():
+                if c != col:
+                    scalars.accumulate(reached, c, scalars.smul(v, x))
+        if reached != rest:
+            return None
+        coefficients = {}
+        for col, v in hits:
+            for r, x in self.pivots[col][1].items():
+                scalars.accumulate(coefficients, r, scalars.smul(v, x))
+        return {r: coefficients[r] for r in sorted(coefficients, key=self.row_keys.get)}
 
 
 class Components:

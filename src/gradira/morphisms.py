@@ -217,8 +217,8 @@ def pullback(structure, spec):
         if coeffs:
             rows.append(coeffs)
     basis = nullspace(rows, list(vectors))
-    # the tangent matrix, eliminated once: row (i,) holds the i-th ambient
-    # components of the pushed adapted coordinate vectors
+    # the tangent matrix, eliminated once: row j is the push of the j-th
+    # adapted coordinate vector
     pushed = spec.tangent_pushforwards()
     tangent = generator_echelon(pushed)
     new_gens = []
@@ -244,13 +244,14 @@ def pullback(structure, spec):
 def _express_tangent(spec, tangent, value):
     """Solve push(W) = value (restricted to the image) for an adapted-chart
     vector W; the solution is unique since the embedding is injective."""
-    sol = tangent.solve({key: spec.restrict_scalar(c) for key, c in value.data.items()})
-    if sol is None:
+    coefficients = tangent.express({key: spec.restrict_scalar(c)
+                                    for key, c in value.data.items()})
+    if coefficients is None:
         raise MapSpecError(
             f"sharp value {render(value)} is not tangent to the embedding",
             witness=value,
         )
-    data = {(j,): c for j, c in sol.particular.items()}
+    data = {(j,): c for j, c in coefficients.items()}
     return MultiVector(spec.source_chart, 1, data)
 
 

@@ -1,8 +1,12 @@
 """Function-coefficient modules of forms and multivectors.
 
 A Span is a finite generator list; membership means decomposability with
-scalar-field coefficients, decided by one exact linear solve.  Rank is not
-assumed constant: duplicate or zero generators are tolerated.
+scalar-field coefficients.  One row elimination of the generators answers
+every question: a target is reduced as one more row, and its remainder
+vanishes iff it is a member.  Rank is not assumed constant: duplicate or
+zero generators are tolerated.  On a span with relations the particular
+decomposition is the one that is zero on the generators that depend on
+earlier ones.
 """
 
 from __future__ import annotations
@@ -12,27 +16,27 @@ from itertools import combinations
 
 from .errors import DegreeError
 from .forms import MultiVector, _contract_by_pair, _pairing_rows
-from .linsolve import Echelon, LinearSolution, nullspace
+from .linsolve import Echelon, nullspace
 
 __all__ = ["Span", "annihilator", "decompose_over", "generator_echelon"]
 
 
 def generator_echelon(generators):
-    """The elimination behind every decomposition over ``generators``:
-    one row per component key (sorted), one unknown per generator.
+    """The elimination behind every span question over ``generators``: one
+    row per generator, keyed by position, one unknown per component key
+    (sorted).
 
     Works uniformly for Forms, MultiVectors and MvForms through their
-    sparse ``data`` maps; a target's ``data`` is its right-hand side.
+    sparse ``data`` maps; ``Echelon.express`` of a target's ``data`` is its
+    decomposition.
     """
-    keys = sorted(set().union(*(g.data for g in generators)))
-    rows = {key: {i: g.data[key] for i, g in enumerate(generators) if key in g.data}
-            for key in keys}
-    return Echelon(rows, range(len(generators)))
+    datas = [g.data for g in generators]
+    return Echelon(datas, sorted(set().union(*datas)))
 
 
 def decompose_over(generators, target):
-    """Coefficients f_i with target = sum f_i * generators[i], or None."""
-    return generator_echelon(generators).solve(target.data)
+    """Coefficients {i: f_i} with target = sum f_i * generators[i], or None."""
+    return generator_echelon(generators).express(target.data)
 
 
 class Span:
@@ -66,28 +70,30 @@ class Span:
         return generator_echelon(self.generators)
 
     def decompose(self, target):
-        """Membership with witness: particular coefficient vector or None."""
-        if target.is_zero():
-            return LinearSolution({})
-        return self.echelon.solve(target.data)
+        """Membership with witness: coefficients {generator position: f} in
+        position order, or None."""
+        return self.echelon.express(target.data)
 
     def contains(self, target):
-        return self.decompose(target) is not None
+        return self.echelon.express(target.data) is not None
 
     def kernel(self):
-        """Module relations among the generators."""
-        return list(self.echelon.kernel)
+        """Module relations among the generators, {position: f}: one per
+        generator that decomposes over the ones before it."""
+        return list(self.echelon.dependent.values())
 
     def reduced(self):
         """An independent generating sublist (greedy, order-preserving).
 
         Returns (span, kept_indices).  A generator is dropped iff it
-        decomposes over the ones before it: one elimination with the
-        generators as rows, keeping each row that does not reduce to zero.
+        decomposes over the ones before it, i.e. its row of the span's
+        elimination reduces to zero; with none dropped the span itself,
+        elimination and all, is returned.
         """
-        keys = sorted(set().union(*(g.data for g in self.generators)))
-        echelon = Echelon([g.data for g in self.generators], keys)
-        kept = [i for i in range(len(self.generators)) if i not in echelon.dependent]
+        dependent = self.echelon.dependent
+        kept = [i for i in range(len(self.generators)) if i not in dependent]
+        if not dependent:
+            return self, kept
         return Span(self.chart, self.degree,
                     [self.generators[i] for i in kept], self.kind), kept
 

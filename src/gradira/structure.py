@@ -203,15 +203,15 @@ class Structure:
         """(gens, sharps, frame): independent generators g_k of S^1, their
         sharp_1 values, and the dual vector fields E_k, <g_l, E_k> = delta_lk.
 
-        One elimination with the level-1 generators as rows: E_k is the
-        particular solution for the right-hand side {k: 1}, read off the
-        pivot rows' combinations, so it has no component on a non-pivot
-        coordinate.  Computed on first use and kept; only the extension
-        layer needs it.
+        Read off the elimination of ``span(1)``, the level-1 generators as
+        rows: E_k is the particular solution for the right-hand side
+        {k: 1}, read off the pivot rows' combinations, so it has no
+        component on a non-pivot coordinate.  Computed on first use and
+        kept; only the extension layer needs it.
         """
         chart = self.chart
         level = self.levels[1]
-        echelon = Echelon([g.form.data for g in level], [(i,) for i in range(chart.m)])
+        echelon = self.span(1).echelon
         kept = [k for k in range(len(level)) if k not in echelon.dependent]
         frame = [MultiVector(chart, 1, {col: combo[k] for col, (_, combo)
                                         in echelon.pivots.items() if k in combo},
@@ -338,10 +338,10 @@ class Structure:
         """
         if theta.degree != a:
             raise DegreeError(f"theta has degree {theta.degree}, expected {a}")
-        sol = self.span(a).decompose(theta)
-        if sol is None:
+        coefficients = self.span(a).decompose(theta)
+        if coefficients is None:
             raise MembershipError(f"{render(theta)} is not in S^{a}")
-        return self.sharp_from(a, sol.particular)
+        return self.sharp_from(a, coefficients)
 
     def sharp_from(self, a, coefficients):
         """sharp_a of sum_i coefficients[i] * (level-a generator i), as a
@@ -384,11 +384,11 @@ def hamiltonian_decomposition(alpha, structure, label=None):
             f"Hamiltonian forms have degree 0..{n - 1}, got {alpha.degree}"
         )
     dalpha = exterior_derivative(alpha)
-    sol = structure.span(alpha.degree + 1).decompose(dalpha)
-    if sol is None:
+    coefficients = structure.span(alpha.degree + 1).decompose(dalpha)
+    if coefficients is None:
         name = render(alpha) if label is None else label
         raise NotHamiltonianError(f"{name} is not Hamiltonian")
-    return dalpha, sol.particular
+    return dalpha, coefficients
 
 
 def require_hamiltonian(alpha, structure, label=None):
@@ -521,14 +521,11 @@ def _check_pair(structure, report, d, a, i, b, j):
         terms.append((_HALF[-1 if q % 2 else 1], dinner.data))
     theta = _combination(terms)
     name = f"integrable a={a}.{i} b={b}.{j}"
-    coefficients = {}
-    if theta:
-        sol = structure.span(c).echelon.solve(theta)
-        if sol is None:
-            report.add(name, False,
-                       f"defect form {_text(Form, chart, c, theta)} is not in S^{c}")
-            return
-        coefficients = sol.particular
+    coefficients = structure.span(c).echelon.express(theta) if theta else {}
+    if coefficients is None:
+        report.add(name, False,
+                   f"defect form {_text(Form, chart, c, theta)} is not in S^{c}")
+        return
     # sharp_c(theta) - [U, V], zero modulo K_{n+1-c}
     lieb = schouten_data(chart, p, u.data, q, v.data)
     level = structure.levels[c]

@@ -26,7 +26,9 @@ where the package eliminates only the live columns, and
 column to the row keys it can reach and following the links from every
 candidate that shares a key, where the package counts the candidates'
 keys and takes the pairing-system components that their keys touch;
-``decompose_s1_power``,
+``naive_generator_echelon`` eliminates a span in column form, one row per
+component key and one unknown per generator, where the package takes the
+generators as rows; ``decompose_s1_power``,
 ``is_null`` and ``fiber_indices`` are helpers that only the tests use.
 ``naive_pairing_rows`` and ``naive_annihilator`` keep the explicit
 accumulate loops for the rows of the S^a[j] pairing system and of the
@@ -197,6 +199,20 @@ def naive_rank(rows):
     return DomainMatrix.from_Matrix(sympy.Matrix(rows)).to_field().rank()
 
 
+def naive_generator_echelon(generators):
+    """An elimination of a span in column form: one row per component key
+    (sorted), one unknown per generator position.  ``solve`` of a target's
+    ``data`` is None iff the target is not in the span; on independent
+    generators its particular solution is the unique decomposition, and
+    its kernel has one vector per relation."""
+    from gradira.linsolve import Echelon
+
+    keys = sorted(set().union(*(g.data for g in generators)))
+    rows = {key: {i: g.data[key] for i, g in enumerate(generators) if key in g.data}
+            for key in keys}
+    return Echelon(rows, range(len(generators)))
+
+
 def naive_gradient(expr, coords, functions):
     """{coordinate index: total derivative, not simplified} of a scalar,
     one coordinate at a time: the coordinate's own derivative plus, for every free symbol
@@ -244,10 +260,10 @@ def decompose_s1_power(structure, theta):
     from gradira.spans import decompose_over
 
     basis = s1_wedge_basis(structure, theta.degree)
-    sol = decompose_over([f for _, f in basis], theta)
-    if sol is None:
+    coefficients = decompose_over([f for _, f in basis], theta)
+    if coefficients is None:
         return None
-    return {basis[i][0]: c for i, c in sol.particular.items()}
+    return {basis[i][0]: c for i, c in coefficients.items()}
 
 
 def naive_sharp1_tilde(theta, structure):
@@ -512,8 +528,8 @@ def _naive_check_pair(structure, report, d, a, i, b, j):
     theta = (Fraction(-1 if q % 2 else 1, 2) * exterior_derivative(inner)
              - s_u * contract(u, d[b][j]) - contract(v, d[a][i]))
     c = a + b - n
-    sol = structure.span(c).decompose(theta)
-    if sol is None:
+    coefficients = structure.span(c).decompose(theta)
+    if coefficients is None:
         report.add(
             f"integrable a={a}.{i} b={b}.{j}",
             False,
@@ -521,7 +537,7 @@ def _naive_check_pair(structure, report, d, a, i, b, j):
         )
         return
     lieb = schouten(u, v)
-    ok = structure.sharp_from(c, sol.particular).equiv(lieb)
+    ok = structure.sharp_from(c, coefficients).equiv(lieb)
     report.add(
         f"integrable a={a}.{i} b={b}.{j}",
         ok,

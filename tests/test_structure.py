@@ -164,16 +164,16 @@ class TestBracket:
         from gradira import linsolve
 
         calls = []
-        real = linsolve.Echelon.solve
+        real = linsolve.Echelon.express
 
-        def counting(self, rhs):
-            calls.append(rhs)
-            return real(self, rhs)
+        def counting(self, row):
+            calls.append(row)
+            return real(self, row)
 
         ch, st = red2.chart, red2.structure
         alpha = Form.scalar_form(ch, ch.sym("y1")) * volume_contraction(ch, [0])
         beta = dp_gen_scalar(ch)
-        monkeypatch.setattr(linsolve.Echelon, "solve", counting)
+        monkeypatch.setattr(linsolve.Echelon, "express", counting)
         assert bracket(alpha, beta, st) == volume_contraction(ch, [0])
         assert len(calls) == 2
 
