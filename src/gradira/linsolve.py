@@ -10,6 +10,7 @@ column in canonical order (else its first column).  It answers two
 questions: ``solve`` a right-hand side over the rows, whose particular
 solution sets free unknowns to zero, and ``express`` one more row as a
 combination of the rows, which is zero on the rows that reduced to zero.
+``independent`` re-keys it to the rows that did not reduce to zero.
 ``Components`` splits a sparse matrix into the connected components of
 its rows and gives an ``Echelon`` to each one on first use.
 """
@@ -119,15 +120,31 @@ class Echelon:
         return out
 
     def solve(self, rhs):
-        """The LinearSolution for a right-hand side keyed like the rows
-        (absent keys are 0), or None when the system is inconsistent."""
+        """The particular solution {pivot column: nonzero value}, free
+        unknowns zero, for a right-hand side keyed like the rows (absent
+        keys are 0), or None when the system is inconsistent.  The kernel
+        is not built; ``solve_linear`` attaches it."""
         rhs = {k: v for k, v in ((k, as_scalar(v)) for k, v in rhs.items()) if v}
         if not rhs.keys() <= self.row_keys.keys() or any(
                 _combine(combo, rhs) for combo in self.dependent.values()):
             return None
         values = {col: _combine(combo, rhs) for col, (_, combo) in self.pivots.items()}
-        return LinearSolution({col: v for col, v in values.items() if v},
-                              list(self.kernel))
+        return {col: v for col, v in values.items() if v}
+
+    def independent(self):
+        """The elimination of the rows not in ``dependent``, keyed by their
+        positions among those rows: the same pivots, rows and combinations
+        with the combinations renumbered, since no dependent row enters a
+        pivot's combination and a dependent row changes no pivot row."""
+        position = {k: i for i, k in enumerate(k for k in self.row_keys
+                                               if k not in self.dependent)}
+        out = object.__new__(type(self))
+        out.unknowns = self.unknowns
+        out.pivots = {col: (row, {position[r]: v for r, v in combo.items()})
+                      for col, (row, combo) in self.pivots.items()}
+        out.dependent = {}
+        out.row_keys = {i: i for i in position.values()}
+        return out
 
     def express(self, row):
         """Coefficients {row key: c}, in row order, with sum_r c * row_r =
@@ -242,10 +259,10 @@ class Components:
                 parts.setdefault(self._component[r], {})[r] = v
         out = {}
         for label, part in parts.items():
-            sol = self._echelon(label).solve(part)
-            if sol is None:
+            particular = self._echelon(label).solve(part)
+            if particular is None:
                 return None
-            out.update(sol.particular)
+            out.update(particular)
         return out
 
 
@@ -256,8 +273,9 @@ def solve_linear(rows, unknowns):
     ``unknowns`` the ordered list of keys.  Returns a LinearSolution or
     None when the system is inconsistent.
     """
-    return Echelon([coeffs for coeffs, _ in rows], unknowns).solve(
-        {i: rhs for i, (_, rhs) in enumerate(rows)})
+    echelon = Echelon([coeffs for coeffs, _ in rows], unknowns)
+    particular = echelon.solve({i: rhs for i, (_, rhs) in enumerate(rows)})
+    return None if particular is None else LinearSolution(particular, list(echelon.kernel))
 
 
 def nullspace(rows, unknowns):

@@ -2,10 +2,12 @@
 
 The output is re-parseable by the expression grammar in parser.py and is
 deterministic: terms are emitted in increasing multi-index order, scalar
-coefficients in sympy's canonical order.  The base-coordinate block of a
-form term is rendered through the volume-contraction primitive
-``dX[mu, ...]`` mirroring the d^{n-1}x_mu notation, so reports read like
-textbook coordinate formulas.
+coefficients in sympy's canonical order.  A constant coefficient, which is
+most of them, is written straight from its numerator and denominator, as
+sympy's printer writes it; only the others go through sympy.  The
+base-coordinate block of a form term is rendered through the
+volume-contraction primitive ``dX[mu, ...]`` mirroring the d^{n-1}x_mu
+notation, so reports read like textbook coordinate formulas.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import sympy
 from sympy.printing.str import StrPrinter
 
 from .chart import _PARTIAL_SEP
-from .multiindex import contract_index
 
 
 class _ScalarPrinter(StrPrinter):
@@ -34,13 +35,17 @@ def render_scalar(value):
 
 
 def _term(coeff, body):
-    """One product term: ``body``, ``-body`` or ``c * body``, with a sum
-    coefficient parenthesised."""
-    expr = sympy.sympify(coeff)
-    if expr == 1:
-        return body
-    if expr == -1:
-        return f"-{body}"
+    """One product term of a Scalar coefficient: ``body``, ``-body``,
+    ``p * body``, ``p/q * body`` or ``c * body``, with a sum coefficient
+    parenthesised."""
+    if coeff.is_rational:
+        p, q = coeff.value.numerator, coeff.value.denominator
+        if q != 1:
+            return f"{p}/{q} * {body}"
+        if p == 1:
+            return body
+        return f"-{body}" if p == -1 else f"{p} * {body}"
+    expr = coeff.as_expr()
     text = render_scalar(expr)
     if expr.is_Add:
         text = f"({text})"
@@ -49,20 +54,26 @@ def _term(coeff, body):
 
 def _render_form_indices(chart, idx):
     """Render dx^I as (sign, [factors]) using d(c) atoms for fiber slots
-    and a dX[...] block for the base slots."""
-    n = chart.n
-    base_part = tuple(i for i in idx if i < n)
-    fiber_part = tuple(i for i in idx if i >= n)
-    factors = [f"d({chart.coords[i]})" for i in fiber_part]
-    sign = 1
-    if base_part:
-        lowered = tuple(i for i in range(n) if i not in base_part)
-        csign, rest = contract_index(tuple(range(n)), lowered)
-        assert rest == base_part
-        # dx^I = dx^B ^ dx^F = (-1)^{|B||F|} dx^F ^ dx^B and dX[mu] = csign * dx^B
-        sign = csign * ((-1) ** (len(base_part) * len(fiber_part)))
-        factors.append("dX[" + ",".join(str(i + 1) for i in lowered) + "]")
-    return sign, factors
+    and a dX[...] block for the base slots.
+
+    I is increasing, so its base slots B are a prefix.  One pass over the
+    base coordinates finds B and the lowered slots L: dX[L] contracts the
+    volume by L in order, and each lowered slot passes the base slots
+    below it, so dX[L] = (-1)^s dx^B with s the number of (base, lowered)
+    pairs in increasing order.  And dx^I = dx^B ^ dx^F = (-1)^{|B||F|}
+    dx^F ^ dx^B."""
+    lowered, b, s = [], 0, 0
+    for i in range(chart.n):
+        if b < len(idx) and idx[b] == i:
+            b += 1
+        else:
+            lowered.append(str(i + 1))
+            s += b
+    factors = [f"d({chart.coords[i]})" for i in idx[b:]]
+    if b:
+        s += b * (len(idx) - b)
+        factors.append(f"dX[{','.join(lowered)}]")
+    return -1 if s & 1 else 1, factors
 
 
 def _assemble(terms):
@@ -83,7 +94,8 @@ def render_form(form):
     terms = []
     for idx in sorted(form.data):
         sign, factors = _render_form_indices(form.chart, idx)
-        terms.append(_term(form.data[idx] * sign, " ^ ".join(factors)))
+        coeff = form.data[idx]
+        terms.append(_term(coeff if sign > 0 else -coeff, " ^ ".join(factors)))
     return _assemble(terms)
 
 
@@ -106,7 +118,7 @@ def render_mvform(w):
             fsign, ffactors = _render_form_indices(w.chart, fidx)
         fbody = " ^ ".join(ffactors)
         vbody = " ^ ".join(f"@/{w.chart.coords[i]}" for i in vidx) if vidx else "1"
-        terms.append(_term(coeff * fsign, f"{fbody} @ {vbody}"))
+        terms.append(_term(coeff if fsign > 0 else -coeff, f"{fbody} @ {vbody}"))
     return _assemble(terms)
 
 

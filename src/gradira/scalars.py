@@ -4,8 +4,9 @@ A scalar is a rational function with rational coefficients in coordinate
 symbols and formal function symbols (plus their formal partials).
 ``Scalar`` is the one value type of every stored coefficient:
 
-* a constant is held as a ``QQ`` rational, so constant arithmetic, which
-  is most of the traffic, costs a few microseconds;
+* an integer is held as a Python ``int`` and any other constant as a
+  ``QQ`` rational, so constant arithmetic, which is most of the traffic
+  and nearly all of it between integers, costs well under a microsecond;
 * anything else is held as an element of a ``sympy.polys`` fraction field
   whose generators are exactly the symbols it depends on, in one canonical
   order (``sympy.polys.polyutils._sort_gens``, ties broken by name).  Such
@@ -16,8 +17,10 @@ symbols and formal function symbols (plus their formal partials).
 
 Operands over different generators are lifted to the field of the union
 first; a result that loses a generator moves to the smaller field, and a
-constant result becomes a rational again.  So a value's representation
-does not depend on the order in which symbols were met.
+constant result becomes an int or a rational again.  Every operation
+normalises to that one representation, so an integer-valued ``QQ`` is
+never stored, and a value's representation does not depend on the order
+in which symbols were met.
 
 Expressions cross the boundary both ways: ``as_scalar`` takes ints,
 Fractions, strings and sympy expressions, and ``sympy.sympify(c)`` (or
@@ -51,6 +54,12 @@ from sympy.polys.polyutils import _sort_gens
 from .errors import UndefinedScalarError
 
 _QQ = type(QQ.one)
+_CONSTANTS = (int, _QQ)
+
+
+def _constant(q):
+    """The value of a constant ``QQ``: its int when it is an integer."""
+    return int(q.numerator) if q.denominator == 1 else q
 
 
 def _canonical(symbols):
@@ -139,7 +148,7 @@ def _normal(el):
         return ZERO
     mask = tuple(map(any, zip(*numer, *denom)))
     if not any(mask):
-        return _wrap(numer.LC / denom.LC)
+        return _wrap(_constant(numer.LC / denom.LC))
     if all(mask):
         return _wrap(el)
     return _wrap(_move(el, *FIELDS.restriction(el.field, mask)))
@@ -157,7 +166,7 @@ def _generator(symbol):
 
 
 def _neg(v):
-    if v.__class__ is _QQ:
+    if v.__class__ in _CONSTANTS:
         return -v
     return v.field.dtype(-v.numer, v.denom)
 
@@ -188,16 +197,24 @@ def _over(field, numer, d):
     return _normal(field.dtype(numer, field.ring.ground_new(QQ(d))))
 
 
-# Binary operations on the values of two Scalars.  Polynomials (constant
-# denominators) take the content-only path of ``_over``; everything else
-# goes through sympy's field arithmetic, whose results are canonical.
+# Binary operations on the values of two Scalars.  Two ints take the first
+# branch; a rational constant result goes back through ``_constant``.
+# Polynomials (constant denominators) take the content-only path of
+# ``_over``; everything else goes through sympy's field arithmetic, whose
+# results are canonical.
 
 def _add(x, y):
-    if x.__class__ is _QQ:
-        if y.__class__ is _QQ:
+    if x.__class__ is int:
+        if y.__class__ is int:
             return _wrap(x + y)
+        if y.__class__ is _QQ:
+            return _wrap(_constant(y + x))
         x, y = y, x
-    elif y.__class__ is not _QQ:
+    elif x.__class__ is _QQ:
+        if y.__class__ in _CONSTANTS:
+            return _wrap(_constant(x + y))
+        x, y = y, x
+    elif y.__class__ not in _CONSTANTS:
         x, y = _common(x, y)
         dx, dy = _ground(x.denom), _ground(y.denom)
         if dx is None or dy is None:
@@ -216,11 +233,17 @@ def _add(x, y):
 
 
 def _mul(x, y):
-    if x.__class__ is _QQ:
-        if y.__class__ is _QQ:
+    if x.__class__ is int:
+        if y.__class__ is int:
             return _wrap(x * y)
+        if y.__class__ is _QQ:
+            return _wrap(_constant(y * x))
         x, y = y, x
-    elif y.__class__ is not _QQ:
+    elif x.__class__ is _QQ:
+        if y.__class__ in _CONSTANTS:
+            return _wrap(_constant(x * y))
+        x, y = y, x
+    elif y.__class__ not in _CONSTANTS:
         x, y = _common(x, y)
         dx, dy = _ground(x.denom), _ground(y.denom)
         if dx is None or dy is None:
@@ -242,12 +265,19 @@ def _sub(x, y):
 
 
 def _div(x, y):
-    if y.__class__ is _QQ:
+    if y.__class__ is int:
         if not y:
             raise UndefinedScalarError("division by zero")
+        if x.__class__ is int:
+            q, r = divmod(x, y)
+            return _wrap(q if not r else QQ(x, y))
         if x.__class__ is _QQ:
-            return _wrap(x / y)
-        return _mul(x, 1 / y)
+            return _wrap(_constant(x / y))
+        return _mul(x, _constant(QQ(1, y)))
+    if y.__class__ is _QQ:
+        if x.__class__ in _CONSTANTS:
+            return _wrap(_constant(x / y))
+        return _mul(x, _constant(1 / y))
     return _mul(x, _inverse(y))
 
 
@@ -266,8 +296,9 @@ def _binary(op):
 
 
 class Scalar:
-    """An element of the scalar field: a ``QQ`` rational or a canonical
-    fraction-field element over exactly its own symbols.  Immutable."""
+    """An element of the scalar field: an ``int``, a non-integer ``QQ``
+    rational or a canonical fraction-field element over exactly its own
+    symbols.  Immutable."""
 
     __slots__ = ("value",)
 
@@ -288,6 +319,8 @@ class Scalar:
     def as_expr(self):
         """The canonical sympy expression."""
         v = self.value
+        if v.__class__ is int:
+            return sympy.Integer(v)
         if v.__class__ is _QQ:
             return sympy.Rational(v.numerator, v.denominator)
         return v.as_expr()
@@ -301,24 +334,24 @@ class Scalar:
 
     @property
     def is_rational(self):
-        return self.value.__class__ is _QQ
+        """True for a constant, an int or a ``QQ``."""
+        return self.value.__class__ in _CONSTANTS
 
     @property
     def free_symbols(self):
-        v = self.value
-        return set() if v.__class__ is _QQ else set(v.field.symbols)
+        return set() if self.is_rational else set(self.value.field.symbols)
 
     # -- comparison ----------------------------------------------------------
 
     def __bool__(self):
         v = self.value
-        return v.__class__ is not _QQ or bool(v)
+        return v.__class__ not in _CONSTANTS or bool(v)
 
     def __eq__(self, other):
         if other.__class__ is not Scalar:
             if other.__class__ is int:
                 v = self.value
-                return v.__class__ is _QQ and v == other
+                return v.__class__ is int and v == other
             try:
                 other = _operand(other)
             except UndefinedScalarError:
@@ -326,7 +359,8 @@ class Scalar:
             if other is None:
                 return NotImplemented
         x, y = self.value, other.value
-        if x.__class__ is _QQ or y.__class__ is _QQ:
+        if x.__class__ in _CONSTANTS or y.__class__ in _CONSTANTS:
+            # one representation per value: constants of two types differ
             return x.__class__ is y.__class__ and x == y
         return x.field is y.field and x.numer == y.numer and x.denom == y.denom
 
@@ -350,19 +384,30 @@ class Scalar:
         if exponent.__class__ is not int:
             return NotImplemented
         v = self.value
-        if v.__class__ is _QQ:
-            if exponent < 0 and not v:
+        if v.__class__ is int:
+            if exponent >= 0:
+                return _wrap(v**exponent)
+            if not v:
                 raise UndefinedScalarError("division by zero")
-            return _wrap(v**exponent)
+            return _wrap(_constant(QQ(1, v**-exponent)))
+        if v.__class__ is _QQ:  # never zero
+            return _wrap(_constant(v**exponent))
         if exponent < 0:
             v, exponent = _inverse(v), -exponent
         if exponent == 0:
             return ONE
-        return _wrap(v.field.dtype(v.numer**exponent, v.denom**exponent))
+        return _wrap(v.field.dtype(_power(v.numer, exponent), _power(v.denom, exponent)))
 
 
-ZERO = _wrap(QQ.zero)
-ONE = _wrap(QQ.one)
+def _power(poly, exponent):
+    """poly**exponent as a fresh polynomial.  sympy squares in place and
+    hashes the square half-built (``imul_num`` looks it up in a set), so
+    its result keeps a stale cached hash; the copy has none yet."""
+    return (poly**exponent).copy()
+
+
+ZERO = _wrap(0)
+ONE = _wrap(1)
 
 
 def _operand(value):
@@ -383,14 +428,14 @@ def as_scalar(value):
     """The Scalar of an int, Fraction, string, sympy expression or Scalar."""
     if value.__class__ is Scalar:
         return value
-    if isinstance(value, _QQ):
+    if value.__class__ is int:
         return _wrap(value)
-    if isinstance(value, (int, Fraction)):
-        return _wrap(QQ(value.numerator, value.denominator))
+    if isinstance(value, (int, Fraction, _QQ)):
+        return _wrap(_constant(QQ(value.numerator, value.denominator)))
     expr = value if isinstance(value, sympy.Basic) else sympy.sympify(value, rational=True)
     if isinstance(expr, sympy.Expr):
         if expr.is_Rational:
-            return _wrap(QQ(expr.p, expr.q))
+            return _wrap(_constant(QQ(expr.p, expr.q)))
         if expr.is_Symbol:
             return _generator(expr)
         if expr.free_symbols and not expr.has(*_UNDEFINED):
@@ -444,14 +489,18 @@ def sneg(a):
 def accumulate(data, key, term, sign=1):
     """data[key] += sign * term in place, dropping the key when the sum is
     zero.  Every sparse sum in the package goes through here, so stored
-    maps never hold a zero coefficient."""
+    maps never hold a zero coefficient.  A key's first term is stored as
+    it is (as a Scalar, unless zero), so a unit term keeps ``ONE`` itself."""
     if sign < 0:
         term = sneg(term)
-    acc = sadd(data.get(key, ZERO), term)
+    elif term.__class__ is not Scalar:
+        term = as_scalar(term)
+    old = data.get(key)
+    acc = term if old is None else sadd(old, term)
     if acc:
         data[key] = acc
-    else:
-        data.pop(key, None)
+    elif old is not None:
+        del data[key]
 
 
 def diff(value, chart):
@@ -469,9 +518,10 @@ def diff(value, chart):
     reduced once (``_from_terms``).  Any other value takes the quotient
     rule: one numerator over the denominator squared, reduced once.
     """
-    el = as_scalar(value).value
-    if el.__class__ is _QQ:
+    value = as_scalar(value)
+    if value.is_rational:
         return {}
+    el = value.value
     index = chart._index
     chains = {}  # coordinate index -> [(generator, its partial or None)]
     for sym in el.field.symbols:
@@ -541,7 +591,7 @@ def _from_terms(field, terms, d):
         g = gcd(g, c)
     mask = tuple(map(any, zip(*terms)))
     if not any(mask):
-        return _wrap(QQ(next(iter(terms.values())), d))
+        return _wrap(_constant(QQ(next(iter(terms.values())), d)))
     if not all(mask):
         field, mono = FIELDS.restriction(field, mask)
         terms = {mono(m): c for m, c in terms.items()}
@@ -579,14 +629,14 @@ def substitute(value, images):
     symbols) replaced by its image, a Scalar."""
     value = as_scalar(value)
     el = value.value
-    if el.__class__ is _QQ or images.keys().isdisjoint(el.field.symbols):
+    if value.is_rational or images.keys().isdisjoint(el.field.symbols):
         return value
     gens = [images[s] if s in images else _generator(s) for s in el.field.symbols]
 
     def evaluate(poly):
         acc = ZERO
         for m, c in poly.items():
-            term = _wrap(c)
+            term = _wrap(_constant(c))
             for g, e in zip(gens, m):
                 if e:
                     term = term * g**e
@@ -599,9 +649,10 @@ def substitute(value, images):
 def is_polynomial(value, chart):
     """True when the scalar is a polynomial in the chart coordinates with
     rational constants and no formal function symbols."""
-    el = as_scalar(value).value
-    if el.__class__ is _QQ:
+    value = as_scalar(value)
+    if value.is_rational:
         return True
+    el = value.value
     return (el.denom.is_ground
             and all(s.name in chart._index for s in el.field.symbols))
 
@@ -609,12 +660,13 @@ def is_polynomial(value, chart):
 def poly_monomials(value, chart):
     """Yield (coefficient, exponent tuple over the chart coordinates) of a
     polynomial scalar."""
-    el = as_scalar(value).value
-    if el.__class__ is _QQ:
-        if el:
-            yield _wrap(el), (0,) * chart.m
+    value = as_scalar(value)
+    if value.is_rational:
+        if value:
+            yield value, (0,) * chart.m
         return
+    el = value.value
     mono = _monomial_map(el.field.symbols, chart.syms)
     denom = el.denom.LC
     for m, c in el.numer.items():
-        yield _wrap(c / denom), mono(m)
+        yield _wrap(_constant(c / denom)), mono(m)

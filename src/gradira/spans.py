@@ -88,14 +88,17 @@ class Span:
         Returns (span, kept_indices).  A generator is dropped iff it
         decomposes over the ones before it, i.e. its row of the span's
         elimination reduces to zero; with none dropped the span itself,
-        elimination and all, is returned.
+        elimination and all, is returned.  Otherwise the reduced span
+        takes ``Echelon.independent`` of this elimination as its own, so
+        its generators are not eliminated again.
         """
         dependent = self.echelon.dependent
         kept = [i for i in range(len(self.generators)) if i not in dependent]
         if not dependent:
             return self, kept
-        return Span(self.chart, self.degree,
-                    [self.generators[i] for i in kept], self.kind), kept
+        span = Span(self.chart, self.degree, [self.generators[i] for i in kept], self.kind)
+        span.echelon = self.echelon.independent()
+        return span, kept
 
     def __repr__(self):
         return f"Span(degree={self.degree}, kind={self.kind}, n={len(self.generators)})"

@@ -28,7 +28,10 @@ candidate that shares a key, where the package counts the candidates'
 keys and takes the pairing-system components that their keys touch;
 ``naive_generator_echelon`` eliminates a span in column form, one row per
 component key and one unknown per generator, where the package takes the
-generators as rows; ``decompose_s1_power``,
+generators as rows; ``naive_render`` prints every coefficient through
+sympy (``naive_term``) and finds each ``dX[...]`` sign by contracting the
+volume (``naive_render_form_indices``), where the package writes a
+constant from its numerator and denominator and counts the sign; ``decompose_s1_power``,
 ``is_null`` and ``fiber_indices`` are helpers that only the tests use.
 ``naive_pairing_rows`` and ``naive_annihilator`` keep the explicit
 accumulate loops for the rows of the S^a[j] pairing system and of the
@@ -383,11 +386,12 @@ def naive_solve_pairing(structure, theta, j, vertical=False):
                 if sign:
                     scalars.accumulate(lhs.setdefault(res, {}), wkey, c, sign)
         rows.update(((g, key), lhs[key]) for key in sorted(lhs))
-    sol = Echelon(rows, unknowns).solve(contract_pairing_rhs(theta, structure))
-    if sol is None:
+    echelon = Echelon(rows, unknowns)
+    particular = echelon.solve(contract_pairing_rhs(theta, structure))
+    if particular is None:
         return None
-    return (MvForm(chart, fdeg, vdeg, dict(sol.particular)),
-            [MvForm(chart, fdeg, vdeg, dict(vec)) for vec in sol.kernel])
+    return (MvForm(chart, fdeg, vdeg, particular),
+            [MvForm(chart, fdeg, vdeg, dict(vec)) for vec in echelon.kernel])
 
 
 def naive_bracket_ext1(alpha, theta, structure):
@@ -731,3 +735,73 @@ def naive_support_graph(structure, candidates, system):
                     reached.add(other)
                     stack.append(other)
     return lone, [wk for wk in system.unknowns if ("w", wk) in reached]
+
+
+def naive_term(coeff, body):
+    """One rendered product term, the coefficient printed by sympy:
+    ``body``, ``-body`` or ``c * body``, a sum coefficient parenthesised."""
+    from gradira.render import render_scalar
+
+    expr = sympy.sympify(coeff)
+    if expr == 1:
+        return body
+    if expr == -1:
+        return f"-{body}"
+    text = render_scalar(expr)
+    if expr.is_Add:
+        text = f"({text})"
+    return f"{text} * {body}"
+
+
+def naive_render_form_indices(chart, idx):
+    """(sign, [factors]) of dx^I: d(c) atoms for the fiber slots and a
+    dX[...] block for the base slots, its sign found by contracting the
+    volume by the lowered slots one at a time."""
+    from gradira.multiindex import contract_index
+
+    n = chart.n
+    base_part = tuple(i for i in idx if i < n)
+    fiber_part = tuple(i for i in idx if i >= n)
+    factors = [f"d({chart.coords[i]})" for i in fiber_part]
+    sign = 1
+    if base_part:
+        lowered = tuple(i for i in range(n) if i not in base_part)
+        csign, rest = contract_index(tuple(range(n)), lowered)
+        assert rest == base_part
+        # dx^I = dx^B ^ dx^F = (-1)^{|B||F|} dx^F ^ dx^B and dX[mu] = csign * dx^B
+        sign = csign * ((-1) ** (len(base_part) * len(fiber_part)))
+        factors.append("dX[" + ",".join(str(i + 1) for i in lowered) + "]")
+    return sign, factors
+
+
+def naive_render(obj):
+    """The text of a Form, MultiVector or MvForm, each term through
+    ``naive_term`` with its coefficient times the ``dX`` sign."""
+    from gradira.forms import Form, MultiVector
+    from gradira.render import render_scalar
+
+    chart = obj.chart
+    if isinstance(obj, Form):
+        if obj.degree == 0:
+            return render_scalar(obj.scalar())
+        terms = []
+        for idx in sorted(obj.data):
+            sign, factors = naive_render_form_indices(chart, idx)
+            terms.append(naive_term(obj.data[idx] * sign, " ^ ".join(factors)))
+    elif isinstance(obj, MultiVector):
+        if obj.degree == 0:
+            return render_scalar(obj.data.get((), 0))
+        terms = [naive_term(obj.data[idx], " ^ ".join(f"@/{chart.coords[i]}" for i in idx))
+                 for idx in sorted(obj.data)]
+    else:
+        terms = []
+        for fidx, vidx in sorted(obj.data):
+            sign, factors = (1, ["1"]) if obj.form_degree == 0 else \
+                naive_render_form_indices(chart, fidx)
+            vbody = " ^ ".join(f"@/{chart.coords[i]}" for i in vidx) if vidx else "1"
+            terms.append(naive_term(obj.data[fidx, vidx] * sign,
+                                    f"{' ^ '.join(factors)} @ {vbody}"))
+    if not terms:
+        return "0"
+    return terms[0] + "".join(f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+                              for t in terms[1:])

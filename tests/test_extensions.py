@@ -518,6 +518,23 @@ class TestPairingSystem:
                         assert got[0] == expected[0]
                         assert got[1] == expected[1]
 
+    def test_solve_builds_no_kernel(self, red2, monkeypatch):
+        # a solve reads only particular solutions: the candidates of the
+        # S^{n+1}[n] system and a Hamiltonian check eliminate components
+        # but compute no kernel of any
+        top = red2.structure
+        st = Structure(top.chart, top.generators(top.n), top.sharp_values(top.n))
+        computed = []
+        kernel = linsolve.Echelon.kernel.func
+        monkeypatch.setattr(linsolve.Echelon, "kernel",
+                            property(lambda self: computed.append(self) or kernel(self)))
+        system = st.pairing_system(st.n + 1, st.n)
+        solved = [system.solve(st.pairing_rhs(theta.data))
+                  for _, theta in s1_wedge_basis(st, st.n + 1)]
+        assert is_hamiltonian(red2.hamiltonian_form, st)[0]
+        assert any(w is not None for w in solved) and system.components._echelons
+        assert computed == []
+
     @pytest.mark.parametrize("name", sorted(COMPATIBILITY_STRUCTURES))
     def test_matches_joint_elimination(self, name):
         # at every valid (a, j, vertical): the freedom is the kernel of one
@@ -548,7 +565,7 @@ class TestPairingSystem:
                         got, expected = system.solve(rhs), joint.solve(rhs)
                         assert (got is None) == (expected is None), (a, j, vertical, rhs)
                         if got is not None:
-                            assert got.data == expected.particular, (a, j, vertical, rhs)
+                            assert got.data == expected, (a, j, vertical, rhs)
 
     @pytest.mark.parametrize("name", sorted(HAMILTONIAN_ORACLE_STRUCTURES))
     @settings(max_examples=25, deadline=None)

@@ -124,8 +124,8 @@ def test_echelon_against_rank_oracle(system):
     for vec in echelon.kernel:
         assert all(v == 0 for v in residuals(rows, vec))
     if sol is not None:
-        assert set(sol.particular) <= set(echelon.pivots)
-        got = residuals(rows, sol.particular)
+        assert set(sol) <= set(echelon.pivots)
+        got = residuals(rows, sol)
         assert got == [scalars.as_scalar(b) for b in rhs]
     # Span.reduced keeps exactly the greedy rank-increasing generators
     gens = [Form(CHART, 1, {(c,): v for c, v in enumerate(r)}) for r in rows]
@@ -197,7 +197,7 @@ def test_sparse_echelon_stays_reduced(system, vec):
     # augmented rank does not grow
     target = [sum(r[c] * vec[c] for c in range(ncols)) for r in dense]
     sol = echelon.solve(dict(enumerate(target)))
-    assert residuals(dense, sol.particular) == [scalars.as_scalar(b) for b in target]
+    assert residuals(dense, sol) == [scalars.as_scalar(b) for b in target]
     rhs = vec[:len(rows)] + [0] * (len(rows) - len(vec))
     augmented = naive_rank([r + [b] for r, b in zip(dense, rhs)])
     assert (echelon.solve(dict(enumerate(rhs))) is None) == (rank < augmented)
@@ -218,8 +218,7 @@ def test_components_match_one_echelon(system, vec):
     target = {r: sum(row.get(c, 0) * vec[c] for c in range(ncols)) for r, row in rows.items()}
     arbitrary = dict(zip(rows, vec))
     for rhs in (target, arbitrary, {**target, len(rows): 1}, {**target, len(rows): 0}):
-        sol = echelon.solve(rhs)
-        assert components.particular(rhs) == (None if sol is None else sol.particular)
+        assert components.particular(rhs) == echelon.solve(rhs)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,11 @@
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import QQ
 from sympy.polys.rings import PolyElement
 
 from gradira import Chart, Form, Section
@@ -244,3 +247,127 @@ def test_division_by_zero_is_undefined():
         Form.d_coord(ch, "x1") / (x - x)
     with pytest.raises(UndefinedScalarError):
         Form.d_coord(ch, "x1") / zero
+
+
+# Integers are held as Python ints, other constants as QQ rationals and
+# everything else as field elements: random triples of the three kinds
+# against sympy's own arithmetic, cancelled.
+_QQ_TYPE = type(QQ.one)
+_X1, _Y1, _H = sympy.symbols("x1 y1 H")
+_MONOMIALS = [sympy.Integer(1), _X1, _Y1, _H, _X1 * _Y1, _Y1**2, _X1 * _H]
+_ints = st.integers(-6, 6).map(sympy.Integer)
+_fractions = st.tuples(st.integers(-9, 9), st.integers(2, 6)).filter(
+    lambda t: t[0] % t[1]).map(lambda t: sympy.Rational(*t))
+_polynomials = st.lists(st.tuples(st.integers(-3, 3), st.sampled_from(_MONOMIALS)),
+                        min_size=1, max_size=3).map(
+    lambda terms: sympy.Add(*(c * m for c, m in terms)))
+
+
+@st.composite
+def _field_elements(draw):
+    numer, denom = draw(_polynomials), draw(st.one_of(st.just(1), _polynomials))
+    expr = sympy.cancel(numer / denom) if denom != 0 else numer
+    if not expr.free_symbols:
+        expr = expr + _X1
+    return expr
+
+
+_values = st.one_of(_ints, _fractions, _field_elements())
+
+
+def _number(expr):
+    """The Python number of a constant expression, else its Scalar."""
+    if expr.is_Integer:
+        return int(expr)
+    if expr.is_Rational:
+        return Fraction(expr.p, expr.q)
+    return scalars.as_scalar(expr)
+
+
+def _assert_canonical(got, expected):
+    """``got`` is the canonical Scalar of ``expected``, held as an int when
+    it is an integer and never as an integer-valued QQ."""
+    reference = sympy.cancel(expected)
+    assert got.as_expr() == reference
+    assert str(got) == str(reference)
+    value = got.value
+    if reference.is_Integer:
+        assert value.__class__ is int
+    elif reference.is_Rational:
+        assert value.__class__ is _QQ_TYPE and value.denominator != 1
+    else:
+        assert value.__class__ not in (int, _QQ_TYPE)
+    assert got == scalars.as_scalar(reference) and hash(got) == hash(scalars.as_scalar(reference))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_values, _values, _values)
+def test_arithmetic_matches_cancelled_sympy_arithmetic(ea, eb, ec):
+    a, b, c = map(scalars.as_scalar, (ea, eb, ec))
+    for got, expected in [
+            (a + b, ea + eb), (a - b, ea - eb), (a * b, ea * eb), (-a, -ea),
+            ((a + b) * c, (ea + eb) * ec), (a * b - c, ea * eb - ec),
+            (a - a, sympy.Integer(0)), (a + _number(eb), ea + eb),
+            (_number(ea) * b, ea * eb), (_number(ea) - b, ea - eb),
+            (scalars.sadd(a, b), ea + eb), (scalars.smul(b, c), eb * ec)]:
+        _assert_canonical(got, expected)
+    for x, ex, y, ey in [(a, ea, b, eb), (b, eb, c, ec), (a + b, ea + eb, c, ec)]:
+        if sympy.cancel(ey) == 0:
+            with pytest.raises(UndefinedScalarError):
+                x / y
+            with pytest.raises(UndefinedScalarError):
+                y ** -1
+            continue
+        _assert_canonical(x / y, ex / ey)
+        _assert_canonical(_number(ex) / y, ex / ey)
+        _assert_canonical(scalars.sdiv(x, y), ex / ey)
+        for k in (-3, -1, 0, 1, 2):
+            _assert_canonical(y ** k, ey ** k)
+    # accumulate: a nonzero first term kept as it is, a zero one dropped,
+    # then a sum, which drops the key when it cancels
+    data = {}
+    scalars.accumulate(data, 0, a)
+    assert data == ({0: a} if a else {}) and (not a or data[0] is a)
+    scalars.accumulate(data, 0, b, -1)
+    assert data == ({0: a - b} if a - b else {})
+    if data:
+        _assert_canonical(data[0], ea - eb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-40, 40), st.integers(1, 12))
+def test_one_number_is_one_scalar_however_entered(p, q):
+    entered = [Fraction(p, q), QQ(p, q), sympy.Rational(p, q), f"{p}/{q}"]
+    if p % q == 0:
+        entered.append(p // q)
+    values = [scalars.as_scalar(v) for v in entered]
+    expected = sympy.Rational(p, q)
+    for v in values:
+        _assert_canonical(v, expected)
+        assert v == values[0] and hash(v) == hash(values[0])
+        assert all(v == w for w in entered if not isinstance(w, str))
+    assert len(set(values)) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(_values)
+def test_pickle_round_trip_keeps_the_representation(expr):
+    value = scalars.as_scalar(expr)
+    back = pickle.loads(pickle.dumps(value))
+    assert back == value and hash(back) == hash(value)
+    assert back.value.__class__ is value.value.__class__
+    _assert_canonical(back, expr)
+
+
+def test_division_by_a_zero_int_is_undefined():
+    x = scalars.as_scalar(sympy.Symbol("x1"))
+    for numerator in (scalars.ONE, scalars.as_scalar(3), scalars.as_scalar("1/2"), x,
+                      scalars.ZERO):
+        for zero in (0, scalars.ZERO, Fraction(0), sympy.Integer(0)):
+            with pytest.raises(UndefinedScalarError):
+                numerator / zero
+            with pytest.raises(UndefinedScalarError):
+                scalars.sdiv(numerator, zero)
+    with pytest.raises(UndefinedScalarError):
+        scalars.ZERO ** -2
+    assert scalars.ZERO.value.__class__ is int and scalars.ONE.value.__class__ is int

@@ -8,7 +8,7 @@ from gradira import (Chart, Form, MultiVector, Span, Structure, annihilator, bui
                      volume_contraction, wedge)
 from gradira.forms import linear_combination
 from gradira.linsolve import Echelon
-from gradira.spans import decompose_over
+from gradira.spans import decompose_over, generator_echelon
 
 from naive import naive_generator_echelon, naive_rank
 
@@ -130,7 +130,7 @@ def test_span_questions_match_the_column_form_oracle(case):
         if dependent:
             assert not set(got) & set(dependent)
         else:
-            assert got == expected.particular
+            assert got == expected
 
 
 @pytest.mark.parametrize("a, j", [(2, 2), (3, 2)])
@@ -164,8 +164,69 @@ def test_tower_span_is_eliminated_once_and_never_solved(red2, monkeypatch, a, j)
     level = build_span_tower(structure, a, j, vertical=True)
     datas = [g.data for g in level.span.generators]
     assert level.entries and level.rejected()
-    assert sum(isinstance(rows, list) and len(rows) == len(datas)
-               and all(r is d for r, d in zip(rows, datas)) for rows in built) == 1
+    # one elimination holds the span's generators as rows: the span's own
+    # at (2, 2), the relations' at (3, 2), which ``reduced`` re-keys
+    covering = [rows for rows in built if isinstance(rows, list) and holds_in_order(rows, datas)]
+    assert [len(rows) for rows in covering] == [len(datas) + (a == 3)]
     echelon = level.span.echelon
     assert expressed and all(e is echelon for e in expressed)
     assert not any(e is echelon for e in solved)
+
+
+def holds_in_order(rows, datas):
+    """True when the dicts ``datas`` are, by identity, a subsequence of ``rows``."""
+    rest = iter(rows)
+    return all(any(r is d for r in rest) for d in datas)
+
+
+def test_every_relation_span_is_eliminated_once(red2, monkeypatch):
+    # at every (a, j, vertical) of reduced_canonical(2, 1) exactly one
+    # elimination holds the admitted span's generators as rows, though the
+    # relation forms have dependents at most keys: ``reduced`` hands its
+    # span the elimination of the relations instead of eliminating the kept
+    # ones again
+    top = red2.structure
+    structure = Structure(top.chart, top.generators(top.n), top.sharp_values(top.n))
+    built = []
+    real_init = Echelon.__init__
+
+    def counting_init(self, rows, unknowns):
+        built.append(rows)
+        real_init(self, rows, unknowns)
+
+    monkeypatch.setattr(Echelon, "__init__", counting_init)
+    with_dependents = 0
+    for j in range(1, structure.n + 1):
+        for a in range(j, structure.chart.m + 1):
+            for vertical in (False, True):
+                built.clear()
+                datas = [g.data for g in build_span_tower(structure, a, j, vertical).span]
+                assert datas, (a, j, vertical)
+                covering = [rows for rows in built
+                            if isinstance(rows, list) and holds_in_order(rows, datas)]
+                assert len(covering) == 1, (a, j, vertical)
+                with_dependents += len(covering[0]) > len(datas)
+    assert with_dependents == 15
+
+
+def pivot_items(echelon):
+    return [(c, list(row.items()), list(combo.items()))
+            for c, (row, combo) in echelon.pivots.items()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(spans_and_targets())
+def test_reduced_span_reads_the_first_elimination(case):
+    # the reduced span's elimination, re-keyed from the span's own, is the
+    # one a fresh elimination of the kept generators builds: the same
+    # unknowns, pivots (rows and combinations, order included) and row
+    # keys, nothing dependent, and the same answer for every target
+    gens, targets = case
+    reduced, kept = Span(CHART, 2, gens).reduced()
+    got, fresh = reduced.echelon, generator_echelon(reduced.generators)
+    assert got.unknowns == fresh.unknowns
+    assert pivot_items(got) == pivot_items(fresh)
+    assert got.dependent == fresh.dependent == {}
+    assert got.row_keys == fresh.row_keys == {i: i for i in range(len(kept))}
+    for target in targets + gens:
+        assert got.express(target.data) == fresh.express(target.data)
