@@ -471,6 +471,8 @@ def check_extension_properties(structure, table, samples):
 
     ``samples`` maps:
       'pairs':      (alpha, beta) with alpha, beta Hamiltonian (n-1)-forms
+      'alphas':     (label, alpha) with alpha a Hamiltonian (n-1)-form,
+                    bracketed with each symmetry and each theta
       'thetas':     Theta with d Theta in the wedge powers of S^1
       'symmetries': (X, Theta) with L_X Theta = 0
       'leibniz':    (alpha, Theta1, Theta2)

@@ -13,8 +13,10 @@ Grammar (no recovery; first error wins, with 1-based line/column):
 
 ``dX[mu,...]`` is the contraction of the listed base vectors (1-based
 positions) into d^n x; ``dX[]`` is the volume form.  ``D(H, c, ...)``
-names a formal partial of a declared function.  Atoms evaluate to
-scalars, forms or multivectors; operators dispatch on those types.
+names a formal partial of a declared function; one comma-list reader
+reads these lists and a function's arguments, checking each entry as it
+is read.  Atoms evaluate to scalars, forms or multivectors, and operators
+dispatch on those types (scalars through their own operators).
 
 Input cost is capped, so that no text makes the parser compute for long:
 an integer literal has at most MAX_DIGITS digits, a power has an exponent
@@ -30,10 +32,10 @@ from __future__ import annotations
 
 import math
 import re
+from typing import NamedTuple
 
 import sympy
 
-from . import scalars
 from .chart import _PARTIAL_SEP
 from .errors import ParseError, UndefinedScalarError
 from .forms import Form, MultiVector, MvForm, volume_contraction, wedge
@@ -57,14 +59,11 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+class _Token(NamedTuple):
+    kind: str
+    text: str
+    line: int
+    col: int
 
 
 def _tokenize(text, line=1, col=1):
@@ -113,7 +112,6 @@ class _Parser:
         tok = self.next()
         if tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
-        return tok
 
     def error(self, message, tok=None):
         tok = tok or self.peek()
@@ -133,7 +131,7 @@ class _Parser:
         while self.peek().text in ("+", "-"):
             op = self.next()
             rhs = self.product()
-            value = self._add(value, rhs if op.text == "+" else self._neg(rhs), op)
+            value = self._add(value, rhs if op.text == "+" else -rhs, op)
         return value
 
     def product(self):
@@ -157,20 +155,19 @@ class _Parser:
         while self.peek().text in ("*", "/"):
             op = self.next()
             rhs = self.unary()
-            if op.text == "*":
-                value = self._mul(value, rhs, op)
-            else:
-                if isinstance(rhs, (Form, MultiVector, MvForm)):
+            if op.text == "/":
+                if self._graded(rhs):
                     self.error("division by a non-scalar", op)
                 if not rhs:
                     raise UndefinedScalarError(f"{op.line}:{op.col}: division by zero")
-                value = self._mul(value, scalars.sdiv(scalars.ONE, rhs), op)
+                rhs = 1 / rhs
+            value = self._mul(value, rhs, op)
         return value
 
     def unary(self):
         if self.peek().text == "-":
-            tok = self.next()
-            return self._neg(self.unary())
+            self.next()
+            return -self.unary()
         return self.power()
 
     def power(self):
@@ -180,7 +177,7 @@ class _Parser:
             exp = self.next()
             if exp.kind != "int":
                 self.error("exponent must be an integer", exp)
-            if isinstance(value, (Form, MultiVector, MvForm)):
+            if self._graded(value):
                 self.error("power of a non-scalar", op)
             e = int(exp.text)
             if e > MAX_EXPONENT:
@@ -194,11 +191,7 @@ class _Parser:
         if tok.kind == "int":
             return as_scalar(int(tok.text))
         if tok.kind == "atvec":
-            name = self.next()
-            if name.kind != "name":
-                self.error("expected a coordinate after @/", name)
-            self._coord(name)
-            return MultiVector.coord_vector(self.chart, name.text)
+            return MultiVector.coord_vector(self.chart, self._coord(self.next(), "after @/"))
         if tok.text == "(":
             value = self.expr()
             self.expect(")")
@@ -209,93 +202,76 @@ class _Parser:
 
     def _name_atom(self, tok):
         name = tok.text
-        nxt = self.peek()
-        if name == "d" and nxt.text == "(":
+        opens = self.peek().text
+        if name == "d" and opens == "(":
             self.next()
-            coord = self.next()
-            if coord.kind != "name":
-                self.error("expected a coordinate in d(...)", coord)
-            self._coord(coord)
+            coord = self._coord(self.next(), "in d(...)")
             self.expect(")")
-            return Form.d_coord(self.chart, coord.text)
-        if name == "dX" and nxt.text == "[":
+            return Form.d_coord(self.chart, coord)
+        if name == "dX" and opens == "[":
             self.next()
-            lowered = []
-            if self.peek().text != "]":
-                while True:
-                    num = self.next()
-                    if num.kind != "int":
-                        self.error("expected a base index in dX[...]", num)
-                    mu = int(num.text)
-                    if not 1 <= mu <= self.chart.n:
-                        self.error(f"base index {mu} out of range 1..{self.chart.n}", num)
-                    lowered.append(mu - 1)
-                    if self.peek().text == ",":
-                        self.next()
-                        continue
-                    break
-            self.expect("]")
+            lowered = self._items("]", self._base_index)
             if len(set(lowered)) != len(lowered):
                 self.error("repeated index in dX[...]", tok)
             return volume_contraction(self.chart, lowered)
-        if name == "D" and nxt.text == "(":
+        if name == "D" and opens == "(":
             self.next()
-            fname = self.next()
-            if fname.kind != "name" or fname.text not in self.chart.functions:
-                self.error("D(...) needs a declared function", fname)
-            coords = []
-            while self.peek().text == ",":
-                self.next()
-                c = self.next()
-                if c.kind != "name":
-                    self.error("expected a coordinate in D(...)", c)
-                self._coord(c)
-                coords.append(c.text)
-            self.expect(")")
+            sym, *coords = self._items(")", self._function,
+                                       lambda c: self._coord(c, "in D(...)"))
             if not coords:
                 self.error("D(...) needs at least one coordinate", tok)
-            sym = fname.text
             for c in coords:
-                nxt_sym = self.chart.partial_symbol(sym, c)
-                if nxt_sym is None:
+                partial = self.chart.partial_symbol(sym, c)
+                if partial is None:
                     self.error(f"{sym} does not depend on {c}", tok)
-                sym = nxt_sym.name
-            return as_scalar(nxt_sym)
-        if nxt.text == "(" and name in self.chart.functions:
-            self.next()
-            args = []
-            if self.peek().text != ")":
-                while True:
-                    c = self.next()
-                    if c.kind != "name":
-                        self.error("expected a coordinate argument", c)
-                    self._coord(c)
-                    args.append(c.text)
-                    if self.peek().text == ",":
-                        self.next()
-                        continue
-                    break
-            self.expect(")")
-            if tuple(args) != self.chart.functions[name]:
-                self.error(
-                    f"arguments {args} do not match declaration of {name}", tok
-                )
-            return as_scalar(sympy.Symbol(name))
+                sym = partial.name
+            return as_scalar(partial)
         if name in self.chart.functions:
+            if opens == "(":
+                self.next()
+                args = self._items(")", lambda c: self._coord(c, "argument"))
+                if tuple(args) != self.chart.functions[name]:
+                    self.error(f"arguments {args} do not match declaration of {name}", tok)
             return as_scalar(sympy.Symbol(name))
         if _PARTIAL_SEP in name:
             self.error(f"unknown partial symbol {name!r}", tok)
-        try:
-            self.chart.index(name)
-        except Exception:
-            self.error(f"unknown coordinate {name!r}", tok)
-        return as_scalar(self.chart.sym(name))
+        return as_scalar(self.chart.sym(self._coord(tok, "")))
 
-    def _coord(self, tok):
-        try:
-            self.chart.index(tok.text)
-        except Exception:
+    def _items(self, close, *checks):
+        """The entries of a comma list through ``close``, entry k read by
+        ``checks[k]`` (the last check reads the rest) as soon as it is met.
+        Only a list with one check may be empty: ``D(...)`` names a function."""
+        items = []
+        if len(checks) > 1 or self.peek().text != close:
+            items.append(checks[0](self.next()))
+            while self.peek().text == ",":
+                self.next()
+                items.append(checks[min(len(items), len(checks) - 1)](self.next()))
+        self.expect(close)
+        return items
+
+    def _coord(self, tok, where):
+        """The coordinate named by ``tok``; an error 'expected a coordinate
+        <where>' when ``tok`` is not a name."""
+        if tok.kind != "name":
+            self.error(f"expected a coordinate {where}", tok)
+        if tok.text not in self.chart.coords:
             self.error(f"unknown coordinate {tok.text!r}", tok)
+        return tok.text
+
+    def _base_index(self, tok):
+        """The 0-based slot of a 1-based base index in dX[...]."""
+        if tok.kind != "int":
+            self.error("expected a base index in dX[...]", tok)
+        mu = int(tok.text)
+        if not 1 <= mu <= self.chart.n:
+            self.error(f"base index {mu} out of range 1..{self.chart.n}", tok)
+        return mu - 1
+
+    def _function(self, tok):
+        if tok.kind != "name" or tok.text not in self.chart.functions:
+            self.error("D(...) needs a declared function", tok)
+        return tok.text
 
     # -- typed operations ----------------------------------------------------
 
@@ -324,27 +300,16 @@ class _Parser:
         if self._graded(a) != self._graded(b):
             self.error("cannot add a scalar and a graded object", tok)
         self._bounded(_add_size(_size(a), _size(b)), tok)
-        if not self._graded(a):
-            return scalars.sadd(a, b)
         try:
             return a + b
         except Exception as exc:
             self.error(str(exc), tok)
 
-    def _neg(self, a):
-        if self._graded(a):
-            return -a
-        return scalars.sneg(a)
-
     def _mul(self, a, b, tok):
         if self._graded(a) and self._graded(b):
             self.error("'*' multiplies by scalars; use '^' to wedge", tok)
         self._bounded(_mul_size(_size(a), _size(b)), tok)
-        if not self._graded(a) and not self._graded(b):
-            return scalars.smul(a, b)
-        if self._graded(a):
-            return a * b
-        return b * a
+        return a * b
 
     def _wedge(self, a, b, tok):
         # each coefficient of a wedge sums at most min(len a, len b) products
@@ -471,9 +436,14 @@ def parse_form(text, chart, degree=None, start=(1, 1)):
 
 
 def parse_multivector(text, chart, degree=None):
+    """A multivector; a scalar is read as a 0-vector when ``degree`` is 0,
+    and 0 as the zero multivector of ``degree`` (default 1)."""
     value = parse_expression(text, chart)
+    if not isinstance(value, (Form, MultiVector, MvForm)):
+        if degree == 0:
+            return MultiVector(chart, 0, {(): value})
+        if not value:
+            return MultiVector.zero(chart, 1 if degree is None else degree)
     if not isinstance(value, MultiVector):
-        if not isinstance(value, (Form, MvForm)) and as_scalar(value) == 0:
-            return MultiVector.zero(chart, degree if degree is not None else 1)
         raise ParseError(f"expected a multivector, got {type(value).__name__}")
     return value

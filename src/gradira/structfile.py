@@ -15,7 +15,10 @@ inside is a string in the FormExpr grammar:
     }
 
 Extension tables also round-trip through a line-oriented text block
-`extend <form> => <mvform>` via dump_extension/parse_extension.
+`extend <form> => <mvform>` via dump_extension/parse_extension.  A zero
+value renders as 0, which carries no grading: both readers give it the
+grading (deg Theta - j, n + 1 - j) of the table's level j, which the first
+other value fixes, and a table whose values are all 0 is a ParseError.
 """
 
 from __future__ import annotations
@@ -114,28 +117,44 @@ def load_structure_file(path_or_dict):
     extension_doc = _section(doc, "extension", _is_string_pairs,
                              "a list of [form, value] string pairs", [])
     if extension_doc:
-        entries = [_extension_entry(chart, ftext, (k, 1), wtext, (k, 1))
-                   for k, (ftext, wtext) in enumerate(extension_doc, 1)]
-        extension = ExtensionTable(structure, n + 1 - entries[0][1].vec_degree,
-                                   entries)
+        extension = _extension_table(structure, [
+            (ftext, (k, 1), wtext, (k, 1))
+            for k, (ftext, wtext) in enumerate(extension_doc, 1)])
     return StructureFile(chart, structure, hamiltonian, generators, extension,
                          meta=doc.get("scenario", {}))
 
 
-def _extension_entry(chart, ftext, fstart, wtext, wstart):
-    """One extension table entry (theta, value), with errors located at
-    the (line, column) where each text starts: the line of a text block,
-    the entry number in a structure file.  A multivector value u is read
-    as 1 (x) u; any other value that is not a multivector valued form is a
-    ParseError."""
-    theta = parse_form(ftext, chart, start=fstart)
-    value = parse_expression(wtext, chart, start=wstart)
-    if isinstance(value, MultiVector):
-        value = MvForm.tensor(Form.scalar_form(chart, 1), value)
-    if not isinstance(value, MvForm):
-        raise ParseError("extension values must be multivector valued forms",
-                         *wstart)
-    return theta, value
+def _extension_table(structure, located):
+    """The ExtensionTable of (form text, start, value text, start)
+    entries, read in order, with errors located at the (line, column)
+    where each text starts: the line of a text block, the entry number in
+    a structure file.  A multivector value u is read as 1 (x) u, and a
+    value 0 as the zero multivector valued form of the table's level j,
+    which the first other value fixes; any other value that is not a
+    multivector valued form is a ParseError."""
+    chart, n = structure.chart, structure.n
+    entries = []
+    for ftext, fstart, wtext, wstart in located:
+        theta = parse_form(ftext, chart, start=fstart)
+        value = parse_expression(wtext, chart, start=wstart)
+        if isinstance(value, MultiVector):
+            value = MvForm.tensor(Form.scalar_form(chart, 1), value)
+        if not isinstance(value, MvForm) and (isinstance(value, Form) or value):
+            raise ParseError("extension values must be multivector valued forms",
+                             *wstart)
+        entries.append((theta, value, wstart))
+    if not entries:
+        raise ParseError("no `extend <form> => <mvform>` entries")
+    levels = [n + 1 - value.vec_degree for _, value, _ in entries
+              if isinstance(value, MvForm)]
+    if not levels:
+        raise ParseError("every extension value is 0, so the level j of the "
+                         "table is undetermined", *entries[0][2])
+    j = levels[0]
+    return ExtensionTable(structure, j, [
+        (theta, value if isinstance(value, MvForm)
+         else MvForm.zero(chart, max(theta.degree - j, 0), n + 1 - j))
+        for theta, value, _ in entries])
 
 
 def dump_scenario(scn, extension=None):
@@ -173,19 +192,15 @@ def dump_extension(table):
 
 def parse_extension(text, structure):
     """Parse a text block produced by dump_extension."""
-    entries = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not line.startswith("extend ") or "=>" not in line:
-            raise ParseError("expected `extend <form> => <mvform>`", lineno, 1)
-        fcol = len(raw) - len(raw.lstrip()) + len("extend ") + 1
-        ftext, wtext = line[len("extend "):].split("=>", 1)
-        entries.append(_extension_entry(
-            structure.chart, ftext, (lineno, fcol),
-            wtext, (lineno, fcol + len(ftext) + len("=>"))))
-    if not entries:
-        raise ParseError("no `extend <form> => <mvform>` entries")
-    return ExtensionTable(structure, structure.n + 1 - entries[0][1].vec_degree,
-                          entries)
+    def located():
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if not line.startswith("extend ") or "=>" not in line:
+                raise ParseError("expected `extend <form> => <mvform>`", lineno, 1)
+            fcol = len(raw) - len(raw.lstrip()) + len("extend ") + 1
+            ftext, wtext = line[len("extend "):].split("=>", 1)
+            yield ftext, (lineno, fcol), wtext, (lineno, fcol + len(ftext) + len("=>"))
+
+    return _extension_table(structure, located())

@@ -33,6 +33,12 @@ sympy (``naive_term``) and finds each ``dX[...]`` sign by contracting the
 volume (``naive_render_form_indices``), where the package writes a
 constant from its numerator and denominator and counts the sign; ``decompose_s1_power``,
 ``is_null`` and ``fiber_indices`` are helpers that only the tests use.
+``naive_parse_expression`` is the expression parser as it was before its
+name atoms shared one comma-list reader and one coordinate check, and
+before scalars went through their own operators (``_Token``,
+``_tokenize`` and ``_Parser`` kept as they were; only the size bounds are
+imported); the differential fuzz of ``tests/test_parser.py`` holds the
+package parser to its values and its exceptions, text included.
 ``naive_pairing_rows`` and ``naive_annihilator`` keep the explicit
 accumulate loops for the rows of the S^a[j] pairing system and of the
 annihilator, which the package builds through ``forms._pairing_rows``.
@@ -44,6 +50,15 @@ import sympy
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import PolyRing
+
+from gradira import scalars
+from gradira.chart import _PARTIAL_SEP
+from gradira.errors import ParseError, UndefinedScalarError
+from gradira.forms import Form, MultiVector, MvForm, volume_contraction, wedge
+from gradira.parser import (MAX_BITS, MAX_DIGITS, MAX_EXPONENT, MAX_TERMS, _TOKEN_RE,
+                            _add_size, _max_size, _mul_size, _power_size, _size,
+                            _sum_size)
+from gradira.scalars import as_scalar
 
 
 def perm_parity(seq):
@@ -805,3 +820,317 @@ def naive_render(obj):
         return "0"
     return terms[0] + "".join(f" - {t[1:]}" if t.startswith("-") else f" + {t}"
                               for t in terms[1:])
+
+
+class _Token:
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind, text, line, col):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
+
+
+def _tokenize(text, line=1, col=1):
+    """Tokens of ``text``, located as if it started at (line, col)."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        tok = m.group()
+        if kind == "int" and len(tok) > MAX_DIGITS:
+            raise ParseError(
+                f"integer literal of {len(tok)} digits exceeds {MAX_DIGITS}", line, col)
+        if kind != "ws":
+            tokens.append(_Token(kind, tok, line, col))
+        newlines = tok.count("\n")
+        if newlines:
+            line += newlines
+            col = len(tok) - tok.rfind("\n")
+        else:
+            col += len(tok)
+        pos = m.end()
+    tokens.append(_Token("eof", "", line, col))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text, chart, start=(1, 1)):
+        self.tokens = _tokenize(text, *start)
+        self.pos = 0
+        self.chart = chart
+
+    # -- token plumbing ----------------------------------------------------
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, text):
+        tok = self.next()
+        if tok.text != text:
+            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
+        return tok
+
+    def error(self, message, tok=None):
+        tok = tok or self.peek()
+        raise ParseError(message, tok.line, tok.col)
+
+    # -- grammar -----------------------------------------------------------
+
+    def parse(self):
+        value = self.expr()
+        tok = self.peek()
+        if tok.kind != "eof":
+            self.error(f"trailing input {tok.text!r}")
+        return value
+
+    def expr(self):
+        value = self.product()
+        while self.peek().text in ("+", "-"):
+            op = self.next()
+            rhs = self.product()
+            value = self._add(value, rhs if op.text == "+" else self._neg(rhs), op)
+        return value
+
+    def product(self):
+        value = self.wedges()
+        if self.peek().text == "@":
+            op = self.next()
+            rhs = self.wedges()
+            value = self._tensor(value, rhs, op)
+        return value
+
+    def wedges(self):
+        value = self.scaled()
+        while self.peek().text == "^":
+            op = self.next()
+            rhs = self.scaled()
+            value = self._wedge(value, rhs, op)
+        return value
+
+    def scaled(self):
+        value = self.unary()
+        while self.peek().text in ("*", "/"):
+            op = self.next()
+            rhs = self.unary()
+            if op.text == "*":
+                value = self._mul(value, rhs, op)
+            else:
+                if isinstance(rhs, (Form, MultiVector, MvForm)):
+                    self.error("division by a non-scalar", op)
+                if not rhs:
+                    raise UndefinedScalarError(f"{op.line}:{op.col}: division by zero")
+                value = self._mul(value, scalars.sdiv(scalars.ONE, rhs), op)
+        return value
+
+    def unary(self):
+        if self.peek().text == "-":
+            tok = self.next()
+            return self._neg(self.unary())
+        return self.power()
+
+    def power(self):
+        value = self.atom()
+        if self.peek().kind == "pow":
+            op = self.next()
+            exp = self.next()
+            if exp.kind != "int":
+                self.error("exponent must be an integer", exp)
+            if isinstance(value, (Form, MultiVector, MvForm)):
+                self.error("power of a non-scalar", op)
+            e = int(exp.text)
+            if e > MAX_EXPONENT:
+                self.error(f"exponent {e} exceeds {MAX_EXPONENT}", exp)
+            self._bounded(_power_size(value, e), exp, "power too large to expand")
+            return value ** e
+        return value
+
+    def atom(self):
+        tok = self.next()
+        if tok.kind == "int":
+            return as_scalar(int(tok.text))
+        if tok.kind == "atvec":
+            name = self.next()
+            if name.kind != "name":
+                self.error("expected a coordinate after @/", name)
+            self._coord(name)
+            return MultiVector.coord_vector(self.chart, name.text)
+        if tok.text == "(":
+            value = self.expr()
+            self.expect(")")
+            return value
+        if tok.kind == "name":
+            return self._name_atom(tok)
+        self.error(f"unexpected token {tok.text!r}", tok)
+
+    def _name_atom(self, tok):
+        name = tok.text
+        nxt = self.peek()
+        if name == "d" and nxt.text == "(":
+            self.next()
+            coord = self.next()
+            if coord.kind != "name":
+                self.error("expected a coordinate in d(...)", coord)
+            self._coord(coord)
+            self.expect(")")
+            return Form.d_coord(self.chart, coord.text)
+        if name == "dX" and nxt.text == "[":
+            self.next()
+            lowered = []
+            if self.peek().text != "]":
+                while True:
+                    num = self.next()
+                    if num.kind != "int":
+                        self.error("expected a base index in dX[...]", num)
+                    mu = int(num.text)
+                    if not 1 <= mu <= self.chart.n:
+                        self.error(f"base index {mu} out of range 1..{self.chart.n}", num)
+                    lowered.append(mu - 1)
+                    if self.peek().text == ",":
+                        self.next()
+                        continue
+                    break
+            self.expect("]")
+            if len(set(lowered)) != len(lowered):
+                self.error("repeated index in dX[...]", tok)
+            return volume_contraction(self.chart, lowered)
+        if name == "D" and nxt.text == "(":
+            self.next()
+            fname = self.next()
+            if fname.kind != "name" or fname.text not in self.chart.functions:
+                self.error("D(...) needs a declared function", fname)
+            coords = []
+            while self.peek().text == ",":
+                self.next()
+                c = self.next()
+                if c.kind != "name":
+                    self.error("expected a coordinate in D(...)", c)
+                self._coord(c)
+                coords.append(c.text)
+            self.expect(")")
+            if not coords:
+                self.error("D(...) needs at least one coordinate", tok)
+            sym = fname.text
+            for c in coords:
+                nxt_sym = self.chart.partial_symbol(sym, c)
+                if nxt_sym is None:
+                    self.error(f"{sym} does not depend on {c}", tok)
+                sym = nxt_sym.name
+            return as_scalar(nxt_sym)
+        if nxt.text == "(" and name in self.chart.functions:
+            self.next()
+            args = []
+            if self.peek().text != ")":
+                while True:
+                    c = self.next()
+                    if c.kind != "name":
+                        self.error("expected a coordinate argument", c)
+                    self._coord(c)
+                    args.append(c.text)
+                    if self.peek().text == ",":
+                        self.next()
+                        continue
+                    break
+            self.expect(")")
+            if tuple(args) != self.chart.functions[name]:
+                self.error(
+                    f"arguments {args} do not match declaration of {name}", tok
+                )
+            return as_scalar(sympy.Symbol(name))
+        if name in self.chart.functions:
+            return as_scalar(sympy.Symbol(name))
+        if _PARTIAL_SEP in name:
+            self.error(f"unknown partial symbol {name!r}", tok)
+        try:
+            self.chart.index(name)
+        except Exception:
+            self.error(f"unknown coordinate {name!r}", tok)
+        return as_scalar(self.chart.sym(name))
+
+    def _coord(self, tok):
+        try:
+            self.chart.index(tok.text)
+        except Exception:
+            self.error(f"unknown coordinate {tok.text!r}", tok)
+
+    # -- typed operations ----------------------------------------------------
+
+    def _bounded(self, size, tok, what=None):
+        """Raise at ``tok`` when the size bound of a result exceeds a cap."""
+        degree, terms, bits = _max_size(*filter(None, size))
+        if degree > MAX_EXPONENT or terms > MAX_TERMS or bits > MAX_BITS:
+            what = what or f"{tok.text!r} result too large"
+            self.error(f"{what}: degree {degree}, {terms} terms, "
+                       f"{bits}-bit integers", tok)
+
+    @staticmethod
+    def _graded(value):
+        return isinstance(value, (Form, MultiVector, MvForm))
+
+    def _coerce_pair(self, a, b):
+        """Lift scalars to 0-forms when combined with forms."""
+        if isinstance(a, Form) and not self._graded(b):
+            return a, Form.scalar_form(a.chart, b)
+        if isinstance(b, Form) and not self._graded(a):
+            return Form.scalar_form(b.chart, a), b
+        return a, b
+
+    def _add(self, a, b, tok):
+        a, b = self._coerce_pair(a, b)
+        if self._graded(a) != self._graded(b):
+            self.error("cannot add a scalar and a graded object", tok)
+        self._bounded(_add_size(_size(a), _size(b)), tok)
+        if not self._graded(a):
+            return scalars.sadd(a, b)
+        try:
+            return a + b
+        except Exception as exc:
+            self.error(str(exc), tok)
+
+    def _neg(self, a):
+        if self._graded(a):
+            return -a
+        return scalars.sneg(a)
+
+    def _mul(self, a, b, tok):
+        if self._graded(a) and self._graded(b):
+            self.error("'*' multiplies by scalars; use '^' to wedge", tok)
+        self._bounded(_mul_size(_size(a), _size(b)), tok)
+        if not self._graded(a) and not self._graded(b):
+            return scalars.smul(a, b)
+        if self._graded(a):
+            return a * b
+        return b * a
+
+    def _wedge(self, a, b, tok):
+        # each coefficient of a wedge sums at most min(len a, len b) products
+        pairs = min(len(a.data) if self._graded(a) else 1,
+                    len(b.data) if self._graded(b) else 1)
+        self._bounded(_sum_size(_mul_size(_size(a), _size(b)), pairs), tok)
+        try:
+            return wedge(a, b)
+        except Exception as exc:
+            self.error(str(exc), tok)
+
+    def _tensor(self, a, b, tok):
+        if not self._graded(a):
+            a = Form.scalar_form(self.chart, a)
+        if not self._graded(b):
+            b = MultiVector(self.chart, 0, {(): as_scalar(b)})
+        if not isinstance(a, Form) or not isinstance(b, MultiVector):
+            self.error("'@' expects form @ multivector", tok)
+        self._bounded(_mul_size(_size(a), _size(b)), tok)
+        return MvForm.tensor(a, b)
+
+
+def naive_parse_expression(text, chart, start=(1, 1)):
+    return _Parser(text, chart, start).parse()

@@ -14,7 +14,8 @@ from gradira import (
     wedge,
 )
 from gradira import scalars
-from gradira.errors import ChartError, UndefinedScalarError
+from gradira.errors import ChartError, MapSpecError, UndefinedScalarError
+from gradira.parser import parse_form, parse_multivector
 from gradira.structure import verify_axioms
 
 
@@ -67,6 +68,24 @@ class TestPushforward:
     def test_base_coordinate_cannot_drop(self, red2):
         with pytest.raises(ChartError):
             SubmersionDrop(red2.chart, ["x1"])
+
+    @pytest.mark.parametrize("kind, text, message", [
+        ("vector", "y1 * @/x1 + @/p1_1", "pushed sharp value depends on dropped "
+         "coordinates: {}"),
+        ("form", "-dX[2] + d(y1)", "form {} has components along dropped coordinates"),
+        ("form", "-y1 * dX[2]", "coefficients of {} depend on dropped coordinates"),
+    ], ids=["vector-coefficient", "form-component", "form-coefficient"])
+    def test_dropped_content_raises_with_its_witness(self, red2, kind, text, message):
+        # the texts are canonical, so each message quotes its input
+        drop = SubmersionDrop(red2.chart, ["y1"])
+        if kind == "vector":
+            value, push = parse_multivector(text, red2.chart), drop.push_vector
+        else:
+            value, push = parse_form(text, red2.chart), drop.restrict_form
+        with pytest.raises(MapSpecError) as err:
+            push(value)
+        assert str(err.value) == message.format(text)
+        assert err.value.witness is value
 
 
 class TestPullback:

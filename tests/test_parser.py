@@ -2,12 +2,15 @@ import re
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from gradira import Chart, Form, MultiVector, MvForm, parse_expression, parse_form, wedge
 from gradira.errors import ParseError, UndefinedScalarError
-from gradira.parser import MAX_DIGITS, MAX_EXPONENT, parse_multivector
+from gradira.parser import MAX_DIGITS, MAX_EXPONENT, _tokenize, parse_multivector
 from gradira.render import render, render_form
 from gradira.structfile import dump_scenario, load_structure_file
+
+from naive import naive_parse_expression
 
 
 @pytest.fixture
@@ -159,6 +162,75 @@ class TestRoundTrip:
         assert render_form(z) == "0"
 
 
+FUZZ_CHART = Chart(base=["x1", "x2"], fiber=["y1", "p1_1", "p2_1"])
+FUZZ_CHART.declare_function("H", ["x1", "y1", "p1_1"])
+# operators, brackets, the atom heads, small ints, every coordinate, the
+# declared function and an unknown name
+FUZZ_TOKENS = ["+", "-", "*", "/", "^", "@", "**", "(", ")", "[", "]", ",",
+               "d", "dX", "D", "@/", "0", "1", "2", "3",
+               "x1", "x2", "y1", "p1_1", "p2_1", "H", "z9"]
+tokens = st.sampled_from(FUZZ_TOKENS)
+# a token may run into the next one ("d" "x1" is the name dx1, "*" "*" is "**")
+token_strings = st.lists(st.tuples(tokens, st.sampled_from(["", " "])), max_size=12).map(
+    lambda pairs: "".join(tok + sep for tok, sep in pairs))
+
+
+@st.composite
+def corpus_edits(draw):
+    """A corpus text with one token inserted, deleted or replaced."""
+    words = [tok.text for tok in _tokenize(draw(st.sampled_from(TestRoundTrip.CORPUS)))][:-1]
+    k = draw(st.integers(0, len(words) - 1))
+    edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+    if edit == "insert":
+        words.insert(k, draw(tokens))
+    elif edit == "delete":
+        del words[k]
+    else:
+        words[k] = draw(tokens)
+    return " ".join(words)
+
+
+def outcome(parse, text):
+    """(type, value) of a parse, or (type, text) of the exception it raised."""
+    try:
+        value = parse(text, FUZZ_CHART)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+class TestAgainstTheNaiveParser:
+    """The parser against the oracle ``naive_parse_expression``: equal
+    values of one type, or the same exception type and text, so every
+    error keeps its message, line and column."""
+
+    MALFORMED = [
+        "D()", "D(H)", "D(H x1)", "D(H,)", "D(H,,x1)", "D(,x1)", "D(x1,y1)", "D(3,x1)",
+        "D(H,z9)", "D(H,x2)", "D(H,y1,x2)", "D(H,y1", "D", "D H",
+        "dX[1,]", "dX[,1]", "dX[1 2]", "dX[0]", "dX[3]", "dX[1,1]", "dX[x1]", "dX[",
+        "dX", "dX[]]", "H()", "H(x1,y1)", "H(x1,y1,p1_1", "H(x1 y1 p1_1)",
+        "H(x1,y1,)", "H(,)", "H(1)", "H(z9)", "H", "d()", "d(1)", "d(z9)", "d(x1",
+        "d(x1,y1)", "d", "@/", "@/1", "@/z9", "@/(x1)", "H__y1", "z9", "x1 ** x1",
+        "1/0", "-(d(x1))", "- - x1", "x1 - - d(x1)", "1 / @/x1", "d(x1) ** 2",
+        "dX[] ^ d(y1) ^ d(p1_1) ^ d(p2_1) ^ d(x1)", "d(x1) + @/x1", "x1 + @/x1",
+        "@/x1 @ d(x1)", "2 @ 3", "(x1 + 1) / (x1 - 1) * d(y1)", "d(x1) / 2",
+    ]
+
+    @pytest.mark.parametrize("text", MALFORMED)
+    def test_malformed_atoms(self, text):
+        assert outcome(parse_expression, text) == outcome(naive_parse_expression, text)
+
+    @settings(max_examples=400, deadline=2000)
+    @given(token_strings)
+    def test_token_strings(self, text):
+        assert outcome(parse_expression, text) == outcome(naive_parse_expression, text)
+
+    @settings(max_examples=300, deadline=2000)
+    @given(corpus_edits())
+    def test_corpus_edits(self, text):
+        assert outcome(parse_expression, text) == outcome(naive_parse_expression, text)
+
+
 class TestTypedHelpers:
     def test_parse_form_degree_check(self, chart):
         with pytest.raises(ParseError):
@@ -169,6 +241,13 @@ class TestTypedHelpers:
         assert v == MultiVector.coord_vector(chart, "y1")
         with pytest.raises(ParseError):
             parse_multivector("d(y1)", chart)
+
+    def test_parse_multivector_reads_a_scalar_as_a_0_vector(self, chart):
+        u = MultiVector(chart, 0, {(): chart.sym("x1") + 1})
+        assert parse_multivector(render(u), chart, degree=0) == u
+        assert parse_multivector("0", chart, degree=0) == MultiVector.zero(chart, 0)
+        with pytest.raises(ParseError, match="expected a multivector, got Scalar"):
+            parse_multivector("x1 + 1", chart)
 
 
 class TestInputCaps:

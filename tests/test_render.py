@@ -3,9 +3,10 @@
 from itertools import combinations
 
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gradira import Chart, Form, MultiVector, MvForm
+from gradira.parser import parse_expression, parse_form, parse_multivector
 from gradira.render import _render_form_indices, render
 
 from naive import naive_render, naive_render_form_indices
@@ -46,6 +47,21 @@ def graded(draw):
 @given(graded())
 def test_render_matches_the_sympy_printed_oracle(obj):
     assert render(obj) == naive_render(obj)
+
+
+@settings(max_examples=300, deadline=2000)
+@given(graded())
+def test_parse_of_render_gives_back_the_object(obj):
+    text = render(obj)
+    if isinstance(obj, Form):
+        back = parse_form(text, CHART, degree=obj.degree)
+    elif isinstance(obj, MultiVector):
+        back = parse_multivector(text, CHART, degree=obj.degree)
+    else:
+        assume(obj)  # a zero MvForm renders as 0, which carries no grading
+        back = parse_expression(text, CHART)
+    assert back == obj
+    assert render(back) == text
 
 
 def test_form_indices_match_the_contraction_oracle():

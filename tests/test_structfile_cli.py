@@ -8,10 +8,12 @@ import pytest
 
 from gradira.cli import main
 from gradira.errors import ParseError
+from gradira.extensions import build_span_tower
 from gradira.forms import identity_tensor, wedge
 from gradira.render import render_mvform
 from gradira.scenarios import canonical_extension_table
-from gradira.structfile import dump_scenario, load_structure_file, parse_extension
+from gradira.structfile import (dump_extension, dump_scenario, load_structure_file,
+                                parse_extension)
 
 
 def run_cli(args, capsys):
@@ -69,6 +71,32 @@ class TestStructureFile:
         with pytest.raises(ParseError) as exc:
             parse_extension(text, red2.structure)
         assert exc.value.line == line
+
+    # every (a, j, vertical) key whose tower table has a zero value (a <= n + 1)
+    @pytest.mark.parametrize("scenario, a, j", [
+        ("red2", 1, 1), ("red2", 2, 1), ("red2", 2, 2),
+        ("red3k2", 1, 1), ("red3k2", 2, 1), ("red3k2", 2, 2),
+        ("red3k2", 3, 1), ("red3k2", 3, 2), ("red3k2", 3, 3)])
+    @pytest.mark.parametrize("vertical", [False, True])
+    def test_zero_extension_values_round_trip(self, request, scenario, a, j, vertical):
+        # a zero value is written as 0, which carries no grading; the
+        # reader takes the table's level from its other values
+        scn = request.getfixturevalue(scenario)
+        table = build_span_tower(scn.structure, a, j, vertical=vertical).table()
+        assert any(value.is_zero() for _, value in table.entries)
+        for back in (parse_extension(dump_extension(table), scn.structure),
+                     load_structure_file(dump_scenario(scn, extension=table)).extension):
+            assert (back.j, back.entries) == (table.j, table.entries)
+
+    def test_all_zero_extension_values_leave_the_level_undetermined(self, red2):
+        undetermined = "every extension value is 0, so the level j of the table is undetermined"
+        with pytest.raises(ParseError) as exc:
+            parse_extension("# level?\nextend dX[1] => 0\nextend dX[2] => 0", red2.structure)
+        assert str(exc.value) == f"2:16: {undetermined}"
+        doc = {**dump_scenario(red2), "extension": [["dX[1]", "0"], ["dX[2]", "0"]]}
+        with pytest.raises(ParseError) as exc:
+            load_structure_file(doc)
+        assert str(exc.value) == f"1:1: {undetermined}"
 
     def test_extension_entry_error_located_at_block_line(self, red2):
         with pytest.raises(ParseError) as exc:
