@@ -202,9 +202,10 @@ def outcome(parse, text):
 class TestAgainstTheNaiveParser:
     """The parser against the oracle ``naive_parse_expression``: equal
     values of one type, or the same exception type and text, so every
-    error keeps its message, line and column."""
+    error keeps its message, line and column.  An input that ever fails
+    joins HAND_PICKED, mostly malformed atoms."""
 
-    MALFORMED = [
+    HAND_PICKED = [
         "D()", "D(H)", "D(H x1)", "D(H,)", "D(H,,x1)", "D(,x1)", "D(x1,y1)", "D(3,x1)",
         "D(H,z9)", "D(H,x2)", "D(H,y1,x2)", "D(H,y1", "D", "D H",
         "dX[1,]", "dX[,1]", "dX[1 2]", "dX[0]", "dX[3]", "dX[1,1]", "dX[x1]", "dX[",
@@ -216,8 +217,8 @@ class TestAgainstTheNaiveParser:
         "@/x1 @ d(x1)", "2 @ 3", "(x1 + 1) / (x1 - 1) * d(y1)", "d(x1) / 2",
     ]
 
-    @pytest.mark.parametrize("text", MALFORMED)
-    def test_malformed_atoms(self, text):
+    @pytest.mark.parametrize("text", HAND_PICKED)
+    def test_hand_picked(self, text):
         assert outcome(parse_expression, text) == outcome(naive_parse_expression, text)
 
     @settings(max_examples=400, deadline=2000)
