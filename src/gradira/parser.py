@@ -436,8 +436,9 @@ def parse_form(text, chart, degree=None, start=(1, 1)):
 
 
 def parse_multivector(text, chart, degree=None):
-    """A multivector; a scalar is read as a 0-vector when ``degree`` is 0,
-    and 0 as the zero multivector of ``degree`` (default 1)."""
+    """A multivector, of ``degree`` when it is given; a scalar is read as a
+    0-vector when ``degree`` is 0, and 0 as the zero multivector of
+    ``degree`` (default 1)."""
     value = parse_expression(text, chart)
     if not isinstance(value, (Form, MultiVector, MvForm)):
         if degree == 0:
@@ -446,4 +447,6 @@ def parse_multivector(text, chart, degree=None):
             return MultiVector.zero(chart, 1 if degree is None else degree)
     if not isinstance(value, MultiVector):
         raise ParseError(f"expected a multivector, got {type(value).__name__}")
+    if degree is not None and value.degree != degree:
+        raise ParseError(f"expected a degree {degree} multivector, got {value.degree}")
     return value

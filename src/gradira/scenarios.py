@@ -7,6 +7,13 @@ sharp_n through the musical isomorphism, and the quotient by the
 semi-basic direction is a pushforward.  Yang-Mills starts from the
 reduced structure over the connection coordinates and restricts to the
 antisymmetric-momentum locus by an affine pullback.
+
+The canonical chart layout (base x1..xn; fiber the fields, p on the
+extended chart, then the momenta field by field) is written only in
+``_canonical_chart`` and read only through ``_momentum``, by both
+canonical builders, the Yang-Mills substitutions and the symmetric
+extension table.  ``_momentum_sum`` builds each sum c du ^ d^{n-1}x_mu:
+the Liouville part of theta, the canonical H and the Yang-Mills H.
 """
 
 from __future__ import annotations
@@ -17,7 +24,8 @@ import sympy
 
 from .chart import Chart
 from .errors import ChartError
-from .forms import Form, MultiVector, contract, volume_contraction, wedge
+from .forms import (Form, MultiVector, MvForm, contract, linear_combination,
+                    volume_contraction, wedge)
 from .calculus import exterior_derivative
 from .morphisms import AffineEmbedding, SubmersionDrop, pullback, pushforward
 from .structure import Structure
@@ -44,10 +52,29 @@ class Scenario:
         return self.structure.chart
 
 
-def _canonical_charts(n, fields, momentum_name):
+def _canonical_chart(n, fields, momentum_name):
+    """The extended canonical chart, in the layout of the module docstring.
+    ``SubmersionDrop`` of p keeps the order, so ``_momentum`` reads the
+    extended and the reduced chart alike."""
     base = [f"x{mu}" for mu in range(1, n + 1)]
     momenta = [momentum_name(u, mu) for u in fields for mu in range(1, n + 1)]
     return Chart(base=base, fiber=list(fields) + ["p"] + momenta)
+
+
+def _momentum(chart, fields, u, mu):
+    """The momentum coordinate of field u along x^mu on a canonical chart:
+    the momenta are the last len(fields) * n fiber coordinates."""
+    n = chart.n
+    momenta = chart.coords[chart.m - n * len(fields):]
+    return momenta[fields.index(u) * n + mu - 1]
+
+
+def _momentum_sum(chart, terms):
+    """sum c du ^ d^{n-1}x_mu over the (c, u, mu) triples of ``terms``."""
+    return linear_combination(
+        ((c, wedge(Form.d_coord(chart, u), volume_contraction(chart, [mu - 1])))
+         for c, u, mu in terms),
+        Form.zero(chart, chart.n))
 
 
 def extended_canonical(n, k=1, fields=None, momentum_name=None):
@@ -57,15 +84,11 @@ def extended_canonical(n, k=1, fields=None, momentum_name=None):
         fields = [f"y{i}" for i in range(1, k + 1)]
     if momentum_name is None:
         momentum_name = lambda u, mu: f"p{mu}_{u[1:]}"
-    chart = _canonical_charts(n, fields, momentum_name)
-    theta = Form.scalar_form(chart, chart.sym("p"))
-    theta = wedge(theta, volume_contraction(chart, []))
-    for u in fields:
-        for mu in range(1, n + 1):
-            pm = Form.scalar_form(chart, chart.sym(momentum_name(u, mu)))
-            theta = theta + wedge(
-                wedge(pm, Form.d_coord(chart, u)), volume_contraction(chart, [mu - 1])
-            )
+    chart = _canonical_chart(n, fields, momentum_name)
+    theta = Form.scalar_form(chart, chart.sym("p")) * volume_contraction(chart, [])
+    theta = theta + _momentum_sum(chart, [
+        (chart.sym(_momentum(chart, fields, u, mu)), u, mu)
+        for u in fields for mu in range(1, n + 1)])
     omega = -exterior_derivative(theta)
     gens = []
     values = []
@@ -87,45 +110,26 @@ def extended_canonical(n, k=1, fields=None, momentum_name=None):
 def reduced_canonical(n, k=1, fields=None, momentum_name=None, declare_h=True):
     """The quotient of the extended canonical structure by the semi-basic
     direction, with the canonical Hamiltonian H d^n x - p dy ^ d^{n-1}x."""
-    if fields is None:
-        fields = [f"y{i}" for i in range(1, k + 1)]
-    if momentum_name is None:
-        momentum_name = lambda u, mu: f"p{mu}_{u[1:]}"
-    ext = extended_canonical(n, fields=fields, momentum_name=momentum_name)
+    ext = extended_canonical(n, k, fields, momentum_name)
+    fields = ext.params["fields"]
     drop = SubmersionDrop(ext.chart, ["p"])
     structure = pushforward(ext.structure, drop)
     chart = structure.chart
+    vol = lambda mu: volume_contraction(chart, [mu - 1])
+    p = lambda u, mu: chart.sym(_momentum(chart, fields, u, mu))
     ham = None
-    gens = []
     if declare_h:
         chart.declare_function("H")
-        ham = Form.scalar_form(chart, sympy.Symbol("H"))
-        ham = wedge(ham, volume_contraction(chart, []))
-        for u in fields:
-            for mu in range(1, n + 1):
-                pm = Form.scalar_form(chart, chart.sym(momentum_name(u, mu)))
-                ham = ham - wedge(
-                    wedge(pm, Form.d_coord(chart, u)),
-                    volume_contraction(chart, [mu - 1]),
-                )
-    for u in fields:
-        for mu in range(1, n + 1):
-            gens.append(
-                (
-                    f"{u} dX[{mu}]",
-                    Form.scalar_form(chart, chart.sym(u))
-                    * volume_contraction(chart, [mu - 1]),
-                )
-            )
-    for u in fields:
-        beta = Form.zero(chart, n - 1)
-        for mu in range(1, n + 1):
-            beta = beta + Form.scalar_form(
-                chart, chart.sym(momentum_name(u, mu))
-            ) * volume_contraction(chart, [mu - 1])
-        gens.append((f"p^mu_{u} dX[mu]", beta))
-    for mu in range(1, n + 1):
-        gens.append((f"dX[{mu}]", volume_contraction(chart, [mu - 1])))
+        ham = Form.scalar_form(chart, sympy.Symbol("H")) * volume_contraction(chart, [])
+        ham = ham - _momentum_sum(chart, [(p(u, mu), u, mu)
+                                          for u in fields for mu in range(1, n + 1)])
+    gens = [(f"{u} dX[{mu}]", Form.scalar_form(chart, chart.sym(u)) * vol(mu))
+            for u in fields for mu in range(1, n + 1)]
+    gens += [(f"p^mu_{u} dX[mu]",
+              linear_combination([(p(u, mu), vol(mu)) for mu in range(1, n + 1)],
+                                 Form.zero(chart, n - 1)))
+             for u in fields]
+    gens += [(f"dX[{mu}]", vol(mu)) for mu in range(1, n + 1)]
     return Scenario(
         name="reduced-canonical",
         structure=structure,
@@ -149,10 +153,8 @@ def _structure_constants(algebra, dim):
     raise ChartError(f"unsupported algebra {algebra!r}")
 
 
-def _check_lie_algebra(f, dim):
-    def c(i, j, k):
-        return f.get((i, j, k), sympy.Integer(0))
-
+def _check_lie_algebra(c, dim):
+    """Antisymmetry and Jacobi of the structure constants c(i, j, k)."""
     for i in range(1, dim + 1):
         for j in range(1, dim + 1):
             for k in range(1, dim + 1):
@@ -176,7 +178,8 @@ def yang_mills(n=3, algebra="su2", dim=1, signature=None):
     the connection coordinates A^i_mu restricted to the antisymmetric
     momentum locus, with the Yang-Mills Hamiltonian."""
     f, dim = _structure_constants(algebra, dim if algebra == "abelian" else 3)
-    _check_lie_algebra(f, dim)
+    c = lambda i, j, k: f.get((i, j, k), sympy.Integer(0))
+    _check_lie_algebra(c, dim)
     if signature is None:
         signature = tuple(1 for _ in range(n))
     if len(signature) != n or any(s not in (1, -1) for s in signature):
@@ -188,31 +191,15 @@ def yang_mills(n=3, algebra="su2", dim=1, signature=None):
         i, fmu = u[1:].split("_")
         return f"p{fmu}{mu}_{i}"
 
-    red = reduced_canonical(n, fields=fields, momentum_name=momentum_name,
-                            declare_h=False)
-    ambient = red.structure
-    base = [f"x{mu}" for mu in range(1, n + 1)]
+    ambient = reduced_canonical(n, fields=fields, momentum_name=momentum_name,
+                                declare_h=False).structure
     pts = [
         f"pt{mu}{nu}_{i}"
         for i in range(1, dim + 1)
         for mu in range(1, n + 1)
         for nu in range(mu + 1, n + 1)
     ]
-    adapted = Chart(base=base, fiber=fields + pts)
-    subs = {}
-    for i in range(1, dim + 1):
-        for mu in range(1, n + 1):
-            for nu in range(1, n + 1):
-                name = f"p{mu}{nu}_{i}"
-                if mu == nu:
-                    subs[name] = sympy.Integer(0)
-                elif mu < nu:
-                    subs[name] = adapted.sym(f"pt{mu}{nu}_{i}")
-                else:
-                    subs[name] = -adapted.sym(f"pt{nu}{mu}_{i}")
-    emb = AffineEmbedding(ambient.chart, adapted, subs)
-    structure = pullback(ambient, emb)
-    chart = structure.chart
+    chart = Chart(base=list(ambient.chart.base_coords), fiber=fields + pts)
 
     def pt(mu, nu, i):
         """ptilde^{mu nu}_i with the antisymmetry convention baked in."""
@@ -222,8 +209,12 @@ def yang_mills(n=3, algebra="su2", dim=1, signature=None):
             return chart.sym(f"pt{mu}{nu}_{i}")
         return -chart.sym(f"pt{nu}{mu}_{i}")
 
-    def fc(i, j, k):
-        return f.get((i, j, k), sympy.Integer(0))
+    indices = [(i, mu, nu) for i in range(1, dim + 1)
+               for mu in range(1, n + 1) for nu in range(1, n + 1)]
+    emb = AffineEmbedding(ambient.chart, chart, {
+        _momentum(ambient.chart, fields, f"A{i}_{mu}", nu): pt(mu, nu, i)
+        for i, mu, nu in indices})
+    structure = pullback(ambient, emb)
 
     # H = (-1/4 pt^{mu nu}_i pt^i_{mu nu} + 1/2 f^i_{jk} pt^{mu nu}_i A^j_mu A^k_nu) d^n x
     #     - pt^{mu nu}_i dA^i_mu ^ d^{n-1}x_nu          (flat metric, sqrt|g| = 1)
@@ -231,52 +222,30 @@ def yang_mills(n=3, algebra="su2", dim=1, signature=None):
     # bracket-generated equations of motion read
     #   dA^i_mu/dx^nu - dA^i_nu/dx^mu = -pt^i_{mu nu} + f^i_{jk} A^j_mu A^k_nu.
     h_scal = sympy.Integer(0)
-    for i in range(1, dim + 1):
-        for mu in range(1, n + 1):
-            for nu in range(1, n + 1):
-                lowered = signature[mu - 1] * signature[nu - 1] * pt(mu, nu, i)
-                h_scal += -sympy.Rational(1, 4) * pt(mu, nu, i) * lowered
-                for j in range(1, dim + 1):
-                    for k in range(1, dim + 1):
-                        h_scal += (
-                            sympy.Rational(1, 2)
-                            * fc(i, j, k)
-                            * pt(mu, nu, i)
-                            * chart.sym(f"A{j}_{mu}")
-                            * chart.sym(f"A{k}_{nu}")
-                        )
+    for i, mu, nu in indices:
+        lowered = signature[mu - 1] * signature[nu - 1] * pt(mu, nu, i)
+        h_scal += -sympy.Rational(1, 4) * pt(mu, nu, i) * lowered
+        for j in range(1, dim + 1):
+            for k in range(1, dim + 1):
+                h_scal += (
+                    sympy.Rational(1, 2)
+                    * c(i, j, k)
+                    * pt(mu, nu, i)
+                    * chart.sym(f"A{j}_{mu}")
+                    * chart.sym(f"A{k}_{nu}")
+                )
     ham = Form.scalar_form(chart, h_scal) * volume_contraction(chart, [])
-    for i in range(1, dim + 1):
-        for mu in range(1, n + 1):
-            for nu in range(1, n + 1):
-                c = pt(mu, nu, i)
-                if c == 0:
-                    continue
-                ham = ham - Form.scalar_form(chart, c) * wedge(
-                    Form.d_coord(chart, f"A{i}_{mu}"),
-                    volume_contraction(chart, [nu - 1]),
-                )
+    ham = ham - _momentum_sum(chart, [(pt(mu, nu, i), f"A{i}_{mu}", nu)
+                                      for i, mu, nu in indices])
 
-    gens = []
-    for i in range(1, dim + 1):
-        for mu in range(1, n + 1):
-            for nu in range(mu + 1, n + 1):
-                alpha = Form.scalar_form(chart, chart.sym(f"A{i}_{mu}")) * \
-                    volume_contraction(chart, [nu - 1]) - \
-                    Form.scalar_form(chart, chart.sym(f"A{i}_{nu}")) * \
-                    volume_contraction(chart, [mu - 1])
-                gens.append((f"A{i}_[{mu}|{nu}]", alpha))
-    for i in range(1, dim + 1):
-        for mu in range(1, n + 1):
-            beta = Form.zero(chart, n - 1)
-            for nu in range(1, n + 1):
-                c = pt(mu, nu, i)
-                if c == 0:
-                    continue
-                beta = beta + Form.scalar_form(chart, c) * volume_contraction(
-                    chart, [nu - 1]
-                )
-            gens.append((f"pt{mu}._{i}", beta))
+    vol = lambda mu: volume_contraction(chart, [mu - 1])
+    A = lambda i, mu: Form.scalar_form(chart, chart.sym(f"A{i}_{mu}"))
+    gens = [(f"A{i}_[{mu}|{nu}]", A(i, mu) * vol(nu) - A(i, nu) * vol(mu))
+            for i, mu, nu in indices if mu < nu]
+    gens += [(f"pt{mu}._{i}",
+              linear_combination([(pt(mu, nu, i), vol(nu)) for nu in range(1, n + 1)],
+                                 Form.zero(chart, n - 1)))
+             for i in range(1, dim + 1) for mu in range(1, n + 1)]
     return Scenario(
         name="yang-mills",
         structure=structure,
@@ -301,7 +270,6 @@ def canonical_extension_table(scn, style="symmetric"):
     Both are verified against the defining pairing at construction.
     """
     from .extensions import ExtensionTable, build_span_tower
-    from .forms import MvForm
 
     structure = scn.structure
     chart = structure.chart
@@ -309,43 +277,26 @@ def canonical_extension_table(scn, style="symmetric"):
     fields = scn.params["fields"]
     if style == "solved":
         return build_span_tower(structure, n + 1, n, vertical=True).table()
-    # the fiber order of ``_canonical_charts``: fields, then momenta field by field
-    momenta = chart.fiber_coords[len(fields):]
-    momentum = lambda u, mu: momenta[fields.index(u) * n + mu - 1]
+    momentum = lambda u, mu: _momentum(chart, fields, u, mu)
+    d = lambda name: Form.d_coord(chart, name)
+    tensor = lambda a, b: MvForm.tensor(d(a), MultiVector.coord_vector(chart, b))
+    zero = MvForm.zero(chart, 1, 1)
     vol = volume_contraction(chart, [])
+    mus = range(1, n + 1)
     entries = []
     for u in fields:
-        theta = wedge(Form.d_coord(chart, u), vol)
-        value = MvForm.zero(chart, 1, 1)
-        for mu in range(1, n + 1):
-            value = value + sympy.Rational(1, n) * MvForm.tensor(
-                Form.d_coord(chart, f"x{mu}"),
-                MultiVector.coord_vector(chart, momentum(u, mu)),
-            )
-        entries.append((theta, value))
+        value = linear_combination(
+            [(sympy.Rational(1, n), tensor(f"x{mu}", momentum(u, mu))) for mu in mus], zero)
+        entries.append((wedge(d(u), vol), value))
     for u in fields:
-        for mu in range(1, n + 1):
-            theta = wedge(Form.d_coord(chart, momentum(u, mu)), vol)
-            value = -MvForm.tensor(
-                Form.d_coord(chart, f"x{mu}"), MultiVector.coord_vector(chart, u)
-            )
-            entries.append((theta, value))
+        for mu in mus:
+            entries.append((wedge(d(momentum(u, mu)), vol), -tensor(f"x{mu}", u)))
     for u in fields:
         for w in fields:
-            theta = Form.zero(chart, n + 1)
-            value = MvForm.tensor(
-                Form.d_coord(chart, u), MultiVector.coord_vector(chart, w)
-            )
-            for mu in range(1, n + 1):
-                theta = theta + wedge(
-                    Form.d_coord(chart, u),
-                    wedge(Form.d_coord(chart, momentum(w, mu)),
-                          volume_contraction(chart, [mu - 1])),
-                )
-                value = value + MvForm.tensor(
-                    Form.d_coord(chart, momentum(w, mu)),
-                    MultiVector.coord_vector(chart, momentum(u, mu)),
-                )
+            theta = wedge(d(u), _momentum_sum(chart, [(1, momentum(w, mu), mu) for mu in mus]))
+            value = linear_combination(
+                [(1, tensor(u, w))]
+                + [(1, tensor(momentum(w, mu), momentum(u, mu))) for mu in mus], zero)
             entries.append((theta, value))
     return ExtensionTable(structure, n, entries,
                           freedom=structure.pairing_system(n + 1, n, vertical=True).freedom)

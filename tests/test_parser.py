@@ -250,6 +250,23 @@ class TestTypedHelpers:
         with pytest.raises(ParseError, match="expected a multivector, got Scalar"):
             parse_multivector("x1 + 1", chart)
 
+    def test_parse_multivector_checks_the_degree(self, chart):
+        bivector = parse_multivector("@/x1 ^ @/y1", chart)
+        assert bivector.degree == 2
+        assert parse_multivector("@/x1 ^ @/y1", chart, degree=2) == bivector
+        with pytest.raises(ParseError) as err:
+            parse_multivector("@/x1 ^ @/y1", chart, degree=1)
+        assert str(err.value) == "1:1: expected a degree 1 multivector, got 2"
+        with pytest.raises(ParseError, match="expected a degree 0 multivector, got 1"):
+            parse_multivector("@/y1", chart, degree=0)
+        # unchanged: a scalar at degree 0, 0 at any degree, a non-multivector
+        assert parse_multivector("x1", chart, degree=0).degree == 0
+        for degree in (0, 1, 3):
+            assert parse_multivector("0", chart, degree=degree) == \
+                MultiVector.zero(chart, degree)
+        with pytest.raises(ParseError, match="expected a multivector, got Form"):
+            parse_multivector("d(y1)", chart, degree=1)
+
 
 class TestInputCaps:
     def test_long_literal_is_located(self, chart):

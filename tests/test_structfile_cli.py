@@ -346,6 +346,29 @@ class TestCli:
         assert (code, out) == (2, "")
         assert err == "error: function name 'h_' may not end in '_'\n"
 
+    def test_bivector_sharp_value_is_a_parse_error(self, red2, tmp_path, capsys):
+        doc = dump_scenario(red2)
+        doc["sharp_n"][0] = "@/x1 ^ @/y1"
+        with pytest.raises(ParseError) as err:
+            load_structure_file(doc)
+        assert str(err.value) == "1:1: expected a degree 1 multivector, got 2"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["verify", "-f", str(path)], capsys)
+        assert (code, out, err) == (2, "", "error: 1:1: expected a degree 1 multivector, got 2\n")
+
+    def test_sharp_depending_on_the_decomposition_exit_2(self, red2, tmp_path, capsys):
+        # generator 0 twice, the copy's sharp value off by @/x1
+        doc = dump_scenario(red2)
+        doc["sn"].append(doc["sn"][0])
+        doc["sharp_n"].append(doc["sharp_n"][0] + " + @/x1")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["verify", "-f", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: sharp_2 depends on the decomposition; "
+                       "offending relation @/x1\n")
+
     FIBERLESS = ("error: no fiber coordinate on Chart(base=['x1', 'x2'], fiber=[]): "
                  "d H of an n-form H is an (n+1)-form, so a structure needs chart "
                  "dimension m > n\n")

@@ -456,6 +456,43 @@ class TestFlatnessWitnesses:
         assert all(c.passed for c in partial.checks if "symmetry" in c.name)
         assert any(not c.passed for c in partial.checks if "span" in c.name)
 
+    def test_symmetry_witnesses_lowered_checks(self, red2):
+        # the five Hamiltonian generators of red(2,1) with the two base
+        # translations: S^2 = <d gamma> fails at one generator, and the
+        # lowered forms d iota_X gamma span S^1 but for d(p1_1), d(p2_1)
+        from gradira import check_flatness_witnesses
+
+        ch, st = red2.chart, red2.structure
+        gammas = [f for _, f in red2.hamiltonian_generators]
+        xs = [MultiVector.coord_vector(ch, "x1"), MultiVector.coord_vector(ch, "x2")]
+        report = check_flatness_witnesses(st, symmetries={2: (gammas, xs)})
+        failing = {"flat-ii span a=2.1", "flat-ii lowered a=2.2", "flat-ii lowered a=2.3"}
+        verdicts = [(c.name, c.passed, c.detail) for c in report.checks]
+        expected = []
+        for j in range(5):
+            expected.append((f"flat-ii gamma a=2.{j}", True, ""))
+            expected += [(f"flat-ii symmetry a=2.{j} X={i}", True, "") for i in (0, 1)]
+        expected += [(f"flat-ii span a=2.{i}", f"flat-ii span a=2.{i}" not in failing, "")
+                     for i in range(4)]
+        expected += [(f"flat-ii member a=2 {text}", True, "") for text in [
+            "d(y1) ^ dX[1]", "d(y1) ^ dX[2]", "d(p2_1) ^ dX[2] + d(p1_1) ^ dX[1]", "0", "0"]]
+        expected += [(f"flat-ii lowered a=2.{i}", f"flat-ii lowered a=2.{i}" not in failing, "")
+                     for i in range(5)]
+        assert verdicts == expected
+
+
+class TestDecompositionKernel:
+    def test_sharp_depending_on_the_decomposition_raises(self, red2):
+        # a second copy of generator 0 whose sharp value differs by @/x1,
+        # which is not in K_1: the relation gen_0 - copy has sharp @/x1
+        st = red2.structure
+        gens, values = st.generators(2), st.sharp_values(2)
+        tilted = values[0] + MultiVector.coord_vector(red2.chart, "x1")
+        with pytest.raises(NonWellDefinedError) as err:
+            Structure(red2.chart, gens + [gens[0]], values + [tilted])
+        assert str(err.value) == ("sharp_2 depends on the decomposition; "
+                                  "offending relation @/x1")
+
 
 # ---------------------------------------------------------------------------
 # verify_axioms against the Form-operator oracle
