@@ -5,7 +5,8 @@ together with a table of declared formal function symbols.  Formal
 functions are opaque scalars with a declared argument list.  Their formal
 partials are derived names, not table entries: ``H__y1`` is d(H)/d(y1),
 with the arguments of ``H``, and mixed partials sort the differentiation
-coordinates (``H__x1__y1``), so each partial has one name.  That takes
+coordinates (``H__x1__y1``), so each partial has one name.  Every name is
+the name of a scalar generator (``scalars.generator``).  That takes
 names with no ``__`` inside and no trailing ``_``: ``h_`` would give
 ``h___y1``, which splits as ``h``, ``_y1``.  The table holds
 only what was declared, so no computation changes a chart.
@@ -13,7 +14,7 @@ only what was declared, so no computation changes a chart.
 
 from __future__ import annotations
 
-import sympy
+from . import scalars
 
 BASE = "base"
 FIBER = "fiber"
@@ -44,7 +45,7 @@ class Chart:
         self.coords = names
         self.n = len(base)
         self.m = len(names)
-        self.syms = tuple(sympy.Symbol(c) for c in names)
+        self.syms = tuple(scalars.generator(c) for c in names)
         self._index = {c: i for i, c in enumerate(names)}
         # function symbol name -> tuple of argument coordinate names
         self.functions: dict[str, tuple[str, ...]] = {}
@@ -71,7 +72,7 @@ class Chart:
     # -- formal functions --------------------------------------------------
 
     def declare_function(self, name, args=None):
-        """Register a formal function symbol and return its sympy symbol.
+        """Register a formal function symbol and return its generator.
 
         ``args`` defaults to all chart coordinates.  Re-declaration with the
         same argument list is a no-op.
@@ -93,7 +94,7 @@ class Chart:
         if prev is not None and prev != args:
             raise ChartError(f"function {name!r} re-declared with different arguments")
         self.functions[name] = args
-        return sympy.Symbol(name)
+        return scalars.generator(name)
 
     def function_args(self, name):
         """The arguments of a declared function or of one of its formal
@@ -105,13 +106,19 @@ class Chart:
             return None
         return args
 
-    def partial_symbol(self, fname, coord):
-        """The formal partial of a function or partial ``fname`` along
-        ``coord``, or None when it does not depend on ``coord``."""
+    def partial_name(self, fname, coord):
+        """The name of the formal partial of a function or partial
+        ``fname`` along ``coord``, or None when it does not depend on
+        ``coord``."""
         if coord not in (self.function_args(fname) or ()):
             return None
         base, *diffs = fname.split(_PARTIAL_SEP)
-        return sympy.Symbol(_PARTIAL_SEP.join([base] + sorted(diffs + [coord])))
+        return _PARTIAL_SEP.join([base] + sorted(diffs + [coord]))
+
+    def partial_symbol(self, fname, coord):
+        """The generator of ``partial_name``, or None."""
+        name = self.partial_name(fname, coord)
+        return None if name is None else scalars.generator(name)
 
     def __repr__(self):
         return f"Chart(base={list(self.base_coords)}, fiber={list(self.fiber_coords)})"

@@ -44,7 +44,7 @@ class SubmersionDrop:
         )
         self._from_source = {j: i for i, j in enumerate(self._to_source)}
         self._dropped_idx = tuple(source_chart.index(c) for c in self.dropped)
-        self._dropped_syms = {source_chart.sym(c) for c in self.dropped}
+        self._dropped = set(self.dropped)
 
     def pull_form(self, form):
         """Injection of a target-chart form into the source chart."""
@@ -60,7 +60,7 @@ class SubmersionDrop:
         for (i,), c in vec.data.items():
             if i in self._dropped_idx:
                 continue
-            if c.free_symbols & self._dropped_syms:
+            if not self._dropped.isdisjoint(c.generators):
                 raise MapSpecError(
                     f"pushed sharp value depends on dropped coordinates: {render(vec)}",
                     witness=vec,
@@ -77,7 +77,7 @@ class SubmersionDrop:
                     f"form {render(form)} has components along dropped coordinates",
                     witness=form,
                 )
-            if c.free_symbols & self._dropped_syms:
+            if not self._dropped.isdisjoint(c.generators):
                 raise MapSpecError(
                     f"coefficients of {render(form)} depend on dropped coordinates",
                     witness=form,
@@ -97,13 +97,13 @@ class AffineEmbedding:
     def __init__(self, ambient_chart, adapted_chart, substitutions):
         self.source_chart = adapted_chart  # N, the domain of the embedding
         self.target_chart = ambient_chart  # M
-        allowed = set(adapted_chart.syms)
+        allowed = set(adapted_chart.coords)
         subs = {}
         for name in ambient_chart.coords:
             # an omitted name must be an adapted coordinate (sym raises)
             value = scalars.as_scalar(substitutions[name] if name in substitutions
                                       else adapted_chart.sym(name))
-            if not value.free_symbols <= allowed:
+            if not allowed.issuperset(value.generators):
                 raise ChartError(f"substitution for {name} uses unknown symbols")
             if not scalars.is_polynomial(value, adapted_chart) or any(
                     sum(exps) > 1 for _, exps in scalars.poly_monomials(value, adapted_chart)):
@@ -111,14 +111,14 @@ class AffineEmbedding:
             subs[name] = value
         self.substitutions = subs
         for fname, args in ambient_chart.functions.items():
-            mapped = [str(subs[a]) for a in args]
+            mapped = [scalars.generator_name(subs[a]) for a in args]
             if (all(m in adapted_chart.coords for m in mapped)
                     and fname not in adapted_chart.functions):
                 adapted_chart.declare_function(fname, mapped)
         # d(ambient coord) = sum_j (d expr / d adapted_j) d(adapted_j), constant
         self._jacobian = {ambient_chart.index(name): scalars.diff(value, adapted_chart)
                           for name, value in subs.items()}
-        self._images = {ambient_chart.sym(name): value for name, value in subs.items()
+        self._images = {name: value for name, value in subs.items()
                         if value != ambient_chart.sym(name)}
 
     def restrict_scalar(self, value):

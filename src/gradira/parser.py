@@ -25,7 +25,9 @@ operator ('*', '/', '+', '-', '^', '@') is bounded, from the sizes of its
 operands and before it is computed, to degree at most MAX_EXPONENT, at
 most MAX_TERMS terms and integers of at most MAX_BITS bits (fewer digits
 than MAX_DIGITS), so that whatever parses renders to text that parses
-back.
+back.  Nesting is capped too: at most MAX_DEPTH parentheses and unary
+minus signs may be open at once, well inside Python's recursion limit,
+so deep input is a located ParseError rather than a RecursionError.
 """
 
 from __future__ import annotations
@@ -34,17 +36,16 @@ import math
 import re
 from typing import NamedTuple
 
-import sympy
-
 from .chart import _PARTIAL_SEP
 from .errors import ParseError, UndefinedScalarError
 from .forms import Form, MultiVector, MvForm, volume_contraction, wedge
-from .scalars import as_scalar
+from .scalars import as_scalar, generator, parts
 
 MAX_DIGITS = 1000
 MAX_EXPONENT = 1000
 MAX_TERMS = 1001
 MAX_BITS = 3000
+MAX_DEPTH = 50
 
 _TOKEN_RE = re.compile(
     r"""
@@ -97,6 +98,7 @@ class _Parser:
         self.tokens = _tokenize(text, *start)
         self.pos = 0
         self.chart = chart
+        self.depth = 0  # open parentheses and unary minus signs
 
     # -- token plumbing ----------------------------------------------------
 
@@ -166,8 +168,10 @@ class _Parser:
 
     def unary(self):
         if self.peek().text == "-":
-            self.next()
-            return -self.unary()
+            self._enter(self.next())
+            value = -self.unary()
+            self.depth -= 1
+            return value
         return self.power()
 
     def power(self):
@@ -193,12 +197,20 @@ class _Parser:
         if tok.kind == "atvec":
             return MultiVector.coord_vector(self.chart, self._coord(self.next(), "after @/"))
         if tok.text == "(":
+            self._enter(tok)
             value = self.expr()
             self.expect(")")
+            self.depth -= 1
             return value
         if tok.kind == "name":
             return self._name_atom(tok)
         self.error(f"unexpected token {tok.text!r}", tok)
+
+    def _enter(self, tok):
+        """Open one nesting level at ``tok``, a '(' or a unary '-'."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.error(f"nesting deeper than {MAX_DEPTH} levels", tok)
 
     def _name_atom(self, tok):
         name = tok.text
@@ -221,21 +233,21 @@ class _Parser:
             if not coords:
                 self.error("D(...) needs at least one coordinate", tok)
             for c in coords:
-                partial = self.chart.partial_symbol(sym, c)
+                partial = self.chart.partial_name(sym, c)
                 if partial is None:
                     self.error(f"{sym} does not depend on {c}", tok)
-                sym = partial.name
-            return as_scalar(partial)
+                sym = partial
+            return generator(sym)
         if name in self.chart.functions:
             if opens == "(":
                 self.next()
                 args = self._items(")", lambda c: self._coord(c, "argument"))
                 if tuple(args) != self.chart.functions[name]:
                     self.error(f"arguments {args} do not match declaration of {name}", tok)
-            return as_scalar(sympy.Symbol(name))
+            return generator(name)
         if _PARTIAL_SEP in name:
             self.error(f"unknown partial symbol {name!r}", tok)
-        return as_scalar(self.chart.sym(self._coord(tok, "")))
+        return generator(self._coord(tok, ""))
 
     def _items(self, close, *checks):
         """The entries of a comma list through ``close``, entry k read by
@@ -351,11 +363,7 @@ def _poly_size(poly):
 
 def _scalar_size(value):
     """Read off the canonical numerator and denominator of a scalar."""
-    v = value.value
-    if value.is_rational:
-        num, den = (0, 1, _bits(v.numerator)), (0, 1, _bits(v.denominator))
-    else:
-        num, den = _poly_size(v.numer), _poly_size(v.denom)
+    num, den = map(_poly_size, parts(value))
     return num, (None if den == (0, 1, 1) else den)
 
 
@@ -435,18 +443,20 @@ def parse_form(text, chart, degree=None, start=(1, 1)):
     return value
 
 
-def parse_multivector(text, chart, degree=None):
+def parse_multivector(text, chart, degree=None, start=(1, 1)):
     """A multivector, of ``degree`` when it is given; a scalar is read as a
     0-vector when ``degree`` is 0, and 0 as the zero multivector of
-    ``degree`` (default 1)."""
-    value = parse_expression(text, chart)
+    ``degree`` (default 1).  ``start`` locates errors as in
+    ``parse_expression``."""
+    value = parse_expression(text, chart, start)
     if not isinstance(value, (Form, MultiVector, MvForm)):
         if degree == 0:
             return MultiVector(chart, 0, {(): value})
         if not value:
             return MultiVector.zero(chart, 1 if degree is None else degree)
     if not isinstance(value, MultiVector):
-        raise ParseError(f"expected a multivector, got {type(value).__name__}")
+        raise ParseError(f"expected a multivector, got {type(value).__name__}", *start)
     if degree is not None and value.degree != degree:
-        raise ParseError(f"expected a degree {degree} multivector, got {value.degree}")
+        raise ParseError(f"expected a degree {degree} multivector, got {value.degree}",
+                         *start)
     return value

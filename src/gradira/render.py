@@ -1,37 +1,81 @@
 """Canonical text rendering of scalars, forms and multivectors.
 
 The output is re-parseable by the expression grammar in parser.py and is
-deterministic: terms are emitted in increasing multi-index order, scalar
-coefficients in sympy's canonical order.  A constant coefficient, which is
-most of them, is written straight from its numerator and denominator, as
-sympy's printer writes it; only the others go through sympy.  The
-base-coordinate block of a form term is rendered through the
-volume-contraction primitive ``dX[mu, ...]`` mirroring the d^{n-1}x_mu
-notation, so reports read like textbook coordinate formulas.
+deterministic: terms are emitted in increasing multi-index order, and a
+scalar coefficient is written as sympy's ``StrPrinter`` writes it with
+``order="lex"``, a formal partial ``H__x1__y1`` as ``D(H,x1,y1)``.  A
+constant or a polynomial is written here, from its numerator and
+denominator; only a rational function with a non-constant denominator
+goes through sympy's printer.  The base-coordinate block of a form term
+is rendered through the volume-contraction primitive ``dX[mu, ...]``
+mirroring the d^{n-1}x_mu notation, so reports read like textbook
+coordinate formulas.
 """
 
 from __future__ import annotations
 
-import sympy
-from sympy.printing.str import StrPrinter
+from functools import cache
+from math import gcd
 
 from .chart import _PARTIAL_SEP
+from .scalars import Poly, as_scalar
 
 
-class _ScalarPrinter(StrPrinter):
-    def _print_Symbol(self, expr):
-        name = expr.name
-        if _PARTIAL_SEP in name:
-            parts = name.split(_PARTIAL_SEP)
-            return f"D({parts[0]},{','.join(parts[1:])})"
-        return name
+def _name(generator):
+    if _PARTIAL_SEP in generator:
+        base, *coords = generator.split(_PARTIAL_SEP)
+        return f"D({base},{','.join(coords)})"
+    return generator
 
 
-_printer = _ScalarPrinter({"order": "lex"})
+def _poly_terms(poly):
+    """[(sign, text)] of the terms of a Poly as sympy prints them: terms
+    in descending lex order of their exponents over the generators sorted
+    by name, each the reduced coefficient, then the factors in name
+    order, then the coefficient's denominator."""
+    order = sorted(range(len(poly.gens)), key=poly.gens.__getitem__)
+    names = [_name(poly.gens[k]) for k in order]
+    den = poly.den
+    out = []
+    for m, c in sorted(((tuple(m[k] for k in order), c) for m, c in poly.terms.items()),
+                       reverse=True):
+        g = gcd(c, den)
+        p, q = abs(c) // g, den // g
+        factors = [name if e == 1 else f"{name}**{e}" for name, e in zip(names, m) if e]
+        if p != 1 or not factors:
+            factors.insert(0, str(p))
+        text = "*".join(factors)
+        out.append(("-" if c < 0 else "+", text if q == 1 else f"{text}/{q}"))
+    return out
+
+
+@cache
+def _sympy_printer():
+    from sympy.printing.str import StrPrinter
+
+    class ScalarPrinter(StrPrinter):
+        def _print_Symbol(self, expr):
+            return _name(expr.name)
+
+    return ScalarPrinter({"order": "lex"})
+
+
+def _scalar_text(value):
+    """(text, whether it is a sum of several terms) of a Scalar."""
+    v = value.value
+    if value.is_rational:
+        return str(v), False
+    if v.__class__ is not Poly:
+        expr = value.as_expr()
+        return _sympy_printer().doprint(expr), expr.is_Add
+    terms = _poly_terms(v)
+    sign, text = terms[0]
+    text = text if sign == "+" else f"-{text}"
+    return text + "".join(f" {sign} {t}" for sign, t in terms[1:]), len(terms) > 1
 
 
 def render_scalar(value):
-    return _printer.doprint(sympy.sympify(value))
+    return _scalar_text(as_scalar(value))[0]
 
 
 def _term(coeff, body):
@@ -45,11 +89,8 @@ def _term(coeff, body):
         if p == 1:
             return body
         return f"-{body}" if p == -1 else f"{p} * {body}"
-    expr = coeff.as_expr()
-    text = render_scalar(expr)
-    if expr.is_Add:
-        text = f"({text})"
-    return f"{text} * {body}"
+    text, is_sum = _scalar_text(coeff)
+    return f"({text}) * {body}" if is_sum else f"{text} * {body}"
 
 
 def _render_form_indices(chart, idx):

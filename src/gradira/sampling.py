@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import os
 import random
-
-import sympy
+from fractions import Fraction
 
 from . import scalars
 from .forms import Form
@@ -26,7 +25,7 @@ def rng_from_env():
 def random_rational(rng, span=4):
     num = rng.randint(-span, span)
     den = rng.randint(1, 3)
-    return sympy.Rational(num, den)
+    return Fraction(num, den)
 
 
 def random_polynomial(rng, chart, degree=1, terms=2, symbols=None):

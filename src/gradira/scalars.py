@@ -1,70 +1,88 @@
 """The exact scalar coefficient field.
 
-A scalar is a rational function with rational coefficients in coordinate
-symbols and formal function symbols (plus their formal partials).
-``Scalar`` is the one value type of every stored coefficient:
+A scalar is a rational function with rational coefficients in named
+generators: chart coordinates, formal function symbols and their formal
+partials.  ``Scalar`` is the one value type of every stored coefficient,
+and its ``value`` is exactly one of:
 
-* an integer is held as a Python ``int`` and any other constant as a
-  ``QQ`` rational, so constant arithmetic, which is most of the traffic
-  and nearly all of it between integers, costs well under a microsecond;
-* anything else is held as an element of a ``sympy.polys`` fraction field
-  whose generators are exactly the symbols it depends on, in one canonical
-  order (``sympy.polys.polyutils._sort_gens``, ties broken by name).  Such
-  an element is a ratio of coprime integer polynomials whose denominator
-  has a positive leading coefficient, so it is its own normal form:
-  equality is equality of representations, and no operation here calls
-  ``sympy.cancel``.
+* an ``int``, for an integer;
+* a ``fractions.Fraction``, for any other constant;
+* a ``Poly``, for a non-constant polynomial: a dict from exponent tuples
+  to nonzero ints over a positive int denominator that shares no factor
+  with all of them, over the canonical tuple of the generator names it
+  uses (sympy's generator order, ``gen_key``);
+* an element of a ``sympy.polys`` fraction field (``ratfunc``), for a
+  value with a non-constant denominator, over exactly the generators it
+  uses, in the same order.
 
-Operands over different generators are lifted to the field of the union
-first; a result that loses a generator moves to the smaller field, and a
-constant result becomes an int or a rational again.  Every operation
-normalises to that one representation, so an integer-valued ``QQ`` is
-never stored, and a value's representation does not depend on the order
-in which symbols were met.
+Every operation returns that one canonical representation, so equality
+is equality of representations; a result that loses a generator or
+becomes a polynomial or a constant moves to the smaller representation.
+Polynomial arithmetic is int arithmetic on the term dicts, and only the
+content is ever cancelled against the denominator: no polynomial gcd.
 
-Expressions cross the boundary both ways: ``as_scalar`` takes ints,
-Fractions, strings and sympy expressions, and ``sympy.sympify(c)`` (or
-``c.as_expr()``) gives back the canonical expression, the one
-``sympy.cancel`` prints.  Arithmetic and comparison with an expression
-convert it first; division by zero raises ``UndefinedScalarError``.
+sympy is imported on first use only (``ratfunc``): by division by a
+non-constant value, by converting a sympy expression, a string or a
+``QQ`` (``as_scalar``, or arithmetic and comparison with one), and by
+``as_expr``/``_sympy_``, ``free_symbols`` and ``str``.  So
+``sympy.sympify(c)`` gives the canonical expression, the one
+``sympy.cancel`` prints.  Division by zero raises ``UndefinedScalarError``.
 
-Total differentiation treats every symbol as independent and adds the
+Total differentiation treats every generator as independent and adds the
 chain-rule contribution of declared function symbols and their partials:
-d(H)/d(y1) is the fresh indeterminate ``H__y1``.  A value with a constant
-denominator, which is most of them, is differentiated on the term dict of
-its numerator: one pass files each term's partial derivatives by
-generator, the chain-rule products raise the partial's exponent in the
-same dicts, and each entry has its content cancelled against the
-denominator once and goes straight to the field of exactly the
-generators it uses.  A value with a non-constant denominator takes the
-quotient rule in the field that also holds the partials.
+d(H)/d(y1) is the fresh generator ``H__y1``.  A polynomial is
+differentiated on its term dict: one pass files each term's partial
+derivatives by generator, the chain-rule products raise the partial's
+exponent in the same dicts, and each entry has its content cancelled
+against the denominator once.  A rational function takes the quotient
+rule in its fraction field.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import gcd
-from operator import itemgetter
-
-import sympy
-from sympy.polys.domains import QQ
-from sympy.polys.fields import FracField
-from sympy.polys.polyutils import _sort_gens
+from operator import add, itemgetter
 
 from .errors import UndefinedScalarError
 
-_QQ = type(QQ.one)
-_CONSTANTS = (int, _QQ)
+_CONSTANTS = (int, Fraction)
 
 
-def _constant(q):
-    """The value of a constant ``QQ``: its int when it is an integer."""
-    return int(q.numerator) if q.denominator == 1 else q
+def _ratfunc():
+    """The rational-function module; importing it imports sympy."""
+    from . import ratfunc
+
+    return ratfunc
 
 
-def _canonical(symbols):
-    """Generators in the canonical field order."""
-    return tuple(_sort_gens(sorted(symbols, key=str)))
+# -- generators --------------------------------------------------------------
+
+# sympy.polys.polyutils._sort_gens ranks a name by its letters without the
+# trailing integer (x, y, z first, then p..w, then a..o, then the rest),
+# then by those letters, then by the integer, then by the whole name.
+_LETTER_RANK = {**{c: 301 + i for i, c in enumerate("abcdefghijklmno")},
+                **{c: 216 + i for i, c in enumerate("pqrstuvw")},
+                "x": 124, "y": 125, "z": 126}
+_SPLIT = re.compile(r"(.*?)(\d*)$")
+_KEYS = {}
+
+
+def gen_key(name):
+    """The sort key of a generator name in the canonical generator order."""
+    key = _KEYS.get(name)
+    if key is None:
+        head, index = _SPLIT.match(name).groups()
+        key = _KEYS[name] = (_LETTER_RANK.get(head, 1000), head,
+                             int(index) if index else 0, name)
+    return key
+
+
+def canonical(names):
+    """Generator names in the canonical order."""
+    return tuple(sorted(names, key=gen_key))
 
 
 def _monomial_map(src, dst):
@@ -77,62 +95,184 @@ def _monomial_map(src, dst):
     return lambda m: get(m + (0,))
 
 
-class FieldRegistry:
-    """The fraction fields in use, one per canonical generator tuple, and
-    the maps that move elements between them.  Building a sympy field
-    compiles its monomial operations, so each is built once per process.
-    It is a cache: what it holds changes no value, since every element
-    lives in the field of exactly its own generators."""
+class _GeneratorMaps:
+    """The joint generators of two generator tuples, the generators a mask
+    keeps, and the monomial maps to them, each computed once.  It is a
+    cache: what it holds changes no value."""
 
     def __init__(self):
-        self._fields = {}  # canonical generator tuple -> FracField over QQ
-        self._unions = {}  # (field, field) -> (union field, map, map)
-        self._restrictions = {}  # (field, generator mask) -> (field, map)
+        self._unions = {}  # (gens, gens) -> (union gens, map, map)
+        self._restrictions = {}  # (gens, mask) -> (gens, map)
 
-    def field(self, symbols):
-        field = self._fields.get(symbols)
-        if field is None:
-            field = self._fields[symbols] = FracField(symbols, QQ)
-        return field
-
-    def union(self, fa, fb):
-        hit = self._unions.get((fa, fb))
+    def union(self, ga, gb):
+        hit = self._unions.get((ga, gb))
         if hit is None:
-            symbols = _canonical(set(fa.symbols) | set(fb.symbols))
-            hit = self._unions[fa, fb] = (
-                self.field(symbols), _monomial_map(fa.symbols, symbols),
-                _monomial_map(fb.symbols, symbols))
+            gens = canonical(set(ga) | set(gb))
+            hit = self._unions[ga, gb] = (
+                gens, None if gens == ga else _monomial_map(ga, gens),
+                None if gens == gb else _monomial_map(gb, gens))
         return hit
 
-    def restriction(self, field, mask):
-        hit = self._restrictions.get((field, mask))
+    def restriction(self, gens, mask):
+        hit = self._restrictions.get((gens, mask))
         if hit is None:
-            symbols = tuple(s for s, used in zip(field.symbols, mask) if used)
-            hit = self._restrictions[field, mask] = (
-                self.field(symbols), _monomial_map(field.symbols, symbols))
+            kept = tuple(g for g, used in zip(gens, mask) if used)
+            hit = self._restrictions[gens, mask] = (kept, _monomial_map(gens, kept))
         return hit
 
 
-FIELDS = FieldRegistry()
+GENERATORS = _GeneratorMaps()
 
 
-def _move(el, field, mono):
-    """``el`` as an element of ``field``; coprimality and the sign of the
-    denominator's leading coefficient survive re-indexing, so no cancel."""
-    new = field.ring.dtype
-    return field.dtype(new({mono(m): c for m, c in el.numer.items()}),
-                       new({mono(m): c for m, c in el.denom.items()}))
+def _reindexed(terms, mono):
+    return terms if mono is None else {mono(m): c for m, c in terms.items()}
 
 
-def _common(x, y):
-    """Two field elements lifted to the field of their joint generators."""
-    fx, fy = x.field, y.field
-    if fx is fy:
-        return x, y
-    field, mx, my = FIELDS.union(fx, fy)
-    return (x if fx is field else _move(x, field, mx),
-            y if fy is field else _move(y, field, my))
+# -- polynomials -------------------------------------------------------------
 
+class Poly:
+    """sum of c * x^m over ``terms`` divided by ``den``: a non-constant
+    polynomial over the canonical generator tuple ``gens``, every one of
+    them used, with nonzero int coefficients whose content is prime to
+    the positive int ``den``.  Immutable once made."""
+
+    __slots__ = ("gens", "terms", "den", "_hash")
+
+    def __init__(self, gens, terms, den):
+        self.gens = gens
+        self.terms = terms
+        self.den = den
+        self._hash = None
+
+    def __eq__(self, other):
+        return (other.__class__ is Poly and self.den == other.den
+                and self.gens == other.gens and self.terms == other.terms)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.gens, frozenset(self.terms.items()), self.den))
+        return h
+
+    def __reduce__(self):
+        return Poly, (self.gens, self.terms, self.den)
+
+
+def _rational(p, q):
+    """The constant p/q for ints p and q > 0: an int when q divides p."""
+    if q == 1:
+        return p
+    return p // q if p % q == 0 else Fraction(p, q)
+
+
+def _from_terms(gens, terms, d, check_gens=True):
+    """The Scalar of (sum of c * x^m over ``terms``) / d, for terms
+    {monomial over ``gens``: nonzero int} and an int d > 0: the content
+    cancelled against d, and, unless ``check_gens`` is false (every
+    generator is known to be used), the result moved to exactly the
+    generators it uses."""
+    if not terms:
+        return ZERO
+    g = d
+    for c in terms.values():
+        if g == 1:
+            break
+        g = gcd(g, c)
+    if check_gens:
+        mask = tuple(map(any, zip(*terms)))
+        if not any(mask):
+            return _wrap(_rational(next(iter(terms.values())), d))
+        if not all(mask):
+            gens, mono = GENERATORS.restriction(gens, mask)
+            terms = {mono(m): c for m, c in terms.items()}
+    if g > 1:
+        terms = {m: c // g for m, c in terms.items()}
+    return _wrap(Poly(gens, terms, d // g))
+
+
+def _lift(x, y):
+    """The term dicts of two polynomials over their joint generators."""
+    if x.gens == y.gens:
+        return x.gens, x.terms, y.terms
+    gens, mx, my = GENERATORS.union(x.gens, y.gens)
+    return gens, _reindexed(x.terms, mx), _reindexed(y.terms, my)
+
+
+def _add_poly(x, y):
+    gens, tx, ty = _lift(x, y)
+    dx, dy = x.den, y.den
+    if dx == dy:
+        acc = dict(tx)
+    else:
+        acc = {m: c * dy for m, c in tx.items()}
+        ty = {m: c * dx for m, c in ty.items()}
+    cancelled = False
+    for m, c in ty.items():
+        c += acc.get(m, 0)
+        if c:
+            acc[m] = c
+        else:
+            del acc[m]
+            cancelled = True
+    # with no term cancelled, every generator is still used
+    return _from_terms(gens, acc, dx if dx == dy else dx * dy, cancelled)
+
+
+def _mul_poly(x, y):
+    gens, tx, ty = _lift(x, y)
+    if len(tx) < len(ty):
+        tx, ty = ty, tx
+    acc = {}
+    get = acc.get
+    for my, cy in ty.items():
+        for mx, cx in tx.items():
+            m = tuple(map(add, mx, my))
+            c = get(m)
+            acc[m] = cx * cy if c is None else c + cx * cy
+    if 0 in acc.values():
+        acc = {m: c for m, c in acc.items() if c}
+    # a product of polynomials uses every generator of either factor
+    return _from_terms(gens, acc, x.den * y.den, False)
+
+
+def _shift_poly(x, p, q):
+    """x + p/q for a Poly x and a nonzero constant p/q (q > 0): no
+    generator is lost, and for q = 1 no content can cancel."""
+    d = x.den
+    terms = {m: c * q for m, c in x.terms.items()} if q != 1 else dict(x.terms)
+    zero = (0,) * len(x.gens)
+    c = terms.get(zero, 0) + p * d
+    if c:
+        terms[zero] = c
+    else:
+        del terms[zero]
+    if q == 1:
+        return _wrap(Poly(x.gens, terms, d))
+    return _from_terms(x.gens, terms, d * q, False)
+
+
+def _scale_poly(x, p, q):
+    """x * p/q for a Poly x and a nonzero constant p/q (q > 0)."""
+    if q == 1:
+        # the content is prime to den, so only p can share a factor with it
+        g = gcd(p, x.den)
+        p //= g
+        return _wrap(Poly(x.gens, {m: c * p for m, c in x.terms.items()}, x.den // g))
+    return _from_terms(x.gens, {m: c * p for m, c in x.terms.items()}, x.den * q, False)
+
+
+def _power_poly(x, exponent):
+    out = None
+    while True:
+        if exponent & 1:
+            out = x if out is None else _mul_poly(out, x).value
+        exponent >>= 1
+        if not exponent:
+            return _wrap(out)
+        x = _mul_poly(x, x).value
+
+
+# -- Scalar ------------------------------------------------------------------
 
 def _wrap(value):
     out = object.__new__(Scalar)
@@ -140,124 +280,65 @@ def _wrap(value):
     return out
 
 
-def _normal(el):
-    """The Scalar of a canonical field element: a rational when it is
-    constant, else over exactly the generators it uses."""
-    numer, denom = el.numer, el.denom
-    if not numer:
-        return ZERO
-    mask = tuple(map(any, zip(*numer, *denom)))
-    if not any(mask):
-        return _wrap(_constant(numer.LC / denom.LC))
-    if all(mask):
-        return _wrap(el)
-    return _wrap(_move(el, *FIELDS.restriction(el.field, mask)))
-
-
-def _inverse(el):
-    numer, denom = el.numer, el.denom
-    if numer.LC < 0:
-        numer, denom = -numer, -denom
-    return el.field.dtype(denom, numer)
-
-
-def _generator(symbol):
-    return _wrap(FIELDS.field((symbol,)).gens[0])
-
-
-def _neg(v):
-    if v.__class__ in _CONSTANTS:
-        return -v
-    return v.field.dtype(-v.numer, v.denom)
-
-
-def _ground(p):
-    """The integer of a constant polynomial (a canonical denominator is a
-    positive one), else None."""
-    if len(p) == 1:
-        c = p.get(p.ring.zero_monom)
-        if c is not None:
-            return c.numerator
-    return None
-
-
-def _over(field, numer, d):
-    """numer / d for an integer polynomial of ``field`` and a positive
-    integer d, their common content cancelled: the canonical form, found
-    without a polynomial gcd."""
-    if not numer:
-        return ZERO
-    g = d
-    for c in numer.values():
-        if g == 1:
-            break
-        g = gcd(g, c.numerator)
-    if g > 1:
-        numer, d = numer.quo_ground(QQ(g)), d // g
-    return _normal(field.dtype(numer, field.ring.ground_new(QQ(d))))
-
-
 # Binary operations on the values of two Scalars.  Two ints take the first
-# branch; a rational constant result goes back through ``_constant``.
-# Polynomials (constant denominators) take the content-only path of
-# ``_over``; everything else goes through sympy's field arithmetic, whose
-# results are canonical.
+# branch; constants stay Python numbers; polynomials stay Polys; a
+# rational function on either side goes to ``ratfunc``.
 
 def _add(x, y):
-    if x.__class__ is int:
-        if y.__class__ is int:
+    cx, cy = x.__class__, y.__class__
+    if cx is int:
+        if cy is int:
             return _wrap(x + y)
-        if y.__class__ is _QQ:
-            return _wrap(_constant(y + x))
-        x, y = y, x
-    elif x.__class__ is _QQ:
-        if y.__class__ in _CONSTANTS:
-            return _wrap(_constant(x + y))
-        x, y = y, x
-    elif y.__class__ not in _CONSTANTS:
-        x, y = _common(x, y)
-        dx, dy = _ground(x.denom), _ground(y.denom)
-        if dx is None or dy is None:
-            return _normal(x + y)
-        if dx == dy:
-            return _over(x.field, x.numer + y.numer, dx)
-        return _over(x.field, x.numer.mul_ground(dy) + y.numer.mul_ground(dx), dx * dy)
-    # x is a field element, y a constant
-    if not y:
-        return _wrap(x)
-    d = _ground(x.denom)
-    if d is None:
-        return _wrap(x + y)  # a constant shift keeps every generator
-    return _over(x.field, x.numer.mul_ground(y.denominator) + y.numerator * d,
-                 d * y.denominator)
+        if cy is Fraction:
+            return _wrap(_rational(y.numerator + x * y.denominator, y.denominator))
+        x, y, cx, cy = y, x, cy, cx
+    elif cx is Fraction:
+        if cy in _CONSTANTS:
+            s = x + y
+            return _wrap(s.numerator if s.denominator == 1 else s)
+        x, y, cx, cy = y, x, cy, cx
+    elif cx is Poly and cy is Poly:
+        return _add_poly(x, y)
+    if cy in _CONSTANTS:
+        if not y:
+            return _wrap(x)
+        if cx is Poly:
+            return _shift_poly(x, y.numerator, y.denominator)
+    return _ratfunc().add(x, y)
 
 
 def _mul(x, y):
-    if x.__class__ is int:
-        if y.__class__ is int:
+    cx, cy = x.__class__, y.__class__
+    if cx is int:
+        if cy is int:
             return _wrap(x * y)
-        if y.__class__ is _QQ:
-            return _wrap(_constant(y * x))
-        x, y = y, x
-    elif x.__class__ is _QQ:
-        if y.__class__ in _CONSTANTS:
-            return _wrap(_constant(x * y))
-        x, y = y, x
-    elif y.__class__ not in _CONSTANTS:
-        x, y = _common(x, y)
-        dx, dy = _ground(x.denom), _ground(y.denom)
-        if dx is None or dy is None:
-            return _normal(x * y)
-        return _over(x.field, x.numer * y.numer, dx * dy)
-    # x is a field element, y a constant
-    if not y:
-        return ZERO
-    if y == 1:
-        return _wrap(x)
-    d = _ground(x.denom)
-    if d is None:
-        return _wrap(x * y)  # so is a nonzero scale
-    return _over(x.field, x.numer.mul_ground(y.numerator), d * y.denominator)
+        if cy is Fraction:
+            return _wrap(_rational(x * y.numerator, y.denominator))
+        x, y, cx, cy = y, x, cy, cx
+    elif cx is Fraction:
+        if cy in _CONSTANTS:
+            s = x * y
+            return _wrap(s.numerator if s.denominator == 1 else s)
+        x, y, cx, cy = y, x, cy, cx
+    elif cx is Poly and cy is Poly:
+        return _mul_poly(x, y)
+    if cy in _CONSTANTS:
+        if not y:
+            return ZERO
+        if y == 1:
+            return _wrap(x)
+        if cx is Poly:
+            return _scale_poly(x, y.numerator, y.denominator)
+    return _ratfunc().mul(x, y)
+
+
+def _neg(v):
+    cls = v.__class__
+    if cls in _CONSTANTS:
+        return -v
+    if cls is Poly:
+        return Poly(v.gens, {m: -c for m, c in v.terms.items()}, v.den)
+    return v.field.dtype(-v.numer, v.denom)
 
 
 def _sub(x, y):
@@ -265,20 +346,17 @@ def _sub(x, y):
 
 
 def _div(x, y):
-    if y.__class__ is int:
+    cx, cy = x.__class__, y.__class__
+    if cy is int or cy is Fraction:
         if not y:
             raise UndefinedScalarError("division by zero")
-        if x.__class__ is int:
-            q, r = divmod(x, y)
-            return _wrap(q if not r else QQ(x, y))
-        if x.__class__ is _QQ:
-            return _wrap(_constant(x / y))
-        return _mul(x, _constant(QQ(1, y)))
-    if y.__class__ is _QQ:
-        if x.__class__ in _CONSTANTS:
-            return _wrap(_constant(x / y))
-        return _mul(x, _constant(1 / y))
-    return _mul(x, _inverse(y))
+        if cx is int and cy is int:
+            return _wrap(_rational(x * (1 if y > 0 else -1), abs(y)))
+        inverse = Fraction(y.denominator, y.numerator)
+        return _mul(x, inverse.numerator if inverse.denominator == 1 else inverse)
+    if cx in _CONSTANTS and not x:
+        return ZERO
+    return _ratfunc().div(x, y)
 
 
 def _binary(op):
@@ -296,9 +374,9 @@ def _binary(op):
 
 
 class Scalar:
-    """An element of the scalar field: an ``int``, a non-integer ``QQ``
-    rational or a canonical fraction-field element over exactly its own
-    symbols.  Immutable."""
+    """An element of the scalar field: an ``int``, a non-integer
+    ``Fraction``, a ``Poly`` or a canonical fraction-field element over
+    exactly its own generators.  Immutable."""
 
     __slots__ = ("value",)
 
@@ -306,6 +384,9 @@ class Scalar:
         return as_scalar(value)
 
     def __reduce__(self):
+        v = self.value
+        if v.__class__ in _CONSTANTS or v.__class__ is Poly:
+            return _wrap, (v,)
         return Scalar, (self.as_expr(),)
 
     def __copy__(self):
@@ -318,12 +399,7 @@ class Scalar:
 
     def as_expr(self):
         """The canonical sympy expression."""
-        v = self.value
-        if v.__class__ is int:
-            return sympy.Integer(v)
-        if v.__class__ is _QQ:
-            return sympy.Rational(v.numerator, v.denominator)
-        return v.as_expr()
+        return _ratfunc().as_expr(self.value)
 
     _sympy_ = as_expr
 
@@ -334,12 +410,23 @@ class Scalar:
 
     @property
     def is_rational(self):
-        """True for a constant, an int or a ``QQ``."""
+        """True for a constant, an int or a ``Fraction``."""
         return self.value.__class__ in _CONSTANTS
 
     @property
+    def generators(self):
+        """The names of the generators the value uses, in canonical order."""
+        v = self.value
+        if v.__class__ is Poly:
+            return v.gens
+        if v.__class__ in _CONSTANTS:
+            return ()
+        return _ratfunc().names(v.field)
+
+    @property
     def free_symbols(self):
-        return set() if self.is_rational else set(self.value.field.symbols)
+        """The sympy symbols of the generators."""
+        return _ratfunc().symbols(self.generators)
 
     # -- comparison ----------------------------------------------------------
 
@@ -359,9 +446,12 @@ class Scalar:
             if other is None:
                 return NotImplemented
         x, y = self.value, other.value
-        if x.__class__ in _CONSTANTS or y.__class__ in _CONSTANTS:
-            # one representation per value: constants of two types differ
-            return x.__class__ is y.__class__ and x == y
+        cls = x.__class__
+        if cls is not y.__class__:
+            # one representation per value
+            return False
+        if cls in _CONSTANTS or cls is Poly:
+            return x == y
         return x.field is y.field and x.numer == y.numer and x.denom == y.denom
 
     def __hash__(self):
@@ -384,76 +474,59 @@ class Scalar:
         if exponent.__class__ is not int:
             return NotImplemented
         v = self.value
-        if v.__class__ is int:
-            if exponent >= 0:
-                return _wrap(v**exponent)
-            if not v:
+        cls = v.__class__
+        if cls is int and exponent >= 0:
+            return _wrap(v**exponent)
+        if cls is int or cls is Fraction:
+            if exponent < 0 and not v:
                 raise UndefinedScalarError("division by zero")
-            return _wrap(_constant(QQ(1, v**-exponent)))
-        if v.__class__ is _QQ:  # never zero
-            return _wrap(_constant(v**exponent))
-        if exponent < 0:
-            v, exponent = _inverse(v), -exponent
+            p = Fraction(v) ** exponent
+            return _wrap(p.numerator if p.denominator == 1 else p)
         if exponent == 0:
             return ONE
-        return _wrap(v.field.dtype(_power(v.numer, exponent), _power(v.denom, exponent)))
-
-
-def _power(poly, exponent):
-    """poly**exponent as a fresh polynomial.  sympy squares in place and
-    hashes the square half-built (``imul_num`` looks it up in a set), so
-    its result keeps a stale cached hash; the copy has none yet."""
-    return (poly**exponent).copy()
+        if cls is Poly and exponent > 0:
+            return _power_poly(v, exponent)
+        return _ratfunc().power(v, exponent)
 
 
 ZERO = _wrap(0)
 ONE = _wrap(1)
 
 
+def generator(name):
+    """The Scalar of the generator ``name``."""
+    return _wrap(Poly((name,), {(1,): 1}, 1))
+
+
+def generator_name(value):
+    """The name of a Scalar that is one generator, else None."""
+    v = value.value
+    if v.__class__ is Poly and v.den == 1 and v.terms == {(1,): 1}:
+        return v.gens[0]
+    return None
+
+
 def _operand(value):
     """A Scalar for a Scalar, number or sympy expression; None otherwise."""
     if value.__class__ is Scalar:
         return value
-    if isinstance(value, (int, Fraction, _QQ, sympy.Basic)):
+    if isinstance(value, _CONSTANTS):
+        return as_scalar(value)
+    if "sympy" in sys.modules and _ratfunc().is_operand(value):
         return as_scalar(value)
     return None
 
 
-# Values outside the coefficient field: division by zero produces them.
-_UNDEFINED = (sympy.S.ComplexInfinity, sympy.S.NaN, sympy.S.Infinity,
-              sympy.S.NegativeInfinity)
-
-
 def as_scalar(value):
     """The Scalar of an int, Fraction, string, sympy expression or Scalar."""
-    if value.__class__ is Scalar:
+    cls = value.__class__
+    if cls is Scalar:
         return value
-    if value.__class__ is int:
+    if cls is int:
         return _wrap(value)
-    if isinstance(value, (int, Fraction, _QQ)):
-        return _wrap(_constant(QQ(value.numerator, value.denominator)))
-    expr = value if isinstance(value, sympy.Basic) else sympy.sympify(value, rational=True)
-    if isinstance(expr, sympy.Expr):
-        if expr.is_Rational:
-            return _wrap(_constant(QQ(expr.p, expr.q)))
-        if expr.is_Symbol:
-            return _generator(expr)
-        if expr.free_symbols and not expr.has(*_UNDEFINED):
-            out = _from_expr(expr)
-            if out is not None:
-                return out
-    raise UndefinedScalarError(f"{expr} is not an element of the scalar field")
-
-
-def _from_expr(expr):
-    """The Scalar of a rational function expression, None if it is not one."""
-    field = FIELDS.field(_canonical(expr.free_symbols))
-    try:
-        el = field.from_expr(expr)
-    except (ValueError, ZeroDivisionError):
-        return None
-    # from_expr leaves the sign of the denominator as it was built
-    return _normal(field.new(el.numer, el.denom))
+    if isinstance(value, _CONSTANTS):
+        return _wrap(_rational(int(value.numerator), int(value.denominator)))
+    return _ratfunc().from_sympy(value)
 
 
 def sadd(a, b):
@@ -503,56 +576,65 @@ def accumulate(data, key, term, sign=1):
         del data[key]
 
 
+# -- calculus ----------------------------------------------------------------
+
+def _chains(gens, chart):
+    """{coordinate index: [(generator, its partial or None)]}: a coordinate
+    generator contributes itself, a declared function or formal partial its
+    partial along each of its arguments that is a chart coordinate."""
+    index = chart._index
+    chains = {}
+    for name in gens:
+        i = index.get(name)
+        if i is not None:
+            chains.setdefault(i, []).append((name, None))
+            continue
+        for a in chart.function_args(name) or ():
+            if a in index:
+                chains.setdefault(index[a], []).append((name, chart.partial_name(name, a)))
+    return chains
+
+
 def diff(value, chart):
     """Gradient of a scalar: {coordinate index: nonzero total derivative},
     in coordinate order.
 
     A coordinate contributes its derivative; a declared function or formal
     partial f contributes d(value)/d(f) times its formal partial along each
-    of its arguments that is a chart coordinate; every other symbol is an
-    independent indeterminate.  Monomials are exponent tuples over the
-    field of the value's generators and the partials it meets.
+    of its arguments that is a chart coordinate; every other generator is
+    an independent indeterminate.
 
-    A value with a constant denominator d takes one pass over the terms of
-    its numerator (``_slopes``), and each entry is a term dict over d
-    reduced once (``_from_terms``).  Any other value takes the quotient
-    rule: one numerator over the denominator squared, reduced once.
+    A polynomial takes one pass over its terms (``_slopes``), over the
+    generators it uses and the partials it meets, and each entry is a
+    term dict over its denominator, reduced once (``_from_terms``).  A
+    rational function takes the quotient rule (``ratfunc.gradient``).
     """
-    value = as_scalar(value)
-    if value.is_rational:
-        return {}
-    el = value.value
-    index = chart._index
-    chains = {}  # coordinate index -> [(generator, its partial or None)]
-    for sym in el.field.symbols:
-        if sym.name in index:
-            chains.setdefault(index[sym.name], []).append((sym, None))
-            continue
-        for a in chart.function_args(sym.name) or ():
-            if a in index:
-                chains.setdefault(index[a], []).append(
-                    (sym, chart.partial_symbol(sym.name, a)))
+    if value.__class__ is not Scalar:
+        value = as_scalar(value)
+    v = value.value
+    if v.__class__ is not Poly:
+        if v.__class__ in _CONSTANTS:
+            return {}
+        return _ratfunc().gradient(v, _chains(_ratfunc().names(v.field), chart))
+    chains = _chains(v.gens, chart)
+    gens, terms = v.gens, v.terms
     partials = {p for chain in chains.values() for _, p in chain if p is not None}
-    field, mono = el.field, None
-    if partials:
-        field, mono, _ = FIELDS.union(el.field, FIELDS.field(_canonical(partials)))
-    d = _ground(el.denom)
-    if d is None:
-        return _quotient_gradient(el if mono is None else _move(el, field, mono), chains)
-    pos = {s: k for k, s in enumerate(field.symbols)}
-    terms = [(m if mono is None else mono(m), c.numerator) for m, c in el.numer.items()]
+    if not partials <= set(gens):
+        gens, mono, _ = GENERATORS.union(gens, canonical(partials))
+        terms = _reindexed(terms, mono)
+    pos = {s: k for k, s in enumerate(gens)}
     slopes = _slopes(terms, {pos[s] for chain in chains.values() for s, _ in chain})
     grad = {}
     for i in sorted(chains):
         acc = {}
-        for sym, partial in chains[i]:
-            for m, c in _times(slopes[pos[sym]], pos.get(partial)).items():
+        for name, partial in chains[i]:
+            for m, c in _times(slopes[pos[name]], pos.get(partial)).items():
                 c += acc.get(m, 0)
                 if c:
                     acc[m] = c
                 else:
                     del acc[m]
-        entry = _from_terms(field, acc, d)
+        entry = _from_terms(gens, acc, v.den)
         if entry:
             grad[i] = entry
     return grad
@@ -560,9 +642,9 @@ def diff(value, chart):
 
 def _slopes(terms, positions):
     """{k: d(numer)/d(generator k) as a term dict} for each position k, from
-    the (monomial, integer coefficient) terms of numer, in one pass."""
+    the {monomial: integer coefficient} terms of numer, in one pass."""
     slopes = {k: {} for k in positions}
-    for m, c in terms:
+    for m, c in terms.items():
         for k, slope in slopes.items():
             e = m[k]
             if e:
@@ -577,96 +659,62 @@ def _times(terms, j):
     return {m[:j] + (m[j] + 1,) + m[j + 1:]: c for m, c in terms.items()}
 
 
-def _from_terms(field, terms, d):
-    """The Scalar of (sum of c * m over ``terms``) / d, for terms
-    {monomial over ``field``'s generators: nonzero int} and a positive
-    integer d: the content cancelled against d, and the result moved
-    straight to the field of exactly the generators it uses."""
-    if not terms:
-        return ZERO
-    g = d
-    for c in terms.values():
-        if g == 1:
-            break
-        g = gcd(g, c)
-    mask = tuple(map(any, zip(*terms)))
-    if not any(mask):
-        return _wrap(_constant(QQ(next(iter(terms.values())), d)))
-    if not all(mask):
-        field, mono = FIELDS.restriction(field, mask)
-        terms = {mono(m): c for m, c in terms.items()}
-    numer = field.ring.dtype({m: _QQ(c // g) for m, c in terms.items()})
-    # the shared polynomial 1 of the field, as sympy's own field.one uses it
-    denom = field.one.numer if d == g else field.ring.ground_new(QQ(d // g))
-    return _wrap(field.dtype(numer, denom))
+def _evaluate(gens, terms, images):
+    """sum of c * prod(image(g)**e) over ``terms`` {monomial over gens:
+    rational c}, with every generator that is a key of ``images``
+    replaced by its image."""
+    images = [images[g] if g in images else generator(g) for g in gens]
+    acc = ZERO
+    for m, c in terms.items():
+        term = as_scalar(c)
+        for g, e in zip(images, m):
+            if e:
+                term = term * g**e
+        acc = acc + term
+    return acc
 
 
-def _quotient_gradient(el, chains):
-    """The gradient of a field element with a non-constant denominator,
-    over a field that holds every partial in ``chains``: each entry one
-    numerator over the denominator squared, reduced once."""
-    field = el.field
-    gen = dict(zip(field.symbols, field.ring.gens))
-    numer, denom = el.numer, el.denom
-    quotients = {}  # generator -> numerator of d(value)/d(generator)
-    grad = {}
-    for i in sorted(chains):
-        acc = field.ring.zero
-        for sym, partial in chains[i]:
-            q = quotients.get(sym)
-            if q is None:
-                g = gen[sym]
-                q = quotients[sym] = numer.diff(g) * denom - numer * denom.diff(g)
-            acc = acc + (q if partial is None else q * gen[partial])
-        entry = _normal(field.new(acc, denom**2))
-        if entry:
-            grad[i] = entry
-    return grad
+def parts(value):
+    """The numerator and denominator of a Scalar as term dicts {exponent
+    tuple over its generators: int or Fraction}."""
+    v = value.value
+    if v.__class__ in _CONSTANTS:
+        return {(): v.numerator}, {(): v.denominator}
+    if v.__class__ is Poly:
+        return v.terms, {(0,) * len(v.gens): v.den}
+    return _ratfunc().parts(v)
 
 
 def substitute(value, images):
-    """``value`` with every generator that is a key of ``images`` (sympy
-    symbols) replaced by its image, a Scalar."""
-    value = as_scalar(value)
-    el = value.value
-    if value.is_rational or images.keys().isdisjoint(el.field.symbols):
+    """``value`` with every generator whose name is a key of ``images``
+    replaced by its image, a Scalar."""
+    if value.__class__ is not Scalar:
+        value = as_scalar(value)
+    gens = value.generators
+    if images.keys().isdisjoint(gens):
         return value
-    gens = [images[s] if s in images else _generator(s) for s in el.field.symbols]
-
-    def evaluate(poly):
-        acc = ZERO
-        for m, c in poly.items():
-            term = _wrap(_constant(c))
-            for g, e in zip(gens, m):
-                if e:
-                    term = term * g**e
-            acc = acc + term
-        return acc
-
-    return evaluate(el.numer) / evaluate(el.denom)
+    numer, denom = parts(value)
+    return _evaluate(gens, numer, images) / _evaluate(gens, denom, images)
 
 
 def is_polynomial(value, chart):
     """True when the scalar is a polynomial in the chart coordinates with
     rational constants and no formal function symbols."""
-    value = as_scalar(value)
-    if value.is_rational:
+    v = as_scalar(value).value
+    if v.__class__ in _CONSTANTS:
         return True
-    el = value.value
-    return (el.denom.is_ground
-            and all(s.name in chart._index for s in el.field.symbols))
+    return v.__class__ is Poly and all(g in chart._index for g in v.gens)
 
 
 def poly_monomials(value, chart):
     """Yield (coefficient, exponent tuple over the chart coordinates) of a
     polynomial scalar."""
     value = as_scalar(value)
-    if value.is_rational:
-        if value:
+    v = value.value
+    if v.__class__ in _CONSTANTS:
+        if v:
             yield value, (0,) * chart.m
         return
-    el = value.value
-    mono = _monomial_map(el.field.symbols, chart.syms)
-    denom = el.denom.LC
-    for m, c in el.numer.items():
-        yield _wrap(_constant(c / denom)), mono(m)
+    mono = _monomial_map(v.gens, chart.coords)
+    for m, c in v.terms.items():
+        yield _wrap(_rational(c, v.den)), mono(m)

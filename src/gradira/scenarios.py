@@ -19,9 +19,9 @@ the Liouville part of theta, the canonical H and the Yang-Mills H.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-import sympy
-
+from . import scalars
 from .chart import Chart
 from .errors import ChartError
 from .forms import (Form, MultiVector, MvForm, contract, linear_combination,
@@ -119,8 +119,7 @@ def reduced_canonical(n, k=1, fields=None, momentum_name=None, declare_h=True):
     p = lambda u, mu: chart.sym(_momentum(chart, fields, u, mu))
     ham = None
     if declare_h:
-        chart.declare_function("H")
-        ham = Form.scalar_form(chart, sympy.Symbol("H")) * volume_contraction(chart, [])
+        ham = Form.scalar_form(chart, chart.declare_function("H")) * volume_contraction(chart, [])
         ham = ham - _momentum_sum(chart, [(p(u, mu), u, mu)
                                           for u in fields for mu in range(1, n + 1)])
     gens = [(f"{u} dX[{mu}]", Form.scalar_form(chart, chart.sym(u)) * vol(mu))
@@ -147,8 +146,8 @@ def _structure_constants(algebra, dim):
     if algebra == "su2":
         eps = {}
         for i, j, k in [(1, 2, 3), (2, 3, 1), (3, 1, 2)]:
-            eps[(i, j, k)] = sympy.Integer(1)
-            eps[(i, k, j)] = sympy.Integer(-1)
+            eps[(i, j, k)] = 1
+            eps[(i, k, j)] = -1
         return eps, 3
     raise ChartError(f"unsupported algebra {algebra!r}")
 
@@ -164,7 +163,7 @@ def _check_lie_algebra(c, dim):
         for j in range(1, dim + 1):
             for k in range(1, dim + 1):
                 for m in range(1, dim + 1):
-                    acc = sympy.Integer(0)
+                    acc = 0
                     for l in range(1, dim + 1):
                         acc += c(m, i, l) * c(l, j, k)
                         acc += c(m, j, l) * c(l, k, i)
@@ -178,7 +177,7 @@ def yang_mills(n=3, algebra="su2", dim=1, signature=None):
     the connection coordinates A^i_mu restricted to the antisymmetric
     momentum locus, with the Yang-Mills Hamiltonian."""
     f, dim = _structure_constants(algebra, dim if algebra == "abelian" else 3)
-    c = lambda i, j, k: f.get((i, j, k), sympy.Integer(0))
+    c = lambda i, j, k: f.get((i, j, k), 0)
     _check_lie_algebra(c, dim)
     if signature is None:
         signature = tuple(1 for _ in range(n))
@@ -204,7 +203,7 @@ def yang_mills(n=3, algebra="su2", dim=1, signature=None):
     def pt(mu, nu, i):
         """ptilde^{mu nu}_i with the antisymmetry convention baked in."""
         if mu == nu:
-            return sympy.Integer(0)
+            return scalars.ZERO
         if mu < nu:
             return chart.sym(f"pt{mu}{nu}_{i}")
         return -chart.sym(f"pt{nu}{mu}_{i}")
@@ -221,14 +220,14 @@ def yang_mills(n=3, algebra="su2", dim=1, signature=None):
     # The f-term index order is the curvature-convention pin: it makes the
     # bracket-generated equations of motion read
     #   dA^i_mu/dx^nu - dA^i_nu/dx^mu = -pt^i_{mu nu} + f^i_{jk} A^j_mu A^k_nu.
-    h_scal = sympy.Integer(0)
+    h_scal = scalars.ZERO
     for i, mu, nu in indices:
         lowered = signature[mu - 1] * signature[nu - 1] * pt(mu, nu, i)
-        h_scal += -sympy.Rational(1, 4) * pt(mu, nu, i) * lowered
+        h_scal += -Fraction(1, 4) * pt(mu, nu, i) * lowered
         for j in range(1, dim + 1):
             for k in range(1, dim + 1):
                 h_scal += (
-                    sympy.Rational(1, 2)
+                    Fraction(1, 2)
                     * c(i, j, k)
                     * pt(mu, nu, i)
                     * chart.sym(f"A{j}_{mu}")
@@ -286,7 +285,7 @@ def canonical_extension_table(scn, style="symmetric"):
     entries = []
     for u in fields:
         value = linear_combination(
-            [(sympy.Rational(1, n), tensor(f"x{mu}", momentum(u, mu))) for mu in mus], zero)
+            [(Fraction(1, n), tensor(f"x{mu}", momentum(u, mu))) for mu in mus], zero)
         entries.append((wedge(d(u), vol), value))
     for u in fields:
         for mu in mus:

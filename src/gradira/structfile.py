@@ -14,6 +14,10 @@ inside is a string in the FormExpr grammar:
       "scenario":   {"name": ..., params...}              (optional, metadata)
     }
 
+An error in an entry of the ``sn``, ``sharp_n``, ``generators`` or
+``extension`` list is located as (entry number, column), entries counted
+from 1.
+
 Extension tables also round-trip through a line-oriented text block
 `extend <form> => <mvform>` via dump_extension/parse_extension.  A zero
 value renders as 0, which carries no grading: both readers give it the
@@ -102,17 +106,18 @@ def load_structure_file(path_or_dict):
     sharp_n = _section(doc, "sharp_n", _is_strings, strings, [])
     if len(sn) != len(sharp_n):
         raise ParseError("sn and sharp_n sections differ in length")
-    gens = [parse_form(text, chart, degree=n) for text in sn]
-    values = [parse_multivector(text, chart, degree=1) for text in sharp_n]
+    gens = [parse_form(text, chart, degree=n, start=(k, 1)) for k, text in enumerate(sn, 1)]
+    values = [parse_multivector(text, chart, degree=1, start=(k, 1))
+              for k, text in enumerate(sharp_n, 1)]
     structure = Structure(chart, gens, values)
     hamiltonian = None
     text = _section(doc, "hamiltonian", lambda v: isinstance(v, str), "a string", "")
     if text:
         hamiltonian = parse_form(text, chart, degree=n)
     generators = []
-    for label, text in _section(doc, "generators", _is_string_pairs,
-                                "a list of [label, form] string pairs", []):
-        generators.append((label, parse_form(text, chart, degree=n - 1)))
+    for k, (label, text) in enumerate(_section(doc, "generators", _is_string_pairs,
+                                               "a list of [label, form] string pairs", []), 1):
+        generators.append((label, parse_form(text, chart, degree=n - 1, start=(k, 1))))
     extension = None
     extension_doc = _section(doc, "extension", _is_string_pairs,
                              "a list of [form, value] string pairs", [])

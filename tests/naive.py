@@ -29,9 +29,12 @@ keys and takes the pairing-system components that their keys touch;
 ``naive_generator_echelon`` eliminates a span in column form, one row per
 component key and one unknown per generator, where the package takes the
 generators as rows; ``naive_render`` prints every coefficient through
-sympy (``naive_term``) and finds each ``dX[...]`` sign by contracting the
-volume (``naive_render_form_indices``), where the package writes a
-constant from its numerator and denominator and counts the sign; ``decompose_s1_power``,
+sympy's printer (``naive_render_scalar``, ``naive_term``) and finds each
+``dX[...]`` sign by contracting the volume (``naive_render_form_indices``),
+where the package writes constants and polynomials itself and counts the
+sign; ``naive_field``, ``naive_scalar``, ``naive_field_gradient`` and
+``naive_field_substitute`` keep the scalar field as sympy's fraction field
+over QQ computes it, where the package holds its own polynomials; ``decompose_s1_power``,
 ``is_null`` and ``fiber_indices`` are helpers that only the tests use.
 ``naive_parse_expression`` is the expression parser as it was before its
 name atoms shared one comma-list reader and one coordinate check, and
@@ -48,8 +51,10 @@ from itertools import combinations, permutations
 
 import sympy
 from sympy.polys.domains import QQ
+from sympy.polys.fields import FracField
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import PolyRing
+from sympy.printing.str import StrPrinter
 
 from gradira import scalars
 from gradira.chart import _PARTIAL_SEP
@@ -259,6 +264,50 @@ def is_zero_expr(expr):
     if not numer.free_symbols:
         return numer == 0
     return not PolyRing(sorted(numer.free_symbols, key=str), QQ).from_expr(numer)
+
+
+def naive_field(names):
+    """The sympy fraction field over QQ of the generators ``names``: the
+    scalar field as the package computed it before it held its own
+    polynomials.  sympy's arithmetic there is canonical, so a difference
+    is zero exactly when two values are equal."""
+    return FracField([sympy.Symbol(n) for n in names], QQ)
+
+
+def naive_scalar(field, value):
+    """A Scalar, number or expression as an element of ``field``, read
+    through its sympy expression."""
+    el = field.from_expr(sympy.sympify(value))
+    return field.new(el.numer, el.denom)
+
+
+def naive_field_gradient(el, coords, functions):
+    """{coordinate index: nonzero total derivative} of a field element by
+    sympy's quotient rule, with the chain rule of the declared functions
+    and their partials ``f__a__b`` (``functions`` maps name -> arguments);
+    the field must hold every partial that appears."""
+    used = {k for m in [*el.numer, *el.denom] for k, e in enumerate(m) if e}
+    gens = {s.name: g for k, (s, g) in enumerate(zip(el.field.symbols, el.field.gens))
+            if k in used}
+    every = {s.name: g for s, g in zip(el.field.symbols, el.field.gens)}
+    out = {}
+    for i, c in enumerate(coords):
+        total = el.diff(gens[c]) if c in gens else el.field.zero
+        for name, g in gens.items():
+            base, *diffs = name.split("__")
+            if base in functions and c in functions[base]:
+                total += el.diff(g) * every["__".join([base] + sorted(diffs + [c]))]
+        if total:
+            out[i] = total
+    return out
+
+
+def naive_field_substitute(el, images):
+    """``el`` with the generator of every name in ``images`` replaced by
+    its image, an element of the same field."""
+    expr = el.as_expr().xreplace({sympy.Symbol(n): image.as_expr()
+                                  for n, image in images.items()})
+    return naive_scalar(el.field, expr)
 
 
 def fiber_indices(chart):
@@ -752,17 +801,32 @@ def naive_support_graph(structure, candidates, system):
     return lone, [wk for wk in system.unknowns if ("w", wk) in reached]
 
 
+class _ScalarPrinter(StrPrinter):
+    """sympy's printer in lex order, a formal partial ``H__x1__y1`` written
+    as ``D(H,x1,y1)``."""
+
+    def _print_Symbol(self, expr):
+        name = expr.name
+        if _PARTIAL_SEP in name:
+            parts = name.split(_PARTIAL_SEP)
+            return f"D({parts[0]},{','.join(parts[1:])})"
+        return name
+
+
+def naive_render_scalar(value):
+    """A scalar's text, printed by sympy."""
+    return _ScalarPrinter({"order": "lex"}).doprint(sympy.sympify(value))
+
+
 def naive_term(coeff, body):
     """One rendered product term, the coefficient printed by sympy:
     ``body``, ``-body`` or ``c * body``, a sum coefficient parenthesised."""
-    from gradira.render import render_scalar
-
     expr = sympy.sympify(coeff)
     if expr == 1:
         return body
     if expr == -1:
         return f"-{body}"
-    text = render_scalar(expr)
+    text = naive_render_scalar(expr)
     if expr.is_Add:
         text = f"({text})"
     return f"{text} * {body}"
@@ -793,19 +857,18 @@ def naive_render(obj):
     """The text of a Form, MultiVector or MvForm, each term through
     ``naive_term`` with its coefficient times the ``dX`` sign."""
     from gradira.forms import Form, MultiVector
-    from gradira.render import render_scalar
 
     chart = obj.chart
     if isinstance(obj, Form):
         if obj.degree == 0:
-            return render_scalar(obj.scalar())
+            return naive_render_scalar(obj.scalar())
         terms = []
         for idx in sorted(obj.data):
             sign, factors = naive_render_form_indices(chart, idx)
             terms.append(naive_term(obj.data[idx] * sign, " ^ ".join(factors)))
     elif isinstance(obj, MultiVector):
         if obj.degree == 0:
-            return render_scalar(obj.data.get((), 0))
+            return naive_render_scalar(obj.data.get((), 0))
         terms = [naive_term(obj.data[idx], " ^ ".join(f"@/{chart.coords[i]}" for i in idx))
                  for idx in sorted(obj.data)]
     else:
@@ -1024,7 +1087,7 @@ class _Parser:
                 nxt_sym = self.chart.partial_symbol(sym, c)
                 if nxt_sym is None:
                     self.error(f"{sym} does not depend on {c}", tok)
-                sym = nxt_sym.name
+                sym = self.chart.partial_name(sym, c)
             return as_scalar(nxt_sym)
         if nxt.text == "(" and name in self.chart.functions:
             self.next()

@@ -1,12 +1,14 @@
 import re
+import sys
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from gradira import Chart, Form, MultiVector, MvForm, parse_expression, parse_form, wedge
+from gradira import parser
 from gradira.errors import ParseError, UndefinedScalarError
-from gradira.parser import MAX_DIGITS, MAX_EXPONENT, _tokenize, parse_multivector
+from gradira.parser import MAX_DEPTH, MAX_DIGITS, MAX_EXPONENT, _tokenize, parse_multivector
 from gradira.render import render, render_form
 from gradira.structfile import dump_scenario, load_structure_file
 
@@ -319,6 +321,44 @@ class TestInputCaps:
         x = chart.sym("x1")
         assert parse_expression(f"x1**{MAX_EXPONENT}", chart) == x**MAX_EXPONENT
         assert parse_expression("2**1000", chart) == sympy.Integer(2)**1000
+
+    @pytest.mark.parametrize("text", [
+        "(" * 150 + "y1" + ")" * 150 + " * dX[1]",
+        "-" * 20000 + "x1",
+        "-(" * 100 + "x1" + ")" * 100,
+    ], ids=["parentheses", "minus-signs", "both"])
+    def test_deep_nesting_is_located(self, chart, text):
+        # the first parenthesis or minus sign past the cap, not a RecursionError
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, chart)
+        assert (err.value.line, err.value.column) == (1, MAX_DEPTH + 1)
+        assert str(err.value) == f"1:{MAX_DEPTH + 1}: nesting deeper than {MAX_DEPTH} levels"
+
+    def test_nesting_at_the_cap_is_accepted(self, chart):
+        x = chart.sym("x1")
+        deep = "(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH
+        assert parse_expression(deep, chart) == x
+        assert parse_expression("-" * MAX_DEPTH + "x1", chart) == (-1) ** MAX_DEPTH * x
+        # closed groups do not add up
+        assert parse_expression(" + ".join([deep] * 3), chart) == 3 * x
+
+    def test_the_cap_is_well_inside_the_recursion_limit(self, chart):
+        # a parse at the cap still succeeds with a third of the recursion
+        # limit already used by the caller
+        deep = "-(" * (MAX_DEPTH // 2) + "x1" + ")" * (MAX_DEPTH // 2)
+
+        def nested(frames):
+            return nested(frames - 1) if frames else parse_expression(deep, chart)
+
+        assert nested(sys.getrecursionlimit() // 3) == (-1) ** (MAX_DEPTH // 2) * chart.sym("x1")
+
+    def test_suite_inputs_stay_well_under_the_depth_cap(self, monkeypatch, chart, red2, red3,
+                                                        ext2, ym_su2):
+        monkeypatch.setattr(parser, "MAX_DEPTH", MAX_DEPTH // 10)
+        for text in TestRoundTrip.CORPUS:
+            parse_expression(text, chart)
+        for scn in (red2, red3, ext2, ym_su2):
+            load_structure_file(dump_scenario(scn))
 
     def test_suite_inputs_stay_under_the_cap(self, red2, red3, ext2, ym_su2):
         texts = list(TestRoundTrip.CORPUS)

@@ -249,10 +249,9 @@ def test_division_by_zero_is_undefined():
         Form.d_coord(ch, "x1") / zero
 
 
-# Integers are held as Python ints, other constants as QQ rationals and
-# everything else as field elements: random triples of the three kinds
-# against sympy's own arithmetic, cancelled.
-_QQ_TYPE = type(QQ.one)
+# Integers are held as Python ints, other constants as Fractions and
+# everything else as polynomials or field elements: random triples of the
+# three kinds against sympy's own arithmetic, cancelled.
 _X1, _Y1, _H = sympy.symbols("x1 y1 H")
 _MONOMIALS = [sympy.Integer(1), _X1, _Y1, _H, _X1 * _Y1, _Y1**2, _X1 * _H]
 _ints = st.integers(-6, 6).map(sympy.Integer)
@@ -286,7 +285,7 @@ def _number(expr):
 
 def _assert_canonical(got, expected):
     """``got`` is the canonical Scalar of ``expected``, held as an int when
-    it is an integer and never as an integer-valued QQ."""
+    it is an integer and never as an integer-valued Fraction."""
     reference = sympy.cancel(expected)
     assert got.as_expr() == reference
     assert str(got) == str(reference)
@@ -294,9 +293,9 @@ def _assert_canonical(got, expected):
     if reference.is_Integer:
         assert value.__class__ is int
     elif reference.is_Rational:
-        assert value.__class__ is _QQ_TYPE and value.denominator != 1
+        assert value.__class__ is Fraction and value.denominator != 1
     else:
-        assert value.__class__ not in (int, _QQ_TYPE)
+        assert value.__class__ not in (int, Fraction)
     assert got == scalars.as_scalar(reference) and hash(got) == hash(scalars.as_scalar(reference))
 
 

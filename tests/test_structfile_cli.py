@@ -346,6 +346,50 @@ class TestCli:
         assert (code, out) == (2, "")
         assert err == "error: function name 'h_' may not end in '_'\n"
 
+    @pytest.mark.parametrize("section, edit, message", [
+        ("sn", lambda doc: doc["sn"].__setitem__(1, "d(y1) ^ d(z9)"),
+         "2:11: unknown coordinate 'z9'"),
+        ("sharp_n", lambda doc: doc["sharp_n"].__setitem__(1, "@/x1 ^ @/y1"),
+         "2:1: expected a degree 1 multivector, got 2"),
+        ("generators", lambda doc: doc["generators"][2].__setitem__(1, "y1 * dX[3]"),
+         "3:9: base index 3 out of range 1..2"),
+    ], ids=["sn", "sharp_n", "generators"])
+    def test_entry_error_located_at_entry_number(self, red2, tmp_path, capsys, section,
+                                                 edit, message):
+        # the line of the location is the entry number, as for extension entries
+        doc = dump_scenario(red2)
+        edit(doc)
+        with pytest.raises(ParseError) as err:
+            load_structure_file(doc)
+        assert str(err.value) == message
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["verify", "-f", str(path)], capsys) == (2, "", f"error: {message}\n")
+
+    DEEP = "(" * 150 + "y1" + ")" * 150 + " * dX[1]"
+    MINUS = "-" * 20000 + "y1 * dX[1]"
+
+    @pytest.mark.parametrize("args, column", [
+        (["bracket", "-a", DEEP, "-b", "p1_1 * dX[1] + p2_1 * dX[2]"], 51),
+        (["bracket", "-a", "y1 * dX[1]", "-b", MINUS], 51),
+        (["special", "-a", DEEP], 51),
+        (["hamiltonian", "-H", "H * dX[] + " + DEEP], 62),
+    ], ids=["bracket", "bracket-minus", "special", "hamiltonian"])
+    def test_deep_nesting_exit_2_located(self, red2, tmp_path, capsys, args, column):
+        path = tmp_path / "structure.json"
+        path.write_text(json.dumps(dump_scenario(red2)))
+        command, *rest = args
+        assert run_cli([command, "-f", str(path), *rest], capsys) == (
+            2, "", f"error: 1:{column}: nesting deeper than 50 levels\n")
+
+    def test_deep_structure_file_entry_exit_2_located(self, red2, tmp_path, capsys):
+        doc = dump_scenario(red2)
+        doc["sn"][2] = "(" * 60 + "y1" + ")" * 60 + " * dX[1]"
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["verify", "-f", str(path)], capsys) == (
+            2, "", "error: 3:51: nesting deeper than 50 levels\n")
+
     def test_bivector_sharp_value_is_a_parse_error(self, red2, tmp_path, capsys):
         doc = dump_scenario(red2)
         doc["sharp_n"][0] = "@/x1 ^ @/y1"
