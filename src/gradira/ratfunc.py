@@ -108,6 +108,10 @@ def _pair(x, y):
     return _element(x, joint, mx), _element(y, joint, my)
 
 
+def _fraction(q):
+    return Fraction(int(q.numerator), int(q.denominator))
+
+
 def normal(el):
     """The Scalar of a canonical field element: a constant or a ``Poly``
     when its denominator is constant, else over exactly the generators it
@@ -116,9 +120,8 @@ def normal(el):
     if not numer:
         return ZERO
     if denom.is_ground:
-        d = Fraction(int(denom.LC.numerator), int(denom.LC.denominator))
-        coeffs = {m: Fraction(int(c.numerator), int(c.denominator)) / d
-                  for m, c in numer.items()}
+        d = _fraction(denom.LC)
+        coeffs = {m: _fraction(c) / d for m, c in numer.items()}
         lcm = 1
         for c in coeffs.values():
             lcm = lcm * c.denominator // gcd(lcm, c.denominator)
@@ -172,8 +175,7 @@ def _power(poly, exponent):
 def parts(el):
     """The numerator and denominator of a field element as term dicts
     {monomial: Fraction}."""
-    return tuple({m: Fraction(int(c.numerator), int(c.denominator)) for m, c in p.items()}
-                 for p in (el.numer, el.denom))
+    return tuple({m: _fraction(c) for m, c in p.items()} for p in (el.numer, el.denom))
 
 
 def gradient(el, chains):
