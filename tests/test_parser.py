@@ -343,14 +343,14 @@ class TestInputCaps:
         assert parse_expression(" + ".join([deep] * 3), chart) == 3 * x
 
     def test_the_cap_is_well_inside_the_recursion_limit(self, chart):
-        # a parse at the cap still succeeds with a third of the recursion
-        # limit already used by the caller
-        deep = "-(" * (MAX_DEPTH // 2) + "x1" + ")" * (MAX_DEPTH // 2)
+        # parentheses cost the most frames per level; a parse at the cap
+        # still succeeds with a third of the recursion limit already used
+        deep = "(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH
 
         def nested(frames):
             return nested(frames - 1) if frames else parse_expression(deep, chart)
 
-        assert nested(sys.getrecursionlimit() // 3) == (-1) ** (MAX_DEPTH // 2) * chart.sym("x1")
+        assert nested(sys.getrecursionlimit() // 3) == chart.sym("x1")
 
     def test_suite_inputs_stay_well_under_the_depth_cap(self, monkeypatch, chart, red2, red3,
                                                         ext2, ym_su2):
