@@ -8,6 +8,7 @@ from .errors import DegreeError, NonPolynomialError, NotClosedError
 from .forms import (Form, MultiVector, MvForm, _bilinear, _contract_by_pair, contract,
                     linear_combination)
 from .multiindex import merge
+from .render import render_scalar
 
 __all__ = [
     "exterior_derivative",
@@ -147,7 +148,7 @@ def poincare_primitive(alpha):
         raise NotClosedError("a nonzero 0-form has no primitive")
     for c in alpha.data.values():
         if not scalars.is_polynomial(c, chart):
-            raise NonPolynomialError(f"coefficient {c} is not polynomial")
+            raise NonPolynomialError(f"coefficient {render_scalar(c)} is not polynomial")
     if exterior_derivative(alpha):
         raise NotClosedError("poincare_primitive needs a closed form")
     a = alpha.degree

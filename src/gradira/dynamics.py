@@ -25,7 +25,7 @@ from .forms import (
     wedge,
 )
 from .linsolve import Echelon
-from .render import render, render_form
+from .render import render, render_form, render_scalar
 from .report import Report
 from .structure import bracket_formula, hamiltonian_decomposition, require_hamiltonian
 
@@ -307,7 +307,7 @@ def check_subalgebra_condition(alpha, u_alpha, structure):
             report.add(
                 label,
                 ok,
-                f"C = {c_val}" if ok else "no nonzero constant matches",
+                f"C = {render_scalar(c_val)}" if ok else "no nonzero constant matches",
             )
     return report
 

@@ -11,18 +11,22 @@ and its ``value`` is exactly one of:
   to nonzero ints over a positive int denominator that shares no factor
   with all of them, over the canonical tuple of the generator names it
   uses (sympy's generator order, ``gen_key``);
-* an element of a ``sympy.polys`` fraction field (``ratfunc``), for a
-  value with a non-constant denominator, over exactly the generators it
-  uses, in the same order.
+* a ``Frac``, for a value with a non-constant denominator: coprime int
+  term dicts for its numerator and denominator, the denominator with a
+  positive lex leading coefficient, over exactly the generators they
+  use, in the same order.
 
 Every operation returns that one canonical representation, so equality
 is equality of representations; a result that loses a generator or
 becomes a polynomial or a constant moves to the smaller representation.
 Polynomial arithmetic is int arithmetic on the term dicts, and only the
 content is ever cancelled against the denominator: no polynomial gcd.
+A ``Frac`` takes the same term-dict arithmetic in ``ratfunc``, whose
+``reduce`` cancels each result by one sympy gcd.
 
 sympy is imported on first use only (``ratfunc``): by division by a
-non-constant value, by converting a sympy expression, a string or a
+non-constant value, by arithmetic on or differentiation of a ``Frac``,
+by converting a sympy expression, a string or a
 ``QQ`` (``as_scalar``, or arithmetic and comparison with one), and by
 ``as_expr``/``_sympy_``, ``free_symbols`` and ``str``.  So
 ``sympy.sympify(c)`` gives the canonical expression, the one
@@ -34,8 +38,8 @@ d(H)/d(y1) is the fresh generator ``H__y1``.  A polynomial is
 differentiated on its term dict: one pass files each term's partial
 derivatives by generator, the chain-rule products raise the partial's
 exponent in the same dicts, and each entry has its content cancelled
-against the denominator once.  A rational function takes the quotient
-rule in its fraction field.
+against the denominator once.  A ``Frac`` takes the quotient rule in the
+same pass, and each entry is reduced once.
 """
 
 from __future__ import annotations
@@ -158,6 +162,32 @@ class Poly:
         return Poly, (self.gens, self.terms, self.den)
 
 
+class Frac:
+    """``num`` / ``den``: a rational function with a non-constant
+    denominator, as int term dicts over the canonical generator tuple
+    ``gens``, every one of them used.  They are coprime in Z[gens],
+    integer content included, and the lex leading coefficient of ``den``
+    (at ``max(den)``) is positive: the form ``ratfunc.reduce`` makes.
+    Immutable once made."""
+
+    __slots__ = ("gens", "num", "den")
+
+    def __init__(self, gens, num, den):
+        self.gens = gens
+        self.num = num
+        self.den = den
+
+    def __eq__(self, other):
+        return (other.__class__ is Frac and self.gens == other.gens
+                and self.num == other.num and self.den == other.den)
+
+    def __hash__(self):
+        return hash((self.gens, frozenset(self.num.items()), frozenset(self.den.items())))
+
+    def __reduce__(self):
+        return Frac, (self.gens, self.num, self.den)
+
+
 def _rational(p, q):
     """The constant p/q for ints p and q > 0: an int when q divides p."""
     if q == 1:
@@ -198,28 +228,22 @@ def _lift(x, y):
     return gens, _reindexed(x.terms, mx), _reindexed(y.terms, my)
 
 
-def _add_poly(x, y):
-    gens, tx, ty = _lift(x, y)
-    dx, dy = x.den, y.den
-    if dx == dy:
-        acc = dict(tx)
-    else:
-        acc = {m: c * dy for m, c in tx.items()}
-        ty = {m: c * dx for m, c in ty.items()}
+def add_terms(acc, terms):
+    """acc += terms in place for two term dicts over the same generators;
+    True when a term cancelled."""
     cancelled = False
-    for m, c in ty.items():
+    for m, c in terms.items():
         c += acc.get(m, 0)
         if c:
             acc[m] = c
         else:
             del acc[m]
             cancelled = True
-    # with no term cancelled, every generator is still used
-    return _from_terms(gens, acc, dx if dx == dy else dx * dy, cancelled)
+    return cancelled
 
 
-def _mul_poly(x, y):
-    gens, tx, ty = _lift(x, y)
+def mul_terms(tx, ty):
+    """The product of two term dicts over the same generators."""
     if len(tx) < len(ty):
         tx, ty = ty, tx
     acc = {}
@@ -231,8 +255,38 @@ def _mul_poly(x, y):
             acc[m] = cx * cy if c is None else c + cx * cy
     if 0 in acc.values():
         acc = {m: c for m, c in acc.items() if c}
+    return acc
+
+
+def power_terms(terms, exponent):
+    """The term dict to a positive int power."""
+    out = None
+    while True:
+        if exponent & 1:
+            out = terms if out is None else mul_terms(out, terms)
+        exponent >>= 1
+        if not exponent:
+            return out
+        terms = mul_terms(terms, terms)
+
+
+def _add_poly(x, y):
+    gens, tx, ty = _lift(x, y)
+    dx, dy = x.den, y.den
+    if dx == dy:
+        acc = dict(tx)
+    else:
+        acc = {m: c * dy for m, c in tx.items()}
+        ty = {m: c * dx for m, c in ty.items()}
+    # with no term cancelled, every generator is still used
+    cancelled = add_terms(acc, ty)
+    return _from_terms(gens, acc, dx if dx == dy else dx * dy, cancelled)
+
+
+def _mul_poly(x, y):
+    gens, tx, ty = _lift(x, y)
     # a product of polynomials uses every generator of either factor
-    return _from_terms(gens, acc, x.den * y.den, False)
+    return _from_terms(gens, mul_terms(tx, ty), x.den * y.den, False)
 
 
 def _shift_poly(x, p, q):
@@ -261,17 +315,6 @@ def _scale_poly(x, p, q):
     return _from_terms(x.gens, {m: c * p for m, c in x.terms.items()}, x.den * q, False)
 
 
-def _power_poly(x, exponent):
-    out = None
-    while True:
-        if exponent & 1:
-            out = x if out is None else _mul_poly(out, x).value
-        exponent >>= 1
-        if not exponent:
-            return _wrap(out)
-        x = _mul_poly(x, x).value
-
-
 # -- Scalar ------------------------------------------------------------------
 
 def _wrap(value):
@@ -281,8 +324,8 @@ def _wrap(value):
 
 
 # Binary operations on the values of two Scalars.  Two ints take the first
-# branch; constants stay Python numbers; polynomials stay Polys; a
-# rational function on either side goes to ``ratfunc``.
+# branch; constants stay Python numbers; polynomials stay Polys; a Frac
+# on either side goes to ``ratfunc``.
 
 def _add(x, y):
     cx, cy = x.__class__, y.__class__
@@ -338,7 +381,7 @@ def _neg(v):
         return -v
     if cls is Poly:
         return Poly(v.gens, {m: -c for m, c in v.terms.items()}, v.den)
-    return v.field.dtype(-v.numer, v.denom)
+    return Frac(v.gens, {m: -c for m, c in v.num.items()}, v.den)
 
 
 def _sub(x, y):
@@ -375,8 +418,7 @@ def _binary(op):
 
 class Scalar:
     """An element of the scalar field: an ``int``, a non-integer
-    ``Fraction``, a ``Poly`` or a canonical fraction-field element over
-    exactly its own generators.  Immutable."""
+    ``Fraction``, a ``Poly`` or a ``Frac``.  Immutable."""
 
     __slots__ = ("value",)
 
@@ -384,10 +426,7 @@ class Scalar:
         return as_scalar(value)
 
     def __reduce__(self):
-        v = self.value
-        if v.__class__ in _CONSTANTS or v.__class__ is Poly:
-            return _wrap, (v,)
-        return Scalar, (self.as_expr(),)
+        return _wrap, (self.value,)
 
     def __copy__(self):
         return self
@@ -417,11 +456,7 @@ class Scalar:
     def generators(self):
         """The names of the generators the value uses, in canonical order."""
         v = self.value
-        if v.__class__ is Poly:
-            return v.gens
-        if v.__class__ in _CONSTANTS:
-            return ()
-        return _ratfunc().names(v.field)
+        return () if v.__class__ in _CONSTANTS else v.gens
 
     @property
     def free_symbols(self):
@@ -446,13 +481,8 @@ class Scalar:
             if other is None:
                 return NotImplemented
         x, y = self.value, other.value
-        cls = x.__class__
-        if cls is not y.__class__:
-            # one representation per value
-            return False
-        if cls in _CONSTANTS or cls is Poly:
-            return x == y
-        return x.field is y.field and x.numer == y.numer and x.denom == y.denom
+        # one representation per value
+        return x.__class__ is y.__class__ and x == y
 
     def __hash__(self):
         return hash(self.value)
@@ -485,7 +515,8 @@ class Scalar:
         if exponent == 0:
             return ONE
         if cls is Poly and exponent > 0:
-            return _power_poly(v, exponent)
+            # the content of a power is the power of the content: prime to den
+            return _wrap(Poly(v.gens, power_terms(v.terms, exponent), v.den**exponent))
         return _ratfunc().power(v, exponent)
 
 
@@ -607,34 +638,42 @@ def diff(value, chart):
     A polynomial takes one pass over its terms (``_slopes``), over the
     generators it uses and the partials it meets, and each entry is a
     term dict over its denominator, reduced once (``_from_terms``).  A
-    rational function takes the quotient rule (``ratfunc.gradient``).
+    rational function num/den takes the quotient rule in the same pass:
+    the slopes of num and den give each d(num)/d(g) * den - num *
+    d(den)/d(g) over den**2, and each entry is reduced once
+    (``ratfunc.reduce``).
     """
     if value.__class__ is not Scalar:
         value = as_scalar(value)
     v = value.value
-    if v.__class__ is not Poly:
-        if v.__class__ in _CONSTANTS:
-            return {}
-        return _ratfunc().gradient(v, _chains(_ratfunc().names(v.field), chart))
+    cls = v.__class__
+    if cls in _CONSTANTS:
+        return {}
     chains = _chains(v.gens, chart)
-    gens, terms = v.gens, v.terms
+    gens, num, den = (v.gens, v.terms, v.den) if cls is Poly else (v.gens, v.num, v.den)
     partials = {p for chain in chains.values() for _, p in chain if p is not None}
     if not partials <= set(gens):
         gens, mono, _ = GENERATORS.union(gens, canonical(partials))
-        terms = _reindexed(terms, mono)
+        num = _reindexed(num, mono)
+        if cls is Frac:
+            den = _reindexed(den, mono)
     pos = {s: k for k, s in enumerate(gens)}
-    slopes = _slopes(terms, {pos[s] for chain in chains.values() for s, _ in chain})
+    used = {pos[s] for chain in chains.values() for s, _ in chain}
+    slopes = _slopes(num, used)
+    if cls is Frac:
+        minus = {m: -c for m, c in num.items()}
+        for k, slope in _slopes(den, used).items():
+            slopes[k] = mul_terms(slopes[k], den)
+            add_terms(slopes[k], mul_terms(minus, slope))
+        reduce, den = _ratfunc().reduce, mul_terms(den, den)
+    else:
+        reduce = _from_terms
     grad = {}
     for i in sorted(chains):
         acc = {}
         for name, partial in chains[i]:
-            for m, c in _times(slopes[pos[name]], pos.get(partial)).items():
-                c += acc.get(m, 0)
-                if c:
-                    acc[m] = c
-                else:
-                    del acc[m]
-        entry = _from_terms(gens, acc, v.den)
+            add_terms(acc, _times(slopes[pos[name]], pos.get(partial)))
+        entry = reduce(gens, acc, den)
         if entry:
             grad[i] = entry
     return grad
@@ -676,13 +715,16 @@ def _evaluate(gens, terms, images):
 
 def parts(value):
     """The numerator and denominator of a Scalar as term dicts {exponent
-    tuple over its generators: int or Fraction}."""
-    v = value.value
+    tuple over its generators: int}."""
+    return _parts(value.value)
+
+
+def _parts(v):
     if v.__class__ in _CONSTANTS:
         return {(): v.numerator}, {(): v.denominator}
     if v.__class__ is Poly:
         return v.terms, {(0,) * len(v.gens): v.den}
-    return _ratfunc().parts(v)
+    return v.num, v.den
 
 
 def substitute(value, images):

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import comb
 from operator import itemgetter
 
 from . import scalars
 from .calculus import exterior_derivative, lie_derivative, schouten_data
-from .errors import (ChartError, DegreeError, MembershipError, NonWellDefinedError,
-                     NotHamiltonianError)
+from .errors import (ChartError, DegreeError, GradiraError, MembershipError,
+                     NonWellDefinedError, NotHamiltonianError)
 from .forms import (Form, MultiVector, MvForm, _bilinear, _combination,
                     _contract_by_pair, _pairing, _pairing_rows, contract,
                     linear_combination, mvform_contract_pair, wedge)
@@ -73,6 +74,12 @@ class CosetRep:
         return f"{render(self.rep)}  (mod K_{self.modulus_degree})"
 
 
+# The most W unknowns a pairing system may have.  Its rows take memory in
+# proportion, and 10**6 is about 5 times the S^4[1] system of
+# reduced_canonical(3, 3), the largest a built-in job sets up.
+MAX_PAIRING_UNKNOWNS = 1_000_000
+
+
 class PairingSystem:
     """The W side of the S^a[j] pairing iota_W alpha = iota_{sharp_1~(theta)} alpha
     (alpha in S^n, W in Lambda^{a-j} (x) V_{n+1-j}): one row per (S^n
@@ -91,6 +98,10 @@ class PairingSystem:
     well-formed keys, are those of the joint elimination."""
 
     def __init__(self, chart, generators, fdeg, vdeg, vertical):
+        size = comb(chart.m, fdeg) * (comb(chart.m, vdeg) - vertical * comb(chart.n, vdeg))
+        if size > MAX_PAIRING_UNKNOWNS:
+            raise GradiraError(f"the pairing system has {size:,} unknowns, more than "
+                               f"{MAX_PAIRING_UNKNOWNS:,}")
         self.space = (chart, fdeg, vdeg)  # the chart and grading of W
         vkeys = [v for v in combinations(range(chart.m), vdeg)
                  if not vertical or any(i >= chart.n for i in v)]

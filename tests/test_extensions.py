@@ -40,7 +40,7 @@ from gradira import (
 )
 from gradira import extensions, forms, linsolve, scalars, spans
 from gradira import structure as structure_module
-from gradira.errors import DegreeError, MembershipError, NotHamiltonianError
+from gradira.errors import DegreeError, GradiraError, MembershipError, NotHamiltonianError
 from gradira.extensions import s1_wedge_basis, solve_sharp_j
 from gradira.parser import parse_form
 from gradira.render import render
@@ -534,6 +534,22 @@ class TestPairingSystem:
         assert is_hamiltonian(red2.hamiltonian_form, st)[0]
         assert any(w is not None for w in solved) and system.components._echelons
         assert computed == []
+
+    @pytest.mark.parametrize("vertical", [False, True])
+    def test_unknown_budget_is_checked_before_any_row(self, red2, monkeypatch, vertical):
+        # the budget counts exactly the W unknowns: a system of the budget's
+        # size is built, one past it is refused before its rows are made
+        top = red2.structure
+        fresh = [Structure(top.chart, top.generators(top.n), top.sharp_values(top.n))
+                 for _ in range(3)]
+        size = len(fresh[0].pairing_system(2, 1, vertical).unknowns)
+        monkeypatch.setattr(structure_module, "MAX_PAIRING_UNKNOWNS", size)
+        assert len(fresh[1].pairing_system(2, 1, vertical).unknowns) == size
+        monkeypatch.setattr(structure_module, "MAX_PAIRING_UNKNOWNS", size - 1)
+        monkeypatch.setattr(structure_module, "_pairing_rows", None)
+        with pytest.raises(GradiraError, match=f"^the pairing system has {size:,} unknowns, "
+                                               f"more than {size - 1:,}$"):
+            fresh[2].pairing_system(2, 1, vertical)
 
     @pytest.mark.parametrize("name", sorted(COMPATIBILITY_STRUCTURES))
     def test_matches_joint_elimination(self, name):

@@ -9,13 +9,16 @@ with a constant denominator is never a fraction-field element, and a
 constant is an int or a non-integer Fraction.
 """
 
+import pickle
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.orderings import lex
 from sympy.polys.polyutils import _sort_gens
+from sympy.polys.rings import PolyRing
 
 from gradira import Chart, scalars
 from gradira.errors import UndefinedScalarError
@@ -68,11 +71,7 @@ def _element(value):
     v = value.value
     if value.is_rational:
         return FIELD(sympy.Rational(v.numerator, v.denominator))
-    if v.__class__ is scalars.Poly:
-        names, numer, denom = v.gens, v.terms, {(0,) * len(v.gens): v.den}
-    else:
-        names = tuple(s.name for s in v.field.symbols)
-        numer, denom = v.numer, v.denom
+    names, (numer, denom) = value.generators, scalars.parts(value)
     pos = [ATOMS.index(n) if n in ATOMS else len(ATOMS) + PARTIALS.index(n) for n in names]
 
     def poly(terms):
@@ -163,6 +162,25 @@ def test_substitute_matches_the_fraction_field(a, b, c):
             scalars.substitute(x, images)
         return
     assert_same(scalars.substitute(x, images), naive_field_substitute(ex, expected))
+
+
+@settings(max_examples=150, deadline=None)
+@given(values(), values())
+def test_pickle_keeps_the_value_and_frac_meets_its_invariant(a, b):
+    (x, _), (y, _) = a, b
+    for value in [x, y, x + y, x * y] + ([x / y] if y else []):
+        loaded = pickle.loads(pickle.dumps(value))
+        assert loaded == value and hash(loaded) == hash(value)
+        assert loaded.value.__class__ is value.value.__class__
+        v = value.value
+        if v.__class__ is not scalars.Frac:
+            continue
+        ring = PolyRing([sympy.Symbol(g) for g in v.gens], ZZ, lex)
+        # coprime in Z[gens], integer content included
+        assert ring(v.num).gcd(ring(v.den)) == 1
+        assert not ring(v.den).is_ground and v.den[max(v.den)] > 0
+        assert all(map(any, zip(*v.num, *v.den)))
+        assert all(c.__class__ is int for c in [*v.num.values(), *v.den.values()])
 
 
 # generator names of every shape: the letter ranks of sympy's order, a

@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -554,6 +555,22 @@ class TestCli:
              "reduced-canonical", "--out", out_file],
             capture_output=True, text=True)
         assert proc.returncode == 0
+
+    def test_oversized_pairing_system_exit_2_at_once(self, tmp_path):
+        # m = 19: the S^5[1] pairing system would have 15,019,500 unknowns;
+        # the budget refuses it before any row is made, so a 1 GB address
+        # space and 60 s are plenty
+        out_file = str(tmp_path / "structure.json")
+        subprocess.run(
+            [sys.executable, "-m", "gradira.cli", "scenario", "reduced-canonical",
+             "--n", "4", "--fields", "3", "--out", out_file], check=True, capture_output=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gradira.cli", "tower", "-f", out_file, "-a", "5", "-j", "1"],
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("error: the pairing system has 15,019,500 unknowns, "
+                               "more than 1,000,000\n")
 
     def test_cross_process_byte_identical_reports(self, tmp_path):
         out_file = str(tmp_path / "structure.json")

@@ -6,9 +6,16 @@ ints, rationals and polynomials only, so they never import it, while a
 true rational function imports it on demand.
 """
 
+import ast
+import pickle
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
+
+from gradira import render, scalars
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gradira"
 
 BUILT_IN_JOBS = """
     import contextlib, io, os, sys, tempfile
@@ -77,3 +84,77 @@ def test_a_rational_function_imports_sympy_on_demand():
     assert quotient == "x1/(y1 + 1) -x1/(y1**2 + 2*y1 + 1)"
     # the level-1 sharp values, found through pivots on 1 + y1
     assert pivots == "['-y1 - 1', '-y1/2 - 1/2', 'y1/2 + 1/2']"
+
+
+LOAD_PICKLE = """
+    import pickle, sys
+    value = pickle.loads(bytes.fromhex({data!r}))
+    print(type(value.value).__name__, value.generators)
+    print("sympy" in sys.modules)
+    from gradira import render
+    print(render(value))
+"""
+
+
+def test_loading_a_pickled_rational_function_does_not_import_sympy():
+    value = scalars.as_scalar("x1*H/(1 - 2*y1)")
+    kind, imported, text = _run(LOAD_PICKLE.format(data=pickle.dumps(value).hex()))
+    assert kind == "Frac ('x1', 'y1', 'H')"
+    assert imported == "False"
+    assert text == render(value) == "-H*x1/(2*y1 - 1)"
+
+
+MESSAGES = """
+    import sys
+    from fractions import Fraction
+    from gradira import Form, MultiVector, reduced_canonical, scalars, wedge
+    from gradira.calculus import poincare_primitive
+    from gradira.dynamics import check_subalgebra_condition
+    from gradira.errors import NonPolynomialError
+
+    red = reduced_canonical(2, 1)
+    ch, st = red.chart, red.structure
+    h_y1 = scalars.diff(scalars.generator("H"), ch)[ch.index("y1")]
+    try:
+        poincare_primitive(Form(ch, 1, {(0,): h_y1}))
+    except NonPolynomialError as exc:
+        print(exc)
+    alpha = Form.scalar_form(ch, ch.sym("y1"))
+    vector = lambda name: MultiVector.coord_vector(ch, name)
+    u = (wedge(vector("p1_1"), vector("x2")) - wedge(vector("p2_1"), vector("x1"))) / 2
+    for c in (1, 3, Fraction(-2, 3)):
+        report = check_subalgebra_condition(alpha, c * u, st).render()
+        print([line for line in report.splitlines() if "C =" in line])
+    print("sympy" in sys.modules)
+"""
+
+
+def test_messages_render_coefficients_without_sympy():
+    message, *constants, imported = _run(MESSAGES)
+    # the parser's name of the partial, not sympy's H__y1
+    assert message == "coefficient D(H,y1) is not polynomial"
+    # a constant reads as sympy printed it
+    assert constants == [str([f"PASS epsilon=-dX[2]: C = {c}", f"PASS epsilon=dX[1]: C = {c}"])
+                         for c in ("2", "2/3", "-3")]
+    assert imported == "False"
+
+
+def _imports_sympy(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "sympy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sympy"
+
+
+def test_only_ratfunc_imports_sympy_at_module_level():
+    """sympy is imported at module level only by ``ratfunc``, and inside a
+    function only by ``render._sympy_printer``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        top = set(map(id, tree.body))
+        for scope in ast.walk(tree):
+            for node in ast.iter_child_nodes(scope):
+                if _imports_sympy(node):
+                    where = "module" if id(node) in top else getattr(scope, "name", "?")
+                    found.append((path.stem, where))
+    assert sorted(set(found)) == [("ratfunc", "module"), ("render", "_sympy_printer")]
