@@ -650,7 +650,7 @@ def diff(value, chart):
     if cls in _CONSTANTS:
         return {}
     chains = _chains(v.gens, chart)
-    gens, num, den = (v.gens, v.terms, v.den) if cls is Poly else (v.gens, v.num, v.den)
+    gens, num, den = v.gens, v.terms if cls is Poly else v.num, v.den
     partials = {p for chain in chains.values() for _, p in chain if p is not None}
     if not partials <= set(gens):
         gens, mono, _ = GENERATORS.union(gens, canonical(partials))
