@@ -21,13 +21,18 @@ drops the pair.  Every product and contraction is one call to
 ``_bilinear``, which sums c_x * c_y over all pairs of stored terms,
 except the rows of ``_pairing_rows``.  The sums go through
 ``scalars.accumulate``, which drops zero coefficients, so no stored map
-ever holds a zero.  A pairing with a list of generators (a coset test) is
-``_pairing``, a ``_bilinear`` per generator.  Linear in the unknown
-components (a pairing system's rows, an annihilator) it is
-``_pairing_rows``, which indexes the unit unknowns by the vector index
-they contract and calls the pair function only on the units that a
-generator term holds.  The one index kernel that uses no pair function
-is ``structure.Structure.pairing_rhs``.
+ever holds a zero.  A pairing with a list of generators is ``_pairing``,
+a ``_bilinear`` per generator.  Linear in the unknown components (a
+pairing system's rows, an annihilator) it is ``_pairing_rows``, which
+indexes the unit unknowns by the vector index they contract and calls
+the pair function only on the units that a generator term holds.
+
+Three index kernels use no pair function.  ``_coordinate_contractions``
+gives iota_{@/x^i} for every coordinate i in one pass (the lower
+tower's candidates).  ``_full_contraction`` contracts a p-vector (or
+multivector valued form of vector degree p) into a p-form, where only
+equal keys pair: a sparse dot product (the coset tests and the tangency
+rows of a pullback).  ``structure.Structure.pairing_rhs`` is the third.
 """
 
 from __future__ import annotations
@@ -298,6 +303,39 @@ def _bilinear(xdata, ydata, pair):
             if sign:
                 accumulate(data, key, cy if cx is one else smul(cx, cy), sign)
     return data
+
+
+def _coordinate_contractions(data):
+    """{i: iota_{@/x^i} of the coefficient dict ``data``} for every
+    coordinate i that a key holds, in one pass over the keys: a term c at
+    key k gives (-1)^s c at k less its position s to the entry of k[s].
+    It equals ``_bilinear({(i,): ONE}, data, _contract_by_pair)`` for each
+    i, key order included: an entry's keys come in the order of ``data``,
+    and k less k[s] and i = k[s] give back k, so no two terms meet."""
+    out = {}
+    sneg = scalars.sneg
+    for key, c in data.items():
+        for s, i in enumerate(key):
+            out.setdefault(i, {})[key[:s] + key[s + 1:]] = sneg(c) if s & 1 else c
+    return out
+
+
+def _full_contraction(data, gdata, valued=False):
+    """iota_w alpha for the coefficient dict of a p-vector w (``valued``:
+    of a multivector valued form, keyed (form index, p-vector index)) and
+    that of a p-form alpha.  A p-vector index contracts a p-form index
+    only when the two are equal, with sign +1, so this is the sparse dot
+    product sum_k w[k] alpha[k], keyed () (``valued``: by the form
+    index); the same sums as ``_bilinear`` with ``_contract_by_pair``
+    (``mvform_contract_pair``) when every vector degree is p."""
+    out = {}
+    get, accumulate, smul = gdata.get, scalars.accumulate, scalars.smul
+    for key, c in data.items():
+        form, vector = key if valued else ((), key)
+        g = get(vector)
+        if g is not None:
+            accumulate(out, form, smul(c, g))
+    return out
 
 
 def _pairing(data, gens, pair):

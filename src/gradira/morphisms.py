@@ -11,7 +11,7 @@ from . import scalars
 from .chart import Chart
 from .errors import ChartError, MapSpecError
 from .calculus import exterior_derivative
-from .forms import (Form, MultiVector, _bilinear, _contract_by_pair, linear_combination,
+from .forms import (Form, MultiVector, _full_contraction, linear_combination,
                     substitute_differentials)
 from .linsolve import nullspace
 from .render import render
@@ -211,7 +211,7 @@ def pullback(structure, spec):
         dphi = exterior_derivative(Form.scalar_form(structure.chart, phi)).data
         coeffs = {}
         for key, v in vectors.items():
-            value = _bilinear(v.data, dphi, _contract_by_pair)
+            value = _full_contraction(v.data, dphi)
             if value and (acc := spec.restrict_scalar(value[()])):
                 coeffs[key] = acc
         if coeffs:

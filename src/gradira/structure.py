@@ -21,8 +21,9 @@ from .calculus import exterior_derivative, lie_derivative, schouten_data
 from .errors import (ChartError, DegreeError, GradiraError, MembershipError,
                      NonWellDefinedError, NotHamiltonianError)
 from .forms import (Form, MultiVector, MvForm, _bilinear, _combination,
-                    _contract_by_pair, _pairing, _pairing_rows, contract,
-                    linear_combination, mvform_contract_pair, wedge)
+                    _contract_by_pair, _coordinate_contractions, _full_contraction,
+                    _pairing, _pairing_rows, contract, linear_combination,
+                    mvform_contract_pair, wedge)
 from .linsolve import Components, Echelon
 from .multiindex import merge
 from .render import render
@@ -153,13 +154,15 @@ class Structure:
         """S^a = iota_{TM} S^{a+1} for a = n-1..1, on coefficient dicts.
 
         The candidates are iota_{@/x^i} alpha, with sharp value
-        sharp(alpha) ^ @/x^i, for each level-(a+1) generator alpha and
-        coordinate i.  One ``Echelon`` keeps the independent nonzero ones
-        in candidate order.  Two candidates are proportional exactly when
-        they share a ray key: the coefficient dict divided by its
-        coefficient at its smallest key k0.  A kept candidate c_t takes as
-        its sharp value the mean of (c_t[k0] / c_s[k0]) sharp_s over the
-        candidates c_s of its ray.  Any single provenance is a valid
+        sharp(alpha) ^ @/x^i, for each level-(a+1) generator alpha and,
+        in increasing order, each coordinate i that alpha holds (the
+        others give zero): ``forms._coordinate_contractions`` gives them
+        all in one pass over alpha's keys.  One ``Echelon`` keeps the
+        independent ones in candidate order.  Two candidates are
+        proportional exactly when they share a ray key: the coefficient
+        dict divided by its coefficient at its smallest key k0.  A kept
+        candidate c_t takes as its sharp value the mean of
+        (c_t[k0] / c_s[k0]) sharp_s over the candidates c_s of its ray.  Any single provenance is a valid
         representative modulo K; the mean is the canonical, basis-symmetric
         choice (it gives e.g. the 1/n coefficients of the canonical sharp_1
         table).
@@ -168,14 +171,14 @@ class Structure:
         for a in range(self.n - 1, 0, -1):
             candidates, rays = [], {}
             for gen in self.levels[a + 1]:
-                for i in range(chart.m):
-                    form = _bilinear({(i,): one}, gen.form.data, _contract_by_pair)
-                    if form:
-                        c0 = form[min(form)]
-                        ray = frozenset((k, scalars.sdiv(c, c0)) for k, c in form.items())
-                        sharp = _bilinear(gen.sharp.data, {(i,): one}, merge)
-                        rays.setdefault(ray, []).append((c0, sharp))
-                        candidates.append((form, c0, ray))
+                contractions = _coordinate_contractions(gen.form.data)
+                for i in sorted(contractions):
+                    form = contractions[i]
+                    c0 = form[min(form)]
+                    ray = frozenset((k, scalars.sdiv(c, c0)) for k, c in form.items())
+                    sharp = _bilinear(gen.sharp.data, {(i,): one}, merge)
+                    rays.setdefault(ray, []).append((c0, sharp))
+                    candidates.append((form, c0, ray))
             forms = [form for form, _, _ in candidates]
             dependent = Echelon(forms, sorted(set().union(*forms))).dependent
             self.levels[a] = []
@@ -301,24 +304,32 @@ class Structure:
         return rep.vec_degree, mvform_contract_pair
 
     def coset_is_zero(self, rep, p):
-        """Does the representative lie in (Lambda (x)) K_p?  Tested by
-        contraction against the S^p generators."""
+        """Does the representative, a multivector or a multivector valued
+        form of vector degree p, lie in (Lambda (x)) K_p?  Tested by
+        contraction against the S^p generators (``in_annihilator``)."""
         if rep.is_zero():
             return True
-        degree, pair = self._contraction(rep)
-        if degree != p:
-            raise DegreeError(f"representative degree {degree} != modulus {p}")
-        return self.in_annihilator(rep.data, p, pair)
+        if rep.chart != self.chart:
+            raise DegreeError("contraction across charts")
+        return self.in_annihilator(rep.data, p, isinstance(rep, MvForm))
 
-    def in_annihilator(self, data, p, pair):
-        """Does the coefficient dict of a multivector (``pair`` is
-        ``forms._contract_by_pair``) or of a multivector valued form
-        (``forms.mvform_contract_pair``) of vector degree p lie in
+    def in_annihilator(self, data, p, valued=False):
+        """Does the coefficient dict of a p-vector (``valued``: of a
+        multivector valued form of vector degree p) lie in
         (Lambda (x)) K_p, i.e. contract every S^p generator to zero?  The
-        kernel of ``coset_is_zero``; stops at the first generator that
-        does not contract to zero."""
-        return not data or not any(_bilinear(data, g.form.data, pair)
-                                   for g in self.levels[p])
+        kernel of ``coset_is_zero``.  A p-vector contracts a p-form only
+        at equal keys, so each contraction is the sparse dot product
+        ``forms._full_contraction``, and the test stops at the first
+        generator that does not contract to zero.  Another vector degree
+        raises DegreeError: its dot product would be zero whatever the
+        data."""
+        if not data:
+            return True
+        degrees = {len(key[1] if valued else key) for key in data}
+        if degrees != {p}:
+            raise DegreeError(f"representative degree {max(degrees - {p})} != modulus {p}")
+        return not any(_full_contraction(data, g.form.data, valued)
+                       for g in self.levels[p])
 
     def annihilator_span(self, p):
         """Explicit K_p generators (kernel extraction; exponential in p)."""
@@ -542,7 +553,7 @@ def _check_pair(structure, report, d, a, i, b, j):
     level = structure.levels[c]
     diff = _combination([*((f, level[g].sharp.data) for g, f in coefficients.items()),
                          (_SIGN[-1], lieb)])
-    ok = structure.in_annihilator(diff, n + 1 - c, _contract_by_pair)
+    ok = structure.in_annihilator(diff, n + 1 - c)
     report.add(name, ok, "" if ok else (
         f"sharp of {_text(Form, chart, c, theta)} differs from "
         f"[U, V] = {_text(MultiVector, chart, n + 1 - c, lieb)}"))

@@ -45,6 +45,11 @@ package parser to its values and its exceptions, text included.
 ``naive_pairing_rows`` and ``naive_annihilator`` keep the explicit
 accumulate loops for the rows of the S^a[j] pairing system and of the
 annihilator, which the package builds through ``forms._pairing_rows``.
+``naive_check_lie_algebra`` keeps the dense loop over every index tuple
+that checked the Yang-Mills structure constants.
+``naive_in_annihilator`` keeps the coset test as an all-pairs
+``forms._bilinear`` per S^p generator, where the package takes a sparse
+dot product over equal keys.
 """
 
 from itertools import combinations, permutations
@@ -656,6 +661,42 @@ def naive_annihilator(span, p):
                 scalars.accumulate(eqs.setdefault(rest, {}), vidx, c, sign)
         rows.extend(coeffs for coeffs in eqs.values() if coeffs)
     return [{k: v for k, v in vec.items() if v} for vec in nullspace(rows, unknowns)]
+
+
+def naive_in_annihilator(structure, data, p, pair):
+    """Does the coefficient dict of a multivector (``pair`` is
+    ``forms._contract_by_pair``) or of a multivector valued form
+    (``forms.mvform_contract_pair``) contract every S^p generator to
+    zero?  One all-pairs ``forms._bilinear`` per generator, every term
+    against every term: the oracle for ``Structure.in_annihilator``,
+    which pairs only equal keys."""
+    from gradira.forms import _bilinear
+
+    return not any(_bilinear(data, g.form.data, pair) for g in structure.levels[p])
+
+
+def naive_check_lie_algebra(c, dim):
+    """None, "antisymmetry" or "Jacobi": the first property the structure
+    constants c(k, i, j) = c^k_{ij} on 1..dim violate, by the dense loop
+    over every index tuple: the oracle for ``scenarios._check_lie_algebra``,
+    which runs over the nonzero constants only."""
+    for i in range(1, dim + 1):
+        for j in range(1, dim + 1):
+            for k in range(1, dim + 1):
+                if c(k, i, j) + c(k, j, i) != 0:
+                    return "antisymmetry"
+    for i in range(1, dim + 1):
+        for j in range(1, dim + 1):
+            for k in range(1, dim + 1):
+                for m in range(1, dim + 1):
+                    acc = 0
+                    for l in range(1, dim + 1):
+                        acc += c(m, i, l) * c(l, j, k)
+                        acc += c(m, j, l) * c(l, k, i)
+                        acc += c(m, k, l) * c(l, i, j)
+                    if acc != 0:
+                        return "Jacobi"
+    return None
 
 
 def _naive_scalar_ratio(candidate, reference):

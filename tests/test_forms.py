@@ -265,6 +265,33 @@ def test_mvform_products_match_naive_oracles(chart5, data):
     )
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_coordinate_contractions_match_the_bilinear_kernel(chart5, data):
+    # iota_{@/x^i} for every i in one pass equals one all-pairs
+    # ``_bilinear`` per coordinate, key order included, on forms and
+    # multivectors of every degree 1..m whose keys come in any order
+    from gradira import scalars
+    from gradira.forms import _bilinear, _contract_by_pair, _coordinate_contractions
+
+    cls = data.draw(st.sampled_from([Form, MultiVector]))
+    degree = data.draw(st.integers(1, chart5.m))
+    terms = data.draw(st.lists(
+        st.tuples(st.sampled_from(list(combinations(range(chart5.m), degree))),
+                  st.sampled_from([-2, -1, 1, 3]), st.sampled_from(chart5.syms),
+                  st.integers(0, 2)),
+        min_size=1, max_size=8))
+    coefficients = {}
+    for key, c, sym, e in terms:
+        coefficients[key] = coefficients.get(key, 0) + c * sym**e
+    obj = cls(chart5, degree, coefficients)
+    contractions = _coordinate_contractions(obj.data)
+    assert set(contractions) == {i for key in obj.data for i in key}
+    for i in range(chart5.m):
+        expected = _bilinear({(i,): scalars.ONE}, obj.data, _contract_by_pair)
+        assert list(contractions.get(i, {}).items()) == list(expected.items())
+
+
 # a coordinate, a declared function, a partial D(H,y1) and a denominator
 _PICKLED = [
     "x1 * H / (y1 - 2) * dX[] + D(H,y1) * d(y1) ^ dX[1] + 3/2 * d(p1_1) ^ dX[2]",

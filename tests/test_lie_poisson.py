@@ -5,6 +5,7 @@ coefficients (the canonical field-theory scenarios have constant sharp
 tables, so their [U, V] terms all vanish)."""
 
 import sympy
+from hypothesis import given, settings, strategies as hst
 
 from gradira import (
     Chart,
@@ -14,6 +15,7 @@ from gradira import (
     bracket,
     verify_axioms,
 )
+from naive import naive_check_lie_algebra
 
 EPS = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
        (1, 3, 2): -1, (3, 2, 1): -1, (2, 1, 3): -1}
@@ -76,3 +78,31 @@ def test_lie_poisson_bracket_of_coordinates():
                 expected += EPS.get((j, i, k), 0) * ch.sym(f"u{k}")
             assert value.scalar() == expected
             assert bracket(fj, fi, st).scalar() == -expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=hst.data())
+def test_structure_constant_check_matches_the_dense_loop(data):
+    # antisymmetric, broken and Jacobi-violating constants on 1..3, and su2
+    from gradira.errors import ChartError
+    from gradira.scenarios import _check_lie_algebra, _structure_constants
+
+    dim = data.draw(hst.integers(1, 3))
+    f = {}
+    if data.draw(hst.booleans()):
+        f = dict(_structure_constants("su2", 3)[0])
+        dim = 3
+    index = hst.integers(1, dim)
+    for k, i, j, v, skew in data.draw(hst.lists(hst.tuples(
+            index, index, index, hst.sampled_from([-2, -1, 1, 2]), hst.booleans()),
+            max_size=4)):
+        f[(k, i, j)] = v
+        if skew:
+            f[(k, j, i)] = -v if i != j else 0
+    f = {key: v for key, v in f.items() if v}
+    try:
+        _check_lie_algebra(f)
+        verdict = None
+    except ChartError as exc:
+        verdict = "antisymmetry" if "antisymmetric" in str(exc) else "Jacobi"
+    assert verdict == naive_check_lie_algebra(lambda k, i, j: f.get((k, i, j), 0), dim)

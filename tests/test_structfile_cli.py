@@ -572,6 +572,54 @@ class TestCli:
         assert proc.stderr == ("error: the pairing system has 15,019,500 unknowns, "
                                "more than 1,000,000\n")
 
+    @pytest.mark.parametrize("args, text", [
+        (["reduced-canonical", "--n", "30"],
+         "(2^30 - 1) * 33 horizontal coordinate forms (order 30, 62 coordinates)"),
+        (["reduced-canonical", "--n", "9"],
+         "6,132 horizontal coordinate forms (order 9, 20 coordinates)"),
+        (["reduced-canonical", "--n", "30", "--fields", "-2"],
+         "(2^30 - 1) * 2 horizontal coordinate forms (order 30, 31 coordinates)"),
+        (["yang-mills", "--algebra", "abelian", "--fields", "1000000000"],
+         "18,000,000,006 horizontal coordinate forms (order 2, 6,000,000,003 coordinates)"),
+    ])
+    def test_oversized_scenario_exit_2_at_once(self, tmp_path, args, text):
+        # refused from its parameters before any chart is built, so a
+        # 1 GB address space and 60 s are plenty
+        out_file = tmp_path / "structure.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "gradira.cli", "scenario", *args, "--out", str(out_file)],
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: the scenario has {text}, more than 5,000\n"
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("name, params, extended_m", [
+        ("reduced-canonical", {"n": 2, "fields": 1}, lambda scn: scn.extended.chart.m),
+        ("extended-canonical", {"n": 3, "fields": 2}, lambda scn: scn.chart.m),
+        # the ambient reduced chart drops the extended chart's p
+        ("yang-mills", {"n": 3, "algebra": "su2"}, lambda scn: scn.ambient.chart.m + 1),
+    ])
+    def test_scenario_budget_is_checked_before_the_chart(self, monkeypatch, name, params,
+                                                         extended_m):
+        # a budget equal to the scenario's (2^n - 1)(m - n + 1) on its
+        # extended chart builds it; one less refuses it before a chart exists
+        from gradira import scenarios
+        from gradira.errors import ChartError
+
+        n = params["n"]
+        size = (2 ** n - 1) * (extended_m(scenarios.scenario(name, **params)) - n + 1)
+        monkeypatch.setattr(scenarios, "MAX_SCENARIO_FORMS", size)
+        scenarios.scenario(name, **params)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a chart was built")
+
+        monkeypatch.setattr(scenarios, "MAX_SCENARIO_FORMS", size - 1)
+        monkeypatch.setattr(scenarios, "_canonical_chart", forbidden)
+        with pytest.raises(ChartError, match=f"has {size:,} horizontal"):
+            scenarios.scenario(name, **params)
+
     def test_cross_process_byte_identical_reports(self, tmp_path):
         out_file = str(tmp_path / "structure.json")
         subprocess.run(

@@ -1,5 +1,6 @@
 import functools
 import random
+from itertools import combinations
 
 import pytest
 import sympy
@@ -9,6 +10,7 @@ from gradira import (
     Chart,
     Form,
     MultiVector,
+    MvForm,
     Structure,
     annihilator,
     bracket,
@@ -24,8 +26,11 @@ from gradira import (
 )
 from gradira.errors import (DegreeError, MembershipError, NonWellDefinedError,
                             NotHamiltonianError)
+from gradira.forms import _contract_by_pair, mvform_contract_pair
+from gradira.multiindex import merge
 from gradira.structure import deg_h
-from naive import is_null, naive_lower_tower, naive_verify_axioms
+from naive import is_null, naive_in_annihilator, naive_lower_tower, naive_verify_axioms
+from test_extensions import rank_deficient, scaled, sheared, tilted
 
 
 def dy_dx(ch, mu):
@@ -689,3 +694,132 @@ class TestLowerTower:
         lower = sum(len(st.levels[a]) for a in range(1, st.n))
         assert lower == 26
         assert len(built) <= 3 * lower
+
+    def test_yang_mills_build_pairs_no_term_with_every_term(self, monkeypatch):
+        # the tower's candidates come from one pass per generator and the
+        # null-sharp coset tests are dot products: building yang_mills(3,
+        # "su2") makes no all-pairs contraction from either step, while its
+        # sharp values are still wedges by ``_bilinear``
+        import importlib
+        import pkgutil
+        import sys
+
+        import gradira
+        from gradira import forms, yang_mills
+
+        steps = ("_build_tower", "_canonicalize_null_values")
+        calls = []
+        real = forms._bilinear
+
+        def counting(xdata, ydata, pair):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_name not in steps:
+                frame = frame.f_back
+            if frame is not None:
+                calls.append((frame.f_code.co_name, pair))
+            return real(xdata, ydata, pair)
+
+        modules = [gradira] + [importlib.import_module(f"gradira.{info.name}")
+                               for info in pkgutil.iter_modules(gradira.__path__)]
+        for module in modules:
+            if hasattr(module, "_bilinear"):
+                monkeypatch.setattr(module, "_bilinear", counting)
+        yang_mills(3, "su2")
+        assert [call for call in calls if call[1] is forms._contract_by_pair] == []
+        assert ("_build_tower", merge) in calls
+
+
+@functools.cache
+def _coset_structure(name):
+    if name == "red3":
+        return reduced_canonical(3, 1).structure
+    return {"sheared": sheared, "scaled": scaled, "rank-deficient": rank_deficient,
+            "tilted": tilted, "proportional": _proportional_top}[name]()
+
+
+@functools.cache
+def _kernel(name, p):
+    return _coset_structure(name).annihilator_span(p).generators
+
+
+COSET_NAMES = ["red3", "sheared", "scaled", "rank-deficient", "tilted", "proportional"]
+
+
+class TestCosetKernel:
+    """``Structure.in_annihilator`` pairs a term only with the generator
+    term at its own (vector) index; ``naive_in_annihilator`` pairs every
+    term with every term by ``forms._bilinear``.  The representatives are
+    combinations of K_p generators (in K_p), plus a term at a key of an
+    S^p generator (not in K_p) or one or two random terms (in K_p iff
+    they are)."""
+
+    @pytest.mark.parametrize("name", COSET_NAMES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=hst.data())
+    def test_matches_the_all_pairs_oracle(self, name, data):
+        st = _coset_structure(name)
+        ch = st.chart
+        p = data.draw(hst.integers(1, st.n), label="p")
+        valued = data.draw(hst.booleans(), label="valued")
+        fdeg = data.draw(hst.integers(0, 2), label="form degree")
+        pair = mvform_contract_pair if valued else _contract_by_pair
+        forms_keys = list(combinations(range(ch.m), fdeg))
+        vector_keys = list(combinations(range(ch.m), p))
+
+        def coefficient():
+            c, s, e = data.draw(hst.tuples(hst.integers(-3, 3), hst.integers(0, ch.m - 1),
+                                           hst.integers(0, 2)))
+            return c + ch.syms[s] ** e
+
+        def basis(vidx, c, fidx=None):
+            if valued:
+                fidx = data.draw(hst.sampled_from(forms_keys)) if fidx is None else fidx
+                return MvForm(ch, fdeg, p, {(fidx, vidx): c})
+            return MultiVector(ch, p, {vidx: c})
+
+        def verdict(rep):
+            expected = naive_in_annihilator(st, rep.data, p, pair)
+            assert st.in_annihilator(rep.data, p, valued) == expected
+            assert st.coset_is_zero(rep, p) == expected
+            return expected
+
+        comb = MvForm.zero(ch, fdeg, p) if valued else MultiVector.zero(ch, p)
+        kernel = _kernel(name, p)
+        if kernel:
+            for k in data.draw(hst.lists(hst.sampled_from(kernel), max_size=3)):
+                if valued:
+                    theta = Form(ch, fdeg, {data.draw(hst.sampled_from(forms_keys)):
+                                            coefficient()})
+                    comb = comb + MvForm.tensor(theta, k)
+                else:
+                    comb = comb + coefficient() * k
+        assert verdict(comb) is True
+        gdata = data.draw(hst.sampled_from(st.levels[p])).form.data
+        vidx = data.draw(hst.sampled_from(list(gdata)))
+        witness = basis(vidx, 1)
+        if valued and fdeg:  # w[(f1, v)] g[v] and -w[(f2, v)] g[v] stay apart
+            f1, f2 = data.draw(hst.permutations(forms_keys))[:2]
+            witness = basis(vidx, 1, f1) - basis(vidx, 1, f2)
+        assert verdict(comb + witness) is False
+        term = comb - comb
+        for vidx in data.draw(hst.lists(hst.sampled_from(vector_keys), min_size=1,
+                                        max_size=2)):
+            term = term + basis(vidx, coefficient())
+        assert verdict(comb + term) == verdict(term)
+
+    @pytest.mark.parametrize("name", COSET_NAMES)
+    def test_a_representative_of_another_degree_raises(self, name):
+        # its dot product with a p-form would be zero whatever it holds
+        st = _coset_structure(name)
+        ch = st.chart
+        for p in range(1, st.n + 1):
+            for degree in (p - 1, p + 1):
+                if degree > ch.m:
+                    continue
+                key = tuple(range(degree))
+                for rep, valued in ((MultiVector(ch, degree, {key: 1}), False),
+                                    (MvForm(ch, 0, degree, {((), key): 1}), True)):
+                    with pytest.raises(DegreeError, match=f"degree {degree} != modulus {p}"):
+                        st.in_annihilator(rep.data, p, valued)
+                    with pytest.raises(DegreeError, match=f"degree {degree} != modulus {p}"):
+                        st.coset_is_zero(rep, p)
