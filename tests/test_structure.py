@@ -622,13 +622,14 @@ def _proportional_top():
     return Structure(ch, [vol, f * vol], [dy, f * dy])
 
 
-def _tower_structure(name, request):
-    from test_extensions import rank_deficient, scaled, sheared, tilted
+# the test structures that no fixture holds
+BUILDERS = {"sheared": sheared, "scaled": scaled, "rank-deficient": rank_deficient,
+            "tilted": tilted, "proportional": _proportional_top}
 
-    builders = {"sheared": sheared, "scaled": scaled, "rank-deficient": rank_deficient,
-                "tilted": tilted, "proportional": _proportional_top}
-    if name in builders:
-        return builders[name]()
+
+def _tower_structure(name, request):
+    if name in BUILDERS:
+        return BUILDERS[name]()
     fixture, _, part = name.partition(".")
     return getattr(request.getfixturevalue(fixture), part or "structure")
 
@@ -731,10 +732,7 @@ class TestLowerTower:
 
 @functools.cache
 def _coset_structure(name):
-    if name == "red3":
-        return reduced_canonical(3, 1).structure
-    return {"sheared": sheared, "scaled": scaled, "rank-deficient": rank_deficient,
-            "tilted": tilted, "proportional": _proportional_top}[name]()
+    return reduced_canonical(3, 1).structure if name == "red3" else BUILDERS[name]()
 
 
 @functools.cache
