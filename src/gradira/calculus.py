@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from . import scalars
 from .errors import DegreeError, NonPolynomialError, NotClosedError
-from .forms import (Form, MultiVector, MvForm, _bilinear, _contract_by_pair, contract,
-                    linear_combination)
+from .forms import (Form, MultiVector, MvForm, _bilinear, _combination,
+                    _coordinate_contractions, contract, linear_combination)
 from .multiindex import merge
 from .render import render_scalar
 
@@ -100,12 +100,15 @@ def schouten_data(chart, p, udata, q, vdata):
     s1 = -1 if (p - 1) % 2 else 1
     s2 = -1 if (p * (q - 1)) % 2 == 0 else 1
     du_dx, dv_dx = _partials(udata, chart), _partials(vdata, chart)
+    # the left Grassmann derivatives d/dxi_k are iota by dx^k; an operand's
+    # are taken only when the other one has partials to meet them
+    du_dxi = _coordinate_contractions(udata) if dv_dx else {}
+    dv_dxi = _coordinate_contractions(vdata) if du_dx else {}
     out = {}
     for k in sorted(du_dx.keys() | dv_dx.keys()):
-        for sign, xi, partial in ((s1, udata, dv_dx.get(k)), (s2, vdata, du_dx.get(k))):
-            if partial:
-                # the left Grassmann derivative d/dxi_k is iota by dx^k
-                xi_k = _bilinear({(k,): scalars.ONE}, xi, _contract_by_pair)
+        for sign, xi_k, partial in ((s1, du_dxi.get(k), dv_dx.get(k)),
+                                    (s2, dv_dxi.get(k), du_dx.get(k))):
+            if xi_k and partial:
                 for key, c in _bilinear(xi_k, partial, merge).items():
                     scalars.accumulate(out, key, c, sign)
     return out
@@ -163,6 +166,7 @@ def poincare_primitive(alpha):
                 if e:
                     term = term * x**e
             scalars.accumulate(scaled, idx, term)
-    euler = {(i,): x for i, x in enumerate(coords)}
-    return Form(chart, a - 1, _bilinear(euler, scaled, _contract_by_pair),
+    contractions = _coordinate_contractions(scaled)
+    return Form(chart, a - 1, _combination((coords[i], contractions[i])
+                                           for i in sorted(contractions)),
                 _normalized=True)

@@ -24,6 +24,17 @@ _PARTIAL_SEP = "__"
 from .errors import ChartError
 
 
+def _check_name(kind, name):
+    """A coordinate or function name is an identifier with no ``__`` inside
+    and no trailing ``_`` (see the module docstring)."""
+    if not name.isidentifier():
+        raise ChartError(f"{kind} name {name!r} is not an identifier")
+    if _PARTIAL_SEP in name:
+        raise ChartError(f"{kind} name {name!r} may not contain {_PARTIAL_SEP!r}")
+    if name.endswith("_"):
+        raise ChartError(f"{kind} name {name!r} may not end in '_'")
+
+
 class Chart:
     """A single fibered coordinate chart over an n-dimensional base."""
 
@@ -36,12 +47,7 @@ class Chart:
         if not base:
             raise ChartError("need at least one base coordinate")
         for name in names:
-            if _PARTIAL_SEP in name:
-                raise ChartError(f"coordinate name {name!r} may not contain {_PARTIAL_SEP!r}")
-            if not name.isidentifier():
-                raise ChartError(f"coordinate name {name!r} is not an identifier")
-            if name.endswith("_"):
-                raise ChartError(f"coordinate name {name!r} may not end in '_'")
+            _check_name("coordinate", name)
         self.coords = names
         self.n = len(base)
         self.m = len(names)
@@ -84,12 +90,7 @@ class Chart:
             self.index(a)
         if name in self._index:
             raise ChartError(f"{name!r} is already a coordinate")
-        if not name.isidentifier():
-            raise ChartError(f"function name {name!r} is not an identifier")
-        if _PARTIAL_SEP in name:
-            raise ChartError(f"function name {name!r} may not contain {_PARTIAL_SEP!r}")
-        if name.endswith("_"):
-            raise ChartError(f"function name {name!r} may not end in '_'")
+        _check_name("function", name)
         prev = self.functions.get(name)
         if prev is not None and prev != args:
             raise ChartError(f"function {name!r} re-declared with different arguments")

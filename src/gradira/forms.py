@@ -17,22 +17,27 @@ Sign conventions (pinned once, in multiindex.py):
 Kernel contract: a ``pair(kx, ky) -> (sign, key)`` function places every
 product of two basis terms.  Pair functions are built only from ``merge``
 and ``contract_index``, so every sign comes from multiindex.py; sign 0
-drops the pair.  Every product and contraction is one call to
-``_bilinear``, which sums c_x * c_y over all pairs of stored terms,
-except the rows of ``_pairing_rows``.  The sums go through
-``scalars.accumulate``, which drops zero coefficients, so no stored map
-ever holds a zero.  A pairing with a list of generators is ``_pairing``,
-a ``_bilinear`` per generator.  Linear in the unknown components (a
-pairing system's rows, an annihilator) it is ``_pairing_rows``, which
-indexes the unit unknowns by the vector index they contract and calls
-the pair function only on the units that a generator term holds.
+drops the pair.  A product or a general contraction is one call to
+``_bilinear``, which sums c_x * c_y over all pairs of stored terms.  The
+sums go through ``scalars.accumulate``, which drops zero coefficients, so
+no stored map ever holds a zero.  Linear in the unknown components (a
+pairing system's rows, an annihilator) the pairing of w with a list of
+generators is ``_pairing_rows``, which indexes the unit unknowns by the
+vector index they contract and calls the pair function only on the units
+that a generator term holds.
 
-Three index kernels use no pair function.  ``_coordinate_contractions``
-gives iota_{@/x^i} for every coordinate i in one pass (the lower
-tower's candidates).  ``_full_contraction`` contracts a p-vector (or
-multivector valued form of vector degree p) into a p-form, where only
-equal keys pair: a sparse dot product (the coset tests and the tangency
-rows of a pullback).  ``structure.Structure.pairing_rhs`` is the third.
+Two index kernels use no pair function, one per contraction shape.
+``_coordinate_contractions`` gives iota_{@/x^i} for every coordinate i
+in one pass (the lower tower's candidates, the Grassmann derivatives of
+the Schouten bracket, the Euler contraction of the Poincare primitive
+and the canonical S^n generators).  ``_full_contraction`` contracts a
+p-vector (or multivector valued form of vector degree p) into a p-form,
+where only equal keys pair: a sparse dot product (the coset tests,
+``Structure.pairing_field`` and the tangency rows of a pullback).
+``structure.Structure.pairing_rhs`` keeps its own loop: it contracts an
+a-form by every pairing field at once, each coordinate's contraction
+going straight to the fields indexed by that coordinate, with no
+intermediate dict per coordinate.
 """
 
 from __future__ import annotations
@@ -174,6 +179,14 @@ class _Graded:
     def __xor__(self, other):
         return wedge(self, other)
 
+    def coefficient(self, idx):
+        return self.data.get(tuple(idx), scalars.ZERO)
+
+    def __repr__(self):
+        from .render import render
+
+        return render(self)
+
 
 class Form(_Graded):
     """A differential form of fixed degree; degree 0 wraps a bare scalar.
@@ -214,14 +227,6 @@ class Form(_Graded):
         """(r)-horizontal: killed by any degree+1-r vertical vectors."""
         return all(self._fiber_count(idx) <= self.degree - r for idx in self.data)
 
-    def coefficient(self, idx):
-        return self.data.get(tuple(idx), scalars.ZERO)
-
-    def __repr__(self):
-        from .render import render_form
-
-        return render_form(self)
-
 
 class MultiVector(_Graded):
     """A multivector field of fixed degree."""
@@ -231,14 +236,6 @@ class MultiVector(_Graded):
     @classmethod
     def coord_vector(cls, chart, name):
         return cls(chart, 1, {(chart.index(name),): scalars.ONE}, _normalized=True)
-
-    def coefficient(self, idx):
-        return self.data.get(tuple(idx), scalars.ZERO)
-
-    def __repr__(self):
-        from .render import render_mv
-
-        return render_mv(self)
 
 
 class MvForm(_Graded):
@@ -275,11 +272,6 @@ class MvForm(_Graded):
     def vec_slot_vertical(self):
         n = self.chart.n
         return all(any(i >= n for i in vidx) for _, vidx in self.data)
-
-    def __repr__(self):
-        from .render import render_mvform
-
-        return render_mvform(self)
 
 
 # ---------------------------------------------------------------------------
@@ -338,18 +330,11 @@ def _full_contraction(data, gdata, valued=False):
     return out
 
 
-def _pairing(data, gens, pair):
-    """{(g, key): c}: the ``_bilinear`` product of ``data`` with each
-    generator's coefficient dict gens[g], e.g. iota_w alpha_g for the
-    coefficient dict of w and ``pair`` a contraction pair."""
-    return {(g, key): c for g, gdata in enumerate(gens)
-            for key, c in _bilinear(data, gdata, pair).items()}
-
-
 def _pairing_rows(unknowns, gens, pair, vector=None):
-    """``_pairing`` as a linear system in the components of w: rows
+    """The contractions iota_w alpha_g with the generators' coefficient
+    dicts gens[g] as a linear system in the components of w: rows
     {(g, key): {unknown: c}} sorted by row key, each row's unknowns in the
-    order of ``unknowns``.
+    order of ``unknowns``, ``pair`` the contraction pair.
 
     ``vector(u)`` is the multi-index a unit unknown contracts (u itself by
     default, as for a multivector; the vector index for a multivector

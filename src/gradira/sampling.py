@@ -56,8 +56,8 @@ def random_form(rng, chart, degree, terms=3, poly_degree=1, symbols=None):
 
 def random_hamiltonian_form(rng, scn):
     """A random polynomial Hamiltonian (n-1)-form on a canonical scenario:
-    base-coefficient combinations of the generator families plus an exact
-    polynomial part."""
+    base-coefficient combinations of the generator families plus, for
+    n >= 2, an exact polynomial part."""
     chart = scn.chart
     n = chart.n
     base_syms = [chart.syms[i] for i in range(n)]
@@ -65,7 +65,9 @@ def random_hamiltonian_form(rng, scn):
     for _, gen in scn.hamiltonian_generators:
         if rng.random() < 0.6:
             out = out + random_polynomial(rng, chart, 2, symbols=base_syms) * gen
-    if rng.random() < 0.7:
+    # the exact part needs an (n-2)-form; the draw comes first, so the
+    # draws at n >= 2 do not depend on n
+    if rng.random() < 0.7 and n >= 2:
         out = out + exterior_derivative(
             random_form(rng, chart, n - 2, terms=2, poly_degree=2)
         )

@@ -24,8 +24,8 @@ from fractions import Fraction
 from . import scalars
 from .chart import Chart
 from .errors import ChartError
-from .forms import (Form, MultiVector, MvForm, contract, linear_combination,
-                    volume_contraction, wedge)
+from .forms import (Form, MultiVector, MvForm, _coordinate_contractions,
+                    linear_combination, volume_contraction, wedge)
 from .calculus import exterior_derivative
 from .morphisms import AffineEmbedding, SubmersionDrop, pullback, pushforward
 from .structure import Structure
@@ -120,15 +120,11 @@ def extended_canonical(n, k=1, fields=None, momentum_name=None):
         (chart.sym(_momentum(chart, fields, u, mu)), u, mu)
         for u in fields for mu in range(1, n + 1)])
     omega = -exterior_derivative(theta)
-    gens = []
-    values = []
-    for name in chart.coords:
-        v = MultiVector.coord_vector(chart, name)
-        flat = contract(v, omega)
-        if flat.is_zero():
-            raise ChartError("canonical multisymplectic form is degenerate?")
-        gens.append(flat)
-        values.append(v)
+    flats = _coordinate_contractions(omega.data)  # iota_{@/x^i} omega
+    if len(flats) < chart.m:
+        raise ChartError("canonical multisymplectic form is degenerate?")
+    gens = [Form(chart, n, flats[i], _normalized=True) for i in range(chart.m)]
+    values = [MultiVector.coord_vector(chart, name) for name in chart.coords]
     structure = Structure(chart, gens, values)
     return Scenario(
         name="extended-canonical",

@@ -22,7 +22,7 @@ from .errors import (ChartError, DegreeError, GradiraError, MembershipError,
                      NonWellDefinedError, NotHamiltonianError)
 from .forms import (Form, MultiVector, MvForm, _bilinear, _combination,
                     _contract_by_pair, _coordinate_contractions, _full_contraction,
-                    _pairing, _pairing_rows, contract, linear_combination,
+                    _pairing_rows, contract, linear_combination,
                     mvform_contract_pair, wedge)
 from .linsolve import Components, Echelon
 from .multiindex import merge
@@ -236,9 +236,13 @@ class Structure:
         """X_beta = sum_k <sharp_1(g_k), beta> E_k over ``s1_frame``, for an
         n-form beta: the sharp_1 values are n-vectors, so every pairing of
         sharp_1~ with an n-form is one contraction,
-        iota_{sharp_1~(theta)} beta = (-1)^{a+1} iota_{X_beta} theta."""
+        iota_{sharp_1~(theta)} beta = (-1)^{a+1} iota_{X_beta} theta.  Each
+        pairing is the dot product ``forms._full_contraction``; another
+        degree raises DegreeError, as its dot product would be zero."""
+        if not isinstance(beta, Form) or beta.degree != self.n or beta.chart != self.chart:
+            raise DegreeError(f"pairing_field needs a {self.n}-form on {self.chart!r}")
         _, sharps, frame = self.s1_frame
-        return linear_combination(((contract(v, beta).scalar(), e)
+        return linear_combination(((_full_contraction(v.data, beta.data).get((), 0), e)
                                    for v, e in zip(sharps, frame)),
                                   MultiVector.zero(self.chart, 1))
 
@@ -284,24 +288,23 @@ class Structure:
         return self._pairing_systems[key]
 
     def pairing(self, w, p):
-        """iota_w alpha_g for the S^p generators alpha_g, keyed
-        {(g, multi-index): coefficient}; empty iff w is zero modulo K_p,
-        which ``coset_is_zero`` decides with an early exit."""
-        degree, pair = self._contraction(w)
+        """iota_w alpha_g for the S^p generators alpha_g and a multivector
+        or multivector valued form w on this chart, keyed
+        {(g, multi-index): coefficient}: one ``forms._bilinear`` per
+        generator.  It is empty iff w is zero modulo K_p, which
+        ``coset_is_zero`` decides with an early exit."""
+        if w.chart != self.chart:
+            raise DegreeError("contraction across charts")
+        if isinstance(w, MultiVector):
+            degree, pair = w.degree, _contract_by_pair
+        else:
+            degree, pair = w.vec_degree, mvform_contract_pair
         if degree > p:
             raise DegreeError(f"cannot contract degree {p} forms by {degree}-vector values")
-        return _pairing(w.data, [g.form.data for g in self.levels[p]], pair)
+        return {(g, key): c for g, gen in enumerate(self.levels[p])
+                for key, c in _bilinear(w.data, gen.form.data, pair).items()}
 
     # -- cosets ------------------------------------------------------------
-
-    def _contraction(self, rep):
-        """(vector degree, pair function) of a multivector or a multivector
-        valued form on this chart, contracted into forms."""
-        if rep.chart != self.chart:
-            raise DegreeError("contraction across charts")
-        if isinstance(rep, MultiVector):
-            return rep.degree, _contract_by_pair
-        return rep.vec_degree, mvform_contract_pair
 
     def coset_is_zero(self, rep, p):
         """Does the representative, a multivector or a multivector valued

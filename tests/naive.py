@@ -49,7 +49,10 @@ annihilator, which the package builds through ``forms._pairing_rows``.
 that checked the Yang-Mills structure constants.
 ``naive_in_annihilator`` keeps the coset test as an all-pairs
 ``forms._bilinear`` per S^p generator, where the package takes a sparse
-dot product over equal keys.
+dot product over equal keys.  ``naive_poincare_primitive`` integrates the
+radial homotopy in t with sympy and contracts by the Euler field through
+``naive_contract_by_vector``, where the package rescales each monomial
+and contracts in one pass over the keys.
 """
 
 from itertools import combinations, permutations
@@ -216,6 +219,23 @@ def naive_schouten(u_data, p, v_data, q, syms):
                 if sgn == 0:
                     continue
                 out[skey] = out.get(skey, sympy.Integer(0)) + sgn * val
+    return {k: sympy.cancel(v) for k, v in out.items() if sympy.cancel(v) != 0}
+
+
+def naive_poincare_primitive(data, degree, names):
+    """The radial homotopy of an a-form with polynomial coefficients on the
+    coordinates ``names``: iota_E of sum_I (int_0^1 t^{a-1} alpha_I(t x) dt)
+    dx^I for the Euler field E = x^j d/dx^j."""
+    syms = [sympy.Symbol(name) for name in names]
+    t = sympy.Dummy("t")
+    radial = {}
+    for idx, c in data.items():
+        scaled = sympy.sympify(c).subs({x: t * x for x in syms}, simultaneous=True)
+        radial[idx] = sympy.integrate(t ** (degree - 1) * scaled, (t, 0, 1))
+    out = {}
+    for j, x in enumerate(syms):
+        for key, val in naive_contract_by_vector(radial, degree, j).items():
+            out[key] = out.get(key, sympy.Integer(0)) + x * val
     return {k: sympy.cancel(v) for k, v in out.items() if sympy.cancel(v) != 0}
 
 

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as hst
 
 from gradira import (
     Chart,
@@ -20,7 +21,7 @@ from gradira.calculus import _exterior_derivative
 from gradira.errors import NonPolynomialError, NotClosedError
 from gradira.render import render
 
-from naive import naive_contract, naive_schouten
+from naive import naive_contract, naive_poincare_primitive, naive_schouten
 
 
 def d(form):
@@ -236,3 +237,79 @@ def test_poincare_primitive_rejects_non_polynomial():
     bad = Form(ch, 1, {(0,): sympy.Symbol("G")})
     with pytest.raises((NonPolynomialError, NotClosedError)):
         poincare_primitive(bad)
+
+
+def _polynomial_terms(data, chart, keys):
+    """A coefficient dict on ``keys`` whose terms are non-constant
+    monomials of degree 1 or 2 in the chart's coordinates with small
+    integer coefficients."""
+    terms = data.draw(hst.lists(
+        hst.tuples(hst.sampled_from(keys), hst.sampled_from([-2, -1, 1, 3]),
+                   hst.lists(hst.sampled_from(chart.syms), min_size=1, max_size=2)),
+        min_size=1, max_size=3))
+    coefficients = {}
+    for key, c, factors in terms:
+        for x in factors:
+            c = c * x
+        coefficients[key] = coefficients.get(key, 0) + c
+    return coefficients
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=hst.data())
+def test_schouten_matches_the_recursive_oracle_on_polynomials(chart5, data):
+    # both operands have polynomial coefficients, so both Grassmann
+    # derivative terms of the odd-cotangent formula take part
+    p, q = data.draw(hst.integers(1, 3)), data.draw(hst.integers(1, 3))
+    u = MultiVector(chart5, p, _polynomial_terms(data, chart5, list(combinations(range(5), p))))
+    v = MultiVector(chart5, q, _polynomial_terms(data, chart5, list(combinations(range(5), q))))
+    assume(u and v)
+    assert schouten(u, v).data == naive_schouten(u.data, p, v.data, q, chart5.syms)
+
+
+_RADIAL = Chart(base=["x1", "x2", "x3"], fiber=["y1"])
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=hst.data())
+def test_poincare_primitive_matches_the_radial_homotopy(data):
+    # closed polynomial a-forms, a = 1..3, as d of a polynomial form on
+    # four coordinates; the primitive's exact values against the oracle
+    degree = data.draw(hst.integers(0, 2))
+    keys = list(combinations(range(4), degree))
+    coefficients = {}
+    for key, c, exps in data.draw(hst.lists(
+            hst.tuples(hst.sampled_from(keys), hst.integers(-3, 3),
+                       hst.tuples(*[hst.integers(0, 2)] * 4)),
+            min_size=1, max_size=3)):
+        for x, e in zip(_RADIAL.syms, exps):
+            c = c * x**e
+        coefficients[key] = coefficients.get(key, 0) + c
+    alpha = exterior_derivative(Form(_RADIAL, degree, coefficients))
+    beta = poincare_primitive(alpha)
+    assert beta.data == naive_poincare_primitive(alpha.data, alpha.degree, _RADIAL.coords)
+    assert exterior_derivative(beta) == alpha
+
+
+def test_schouten_and_the_primitive_take_no_all_pairs_contraction(chart5, monkeypatch):
+    # the Grassmann derivatives of ``schouten`` and the Euler contraction
+    # of ``poincare_primitive`` come from one pass over the keys
+    # (``forms._coordinate_contractions``), not from an all-pairs
+    # ``_bilinear`` with ``_contract_by_pair``
+    from gradira import calculus, forms
+
+    pairs = []
+    real = forms._bilinear
+
+    def counting(xdata, ydata, pair):
+        pairs.append(pair)
+        return real(xdata, ydata, pair)
+
+    for module in (forms, calculus):
+        monkeypatch.setattr(module, "_bilinear", counting)
+    x1, x2, y1 = chart5.syms[:3]
+    u = MultiVector(chart5, 2, {(0, 2): x1 * y1, (1, 3): y1})
+    v = MultiVector(chart5, 1, {(2,): x1**2, (4,): x2 * y1})
+    assert schouten(u, v) and schouten(v, u)
+    assert poincare_primitive(exterior_derivative(Form(chart5, 1, {(0,): x2 * y1})))
+    assert forms._contract_by_pair not in pairs

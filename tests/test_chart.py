@@ -130,3 +130,20 @@ def test_d_takes_one_gradient_per_coefficient(monkeypatch):
         calls.clear()
         exterior_derivative(alpha)
         assert len(calls) == len(alpha.data) > 0
+
+
+@pytest.mark.parametrize("name, fault", [
+    ("1y", "is not an identifier"),
+    ("y-1", "is not an identifier"),
+    ("y__1", "may not contain '__'"),
+    ("y_", "may not end in '_'"),
+])
+def test_coordinate_and_function_names_share_one_check(name, fault):
+    with pytest.raises(ChartError) as coordinate:
+        Chart(base=["x1"], fiber=[name])
+    ch = Chart(base=["x1"], fiber=["y1"])
+    with pytest.raises(ChartError) as function:
+        ch.declare_function(name, ["x1"])
+    assert str(coordinate.value) == f"coordinate name {name!r} {fault}"
+    assert str(function.value) == f"function name {name!r} {fault}"
+    assert ch.functions == {}

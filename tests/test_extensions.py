@@ -352,6 +352,15 @@ class TestPairingRhs:
         fields = scaled().pairing_fields
         assert any(not c.is_rational for x in fields for c in x.data.values())
 
+    def test_pairing_field_refuses_a_form_of_another_degree(self, red2):
+        # each pairing is a dot product, which across degrees would be
+        # silently zero
+        st = red2.structure
+        for degree in (0, st.n - 1, st.n + 1):
+            beta = Form(st.chart, degree, {tuple(range(degree)): 1})
+            with pytest.raises(DegreeError):
+                st.pairing_field(beta)
+
     @pytest.mark.parametrize("name", sorted(S1_STRUCTURES) + ["scaled"])
     @settings(max_examples=20, deadline=None)
     @given(data=hst.data())

@@ -347,6 +347,24 @@ class TestCli:
         assert (code, out) == (2, "")
         assert err == "error: function name 'h_' may not end in '_'\n"
 
+    @pytest.mark.parametrize("args", [
+        ["reduced-canonical", "--n", "1"],
+        ["reduced-canonical", "--n", "1", "--with-extension"],
+        ["extended-canonical", "--n", "1", "--fields", "2"],
+        ["yang-mills", "--n", "1", "--algebra", "abelian"],
+    ])
+    def test_sampled_verify_at_order_1_exit_0(self, tmp_path, capsys, args):
+        # no (n-2)-form exists at n = 1: the samples have no exact part
+        # and there is no sampled-locality check
+        out_file = str(tmp_path / "structure.json")
+        assert run_cli(["scenario", *args, "--out", out_file], capsys)[0] == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "gradira.cli", "verify", "-f", out_file, "--samples", "3"],
+            capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        sampled = [line for line in proc.stdout.splitlines() if "sampled" in line]
+        assert sampled == [f"PASS sampled-skew {k}" for k in range(3)]
+
     @pytest.mark.parametrize("section, edit, message", [
         ("sn", lambda doc: doc["sn"].__setitem__(1, "d(y1) ^ d(z9)"),
          "2:11: unknown coordinate 'z9'"),
