@@ -25,12 +25,12 @@ from .dynamics import (
     is_special_hamiltonian,
     render_residual_equation,
 )
-from .extensions import bracket_ext1_signed, build_span_tower
+from .extensions import bracket_ext1_signed, build_span_tower, default_table
 from .forms import Form
 from .parser import parse_form
 from .render import render_form
 from .report import Report
-from .scenarios import scenario as make_scenario
+from .scenarios import canonical_extension_table, scenario as make_scenario
 from .structfile import dump_extension, dump_scenario, load_structure_file
 from .structure import bracket, verify_axioms, verify_fibered
 
@@ -79,14 +79,8 @@ def cmd_scenario(args):
     scn = make_scenario(args.name, **params)
     extension = None
     if args.with_extension:
-        from .scenarios import canonical_extension_table
-
-        if scn.name == "reduced-canonical":
-            extension = canonical_extension_table(scn, style="symmetric")
-        else:
-            extension = build_span_tower(
-                scn.structure, scn.structure.n + 1, scn.structure.n, vertical=True
-            ).table()
+        style = "symmetric" if scn.name == "reduced-canonical" else "solved"
+        extension = canonical_extension_table(scn, style=style)
     doc = dump_scenario(scn, extension=extension)
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
@@ -140,13 +134,25 @@ def cmd_bracket(args):
     return 0
 
 
-def cmd_tower(args):
-    sf = _load(args)
-    st = sf.structure
+def _tower(args):
+    """The S^a[j] tower of ``tower`` and ``extend``, a = n + 1 and j = n by default."""
+    st = _load(args).structure
     a = args.a if args.a is not None else st.n + 1
     j = args.j if args.j is not None else st.n
-    level = build_span_tower(st, a, j, vertical=args.vertical)
-    print(f"S^{a}[{j}] admitted generators ({len(level.entries)}):")
+    return build_span_tower(st, a, j, vertical=args.vertical)
+
+
+def _hamiltonian_file(args):
+    """The structure file of ``hdw`` and ``evolution``, which need a Hamiltonian."""
+    sf = _load(args)
+    if sf.hamiltonian is None:
+        raise GradiraError("structure file has no Hamiltonian")
+    return sf
+
+
+def cmd_tower(args):
+    level = _tower(args)
+    print(f"S^{level.a}[{level.j}] admitted generators ({len(level.entries)}):")
     for entry in level.entries:
         print(f"  {render_form(entry.form)}")
     rejected = level.rejected()
@@ -160,12 +166,7 @@ def cmd_tower(args):
 def cmd_extend(args):
     if args.out:
         _check_out(args.out)
-    sf = _load(args)
-    st = sf.structure
-    a = args.a if args.a is not None else st.n + 1
-    j = args.j if args.j is not None else st.n
-    table = build_span_tower(st, a, j, vertical=args.vertical).table()
-    text = dump_extension(table)
+    text = dump_extension(_tower(args).table())
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -189,9 +190,7 @@ def cmd_hamiltonian(args):
 
 
 def cmd_hdw(args):
-    sf = _load(args)
-    if sf.hamiltonian is None:
-        raise GradiraError("structure file has no Hamiltonian")
+    sf = _hamiltonian_file(args)
     ham = Hamiltonian(sf.hamiltonian, sf.structure)
     section = Section(sf.chart)
     entries = hdw_residuals(ham, section, sf.generators)
@@ -210,13 +209,9 @@ def cmd_special(args):
 
 
 def cmd_evolution(args):
-    sf = _load(args)
-    if sf.hamiltonian is None:
-        raise GradiraError("structure file has no Hamiltonian")
+    sf = _hamiltonian_file(args)
     st = sf.structure
-    table = sf.extension
-    if table is None:
-        table = build_span_tower(st, st.n + 1, st.n, vertical=True).table()
+    table = sf.extension or default_table(st)
     ham = Hamiltonian(sf.hamiltonian, st)
     connection = gamma_H(ham, table)
     forms = list(sf.generators)
@@ -259,20 +254,19 @@ def build_parser():
     p.add_argument("-b", required=True)
     p.set_defaults(func=cmd_bracket)
 
+    def add_tower(p):
+        add_file(p)
+        p.add_argument("-a", type=int, default=None)
+        p.add_argument("-j", type=int, default=None)
+        p.add_argument("--vertical", action=argparse.BooleanOptionalAction,
+                       default=True)
+
     p = sub.add_parser("tower", help="compute S^a[j]")
-    add_file(p)
-    p.add_argument("-a", type=int, default=None)
-    p.add_argument("-j", type=int, default=None)
-    p.add_argument("--vertical", action=argparse.BooleanOptionalAction,
-                   default=True)
+    add_tower(p)
     p.set_defaults(func=cmd_tower)
 
     p = sub.add_parser("extend", help="solve and print an extension table")
-    add_file(p)
-    p.add_argument("-a", type=int, default=None)
-    p.add_argument("-j", type=int, default=None)
-    p.add_argument("--vertical", action=argparse.BooleanOptionalAction,
-                   default=True)
+    add_tower(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_extend)
 

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
+from typing import NamedTuple
 
 from . import scalars
 from .calculus import exterior_derivative, lie_derivative, lie_derivative_mvform
-from .errors import DegreeError, MembershipError
+from .errors import DegreeError, GradiraError, MembershipError
 from .forms import (Form, MvForm, _bilinear, contract, identity_tensor,
                     linear_combination, wedge)
 from .linsolve import Echelon
@@ -52,26 +53,33 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def s1_wedge_basis(structure, a):
-    """(combination, wedge monomial) pairs spanning (S^1)^{wedge a}, the
-    candidates of the S^a[j] tower: monomials of the level-1 generators, or
-    of the coordinate differentials when S^1 = T*M and the generators are
-    not m scaled coordinate differentials (a tower's rejected list depends
-    on this choice).  Combinations come in ``itertools.combinations``
-    order; each product extends the one of its prefix by one factor, and
-    zero products are left out."""
+def _s1_factors(structure):
+    """The factors of the S^a[j] tower's candidates, as form data: the
+    level-1 generators, or the coordinate differentials when S^1 = T*M and
+    the generators are not m scaled coordinate differentials (a tower's
+    rejected list depends on this choice)."""
     chart = structure.chart
     gens = [g.data for g in structure.generators(1)]
     scaled_coords = len(gens) == chart.m and all(len(g) == 1 for g in gens)
     if len(structure.s1_frame[2]) == chart.m and not scaled_coords:
-        gens = [{(i,): scalars.ONE} for i in range(chart.m)]
+        return [{(i,): scalars.ONE} for i in range(chart.m)]
+    return gens
+
+
+def s1_wedge_basis(structure, a):
+    """(combination, wedge monomial) pairs spanning (S^1)^{wedge a}, the
+    candidates of the S^a[j] tower: monomials of ``_s1_factors``.
+    Combinations come in ``itertools.combinations`` order; each product
+    extends the one of its prefix by one factor, and zero products are
+    left out."""
+    gens = _s1_factors(structure)
     products = {(): {(): scalars.ONE}}
     for _ in range(a):
         products = {combo + (i,): data
                     for combo, prefix in products.items()
                     for i in range(combo[-1] + 1 if combo else 0, len(gens))
                     if (data := _bilinear(prefix, gens[i], merge))}
-    return [(combo, Form(chart, a, data, _normalized=True))
+    return [(combo, Form(structure.chart, a, data, _normalized=True))
             for combo, data in products.items()]
 
 
@@ -176,8 +184,7 @@ def bracket_ext1_signed(x, y, structure):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TowerEntry:
+class TowerEntry(NamedTuple):
     form: Form
     value: MvForm  # particular solution of the defining pairing
 
@@ -208,9 +215,7 @@ class TowerLevel:
         return list(self._rejected)
 
     def table(self):
-        return ExtensionTable(self.structure, self.j,
-                              [(e.form, e.value) for e in self.entries],
-                              freedom=self.freedom)
+        return ExtensionTable(self.structure, self.j, self.entries, freedom=self.freedom)
 
 
 def solve_sharp_j(structure, theta, j, vertical=False):
@@ -224,6 +229,11 @@ def solve_sharp_j(structure, theta, j, vertical=False):
     system = structure.pairing_system(theta.degree, j, vertical)
     particular = system.solve(structure.pairing_rhs(theta.data))
     return None if particular is None else (particular, list(system.freedom))
+
+
+def default_table(structure):
+    """The default sharp_n~ table: that of the vertical S^{n+1}[n] tower."""
+    return build_span_tower(structure, structure.n + 1, structure.n, vertical=True).table()
 
 
 def _check_extension_level(structure, a, j):
@@ -261,6 +271,13 @@ def _live_columns(structure, candidates, system):
     return lone, {wk: w_columns[wk] for wk in system.unknowns if wk in w_columns}
 
 
+# The most candidates a tower may take, C(#``_s1_factors``, a).  On
+# ``reduced_canonical(2, k)`` files a tower costs about 25 us and 1.4 kB a
+# candidate (295,240 took 7.4 s and 400 MB), and the largest built-in one,
+# Yang-Mills S^4[3], takes 5,985.
+MAX_TOWER_CANDIDATES = 300_000
+
+
 def build_span_tower(structure, a, j, vertical=False):
     """Compute S^a[j] over a spanning set of (S^1)^{wedge a}.
 
@@ -294,8 +311,15 @@ def build_span_tower(structure, a, j, vertical=False):
     extra generators whose only solutions carry traceless base-to-base
     blocks; the vertical restriction removes them and leaves the classical
     generator families.
+
+    A tower of more than ``MAX_TOWER_CANDIDATES`` candidates raises
+    GradiraError before any candidate is built.
     """
     _check_extension_level(structure, a, j)
+    count = comb(len(_s1_factors(structure)), a)
+    if count > MAX_TOWER_CANDIDATES:
+        raise GradiraError(f"the S^{a}[{j}] tower has {count:,} candidates, more than "
+                           f"{MAX_TOWER_CANDIDATES:,}")
     chart = structure.chart
     candidates = [f for _, f in s1_wedge_basis(structure, a)]
     system = structure.pairing_system(a, j, vertical)
@@ -331,7 +355,7 @@ def build_span_tower(structure, a, j, vertical=False):
 
 
 class ExtensionTable:
-    """A chosen sharp_j~ assignment on generators: entries (Theta, value)
+    """A chosen sharp_j~ assignment on generators: ``TowerEntry``s (Theta, value)
     with value in Lambda^{deg-j} (x) V_{n+1-j}, verified at construction
     against the defining pairing, as pairings with S^n against one
     ``Structure.pairing_rhs`` per entry.  The compatibility sharp_1~ = sharp_j~ ^
@@ -341,7 +365,7 @@ class ExtensionTable:
     def __init__(self, structure, j, entries, freedom=None, verify=True):
         self.structure = structure
         self.j = j
-        self.entries = [(theta, value) for theta, value in entries]
+        self.entries = [TowerEntry(*entry) for entry in entries]
         self.freedom = list(freedom or [])
         if verify:
             self.verify()
@@ -367,12 +391,9 @@ class ExtensionTable:
                     f"against {render(bad)}"
                 )
 
-    def forms(self):
-        return [theta for theta, _ in self.entries]
-
     @cached_property
     def _echelon(self):
-        return generator_echelon(self.forms())
+        return generator_echelon([entry.form for entry in self.entries])
 
     def apply(self, theta):
         """sharp_j~ of a form in the span of the table generators."""
@@ -386,7 +407,7 @@ class ExtensionTable:
                 f"{render(theta)} is not in the span of the extension table"
             )
         return linear_combination(
-            ((c, self.entries[i][1]) for i, c in coefficients.items()),
+            ((c, self.entries[i].value) for i, c in coefficients.items()),
             MvForm.zero(self.structure.chart, theta.degree - self.j,
                         self.structure.n + 1 - self.j))
 
@@ -426,10 +447,8 @@ def compat_lower(table, i):
         return table
     scale = Fraction(1, comb(j - 1, j - i))
     one = identity_tensor(table.structure.chart, j - i)
-    entries = [
-        (theta, scale * wedge(value, one)) for theta, value in table.entries
-    ]
-    return ExtensionTable(table.structure, i, entries, verify=False)
+    entries = [(theta, scale * wedge(value, one)) for theta, value in table.entries]
+    return ExtensionTable(table.structure, i, entries)
 
 
 def require_extj_left(alpha, structure, j):

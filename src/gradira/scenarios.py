@@ -290,17 +290,18 @@ def canonical_extension_table(scn, style="symmetric"):
         dy^j ^ d^n x        -> 1/n dx^mu (x) d/dp^mu_j
         dp^a_j ^ d^n x      -> -dx^a (x) d/dy^j          (pairing-fixed sign)
         dy^j ^ dp^mu_k ^ d^{n-1}x_mu -> dy^j (x) d/dy^k + dp^mu_k (x) d/dp^mu_j
-    style='solved': the lexicographically-pivoted minimal-support solve.
+    style='solved': ``extensions.default_table``, the lexicographically-pivoted
+    minimal-support solve, on any scenario.
     Both are verified against the defining pairing at construction.
     """
-    from .extensions import ExtensionTable, build_span_tower
+    from .extensions import ExtensionTable, default_table
 
     structure = scn.structure
+    if style == "solved":
+        return default_table(structure)
     chart = structure.chart
     n = structure.n
     fields = scn.params["fields"]
-    if style == "solved":
-        return build_span_tower(structure, n + 1, n, vertical=True).table()
     momentum = lambda u, mu: _momentum(chart, fields, u, mu)
     d = lambda name: Form.d_coord(chart, name)
     tensor = lambda a, b: MvForm.tensor(d(a), MultiVector.coord_vector(chart, b))

@@ -3,6 +3,7 @@ import random
 import sys
 from functools import cache
 from itertools import combinations
+from math import comb
 
 import pytest
 import sympy
@@ -37,15 +38,17 @@ from gradira import (
     sharp_lowered,
     volume_contraction,
     wedge,
+    yang_mills,
 )
 from gradira import extensions, forms, linsolve, scalars, spans
 from gradira import structure as structure_module
 from gradira.errors import DegreeError, GradiraError, MembershipError, NotHamiltonianError
-from gradira.extensions import s1_wedge_basis, solve_sharp_j
+from gradira.extensions import TowerEntry, s1_wedge_basis, solve_sharp_j
 from gradira.parser import parse_form
 from gradira.render import render
 from gradira.sampling import random_form, random_hamiltonian_form, rng_from_env
 from gradira.scenarios import canonical_extension_table
+from gradira.structfile import dump_scenario, load_structure_file
 from naive import (contract_pairing_rhs, decompose_s1_power, fiber_indices,
                    naive_bracket_ext1, naive_build_span_tower, naive_gamma_H,
                    naive_is_hamiltonian, naive_pairing_rhs, naive_sharp1_tilde,
@@ -1055,6 +1058,37 @@ class TestSpanTower:
                 solve_sharp_j(st, Form.zero(st.chart, a), j)
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize("name", sorted(COMPATIBILITY_STRUCTURES))
+    def test_candidate_budget_is_checked_before_any_candidate(self, name, monkeypatch):
+        # the budget counts C(#factors, a), the products s1_wedge_basis
+        # tries: a budget equal to it builds the tower, one less refuses it
+        # before s1_wedge_basis runs, and a bad level is still a DegreeError
+        st = COMPATIBILITY_STRUCTURES[name]()
+        count = comb(len(extensions._s1_factors(st)), 2)
+        assert len(build_span_tower(st, 2, 1).candidates) <= count
+        calls = []
+        basis = extensions.s1_wedge_basis
+        monkeypatch.setattr(extensions, "s1_wedge_basis",
+                            lambda *args: calls.append(args) or basis(*args))
+        monkeypatch.setattr(extensions, "MAX_TOWER_CANDIDATES", count)
+        build_span_tower(st, 2, 1)
+        assert calls == [(st, 2)]
+        monkeypatch.setattr(extensions, "MAX_TOWER_CANDIDATES", count - 1)
+        with pytest.raises(GradiraError, match=fr"^the S\^2\[1\] tower has {count:,} "
+                                               fr"candidates, more than {count - 1:,}$"):
+            build_span_tower(st, 2, 1)
+        with pytest.raises(DegreeError, match="^extension level j=0 out of range"):
+            build_span_tower(st, 2, 0)
+        assert calls == [(st, 2)]
+
+    def test_builtin_towers_are_within_the_candidate_budget(self, ym_su2):
+        # the largest built-in tower, Yang-Mills S^4[3], takes C(21, 4)
+        # candidates, every one a nonzero product
+        st = ym_su2.structure
+        count = comb(len(extensions._s1_factors(st)), 4)
+        assert count == 5985 < extensions.MAX_TOWER_CANDIDATES
+        assert count == len(build_span_tower(st, 4, 3, vertical=True).candidates)
+
     def test_benchmark_tower_pinned(self):
         # S^4[3] on reduced_canonical(3, 3), rendered as the canon-tower
         # benchmark renders it; digest of the text computed from sharp_1~
@@ -1387,6 +1421,64 @@ class TestExtensionTable:
         for (t1, v1), (t2, v2) in zip(table.entries, back.entries):
             assert t1 == t2
             assert v1 == v2
+
+
+    def test_compat_lower_refuses_a_table_off_the_pairing(self, red2):
+        # the lowered table is verified: an entry off the defining pairing
+        # at level j is off it at every level i < j
+        table = canonical_extension_table(red2, style="symmetric")
+        theta, value = table.entries[0]
+        table.entries[0] = TowerEntry(theta, 2 * value)
+        with pytest.raises(MembershipError, match="fails the defining pairing"):
+            compat_lower(table, 1)
+
+    @pytest.mark.parametrize("style", ["symmetric", "solved"])
+    @pytest.mark.parametrize("name", ["red2", "red3", "red3k2"])
+    def test_compat_lower_tables_verify(self, request, name, style):
+        # every level i < j of either canonical table passes the defining
+        # pairing, which compat_lower checks at construction
+        table = canonical_extension_table(request.getfixturevalue(name), style=style)
+        for i in range(1, table.j):
+            lowered = compat_lower(table, i)
+            assert (lowered.j, len(lowered.entries)) == (i, len(table.entries))
+
+    @pytest.mark.parametrize("vertical", [False, True])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_compat_lower_yang_mills_tables_verify(self, n, vertical):
+        st = yang_mills(n, "abelian").structure
+        table = build_span_tower(st, st.n + 1, st.n, vertical).table()
+        for i in range(1, table.j):
+            assert compat_lower(table, i).j == i
+
+
+class TestOneEntryShape:
+    # towers and tables hold one entry type, TowerEntry(form, value), and a
+    # tower's table takes its entries as they are
+
+    @pytest.mark.parametrize("vertical", [False, True])
+    def test_tower_table_holds_the_tower_entries(self, red3k2, vertical):
+        st = red3k2.structure
+        level = build_span_tower(st, st.n + 1, st.n, vertical)
+        table = level.table()
+        assert table.entries == level.entries and table.entries is not level.entries
+        assert all(type(e) is TowerEntry for e in level.entries + table.entries)
+
+    @pytest.mark.parametrize("style", ["symmetric", "solved"])
+    def test_canonical_and_loaded_tables_hold_tower_entries(self, red2, style):
+        table = canonical_extension_table(red2, style=style)
+        loaded = load_structure_file(dump_scenario(red2, extension=table)).extension
+        assert [(render(t), render(v)) for t, v in loaded.entries] == \
+            [(render(e.form), render(e.value)) for e in table.entries]
+        for held in (table, loaded, compat_lower(table, 1), table.perturbed()):
+            assert all(type(e) is TowerEntry for e in held.entries)
+
+    def test_solved_style_serves_yang_mills(self, ym_abelian):
+        # the solved table reads no scenario parameter: it is the table of
+        # the vertical S^{n+1}[n] tower on any scenario
+        st = ym_abelian.structure
+        table = canonical_extension_table(ym_abelian, style="solved")
+        level = build_span_tower(st, st.n + 1, st.n, vertical=True)
+        assert (table.j, table.entries) == (st.n, level.entries)
 
 
 class TestSharpLowered:

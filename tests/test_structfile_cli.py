@@ -590,6 +590,48 @@ class TestCli:
         assert proc.stderr == ("error: the pairing system has 15,019,500 unknowns, "
                                "more than 1,000,000\n")
 
+    @pytest.mark.parametrize("command", ["tower", "extend"])
+    def test_oversized_tower_exit_2_at_once(self, tmp_path, command):
+        # m = 302: the default S^3[2] tower would take C(302, 3) candidates,
+        # about 6 GB; the candidate budget refuses it before any candidate
+        # is built, so a 1 GB address space and 60 s are plenty
+        out_file = str(tmp_path / "structure.json")
+        subprocess.run(
+            [sys.executable, "-m", "gradira.cli", "scenario", "reduced-canonical",
+             "--n", "2", "--fields", "100", "--out", out_file], check=True,
+            capture_output=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gradira.cli", command, "-f", out_file],
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("error: the S^3[2] tower has 4,545,100 candidates, "
+                               "more than 300,000\n")
+
+    def test_nulled_optional_sections_read_as_absent(self, red2, tmp_path, capsys):
+        # a JSON null in an optional section is the section left out: the
+        # same stdout, stderr and exit code for every command that reads it
+        optional = ["functions", "hamiltonian", "generators", "extension", "scenario"]
+        doc = dump_scenario(red2, extension=canonical_extension_table(red2))
+        absent, nulled = tmp_path / "absent.json", tmp_path / "nulled.json"
+        absent.write_text(json.dumps({k: v for k, v in doc.items() if k not in optional}))
+        nulled.write_text(json.dumps({**doc, **dict.fromkeys(optional)}))
+        expected = {
+            "verify": 0,
+            "tower": 0,
+            "hamiltonian": "error: no Hamiltonian: pass -H or use a file with one\n",
+            "hdw": "error: structure file has no Hamiltonian\n",
+            "evolution": "error: structure file has no Hamiltonian\n",
+        }
+        for command, outcome in expected.items():
+            results = [run_cli([command, "-f", str(path)], capsys) for path in (absent, nulled)]
+            assert results[0] == results[1], command
+            code, out, err = results[0]
+            if outcome == 0:
+                assert (code, err) == (0, "") and out, command
+            else:
+                assert (code, out, err) == (2, "", outcome), command
+
     @pytest.mark.parametrize("args, text", [
         (["reduced-canonical", "--n", "30"],
          "(2^30 - 1) * 33 horizontal coordinate forms (order 30, 62 coordinates)"),
