@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import scalars
 from .chart import Chart
-from .errors import ChartError
+from .errors import ChartError, GradiraError
 from .forms import (Form, MultiVector, MvForm, _coordinate_contractions,
                     linear_combination, volume_contraction, wedge)
 from .calculus import exterior_derivative
@@ -286,7 +286,8 @@ def canonical_extension_table(scn, style="symmetric"):
     """An admissible vertical-valued extension table at level n for the
     reduced canonical scenario.
 
-    style='symmetric': the symmetric-trace values
+    style='symmetric' (reduced-canonical only; GradiraError on another
+    scenario): the symmetric-trace values
         dy^j ^ d^n x        -> 1/n dx^mu (x) d/dp^mu_j
         dp^a_j ^ d^n x      -> -dx^a (x) d/dy^j          (pairing-fixed sign)
         dy^j ^ dp^mu_k ^ d^{n-1}x_mu -> dy^j (x) d/dy^k + dp^mu_k (x) d/dp^mu_j
@@ -299,6 +300,9 @@ def canonical_extension_table(scn, style="symmetric"):
     structure = scn.structure
     if style == "solved":
         return default_table(structure)
+    if scn.name != "reduced-canonical":
+        raise GradiraError(f"the symmetric extension table serves the reduced-canonical "
+                           f"scenario, not {scn.name}")
     chart = structure.chart
     n = structure.n
     fields = scn.params["fields"]

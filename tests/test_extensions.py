@@ -1480,6 +1480,19 @@ class TestOneEntryShape:
         level = build_span_tower(st, st.n + 1, st.n, vertical=True)
         assert (table.j, table.entries) == (st.n, level.entries)
 
+    @pytest.mark.parametrize("build", [lambda: yang_mills(2, "abelian"),
+                                       lambda: extended_canonical(2, 1)],
+                             ids=["yang-mills", "extended-canonical"])
+    def test_symmetric_style_refuses_other_scenarios(self, build):
+        # the symmetric values are the reduced-canonical ones; elsewhere they
+        # raised a bare KeyError (no "fields") or a MembershipError
+        scn = build()
+        with pytest.raises(GradiraError) as raised:
+            canonical_extension_table(scn, style="symmetric")
+        assert type(raised.value) is GradiraError
+        assert str(raised.value) == ("the symmetric extension table serves the "
+                                     f"reduced-canonical scenario, not {scn.name}")
+
 
 class TestSharpLowered:
     def test_prop_31_binomial_ladder(self, red2, red3):

@@ -23,6 +23,7 @@ from gradira import (
     volume_contraction,
     volume_mv_contraction,
     wedge,
+    yang_mills,
 )
 from gradira.errors import (DegreeError, MembershipError, NonWellDefinedError,
                             NotHamiltonianError)
@@ -518,6 +519,8 @@ def _oracle_structure(name):
         "tilted": lambda: _tilted(reduced_canonical(2, 1), rescaled=False, tilt=True),
         "tilted-rescaled": lambda: _tilted(reduced_canonical(2, 1), rescaled=True,
                                            tilt=True),
+        "ym2-su2": lambda: yang_mills(2, "su2").structure,
+        "ym2-abelian": lambda: yang_mills(2, "abelian").structure,
     }
     return builders[name]()
 
@@ -526,12 +529,80 @@ def _checks(report):
     return [(c.name, c.passed, c.detail) for c in report.checks]
 
 
+def _checked_pairs(st, monkeypatch):
+    """``verify_axioms(st)`` and the (a, i, b, j) of every pair it hands to
+    ``_check_pair``, in order."""
+    from gradira import structure as structure_module
+
+    real, pairs = structure_module._check_pair, []
+
+    def counting(structure, report, d, a, i, b, j):
+        pairs.append((a, i, b, j))
+        real(structure, report, d, a, i, b, j)
+
+    monkeypatch.setattr(structure_module, "_check_pair", counting)
+    return verify_axioms(st), pairs
+
+
+def _pairs_that_can_fail(st):
+    """The pairs with a nonzero contraction iota_U beta or iota_V alpha, a
+    generator that is not closed or a sharp value with a non-constant
+    coefficient, found with the form operators."""
+    n, gens = st.n, {}
+    for a in range(1, n + 1):
+        gens[a] = [(g.form, g.sharp, not exterior_derivative(g.form).is_zero()
+                    or any(c.generators for c in g.sharp.data.values()))
+                   for g in st.levels[a]]
+    return {(a, i, b, j)
+            for a in range(1, n + 1) for b in range(max(a, n + 1 - a), n + 1)
+            for i, (alpha, u, loose_a) in enumerate(gens[a])
+            for j, (beta, v, loose_b) in enumerate(gens[b]) if b > a or j >= i
+            if loose_a or loose_b or contract(u, beta) or contract(v, alpha)}
+
+
 class TestAxiomsOracle:
     @pytest.mark.parametrize("name", ["red2", "red3", "red3k2", "sheared", "scaled",
-                                      "rank-deficient", "tilted", "tilted-rescaled"])
+                                      "rank-deficient", "tilted", "tilted-rescaled",
+                                      "ym2-su2", "ym2-abelian"])
     def test_matches_form_operator_oracle(self, name):
         st = _oracle_structure(name)
         assert _checks(verify_axioms(st)) == _checks(naive_verify_axioms(st))
+
+    @pytest.mark.parametrize("name", ["red2", "red3", "red3k2", "sheared", "scaled",
+                                      "rank-deficient", "tilted", "tilted-rescaled",
+                                      "ym2-su2", "ym2-abelian"])
+    def test_every_pair_that_can_fail_reaches_check_pair(self, name, monkeypatch):
+        # the key index may send more pairs to _check_pair, never fewer
+        st = _oracle_structure(name)
+        _, pairs = _checked_pairs(st, monkeypatch)
+        assert len(set(pairs)) == len(pairs)
+        assert _pairs_that_can_fail(st) <= set(pairs)
+
+    def test_check_pair_runs_on_38_of_399_pairs(self, monkeypatch):
+        # reduced_canonical(3, 2): 361 pairs have closed generators, constant
+        # sharp values and contractions zero by key; each still gets its
+        # skew and integrable PASS lines
+        st = _oracle_structure("red3k2")
+        report, pairs = _checked_pairs(st, monkeypatch)
+        assert len(pairs) == 38 == 399 - 361
+        assert set(pairs) == _pairs_that_can_fail(st)
+        assert report.passed
+        assert [c.name.split()[0] for c in report.checks].count("skew") == 399
+        assert [c.name.split()[0] for c in report.checks].count("integrable") == 399
+
+    def test_non_closed_generators_reach_check_pair(self, monkeypatch):
+        # tilted-rescaled: (1 + y1) times a generator is not closed, so every
+        # pair holding one runs the kernels, and its failures are witnessed
+        st = _oracle_structure("tilted-rescaled")
+        _, pairs = _checked_pairs(st, monkeypatch)
+        loose = {(a, i) for a in range(1, st.n + 1) for i, g in enumerate(st.levels[a])
+                 if not exterior_derivative(g.form).is_zero()}
+        assert loose
+        every = {(a, i, b, j) for a in range(1, st.n + 1) for b in range(a, st.n + 1)
+                 if a + b >= st.n + 1 for i in range(len(st.levels[a]))
+                 for j in range(i if b == a else 0, len(st.levels[b]))}
+        held = {pair for pair in every if pair[:2] in loose or pair[2:] in loose}
+        assert held and held <= set(pairs)
 
     @pytest.mark.parametrize("name", ["red2", "red3", "sheared", "scaled"])
     @settings(max_examples=12, deadline=None)
