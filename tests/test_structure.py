@@ -556,8 +556,9 @@ def _pairs_that_can_fail(st):
     return {(a, i, b, j)
             for a in range(1, n + 1) for b in range(max(a, n + 1 - a), n + 1)
             for i, (alpha, u, loose_a) in enumerate(gens[a])
-            for j, (beta, v, loose_b) in enumerate(gens[b]) if b > a or j >= i
-            if loose_a or loose_b or contract(u, beta) or contract(v, alpha)}
+            for j, (beta, v, loose_b) in enumerate(gens[b])
+            if (b > a or j >= i)
+            and (loose_a or loose_b or contract(u, beta) or contract(v, alpha))}
 
 
 class TestAxiomsOracle:
