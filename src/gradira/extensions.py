@@ -14,10 +14,11 @@ the homogeneous freedom, so distinct admissible choices can be compared.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb
 from typing import NamedTuple
 
@@ -66,19 +67,33 @@ def _s1_factors(structure):
     return gens
 
 
+def _times_term(prefix, term):
+    """``_bilinear(prefix, term, merge)`` for one-term coefficient dicts, {}
+    on a repeated index: c dx^K ^ c' dx^k is c c' dx^{K + k}, signed by the
+    parity of the indices of K above k."""
+    [(key, c)], [((k,), ck)] = prefix.items(), term.items()
+    pos = bisect(key, k)
+    if pos and key[pos - 1] == k:
+        return {}
+    value = ck if c is scalars.ONE else c if ck is scalars.ONE else scalars.smul(c, ck)
+    return {key[:pos] + (k,) + key[pos:]: scalars.sneg(value) if (len(key) - pos) & 1 else value}
+
+
 def s1_wedge_basis(structure, a):
     """(combination, wedge monomial) pairs spanning (S^1)^{wedge a}, the
     candidates of the S^a[j] tower: monomials of ``_s1_factors``.
     Combinations come in ``itertools.combinations`` order; each product
     extends the one of its prefix by one factor, and zero products are
-    left out."""
+    left out.  When every factor has one term, so has every product, and
+    ``_times_term`` forms it from the keys."""
     gens = _s1_factors(structure)
+    times = _times_term if all(len(g) == 1 for g in gens) else partial(_bilinear, pair=merge)
     products = {(): {(): scalars.ONE}}
     for _ in range(a):
         products = {combo + (i,): data
                     for combo, prefix in products.items()
                     for i in range(combo[-1] + 1 if combo else 0, len(gens))
-                    if (data := _bilinear(prefix, gens[i], merge))}
+                    if (data := times(prefix, gens[i]))}
     return [(combo, Form(structure.chart, a, data, _normalized=True))
             for combo, data in products.items()]
 
@@ -256,25 +271,66 @@ def _live_columns(structure, candidates, system):
     when terms cancel).  ``lone[t]``: candidate t has a support, and no
     other support and no row of the system holds a key of it.  The live W
     columns, {unknown: {row key: -coefficient}} in ``system.unknowns``
-    order, are those of the ``system.components`` that a support touches."""
-    gens_at = {i: [g for g, _ in pairs] for i, pairs in structure.pairing_index.items()}
-    supports = [{(g, idx[:s] + idx[s + 1:]) for idx in theta.data
-                 for s, i in enumerate(idx) for g in gens_at.get(i, ())}
-                for theta in candidates]
-    held = Counter(key for support in supports for key in support)
-    lone = [bool(support) and all(held[key] == 1 and key not in system.rows for key in support)
-            for support in supports]
+    order, are those of the ``system.components`` that a support touches.
+    One-term candidates over every a-subset of some coordinates need no
+    supports (``_lone_by_keys``)."""
+    index = {key: t for t, theta in enumerate(candidates) if len(theta.data) == 1
+             for key in theta.data}
+    coords = set().union(*index)
+    if index and len(index) == len(candidates) == comb(len(coords), len(next(iter(index)))):
+        lone, touched = _lone_by_keys(structure, index, coords, system)
+    else:
+        gens_at = {i: [g for g, _ in pairs] for i, pairs in structure.pairing_index.items()}
+        supports = [{(g, idx[:s] + idx[s + 1:]) for idx in theta.data
+                     for s, i in enumerate(idx) for g in gens_at.get(i, ())}
+                    for theta in candidates]
+        touched = Counter(key for support in supports for key in support)
+        lone = [bool(support) and all(touched[key] == 1 and key not in system.rows
+                                      for key in support) for support in supports]
     w_columns = {}
-    for r, coeffs in system.components.rows_of(held).items():
+    for r, coeffs in system.components.rows_of(touched).items():
         for wk, c in coeffs.items():
             w_columns.setdefault(wk, {})[r] = scalars.sneg(c)
     return lone, {wk: w_columns[wk] for wk in system.unknowns if wk in w_columns}
 
 
+def _lone_by_keys(structure, index, coords, system):
+    """(lone, touched row keys) of the one-term candidates dx^I, {I: t} in
+    ``index``, I every a-subset of ``coords``.  With coords(g) the i in
+    ``coords`` carrying g in ``pairing_index``, (g, K) is held by the
+    |coords(g) \\ K| candidates K + i: I is lone iff it meets a coordinate
+    carrying a generator, coords(g) lies in I for every g at I, and no row
+    (g, I \\ i) exists, which one pass over the rows finds."""
+    coords_of = {}  # g -> coords(g)
+    for i, pairs in structure.pairing_index.items():
+        if i in coords:
+            for g, _ in pairs:
+                coords_of.setdefault(g, []).append(i)
+    reach = [0] * structure.chart.m  # at i, the union of coords(g) over the g at i, as bits
+    for held in coords_of.values():
+        mask = sum(1 << k for k in held)
+        for i in held:
+            reach[i] |= mask
+    lone = []
+    for key in index:
+        mask = union = 0
+        for i in key:
+            mask |= 1 << i
+            union |= reach[i]
+        lone.append(union != 0 and union | mask == mask)
+    touched = []
+    for g, rest in system.rows:
+        for i in coords_of.get(g, ()):
+            if i not in rest and (t := index.get(tuple(sorted(rest + (i,))))) is not None:
+                lone[t] = False
+                touched.append((g, rest))
+    return lone, touched
+
+
 # The most candidates a tower may take, C(#``_s1_factors``, a).  On
-# ``reduced_canonical(2, k)`` files a tower costs about 25 us and 1.4 kB a
-# candidate (295,240 took 7.4 s and 400 MB), and the largest built-in one,
-# Yang-Mills S^4[3], takes 5,985.
+# ``reduced_canonical(2, k)`` files a tower costs about 17 us and 0.75 kB a
+# candidate (295,240 took 4.7-5.3 s and 220 MB), and the largest built-in
+# one, Yang-Mills S^4[3], takes 5,985.
 MAX_TOWER_CANDIDATES = 300_000
 
 

@@ -18,6 +18,7 @@ from functools import cache
 from math import gcd
 
 from .chart import _PARTIAL_SEP
+from .forms import Form, MultiVector, MvForm
 from .scalars import Poly, as_scalar
 
 
@@ -164,8 +165,6 @@ def render_mvform(w):
 
 
 def render(obj):
-    from .forms import Form, MultiVector, MvForm
-
     if isinstance(obj, Form):
         return render_form(obj)
     if isinstance(obj, MultiVector):

@@ -76,6 +76,11 @@ def red3k2():
 
 
 @pytest.fixture(scope="session")
+def red3k3():
+    return _watched(reduced_canonical(3, 3))
+
+
+@pytest.fixture(scope="session")
 def ext2():
     return _watched(extended_canonical(2, 1))
 

@@ -391,11 +391,16 @@ class TestPairingRhs:
         if member:
             assert rhs == naive_pairing_rhs(member, st)
 
-    @pytest.mark.parametrize("name", sorted(S1_STRUCTURES) + ["scaled"])
-    def test_s1_wedge_basis_matches_wedge_loop(self, name):
-        # same combinations, order and monomials as one wedge per factor
-        st = scaled() if name == "scaled" else S1_STRUCTURES[name]()
-        for a in range(st.chart.m + 1):
+    @pytest.mark.parametrize("name", sorted(S1_STRUCTURES) + ["scaled", "red3k3", "ym_su2"])
+    def test_s1_wedge_basis_matches_wedge_loop(self, name, request):
+        # same combinations, order and monomials as one wedge per factor;
+        # on the two largest built-in towers up to their S^4 candidates
+        if name in ("red3k3", "ym_su2"):
+            st, top = request.getfixturevalue(name).structure, 4
+        else:
+            st = scaled() if name == "scaled" else S1_STRUCTURES[name]()
+            top = st.chart.m
+        for a in range(top + 1):
             got = s1_wedge_basis(st, a)
             expected = wedge_loop_s1_basis(st, a)
             assert [c for c, _ in got] == [c for c, _ in expected]
@@ -1238,6 +1243,47 @@ class TestSpanTowerSupport:
     def test_yang_mills_matches_joint_solve(self, ym_su2, vertical, monkeypatch):
         level = check_against_joint_solve(ym_su2.structure, 4, 3, vertical, monkeypatch)
         assert len(level.entries) == (39 if vertical else 47)
+
+    def test_reduced_canonical_3_3_matches_joint_solve(self, red3k3, monkeypatch):
+        level = check_against_joint_solve(red3k3.structure, 4, 3, True, monkeypatch)
+        assert (len(level.candidates), len(level.entries)) == (1365, 30)
+
+    def test_one_term_factors_take_the_key_path(self, red3k3, monkeypatch):
+        # vertical S^4[3] on reduced_canonical(3, 3): every factor is one
+        # term, so the candidates are built with no _bilinear and the lone
+        # flags with no support.  Only the 165 candidates that are not lone
+        # and the 30 entries get a right-hand side
+        st = red3k3.structure
+        st.pairing_system(4, 3, vertical=True)
+        bilinear, by_keys, rhs = [], [], []
+        real_bilinear, real_by_keys = extensions._bilinear, extensions._lone_by_keys
+        real_rhs = Structure.pairing_rhs
+        monkeypatch.setattr(extensions, "_bilinear", lambda *args, **kwargs:
+                            bilinear.append(1) or real_bilinear(*args, **kwargs))
+        monkeypatch.setattr(extensions, "_lone_by_keys",
+                            lambda *args: by_keys.append(1) or real_by_keys(*args))
+        monkeypatch.setattr(Structure, "pairing_rhs",
+                            lambda self, data: rhs.append(1) or real_rhs(self, data))
+        level = build_span_tower(st, 4, 3, vertical=True)
+        lone, _ = extensions._live_columns(st, level.candidates, st.pairing_system(4, 3, True))
+        assert (len(level.candidates), sum(lone), len(level.rejected())) == (1365, 1200, 1344)
+        assert (len(bilinear), len(by_keys), len(rhs)) == (0, 2, 195)
+
+    @pytest.mark.parametrize("builder", [rank_deficient_sheared, oblique])
+    def test_multi_term_factors_take_the_generic_path(self, builder, monkeypatch):
+        # a factor with two terms: the products go through _bilinear, and
+        # the lone flags of S^2[1], which has a two-term candidate, through
+        # the supports
+        st = builder()
+        bilinear, by_keys = [], []
+        real_bilinear, real_by_keys = extensions._bilinear, extensions._lone_by_keys
+        monkeypatch.setattr(extensions, "_bilinear", lambda *args, **kwargs:
+                            bilinear.append(1) or real_bilinear(*args, **kwargs))
+        monkeypatch.setattr(extensions, "_lone_by_keys",
+                            lambda *args: by_keys.append(1) or real_by_keys(*args))
+        level = build_span_tower(st, 2, 1)
+        assert any(len(c.data) > 1 for c in level.candidates)
+        assert bilinear and not by_keys
 
     def test_dead_w_columns_stay_out_of_the_elimination(self, red3k2, monkeypatch):
         # vertical S^4[1] on reduced_canonical(3, 2): 540 of the 1,980 W

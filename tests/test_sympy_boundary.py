@@ -86,6 +86,13 @@ def test_a_rational_function_imports_sympy_on_demand():
     assert pivots == "['-y1 - 1', '-y1/2 - 1/2', 'y1/2 + 1/2']"
 
 
+def test_render_and_forms_each_import_without_sympy():
+    # render imports forms at module level and forms imports render only in
+    # a call, so each imports on its own, with no cycle and no sympy
+    for module in ("gradira.render", "gradira.forms"):
+        assert _run(f"import sys, {module}; print('sympy' in sys.modules)") == ["False"]
+
+
 LOAD_PICKLE = """
     import pickle, sys
     value = pickle.loads(bytes.fromhex({data!r}))
