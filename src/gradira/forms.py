@@ -192,13 +192,17 @@ class Form(_Graded):
     """A differential form of fixed degree; degree 0 wraps a bare scalar.
 
     ``_d`` is set by ``calculus.exterior_derivative``: (stamp, d of the
-    form).  Pickling and copying leave it behind."""
+    form).  ``_decomposition`` is set on such a kept d by
+    ``structure._hamiltonian_record``: [structure, coefficients of the
+    form over that structure's generators of its degree (None when it is
+    no member), its sharp value or None until first used].  Pickling and
+    copying leave both behind."""
 
-    __slots__ = ("degree", "_d")
+    __slots__ = ("degree", "_d", "_decomposition")
 
     def __getstate__(self):
-        """The default slot state less ``_d``: the same bytes whether or
-        not d was taken."""
+        """The default slot state less ``_d`` and ``_decomposition``: the
+        same bytes whether or not d was taken."""
         return None, {"degree": self.degree, "chart": self.chart, "data": self.data}
 
     @classmethod

@@ -403,43 +403,65 @@ def hamiltonian_decomposition(alpha, structure, label=None):
     Raises DegreeError unless 0 <= deg <= n-1, and NotHamiltonianError
     (naming ``label``, by default the rendered form) unless d alpha lies
     in S^{deg+1}."""
+    dalpha, record = _hamiltonian_record(alpha, structure, label)
+    return dalpha, record[1]
+
+
+def _hamiltonian_record(alpha, structure, label=None):
+    """(d alpha, its record [structure, coefficients, sharp]): d alpha is
+    decomposed over S^{deg+1} once per structure, and the record is kept
+    on d alpha, so it expires when the kept d does
+    (``calculus.exterior_derivative``).  ``sharp``, the representative of
+    sharp_{deg+1}(d alpha), is None until ``bracket`` first needs it.
+    Raises as ``hamiltonian_decomposition`` does, on every call."""
     n = structure.n
     if not 0 <= alpha.degree <= n - 1:
         raise DegreeError(
             f"Hamiltonian forms have degree 0..{n - 1}, got {alpha.degree}"
         )
     dalpha = exterior_derivative(alpha)
-    coefficients = structure.span(alpha.degree + 1).decompose(dalpha)
-    if coefficients is None:
+    record = getattr(dalpha, "_decomposition", None)
+    if record is None or record[0] is not structure:
+        record = [structure, structure.span(dalpha.degree).decompose(dalpha), None]
+        dalpha._decomposition = record
+    if record[1] is None:
         name = render(alpha) if label is None else label
         raise NotHamiltonianError(f"{name} is not Hamiltonian")
-    return dalpha, coefficients
+    return dalpha, record
 
 
 def require_hamiltonian(alpha, structure, label=None):
     """d alpha for a Hamiltonian form alpha; raises as
     ``hamiltonian_decomposition`` does."""
-    return hamiltonian_decomposition(alpha, structure, label)[0]
+    return _hamiltonian_record(alpha, structure, label)[0]
 
 
 def is_hamiltonian_form(alpha, structure):
-    """True iff d(alpha) takes values in S^{deg+1} and 0 <= deg <= n-1."""
+    """True iff 0 <= deg <= n-1 and d(alpha) takes values in S^{deg+1}."""
+    if not 0 <= alpha.degree <= structure.n - 1:
+        return False
     try:
-        return require_hamiltonian(alpha, structure) is not None
+        require_hamiltonian(alpha, structure)
     except NotHamiltonianError:
         return False
+    return True
 
 
 def bracket(alpha, beta, structure):
     """The graded Poisson bracket
-    {alpha, beta} = (-1)^{deg_H beta} iota_{sharp_{b+1}(d beta)} d alpha."""
+    {alpha, beta} = (-1)^{deg_H beta} iota_{sharp_{b+1}(d beta)} d alpha.
+
+    sharp_{b+1}(d beta) is kept in d beta's record
+    (``_hamiltonian_record``), so each input is decomposed and mapped by
+    sharp once per structure however many brackets it enters."""
     n = structure.n
     dalpha = require_hamiltonian(alpha, structure)
-    _, dbeta_coefficients = hamiltonian_decomposition(beta, structure)
+    _, record = _hamiltonian_record(beta, structure)
     if alpha.degree + beta.degree < n - 1:
         return Form.zero(structure.chart, 0)
-    rep = structure.sharp_from(beta.degree + 1, dbeta_coefficients)
-    return bracket_formula(rep.rep, dalpha, beta, n)
+    if record[2] is None:
+        record[2] = structure.sharp_from(beta.degree + 1, record[1]).rep
+    return bracket_formula(record[2], dalpha, beta, n)
 
 
 def bracket_formula(w, dalpha, beta, n):

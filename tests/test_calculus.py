@@ -17,11 +17,15 @@ from gradira import (
     volume_contraction,
     wedge,
 )
+from gradira import scalars
+from gradira import calculus
 from gradira.calculus import _exterior_derivative
 from gradira.errors import NonPolynomialError, NotClosedError
+from gradira.multiindex import merge
+from gradira.parser import parse_expression
 from gradira.render import render
 
-from naive import naive_contract, naive_poincare_primitive, naive_schouten
+from naive import naive_contract, naive_gradient, naive_poincare_primitive, naive_schouten
 
 
 def d(form):
@@ -94,6 +98,115 @@ def test_kept_d_is_recomputed_after_a_declaration():
     assert after != before
     assert "D(G,x1)" in render(after) and "D(G,y1)" in render(after)
     assert d(alpha) is after
+
+
+def _d_chart():
+    ch = Chart(base=["x1", "x2"], fiber=["y1", "p1_1"])
+    ch.declare_function("H", ["x1", "y1", "p1_1"])
+    return ch
+
+
+_D_CHART = _d_chart()
+_COORDS = sympy.symbols("x1 x2 y1 p1_1")
+# the summands that move a form off the polynomial route: a declared
+# function, a formal partial, an undeclared symbol and a quotient
+_OFF_ROUTE = {"H": sympy.Symbol("H"), "H__y1": sympy.Symbol("H__y1"),
+              "K": sympy.Symbol("K"), "frac": 1 / (1 + _COORDS[2])}
+
+_poly_terms = hst.lists(
+    hst.tuples(hst.integers(-3, 3), hst.sampled_from([1, 2, 3, 4, 6]),
+               hst.lists(hst.tuples(hst.sampled_from(_COORDS), hst.integers(1, 2)),
+                         max_size=3)),
+    min_size=1, max_size=3)
+
+
+def _poly_expr(terms):
+    return sum((sympy.Rational(c, q) * sympy.Mul(*(a**e for a, e in factors))
+                for c, q, factors in terms), sympy.Integer(0))
+
+
+def _coefficients(degree):
+    keys = list(combinations(range(4), degree))
+    return hst.dictionaries(hst.sampled_from(keys), _poly_terms, max_size=4)
+
+
+def _naive_d(alpha):
+    """d from ``naive_gradient``, summed by ``scalars.accumulate`` in the
+    per-coefficient order: by coefficient, then coordinate."""
+    ch = alpha.chart
+    data = {}
+    for idx, c in alpha.data.items():
+        for i, dc in naive_gradient(c.as_expr(), ch.coords, ch.functions).items():
+            sign, merged = merge((i,), idx)
+            if sign:
+                scalars.accumulate(data, merged, scalars.as_scalar(dc), sign)
+    return data
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.integers(0, 3).flatmap(lambda a: hst.tuples(
+           hst.just(a), _coefficients(a), _coefficients(max(a - 1, 0)))),
+       hst.booleans(), hst.sampled_from([None, *_OFF_ROUTE]))
+def test_d_matches_the_naive_gradient(drawn, exact, extra):
+    """Mixed denominators, constant coefficients, entries that lose a
+    generator and, with an exact part d gamma, sums that cancel across
+    coefficients, on both routes: the same keys in the same order, each
+    with the canonical representation."""
+    a, coefficients, lower = drawn
+    ch = _D_CHART
+    alpha = Form(ch, a, {idx: _poly_expr(t) for idx, t in coefficients.items()})
+    if exact and a >= 1:
+        gamma = Form(ch, a - 1, {idx: _poly_expr(t) for idx, t in lower.items()})
+        alpha = alpha + _exterior_derivative(gamma)
+    if extra is not None and alpha:
+        idx = next(iter(alpha.data))
+        alpha = alpha + Form(ch, a, {idx: _OFF_ROUTE[extra] * _COORDS[0]})
+    polynomial = all(scalars.is_polynomial(c, ch) for c in alpha.data.values())
+    assert (calculus._polynomial_d(alpha.data, ch) is not None) == polynomial
+    got = _exterior_derivative(alpha)
+    expected = _naive_d(alpha)
+    assert list(got.data.items()) == list(expected.items())
+    assert all(hash(got.data[k]) == hash(v) for k, v in expected.items())
+
+
+@pytest.mark.parametrize("text, keys", [
+    # the two terms of d(x1 dx2 + x2 dx1) cancel: the key is dropped
+    ("x1 * d(x2) + x2 * d(x1)", []),
+    # both entries lose the generator y1
+    ("x1 * y1 * d(x1) / 2 + x2 * y1 * d(x2) / 3", [(0, 2), (1, 2)]),
+    # constant coefficients add nothing
+    ("3 * d(x1) + x1**2 * y1 / 4 * d(p1_1) - 5 / 6 * d(y1)", [(0, 3), (2, 3)]),
+])
+def test_d_of_polynomial_edges(text, keys):
+    alpha = parse_expression(text, _D_CHART)
+    got = _exterior_derivative(alpha)
+    assert list(got.data.items()) == list(_naive_d(alpha).items())
+    assert list(got.data) == keys
+
+
+@pytest.mark.parametrize("text, route", [
+    ("x1**2 / 2 * d(y1) - y1 * p1_1 / 3 * d(x2) + 7 * d(x1)", "polynomial"),
+    ("2 * d(x1) - d(y1) / 3", "polynomial"),
+    ("x1 / (1 + y1) * d(x2) + x2 * d(x1)", "general"),
+    ("H * d(x2) + x2 * d(x1)", "general"),
+    ("D(H,y1) * d(x2) + x1 * d(y1)", "general"),
+])
+def test_d_takes_one_route_per_form(monkeypatch, text, route):
+    """A form whose coefficients are constants and polynomials in the
+    coordinates takes no ``scalars.diff`` call; any other form takes one
+    per coefficient, polynomial ones included."""
+    alpha = parse_expression(text, _D_CHART)
+    calls = []
+    real = scalars.diff
+
+    def counting(value, chart):
+        calls.append(value)
+        return real(value, chart)
+
+    monkeypatch.setattr(scalars, "diff", counting)
+    got = _exterior_derivative(alpha)
+    assert len(calls) == (0 if route == "polynomial" else len(alpha.data))
+    assert list(got.data.items()) == list(_naive_d(alpha).items())
 
 
 def test_lie_derivative_of_function(chart5):

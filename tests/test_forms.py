@@ -14,6 +14,7 @@ from gradira import (
     Form,
     MultiVector,
     MvForm,
+    bracket,
     contract,
     contract_form,
     contract_form_slot,
@@ -319,10 +320,18 @@ def test_pickling_and_copying_leave_the_kept_d_behind(red2):
     blob = pickle.dumps(alpha)
     dalpha = exterior_derivative(alpha)
     assert pickle.dumps(alpha) == blob
+    dblob = pickle.dumps(dalpha)
+    # a bracket keeps alpha's decomposition and sharp value on d alpha
+    bracket(alpha, alpha, red2.structure)
+    assert dalpha._decomposition[2] is not None
+    assert (pickle.dumps(alpha), pickle.dumps(dalpha)) == (blob, dblob)
     for twin in (pickle.loads(blob), copy.copy(alpha), copy.deepcopy(alpha)):
         assert twin == alpha
         assert exterior_derivative(twin) == dalpha
         assert exterior_derivative(twin) is not dalpha
+    for twin in (pickle.loads(dblob), copy.copy(dalpha), copy.deepcopy(dalpha)):
+        assert twin == dalpha
+        assert getattr(twin, "_decomposition", None) is None
 
 
 def test_graded_objects_pickle_round_trip():

@@ -222,6 +222,16 @@ class TestDiracMap:
         report = check_dirac_map(drop, red2.structure, target, [(alpha, alpha)])
         assert report.passed
 
+    def test_pullback_off_the_hamiltonian_degrees_is_reported(self, red2):
+        drop = SubmersionDrop(red2.chart, [])
+        target = pushforward(red2.structure, drop)
+        ch = target.chart
+        alpha = Form.scalar_form(ch, ch.sym("y1")) * volume_contraction(ch, [0])
+        report = check_dirac_map(drop, red2.structure, target,
+                                 [(volume_contraction(ch, []), alpha)])
+        assert [(c.name, c.passed, c.detail) for c in report.checks] == [
+            ("dirac-map pair 0", False, "pullback is not Hamiltonian")]
+
     def test_corrupted_target_reported(self, ext2):
         from gradira import Structure
 

@@ -29,7 +29,9 @@ from gradira.errors import (DegreeError, MembershipError, NonWellDefinedError,
                             NotHamiltonianError)
 from gradira.forms import _contract_by_pair, mvform_contract_pair
 from gradira.multiindex import merge
-from gradira.structure import deg_h
+from gradira.sampling import random_hamiltonian_form
+from gradira.spans import Span
+from gradira.structure import deg_h, hamiltonian_decomposition
 from naive import is_null, naive_in_annihilator, naive_lower_tower, naive_verify_axioms
 from test_extensions import rank_deficient, scaled, sheared, tilted
 
@@ -110,10 +112,89 @@ class TestHamiltonianForms:
         assert not is_hamiltonian_form(bad, st)
 
     def test_degree_range(self, red2):
+        # a form of degree outside 0..n-1 is not Hamiltonian; the bracket,
+        # which needs one, still raises
+        ch, st = red2.chart, red2.structure
+        vol = volume_contraction(ch, [])
+        assert not is_hamiltonian_form(vol, st)
+        assert not is_hamiltonian_form(wedge(Form.d_coord(ch, "y1"), vol), st)
         with pytest.raises(DegreeError):
-            is_hamiltonian_form(
-                volume_contraction(red2.chart, []), red2.structure
-            )
+            bracket(vol, vol, st)
+
+
+def _counting(monkeypatch, cls, name):
+    """A list that gets one entry per call of the method ``cls.name``."""
+    calls = []
+    real = getattr(cls, name)
+
+    def counting(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+class TestKeptDecomposition:
+    """d alpha is decomposed over S^{deg+1}, and mapped by sharp, once per
+    structure: the record is kept on the kept d alpha."""
+
+    def test_jacobiator_decomposes_and_maps_each_form_once(self, red2, monkeypatch):
+        st = red2.structure
+        rng = random.Random(5)
+        forms = []
+        while len(forms) < 3:  # a zero form, as in the benchmark, is skipped
+            form = random_hamiltonian_form(rng, red2)
+            if form:
+                forms.append(form)
+        a, b, c = forms
+        assert all(f.degree == 1 for f in forms)
+        decompositions = _counting(monkeypatch, Span, "decompose")
+        sharps = _counting(monkeypatch, Structure, "sharp_from")
+        jac = (bracket(bracket(a, b, st), c, st) + bracket(bracket(b, c, st), a, st)
+               + bracket(bracket(c, a, st), b, st))
+        # the six forms a, b, c, {a, b}, {b, c}, {c, a}, and the sharp values
+        # of the three right arguments a, b, c of the inner brackets
+        assert (len(decompositions), len(sharps)) == (6, 3)
+        assert exterior_derivative(jac).is_zero()
+        # copies carry no record and give the same Jacobiator
+        a, b, c = (Form(f.chart, f.degree, dict(f.data)) for f in (a, b, c))
+        assert jac == (bracket(bracket(a, b, st), c, st) + bracket(bracket(b, c, st), a, st)
+                       + bracket(bracket(c, a, st), b, st))
+
+    def test_each_structure_on_a_chart_gets_its_own_answer(self):
+        st = reduced_canonical(2, 1, declare_h=False).structure
+        ch, n = st.chart, st.n
+        doubled = Structure(ch, st.generators(n), [2 * v for v in st.sharp_values(n)])
+        alpha = Form.scalar_form(ch, ch.sym("y1")) * volume_contraction(ch, [0])
+        beta = dp_gen_scalar(ch)
+        once = volume_contraction(ch, [0])
+        for structure, value in ((st, once), (doubled, 2 * once), (st, once)):
+            assert bracket(alpha, beta, structure) == value
+            assert bracket(beta, alpha, structure) == -value
+
+    def test_record_is_rebuilt_after_a_declaration(self, monkeypatch):
+        st = reduced_canonical(2, 1, declare_h=False).structure
+        ch = st.chart
+        alpha = Form.scalar_form(ch, sympy.Symbol("G") * ch.sym("y1")) \
+            * volume_contraction(ch, [0])
+        decompositions = _counting(monkeypatch, Span, "decompose")
+        dalpha, before = hamiltonian_decomposition(alpha, st)
+        assert hamiltonian_decomposition(alpha, st)[1] is before
+        assert len(decompositions) == 1
+        ch.declare_function("G", ["x1", "y1"])
+        dafter, after = hamiltonian_decomposition(alpha, st)
+        assert len(decompositions) == 2
+        assert dafter != dalpha and after != before
+        assert after == st.span(2).decompose(dafter)
+
+    def test_not_hamiltonian_raises_with_the_label_on_every_call(self, red2):
+        ch, st = red2.chart, red2.structure
+        bad = Form.scalar_form(ch, ch.sym("y1")) * Form.d_coord(ch, "p2_1")
+        for label in ("bad", "again"):
+            with pytest.raises(NotHamiltonianError, match=f"^{label} is not Hamiltonian$"):
+                hamiltonian_decomposition(bad, st, label)
+        assert not is_hamiltonian_form(bad, st)
 
 
 class TestBracket:
@@ -427,6 +508,18 @@ class TestFlatnessWitnesses:
         gamma = Form.scalar_form(ch, ch.sym("y1")) * volume_contraction(ch, [0])
         with pytest.raises(DegreeError, match=r"degree mismatch: \(2,\) vs \(3,\)"):
             check_flatness_witnesses(st, generation={2: [[(ch.sym("x1"), gamma)]]})
+
+    def test_witness_of_degree_n_fails_without_raising(self, red2):
+        # the volume form is closed, but of degree n: not Hamiltonian, so
+        # its gamma check fails and d of it lies in no level
+        from gradira import check_flatness_witnesses
+
+        ch, st = red2.chart, red2.structure
+        report = check_flatness_witnesses(
+            st, symmetries={2: ([volume_contraction(ch, [])], [])})
+        verdicts = {c.name: c.passed for c in report.checks}
+        assert verdicts["flat-ii gamma a=2.0"] is False
+        assert verdicts["flat-ii member a=2 0"] is False
 
     def test_symmetry_witnesses_order_one(self):
         # the su(2)* Poisson chart: S^1 is spanned by coordinate
