@@ -3,8 +3,6 @@ radial homotopy primitive for closed polynomial forms."""
 
 from __future__ import annotations
 
-from math import lcm
-
 from . import scalars
 from .errors import DegreeError, NonPolynomialError, NotClosedError
 from .forms import (Form, MultiVector, MvForm, _bilinear, _combination,
@@ -41,78 +39,17 @@ def exterior_derivative(alpha):
 
 
 def _exterior_derivative(alpha):
-    """The uncached kernel of ``exterior_derivative``.
-
-    When every coefficient is a constant or a polynomial in the chart
-    coordinates, d is one pass over their terms (``_polynomial_d``);
-    otherwise each coefficient takes its gradient from ``scalars.diff``."""
+    """The uncached kernel of ``exterior_derivative``."""
     chart = alpha.chart
     if alpha.degree >= chart.m:
         return Form.zero(chart, chart.m if alpha.degree == chart.m else alpha.degree + 1)
-    data = _polynomial_d(alpha.data, chart)
-    if data is None:
-        data = {}
-        for idx, c in alpha.data.items():
-            for i, dc in scalars.diff(c, chart).items():
-                sign, merged = merge((i,), idx)
-                if sign:
-                    scalars.accumulate(data, merged, dc, sign)
-    return Form(chart, alpha.degree + 1, data, _normalized=True)
-
-
-def _polynomial_d(data, chart):
-    """The coefficient dict of d of a form given by its coefficient dict,
-    or None unless every coefficient is a constant or a ``Poly`` over
-    chart coordinates.
-
-    The polynomials are lifted to their joint generators over one int
-    denominator, the lcm of theirs; each term c x^m adds its signed slope
-    sign * c * m_k x^(m - e_k) straight into the term dict of the output
-    key merge(k, idx), and each key's sum is reduced once
-    (``scalars._from_terms``).  Keys come in the order the per-coefficient
-    route makes them: by coefficient, then coordinate, and a key whose
-    sum cancels is dropped there and then."""
-    index = chart._index
-    polys, names = [], set()
-    for idx, c in data.items():
-        v = c.value
-        if v.__class__ is scalars.Poly:
-            if not all(g in index for g in v.gens):
-                return None
-            polys.append((idx, v))
-            names.update(v.gens)
-        elif not c.is_rational:
-            return None
-    if not polys:
-        return {}
-    gens = scalars.canonical(names)
-    pos = {g: k for k, g in enumerate(gens)}
-    den = lcm(*(v.den for _, v in polys))
-    sums = {}
-    for idx, v in polys:
-        mono = scalars.GENERATORS.union(v.gens, gens)[1]
-        scale = den // v.den
-        targets = []
-        for g in sorted(v.gens, key=index.get):
-            sign, merged = merge((index[g],), idx)
+    data = {}
+    for idx, c in alpha.data.items():
+        for i, dc in scalars.diff(c, chart).items():
+            sign, merged = merge((i,), idx)
             if sign:
-                targets.append((pos[g], sign * scale, sums.setdefault(merged, {}), merged))
-        for m, c in v.terms.items():
-            if mono is not None:
-                m = mono(m)
-            for k, factor, acc, _ in targets:
-                e = m[k]
-                if e:
-                    slope = m[:k] + (e - 1,) + m[k + 1:]
-                    total = acc.get(slope, 0) + factor * c * e
-                    if total:
-                        acc[slope] = total
-                    else:
-                        del acc[slope]
-        for _, _, acc, merged in targets:
-            if not acc:
-                del sums[merged]
-    return {key: scalars._from_terms(gens, acc, den) for key, acc in sums.items()}
+                scalars.accumulate(data, merged, dc, sign)
+    return Form(chart, alpha.degree + 1, data, _normalized=True)
 
 
 def lie_derivative(u, alpha):

@@ -27,7 +27,7 @@ from .forms import (
 from .linsolve import Echelon
 from .render import render, render_form, render_scalar
 from .report import Report
-from .structure import bracket_formula, hamiltonian_decomposition, require_hamiltonian
+from .structure import bracket_formula, hamiltonian_sharp, require_hamiltonian
 
 __all__ = [
     "Hamiltonian",
@@ -280,8 +280,7 @@ def check_subalgebra_condition(alpha, u_alpha, structure):
     report = Report()
     n = structure.n
     a = alpha.degree
-    dalpha, coefficients = hamiltonian_decomposition(alpha, structure)
-    rep = structure.sharp_from(a + 1, coefficients)
+    dalpha, rep = hamiltonian_sharp(alpha, structure)
     ok = rep.equiv(u_alpha)
     report.add(
         "sharp(d alpha) = U",

@@ -195,8 +195,10 @@ class Form(_Graded):
     form).  ``_decomposition`` is set on such a kept d by
     ``structure._hamiltonian_record``: [structure, coefficients of the
     form over that structure's generators of its degree (None when it is
-    no member), its sharp value or None until first used].  Pickling and
-    copying leave both behind."""
+    no member), its sharp value or None until first used].  The record
+    holds the structure, so a form whose d was decomposed keeps the last
+    structure it was decomposed over alive as long as the form lives.
+    Pickling and copying leave both behind."""
 
     __slots__ = ("degree", "_d", "_decomposition")
 

@@ -399,20 +399,32 @@ def hamiltonian_decomposition(alpha, structure, label=None):
     """(d alpha, coefficients of d alpha over the S^{deg+1} generators)
     for a Hamiltonian form alpha; ``structure.sharp_from`` turns the
     coefficients into sharp_{deg+1}(d alpha) without decomposing again.
+    The coefficients are a fresh dict: the kept ones stay in the record.
 
     Raises DegreeError unless 0 <= deg <= n-1, and NotHamiltonianError
     (naming ``label``, by default the rendered form) unless d alpha lies
     in S^{deg+1}."""
     dalpha, record = _hamiltonian_record(alpha, structure, label)
-    return dalpha, record[1]
+    return dalpha, dict(record[1])
+
+
+def hamiltonian_sharp(alpha, structure, label=None):
+    """(d alpha, sharp_{deg+1}(d alpha)) for a Hamiltonian form alpha, the
+    sharp value a CosetRep kept in d alpha's record, computed on first use
+    and shared by every later call: read it, do not change it.  Raises as
+    ``hamiltonian_decomposition`` does."""
+    dalpha, record = _hamiltonian_record(alpha, structure, label)
+    if record[2] is None:
+        record[2] = structure.sharp_from(dalpha.degree, record[1])
+    return dalpha, record[2]
 
 
 def _hamiltonian_record(alpha, structure, label=None):
     """(d alpha, its record [structure, coefficients, sharp]): d alpha is
     decomposed over S^{deg+1} once per structure, and the record is kept
     on d alpha, so it expires when the kept d does
-    (``calculus.exterior_derivative``).  ``sharp``, the representative of
-    sharp_{deg+1}(d alpha), is None until ``bracket`` first needs it.
+    (``calculus.exterior_derivative``).  ``sharp``, sharp_{deg+1}(d alpha),
+    is None until ``hamiltonian_sharp`` first needs it.
     Raises as ``hamiltonian_decomposition`` does, on every call."""
     n = structure.n
     if not 0 <= alpha.degree <= n - 1:
@@ -452,16 +464,15 @@ def bracket(alpha, beta, structure):
     {alpha, beta} = (-1)^{deg_H beta} iota_{sharp_{b+1}(d beta)} d alpha.
 
     sharp_{b+1}(d beta) is kept in d beta's record
-    (``_hamiltonian_record``), so each input is decomposed and mapped by
+    (``hamiltonian_sharp``), so each input is decomposed and mapped by
     sharp once per structure however many brackets it enters."""
     n = structure.n
     dalpha = require_hamiltonian(alpha, structure)
-    _, record = _hamiltonian_record(beta, structure)
     if alpha.degree + beta.degree < n - 1:
+        require_hamiltonian(beta, structure)
         return Form.zero(structure.chart, 0)
-    if record[2] is None:
-        record[2] = structure.sharp_from(beta.degree + 1, record[1]).rep
-    return bracket_formula(record[2], dalpha, beta, n)
+    _, sharp = hamiltonian_sharp(beta, structure)
+    return bracket_formula(sharp.rep, dalpha, beta, n)
 
 
 def bracket_formula(w, dalpha, beta, n):

@@ -18,7 +18,6 @@ from gradira import (
     wedge,
 )
 from gradira import scalars
-from gradira import calculus
 from gradira.calculus import _exterior_derivative
 from gradira.errors import NonPolynomialError, NotClosedError
 from gradira.multiindex import merge
@@ -108,10 +107,10 @@ def _d_chart():
 
 _D_CHART = _d_chart()
 _COORDS = sympy.symbols("x1 x2 y1 p1_1")
-# the summands that move a form off the polynomial route: a declared
+# summands that are not polynomials in the coordinates: a declared
 # function, a formal partial, an undeclared symbol and a quotient
-_OFF_ROUTE = {"H": sympy.Symbol("H"), "H__y1": sympy.Symbol("H__y1"),
-              "K": sympy.Symbol("K"), "frac": 1 / (1 + _COORDS[2])}
+_NON_POLYNOMIAL = {"H": sympy.Symbol("H"), "H__y1": sympy.Symbol("H__y1"),
+                   "K": sympy.Symbol("K"), "frac": 1 / (1 + _COORDS[2])}
 
 _poly_terms = hst.lists(
     hst.tuples(hst.integers(-3, 3), hst.sampled_from([1, 2, 3, 4, 6]),
@@ -146,12 +145,12 @@ def _naive_d(alpha):
 @settings(max_examples=80, deadline=None)
 @given(hst.integers(0, 3).flatmap(lambda a: hst.tuples(
            hst.just(a), _coefficients(a), _coefficients(max(a - 1, 0)))),
-       hst.booleans(), hst.sampled_from([None, *_OFF_ROUTE]))
+       hst.booleans(), hst.sampled_from([None, *_NON_POLYNOMIAL]))
 def test_d_matches_the_naive_gradient(drawn, exact, extra):
     """Mixed denominators, constant coefficients, entries that lose a
     generator and, with an exact part d gamma, sums that cancel across
-    coefficients, on both routes: the same keys in the same order, each
-    with the canonical representation."""
+    coefficients, and non-polynomial summands: the same keys in the same
+    order, each with the canonical representation."""
     a, coefficients, lower = drawn
     ch = _D_CHART
     alpha = Form(ch, a, {idx: _poly_expr(t) for idx, t in coefficients.items()})
@@ -160,9 +159,7 @@ def test_d_matches_the_naive_gradient(drawn, exact, extra):
         alpha = alpha + _exterior_derivative(gamma)
     if extra is not None and alpha:
         idx = next(iter(alpha.data))
-        alpha = alpha + Form(ch, a, {idx: _OFF_ROUTE[extra] * _COORDS[0]})
-    polynomial = all(scalars.is_polynomial(c, ch) for c in alpha.data.values())
-    assert (calculus._polynomial_d(alpha.data, ch) is not None) == polynomial
+        alpha = alpha + Form(ch, a, {idx: _NON_POLYNOMIAL[extra] * _COORDS[0]})
     got = _exterior_derivative(alpha)
     expected = _naive_d(alpha)
     assert list(got.data.items()) == list(expected.items())
@@ -182,31 +179,6 @@ def test_d_of_polynomial_edges(text, keys):
     got = _exterior_derivative(alpha)
     assert list(got.data.items()) == list(_naive_d(alpha).items())
     assert list(got.data) == keys
-
-
-@pytest.mark.parametrize("text, route", [
-    ("x1**2 / 2 * d(y1) - y1 * p1_1 / 3 * d(x2) + 7 * d(x1)", "polynomial"),
-    ("2 * d(x1) - d(y1) / 3", "polynomial"),
-    ("x1 / (1 + y1) * d(x2) + x2 * d(x1)", "general"),
-    ("H * d(x2) + x2 * d(x1)", "general"),
-    ("D(H,y1) * d(x2) + x1 * d(y1)", "general"),
-])
-def test_d_takes_one_route_per_form(monkeypatch, text, route):
-    """A form whose coefficients are constants and polynomials in the
-    coordinates takes no ``scalars.diff`` call; any other form takes one
-    per coefficient, polynomial ones included."""
-    alpha = parse_expression(text, _D_CHART)
-    calls = []
-    real = scalars.diff
-
-    def counting(value, chart):
-        calls.append(value)
-        return real(value, chart)
-
-    monkeypatch.setattr(scalars, "diff", counting)
-    got = _exterior_derivative(alpha)
-    assert len(calls) == (0 if route == "polynomial" else len(alpha.data))
-    assert list(got.data.items()) == list(_naive_d(alpha).items())
 
 
 def test_lie_derivative_of_function(chart5):

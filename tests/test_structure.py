@@ -31,7 +31,7 @@ from gradira.forms import _contract_by_pair, mvform_contract_pair
 from gradira.multiindex import merge
 from gradira.sampling import random_hamiltonian_form
 from gradira.spans import Span
-from gradira.structure import deg_h, hamiltonian_decomposition
+from gradira.structure import deg_h, hamiltonian_decomposition, hamiltonian_sharp
 from naive import is_null, naive_in_annihilator, naive_lower_tower, naive_verify_axioms
 from test_extensions import rank_deficient, scaled, sheared, tilted
 
@@ -180,13 +180,37 @@ class TestKeptDecomposition:
             * volume_contraction(ch, [0])
         decompositions = _counting(monkeypatch, Span, "decompose")
         dalpha, before = hamiltonian_decomposition(alpha, st)
-        assert hamiltonian_decomposition(alpha, st)[1] is before
+        again = hamiltonian_decomposition(alpha, st)[1]
+        assert again == before and again is not before
+        before.clear()  # a caller's dict: the kept coefficients stay
+        assert hamiltonian_decomposition(alpha, st)[1] == again
+        sharp = hamiltonian_sharp(alpha, st)[1]
         assert len(decompositions) == 1
         ch.declare_function("G", ["x1", "y1"])
         dafter, after = hamiltonian_decomposition(alpha, st)
         assert len(decompositions) == 2
-        assert dafter != dalpha and after != before
+        assert dafter != dalpha and after != again
         assert after == st.span(2).decompose(dafter)
+        assert hamiltonian_sharp(alpha, st)[1] is not sharp
+
+    def test_bracket_and_subalgebra_check_share_the_sharp_value(self, red2, monkeypatch):
+        from gradira.dynamics import check_subalgebra_condition
+
+        st = red2.structure
+        rng = random.Random(5)
+        alpha = random_hamiltonian_form(rng, red2)
+        while not alpha:
+            alpha = random_hamiltonian_form(rng, red2)
+        sharps = _counting(monkeypatch, Structure, "sharp_from")
+        bracket(alpha, alpha, st)
+        dalpha, rep = hamiltonian_sharp(alpha, st)
+        assert hamiltonian_sharp(alpha, st)[1] is rep
+        assert rep.equiv(st.sharp_from(dalpha.degree, st.span(dalpha.degree).decompose(dalpha)))
+        # a 1-form of a 2-structure has no epsilon to try: one check, no sharp
+        report = check_subalgebra_condition(alpha, rep.rep, st)
+        assert [(c.name, c.passed) for c in report.checks] == [("sharp(d alpha) = U", True)]
+        # the bracket's and the direct one above: the check maps none
+        assert len(sharps) == 2
 
     def test_not_hamiltonian_raises_with_the_label_on_every_call(self, red2):
         ch, st = red2.chart, red2.structure
