@@ -637,7 +637,8 @@ def diff(value, chart):
 
     A polynomial takes one pass over its terms (``_slopes``), over the
     generators it uses and the partials it meets, and each entry is a
-    term dict over its denominator, reduced once (``_from_terms``).  A
+    term dict over its denominator, reduced once (``_from_terms``); when
+    every generator is a coordinate, each slope is an entry as it stands.  A
     rational function num/den takes the quotient rule in the same pass:
     the slopes of num and den give each d(num)/d(g) * den - num *
     d(den)/d(g) over den**2, and each entry is reduced once
@@ -649,6 +650,13 @@ def diff(value, chart):
     cls = v.__class__
     if cls in _CONSTANTS:
         return {}
+    index = chart._index
+    if cls is Poly and all(g in index for g in v.gens):
+        gens = v.gens
+        slopes = _slopes(v.terms, range(len(gens)))
+        # every generator is used, so no slope is empty
+        return {index[gens[k]]: _from_terms(gens, slopes[k], v.den)
+                for k in sorted(slopes, key=lambda k: index[gens[k]])}
     chains = _chains(v.gens, chart)
     gens, num, den = v.gens, v.terms if cls is Poly else v.num, v.den
     partials = {p for chain in chains.values() for _, p in chain if p is not None}

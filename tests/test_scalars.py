@@ -161,6 +161,14 @@ def test_gradient_of_a_polynomial_edge(monkeypatch, value, coord, expected):
     assert calls == []
 
 
+@pytest.mark.parametrize("value", ["x1*y1*z1**2/3", "x1*y1*z1*H"])
+def test_gradient_comes_in_coordinate_order(value):
+    # coordinates listed against the canonical generator order x < y < z
+    ch = Chart(base=["z1", "x1"], fiber=["y1"])
+    ch.declare_function("H", ["z1"])
+    assert list(_assert_naive_gradient(value, ch)) == [0, 1, 2]
+
+
 def test_gradient_of_a_rational_function_takes_the_quotient_rule(monkeypatch):
     ch = _gradient_chart()
     calls = _count_poly_diff(monkeypatch)
