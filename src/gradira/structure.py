@@ -395,24 +395,11 @@ class Structure:
 # ---------------------------------------------------------------------------
 
 
-def hamiltonian_decomposition(alpha, structure, label=None):
-    """(d alpha, coefficients of d alpha over the S^{deg+1} generators)
-    for a Hamiltonian form alpha; ``structure.sharp_from`` turns the
-    coefficients into sharp_{deg+1}(d alpha) without decomposing again.
-    The coefficients are a fresh dict: the kept ones stay in the record.
-
-    Raises DegreeError unless 0 <= deg <= n-1, and NotHamiltonianError
-    (naming ``label``, by default the rendered form) unless d alpha lies
-    in S^{deg+1}."""
-    dalpha, record = _hamiltonian_record(alpha, structure, label)
-    return dalpha, dict(record[1])
-
-
 def hamiltonian_sharp(alpha, structure, label=None):
     """(d alpha, sharp_{deg+1}(d alpha)) for a Hamiltonian form alpha, the
     sharp value a CosetRep kept in d alpha's record, computed on first use
     and shared by every later call: read it, do not change it.  Raises as
-    ``hamiltonian_decomposition`` does."""
+    ``require_hamiltonian`` does."""
     dalpha, record = _hamiltonian_record(alpha, structure, label)
     if record[2] is None:
         record[2] = structure.sharp_from(dalpha.degree, record[1])
@@ -425,7 +412,7 @@ def _hamiltonian_record(alpha, structure, label=None):
     on d alpha, so it expires when the kept d does
     (``calculus.exterior_derivative``).  ``sharp``, sharp_{deg+1}(d alpha),
     is None until ``hamiltonian_sharp`` first needs it.
-    Raises as ``hamiltonian_decomposition`` does, on every call."""
+    Raises as ``require_hamiltonian`` does, on every call."""
     n = structure.n
     if not 0 <= alpha.degree <= n - 1:
         raise DegreeError(
@@ -443,8 +430,11 @@ def _hamiltonian_record(alpha, structure, label=None):
 
 
 def require_hamiltonian(alpha, structure, label=None):
-    """d alpha for a Hamiltonian form alpha; raises as
-    ``hamiltonian_decomposition`` does."""
+    """d alpha for a Hamiltonian form alpha.
+
+    Raises DegreeError unless 0 <= deg <= n-1, and NotHamiltonianError
+    (naming ``label``, by default the rendered form) unless d alpha lies
+    in S^{deg+1}."""
     return _hamiltonian_record(alpha, structure, label)[0]
 
 

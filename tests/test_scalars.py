@@ -161,12 +161,25 @@ def test_gradient_of_a_polynomial_edge(monkeypatch, value, coord, expected):
     assert calls == []
 
 
-@pytest.mark.parametrize("value", ["x1*y1*z1**2/3", "x1*y1*z1*H"])
-def test_gradient_comes_in_coordinate_order(value):
+@pytest.mark.parametrize("value, chain_rule", [
+    ("x1*y1*z1**2/3", False),  # coordinates only: the slopes are the entries
+    ("x1*y1*z1*H", True),
+    ("x1*y1/(1 + z1)", True),
+])
+def test_gradient_comes_in_coordinate_order(monkeypatch, value, chain_rule):
     # coordinates listed against the canonical generator order x < y < z
     ch = Chart(base=["z1", "x1"], fiber=["y1"])
     ch.declare_function("H", ["z1"])
+    calls = []
+    real = scalars._chains
+
+    def counting(gens, chart):
+        calls.append(gens)
+        return real(gens, chart)
+
+    monkeypatch.setattr(scalars, "_chains", counting)
     assert list(_assert_naive_gradient(value, ch)) == [0, 1, 2]
+    assert len(calls) == chain_rule
 
 
 def test_gradient_of_a_rational_function_takes_the_quotient_rule(monkeypatch):

@@ -31,7 +31,8 @@ from gradira.forms import _contract_by_pair, mvform_contract_pair
 from gradira.multiindex import merge
 from gradira.sampling import random_hamiltonian_form
 from gradira.spans import Span
-from gradira.structure import deg_h, hamiltonian_decomposition, hamiltonian_sharp
+from gradira.structure import (_hamiltonian_record, deg_h, hamiltonian_sharp,
+                               require_hamiltonian)
 from naive import is_null, naive_in_annihilator, naive_lower_tower, naive_verify_axioms
 from test_extensions import rank_deficient, scaled, sheared, tilted
 
@@ -179,18 +180,15 @@ class TestKeptDecomposition:
         alpha = Form.scalar_form(ch, sympy.Symbol("G") * ch.sym("y1")) \
             * volume_contraction(ch, [0])
         decompositions = _counting(monkeypatch, Span, "decompose")
-        dalpha, before = hamiltonian_decomposition(alpha, st)
-        again = hamiltonian_decomposition(alpha, st)[1]
-        assert again == before and again is not before
-        before.clear()  # a caller's dict: the kept coefficients stay
-        assert hamiltonian_decomposition(alpha, st)[1] == again
+        dalpha, before = _hamiltonian_record(alpha, st)
+        assert _hamiltonian_record(alpha, st)[1] is before
         sharp = hamiltonian_sharp(alpha, st)[1]
         assert len(decompositions) == 1
         ch.declare_function("G", ["x1", "y1"])
-        dafter, after = hamiltonian_decomposition(alpha, st)
+        dafter, after = _hamiltonian_record(alpha, st)
         assert len(decompositions) == 2
-        assert dafter != dalpha and after != again
-        assert after == st.span(2).decompose(dafter)
+        assert dafter != dalpha and after[1] != before[1]
+        assert after[1] == st.span(2).decompose(dafter)
         assert hamiltonian_sharp(alpha, st)[1] is not sharp
 
     def test_bracket_and_subalgebra_check_share_the_sharp_value(self, red2, monkeypatch):
@@ -217,7 +215,7 @@ class TestKeptDecomposition:
         bad = Form.scalar_form(ch, ch.sym("y1")) * Form.d_coord(ch, "p2_1")
         for label in ("bad", "again"):
             with pytest.raises(NotHamiltonianError, match=f"^{label} is not Hamiltonian$"):
-                hamiltonian_decomposition(bad, st, label)
+                require_hamiltonian(bad, st, label)
         assert not is_hamiltonian_form(bad, st)
 
 
