@@ -20,11 +20,12 @@ and ``contract_index``, so every sign comes from multiindex.py; sign 0
 drops the pair.  A product or a general contraction is one call to
 ``_bilinear``, which sums c_x * c_y over all pairs of stored terms.  The
 sums go through ``scalars.accumulate``, which drops zero coefficients, so
-no stored map ever holds a zero.  Linear in the unknown components (a
-pairing system's rows, an annihilator) the pairing of w with a list of
-generators is ``_pairing_rows``, which indexes the unit unknowns by the
-vector index they contract and calls the pair function only on the units
-that a generator term holds.
+no stored map ever holds a zero.  Linear in the components of a
+multivector w (an annihilator) the pairing of w with a list of generators
+is ``_pairing_rows``, which calls the pair function only on the units
+that a generator term holds.  ``structure.PairingSystem`` builds the rows
+of a multivector valued w from an index of the generator terms, one row
+or column at a time, with the signs of ``mvform_contract_pair``.
 
 Two index kernels use no pair function, one per contraction shape.
 ``_coordinate_contractions`` gives iota_{@/x^i} for every coordinate i
@@ -336,30 +337,26 @@ def _full_contraction(data, gdata, valued=False):
     return out
 
 
-def _pairing_rows(unknowns, gens, pair, vector=None):
-    """The contractions iota_w alpha_g with the generators' coefficient
-    dicts gens[g] as a linear system in the components of w: rows
-    {(g, key): {unknown: c}} sorted by row key, each row's unknowns in the
-    order of ``unknowns``, ``pair`` the contraction pair.
+def _pairing_rows(unknowns, gens, pair):
+    """The contractions iota_w alpha_g of a multivector w with the
+    generators' coefficient dicts gens[g] as a linear system in the
+    components of w: rows {(g, key): {unknown: c}} sorted by row key, each
+    row's unknowns in the order of ``unknowns``, ``pair`` the contraction
+    pair.
 
-    ``vector(u)`` is the multi-index a unit unknown contracts (u itself by
-    default, as for a multivector; the vector index for a multivector
-    valued form).  A unit pairs to zero with a generator term that does
-    not hold its vector index, so each term ky is paired only with the
-    units indexed by a subset of ky of their degree; ``pair`` still gives
-    every sign.  A unit and a row key fix the term they came from (the key
-    with the unit's indices put back), so each entry is set once, unsummed.
+    A unit pairs to zero with a generator term that does not hold its
+    index, so each term ky is paired only with the units indexed by a
+    subset of ky of their degree; ``pair`` still gives every sign.  A unit
+    and a row key fix the term they came from (the key with the unit's
+    indices put back), so each entry is set once, unsummed.
     """
     position = {u: i for i, u in enumerate(unknowns)}
-    by_vector = {}
-    for u in unknowns:
-        by_vector.setdefault(u if vector is None else vector(u), []).append(u)
-    degree = len(next(iter(by_vector), ()))
+    degree = len(unknowns[0]) if unknowns else 0
     rows = {}
     for g, gdata in enumerate(gens):
         for ky, c in gdata.items():
-            for sub in combinations(ky, degree):
-                for u in by_vector.get(sub, ()):
+            for u in combinations(ky, degree):
+                if u in position:
                     sign, key = pair(u, ky)
                     if sign:
                         rows.setdefault((g, key), {})[u] = c if sign > 0 else scalars.sneg(c)
@@ -402,8 +399,9 @@ def mvform_contract_pair(wkey, aidx):
     """iota_{theta (x) v} alpha = theta ^ iota_v alpha on basis terms.
 
     The sign is s1 * s2: s1 from contracting alpha by v, s2 from wedging
-    theta in front of what is left.  ``contract`` and the extension solver
-    (the rows of ``structure.PairingSystem``) both use this one pairing.
+    theta in front of what is left.  ``contract`` uses this pairing, and
+    the rows of ``structure.PairingSystem`` take its sign in these two
+    factors: s1 kept with each generator term, s2 per row or column.
     """
     fidx, vidx = wkey
     s1, rest = contract_index(aidx, vidx)

@@ -12,7 +12,8 @@ solution sets free unknowns to zero, and ``express`` one more row as a
 combination of the rows, which is zero on the rows that reduced to zero.
 ``independent`` re-keys it to the rows that did not reduce to zero.
 ``Components`` splits a sparse matrix into the connected components of
-its rows and gives an ``Echelon`` to each one on first use.
+its rows, finding each one, from a dict of rows or a row and a column
+function, and giving it an ``Echelon`` on first use.
 """
 
 from __future__ import annotations
@@ -181,47 +182,84 @@ class Echelon:
 
 
 class Components:
-    """A coefficient matrix split into the connected components of its rows,
-    two rows being linked when they share an unknown, each eliminated by
-    its own ``Echelon`` the first time it is needed.
+    """A sparse coefficient matrix split into the connected components of
+    its rows, two rows being linked when they share an unknown.  A
+    component is found, its rows built, the first time one of its row keys
+    is asked for, and eliminated by its own ``Echelon`` the first time a
+    right-hand side or the kernel needs it; both are kept.
 
-    ``rows`` maps row keys to coefficient dicts, in order; ``unknowns`` is
-    the canonical column order.  An ``Echelon`` reduces a row only by pivots
-    whose columns the row holds, so elimination never crosses components,
-    and each component takes its rows and unknowns in the joint order.  So
-    its pivots, kernel vectors (key order included) and particular values
-    are those of one ``Echelon(rows, unknowns)``.
+    ``rows`` is a dict {row key: {unknown: coefficient}}, or, given with
+    ``column``, a function building the row of a key (None when no row
+    has it); ``column(u)`` builds the column {row key: coefficient} of
+    unknown u.  ``unknowns`` is the canonical column order.  Row keys and
+    unknowns are taken in sorted order, which must be that of the dict and
+    of ``unknowns``.  An ``Echelon`` reduces a row only by pivots whose
+    columns the row holds, so elimination never crosses components, and
+    each component takes its rows and unknowns in the joint order.  So its
+    pivots, kernel vectors (key order included) and particular values are
+    those of one ``Echelon(rows, unknowns)``.
     """
 
-    def __init__(self, rows, unknowns):
+    def __init__(self, rows, unknowns, column=None):
+        if column is None:  # a dict: index its columns in one pass
+            columns = {}
+            for r, coeffs in rows.items():
+                for u, c in coeffs.items():
+                    columns.setdefault(u, {})[r] = c
+            rows, column = rows.get, lambda u: columns.get(u, {})
         self.unknowns = list(unknowns)
-        parent = list(range(len(rows)))  # union-find over row positions
-
-        def root(i):
-            while parent[i] != i:
-                parent[i] = i = parent[parent[i]]
-            return i
-
-        first = {}  # unknown -> position of the first row that holds it
-        for i, coeffs in enumerate(rows.values()):
-            for u in coeffs:
-                a, b = root(first.setdefault(u, i)), root(i)
-                parent[max(a, b)] = min(a, b)
-        # components numbered by their first row; each keeps its rows in
-        # row order and its unknowns in unknowns order
-        number = {}  # root position -> component number
-        self._component = {}  # row key -> component number
-        self._blocks = []  # (rows, unknowns) of each component
-        for i, (r, coeffs) in enumerate(rows.items()):
-            label = number.setdefault(root(i), len(self._blocks))
-            if label == len(self._blocks):
-                self._blocks.append(({}, []))
-            self._component[r] = label
-            self._blocks[label][0][r] = coeffs
-        for u in self.unknowns:
-            if u in first:
-                self._blocks[number[root(first[u])]][1].append(u)
+        self._row, self._column = rows, column
+        self._found = {}  # row key -> its coefficients, for the rows found
+        self._component = {}  # row key -> component number, for the rows found
+        self._held = set()  # the unknowns of the components found
+        self._blocks = []  # (rows, unknowns) of each component, in the order found
         self._echelons = {}  # component number -> its Echelon, once needed
+
+    def _label(self, key):
+        """The number of the component holding row ``key``, or None when
+        no row has the key."""
+        if key in self._component:
+            return self._component[key]
+        row = self._row(key)
+        return None if row is None else self._close({key: row}, set(), self._row, self._column)
+
+    def _close(self, rows, held, row, column):
+        """Close ``rows``, which hold every row of the unknowns in ``held``,
+        over shared unknowns into a new component, ``row`` and ``column``
+        giving each row and column it reaches once; its number."""
+        stack = list(rows)
+        while stack:
+            for u in rows[stack.pop()]:
+                if u not in held:
+                    held.add(u)
+                    for r in column(u):
+                        if r not in rows:
+                            rows[r] = row(r)
+                            stack.append(r)
+        label = len(self._blocks)
+        self._found.update(rows)
+        self._component.update(dict.fromkeys(rows, label))
+        self._held.update(held)
+        if len(rows) > 1:
+            rows = {r: rows[r] for r in sorted(rows)}
+        self._blocks.append((rows, sorted(held)))
+        return label
+
+    def _find_all(self):
+        """Find every component that holds an unknown.  The columns of the
+        unknowns in no component found yet are built in one pass, in
+        ``unknowns`` order, and their rows put together from them, each
+        entry once: a row holding one of those unknowns holds no other."""
+        columns, rows = {}, {}
+        for u in self.unknowns:
+            if u not in self._held and (column := self._column(u)):
+                columns[u] = column
+                for r, c in column.items():
+                    rows.setdefault(r, {})[u] = c
+        for u, column in columns.items():
+            if u not in self._held:
+                self._close({r: rows[r] for r in column}, {u}, rows.__getitem__,
+                            columns.__getitem__)
 
     def _echelon(self, label):
         """The elimination of one component, built on first use and kept."""
@@ -230,9 +268,16 @@ class Components:
         return self._echelons[label]
 
     @cached_property
+    def rows(self):
+        """Every row that holds an unknown, in key order."""
+        self._find_all()
+        return {r: self._found[r] for r in sorted(self._found)}
+
+    @cached_property
     def kernel(self):
         """``Echelon.kernel`` of the whole matrix: every component is
         eliminated, and an unknown in no row is free on its own."""
+        self._find_all()
         vectors, pivots = {}, set()
         for label in range(len(self._blocks)):
             echelon = self._echelon(label)
@@ -244,8 +289,10 @@ class Components:
     def rows_of(self, keys):
         """The rows {key: coefficients} of every component holding a key of
         ``keys``, by first row, each component's rows in row order."""
-        labels = sorted({self._component[k] for k in keys if k in self._component})
-        return {r: c for label in labels for r, c in self._blocks[label][0].items()}
+        labels = {self._label(k) for k in keys} - {None}
+        first = {label: next(iter(self._blocks[label][0])) for label in labels}
+        return {r: c for label in sorted(labels, key=first.get)
+                for r, c in self._blocks[label][0].items()}
 
     def particular(self, rhs):
         """The particular solution of ``Echelon.solve`` for a right-hand side
@@ -254,9 +301,10 @@ class Components:
         parts = {}  # component number -> its part of the right-hand side
         for r, v in rhs.items():
             if as_scalar(v):
-                if r not in self._component:
+                label = self._label(r)
+                if label is None:
                     return None
-                parts.setdefault(self._component[r], {})[r] = v
+                parts.setdefault(label, {})[r] = v
         out = {}
         for label, part in parts.items():
             particular = self._echelon(label).solve(part)

@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from operator import itemgetter
 
 from . import scalars
 from .calculus import exterior_derivative, lie_derivative, schouten_data
@@ -25,7 +24,7 @@ from .forms import (Form, MultiVector, MvForm, _bilinear, _combination,
                     _pairing_rows, contract, linear_combination,
                     mvform_contract_pair, wedge)
 from .linsolve import Components, Echelon
-from .multiindex import merge
+from .multiindex import contract_index, merge
 from .render import render
 from .report import Report
 from .spans import Span, annihilator
@@ -87,13 +86,18 @@ class PairingSystem:
     generator index, result multi-index), linear in the W components; with
     ``vertical`` only vector slots touching the fiber.
 
-    The rows are kept as ``components``, a ``linsolve.Components`` that
-    ``build_span_tower`` reads its live W columns off too: a connected
-    component of the rows (two rows are linked when they share a W
-    unknown) is eliminated the first time a right-hand side touches it, or
-    when ``freedom`` is asked for.  This is exactly the joint elimination
-    of all the rows: an ``Echelon`` reduces a row only by pivots whose
-    columns the row holds, so elimination never crosses components, and a
+    No row is built up front.  The generator terms c dx^I are indexed by
+    (g, I \\ v) and by v, for each vector index v of W in I, so the row
+    (g, K) and the rows holding a W unknown (f, v) each come straight from
+    the index, with the signs of ``forms.mvform_contract_pair``.  The rows
+    are kept as ``components``, a ``linsolve.Components``: a connected
+    component (two rows are linked when they share a W unknown) is built
+    and eliminated the first time a right-hand side touches it, so a solve
+    builds only the rows its right-hand side reaches.  ``rows``,
+    ``freedom`` and the live W columns of ``build_span_tower`` build them
+    all, from the same store.  This is exactly the joint elimination of
+    all the rows: an ``Echelon`` reduces a row only by pivots whose columns
+    the row holds, so elimination never crosses components, and a
     component takes its rows in the joint order.  Its pivots, kernel
     vectors (key order included) and particular values, nonzero scalars on
     well-formed keys, are those of the joint elimination."""
@@ -107,9 +111,54 @@ class PairingSystem:
         vkeys = [v for v in combinations(range(chart.m), vdeg)
                  if not vertical or any(i >= chart.n for i in v)]
         self.unknowns = [(f, v) for f in combinations(range(chart.m), fdeg) for v in vkeys]
-        self.rows = _pairing_rows(self.unknowns, [g.data for g in generators],
-                                  mvform_contract_pair, itemgetter(1))
-        self.components = Components(self.rows, self.unknowns)
+        # the terms c dx^I of the generators g, for each vector index v of W
+        # in I, as c times the sign of iota_v dx^I, by (g, I \ v) and by v
+        self._terms = {}  # (g, I \ v) -> [(v, signed c)]
+        self._rests = {}  # v -> [(g, I \ v, its set, signed c)]
+        vkeys = set(vkeys)
+        for g, gen in enumerate(generators):
+            for key, c in gen.data.items():
+                for v in combinations(key, vdeg):
+                    if v in vkeys:
+                        sign, rest = contract_index(key, v)
+                        signed = c if sign > 0 else scalars.sneg(c)
+                        self._terms.setdefault((g, rest), []).append((v, signed))
+                        self._rests.setdefault(v, []).append((g, rest, frozenset(rest), signed))
+        self.components = Components(self._row, self.unknowns, self._column)
+
+    def _row(self, key):
+        """The row (g, K), or None when no term reaches it: each split of K
+        into rest and f, with a term c dx^I of generator g holding v and
+        I \\ v = rest, gives the unknown (f, v) the coefficient c times the
+        sign of ``mvform_contract_pair`` of (f, v) and I, that is the sign
+        of iota_v dx^I (kept in the index) times that of merging f and rest."""
+        g, idx = key
+        if len(idx) < self.space[1]:
+            return None
+        coeffs = {}
+        for rest in combinations(idx, len(idx) - self.space[1]):
+            for v, c in self._terms.get((g, rest), ()):
+                f = tuple(i for i in idx if i not in rest)
+                coeffs[f, v] = c if merge(f, rest)[0] > 0 else scalars.sneg(c)
+        if len(coeffs) < 2:  # most rows hold one unknown
+            return coeffs or None
+        return {u: coeffs[u] for u in sorted(coeffs)}
+
+    def _column(self, u):
+        """The column {(g, f + rest): coefficient} of the unknown (f, v),
+        with the signs of ``_row``."""
+        f, v = u
+        column = {}
+        for g, rest, held, c in self._rests.get(v, ()):
+            if held.isdisjoint(f):
+                sign, key = merge(f, rest)
+                column[g, key] = c if sign > 0 else scalars.sneg(c)
+        return column
+
+    @property
+    def rows(self):
+        """Every row {(g, K): {W unknown: coefficient}}, sorted by key."""
+        return self.components.rows
 
     @cached_property
     def freedom(self):

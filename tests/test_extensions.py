@@ -637,6 +637,44 @@ class TestPairingSystem:
         Hamiltonian(ym_su2.hamiltonian_form, st)
         assert 0 < sum(rows) <= 55
 
+    @pytest.mark.parametrize("scn, rows, components", [("ym_su2", 55, 19), ("red3k3", 31, 13)])
+    def test_hamiltonian_builds_only_the_rows_it_reaches(self, scn, rows, components,
+                                                         request, monkeypatch):
+        # a Hamiltonian on a fresh structure builds each row of the
+        # components its dH touches once, from the index and never through
+        # forms._pairing_rows, and eliminates each of those components
+        # once; a second Hamiltonian on the same structure builds and
+        # eliminates nothing
+        scn = request.getfixturevalue(scn)
+        top = scn.structure
+        st = Structure(top.chart, top.generators(top.n), top.sharp_values(top.n))
+        built, eliminated = [], []
+        real_row, real_echelon = structure_module.PairingSystem._row, linsolve.Echelon
+
+        def counting_row(self, key):
+            built.append(key)
+            return real_row(self, key)
+
+        def counting_echelon(matrix, unknowns):
+            unknowns = list(unknowns)
+            if unknowns and all(is_w_unknown(u) for u in unknowns):
+                eliminated.append(len(matrix))
+            return real_echelon(matrix, unknowns)
+
+        def refused(*args):
+            raise AssertionError("all rows built at once")
+
+        monkeypatch.setattr(structure_module.PairingSystem, "_row", counting_row)
+        monkeypatch.setattr(linsolve, "Echelon", counting_echelon)
+        for module in (forms, structure_module):
+            monkeypatch.setattr(module, "_pairing_rows", refused)
+        Hamiltonian(scn.hamiltonian_form, st)
+        assert len(built) == len(set(built)) == rows
+        assert len(eliminated) == components and sum(eliminated) == rows
+        del built[:], eliminated[:]
+        Hamiltonian(scn.hamiltonian_form, st)
+        assert built == [] and eliminated == []
+
     @pytest.mark.parametrize("scn", ["red2", "red3"])
     def test_canonical_table_freedom_is_the_naive_kernel(self, scn, request):
         scn = request.getfixturevalue(scn)
@@ -702,6 +740,54 @@ class TestPairingSystem:
         for o in others[:2]:
             assert o.freedom
         assert sorted(eliminated) == sorted(towers)
+
+    @pytest.mark.parametrize("vertical", [False, True])
+    @pytest.mark.parametrize("name", sorted(COMPATIBILITY_STRUCTURES))
+    def test_solves_and_tower_agree_in_either_order(self, name, vertical, monkeypatch):
+        # at every valid (a, j): the candidates' solves made before the
+        # tower or after it give the same rows, particulars (values and key
+        # order), freedom, tower entries and rejected candidates, and one
+        # elimination of all the rows answers the same, with the
+        # particulars' values; neither order eliminates a component twice
+        top = COMPATIBILITY_STRUCTURES[name]()
+        gens, sharps = top.generators(top.n), top.sharp_values(top.n)
+        eliminated = []
+        real = linsolve.Echelon
+
+        def counting(rows, unknowns):
+            unknowns = list(unknowns)
+            if unknowns and all(is_w_unknown(u) for u in unknowns):
+                eliminated.append(tuple(unknowns))
+            return real(rows, unknowns)
+
+        monkeypatch.setattr(linsolve, "Echelon", counting)
+        for j in range(1, top.n + 1):
+            for a in range(j, top.chart.m + 1):
+                outcomes = []
+                for solve_first in (True, False):
+                    st = Structure(top.chart, gens, sharps)
+                    system = st.pairing_system(a, j, vertical)
+                    rhs_list = [st.pairing_rhs(theta.data) for _, theta in s1_wedge_basis(st, a)]
+                    del eliminated[:]
+                    solved = [system.solve(rhs) for rhs in rhs_list] if solve_first else None
+                    level = build_span_tower(st, a, j, vertical)
+                    if not solve_first:
+                        solved = [system.solve(rhs) for rhs in rhs_list]
+                    assert len(eliminated) == len(set(eliminated)), (a, j, solve_first)
+                    joint = real(system.rows, system.unknowns)
+                    record = tower_record([(e.form, e.value) for e in level.entries], (),
+                                          level.rejected(), level.span.generators)
+                    outcomes.append((
+                        [(r, list(coeffs.items())) for r, coeffs in system.rows.items()],
+                        [w if w is None else _items(w) for w in solved],
+                        [_items(f) for f in level.freedom],
+                        record,
+                        [joint.solve(rhs) for rhs in rhs_list],
+                        [list(vec.items()) for vec in joint.kernel]))
+                assert outcomes[0] == outcomes[1], (a, j)
+                _, particulars, _, _, joint_particulars, _ = outcomes[0]
+                assert [w if w is None else dict(w) for w in particulars] == \
+                    joint_particulars, (a, j)
 
     def test_freedom_is_not_shared_with_callers(self, red2):
         top = red2.structure
