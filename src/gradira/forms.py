@@ -23,9 +23,9 @@ sums go through ``scalars.accumulate``, which drops zero coefficients, so
 no stored map ever holds a zero.  Linear in the components of a
 multivector w (an annihilator) the pairing of w with a list of generators
 is ``_pairing_rows``, which calls the pair function only on the units
-that a generator term holds.  ``structure.PairingSystem`` builds the rows
-of a multivector valued w from an index of the generator terms, one row
-or column at a time, with the signs of ``mvform_contract_pair``.
+that a generator term holds.  ``Structure.pairing`` and the rows and
+columns of ``structure.PairingSystem`` read the tower generators' terms
+by vector index from ``structure.Structure.term_index``.
 
 Two index kernels use no pair function, one per contraction shape.
 ``_coordinate_contractions`` gives iota_{@/x^i} for every coordinate i
@@ -400,8 +400,9 @@ def mvform_contract_pair(wkey, aidx):
 
     The sign is s1 * s2: s1 from contracting alpha by v, s2 from wedging
     theta in front of what is left.  ``contract`` uses this pairing, and
-    the rows of ``structure.PairingSystem`` take its sign in these two
-    factors: s1 kept with each generator term, s2 per row or column.
+    ``structure.Structure.column`` and the rows of ``PairingSystem`` take
+    its sign in these two factors: s1 kept in the term index, s2 per
+    column or row.
     """
     fidx, vidx = wkey
     s1, rest = contract_index(aidx, vidx)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 from math import comb
 
@@ -21,8 +21,7 @@ from .errors import (ChartError, DegreeError, GradiraError, MembershipError,
                      NonWellDefinedError, NotHamiltonianError)
 from .forms import (Form, MultiVector, MvForm, _bilinear, _combination,
                     _contract_by_pair, _coordinate_contractions, _full_contraction,
-                    _pairing_rows, contract, linear_combination,
-                    mvform_contract_pair, wedge)
+                    contract, linear_combination, wedge)
 from .linsolve import Components, Echelon
 from .multiindex import contract_index, merge
 from .render import render
@@ -86,11 +85,11 @@ class PairingSystem:
     generator index, result multi-index), linear in the W components; with
     ``vertical`` only vector slots touching the fiber.
 
-    No row is built up front.  The generator terms c dx^I are indexed by
-    (g, I \\ v) and by v, for each vector index v of W in I, so the row
-    (g, K) and the rows holding a W unknown (f, v) each come straight from
-    the index, with the signs of ``forms.mvform_contract_pair``.  The rows
-    are kept as ``components``, a ``linsolve.Components``: a connected
+    No row is built up front.  A column is ``Structure.column`` on the
+    structure's (n, n + 1 - j) ``term_index``, which the plain and the
+    vertical system share, and a row comes from that index's terms at this
+    system's vector indices v, regrouped by (g, I \\ v).  The rows are
+    kept as ``components``, a ``linsolve.Components``: a connected
     component (two rows are linked when they share a W unknown) is built
     and eliminated the first time a right-hand side touches it, so a solve
     builds only the rows its right-hand side reaches.  ``rows``,
@@ -102,7 +101,8 @@ class PairingSystem:
     vectors (key order included) and particular values, nonzero scalars on
     well-formed keys, are those of the joint elimination."""
 
-    def __init__(self, chart, generators, fdeg, vdeg, vertical):
+    def __init__(self, structure, fdeg, vdeg, vertical):
+        chart, n = structure.chart, structure.n
         size = comb(chart.m, fdeg) * (comb(chart.m, vdeg) - vertical * comb(chart.n, vdeg))
         if size > MAX_PAIRING_UNKNOWNS:
             raise GradiraError(f"the pairing system has {size:,} unknowns, more than "
@@ -111,27 +111,19 @@ class PairingSystem:
         vkeys = [v for v in combinations(range(chart.m), vdeg)
                  if not vertical or any(i >= chart.n for i in v)]
         self.unknowns = [(f, v) for f in combinations(range(chart.m), fdeg) for v in vkeys]
-        # the terms c dx^I of the generators g, for each vector index v of W
-        # in I, as c times the sign of iota_v dx^I, by (g, I \ v) and by v
+        index = structure.term_index(n, vdeg)
         self._terms = {}  # (g, I \ v) -> [(v, signed c)]
-        self._rests = {}  # v -> [(g, I \ v, its set, signed c)]
-        vkeys = set(vkeys)
-        for g, gen in enumerate(generators):
-            for key, c in gen.data.items():
-                for v in combinations(key, vdeg):
-                    if v in vkeys:
-                        sign, rest = contract_index(key, v)
-                        signed = c if sign > 0 else scalars.sneg(c)
-                        self._terms.setdefault((g, rest), []).append((v, signed))
-                        self._rests.setdefault(v, []).append((g, rest, frozenset(rest), signed))
-        self.components = Components(self._row, self.unknowns, self._column)
+        for v in vkeys:
+            for g, rest, _, c in index.get(v, ()):
+                self._terms.setdefault((g, rest), []).append((v, c))
+        self.components = Components(self._row, self.unknowns, partial(structure.column, n))
 
     def _row(self, key):
         """The row (g, K), or None when no term reaches it: each split of K
         into rest and f, with a term c dx^I of generator g holding v and
         I \\ v = rest, gives the unknown (f, v) the coefficient c times the
-        sign of ``mvform_contract_pair`` of (f, v) and I, that is the sign
-        of iota_v dx^I (kept in the index) times that of merging f and rest."""
+        sign of iota_v dx^I (kept in the index) times that of merging f and
+        rest, as in ``Structure.column``."""
         g, idx = key
         if len(idx) < self.space[1]:
             return None
@@ -143,17 +135,6 @@ class PairingSystem:
         if len(coeffs) < 2:  # most rows hold one unknown
             return coeffs or None
         return {u: coeffs[u] for u in sorted(coeffs)}
-
-    def _column(self, u):
-        """The column {(g, f + rest): coefficient} of the unknown (f, v),
-        with the signs of ``_row``."""
-        f, v = u
-        column = {}
-        for g, rest, held, c in self._rests.get(v, ()):
-            if held.isdisjoint(f):
-                sign, key = merge(f, rest)
-                column[g, key] = c if sign > 0 else scalars.sneg(c)
-        return column
 
     @property
     def rows(self):
@@ -190,6 +171,7 @@ class Structure:
             if not isinstance(v, MultiVector) or v.degree != 1 or v.chart != chart:
                 raise DegreeError(f"sharp_n values must be vector fields on {chart!r}")
         self.levels = {self.n: [TowerGen(g, v) for g, v in zip(generators, sharps)]}
+        self._term_indices = {}
         self._build_tower()
         self._canonicalize_null_values()
         self._spans = {a: Span(chart, a, self.generators(a))
@@ -291,9 +273,9 @@ class Structure:
         if not isinstance(beta, Form) or beta.degree != self.n or beta.chart != self.chart:
             raise DegreeError(f"pairing_field needs a {self.n}-form on {self.chart!r}")
         _, sharps, frame = self.s1_frame
-        return linear_combination(((_full_contraction(v.data, beta.data).get((), 0), e)
-                                   for v, e in zip(sharps, frame)),
-                                  MultiVector.zero(self.chart, 1))
+        return MultiVector(self.chart, 1, _combination(
+            (_full_contraction(v.data, beta.data).get((), 0), e.data)
+            for v, e in zip(sharps, frame)), _normalized=True)
 
     @cached_property
     def pairing_fields(self):
@@ -333,25 +315,51 @@ class Structure:
         """The ``PairingSystem`` of S^a[j], kept per (a - j, n + 1 - j, vertical)."""
         key = (a - j, self.n + 1 - j, vertical)
         if key not in self._pairing_systems:
-            self._pairing_systems[key] = PairingSystem(self.chart, self.generators(self.n), *key)
+            self._pairing_systems[key] = PairingSystem(self, *key)
         return self._pairing_systems[key]
+
+    def term_index(self, p, q):
+        """{v: [(g, I \\ v, its set, c times the sign of iota_v dx^I)]} over
+        the terms c dx^I of the level-p generators g and the q-subsets v of
+        I, in generator and key order; built on first use, kept per (p, q)."""
+        if (p, q) not in self._term_indices:
+            index = self._term_indices[p, q] = {}
+            for g, gen in enumerate(self.levels[p]):
+                for key, c in gen.form.data.items():
+                    for v in combinations(key, q):
+                        sign, rest = contract_index(key, v)
+                        index.setdefault(v, []).append(
+                            (g, rest, frozenset(rest), c if sign > 0 else scalars.sneg(c)))
+        return self._term_indices[p, q]
+
+    def column(self, p, u):
+        """iota_{theta_f (x) v} alpha_g = theta_f ^ iota_v alpha_g for the
+        unit u = (f, v) and the level-p generators alpha_g, keyed
+        {(g, f + I \\ v): coefficient} in the order of ``term_index``; a
+        multivector unit has f = ()."""
+        f, v = u
+        column = {}
+        for g, rest, held, c in self.term_index(p, len(v)).get(v, ()):
+            if held.isdisjoint(f):
+                sign, key = merge(f, rest)
+                column[g, key] = c if sign > 0 else scalars.sneg(c)
+        return column
 
     def pairing(self, w, p):
         """iota_w alpha_g for the S^p generators alpha_g and a multivector
         or multivector valued form w on this chart, keyed
-        {(g, multi-index): coefficient}: one ``forms._bilinear`` per
-        generator.  It is empty iff w is zero modulo K_p, which
-        ``coset_is_zero`` decides with an early exit."""
+        {(g, multi-index): coefficient}: the sum of c times the ``column``
+        of each term c of w, in no set key order (``dynamics._solve_constant``
+        sorts, ``extensions._pairing_failure`` takes a set difference).  It
+        is empty iff w is zero modulo K_p, which ``coset_is_zero`` decides."""
         if w.chart != self.chart:
             raise DegreeError("contraction across charts")
-        if isinstance(w, MultiVector):
-            degree, pair = w.degree, _contract_by_pair
-        else:
-            degree, pair = w.vec_degree, mvform_contract_pair
+        valued = isinstance(w, MvForm)
+        degree = w.vec_degree if valued else w.degree
         if degree > p:
             raise DegreeError(f"cannot contract degree {p} forms by {degree}-vector values")
-        return {(g, key): c for g, gen in enumerate(self.levels[p])
-                for key, c in _bilinear(w.data, gen.form.data, pair).items()}
+        return _combination((c, self.column(p, key if valued else ((), key)))
+                            for key, c in w.data.items())
 
     # -- cosets ------------------------------------------------------------
 

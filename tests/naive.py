@@ -44,7 +44,10 @@ imported); the differential fuzz of ``tests/test_parser.py`` holds the
 package parser to its values and its exceptions, text included.
 ``naive_pairing_rows`` and ``naive_annihilator`` keep the explicit
 accumulate loops for the rows of the S^a[j] pairing system and of the
-annihilator, which the package builds through ``forms._pairing_rows``.
+annihilator, which the package builds from a term index and through
+``forms._pairing_rows``; ``naive_pairing`` contracts w into each
+generator with ``contract``, where ``Structure.pairing`` sums the columns
+of the structure's term index.
 ``naive_check_lie_algebra`` keeps the dense loop over every index tuple
 that checked the Yang-Mills structure constants.
 ``naive_in_annihilator`` keeps the coset test as an all-pairs
@@ -660,6 +663,19 @@ def naive_pairing_rows(chart, generators, fdeg, vdeg, vertical=False):
                     scalars.accumulate(lhs.setdefault(res, {}), wkey, c, sign)
         rows.update(((g, key), lhs[key]) for key in sorted(lhs))
     return unknowns, rows
+
+
+def naive_pairing(structure, w, p):
+    """iota_w alpha_g for a multivector or multivector valued form w and
+    the level-p generators alpha_g, keyed {(g, multi-index): coefficient}:
+    one ``forms.contract`` per generator.  The oracle for
+    ``Structure.pairing``, which sums the columns of its term index; the
+    two are compared as dicts, since key order is not part of the
+    result."""
+    from gradira.forms import contract
+
+    return {(g, key): c for g, gen in enumerate(structure.levels[p])
+            for key, c in contract(w, gen.form).data.items()}
 
 
 def naive_annihilator(span, p):

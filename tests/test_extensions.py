@@ -51,9 +51,9 @@ from gradira.scenarios import canonical_extension_table
 from gradira.structfile import dump_scenario, load_structure_file
 from naive import (contract_pairing_rhs, decompose_s1_power, fiber_indices,
                    naive_bracket_ext1, naive_build_span_tower, naive_gamma_H,
-                   naive_is_hamiltonian, naive_pairing_rhs, naive_sharp1_tilde,
-                   naive_solve_pairing, naive_support_graph, pairing_defect,
-                   wedge_loop_s1_basis)
+                   naive_is_hamiltonian, naive_pairing, naive_pairing_rhs,
+                   naive_sharp1_tilde, naive_solve_pairing, naive_support_graph,
+                   pairing_defect, wedge_loop_s1_basis)
 
 
 @cache
@@ -495,6 +495,11 @@ def row_image(system, w):
     return rhs
 
 
+PAIRING_ORACLE_STRUCTURES = {
+    **COMPATIBILITY_STRUCTURES,
+    "ym-su2": cache(lambda: yang_mills(3, "su2").structure),
+}
+
 HAMILTONIAN_ORACLE_STRUCTURES = {
     "red2": cache(lambda: reduced_canonical(2, 1).structure),
     "ext2": cache(lambda: extended_canonical(2, 1).structure),
@@ -563,9 +568,18 @@ class TestPairingSystem:
         monkeypatch.setattr(structure_module, "MAX_PAIRING_UNKNOWNS", size)
         assert len(fresh[1].pairing_system(2, 1, vertical).unknowns) == size
         monkeypatch.setattr(structure_module, "MAX_PAIRING_UNKNOWNS", size - 1)
-        monkeypatch.setattr(structure_module, "_pairing_rows", None)
+
+        def refused(*args):
+            raise AssertionError("the term index was built")
+
+        monkeypatch.setattr(structure_module, "contract_index", refused)
         with pytest.raises(GradiraError, match=f"^the pairing system has {size:,} unknowns, "
                                                f"more than {size - 1:,}$"):
+            fresh[2].pairing_system(2, 1, vertical)
+        # within the budget the same call builds the index, so the refusal
+        # above came before it
+        monkeypatch.setattr(structure_module, "MAX_PAIRING_UNKNOWNS", size)
+        with pytest.raises(AssertionError, match="^the term index was built$"):
             fresh[2].pairing_system(2, 1, vertical)
 
     @pytest.mark.parametrize("name", sorted(COMPATIBILITY_STRUCTURES))
@@ -612,16 +626,19 @@ class TestPairingSystem:
 
     def test_hamiltonian_eliminates_only_touched_components(self, ym_su2, monkeypatch):
         # a fresh Yang-Mills Hamiltonian: the (1, 1) rows pair each W unit
-        # only with the generator terms it can contract, and the right-hand
-        # side of dH touches 19 components of the system, 55 rows in all
+        # only with the generator terms it can contract, through the (3, 1)
+        # term index, built once with one sign per S^3 term and vector
+        # index it holds; the vertical system of the same vector degree
+        # reads that index and builds none.  The right-hand side of dH
+        # touches 19 components of the system, 55 rows in all
         top = ym_su2.structure
         st = Structure(top.chart, top.generators(top.n), top.sharp_values(top.n))
         pairs, rows = [], []
-        real_pair, real_echelon = structure_module.mvform_contract_pair, linsolve.Echelon.__init__
+        real_pair, real_echelon = structure_module.contract_index, linsolve.Echelon.__init__
 
-        def counting_pair(wkey, aidx):
+        def counting_pair(idx, by):
             pairs.append(1)
-            return real_pair(wkey, aidx)
+            return real_pair(idx, by)
 
         def counting_echelon(self, matrix, unknowns):
             unknowns = list(unknowns)
@@ -629,11 +646,14 @@ class TestPairingSystem:
                 rows.append(len(matrix))
             real_echelon(self, matrix, unknowns)
 
-        monkeypatch.setattr(structure_module, "mvform_contract_pair", counting_pair)
+        monkeypatch.setattr(structure_module, "contract_index", counting_pair)
         monkeypatch.setattr(linsolve.Echelon, "__init__", counting_echelon)
         system = st.pairing_system(st.n + 1, st.n)
         assert len(system.rows) == 1963
         assert len(pairs) <= 2331
+        assert len(pairs) == 111
+        st.pairing_system(st.n + 1, st.n, vertical=True)
+        assert len(pairs) == 111
         Hamiltonian(ym_su2.hamiltonian_form, st)
         assert 0 < sum(rows) <= 55
 
@@ -666,14 +686,49 @@ class TestPairingSystem:
 
         monkeypatch.setattr(structure_module.PairingSystem, "_row", counting_row)
         monkeypatch.setattr(linsolve, "Echelon", counting_echelon)
-        for module in (forms, structure_module):
-            monkeypatch.setattr(module, "_pairing_rows", refused)
+        monkeypatch.setattr(forms, "_pairing_rows", refused)
         Hamiltonian(scn.hamiltonian_form, st)
         assert len(built) == len(set(built)) == rows
         assert len(eliminated) == components and sum(eliminated) == rows
         del built[:], eliminated[:]
         Hamiltonian(scn.hamiltonian_form, st)
         assert built == [] and eliminated == []
+
+    def test_table_verify_builds_one_term_index(self, red3k3, monkeypatch):
+        # loading the reduced_canonical(3, 3) file verifies its 21 table
+        # entries with no _bilinear, through the (3, 1) term index: built
+        # once, one contract_index per S^3 term and vector index it holds.
+        # The vertical S^4[3] tower that follows reads that index and
+        # builds none
+        doc = dump_scenario(red3k3, extension=canonical_extension_table(red3k3,
+                                                                        style="symmetric"))
+        bilinear, indexed, verifying = [], [], []
+        real_bilinear, real_index = structure_module._bilinear, structure_module.contract_index
+        real_verify = ExtensionTable.verify
+
+        def counting_bilinear(*args):
+            bilinear.extend(verifying)
+            return real_bilinear(*args)
+
+        def counting_index(*args):
+            indexed.append(1)
+            return real_index(*args)
+
+        def watched_verify(self):
+            verifying.append(1)
+            real_verify(self)
+            verifying.pop()
+
+        monkeypatch.setattr(structure_module, "_bilinear", counting_bilinear)
+        monkeypatch.setattr(structure_module, "contract_index", counting_index)
+        monkeypatch.setattr(ExtensionTable, "verify", watched_verify)
+        sf = load_structure_file(doc)
+        st = sf.structure
+        assert len(sf.extension.entries) == 21 and bilinear == []
+        assert len(indexed) == st.n * sum(len(gen.data) for gen in st.generators(st.n)) == 57
+        del indexed[:]
+        build_span_tower(st, st.n + 1, st.n, vertical=True)
+        assert indexed == []
 
     @pytest.mark.parametrize("scn", ["red2", "red3"])
     def test_canonical_table_freedom_is_the_naive_kernel(self, scn, request):
@@ -1542,6 +1597,38 @@ class TestExtensionTable:
                         hst.integers(0, 2)), min_size=1, max_size=3)):
                     w = w + MvForm(ch, a - j, n + 1 - j, {(f, v): c + ch.syms[s] ** e})
                 assert st.pairing(wedge(w, one), n) == st.pairing(w, n)
+
+    @pytest.mark.parametrize("name", sorted(PAIRING_ORACLE_STRUCTURES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=hst.data())
+    def test_pairing_matches_one_contract_per_generator(self, name, data):
+        # Structure.pairing of a multivector and of a multivector valued
+        # form at every level p and vector degree 1..p (p < n is how
+        # dynamics._solve_constant asks), against one contract per level-p
+        # generator; compared as dicts, since key order is not part of the
+        # result.  Vector indices are drawn mostly from those a generator
+        # term holds, so that the pairing is rarely empty
+        st = PAIRING_ORACLE_STRUCTURES[name]()
+        ch = st.chart
+        for p in range(1, st.n + 1):
+            for q in range(1, p + 1):
+                held = sorted({v for gen in st.generators(p) for key in gen.data
+                               for v in combinations(key, q)})
+                vkeys = hst.one_of(hst.sampled_from(held),
+                                   hst.sampled_from(list(combinations(range(ch.m), q))))
+                fdeg = data.draw(hst.integers(0, 2))
+                coeffs = hst.tuples(hst.integers(-3, 3), hst.integers(0, ch.m - 1),
+                                    hst.integers(0, 2))
+                w, u = MvForm.zero(ch, fdeg, q), MultiVector.zero(ch, q)
+                for f, v, (c, s, e) in data.draw(hst.lists(hst.tuples(
+                        hst.sampled_from(list(combinations(range(ch.m), fdeg))), vkeys,
+                        coeffs), min_size=1, max_size=3)):
+                    w = w + MvForm(ch, fdeg, q, {(f, v): c + ch.syms[s] ** e})
+                for v, (c, s, e) in data.draw(hst.lists(hst.tuples(vkeys, coeffs),
+                                                        min_size=1, max_size=3)):
+                    u = u + MultiVector(ch, q, {v: c + ch.syms[s] ** e})
+                for obj in (w, u):
+                    assert st.pairing(obj, p) == naive_pairing(st, obj, p), (p, q, obj)
 
     def test_serialization_roundtrip(self, red2):
         from gradira.structfile import dump_extension, parse_extension
