@@ -65,8 +65,27 @@ def _check_out(path):
 
 
 def _emit_report(report):
-    print(report.render())
+    """Print the report; the exit code is its verdict, also when the reader
+    of stdout has left (``verify ... | head -1``)."""
+    try:
+        print(report.render(), flush=True)
+    except BrokenPipeError:
+        _drop_stdout()
     return 0 if report.passed else 1
+
+
+def _drop_stdout():
+    """Point the stdout file descriptor at os.devnull, so that the flush
+    at interpreter exit writes what is left in the buffer nowhere instead
+    of raising BrokenPipeError again.  A stream without a descriptor is
+    left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def cmd_scenario(args):

@@ -1,42 +1,62 @@
-"""Line-oriented verification reports: one check per line, PASS/FAIL prefix."""
+"""Line-oriented verification reports: one check per line, PASS/FAIL prefix.
+
+A report keeps its checks as plain ``(name, passed, detail)`` rows in
+``Report.rows``, in the order they were added; a verifier with thousands
+of passing pairs appends tuples, not objects.  ``render`` sorts the rows
+by name once (stably, so rows with equal names keep their order).
+``Check`` is a read-only view of one row, built on demand by
+``Report.checks`` and ``Report.failures``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
+
+_BY_NAME = itemgetter(0)
 
 
-@dataclass
-class Check:
+def _line(name, passed, detail):
+    return ("PASS " if passed else "FAIL ") + (f"{name}: {detail}" if detail else name)
+
+
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
     def render(self):
-        status = "PASS" if self.passed else "FAIL"
-        if self.detail:
-            return f"{status} {self.name}: {self.detail}"
-        return f"{status} {self.name}"
+        return _line(*self)
 
 
-@dataclass
 class Report:
-    checks: list = field(default_factory=list)
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows = []
 
     def add(self, name, passed, detail=""):
-        self.checks.append(Check(name, passed, detail))
+        self.rows.append((name, passed, detail))
 
     def extend(self, other):
-        self.checks.extend(other.checks)
+        self.rows.extend(other.rows)
+
+    @property
+    def checks(self):
+        return [Check._make(row) for row in self.rows]
 
     @property
     def passed(self):
-        return all(c.passed for c in self.checks)
+        return all(row[1] for row in self.rows)
 
     def failures(self):
-        return [c for c in self.checks if not c.passed]
+        return [Check._make(row) for row in self.rows if not row[1]]
 
     def render(self):
-        return "\n".join(c.render() for c in sorted(self.checks, key=lambda c: c.name))
+        # the expression of _line, inlined: one call fewer per row
+        return "\n".join([("PASS " if passed else "FAIL ")
+                          + (f"{name}: {detail}" if detail else name)
+                          for name, passed, detail in sorted(self.rows, key=_BY_NAME)])
 
     def __str__(self):
         return self.render()

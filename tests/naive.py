@@ -56,8 +56,12 @@ dot product over equal keys.  ``naive_poincare_primitive`` integrates the
 radial homotopy in t with sympy and contracts by the Euler field through
 ``naive_contract_by_vector``, where the package rescales each monomial
 and contracts in one pass over the keys.
+``NaiveReport`` and ``NaiveCheck`` keep the report as a list of
+dataclasses sorted by a lambda key, where the package keeps
+``(name, passed, detail)`` tuples and builds ``Check`` views on demand.
 """
 
+from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 import sympy
@@ -576,15 +580,51 @@ def naive_gamma_H(ham, table):
     return Connection(chart, gammas)
 
 
+@dataclass
+class NaiveCheck:
+    name: str
+    passed: bool
+    detail: str = ""
+
+    def render(self):
+        status = "PASS" if self.passed else "FAIL"
+        if self.detail:
+            return f"{status} {self.name}: {self.detail}"
+        return f"{status} {self.name}"
+
+
+@dataclass
+class NaiveReport:
+    checks: list = field(default_factory=list)
+
+    def add(self, name, passed, detail=""):
+        self.checks.append(NaiveCheck(name, passed, detail))
+
+    def extend(self, other):
+        self.checks.extend(other.checks)
+
+    @property
+    def passed(self):
+        return all(c.passed for c in self.checks)
+
+    def failures(self):
+        return [c for c in self.checks if not c.passed]
+
+    def render(self):
+        return "\n".join(c.render() for c in sorted(self.checks, key=lambda c: c.name))
+
+    def __str__(self):
+        return self.render()
+
+
 def naive_verify_axioms(structure):
     """``verify_axioms`` on ``Form`` objects: every product, sum, d and
     Schouten bracket builds its wrapper, the defect is decomposed by
     ``Span.decompose`` and compared with [U, V] by ``CosetRep.equiv``.
     Same checks, names and failure texts."""
     from gradira.calculus import exterior_derivative
-    from gradira.report import Report
 
-    report = Report()
+    report = NaiveReport()
     n = structure.n
     d = {a: [exterior_derivative(g.form) for g in structure.levels[a]]
          for a in range(1, n + 1)}

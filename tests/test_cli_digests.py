@@ -27,6 +27,8 @@ SCENARIOS = {
     "ym": ["yang-mills", "--n", "3", "--algebra", "su2"],
     "red21-plain": ["reduced-canonical", "--n", "2", "--fields", "1"],
     "red33": ["reduced-canonical", "--n", "3", "--fields", "3", "--with-extension"],
+    # 155,800 generator pairs: the key index and the name sort at scale
+    "red81": ["reduced-canonical", "--n", "8", "--fields", "1"],
 }
 
 
@@ -130,6 +132,8 @@ COMMANDS = [
      "b7d3cf61fef29e276e79826a5d8a3abdb552952f8f9fcd5f8c4df00e5e40b417"),
     ("red33-tower", "red33", ["tower"],
      "f6ce848b921cf59f8d26b344e32c472c6c969411481b6f6f8b48585150bee48f"),
+    ("red81-verify", "red81", ["verify"],
+     "9c658173280cec93082677b3091a8b52cdff074f7760e4366aaa42b3ded6b760"),
     ("red21-tilted-verify", "red21-tilted", ["verify"],
      "d019ae092232ab93ab1c17dfb472059cf2c5ebde4ffd3d6c997b77b5a2f56ca9"),
     ("red21-tilted-rescaled-verify", "red21-tilted-rescaled", ["verify"],

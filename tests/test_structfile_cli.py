@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import json
 import os
 import resource
@@ -565,6 +567,45 @@ class TestCli:
             code, out, err = run_cli(["verify", "-f", str(path)], capsys)
             assert (key, code, out) == (key, 2, "")
             assert err.startswith("error:")
+
+    @pytest.mark.parametrize("scenario, verdict", [("reduced-canonical", 0),
+                                                   ("extended-canonical", 1)])
+    def test_closed_stdout_exits_with_the_verdict(self, tmp_path, capsys, scenario,
+                                                  verdict):
+        # ``verify ... | head -1``: the reader leaving is not an input error
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        out_file = str(tmp_path / "structure.json")
+        run_cli(["scenario", scenario, "--out", out_file], capsys)
+        with contextlib.redirect_stdout(ClosedPipe()):
+            code = main(["verify", "-f", out_file])
+        assert (code, capsys.readouterr().err) == (verdict, "")
+
+    def test_closed_stdout_descriptor_goes_to_devnull(self, tmp_path, capsys):
+        # a stdout on a pipe whose read end is closed: the flush at exit
+        # must find os.devnull behind the descriptor, not the pipe
+        out_file = str(tmp_path / "structure.json")
+        run_cli(["scenario", "reduced-canonical", "--out", out_file], capsys)
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as stream, contextlib.redirect_stdout(stream):
+            code = main(["verify", "-f", out_file])
+            stream.write("more than the pipe took\n")
+        assert (code, capsys.readouterr().err) == (0, "")
+
+    def test_closed_stdout_pipe_prints_nothing_at_exit(self, tmp_path, capsys):
+        # the read end is closed before the child writes: no error line,
+        # no traceback and no "Exception ignored" message from the exit flush
+        out_file = str(tmp_path / "structure.json")
+        run_cli(["scenario", "reduced-canonical", "--out", out_file], capsys)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gradira.cli", "verify", "-f", out_file],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
 
     def test_console_entry_point(self, tmp_path):
         out_file = str(tmp_path / "structure.json")

@@ -706,6 +706,25 @@ class TestAxiomsOracle:
         assert [c.name.split()[0] for c in report.checks].count("skew") == 399
         assert [c.name.split()[0] for c in report.checks].count("integrable") == 399
 
+    def test_check_pair_runs_on_144_of_3325_yang_mills_pairs(self, ym_su2, monkeypatch):
+        # the benchmark structure: the numbers README quotes, each pair
+        # once and in the order of the (a, b, i, j) loops
+        st = ym_su2.structure
+        report, pairs = _checked_pairs(st, monkeypatch)
+        assert len(pairs) == len(set(pairs)) == 144
+        assert set(pairs) == _pairs_that_can_fail(st)
+        assert pairs == sorted(pairs, key=lambda pair: (pair[0], pair[2], pair[1], pair[3]))
+        assert len(report.checks) == 6650 == 2 * 3325
+        report.extend(verify_fibered(st))
+        assert len(report.checks) == 6754
+        assert report.passed
+
+    @pytest.mark.parametrize("name", ["red3k2", "tilted-rescaled", "ym2-su2"])
+    def test_check_pair_runs_in_pair_order(self, name, monkeypatch):
+        st = _oracle_structure(name)
+        _, pairs = _checked_pairs(st, monkeypatch)
+        assert pairs == sorted(pairs, key=lambda pair: (pair[0], pair[2], pair[1], pair[3]))
+
     def test_non_closed_generators_reach_check_pair(self, monkeypatch):
         # tilted-rescaled: (1 + y1) times a generator is not closed, so every
         # pair holding one runs the kernels, and its failures are witnessed
